@@ -9,6 +9,14 @@
 //! pool job's processing time at the pool speed is at most the interval
 //! length, the two pieces of a wrapped job never overlap in time, so the
 //! nonparallelism constraint of the model is respected.
+//!
+//! The pool machines form one line of `pool_machines · length`, cut into
+//! machines at the multiples of the length, and placement moves to the next
+//! machine only at such a cut.  A job that ends a hair before a machine's
+//! end leaves that hair on the machine (the next job's sliver there is too
+//! short to emit) instead of skipping it, so rounding never pushes work past
+//! the last pool machine; what rounding leaves beyond the last machine's end
+//! is cut off there.
 
 use pss_types::{num, JobId, Segment};
 
@@ -48,6 +56,7 @@ pub fn place_interval(
     // Pool jobs: McNaughton wrap-around on the remaining machines.
     if solution.pool_speed > 0.0 && solution.pool_machines > 0 {
         let first_pool_machine = machine_offset + solution.dedicated.len();
+        let last_pool_machine = first_pool_machine + solution.pool_machines - 1;
         let mut machine = first_pool_machine;
         let mut offset = 0.0_f64; // time offset within the interval
         for (job, work) in &solution.pool {
@@ -58,8 +67,8 @@ pub fn place_interval(
             );
             duration = duration.min(l);
             let mut remaining = duration;
-            while remaining > 0.0 {
-                let available = l - offset;
+            loop {
+                let available = (l - offset).max(0.0);
                 let piece = remaining.min(available);
                 if piece > 0.0 && !num::approx_zero(piece) {
                     segments.push(Segment::work(
@@ -70,15 +79,14 @@ pub fn place_interval(
                         job_id_of(*job),
                     ));
                 }
-                remaining -= piece;
-                offset += piece;
-                if num::approx_ge(offset, l) {
-                    machine += 1;
-                    offset = 0.0;
-                }
-                if remaining <= 1e-15 {
+                // Wrap only where the job reaches the machine's end.
+                if remaining < available || machine == last_pool_machine {
+                    offset += piece;
                     break;
                 }
+                remaining -= piece;
+                machine += 1;
+                offset = 0.0;
             }
         }
     }
@@ -173,6 +181,40 @@ mod tests {
     fn empty_solution_produces_no_segments() {
         let (_, segs) = place(&[0.0, 0.0], 2, 1.0);
         assert!(segs.is_empty());
+    }
+
+    #[test]
+    fn a_job_ending_a_hair_before_a_machine_end_keeps_work_on_the_pool() {
+        // An atomic interval of OA(m) at m = 2 (t ≈ 392.374 of the E12
+        // Poisson stream with 2,500 arrivals and seed 14): a pool job ends
+        // 1e-9 before the last machine's end, and wrapping there used to
+        // push the last, tiny pool job onto a third machine.
+        let mut works = vec![0.0; 11];
+        works[1..=4].copy_from_slice(&[
+            0.7468223273449225,
+            1.5186265854703846,
+            1.4251467156689896,
+            2.1988597614489633e-9,
+        ]);
+        works[8..=10].copy_from_slice(&[
+            0.33730788307669246,
+            0.7441887323346446,
+            0.2749268013007926,
+        ]);
+        let m = 2;
+        let sol = ChenInterval::new(1.1678388483543358, m, AlphaPower::new(2.5)).solve(&works);
+        let segs = place_interval(&sol, 0.0, 0, JobId);
+        assert!(segs.iter().all(|s| s.machine < m), "{segs:?}");
+        for machine in 0..m {
+            let mut on_m: Vec<&Segment> = segs.iter().filter(|s| s.machine == machine).collect();
+            on_m.sort_by(|a, b| a.start.total_cmp(&b.start));
+            for pair in on_m.windows(2) {
+                assert!(!pair[0].overlaps(pair[1]), "machine {machine}: {pair:?}");
+            }
+        }
+        for (j, &w) in works.iter().enumerate() {
+            assert!(num::approx_eq(work_of_job(&segs, j), w), "job {j}");
+        }
     }
 
     #[test]

@@ -97,8 +97,11 @@ impl Simulation {
     ///
     /// The schedule must be feasible (this is checked first via
     /// [`validate_schedule`](pss_types::validate_schedule)); the simulation
-    /// then walks the event timeline (all segment boundaries in time order)
-    /// and accumulates the statistics.
+    /// then walks each job's segments in time order, read from one
+    /// [`Schedule::segments_by_job`] index, and each machine's segments, and
+    /// accumulates the statistics.  For S segments and n jobs, checking plus
+    /// replay cost O(S log S + n) (plus one pass over the segments per
+    /// machine).
     pub fn run(
         &self,
         instance: &Instance,
@@ -117,23 +120,17 @@ impl Simulation {
             }
         };
 
-        // Order segments per job by start time to count preemptions and
+        // Walk each job's segments by start time to count preemptions and
         // migrations and to find completion times.
+        let by_job = schedule.segments_by_job(n);
         let mut jobs = Vec::with_capacity(n);
         for job in &instance.jobs {
-            let mut segs: Vec<&Segment> = schedule
-                .segments
-                .iter()
-                .filter(|s| s.job == Some(job.id))
-                .collect();
-            segs.sort_by(|a, b| a.start.total_cmp(&b.start));
-
             let mut work_done = 0.0;
             let mut completion_time = None;
             let mut preemptions = 0usize;
             let mut migrations = 0usize;
             let mut prev: Option<&Segment> = None;
-            for seg in &segs {
+            for &seg in by_job.job(job.id) {
                 if let Some(p) = prev {
                     if !num::approx_eq(p.end, seg.start) {
                         preemptions += 1;
@@ -175,8 +172,7 @@ impl Simulation {
         // Per-machine statistics.
         let mut machines = vec![MachineStats::default(); m];
         for (machine, stats) in machines.iter_mut().enumerate() {
-            let segs = schedule.machine_segments(machine);
-            for seg in &segs {
+            for seg in schedule.machine_segments(machine) {
                 stats.busy_time += seg.duration();
                 stats.energy += power.energy_at_speed(seg.speed, seg.duration());
                 stats.work += seg.work_amount();
@@ -712,5 +708,29 @@ mod tests {
         assert!((rejected.dual - 0.001).abs() < 1e-12);
         // The execution report agrees: the rejected job's value is lost.
         assert!((stream.report.lost_value - 0.001).abs() < 1e-9);
+    }
+
+    #[test]
+    fn multi_oa_stream_keeps_every_segment_on_its_machines() {
+        use pss_baselines::MultiOaScheduler;
+        use pss_workloads::{ArrivalModel, RandomConfig, ValueModel};
+
+        // The E12 Poisson stream at m = 2 with 2,500 arrivals and seed 14:
+        // one of its atomic intervals used to wrap a pool job onto a third
+        // machine, and the run failed with `UnknownMachine(2)`.
+        let inst = RandomConfig {
+            n_jobs: 2_500,
+            machines: 2,
+            alpha: 2.5,
+            arrival: ArrivalModel::Poisson { rate: 4.0 },
+            value: ValueModel::ProportionalToEnergy { min: 0.3, max: 4.0 },
+            ..RandomConfig::standard(14)
+        }
+        .generate();
+        let stream = StreamingSimulation::default()
+            .run(&MultiOaScheduler::default(), &inst)
+            .unwrap();
+        assert_eq!(stream.events.len(), inst.len());
+        assert!(stream.schedule.segments.iter().all(|s| s.machine < 2));
     }
 }

@@ -76,7 +76,7 @@ pub use scheduler::{
     OnlineScheduler, Scheduler, ARRIVAL_ORDER_TOLERANCE,
 };
 pub use seglog::{FrontierPart, LogCheckpointable, LogCursor, SegmentLog};
-pub use segment::{Schedule, Segment};
+pub use segment::{Schedule, Segment, SegmentsByJob};
 pub use snapshot::{
     BlobReader, BlobWriter, Checkpointable, SnapshotError, SnapshotPart, StateBlob,
 };

@@ -79,6 +79,26 @@ impl Segment {
     }
 }
 
+/// A schedule's work segments grouped by job, built by
+/// [`Schedule::segments_by_job`]: one flat array of segment references with
+/// per-job offsets.
+#[derive(Debug, Clone)]
+pub struct SegmentsByJob<'a> {
+    /// `offsets[j]..offsets[j + 1]` is job `j`'s range of `segments`.
+    offsets: Vec<usize>,
+    segments: Vec<&'a Segment>,
+}
+
+impl<'a> SegmentsByJob<'a> {
+    /// The segments of `job` in start-time order.
+    ///
+    /// # Panics
+    /// Panics if `job` is outside the indexed ids `0..n`.
+    pub fn job(&self, job: JobId) -> &[&'a Segment] {
+        &self.segments[self.offsets[job.index()]..self.offsets[job.index() + 1]]
+    }
+}
+
 /// A complete schedule for an instance: a collection of constant-speed
 /// [`Segment`]s over `machines` machines.
 ///
@@ -178,16 +198,51 @@ impl Schedule {
         Cost { energy, lost_value }
     }
 
-    /// The segments assigned to one machine, sorted by start time.
-    pub fn machine_segments(&self, machine: usize) -> Vec<Segment> {
-        let mut segs: Vec<Segment> = self
+    /// The segments assigned to one machine, sorted by start time (stable:
+    /// segments with equal starts keep their schedule order).
+    pub fn machine_segments(&self, machine: usize) -> Vec<&Segment> {
+        let mut segs: Vec<&Segment> = self
             .segments
             .iter()
-            .copied()
             .filter(|s| s.machine == machine)
             .collect();
         segs.sort_by(|a, b| a.start.total_cmp(&b.start));
         segs
+    }
+
+    /// Groups the work segments by job for an instance with `n` jobs, each
+    /// job's segments sorted by start time (stable: segments with equal
+    /// starts keep their schedule order).
+    ///
+    /// One counting pass sizes every job's slice of a single flat array,
+    /// a second fills it in schedule order, and each slice is then sorted,
+    /// so building the index costs O(S log S + n) for S segments.  Idle
+    /// segments and segments referring to ids `>= n` are left out.
+    pub fn segments_by_job(&self, n: usize) -> SegmentsByJob<'_> {
+        let job_of = |seg: &Segment| seg.job.map(JobId::index).filter(|&j| j < n);
+        let mut offsets = vec![0usize; n + 1];
+        for j in self.segments.iter().filter_map(job_of) {
+            offsets[j + 1] += 1;
+        }
+        for j in 0..n {
+            offsets[j + 1] += offsets[j];
+        }
+        // The fill pass below overwrites every slot of this placeholder.
+        let mut segments = match self.segments.first() {
+            Some(first) => vec![first; offsets[n]],
+            None => Vec::new(),
+        };
+        let mut next = offsets[..n].to_vec();
+        for seg in &self.segments {
+            if let Some(j) = job_of(seg) {
+                segments[next[j]] = seg;
+                next[j] += 1;
+            }
+        }
+        for j in 0..n {
+            segments[offsets[j]..offsets[j + 1]].sort_by(|a, b| a.start.total_cmp(&b.start));
+        }
+        SegmentsByJob { offsets, segments }
     }
 
     /// The speed of the given machine at time `t` (0 if idle).
@@ -326,5 +381,31 @@ mod tests {
         let segs = s.machine_segments(0);
         assert_eq!(segs[0].start, 0.0);
         assert_eq!(segs[1].start, 2.0);
+    }
+
+    #[test]
+    fn segments_by_job_groups_by_job_and_sorts_stably() {
+        let mut s = Schedule::empty(2);
+        s.push(Segment::work(1, 2.0, 3.0, 1.0, JobId(1)));
+        s.push(Segment::work(0, 0.0, 1.0, 1.0, JobId(1)));
+        s.push(Segment::idle(0, 1.0, 2.0));
+        s.push(Segment::work(1, 0.0, 1.0, 2.0, JobId(0)));
+        s.push(Segment::work(0, 0.0, 1.0, 3.0, JobId(0))); // ties the start above
+        s.push(Segment::work(0, 4.0, 5.0, 1.0, JobId(7))); // outside 0..n
+        let index = s.segments_by_job(3);
+        let starts_and_speeds = |j| -> Vec<(f64, f64)> {
+            index
+                .job(JobId(j))
+                .iter()
+                .map(|seg| (seg.start, seg.speed))
+                .collect()
+        };
+        assert_eq!(starts_and_speeds(0), vec![(0.0, 2.0), (0.0, 3.0)]);
+        assert_eq!(starts_and_speeds(1), vec![(0.0, 1.0), (2.0, 1.0)]);
+        assert!(starts_and_speeds(2).is_empty());
+        assert!(Schedule::empty(1)
+            .segments_by_job(2)
+            .job(JobId(0))
+            .is_empty());
     }
 }
