@@ -387,6 +387,14 @@ impl OnlineScheduler for AvrState {
         if self.horizon_end.is_finite() {
             self.commit_to(self.horizon_end);
         }
+        // One segment per covering job per piece makes this frontier the
+        // one schedule in the workspace that reaches megabytes.  Return it
+        // without the up-to-half of its capacity that doubling left unused:
+        // freed at its exact size, it does not raise glibc's dynamic mmap
+        // threshold to the doubled capacity, so a later run's last doubling
+        // step gets a mapping of its own instead of depending on where
+        // earlier blocks sit in the heap.
+        self.committed.segments.shrink_to_fit();
         Ok(self.committed)
     }
 }

@@ -1,8 +1,9 @@
 //! Criterion bench: warm-started / indexed incremental arrivals vs the
 //! rebuild-or-rescan-per-arrival baselines, for every algorithm with a fast
-//! arrival path — OA and OA(m) (the replanning executor), PD (the
-//! persistent planning context), AVR (the active-set index) and BKP (the
-//! resident speed index + lazy EDF heap).
+//! arrival path — OA and OA(m) (the replanning executor), AVR (the
+//! active-set index) and BKP (the resident speed index + lazy EDF heap) —
+//! plus PD's persistent planning context on its own (it keeps no rebuild
+//! baseline).
 //!
 //! The workload is a Poisson stream with a bounded active set, so the
 //! per-arrival cost of the warm paths stays flat as the stream grows while
@@ -63,36 +64,17 @@ fn bench_oa_arrivals(c: &mut Criterion) {
     group.finish();
 }
 
-fn pd_run(inst: &Instance, warm: bool) -> OnlinePd {
-    let scheduler = PdScheduler::coarse();
-    let pd = OnlinePd::with_options(
-        inst.machines,
-        inst.alpha,
-        scheduler.effective_delta(inst.alpha),
-        scheduler.tol,
-    );
-    if warm {
-        pd
-    } else {
-        pd.with_rebuild_engine()
-    }
-}
-
 fn bench_pd_arrivals(c: &mut Criterion) {
-    let warm_sizes: &[usize] = if smoke() { &[200] } else { &[2000, 10000] };
-    let rebuild_sizes: &[usize] = if smoke() { &[200] } else { &[500, 1000] };
+    let sizes: &[usize] = if smoke() { &[200] } else { &[2000, 10000] };
     let mut group = c.benchmark_group("pd_arrivals");
     group.sample_size(10);
-    for &n in warm_sizes {
+    for &n in sizes {
         let inst = stream_instance(n, 7100 + n as u64);
         group.bench_with_input(BenchmarkId::new("warm", n), &inst, |b, inst| {
-            b.iter(|| std::hint::black_box(feed_all(pd_run(inst, true), inst)))
-        });
-    }
-    for &n in rebuild_sizes {
-        let inst = stream_instance(n, 7100 + n as u64);
-        group.bench_with_input(BenchmarkId::new("rebuild", n), &inst, |b, inst| {
-            b.iter(|| std::hint::black_box(feed_all(pd_run(inst, false), inst)))
+            b.iter(|| {
+                let run = PdScheduler::coarse().start_for(inst).expect("PD run");
+                std::hint::black_box(feed_all(run, inst))
+            })
         });
     }
     group.finish();

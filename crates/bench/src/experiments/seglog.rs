@@ -11,8 +11,11 @@
 //!    [`run_checkpointed`](pss_sim::StreamingSimulation::run_checkpointed)
 //!    as the differential baseline.  For the replanning family (OA, qOA,
 //!    OA(m), CLL) the live blob must stay flat while the legacy blob grows
-//!    linearly; AVR/PD/BKP still carry O(events) job-history tables, so
-//!    the log removes only the frontier term of their growth.
+//!    linearly; AVR and BKP still carry O(events) job-history tables, so
+//!    the log removes only the frontier term of their growth.  PD keeps
+//!    only its uncommitted intervals: after a sentinel job released past
+//!    every deadline, its live blob must have the same size at both
+//!    lengths.
 //! 2. **Recovery from the `(log, blob)` pair** — a mid-stream kill for
 //!    every algorithm: truncate the surviving log to the checkpoint's
 //!    cursor, restore through `restore_with_log`, replay the delta, and
@@ -24,8 +27,8 @@ use std::time::Instant;
 use pss_core::prelude::*;
 use pss_metrics::table::fmt_f64;
 use pss_metrics::{seglog_to_json, Table};
-use pss_sim::StreamingSimulation;
-use pss_types::LogCheckpointable;
+use pss_sim::{coalesce_arrivals, StreamingSimulation};
+use pss_types::{LogCheckpointable, SegmentLog};
 
 use super::burst::{burst_instance, COALESCE_WINDOW};
 use super::checkpoint::{streams_agree, streams_agree_tol};
@@ -96,6 +99,26 @@ where
     )
 }
 
+/// Streams `instance` through PD in coalesced bursts, then feeds one
+/// sentinel job released 1 after the last deadline and returns the size of
+/// the live blob captured after it: every earlier window has elapsed, so a
+/// history-free state holds the sentinel alone.
+fn pd_live_bytes_after_sentinel(instance: &Instance) -> usize {
+    let mut run = PdScheduler::coarse().start_for(instance).expect("PD run");
+    for (feed_time, ids) in coalesce_arrivals(instance, COALESCE_WINDOW) {
+        let jobs: Vec<Job> = ids.iter().map(|&id| *instance.job(id)).collect();
+        run.on_arrivals(&jobs, feed_time).expect("PD burst");
+    }
+    let release = instance.horizon().1 + 1.0;
+    let sentinel = Job::new(instance.len(), release, release + 1.0, 0.1, 1e6);
+    run.on_arrival(&sentinel, release).expect("PD sentinel");
+    let mut log = SegmentLog::new(instance.machines);
+    run.snapshot_live(&mut log)
+        .expect("PD live snapshot")
+        .to_bytes()
+        .len()
+}
+
 /// Runs the `(log, blob)` crash drill for one algorithm and pushes its
 /// recovery row; returns whether the recovered stream equals the
 /// uninterrupted one.
@@ -151,8 +174,10 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     let mut equivalent = true;
     let mut samples: Vec<SizeSample> = Vec::new();
+    let mut pd_sentinel_bytes = Vec::new();
     for &n in &[n_small, n_large] {
         let instance = burst_instance(1, n, burst, 18_000 + n as u64);
+        pd_sentinel_bytes.push(pd_live_bytes_after_sentinel(&instance));
         let moa_instance = burst_instance(1, n / 4, burst, 18_100 + n as u64);
         let mut push = |ok: bool, sample: SizeSample| {
             equivalent &= ok;
@@ -257,7 +282,14 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 "every live blob undercuts the legacy full-frontier blob at the same cut: {}",
                 check(undercut)
             ),
-            "AVR, PD and BKP blobs still carry O(events) job-history tables — the segment \
+            format!(
+                "after a sentinel job released past every deadline, PD's live blob has the \
+                 same size at n = {n_small} and n = {n_large} ({} B vs {} B): {}",
+                pd_sentinel_bytes[0],
+                pd_sentinel_bytes[1],
+                check(pd_sentinel_bytes[0] == pd_sentinel_bytes[1])
+            ),
+            "AVR and BKP blobs still carry O(events) job-history tables — the segment \
              log removes only the committed-frontier term of their growth; shrinking those \
              tables to live-only is future work"
                 .into(),
@@ -276,7 +308,10 @@ mod tests {
         // 7 algorithms x 2 lengths; 7 recovery rows.
         assert_eq!(out.tables[0].rows.len(), 14);
         assert_eq!(out.tables[1].rows.len(), 7);
-        for note in &out.notes[..4] {
+        // Every note but the last (informational) one is a yes/NO gate,
+        // including PD's history-free blob after the sentinel gap.
+        assert_eq!(out.notes.len(), 6);
+        for note in &out.notes[..5] {
             assert!(note.contains("yes"), "failing E18 note: {note}");
         }
     }

@@ -2,8 +2,9 @@
 //! (p50/p95/p99) versus stream length for *all* the event-driven online
 //! algorithms (PD, OA, qOA, OA(m), CLL, AVR, BKP), driven through
 //! [`StreamingSimulation`], plus the warm-started/indexed-vs-rebuild
-//! arrival-processing speedups and the OA(m) coordinate-descent
-//! convergence statistics.
+//! arrival-processing speedups (OA, AVR, BKP and OA(m); PD keeps no
+//! rebuild path, the batch oracle pins it instead) and the OA(m)
+//! coordinate-descent convergence statistics.
 //!
 //! The workload is a Poisson arrival stream with a bounded active set (the
 //! regime a long-running scheduler actually serves), so the stream length
@@ -141,10 +142,10 @@ pub fn run(quick: bool) -> ExperimentOutput {
     // OA(m)'s warm-start overhead (remap + seed pricing) only amortises
     // once the pending sets reach their steady-state size, so its quick
     // size is not scaled down as aggressively as the others.
-    let (oa_n, pd_n, avr_n, bkp_n, moa_n) = if quick {
-        (120, 100, 120, 80, 150)
+    let (oa_n, avr_n, bkp_n, moa_n) = if quick {
+        (120, 120, 80, 150)
     } else {
-        (1500, 600, 1500, 600, 400)
+        (1500, 1500, 600, 400)
     };
     let mut speedup = Table::new(
         "Warm-started/indexed vs rebuild-per-arrival arrival processing",
@@ -179,20 +180,6 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let mut cold_run = ReplanState::new(planner, AdmitAll, env).with_warm_start(false);
     let cold = drive_arrivals(&mut cold_run, &oa_inst);
     speedup_row(&mut speedup, "OA", oa_n, warm, cold);
-
-    let pd_inst = stream_instance(pd_n, 9400);
-    let scheduler = PdScheduler::coarse();
-    let mut warm_run = scheduler.start_for(&pd_inst).expect("PD run");
-    let warm = drive_arrivals(&mut warm_run, &pd_inst);
-    let mut cold_run = OnlinePd::with_options(
-        pd_inst.machines,
-        pd_inst.alpha,
-        scheduler.effective_delta(pd_inst.alpha),
-        scheduler.tol,
-    )
-    .with_rebuild_engine();
-    let cold = drive_arrivals(&mut cold_run, &pd_inst);
-    speedup_row(&mut speedup, "PD", pd_n, warm, cold);
 
     let avr_inst = stream_instance(avr_n, 9500);
     let mut warm_run = AvrScheduler.start_for(&avr_inst).expect("AVR run");
@@ -289,7 +276,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
             format!(
                 "warm-started/indexed arrival processing is faster than \
-                 rebuild-per-arrival (min speedup {}x across OA, PD, AVR, BKP \
+                 rebuild-per-arrival (min speedup {}x across OA, AVR, BKP \
                  and OA(m) at m = 1 and m = 2)",
                 fmt_f64(min_speedup)
             ),
@@ -312,10 +299,10 @@ mod tests {
     fn e12_quick_produces_ordered_percentiles() {
         let out = run(true);
         assert_eq!(out.tables.len(), 3);
-        // 7 algorithms x 2 sizes latency rows, 6 speedup rows (OA(m) at
+        // 7 algorithms x 2 sizes latency rows, 5 speedup rows (OA(m) at
         // m = 1 and m = 2), 2 convergence rows.
         assert_eq!(out.tables[0].rows.len(), 14);
-        assert_eq!(out.tables[1].rows.len(), 6);
+        assert_eq!(out.tables[1].rows.len(), 5);
         assert_eq!(out.tables[2].rows.len(), 2);
         assert!(out.notes[0].contains("yes"), "{:?}", out.notes);
     }

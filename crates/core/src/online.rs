@@ -14,11 +14,11 @@
 //! the batch scheduler is verified by tests and by the `online_equivalence`
 //! integration test.
 //!
-//! ## The persistent planning context
+//! ## The live planning context
 //!
-//! The arrival step is **incremental**: the run keeps a persistent sparse
-//! planning context — the current partition plus, per atomic interval, the
-//! list of `(job, fraction)` loads assigned there — and updates it in place
+//! The arrival step is **incremental**: the run keeps a sparse planning
+//! context — the current partition plus, per atomic interval, the list of
+//! `(job, fraction, work)` loads assigned there — and updates it in place
 //! on every arrival (partition refinement splits load entries
 //! proportionally; an accepted fill appends its entries).  The water-filling
 //! step reads its per-interval capacities straight from these lists, so an
@@ -26,17 +26,19 @@
 //! to the whole history: no job list is cloned, no `Instance` is rebuilt,
 //! and no dense `n × N` assignment is materialised.
 //!
-//! The pre-existing rebuild-from-scratch arrival step is retained behind
-//! [`OnlinePd::with_rebuild_engine`] as an independently coded cross-check
-//! (both engines must produce identical schedules; the
-//! `incremental_equivalence` integration tests verify this) and as the
-//! baseline of the `warm_replan` benchmark.
+//! The state holds only **uncommitted** intervals.  Once an interval has
+//! fully elapsed its loads can never change again (later jobs are released
+//! at or after the current time, and refinement only adds boundaries
+//! there), so it is realised into the committed frontier and retired: its
+//! boundary and load list are dropped, and the frontier's end becomes the
+//! first boundary and the floor for every later boundary point.  A load
+//! entry carries its job's original id and work, so no per-job table is
+//! kept either: the state, and a checkpoint of it, is O(active), not
+//! O(arrivals).
 
 use pss_chen::{placement::place_interval, ChenInterval};
-use pss_convex::{
-    waterfill_candidates, waterfill_job, ProgramContext, WaterfillCandidate, WaterfillOptions,
-};
-use pss_intervals::{BoundaryInsert, IntervalPartition, WorkAssignment};
+use pss_convex::{waterfill_candidates, WaterfillCandidate, WaterfillOptions};
+use pss_intervals::{BoundaryInsert, IntervalPartition};
 use pss_power::AlphaPower;
 use pss_types::num::Tolerance;
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
@@ -48,15 +50,29 @@ use pss_types::{
     Segment, ARRIVAL_ORDER_TOLERANCE,
 };
 
-/// The persistent sparse planning context of the incremental engine: the
-/// partition known so far and, per atomic interval, the `(dense job,
-/// fraction)` loads assigned there.  This is the "cached instance +
-/// partition updated in place" replacing the per-arrival rebuild.
+/// One job's share of an atomic interval: the job's original id, the
+/// fraction of its work assigned there, and its total work.
+#[derive(Debug, Clone, Copy)]
+struct Load {
+    job: JobId,
+    fraction: f64,
+    work: f64,
+}
+
+impl Load {
+    /// The work this entry places in its interval.
+    fn amount(&self) -> f64 {
+        self.fraction * self.work
+    }
+}
+
+/// The sparse planning context: the partition of the time not yet
+/// committed and, per atomic interval, the loads assigned there.
 #[derive(Debug, Clone)]
 struct PlanState {
     partition: IntervalPartition,
     /// `loads[k]` lists the jobs with positive fraction in interval `k`.
-    loads: Vec<Vec<(usize, f64)>>,
+    loads: Vec<Vec<Load>>,
 }
 
 impl PlanState {
@@ -71,10 +87,9 @@ impl PlanState {
     /// place** and splits the affected load lists proportionally.  Each
     /// endpoint is an `O(log N)` search plus an `O(tail)` insertion —
     /// boundaries arrive in nondecreasing time order, so the moved tail is
-    /// short and the committed prefix keeps its indices (the caller clamps
-    /// the points to the committed-frontier floor, so no committed interval
-    /// can ever split).  No new partition and no full `Refinement` mapping
-    /// is ever materialised.
+    /// short.  The caller clamps the points to the floor, so none lands
+    /// before the first boundary once anything is committed.  No new
+    /// partition and no full `Refinement` mapping is ever materialised.
     fn refine(&mut self, points: &[f64]) {
         for &p in points {
             match self.partition.insert_boundary(p) {
@@ -87,7 +102,7 @@ impl PlanState {
                 BoundaryInsert::Prepend { created_interval } => {
                     // Releases are nondecreasing, so a point before the very
                     // first boundary can only occur before anything was
-                    // committed; the committed prefix is unaffected.
+                    // committed.
                     if created_interval {
                         self.loads.insert(0, Vec::new());
                     }
@@ -97,12 +112,15 @@ impl PlanState {
                     left_fraction,
                 } => {
                     let entries = &mut self.loads[interval];
-                    let right: Vec<(usize, f64)> = entries
+                    let right: Vec<Load> = entries
                         .iter()
-                        .map(|&(j, f)| (j, f * (1.0 - left_fraction)))
+                        .map(|&e| Load {
+                            fraction: e.fraction * (1.0 - left_fraction),
+                            ..e
+                        })
                         .collect();
                     for e in entries.iter_mut() {
-                        e.1 *= left_fraction;
+                        e.fraction *= left_fraction;
                     }
                     self.loads.insert(interval + 1, right);
                 }
@@ -110,20 +128,12 @@ impl PlanState {
         }
         debug_assert_eq!(self.loads.len(), self.partition.len());
     }
-}
 
-/// How a run maintains its planning context across arrivals.
-#[derive(Debug, Clone)]
-enum ArrivalEngine {
-    /// Persistent sparse context updated in place (the default).
-    Incremental(PlanState),
-    /// Rebuild the dense context (`Instance` + `ProgramContext` +
-    /// `WorkAssignment`) from scratch on every arrival — the pre-warm-start
-    /// behaviour, kept as a cross-check and benchmark baseline.
-    Rebuild {
-        partition: IntervalPartition,
-        assignment: WorkAssignment,
-    },
+    /// Drops the first `k` intervals and their load lists.
+    fn retire_prefix(&mut self, k: usize) {
+        self.partition.retire_prefix(k);
+        self.loads.drain(..k);
+    }
 }
 
 /// Event-driven PD: feed jobs in release order, read out the schedule at any
@@ -135,21 +145,17 @@ pub struct OnlinePd {
     power: AlphaPower,
     delta: f64,
     tol: Tolerance,
-    engine: ArrivalEngine,
-    /// Jobs in arrival order, re-indexed densely (`jobs[i].id == JobId(i)`).
-    jobs: Vec<Job>,
-    /// The original id of each arrived job.
-    original_ids: Vec<JobId>,
-    lambda: Vec<f64>,
-    accepted: Vec<bool>,
+    plan: PlanState,
+    /// Number of jobs that have arrived so far.
+    arrived: usize,
     last_release: f64,
+    /// End of the committed frontier (`-∞` before the first commit), which
+    /// is then the plan's first boundary: no boundary point may land before
+    /// it.
+    floor: f64,
     /// Realised segments of every fully elapsed atomic interval (original
     /// job ids) — the committed frontier of the event-driven API.
     committed: Schedule,
-    /// Number of leading partition intervals already realised into
-    /// `committed`.  Refinement only ever adds boundaries at or after the
-    /// current arrival time, so this prefix is stable.
-    committed_prefix: usize,
 }
 
 impl OnlinePd {
@@ -178,284 +184,136 @@ impl OnlinePd {
             power,
             delta,
             tol,
-            engine: ArrivalEngine::Incremental(PlanState::new()),
-            jobs: Vec::new(),
-            original_ids: Vec::new(),
-            lambda: Vec::new(),
-            accepted: Vec::new(),
+            plan: PlanState::new(),
+            arrived: 0,
             last_release: f64::NEG_INFINITY,
+            floor: f64::NEG_INFINITY,
             committed: Schedule::empty(machines),
-            committed_prefix: 0,
         }
-    }
-
-    /// Switches this (fresh) run to the rebuild-per-arrival engine: the
-    /// planning context (`Instance`, partition coverage, dense assignment)
-    /// is reconstructed from the full job history on every arrival, exactly
-    /// as before the persistent context existed.  Kept as an independently
-    /// coded reference — both engines must produce identical schedules — and
-    /// as the baseline of the warm-start benchmarks.
-    ///
-    /// # Panics
-    /// Panics if jobs have already arrived.
-    pub fn with_rebuild_engine(mut self) -> Self {
-        assert!(
-            self.jobs.is_empty(),
-            "the engine can only be chosen before the first arrival"
-        );
-        self.engine = ArrivalEngine::Rebuild {
-            partition: IntervalPartition::from_boundaries(std::iter::empty()),
-            assignment: WorkAssignment::new(0),
-        };
-        self
     }
 
     /// Number of jobs that have arrived so far.
     pub fn arrived(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// The accept/reject decisions so far, in arrival order, paired with the
-    /// jobs' original ids.
-    pub fn decisions(&self) -> Vec<(JobId, bool)> {
-        self.original_ids
-            .iter()
-            .copied()
-            .zip(self.accepted.iter().copied())
-            .collect()
+        self.arrived
     }
 
     /// Feeds the next arriving job.  Jobs must be fed in nondecreasing order
     /// of release time (the online model); the job keeps its original id for
-    /// the final schedule.  Returns whether PD accepted the job.
-    pub fn arrive(&mut self, job: &Job) -> Result<bool, ScheduleError> {
+    /// the final schedule.  Returns PD's decision under the workspace dual
+    /// convention.
+    pub fn arrive(&mut self, job: &Job) -> Result<Decision, ScheduleError> {
         check_arrival(job, self.last_release, job.release)?;
-        self.last_release = self.last_release.max(job.release);
+        let decision = self.fill(job);
+        self.commit_elapsed(job.release);
+        Ok(decision)
+    }
 
-        // 1. Register the job under a dense arrival index.
-        let dense = self.jobs.len();
-        self.jobs.push(Job::new(
-            dense,
-            job.release,
-            job.deadline,
-            job.work,
-            job.value,
-        ));
-        self.original_ids.push(job.id);
-
-        // 2. Refine the partition with the new boundaries (splitting the
-        //    existing loads proportionally) and run the greedy primal-dual
-        //    step for the new job on the refined partition.  The boundary
-        //    points are clamped to the committed-frontier floor: the arrival
-        //    tolerance lets a release lie up to 1e-9 before the previous
-        //    arrival, which could otherwise split an already-committed
-        //    interval and double-realise the sliver.
-        let floor = if self.committed_prefix > 0 {
-            self.partition().boundaries()[self.committed_prefix]
-        } else {
-            f64::NEG_INFINITY
-        };
-        let boundary_points = [job.release.max(floor), job.deadline.max(floor)];
+    /// PD's greedy primal-dual step for one job (Listing 1): refine the
+    /// partition with the job's window endpoints, water-fill its work into
+    /// the covered intervals, and keep the fill only if it saturates.
+    /// Accepted jobs report their dual λ_j (the water level reached),
+    /// rejected jobs their lost value.
+    ///
+    /// The boundary points are clamped to the floor: the arrival tolerance
+    /// lets a release lie up to 1e-9 before the previous arrival, which
+    /// could otherwise reach back into committed time.
+    fn fill(&mut self, job: &Job) -> Decision {
+        let plan = &mut self.plan;
+        plan.refine(&[job.release.max(self.floor), job.deadline.max(self.floor)]);
+        let candidates: Vec<WaterfillCandidate> = plan
+            .partition
+            .covered_intervals(job)
+            .into_iter()
+            .map(|k| WaterfillCandidate {
+                interval: k,
+                length: plan.partition.length(k),
+                other_works: plan.loads[k].iter().map(Load::amount).collect(),
+            })
+            .collect();
         let opts = WaterfillOptions {
             max_fraction: 1.0,
             max_marginal: Some(job.value / self.delta),
             tol: self.tol,
         };
-        // The rebuild engine's dense context is built once per arrival and
-        // reused for the commit step below, like the pre-warm-start code.
-        let mut rebuild_ctx: Option<ProgramContext> = None;
-        let fill = match &mut self.engine {
-            ArrivalEngine::Incremental(state) => {
-                state.refine(&boundary_points);
-                let candidates: Vec<WaterfillCandidate> = state
-                    .partition
-                    .covered_intervals(&self.jobs[dense])
-                    .into_iter()
-                    .map(|k| WaterfillCandidate {
-                        interval: k,
-                        length: state.partition.length(k),
-                        other_works: state.loads[k]
-                            .iter()
-                            .map(|&(j, f)| f * self.jobs[j].work)
-                            .collect(),
-                    })
-                    .collect();
-                waterfill_candidates(self.power, self.machines, job.work, candidates, &opts)
-            }
-            ArrivalEngine::Rebuild {
-                partition,
-                assignment,
-            } => {
-                let (refined, refinement) = partition.refine(boundary_points);
-                assignment.apply_refinement(&refinement);
-                *partition = refined;
-                assignment.ensure_job(dense);
-                let ctx = rebuild_context(self.machines, self.alpha, &self.jobs, partition)?;
-                let fill = waterfill_job(&ctx, assignment, dense, &opts);
-                rebuild_ctx = Some(ctx);
-                fill
-            }
-        };
-
-        // 3. Commit or reset the fill, following Listing 1.
-        let accepted = fill.saturated;
-        if accepted {
-            match &mut self.engine {
-                ArrivalEngine::Incremental(state) => {
-                    for &(k, f) in &fill.added {
-                        state.loads[k].push((dense, f));
-                    }
-                }
-                ArrivalEngine::Rebuild { assignment, .. } => {
-                    for &(k, f) in &fill.added {
-                        assignment.set(dense, k, f);
-                    }
-                }
-            }
-            self.lambda.push(self.delta * fill.level_marginal);
-        } else {
-            self.lambda.push(job.value);
+        let fill = waterfill_candidates(self.power, self.machines, job.work, candidates, &opts);
+        self.arrived += 1;
+        self.last_release = self.last_release.max(job.release);
+        if !fill.saturated {
+            return Decision::reject(job.value);
         }
-        self.accepted.push(accepted);
-
-        // 4. Commit every interval that has fully elapsed: its loads can
-        //    never change again (later jobs are released at or after `now`
-        //    and refinement only adds boundaries `>= now`), so its
-        //    realisation is final.
-        self.commit_elapsed(job.release, rebuild_ctx.as_ref())?;
-        Ok(accepted)
+        for &(k, fraction) in &fill.added {
+            plan.loads[k].push(Load {
+                job: job.id,
+                fraction,
+                work: job.work,
+            });
+        }
+        Decision::accept(self.delta * fill.level_marginal)
     }
 
-    /// Realises interval `k` of the current planning context, with the jobs'
-    /// **original** ids.  `ctx` must be the rebuild engine's current dense
-    /// context (ignored by the incremental engine).
-    fn realize_interval(
-        &self,
-        k: usize,
-        ctx: Option<&ProgramContext>,
-    ) -> Result<Vec<Segment>, ScheduleError> {
-        match &self.engine {
-            ArrivalEngine::Incremental(state) => {
-                let entries = &state.loads[k];
-                if entries.is_empty() {
-                    return Ok(Vec::new());
-                }
-                let iv = state.partition.interval(k);
-                let works: Vec<f64> = entries
-                    .iter()
-                    .map(|&(j, f)| f * self.jobs[j].work)
-                    .collect();
-                if works.iter().all(|u| *u <= 0.0) {
-                    return Ok(Vec::new());
-                }
-                let sol = ChenInterval::new(iv.length(), self.machines, self.power).solve(&works);
-                Ok(place_interval(&sol, iv.start, 0, |i| {
-                    self.original_ids[entries[i].0]
-                }))
-            }
-            ArrivalEngine::Rebuild { assignment, .. } => {
-                let ctx = ctx.ok_or_else(|| {
-                    ScheduleError::Internal(
-                        "rebuild engine: realisation needs the dense context".into(),
-                    )
-                })?;
-                let mut segments = ctx.realize_interval(assignment, k);
-                for seg in &mut segments {
-                    if let Some(j) = seg.job {
-                        seg.job = Some(self.original_ids[j.index()]);
-                    }
-                }
-                Ok(segments)
-            }
+    /// Realises interval `k` of the planning context, with the jobs'
+    /// original ids.
+    fn realize_interval(&self, k: usize) -> Vec<Segment> {
+        let entries = &self.plan.loads[k];
+        if entries.is_empty() {
+            return Vec::new();
         }
+        let iv = self.plan.partition.interval(k);
+        let works: Vec<f64> = entries.iter().map(Load::amount).collect();
+        if works.iter().all(|u| *u <= 0.0) {
+            return Vec::new();
+        }
+        let sol = ChenInterval::new(iv.length(), self.machines, self.power).solve(&works);
+        place_interval(&sol, iv.start, 0, |i| entries[i].job)
     }
 
-    /// The partition of the engine currently in use.
-    fn partition(&self) -> &IntervalPartition {
-        match &self.engine {
-            ArrivalEngine::Incremental(state) => &state.partition,
-            ArrivalEngine::Rebuild { partition, .. } => partition,
-        }
-    }
-
-    /// Builds the rebuild engine's dense context (`None` for the incremental
-    /// engine) — once per caller, not per interval.
-    fn current_rebuild_context(&self) -> Result<Option<ProgramContext>, ScheduleError> {
-        match &self.engine {
-            ArrivalEngine::Incremental(_) => Ok(None),
-            ArrivalEngine::Rebuild { partition, .. } => Ok(Some(rebuild_context(
-                self.machines,
-                self.alpha,
-                &self.jobs,
-                partition,
-            )?)),
-        }
-    }
-
-    /// Realises (and remembers) every not-yet-committed interval ending at
-    /// or before `now`.  `ctx` is the rebuild engine's current dense context
-    /// if the caller already built one this arrival (built here otherwise).
-    fn commit_elapsed(
-        &mut self,
-        now: f64,
-        ctx: Option<&ProgramContext>,
-    ) -> Result<(), ScheduleError> {
-        let built;
-        let ctx = match ctx {
-            Some(ctx) => Some(ctx),
-            None => {
-                built = self.current_rebuild_context()?;
-                built.as_ref()
-            }
-        };
-        while self.committed_prefix < self.partition().len() {
-            let iv = self.partition().interval(self.committed_prefix);
-            if iv.end > now + 1e-12 {
-                break;
-            }
-            for seg in self.realize_interval(iv.index, ctx)? {
+    /// Realises every interval ending at or before `now` into the committed
+    /// frontier and retires it.  Its loads can never change again (later
+    /// jobs are released at or after `now` and refinement only adds
+    /// boundaries `>= now`), so its realisation is final.
+    fn commit_elapsed(&mut self, now: f64) {
+        let mut elapsed = 0;
+        while elapsed < self.plan.partition.len()
+            && self.plan.partition.interval(elapsed).end <= now + 1e-12
+        {
+            for seg in self.realize_interval(elapsed) {
                 self.committed.push(seg);
             }
-            self.committed_prefix += 1;
+            elapsed += 1;
         }
-        Ok(())
+        if elapsed > 0 {
+            self.plan.retire_prefix(elapsed);
+            self.floor = self.plan.partition.boundaries()[0];
+        }
     }
 
     /// The current schedule for everything that has arrived so far, with the
-    /// jobs' original ids.
+    /// jobs' original ids: the committed frontier plus the realisation of
+    /// every live interval.
     pub fn schedule(&self) -> Result<Schedule, ScheduleError> {
-        let mut schedule = Schedule::empty(self.machines);
-        if self.jobs.is_empty() {
-            return Ok(schedule);
-        }
-        let ctx = self.current_rebuild_context()?;
-        for k in 0..self.partition().len() {
-            for seg in self.realize_interval(k, ctx.as_ref())? {
+        let mut schedule = self.committed.clone();
+        for k in 0..self.plan.partition.len() {
+            for seg in self.realize_interval(k) {
                 schedule.push(seg);
             }
         }
         Ok(schedule)
     }
 
-    /// Feeds a burst of jobs arriving together: one pass over the
-    /// persistent sparse planning context — per-job partition refinement +
-    /// water-fill in slice order (the greedy primal-dual step is
-    /// order-dependent, so the fills stay sequential — exactly Listing 1's
-    /// semantics) — with the boundary floor resolved once and **one**
-    /// frontier commit (the per-interval Chen realisations) at the end
-    /// instead of one per arrival.
+    /// Feeds a burst of jobs arriving together: per-job partition
+    /// refinement + water-fill in slice order (the greedy primal-dual step
+    /// is order-dependent, so the fills stay sequential — exactly Listing
+    /// 1's semantics) and **one** frontier commit (the per-interval Chen
+    /// realisations) at the end instead of one per arrival.
     ///
     /// Splitting an interval proportionally never changes any water level
     /// or realised speed (the paper's partition-refinement invariance,
     /// Section 3), so committing after the whole burst realises exactly
     /// what the one-at-a-time interleaving would have; the
     /// burst-equivalence integration tests (`tests/incremental_equivalence.rs`)
-    /// pin this.  Returns the accept decision per job, like
+    /// pin this.  Returns the decision per job, like
     /// [`arrive`](Self::arrive).
-    ///
-    /// The rebuild reference engine has no batched context update and
-    /// simply loops [`arrive`](Self::arrive).
-    pub fn arrive_burst(&mut self, jobs: &[Job], now: f64) -> Result<Vec<bool>, ScheduleError> {
+    pub fn arrive_burst(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
         if jobs.is_empty() {
             return Ok(Vec::new());
         }
@@ -463,89 +321,21 @@ impl OnlinePd {
         // contract) before mutating any state.
         let mut last = self.last_release;
         for job in jobs {
-            if now < job.release - ARRIVAL_ORDER_TOLERANCE {
-                return Err(ScheduleError::Internal(format!(
-                    "job {} fed before its release time ({} < {})",
-                    job.id, now, job.release
-                )));
-            }
+            check_fed(job, now)?;
             check_arrival(job, last, job.release)?;
             last = last.max(job.release);
         }
-        if matches!(self.engine, ArrivalEngine::Rebuild { .. }) {
-            // The reference engine rebuilds its dense context per arrival
-            // anyway; batching would change what it is a baseline for.
-            return jobs.iter().map(|job| self.arrive(job)).collect();
-        }
-
-        // The committed frontier cannot advance inside the burst (the
-        // commit below is deferred), so the boundary floor is fixed once.
-        let floor = if self.committed_prefix > 0 {
-            self.partition().boundaries()[self.committed_prefix]
-        } else {
-            f64::NEG_INFINITY
-        };
-        let ArrivalEngine::Incremental(state) = &mut self.engine else {
-            unreachable!("rebuild engine handled above");
-        };
-
-        // The sequential greedy fills, job by job on the shared context.
-        // Each job refines the partition with its own two boundaries just
-        // before its fill (not all burst boundaries upfront: a fill's cost
-        // scales with the candidate sub-intervals it sees, so refining
-        // lazily keeps the burst's earlier fills on the coarser partition,
-        // exactly like the one-at-a-time path — refinement invariance makes
-        // either order produce the same fills).
-        let mut accepted = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            state.refine(&[job.release.max(floor), job.deadline.max(floor)]);
-            let dense = self.jobs.len();
-            self.jobs.push(Job::new(
-                dense,
-                job.release,
-                job.deadline,
-                job.work,
-                job.value,
-            ));
-            self.original_ids.push(job.id);
-            let opts = WaterfillOptions {
-                max_fraction: 1.0,
-                max_marginal: Some(job.value / self.delta),
-                tol: self.tol,
-            };
-            let candidates: Vec<WaterfillCandidate> = state
-                .partition
-                .covered_intervals(&self.jobs[dense])
-                .into_iter()
-                .map(|k| WaterfillCandidate {
-                    interval: k,
-                    length: state.partition.length(k),
-                    other_works: state.loads[k]
-                        .iter()
-                        .map(|&(j, f)| f * self.jobs[j].work)
-                        .collect(),
-                })
-                .collect();
-            let fill = waterfill_candidates(self.power, self.machines, job.work, candidates, &opts);
-            if fill.saturated {
-                for &(k, f) in &fill.added {
-                    state.loads[k].push((dense, f));
-                }
-                self.lambda.push(self.delta * fill.level_marginal);
-            } else {
-                self.lambda.push(job.value);
-            }
-            self.accepted.push(fill.saturated);
-            accepted.push(fill.saturated);
-            self.last_release = self.last_release.max(job.release);
-        }
-
+        // The floor cannot move inside the burst (the commit is deferred),
+        // and each job refines the partition with its own two boundaries
+        // just before its fill, so the burst's earlier fills see the coarser
+        // partition exactly like the one-at-a-time path.
+        let decisions = jobs.iter().map(|job| self.fill(job)).collect();
         // One frontier commit for the whole burst: realising an atomic
         // interval (a Chen solve per interval) is the expensive part of an
         // arrival on a jittered burst, and deferring it until the burst's
         // loads are final does it once instead of per sliver.
-        self.commit_elapsed(self.last_release, None)?;
-        Ok(accepted)
+        self.commit_elapsed(self.last_release);
+        Ok(decisions)
     }
 
     /// Convenience: runs the online algorithm over a whole instance (feeding
@@ -560,22 +350,54 @@ impl OnlinePd {
     }
 }
 
+/// The `now`-specific half of the ingress contract.  The rest is
+/// `check_arrival` against the *release* time, since PD's partition
+/// refinement needs nondecreasing releases.
+fn check_fed(job: &Job, now: f64) -> Result<(), ScheduleError> {
+    if now < job.release - ARRIVAL_ORDER_TOLERANCE {
+        return Err(ScheduleError::Internal(format!(
+            "job {} fed before its release time ({} < {})",
+            job.id, now, job.release
+        )));
+    }
+    Ok(())
+}
+
+impl SnapshotPart for Load {
+    fn encode(&self, w: &mut BlobWriter) {
+        w.write_part(&self.job);
+        w.write_f64(self.fraction);
+        w.write_f64(self.work);
+    }
+
+    fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
+        let load = Load {
+            job: r.read_part()?,
+            fraction: r.read_f64()?,
+            work: r.read_f64()?,
+        };
+        // A non-finite or negative entry would poison every later fill and
+        // Chen solve of its interval; restore stays total by refusing it.
+        let valid = |x: f64| x.is_finite() && x >= 0.0;
+        if !(valid(load.fraction) && valid(load.work)) {
+            return Err(SnapshotError::Invalid(format!(
+                "PD load of job {} out of range (fraction {}, work {})",
+                load.job, load.fraction, load.work
+            )));
+        }
+        Ok(load)
+    }
+}
+
 impl SnapshotPart for PlanState {
     fn encode(&self, w: &mut BlobWriter) {
         w.write_part(&self.partition);
-        w.write_usize(self.loads.len());
-        for entries in &self.loads {
-            w.write_seq(entries);
-        }
+        w.write_seq(&self.loads);
     }
 
     fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
         let partition: IntervalPartition = r.read_part()?;
-        let n = r.read_len(8)?;
-        let mut loads = Vec::with_capacity(n);
-        for _ in 0..n {
-            loads.push(r.read_seq::<(usize, f64)>()?);
-        }
+        let loads: Vec<Vec<Load>> = r.read_seq()?;
         if loads.len() != partition.len() {
             return Err(SnapshotError::Invalid(format!(
                 "{} load lists for {} intervals",
@@ -587,42 +409,10 @@ impl SnapshotPart for PlanState {
     }
 }
 
-impl SnapshotPart for ArrivalEngine {
-    fn encode(&self, w: &mut BlobWriter) {
-        match self {
-            ArrivalEngine::Incremental(state) => {
-                w.write_u8(0);
-                w.write_part(state);
-            }
-            ArrivalEngine::Rebuild {
-                partition,
-                assignment,
-            } => {
-                w.write_u8(1);
-                w.write_part(partition);
-                w.write_part(assignment);
-            }
-        }
-    }
-
-    fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
-        match r.read_u8()? {
-            0 => Ok(ArrivalEngine::Incremental(r.read_part()?)),
-            1 => Ok(ArrivalEngine::Rebuild {
-                partition: r.read_part()?,
-                assignment: r.read_part()?,
-            }),
-            other => Err(SnapshotError::Invalid(format!(
-                "unknown PD arrival engine tag {other}"
-            ))),
-        }
-    }
-}
-
-/// State version of [`OnlinePd`] snapshots.  Version 2 stores the
-/// committed frontier as a [`FrontierPart`] (inline or a segment-log
-/// cursor); version-1 blobs are rejected with a typed error.
-const PD_STATE_VERSION: u16 = 2;
+/// State version of [`OnlinePd`] snapshots.  Version 3 holds only live
+/// state (no per-job tables, no elapsed intervals); version-2 and older
+/// blobs are rejected with a typed error.
+const PD_STATE_VERSION: u16 = 3;
 
 impl OnlinePd {
     fn encode_snapshot(&self, frontier: &FrontierPart) -> StateBlob {
@@ -631,14 +421,11 @@ impl OnlinePd {
         w.write_f64(self.alpha);
         w.write_f64(self.delta);
         w.write_part(&self.tol);
-        w.write_part(&self.engine);
-        w.write_seq(&self.jobs);
-        w.write_seq(&self.original_ids);
-        w.write_seq(&self.lambda);
-        w.write_seq(&self.accepted);
+        w.write_part(&self.plan);
+        w.write_usize(self.arrived);
         w.write_f64(self.last_release);
+        w.write_f64(self.floor);
         w.write_part(frontier);
-        w.write_usize(self.committed_prefix);
         StateBlob::new("pd", PD_STATE_VERSION, w.into_payload())
     }
 
@@ -659,63 +446,31 @@ impl OnlinePd {
             power: AlphaPower::new(alpha),
             delta,
             tol: r.read_part()?,
-            engine: r.read_part()?,
-            jobs: r.read_seq()?,
-            original_ids: r.read_seq()?,
-            lambda: r.read_seq()?,
-            accepted: r.read_seq()?,
+            plan: r.read_part()?,
+            arrived: r.read_usize()?,
             last_release: r.read_f64()?,
+            floor: r.read_f64()?,
             committed: r.read_part::<FrontierPart>()?.resolve(log)?,
-            committed_prefix: r.read_usize()?,
         };
         r.finish()?;
-        let n = state.jobs.len();
-        if state.original_ids.len() != n
-            || state.lambda.len() != n
-            || state.accepted.len() != n
-            || state.committed_prefix > state.partition().len()
+        let first = state.plan.partition.boundaries().first().copied();
+        if state.floor != f64::NEG_INFINITY
+            && first.map(f64::to_bits) != Some(state.floor.to_bits())
         {
             return Err(SnapshotError::Invalid(
-                "PD job tables disagree in length".into(),
+                "PD floor is not the first live boundary".into(),
             ));
-        }
-        // The engine's load/assignment tables index into the job history;
-        // restore must stay total, so a dangling index is an error here
-        // rather than a panic at the next arrival.
-        match &state.engine {
-            ArrivalEngine::Incremental(plan) => {
-                if plan
-                    .loads
-                    .iter()
-                    .any(|entries| entries.iter().any(|&(j, _)| j >= n))
-                {
-                    return Err(SnapshotError::Invalid(
-                        "PD planning context references unknown jobs".into(),
-                    ));
-                }
-            }
-            ArrivalEngine::Rebuild {
-                partition,
-                assignment,
-            } => {
-                if assignment.n_jobs() > n || assignment.n_intervals() != partition.len() {
-                    return Err(SnapshotError::Invalid(
-                        "PD rebuild assignment disagrees with the partition".into(),
-                    ));
-                }
-            }
         }
         Ok(state)
     }
 }
 
-/// The snapshot holds PD's complete dynamic state: the persistent sparse
-/// planning context (partition boundaries + per-interval `(job, fraction)`
-/// load lists — or the rebuild engine's partition and dense assignment),
-/// the dense job history with original ids, the duals and decisions so far,
-/// the committed frontier with its realised prefix length, and the run
-/// parameters (`m`, `α`, `δ`, water-level tolerance).  The power function is
-/// re-derived from `α` on restore; continuation is bit-identical.
+/// The snapshot holds PD's complete dynamic state: the live planning
+/// context (the boundaries of the uncommitted intervals and their
+/// `(job, fraction, work)` load lists), the arrival count, the last release,
+/// the floor, the committed frontier, and the run parameters (`m`, `α`,
+/// `δ`, water-level tolerance).  The power function is re-derived from `α`
+/// on restore; continuation is bit-identical.
 impl Checkpointable for OnlinePd {
     fn snapshot(&self) -> StateBlob {
         self.encode_snapshot(&FrontierPart::Inline(self.committed.clone()))
@@ -727,8 +482,7 @@ impl Checkpointable for OnlinePd {
 }
 
 /// O(active) checkpointing: the committed frontier lives in the run's
-/// [`SegmentLog`]; the blob stores only a cursor (the realised-prefix
-/// index `committed_prefix` is live state and stays in the blob).
+/// [`SegmentLog`]; the blob stores only a cursor next to the live state.
 impl LogCheckpointable for OnlinePd {
     fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
         let cursor = log.sync_from(&self.committed)?;
@@ -740,61 +494,16 @@ impl LogCheckpointable for OnlinePd {
     }
 }
 
-/// Builds the dense planning context of the rebuild engine: clones the full
-/// job history into a fresh `Instance` and re-derives every job's interval
-/// coverage — `O(n·N)` per call, which is exactly the per-arrival cost the
-/// persistent context removes.
-fn rebuild_context(
-    machines: usize,
-    alpha: f64,
-    jobs: &[Job],
-    partition: &IntervalPartition,
-) -> Result<ProgramContext, ScheduleError> {
-    let instance = Instance::from_jobs(machines, alpha, jobs.to_vec())
-        .map_err(|e| ScheduleError::Internal(e.to_string()))?;
-    Ok(ProgramContext::with_partition(&instance, partition.clone()))
-}
-
 impl OnlineScheduler for OnlinePd {
     fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
-        // Only the `now`-specific half of the ingress contract is checked
-        // here; `arrive` performs the full `check_arrival` (including the
-        // one-time job validation) against the release time.
-        if now < job.release - ARRIVAL_ORDER_TOLERANCE {
-            return Err(ScheduleError::Internal(format!(
-                "job {} fed before its release time ({} < {})",
-                job.id, now, job.release
-            )));
-        }
-        let accepted = self.arrive(job)?;
-        // The Decision convention of `pss_types::scheduler`: accepted jobs
-        // report their dual variable λ_j (the water level reached), rejected
-        // jobs always report their lost value.
-        Ok(if accepted {
-            Decision::accept(self.lambda.last().copied().unwrap_or(0.0))
-        } else {
-            Decision::reject(job.value)
-        })
+        check_fed(job, now)?;
+        self.arrive(job)
     }
 
     /// Batch ingestion through [`arrive_burst`](OnlinePd::arrive_burst):
-    /// one partition update and one frontier commit per burst, sequential
-    /// (order-exact) water-fills, decisions under the workspace dual
-    /// convention.
+    /// one frontier commit per burst, sequential (order-exact) water-fills.
     fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
-        let before = self.lambda.len();
-        let accepted = self.arrive_burst(jobs, now)?;
-        Ok(accepted
-            .into_iter()
-            .enumerate()
-            .map(|(i, ok)| {
-                if ok {
-                    Decision::accept(self.lambda[before + i])
-                } else {
-                    Decision::reject(jobs[i].value)
-                }
-            })
-            .collect())
+        self.arrive_burst(jobs, now)
     }
 
     fn frontier(&self) -> &Schedule {
@@ -802,10 +511,7 @@ impl OnlineScheduler for OnlinePd {
     }
 
     fn finish(mut self) -> Result<Schedule, ScheduleError> {
-        if self.jobs.is_empty() {
-            return Ok(Schedule::empty(self.machines));
-        }
-        self.commit_elapsed(f64::INFINITY, None)?;
+        self.commit_elapsed(f64::INFINITY);
         Ok(self.committed)
     }
 }
@@ -836,9 +542,9 @@ mod tests {
         let batch = PdScheduler::default().run(&inst).unwrap();
         let mut online = OnlinePd::new(inst.machines, inst.alpha);
         for id in inst.arrival_order() {
-            let accepted = online.arrive(inst.job(id)).unwrap();
+            let decision = online.arrive(inst.job(id)).unwrap();
             assert_eq!(
-                accepted,
+                decision.accepted,
                 batch.accepted[id.index()],
                 "decision for {id} differs between online and batch PD"
             );
@@ -849,34 +555,6 @@ mod tests {
             (online_cost - batch_cost).abs() < 1e-6 * batch_cost.max(1.0),
             "online {online_cost} vs batch {batch_cost}"
         );
-    }
-
-    #[test]
-    fn incremental_engine_matches_rebuild_engine() {
-        let inst = instance();
-        let mut warm = OnlinePd::new(inst.machines, inst.alpha);
-        let mut cold = OnlinePd::new(inst.machines, inst.alpha).with_rebuild_engine();
-        for id in inst.arrival_order() {
-            let a = warm.arrive(inst.job(id)).unwrap();
-            let b = cold.arrive(inst.job(id)).unwrap();
-            assert_eq!(a, b, "decision for {id} differs between engines");
-            assert!(
-                (warm.lambda.last().unwrap() - cold.lambda.last().unwrap()).abs() < 1e-9,
-                "duals differ for {id}"
-            );
-        }
-        let sw = warm.schedule().unwrap();
-        let sc = cold.schedule().unwrap();
-        assert!(
-            (sw.cost(&inst).total() - sc.cost(&inst).total()).abs()
-                < 1e-9 * sc.cost(&inst).total().max(1.0)
-        );
-        for t in [0.25, 0.75, 1.5, 2.25, 3.25] {
-            assert!(
-                (sw.total_speed_at(t) - sc.total_speed_at(t)).abs() < 1e-9,
-                "profiles differ at t={t}"
-            );
-        }
     }
 
     #[test]
@@ -914,6 +592,55 @@ mod tests {
     }
 
     #[test]
+    fn elapsed_intervals_are_retired_into_the_frontier() {
+        let inst = instance();
+        let mut online = OnlinePd::new(inst.machines, inst.alpha);
+        for id in inst.arrival_order() {
+            online.arrive(inst.job(id)).unwrap();
+        }
+        // The last release is 2.0: everything before it is committed and
+        // gone from the plan, whose first boundary is now the floor.
+        assert_eq!(online.plan.partition.boundaries(), &[2.0, 3.0, 3.5, 4.0]);
+        assert_eq!(online.floor.to_bits(), 2.0f64.to_bits());
+        assert!(online
+            .committed
+            .segments
+            .iter()
+            .all(|seg| seg.end <= 2.0 + 1e-12));
+        // The frontier plus the live realisation is the whole schedule.
+        let batch = PdScheduler::default().run(&inst).unwrap().schedule;
+        let schedule = online.schedule().unwrap();
+        for t in [0.25, 0.75, 1.5, 2.25, 3.25, 3.75] {
+            assert!(
+                (schedule.total_speed_at(t) - batch.total_speed_at(t)).abs() < 1e-6,
+                "profiles differ at t={t}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_or_negative_loads() {
+        let inst = instance();
+        let mut online = OnlinePd::new(inst.machines, inst.alpha);
+        online.arrive(inst.job(JobId(0))).unwrap();
+        assert!(OnlinePd::restore(&online.snapshot()).is_ok());
+        for bad in [-0.5, f64::NAN, f64::INFINITY] {
+            let mut corrupt = online.clone();
+            corrupt.plan.loads[0][0].fraction = bad;
+            assert!(matches!(
+                OnlinePd::restore(&corrupt.snapshot()),
+                Err(SnapshotError::Invalid(_))
+            ));
+            let mut corrupt = online.clone();
+            corrupt.plan.loads[0][0].work = bad;
+            assert!(matches!(
+                OnlinePd::restore(&corrupt.snapshot()),
+                Err(SnapshotError::Invalid(_))
+            ));
+        }
+    }
+
+    #[test]
     fn out_of_order_arrivals_are_rejected() {
         let mut online = OnlinePd::new(1, 2.0);
         online.arrive(&Job::new(0, 5.0, 6.0, 1.0, 1.0)).unwrap();
@@ -928,19 +655,6 @@ mod tests {
         bad.work = f64::NAN;
         assert!(online.arrive(&bad).is_err());
         assert_eq!(online.arrived(), 0);
-    }
-
-    #[test]
-    fn decisions_report_original_ids() {
-        let inst = instance();
-        let mut online = OnlinePd::new(inst.machines, inst.alpha);
-        for id in inst.arrival_order() {
-            online.arrive(inst.job(id)).unwrap();
-        }
-        let decisions = online.decisions();
-        assert_eq!(decisions.len(), inst.len());
-        let ids: Vec<JobId> = decisions.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, inst.arrival_order());
     }
 
     #[test]

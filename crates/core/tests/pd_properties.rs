@@ -1,14 +1,15 @@
 //! Randomised property tests of the PD algorithm itself: feasibility, the
-//! certified Theorem 3 inequality, monotonicity in the job values, and
-//! consistency between the batch and online variants.
+//! certified Theorem 3 inequality, monotonicity in the job values,
+//! consistency between the batch and online variants, and the online
+//! variant's history-free checkpoint.
 //!
 //! Cases are drawn from the workspace's seeded [`SmallRng`] (no crates.io
 //! access, so `proptest` is unavailable); equal seeds make every failure
 //! reproducible.
 
 use pss_core::prelude::*;
-use pss_types::Instance;
-use pss_workloads::SmallRng;
+use pss_types::{Instance, LogCheckpointable, SegmentLog, SnapshotError};
+use pss_workloads::{RandomConfig, SmallRng};
 
 const ALPHAS: [f64; 3] = [1.5, 2.0, 3.0];
 
@@ -115,8 +116,8 @@ fn online_pd_matches_batch() {
         let batch = PdScheduler::default().run(&inst).expect("batch");
         let mut online = OnlinePd::new(inst.machines, inst.alpha);
         for id in inst.arrival_order() {
-            let accepted = online.arrive(inst.job(id)).expect("arrive");
-            assert_eq!(accepted, batch.accepted[id.index()]);
+            let decision = online.arrive(inst.job(id)).expect("arrive");
+            assert_eq!(decision.accepted, batch.accepted[id.index()]);
         }
         let oc = online.schedule().expect("schedule").cost(&inst).total();
         let bc = batch.schedule.cost(&inst).total();
@@ -150,4 +151,60 @@ fn pd_within_bound_of_trivial_strategies() {
             run.cost().total()
         );
     }
+}
+
+/// Streams `RandomConfig::standard(77)` at `n` jobs (horizon `n / 2`)
+/// through PD, then one sentinel job released 1 after the last deadline,
+/// and returns the size of the live blob captured after it.
+fn live_blob_bytes_after_sentinel(n: usize) -> usize {
+    let inst = RandomConfig {
+        n_jobs: n,
+        horizon: n as f64 / 2.0,
+        ..RandomConfig::standard(77)
+    }
+    .generate();
+    let mut run = PdScheduler::default().start_for(&inst).expect("PD run");
+    for id in inst.arrival_order() {
+        let job = inst.job(id);
+        run.on_arrival(job, job.release).expect("arrival");
+    }
+    let release = inst.horizon().1 + 1.0;
+    let sentinel = Job::new(n, release, release + 1.0, 0.1, 1e6);
+    let decision = run.on_arrival(&sentinel, release).expect("sentinel");
+    assert!(decision.accepted, "the sentinel is accepted");
+    let mut log = SegmentLog::new(inst.machines);
+    run.snapshot_live(&mut log)
+        .expect("live snapshot")
+        .to_bytes()
+        .len()
+}
+
+/// PD's live blob holds no history: once every earlier job's window has
+/// elapsed, a run over 5,000 jobs checkpoints to as many bytes as a run
+/// over 100.
+#[test]
+fn live_blob_size_does_not_grow_with_the_history() {
+    let small = live_blob_bytes_after_sentinel(100);
+    let large = live_blob_bytes_after_sentinel(5_000);
+    assert_eq!(small, large, "live PD blob grew with the history");
+}
+
+/// Blobs of the job-history format (state version 2) are refused with a
+/// typed error, with or without a segment log.
+#[test]
+fn version_2_pd_blobs_are_rejected() {
+    let mut run = OnlinePd::new(1, 2.0);
+    run.arrive(&Job::new(0, 0.0, 1.0, 1.0, 5.0))
+        .expect("arrival");
+    let current = run.snapshot();
+    assert!(OnlinePd::restore(&current).is_ok());
+    let old = StateBlob::new("pd", 2, current.payload().to_vec());
+    assert!(matches!(
+        OnlinePd::restore(&old),
+        Err(SnapshotError::UnsupportedVersion(2))
+    ));
+    assert!(matches!(
+        OnlinePd::restore_with_log(&old, &SegmentLog::new(1)),
+        Err(SnapshotError::UnsupportedVersion(2))
+    ));
 }

@@ -11,7 +11,8 @@
 //! This crate provides:
 //!
 //! * [`IntervalPartition`] — the ordered boundary set and the induced
-//!   intervals, with availability tests (`c_jk` of the paper),
+//!   intervals, with availability tests (`c_jk` of the paper), in-place
+//!   boundary insertion, and retirement of an elapsed prefix,
 //! * [`Refinement`] — the bookkeeping needed when a newly released job adds
 //!   boundaries to an existing partition (the online case discussed in
 //!   Section 3, "Concerning the Time Partitioning"): old intervals are split

@@ -215,6 +215,24 @@ impl IntervalPartition {
             }
         }
     }
+
+    /// Drops the first `k` intervals **in place**: boundary `k` becomes the
+    /// first boundary and interval `k + i` becomes interval `i`, bit for
+    /// bit.  Retiring every interval keeps the last boundary, so the
+    /// partition still remembers where its retired prefix ended.  This is
+    /// how the online planning context forgets time that has fully
+    /// elapsed (refinement only ever adds boundaries at or after it).
+    ///
+    /// # Panics
+    /// Panics if `k > self.len()`.
+    pub fn retire_prefix(&mut self, k: usize) {
+        assert!(
+            k <= self.len(),
+            "cannot retire {k} of {} intervals",
+            self.len()
+        );
+        self.boundaries.drain(..k);
+    }
 }
 
 impl SnapshotPart for IntervalPartition {
@@ -483,6 +501,39 @@ mod tests {
         let p = IntervalPartition::from_boundaries([0.0, 1.0, 2.0, 3.0]);
         let job = Job::new(0, 0.0, 2.5, 1.0, 1.0);
         assert_eq!(p.covered_intervals(&job), vec![0, 1]);
+    }
+
+    #[test]
+    fn retire_prefix_makes_boundary_k_first_and_keeps_later_intervals() {
+        let mut p = IntervalPartition::from_boundaries([0.0, 0.3, 1.0, 2.5, 4.0]);
+        let before: Vec<AtomicInterval> = p.intervals().collect();
+        p.retire_prefix(2);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.boundaries()[0].to_bits(), 1.0f64.to_bits());
+        for (i, iv) in p.intervals().enumerate() {
+            let old = before[i + 2];
+            assert_eq!(iv.start.to_bits(), old.start.to_bits());
+            assert_eq!(iv.end.to_bits(), old.end.to_bits());
+        }
+    }
+
+    #[test]
+    fn retiring_every_interval_keeps_the_last_boundary() {
+        let mut p = IntervalPartition::from_boundaries([0.0, 1.0, 2.5]);
+        p.retire_prefix(p.len());
+        assert!(p.is_empty());
+        assert_eq!(p.boundaries(), &[2.5]);
+    }
+
+    #[test]
+    fn retiring_nothing_changes_nothing() {
+        let mut p = IntervalPartition::from_boundaries([0.0, 1.0, 2.5]);
+        let before = p.clone();
+        p.retire_prefix(0);
+        assert_eq!(p, before);
+        let mut empty = IntervalPartition::from_boundaries(std::iter::empty());
+        empty.retire_prefix(0);
+        assert!(empty.boundaries().is_empty());
     }
 
     #[test]

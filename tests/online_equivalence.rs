@@ -30,9 +30,9 @@ fn online_pd_matches_batch_pd_decisions_and_cost() {
         let batch = PdScheduler::default().run(&instance).expect("batch PD");
         let mut online = OnlinePd::new(instance.machines, instance.alpha);
         for id in instance.arrival_order() {
-            let accepted = online.arrive(instance.job(id)).expect("online arrival");
+            let decision = online.arrive(instance.job(id)).expect("online arrival");
             assert_eq!(
-                accepted,
+                decision.accepted,
                 batch.accepted[id.index()],
                 "decision mismatch for {id} (alpha {})",
                 instance.alpha

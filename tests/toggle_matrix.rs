@@ -5,9 +5,10 @@
 //! original behaviour: warm-started replans (`with_warm_start`), AVR's
 //! active-set index (`with_active_index`), BKP's resident speed index and
 //! EDF heap (`with_indexed_events`) and its key pruning
-//! (`with_key_pruning`), PD's persistent planning context
-//! (`with_rebuild_engine`), and the streaming coalescing window
-//! (`w ∈ {0, w > 0}`).  The pairwise pins elsewhere cover each toggle in
+//! (`with_key_pruning`), and the streaming coalescing window
+//! (`w ∈ {0, w > 0}`).  PD keeps no toggle: its persistent planning
+//! context is pinned to the batch reference in both coalescing modes.
+//! The pairwise pins elsewhere cover each toggle in
 //! isolation; this suite sweeps the full *matrix* — every combination of
 //! each algorithm's toggles crossed with the coalescing mode — on random
 //! and adversarial workloads (equal-release bursts, tied deadlines,
@@ -207,8 +208,8 @@ fn multi_oa_toggle_matrix_pins_to_the_batch_reference() {
 
 #[test]
 fn pd_toggle_matrix_pins_to_the_batch_reference() {
-    // PD's toggle is the arrival engine: persistent sparse context vs the
-    // rebuild-per-arrival reference, crossed with the coalescing mode.
+    // PD has no fast-path toggle of its own; its persistent sparse context
+    // is pinned to the batch reference in both coalescing modes.
     for (name, instance) in single_machine_workloads(2.0)
         .into_iter()
         .chain(std::iter::once((
@@ -218,28 +219,16 @@ fn pd_toggle_matrix_pins_to_the_batch_reference() {
     {
         let scheduler = PdScheduler::default();
         let reference = scheduler.run(&instance).expect("batch PD").schedule;
-        for rebuild in [false, true] {
-            for window in [0.0, WINDOW] {
-                let run = if rebuild {
-                    OnlinePd::with_options(
-                        instance.machines,
-                        instance.alpha,
-                        scheduler.effective_delta(instance.alpha),
-                        scheduler.tol,
-                    )
-                    .with_rebuild_engine()
-                } else {
-                    scheduler.start_for(&instance).expect("PD run")
-                };
-                let schedule = drive(run, &instance, window);
-                assert_matches_reference(
-                    &instance,
-                    &reference,
-                    &schedule,
-                    &format!("PD [{name}] rebuild={rebuild} w={window:e}"),
-                    1e-4,
-                );
-            }
+        for window in [0.0, WINDOW] {
+            let run = scheduler.start_for(&instance).expect("PD run");
+            let schedule = drive(run, &instance, window);
+            assert_matches_reference(
+                &instance,
+                &reference,
+                &schedule,
+                &format!("PD [{name}] w={window:e}"),
+                1e-4,
+            );
         }
     }
 }
