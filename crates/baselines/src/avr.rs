@@ -31,9 +31,7 @@
 
 use pss_intervals::IntervalPartition;
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
-use pss_types::snapshot::{
-    BlobReader, BlobWriter, Checkpointable, SnapshotError, SnapshotPart, StateBlob,
-};
+use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 use pss_types::{
     check_arrival, num, Decision, Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, Schedule,
     ScheduleError, Segment,
@@ -247,24 +245,29 @@ impl SnapshotPart for ActiveJob {
     }
 }
 
-/// State version of [`AvrState`] snapshots.  Version 2 stores the
-/// committed frontier as a [`FrontierPart`] (inline or a segment-log
-/// cursor); version-1 blobs are rejected with a typed error.
-const AVR_STATE_VERSION: u16 = 2;
+/// State version of [`AvrState`] snapshots.  Version 3 stores the
+/// committed frontier as a bare [`FrontierPart`] cursor into the run's
+/// [`SegmentLog`]; older blobs are rejected with a typed error.
+const AVR_STATE_VERSION: u16 = 3;
 
-impl AvrState {
-    fn encode_snapshot(&self, frontier: &FrontierPart) -> StateBlob {
+/// The blob holds the full job history (the reference scan path reads it),
+/// the deadline-descending active-set index, the clock, the index toggle
+/// and the frontier's log cursor, so a run restored from the `(log, blob)`
+/// pair commits bit-identical windows.
+impl LogCheckpointable for AvrState {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        let frontier = FrontierPart::sync(log, &self.committed)?;
         let mut w = BlobWriter::new();
         w.write_seq(&self.jobs);
         w.write_seq(&self.active);
         w.write_f64(self.horizon_end);
         w.write_bool(self.indexed);
-        w.write_part(frontier);
+        w.write_part(&frontier);
         w.write_f64(self.now);
-        StateBlob::new("avr", AVR_STATE_VERSION, w.into_payload())
+        Ok(StateBlob::new("avr", AVR_STATE_VERSION, w.into_payload()))
     }
 
-    fn decode_snapshot(blob: &StateBlob, log: Option<&SegmentLog>) -> Result<Self, SnapshotError> {
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
         let mut r = blob.expect("avr", AVR_STATE_VERSION)?;
         let state = Self {
             jobs: r.read_seq()?,
@@ -281,33 +284,6 @@ impl AvrState {
             ));
         }
         Ok(state)
-    }
-}
-
-/// The snapshot holds the full job history (the reference scan path reads
-/// it), the deadline-descending active-set index, the committed frontier,
-/// the clock and the index toggle, so a restored run commits bit-identical
-/// windows.
-impl Checkpointable for AvrState {
-    fn snapshot(&self) -> StateBlob {
-        self.encode_snapshot(&FrontierPart::Inline(self.committed.clone()))
-    }
-
-    fn restore(blob: &StateBlob) -> Result<Self, SnapshotError> {
-        Self::decode_snapshot(blob, None)
-    }
-}
-
-/// O(active) checkpointing: the committed frontier lives in the run's
-/// [`SegmentLog`]; the blob stores only a cursor.
-impl LogCheckpointable for AvrState {
-    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
-        let cursor = log.sync_from(&self.committed)?;
-        Ok(self.encode_snapshot(&FrontierPart::cursor_of(self.committed.machines, cursor)))
-    }
-
-    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
-        Self::decode_snapshot(blob, Some(log))
     }
 }
 

@@ -68,9 +68,7 @@
 use std::collections::BinaryHeap;
 
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
-use pss_types::snapshot::{
-    BlobReader, BlobWriter, Checkpointable, SnapshotError, SnapshotPart, StateBlob,
-};
+use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 use pss_types::{
     check_arrival, num, Decision, Instance, Job, OnlineAlgorithm, OnlineScheduler, Schedule,
     ScheduleError, Segment,
@@ -833,13 +831,20 @@ impl SnapshotPart for BkpSpeedIndex {
     }
 }
 
-/// State version of [`BkpState`] snapshots.  Version 2 stores the
-/// committed frontier as a [`FrontierPart`] (inline or a segment-log
-/// cursor); version-1 blobs are rejected with a typed error.
-const BKP_STATE_VERSION: u16 = 2;
+/// State version of [`BkpState`] snapshots.  Version 3 stores the
+/// committed frontier as a bare [`FrontierPart`] cursor into the run's
+/// [`SegmentLog`]; older blobs are rejected with a typed error.
+const BKP_STATE_VERSION: u16 = 3;
 
-impl BkpState {
-    fn encode_snapshot(&self, frontier: &FrontierPart) -> StateBlob {
+/// The blob holds the grid cursor (step index, the fixed per-step speed,
+/// the idle flag and any EDF sub-segment in flight), the job history with
+/// remaining works, the resident speed index including its convex hull, the
+/// lazy EDF queue, both fast-path toggles and the frontier's log cursor —
+/// the complete live state, so a run restored from the `(log, blob)` pair
+/// resumes the same grid step at the same speed.
+impl LogCheckpointable for BkpState {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        let frontier = FrontierPart::sync(log, &self.committed)?;
         let mut w = BlobWriter::new();
         w.write_f64(self.speed_margin);
         w.write_f64(self.dt);
@@ -847,7 +852,7 @@ impl BkpState {
         w.write_part(&self.max_steps);
         w.write_seq(&self.jobs);
         w.write_seq(&self.remaining);
-        w.write_part(frontier);
+        w.write_part(&frontier);
         w.write_f64(self.now);
         w.write_usize(self.step_idx);
         w.write_part(&self.step_speed);
@@ -869,10 +874,10 @@ impl BkpState {
         let mut entries: Vec<(f64, usize)> = self.edf.iter().map(|e| (e.deadline, e.job)).collect();
         entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         w.write_seq(&entries);
-        StateBlob::new("bkp", BKP_STATE_VERSION, w.into_payload())
+        Ok(StateBlob::new("bkp", BKP_STATE_VERSION, w.into_payload()))
     }
 
-    fn decode_snapshot(blob: &StateBlob, log: Option<&SegmentLog>) -> Result<Self, SnapshotError> {
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
         let mut r = blob.expect("bkp", BKP_STATE_VERSION)?;
         let speed_margin = r.read_f64()?;
         let dt = r.read_f64()?;
@@ -927,35 +932,6 @@ impl BkpState {
             index,
             edf,
         })
-    }
-}
-
-/// The snapshot holds the grid cursor (step index, the fixed per-step speed,
-/// the idle flag and any EDF sub-segment in flight), the job history with
-/// remaining works, the resident speed index including its convex hull, the
-/// lazy EDF queue, the committed frontier and both fast-path toggles — the
-/// complete dynamic state, so a restored run resumes the same grid step at
-/// the same speed.
-impl Checkpointable for BkpState {
-    fn snapshot(&self) -> StateBlob {
-        self.encode_snapshot(&FrontierPart::Inline(self.committed.clone()))
-    }
-
-    fn restore(blob: &StateBlob) -> Result<Self, SnapshotError> {
-        Self::decode_snapshot(blob, None)
-    }
-}
-
-/// O(active) checkpointing: the committed frontier lives in the run's
-/// [`SegmentLog`]; the blob stores only a cursor.
-impl LogCheckpointable for BkpState {
-    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
-        let cursor = log.sync_from(&self.committed)?;
-        Ok(self.encode_snapshot(&FrontierPart::cursor_of(self.committed.machines, cursor)))
-    }
-
-    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
-        Self::decode_snapshot(blob, Some(log))
     }
 }
 

@@ -51,12 +51,13 @@
 //! references).
 //!
 //! Every run state ([`replan::ReplanState`], [`avr::AvrState`],
-//! [`bkp::BkpState`]) implements `pss_types::Checkpointable`: a snapshot
-//! captures the complete dynamic state — pending/active sets, warm caches
-//! (including [`oa::MultiOaWarm`] and BKP's speed index with its convex
-//! hull), toggles and the committed frontier — and a restored run
+//! [`bkp::BkpState`]) implements `pss_types::LogCheckpointable`: a blob
+//! captures the live state — pending/active sets, warm caches (including
+//! [`oa::MultiOaWarm`] and BKP's speed index with its convex hull) and
+//! toggles — plus a cursor into the run's segment log, which holds the
+//! committed frontier, and a run restored from the `(log, blob)` pair
 //! continues bit-identically (solver accuracy for OA(m)).  This is what
-//! the checkpoint/failover layer in `pss-sim` builds on.
+//! the checkpoint layers in `pss-sim` and `pss-serve` build on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,9 +29,7 @@
 //!   both paths produce identical schedules on random workloads.
 
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
-use pss_types::snapshot::{
-    BlobReader, BlobWriter, Checkpointable, SnapshotError, SnapshotPart, StateBlob,
-};
+use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 use pss_types::{
     check_arrival, num, Decision, Instance, Job, JobId, OnlineScheduler, Schedule, ScheduleError,
     Segment,
@@ -444,18 +442,28 @@ impl SnapshotPart for AdmitAll {
     }
 }
 
-/// State version of [`ReplanState`] snapshots.  Version 2 stores the
-/// committed frontier as a [`FrontierPart`] (inline or a segment-log
-/// cursor); version-1 blobs are rejected with a typed error.
-const REPLAN_STATE_VERSION: u16 = 2;
+/// State version of [`ReplanState`] snapshots.  Version 3 stores the
+/// committed frontier as a bare [`FrontierPart`] cursor into the run's
+/// [`SegmentLog`]; older blobs are rejected with a typed error.
+const REPLAN_STATE_VERSION: u16 = 3;
 
-impl<P, A> ReplanState<P, A>
+/// Checkpoint/restore for the replanning executor: the blob holds the run's
+/// live state — the pending set with its remaining works, the current plan
+/// and its staleness flag, the warm-start cache (the left-aligned YDS order
+/// and/or the previous multiprocessor solution), the clock and the horizon
+/// — plus the planner and admission configuration and the frontier's log
+/// cursor, so [`LogCheckpointable::restore_with_log`] rebuilds the run from
+/// the `(log, blob)` pair with no other context.  A restored run continues
+/// bit-identically (solver-accuracy for the iterative multiprocessor
+/// planner); the restore-equivalence integration tests pin this at
+/// arbitrary cut points, including mid-burst.
+impl<P, A> LogCheckpointable for ReplanState<P, A>
 where
     P: Planner + SnapshotPart,
     A: AdmissionPolicy + SnapshotPart,
 {
-    /// Encodes the run's live state with the given frontier encoding.
-    fn encode_snapshot(&self, frontier: &FrontierPart) -> StateBlob {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        let frontier = FrontierPart::sync(log, &self.committed)?;
         let mut w = BlobWriter::new();
         w.write_usize(self.env.machines);
         w.write_f64(self.env.alpha);
@@ -467,15 +475,17 @@ where
         w.write_part(&self.cache);
         w.write_usize(self.replans);
         w.write_bool(self.warm_start);
-        w.write_part(frontier);
+        w.write_part(&frontier);
         w.write_f64(self.now);
         w.write_f64(self.horizon_end);
-        StateBlob::new("replan", REPLAN_STATE_VERSION, w.into_payload())
+        Ok(StateBlob::new(
+            "replan",
+            REPLAN_STATE_VERSION,
+            w.into_payload(),
+        ))
     }
 
-    /// Decodes a snapshot, resolving the frontier against `log` when it is
-    /// stored as a cursor.
-    fn decode_snapshot(blob: &StateBlob, log: Option<&SegmentLog>) -> Result<Self, SnapshotError> {
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
         let mut r = blob.expect("replan", REPLAN_STATE_VERSION)?;
         let machines = r.read_usize()?;
         let alpha = r.read_f64()?;
@@ -500,48 +510,6 @@ where
             ));
         }
         Ok(state)
-    }
-}
-
-/// Checkpoint/restore for the replanning executor: the snapshot holds the
-/// run's complete dynamic state — the pending set with its remaining works,
-/// the current plan and its staleness flag, the warm-start cache (the
-/// left-aligned YDS order and/or the previous multiprocessor solution), the
-/// committed frontier, the clock and the horizon — plus the planner and
-/// admission configuration, so [`Checkpointable::restore`] rebuilds the run
-/// with no external context.  A restored run continues bit-identically
-/// (solver-accuracy for the iterative multiprocessor planner); the
-/// restore-equivalence integration tests pin this at arbitrary cut points,
-/// including mid-burst.
-impl<P, A> Checkpointable for ReplanState<P, A>
-where
-    P: Planner + SnapshotPart,
-    A: AdmissionPolicy + SnapshotPart,
-{
-    fn snapshot(&self) -> StateBlob {
-        self.encode_snapshot(&FrontierPart::Inline(self.committed.clone()))
-    }
-
-    fn restore(blob: &StateBlob) -> Result<Self, SnapshotError> {
-        Self::decode_snapshot(blob, None)
-    }
-}
-
-/// O(active) checkpointing: the blob stores only the pending set, plan,
-/// caches and a [`pss_types::seglog::LogCursor`]; the committed frontier
-/// lives in the run's [`SegmentLog`].
-impl<P, A> LogCheckpointable for ReplanState<P, A>
-where
-    P: Planner + SnapshotPart,
-    A: AdmissionPolicy + SnapshotPart,
-{
-    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
-        let cursor = log.sync_from(&self.committed)?;
-        Ok(self.encode_snapshot(&FrontierPart::cursor_of(self.committed.machines, cursor)))
-    }
-
-    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
-        Self::decode_snapshot(blob, Some(log))
     }
 }
 

@@ -21,21 +21,22 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let requested: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
 
-    let outputs: Vec<ExperimentOutput> =
-        if requested.is_empty() || requested.iter().any(|a| a.eq_ignore_ascii_case("all")) {
-            all_experiments(quick)
-        } else {
-            requested
-                .iter()
-                .filter_map(|id| {
-                    let out = run_experiment(id, quick);
-                    if out.is_none() {
-                        eprintln!("unknown experiment id: {id} (expected E1..E18 or 'all')");
-                    }
-                    out
-                })
-                .collect()
-        };
+    let outputs: Vec<ExperimentOutput> = if requested.is_empty()
+        || requested.iter().any(|a| a.eq_ignore_ascii_case("all"))
+    {
+        all_experiments(quick)
+    } else {
+        requested
+            .iter()
+            .filter_map(|id| {
+                let out = run_experiment(id, quick);
+                if out.is_none() {
+                    eprintln!("unknown experiment id: {id} (expected E1..E13, E15..E18 or 'all')");
+                }
+                out
+            })
+            .collect()
+    };
 
     let results_dir = Path::new("results");
     if let Err(e) = fs::create_dir_all(results_dir) {

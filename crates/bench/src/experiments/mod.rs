@@ -1,14 +1,14 @@
 //! The experiment registry (E1–E11 of DESIGN.md, plus the streaming
 //! latency experiment E12, the burst-ingestion/sharding experiment E13,
-//! the checkpoint/failover experiment E14, the multi-tenant ingestion
-//! soak E15, the chaos soak E16, the stream-sharding experiment E17 and
-//! the O(active)-checkpoint experiment E18).
+//! the multi-tenant ingestion soak E15, the chaos soak E16, the
+//! stream-sharding experiment E17 and the checkpoint experiment E18).
+//! E14, which measured the retired full-frontier checkpoint format, is
+//! gone; E18 covers checkpoint size, capture/restore cost and recovery.
 
 use pss_metrics::Table;
 
 pub mod burst;
 pub mod chaos;
-pub mod checkpoint;
 pub mod classical;
 pub mod competitive;
 pub mod delta_ablation;
@@ -103,7 +103,6 @@ pub fn all_experiments(quick: bool) -> Vec<ExperimentOutput> {
         delta_ablation::run(quick),
         streaming::run(quick),
         burst::run(quick),
-        checkpoint::run(quick),
         serve::run(quick),
         chaos::run(quick),
         route::run(quick),
@@ -111,7 +110,8 @@ pub fn all_experiments(quick: bool) -> Vec<ExperimentOutput> {
     ]
 }
 
-/// Runs a single experiment by id (`"E1"`, …, `"E18"`), if it exists.
+/// Runs a single experiment by id (`"E1"`, …, `"E18"`; there is no
+/// `"E14"`), if it exists.
 pub fn run_experiment(id: &str, quick: bool) -> Option<ExperimentOutput> {
     match id.to_ascii_uppercase().as_str() {
         "E1" => Some(fig2_chen::run(quick)),
@@ -127,7 +127,6 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<ExperimentOutput> {
         "E11" => Some(delta_ablation::run(quick)),
         "E12" => Some(streaming::run(quick)),
         "E13" => Some(burst::run(quick)),
-        "E14" => Some(checkpoint::run(quick)),
         "E15" => Some(serve::run(quick)),
         "E16" => Some(chaos::run(quick)),
         "E17" => Some(route::run(quick)),

@@ -1,18 +1,17 @@
-//! E18 — O(active) checkpoints over the realised-segment log.
+//! E18 — checkpoints over the realised-segment log: blob size, capture and
+//! restore cost, and recovery.
 //!
-//! PR 10 splits the committed frontier out of checkpoint blobs into an
-//! append-only segment log: blobs hold only live state plus a log cursor,
-//! so their size stops growing with the stream.  This experiment measures
-//! the claim and drills the recovery path:
+//! A checkpoint is a `(log, blob)` pair: the committed frontier lives in an
+//! append-only segment log, and the blob holds only live state plus a log
+//! cursor, so its size does not grow with the stream.  This experiment
+//! measures the claim and drills the recovery path:
 //!
-//! 1. **Live blob size vs stream length** — every algorithm streamed at
-//!    two lengths with a checkpoint after *every* burst (the cadence the
-//!    log is built for), against the legacy full-frontier blobs of
-//!    [`run_checkpointed`](pss_sim::StreamingSimulation::run_checkpointed)
-//!    as the differential baseline.  For the replanning family (OA, qOA,
-//!    OA(m), CLL) the live blob must stay flat while the legacy blob grows
-//!    linearly; AVR and BKP still carry O(events) job-history tables, so
-//!    the log removes only the frontier term of their growth.  PD keeps
+//! 1. **Live blob and log size vs stream length** — every algorithm
+//!    streamed at two lengths with a checkpoint after *every* burst (the
+//!    cadence the log is built for).  For the replanning family (OA, qOA,
+//!    OA(m), CLL) the live blob must stay flat while the log — the run's
+//!    O(events) history — grows with the stream; AVR and BKP still carry
+//!    O(events) job-history tables, so their blobs grow too.  PD keeps
 //!    only its uncommitted intervals: after a sentinel job released past
 //!    every deadline, its live blob must have the same size at both
 //!    lengths.
@@ -27,28 +26,50 @@ use std::time::Instant;
 use pss_core::prelude::*;
 use pss_metrics::table::fmt_f64;
 use pss_metrics::{seglog_to_json, Table};
-use pss_sim::{coalesce_arrivals, StreamingSimulation};
-use pss_types::{LogCheckpointable, SegmentLog};
+use pss_sim::{coalesce_arrivals, StreamReport, StreamingSimulation};
 
 use super::burst::{burst_instance, COALESCE_WINDOW};
-use super::checkpoint::{streams_agree, streams_agree_tol};
 use super::ExperimentOutput;
 use crate::support::check;
 
 /// Retained chain depth, mirroring the daemon's default.
 const CHAIN: usize = 4;
 
-/// Final live and legacy blob sizes of one (algorithm, length) cell, for
-/// the flatness gates computed after the sweep.
+/// Final live blob and log sizes of one (algorithm, length) cell, for the
+/// flatness gate computed after the sweep.
 struct SizeSample {
     algorithm: String,
     live_bytes: usize,
-    legacy_bytes: usize,
+    log_bytes: usize,
 }
 
-/// Streams one algorithm with per-burst O(active) checkpoints and with the
-/// legacy full-frontier path, pushes the size row, and returns whether the
-/// logged stream matched the plain one plus the two final blob sizes.
+/// Deterministic-field equality of two stream reports (latencies excluded).
+fn streams_agree(a: &StreamReport, b: &StreamReport) -> bool {
+    a.batches == b.batches
+        && a.schedule.segments == b.schedule.segments
+        && a.events.len() == b.events.len()
+        && a.events.iter().zip(&b.events).all(|(x, y)| {
+            x.job == y.job && x.accepted == y.accepted && x.dual.to_bits() == y.dual.to_bits()
+        })
+        && a.report.total_cost().to_bits() == b.report.total_cost().to_bits()
+}
+
+/// OA(m)'s schedules come from an iterative solver; its recovered run is
+/// compared at solver tolerance with exact decisions instead of bitwise.
+fn streams_agree_tol(a: &StreamReport, b: &StreamReport, tol: f64) -> bool {
+    a.batches == b.batches
+        && a.events.len() == b.events.len()
+        && a.events
+            .iter()
+            .zip(&b.events)
+            .all(|(x, y)| x.job == y.job && x.accepted == y.accepted)
+        && (a.report.total_cost() - b.report.total_cost()).abs()
+            <= tol * a.report.total_cost().max(1.0)
+}
+
+/// Streams one algorithm with per-burst checkpoints, pushes the size row,
+/// and returns whether the checkpointed stream matched the plain one plus
+/// the final blob and log sizes.
 fn size_row<A>(algo: &A, instance: &Instance, table: &mut Table) -> (bool, SizeSample)
 where
     A: OnlineAlgorithm + ?Sized,
@@ -59,18 +80,13 @@ where
     // Per-burst cadence: a checkpoint after every ingested batch — the
     // worst case for capture cost and exactly what the log makes cheap.
     let (stream, chain, log) = sim
-        .run_checkpointed_logged(algo, instance, 1, CHAIN)
-        .expect("logged stream");
-    // Legacy baseline at the same cadence, so both final blobs sit at the
-    // same cut (full-frontier capture is where the quadratic cost shows).
-    let (_, legacy_chain) = sim
-        .run_checkpointed(algo, instance, 1)
-        .expect("legacy stream");
+        .run_checkpointed(algo, instance, 1, CHAIN)
+        .expect("checkpointed stream");
     let ok = streams_agree(&plain, &stream);
 
     let last = chain.last().expect("at least the initial checkpoint");
-    let legacy_last = legacy_chain.last().expect("legacy chain nonempty");
     let wire = last.blob.to_bytes();
+    let log_bytes = log.to_bytes().len();
     let started = Instant::now();
     let decoded = StateBlob::from_bytes(&wire).expect("wire decode");
     let _restored =
@@ -82,8 +98,7 @@ where
         instance.len().to_string(),
         stream.batches.to_string(),
         wire.len().to_string(),
-        fmt_f64(legacy_last.blob.size_bytes() as f64 / 1024.0),
-        fmt_f64(log.to_bytes().len() as f64 / 1024.0),
+        fmt_f64(log_bytes as f64 / 1024.0),
         fmt_f64(seglog_to_json(&log).len() as f64 / 1024.0),
         log.record_count().to_string(),
         fmt_f64(mean_capture * 1e6),
@@ -94,7 +109,7 @@ where
         SizeSample {
             algorithm: stream.algorithm.clone(),
             live_bytes: wire.len(),
-            legacy_bytes: legacy_last.blob.size_bytes(),
+            log_bytes,
         },
     )
 }
@@ -131,8 +146,8 @@ where
     let plain = sim.run(algo, instance).expect("plain stream");
     let kill_at = plain.batches / 2;
     let (recovered, stats, log) = sim
-        .run_with_failover_logged(algo, instance, 1, kill_at)
-        .expect("logged failover");
+        .run_with_failover(algo, instance, 1, kill_at)
+        .expect("failover stream");
     let ok = if exact {
         streams_agree(&plain, &recovered)
     } else {
@@ -156,15 +171,14 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let (n_small, n_large) = if quick { (96, 384) } else { (1000, 4000) };
     let burst = 8usize;
 
-    // ---- Table 1: live blob size vs stream length, legacy baseline.
+    // ---- Table 1: live blob and log size vs stream length.
     let mut size = Table::new(
-        "O(active) blob size vs stream length (per-burst cadence; legacy full-frontier baseline)",
+        "O(active) blob and segment-log size vs stream length (per-burst cadence)",
         &[
             "algorithm",
             "n",
             "bursts",
             "live blob (B)",
-            "legacy blob (KiB)",
             "log (KiB)",
             "log JSON (KiB)",
             "records",
@@ -201,23 +215,21 @@ pub fn run(quick: bool) -> ExperimentOutput {
 
     // The flatness gate: for every replanning-family algorithm, the live
     // blob at the long stream stays within 1.5x of the short one while the
-    // legacy full-frontier blob at least doubles; and every live blob
-    // undercuts its legacy counterpart at the same cut.
+    // log, which holds the committed frontier, at least doubles.
     let replan_family = ["OA", "qOA", "OA(m)", "CLL"];
     let mut flat = true;
     let mut grew = true;
-    let (mut live_ratio, mut legacy_ratio) = (0f64, f64::INFINITY);
+    let (mut live_ratio, mut log_ratio) = (0f64, f64::INFINITY);
     for name in replan_family {
         let per_algo: Vec<&SizeSample> = samples.iter().filter(|s| s.algorithm == name).collect();
         let (small, large) = (per_algo[0], per_algo[1]);
         let lr = large.live_bytes as f64 / small.live_bytes as f64;
-        let gr = large.legacy_bytes as f64 / small.legacy_bytes as f64;
+        let gr = large.log_bytes as f64 / small.log_bytes as f64;
         flat &= lr <= 1.5;
         grew &= gr >= 2.0;
         live_ratio = live_ratio.max(lr);
-        legacy_ratio = legacy_ratio.min(gr);
+        log_ratio = log_ratio.min(gr);
     }
-    let undercut = samples.iter().all(|s| s.live_bytes < s.legacy_bytes);
 
     // ---- Table 2: recovery from the (log, blob) pair.
     let mut recovery = Table::new(
@@ -261,7 +273,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
         tables: vec![size, recovery],
         notes: vec![
             format!(
-                "logged checkpoint streams match the plain runs bit-for-bit \
+                "checkpointed streams match the plain runs bit-for-bit \
                  (decisions, duals, schedules, costs): {}",
                 check(equivalent)
             ),
@@ -272,15 +284,11 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
             format!(
                 "replanning-family live blobs stay flat over a {}x longer stream (worst \
-                 growth {:.2}x) while legacy full-frontier blobs grow (least growth {:.2}x): {}",
+                 growth {:.2}x) while the segment log grows with it (least growth {:.2}x): {}",
                 n_large / n_small,
                 live_ratio,
-                legacy_ratio,
+                log_ratio,
                 check(flat && grew)
-            ),
-            format!(
-                "every live blob undercuts the legacy full-frontier blob at the same cut: {}",
-                check(undercut)
             ),
             format!(
                 "after a sentinel job released past every deadline, PD's live blob has the \
@@ -310,8 +318,8 @@ mod tests {
         assert_eq!(out.tables[1].rows.len(), 7);
         // Every note but the last (informational) one is a yes/NO gate,
         // including PD's history-free blob after the sentinel gap.
-        assert_eq!(out.notes.len(), 6);
-        for note in &out.notes[..5] {
+        assert_eq!(out.notes.len(), 5);
+        for note in &out.notes[..4] {
             assert!(note.contains("yes"), "failing E18 note: {note}");
         }
     }

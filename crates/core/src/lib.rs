@@ -83,7 +83,7 @@ pub mod prelude {
     pub use pss_offline::{BruteForceScheduler, MinEnergyScheduler, YdsScheduler};
     pub use pss_power::{AlphaPower, PowerFunction};
     pub use pss_types::{
-        run_online, validate_schedule, Checkpointable, Cost, Decision, Instance, Job, JobId,
-        OnlineAlgorithm, OnlineScheduler, Schedule, Scheduler, Segment, StateBlob,
+        run_online, validate_schedule, Cost, Decision, Instance, Job, JobId, LogCheckpointable,
+        OnlineAlgorithm, OnlineScheduler, Schedule, Scheduler, Segment, SegmentLog, StateBlob,
     };
 }

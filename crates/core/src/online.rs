@@ -42,9 +42,7 @@ use pss_intervals::{BoundaryInsert, IntervalPartition};
 use pss_power::AlphaPower;
 use pss_types::num::Tolerance;
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
-use pss_types::snapshot::{
-    BlobReader, BlobWriter, Checkpointable, SnapshotError, SnapshotPart, StateBlob,
-};
+use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 use pss_types::{
     check_arrival, Decision, Instance, Job, JobId, OnlineScheduler, Schedule, ScheduleError,
     Segment, ARRIVAL_ORDER_TOLERANCE,
@@ -409,13 +407,21 @@ impl SnapshotPart for PlanState {
     }
 }
 
-/// State version of [`OnlinePd`] snapshots.  Version 3 holds only live
-/// state (no per-job tables, no elapsed intervals); version-2 and older
-/// blobs are rejected with a typed error.
-const PD_STATE_VERSION: u16 = 3;
+/// State version of [`OnlinePd`] snapshots.  Version 4 holds only live
+/// state (no per-job tables, no elapsed intervals) and stores the committed
+/// frontier as a bare [`FrontierPart`] cursor into the run's
+/// [`SegmentLog`]; older blobs are rejected with a typed error.
+const PD_STATE_VERSION: u16 = 4;
 
-impl OnlinePd {
-    fn encode_snapshot(&self, frontier: &FrontierPart) -> StateBlob {
+/// The blob holds PD's complete live state: the live planning context (the
+/// boundaries of the uncommitted intervals and their `(job, fraction,
+/// work)` load lists), the arrival count, the last release, the floor, the
+/// run parameters (`m`, `α`, `δ`, water-level tolerance) and the frontier's
+/// log cursor.  The power function is re-derived from `α` on restore;
+/// continuation from the `(log, blob)` pair is bit-identical.
+impl LogCheckpointable for OnlinePd {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        let frontier = FrontierPart::sync(log, &self.committed)?;
         let mut w = BlobWriter::new();
         w.write_usize(self.machines);
         w.write_f64(self.alpha);
@@ -425,11 +431,11 @@ impl OnlinePd {
         w.write_usize(self.arrived);
         w.write_f64(self.last_release);
         w.write_f64(self.floor);
-        w.write_part(frontier);
-        StateBlob::new("pd", PD_STATE_VERSION, w.into_payload())
+        w.write_part(&frontier);
+        Ok(StateBlob::new("pd", PD_STATE_VERSION, w.into_payload()))
     }
 
-    fn decode_snapshot(blob: &StateBlob, log: Option<&SegmentLog>) -> Result<Self, SnapshotError> {
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
         let mut r = blob.expect("pd", PD_STATE_VERSION)?;
         let machines = r.read_usize()?;
         let alpha = r.read_f64()?;
@@ -462,35 +468,6 @@ impl OnlinePd {
             ));
         }
         Ok(state)
-    }
-}
-
-/// The snapshot holds PD's complete dynamic state: the live planning
-/// context (the boundaries of the uncommitted intervals and their
-/// `(job, fraction, work)` load lists), the arrival count, the last release,
-/// the floor, the committed frontier, and the run parameters (`m`, `α`,
-/// `δ`, water-level tolerance).  The power function is re-derived from `α`
-/// on restore; continuation is bit-identical.
-impl Checkpointable for OnlinePd {
-    fn snapshot(&self) -> StateBlob {
-        self.encode_snapshot(&FrontierPart::Inline(self.committed.clone()))
-    }
-
-    fn restore(blob: &StateBlob) -> Result<Self, SnapshotError> {
-        Self::decode_snapshot(blob, None)
-    }
-}
-
-/// O(active) checkpointing: the committed frontier lives in the run's
-/// [`SegmentLog`]; the blob stores only a cursor next to the live state.
-impl LogCheckpointable for OnlinePd {
-    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
-        let cursor = log.sync_from(&self.committed)?;
-        Ok(self.encode_snapshot(&FrontierPart::cursor_of(self.committed.machines, cursor)))
-    }
-
-    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
-        Self::decode_snapshot(blob, Some(log))
     }
 }
 
@@ -623,18 +600,23 @@ mod tests {
         let inst = instance();
         let mut online = OnlinePd::new(inst.machines, inst.alpha);
         online.arrive(inst.job(JobId(0))).unwrap();
-        assert!(OnlinePd::restore(&online.snapshot()).is_ok());
+        let mut log = SegmentLog::new(inst.machines);
+        let mut round_trip = |run: &OnlinePd| {
+            let blob = run.snapshot_live(&mut log).unwrap();
+            OnlinePd::restore_with_log(&blob, &log)
+        };
+        assert!(round_trip(&online).is_ok());
         for bad in [-0.5, f64::NAN, f64::INFINITY] {
             let mut corrupt = online.clone();
             corrupt.plan.loads[0][0].fraction = bad;
             assert!(matches!(
-                OnlinePd::restore(&corrupt.snapshot()),
+                round_trip(&corrupt),
                 Err(SnapshotError::Invalid(_))
             ));
             let mut corrupt = online.clone();
             corrupt.plan.loads[0][0].work = bad;
             assert!(matches!(
-                OnlinePd::restore(&corrupt.snapshot()),
+                round_trip(&corrupt),
                 Err(SnapshotError::Invalid(_))
             ));
         }

@@ -190,21 +190,18 @@ fn live_blob_size_does_not_grow_with_the_history() {
 }
 
 /// Blobs of the job-history format (state version 2) are refused with a
-/// typed error, with or without a segment log.
+/// typed error.
 #[test]
 fn version_2_pd_blobs_are_rejected() {
     let mut run = OnlinePd::new(1, 2.0);
     run.arrive(&Job::new(0, 0.0, 1.0, 1.0, 5.0))
         .expect("arrival");
-    let current = run.snapshot();
-    assert!(OnlinePd::restore(&current).is_ok());
+    let mut log = SegmentLog::new(1);
+    let current = run.snapshot_live(&mut log).expect("live snapshot");
+    assert!(OnlinePd::restore_with_log(&current, &log).is_ok());
     let old = StateBlob::new("pd", 2, current.payload().to_vec());
     assert!(matches!(
-        OnlinePd::restore(&old),
-        Err(SnapshotError::UnsupportedVersion(2))
-    ));
-    assert!(matches!(
-        OnlinePd::restore_with_log(&old, &SegmentLog::new(1)),
+        OnlinePd::restore_with_log(&old, &log),
         Err(SnapshotError::UnsupportedVersion(2))
     ));
 }

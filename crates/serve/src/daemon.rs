@@ -49,13 +49,11 @@
 //! append-only [`SegmentLog`] (one checksummed record per batch, under the
 //! journal lock).  The worker checkpoints its run every `checkpoint_every`
 //! batches as a `StateBlob` wire image, kept in a bounded per-shard
-//! *chain* of the `checkpoint_chain` newest blobs.  By default a blob
-//! holds only the run's *live* state plus a log cursor — O(active) bytes,
-//! independent of how long the shard has been fed — and the log's record
-//! envelopes are compacted below the newest retained cursor at each
-//! capture (segment data is never dropped, so every retained blob still
-//! reassembles).  [`ServeConfig::full_frontier_checkpoints`] restores the
-//! legacy inline-frontier blobs as a differential baseline.
+//! *chain* of the `checkpoint_chain` newest blobs.  A blob holds only the
+//! run's *live* state plus a log cursor — O(active) bytes, independent of
+//! how long the shard has been fed — and the log's record envelopes are
+//! compacted below the newest retained cursor at each capture (segment
+//! data is never dropped, so every retained blob still reassembles).
 //!
 //! Recovery restores the run from the newest blob that decodes against
 //! the log (a corrupted checkpoint costs replay length, not the shard),
@@ -87,9 +85,8 @@ use std::time::{Duration, Instant};
 use pss_check::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use pss_metrics::DrainSummary;
 use pss_types::{
-    fold_price, Checkpointable, Decision, IngressError, Job, JobEnvelope, JobId, LogCheckpointable,
-    LogCursor, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, SegmentLog, StateBlob,
-    TenantId,
+    fold_price, Decision, IngressError, Job, JobEnvelope, JobId, LogCheckpointable, LogCursor,
+    OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, SegmentLog, StateBlob, TenantId,
 };
 
 use crate::queue::ArrivalQueue;
@@ -148,12 +145,6 @@ pub struct ServeConfig {
     /// Start with ingestion paused (workers park, queues fill).  Used by
     /// deterministic tests to control batching; [`Daemon::resume`] unpauses.
     pub start_paused: bool,
-    /// Capture legacy full-frontier checkpoint blobs (the committed
-    /// frontier inline in every `StateBlob`, O(events) bytes) instead of
-    /// the default O(active) live-state blobs backed by the shard's
-    /// segment log.  Retained as the differential baseline E18 and the
-    /// chaos drills compare against.
-    pub full_frontier_checkpoints: bool,
 }
 
 impl Default for ServeConfig {
@@ -171,20 +162,11 @@ impl Default for ServeConfig {
             price_smoothing: 0.1,
             stale_tolerance: f64::INFINITY,
             start_paused: false,
-            full_frontier_checkpoints: false,
         }
     }
 }
 
 impl ServeConfig {
-    /// Toggles legacy full-frontier checkpoint blobs (the differential
-    /// baseline; the default captures O(active) live-state blobs plus the
-    /// shard's segment log).
-    pub fn with_full_frontier_checkpoints(mut self, on: bool) -> Self {
-        self.full_frontier_checkpoints = on;
-        self
-    }
-
     fn validate(&self) -> Result<(), ScheduleError> {
         let bad = |msg: String| Err(ScheduleError::Internal(msg));
         if self.machines == 0 {
@@ -769,12 +751,10 @@ fn feed_batch<R: OnlineScheduler>(
 /// (oldest entries fall off once the chain exceeds `checkpoint_chain`
 /// blobs).
 ///
-/// By default the blob holds only live state plus a cursor into the
-/// shard's segment log (`snapshot_live`) — O(active) bytes per capture —
-/// and the log's record envelopes are compacted below the fresh cursor
-/// (segment data is never dropped, so the older retained blobs still
-/// reassemble).  Under [`ServeConfig::full_frontier_checkpoints`] the
-/// legacy inline-frontier blob is captured instead.
+/// The blob holds only live state plus a cursor into the shard's segment
+/// log (`snapshot_live`) — O(active) bytes per capture — and the log's
+/// record envelopes are compacted below the fresh cursor (segment data is
+/// never dropped, so the older retained blobs still reassemble).
 fn capture_checkpoint<R: LogCheckpointable>(
     shard: &ShardShared,
     run: &R,
@@ -782,17 +762,12 @@ fn capture_checkpoint<R: LogCheckpointable>(
     config: &ServeConfig,
 ) -> Result<(), ScheduleError> {
     let mut journal = shard.journal.lock().unwrap();
-    let wire = if config.full_frontier_checkpoints {
-        run.snapshot().to_bytes()
-    } else {
-        run.snapshot_live(&mut journal.seglog)
-            .map_err(|e| ScheduleError::Internal(format!("checkpoint capture failed: {e}")))?
-            .to_bytes()
-    };
+    let wire = run
+        .snapshot_live(&mut journal.seglog)
+        .map_err(|e| ScheduleError::Internal(format!("checkpoint capture failed: {e}")))?
+        .to_bytes();
     let log_cursor = journal.seglog.cursor();
-    if !config.full_frontier_checkpoints {
-        journal.seglog.compact(log_cursor);
-    }
+    journal.seglog.compact(log_cursor);
     let events_done = journal.events.len();
     journal.checkpoints_taken += 1;
     journal.checkpoints.push_back(ShardCheckpoint {
@@ -1196,21 +1171,15 @@ where
         let started = Instant::now();
         let sh = Arc::clone(&self.inner.shards[shard]);
         let mut journal = sh.journal.lock().unwrap();
-        // Newest blob that decodes wins; count what we had to skip.  An
-        // O(active) blob decodes *against the log*: its frontier cursor
-        // reassembles from the journal's segment log (compaction never
-        // discards the segments an older retained blob needs).
-        let full_frontier = self.inner.config.full_frontier_checkpoints;
+        // Newest blob that decodes wins; count what we had to skip.  A blob
+        // decodes *against the log*: its frontier cursor reassembles from
+        // the journal's segment log (compaction never discards the
+        // segments an older retained blob needs).
         let mut chain_skipped = 0;
         let mut restored: Option<(A::Run, ShardCheckpoint)> = None;
         for ckpt in journal.checkpoints.iter().rev() {
-            let decoded = StateBlob::from_bytes(&ckpt.wire).and_then(|blob| {
-                if full_frontier {
-                    A::Run::restore(&blob)
-                } else {
-                    A::Run::restore_with_log(&blob, &journal.seglog)
-                }
-            });
+            let decoded = StateBlob::from_bytes(&ckpt.wire)
+                .and_then(|blob| A::Run::restore_with_log(&blob, &journal.seglog));
             match decoded {
                 Ok(run) => {
                     restored = Some((run, ckpt.clone()));
@@ -1413,9 +1382,7 @@ where
         // the receiving side.  Rebuilding the journal's log from the
         // shipped bytes — and only those bytes — proves the pair is
         // self-contained before `recover_shard` restores from it.
-        // Skipped under the legacy full-frontier toggle, whose blobs
-        // carry their frontier inline.
-        if !self.inner.config.full_frontier_checkpoints {
+        {
             let mut journal = self.inner.shards[shard].journal.lock().unwrap();
             let tail = journal.seglog.encode_tail(LogCursor(0)).map_err(|e| {
                 ScheduleError::Internal(format!("hand-off log-tail encode failed: {e}"))

@@ -257,16 +257,19 @@ fn corrupting_a_missing_checkpoint_is_a_typed_error() {
 
 // ---------------------------------------------------------------------------
 // Tentpole: O(active) checkpoints — the segment log compacts at every
-// capture, live blobs undercut the legacy full-frontier blobs, and crash
-// recovery from (log, blob) is bit-identical in both encoding modes.
+// capture, the chain respects its bound, and crash recovery from
+// (log, blob) is bit-identical.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn seglog_checkpoints_compact_and_recover_bit_identically_in_both_modes() {
-    let run = |full_frontier: bool, crash: bool| {
-        let config = wave_config().with_full_frontier_checkpoints(full_frontier);
-        let (mut daemon, handles) =
-            Daemon::spawn(PdScheduler::coarse(), config, vec![TenantSpec::new("t")]).unwrap();
+fn seglog_checkpoints_compact_and_recover_bit_identically() {
+    let run = |crash: bool| {
+        let (mut daemon, handles) = Daemon::spawn(
+            PdScheduler::coarse(),
+            wave_config(),
+            vec![TenantSpec::new("t")],
+        )
+        .unwrap();
         for i in 0..6 {
             feed_wave(&daemon, &handles[0], &[env(i, i as f64)]);
         }
@@ -275,7 +278,7 @@ fn seglog_checkpoints_compact_and_recover_bit_identically_in_both_modes() {
         let epoch = daemon.shard_idle_epoch(0);
         wait_for("post-wave park", || daemon.shard_idle_epoch(0) > epoch);
         let (segments, records) = daemon.shard_log_stats(0);
-        let sizes = daemon.shard_checkpoint_sizes(0);
+        let chain = daemon.shard_checkpoint_sizes(0).len();
         if crash {
             // Corrupt the newest blob: recovery falls back one level, so
             // the restored run reassembles its frontier from a log cursor
@@ -289,39 +292,27 @@ fn seglog_checkpoints_compact_and_recover_bit_identically_in_both_modes() {
             assert_eq!(report.replayed_batches, 1);
         }
         daemon.resume();
-        (daemon.shutdown().unwrap(), segments, records, sizes)
+        (daemon.shutdown().unwrap(), segments, records, chain)
     };
 
-    let (live, live_segments, live_records, live_sizes) = run(false, true);
-    let (legacy, _, _, legacy_sizes) = run(true, true);
-    let (free, ..) = run(false, false);
+    let (crashed, segments, records, chain) = run(true);
+    let (free, ..) = run(false);
 
-    // The encoding toggle and the crash are both invisible on every
-    // deterministic field.
+    // The crash is invisible on every deterministic field.
     assert!(
-        deterministic_fields_equal(&live, &free),
+        deterministic_fields_equal(&crashed, &free),
         "seglog crash recovery diverged from the crash-free reference"
-    );
-    assert!(
-        deterministic_fields_equal(&live, &legacy),
-        "checkpoint encoding leaked into the scheduling path"
     );
 
     // Compaction at capture: every committed segment lives in the log's
     // prefix, no record envelope outlives the capture that folded it.
-    assert!(live_segments > 0, "committed work must reach the log");
+    assert!(segments > 0, "committed work must reach the log");
     assert_eq!(
-        live_records, 0,
+        records, 0,
         "capture must compact the log's record envelopes"
     );
-    // O(active): the newest live blob undercuts the legacy full-frontier
-    // blob captured at the same cut, and the chain respects its bound.
-    assert!(live_sizes.len() <= 3 && legacy_sizes.len() <= 3);
-    let (live_last, legacy_last) = (*live_sizes.last().unwrap(), *legacy_sizes.last().unwrap());
-    assert!(
-        live_last < legacy_last,
-        "O(active) blob ({live_last} B) should undercut full-frontier ({legacy_last} B)"
-    );
+    // The chain respects its bound.
+    assert!(chain <= 3, "checkpoint chain of {chain} exceeds its bound");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,44 +1,28 @@
-//! Checkpointed streaming and shard failover.
+//! Checkpointed streaming and the crash drill.
 //!
 //! A production stream runs for days; suspending and resuming it must not
 //! perturb a single committed decision.  This module builds that on the
-//! [`Checkpointable`] contract of `pss_types::snapshot`:
+//! `(log, blob)` contract of `pss_types::seglog`: every run carries a
+//! [`SegmentLog`] that the driver syncs with the frontier after every
+//! ingested batch (the worker appending realised segments as it commits),
+//! and each checkpoint is a [`LogCheckpointable::snapshot_live`] blob that
+//! holds only live state plus a log cursor, so blobs stay O(active).
 //!
 //! * [`StreamingSimulation::run_checkpointed`] — drive a stream like
-//!   [`StreamingSimulation::run`], snapshotting the scheduler every `k`
+//!   [`StreamingSimulation::run`], capturing a checkpoint every `k`
 //!   ingestion batches (plus once before any ingestion, so a crash at any
-//!   point is recoverable).  Returns the per-checkpoint blobs with their
-//!   capture costs — the data of the E14 checkpoint-size experiment.
-//! * [`StreamingSimulation::run_with_failover`] — the single-stream crash
-//!   drill: ingest until `kill_at_batch`, *drop the run* (the worker died;
-//!   everything since the last checkpoint is lost), restore a fresh
-//!   scheduler from the last checkpoint blob and **replay the delta** (the
-//!   arrivals after the checkpoint, which a real deployment would re-read
-//!   from its ingestion log).  Because restores continue bit-identically,
-//!   the recovered stream's decisions, schedule and report equal the
-//!   failure-free run's.
-//! * [`ParallelStreamingSimulation::run_with_failover`] — the fleet drill:
-//!   designated shards are killed mid-stream on their original worker and
-//!   their restored schedulers are *rebalanced* onto fresh worker threads
-//!   for the delta replay; the merged [`FleetReport`] is identical to the
-//!   no-failure run's on every deterministic field (decisions, duals,
-//!   schedules, batches, acceptance, cost — wall-clock obviously differs).
-//!
-//! Each of those drills exists in two forms.  The legacy *full-frontier*
-//! form above snapshots through [`Checkpointable`], so every blob carries
-//! the committed frontier and grows with the stream — retained as the
-//! differential baseline (E18 measures it).  The `_logged` variants
-//! ([`StreamingSimulation::run_checkpointed_logged`],
-//! [`StreamingSimulation::run_with_failover_logged`],
-//! [`ParallelStreamingSimulation::run_with_failover_logged`]) carry a
-//! [`SegmentLog`] per run: the driver syncs the log with the frontier
-//! after every ingested batch (the worker appending realised segments as
-//! it commits), snapshots through
-//! [`LogCheckpointable::snapshot_live`] so blobs stay O(active), compacts
-//! record envelopes below the newest retained checkpoint's cursor, and on
-//! recovery truncates the log to the restored blob's cursor *before*
-//! replaying the delta (write-ahead-log discipline — replay re-commits
-//! those segments through the run itself).
+//!   point is recoverable), keeping a bounded chain of the newest ones and
+//!   compacting the log's record envelopes below the newest cursor.
+//! * [`StreamingSimulation::run_with_failover`] — the crash drill: ingest
+//!   until `kill_at_batch`, *drop the run* (the worker died; everything
+//!   since the last checkpoint is lost, while the log and the checkpoint
+//!   survive), truncate the log to the checkpoint's cursor (write-ahead-log
+//!   discipline — replay re-commits those segments through the run
+//!   itself), restore through [`LogCheckpointable::restore_with_log`] and
+//!   **replay the delta** (the arrivals after the checkpoint, which a real
+//!   deployment would re-read from its ingestion log).  Because restores
+//!   continue bit-identically, the recovered stream's decisions, schedule
+//!   and report equal the failure-free run's.
 //!
 //! What is (and is not) in a blob, cadence guidance and the RNG-position
 //! caveat are documented in the checkpoint recipe in `src/README.md`.
@@ -46,15 +30,16 @@
 use std::time::Instant;
 
 use pss_types::seglog::{LogCheckpointable, LogCursor, SegmentLog};
-use pss_types::snapshot::{Checkpointable, StateBlob};
+use pss_types::snapshot::StateBlob;
 use pss_types::{Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, ScheduleError};
 
 use crate::engine::{
     coalesce_arrivals, ArrivalRecord, Simulation, StreamReport, StreamingSimulation,
 };
-use crate::parallel::{FleetReport, ParallelStreamingSimulation};
 
-/// One captured checkpoint of a streaming run.
+/// One captured checkpoint of a streaming run: the blob holds only live
+/// state, and `cursor` records where in the run's [`SegmentLog`] its
+/// frontier ends (recovery truncates the log here before replay).
 #[derive(Debug, Clone)]
 pub struct CheckpointRecord {
     /// Ingestion batches already processed when the checkpoint was taken
@@ -66,18 +51,18 @@ pub struct CheckpointRecord {
     pub time: f64,
     /// Wall-clock cost of capturing the snapshot, in seconds.
     pub capture_secs: f64,
-    /// The snapshot itself.
+    /// End cursor of the run's frontier in the segment log.
+    pub cursor: LogCursor,
+    /// The live-state snapshot (no frontier inside).
     pub blob: StateBlob,
 }
 
-/// What a recovery cost: the numbers E14's recovery-latency table reports.
+/// What a recovery cost: the numbers E18's recovery table reports.
 #[derive(Debug, Clone)]
 pub struct RecoveryStats {
-    /// Which shard failed (0 for a single-stream run).
-    pub shard: usize,
     /// Ingestion batches the dead worker had processed when it was killed.
     pub killed_at_batch: usize,
-    /// Ingestion batches covered by the checkpoint the shard was restored
+    /// Ingestion batches covered by the checkpoint the run was restored
     /// from (everything after it was lost and replayed).
     pub restored_batches: usize,
     /// Arrival events re-fed after the restore (the delta).
@@ -98,50 +83,12 @@ impl RecoveryStats {
     }
 }
 
-/// One captured O(active) checkpoint of a logged streaming run: the blob
-/// holds only live state, and `cursor` records where in the shared
-/// [`SegmentLog`] its frontier ends (recovery truncates the log here
-/// before replay).
-#[derive(Debug, Clone)]
-pub struct LogCheckpointRecord {
-    /// Ingestion batches already processed when the checkpoint was taken.
-    pub batches_done: usize,
-    /// Arrival events already processed when the checkpoint was taken.
-    pub events_done: usize,
-    /// Feed time of the last ingested batch (`-inf` before the first).
-    pub time: f64,
-    /// Wall-clock cost of capturing the snapshot, in seconds.
-    pub capture_secs: f64,
-    /// End cursor of the run's frontier in the segment log.
-    pub cursor: LogCursor,
-    /// The live-state snapshot (no frontier inside).
-    pub blob: StateBlob,
-}
-
-/// One planned shard failure of
-/// [`ParallelStreamingSimulation::run_with_failover`].
-#[derive(Debug, Clone, Copy)]
-pub struct ShardFailover {
-    /// Index of the shard whose worker is killed.
-    pub shard: usize,
-    /// The worker dies after ingesting this many batches of the shard's
-    /// stream (clamped to the stream's batch count).
-    pub kill_at_batch: usize,
-    /// Checkpoint cadence (in ingestion batches) the shard runs with.
-    pub checkpoint_every: usize,
-}
-
-/// The coalesced ingestion plan of a stream: `(feed time, job ids)` per
-/// batch, exactly what [`StreamingSimulation::run`] would feed.
-fn ingestion_plan(instance: &Instance, window: f64) -> Vec<(f64, Vec<JobId>)> {
-    coalesce_arrivals(instance, window)
-}
-
 /// Feeds one batch through `on_arrivals`, appending trace records exactly
 /// like the streaming simulator (amortised latency, post-batch frontier
-/// size, batch width).
+/// size, batch width), then syncs `log` with the run's frontier.
 fn ingest_batch<R: OnlineScheduler>(
     run: &mut R,
+    log: &mut SegmentLog,
     instance: &Instance,
     feed_time: f64,
     ids: &[JobId],
@@ -170,44 +117,28 @@ fn ingest_batch<R: OnlineScheduler>(
             burst: ids.len(),
         });
     }
+    // The worker appends realised segments as it commits them.
+    log.sync_from(run.frontier())?;
     Ok(())
 }
 
-/// Snapshots a run, timing the capture.
-fn capture<R: Checkpointable>(
-    run: &R,
-    batches_done: usize,
-    events_done: usize,
-    time: f64,
-) -> CheckpointRecord {
-    let started = Instant::now();
-    let blob = run.snapshot();
-    CheckpointRecord {
-        batches_done,
-        events_done,
-        time,
-        capture_secs: started.elapsed().as_secs_f64(),
-        blob,
-    }
-}
-
-/// Snapshots only a run's live state into `log`, timing the capture.  The
-/// log is synced with the frontier by `snapshot_live`, then compacted to
-/// the new checkpoint's cursor — the newest retained blob — so record
-/// envelopes stay bounded by the retained chain.
-fn capture_live<R: LogCheckpointable>(
+/// Snapshots a run's live state into `log`, timing the capture.  The log is
+/// synced with the frontier by `snapshot_live`, then compacted to the new
+/// checkpoint's cursor — the newest retained blob — so record envelopes
+/// stay bounded by the retained chain.
+fn capture<R: LogCheckpointable>(
     run: &R,
     log: &mut SegmentLog,
     batches_done: usize,
     events_done: usize,
     time: f64,
-) -> Result<LogCheckpointRecord, ScheduleError> {
+) -> Result<CheckpointRecord, ScheduleError> {
     let started = Instant::now();
     let blob = run.snapshot_live(log)?;
     let capture_secs = started.elapsed().as_secs_f64();
     let cursor = log.cursor();
     log.compact(cursor);
-    Ok(LogCheckpointRecord {
+    Ok(CheckpointRecord {
         batches_done,
         events_done,
         time,
@@ -238,112 +169,40 @@ fn finish_stream<R: OnlineScheduler>(
 }
 
 impl StreamingSimulation {
-    /// Like [`run`](Self::run), but snapshots the scheduler every
+    /// Like [`run`](Self::run), but captures a checkpoint every
     /// `every_batches` ingestion batches (and once before any ingestion).
     ///
     /// The stream itself is driven identically — same batches, same feed
-    /// times — so decisions and the finished schedule match the plain run;
-    /// the returned checkpoint records add the blobs with their capture
-    /// costs.  `every_batches` is clamped to at least 1.
-    pub fn run_checkpointed<A>(
-        &self,
-        algo: &A,
-        instance: &Instance,
-        every_batches: usize,
-    ) -> Result<(StreamReport, Vec<CheckpointRecord>), ScheduleError>
-    where
-        A: OnlineAlgorithm + ?Sized,
-        A::Run: Checkpointable,
-    {
-        let every = every_batches.max(1);
-        let plan = ingestion_plan(instance, self.coalesce_window);
-        let mut run = algo.start_for(instance)?;
-        let mut events = Vec::with_capacity(instance.len());
-        let mut checkpoints = vec![capture(&run, 0, 0, f64::NEG_INFINITY)];
-        for (i, (feed_time, ids)) in plan.iter().enumerate() {
-            ingest_batch(&mut run, instance, *feed_time, ids, &mut events)?;
-            if (i + 1) % every == 0 {
-                checkpoints.push(capture(&run, i + 1, events.len(), *feed_time));
-            }
-        }
-        let report = finish_stream(algo.algorithm_name(), run, instance, events, plan.len())?;
-        Ok((report, checkpoints))
-    }
-
-    /// The single-stream crash drill: ingest until `kill_at_batch`
-    /// (checkpointing every `every_batches`), **drop the run**, restore a
-    /// fresh scheduler from the last checkpoint and replay the delta.
-    ///
-    /// The returned report is indistinguishable from the failure-free run
-    /// on every deterministic field; the [`RecoveryStats`] record what the
-    /// recovery cost.  `kill_at_batch` is clamped to the stream's batch
-    /// count.
-    pub fn run_with_failover<A>(
-        &self,
-        algo: &A,
-        instance: &Instance,
-        every_batches: usize,
-        kill_at_batch: usize,
-    ) -> Result<(StreamReport, RecoveryStats), ScheduleError>
-    where
-        A: OnlineAlgorithm + ?Sized,
-        A::Run: Checkpointable,
-    {
-        let plan = ingestion_plan(instance, self.coalesce_window);
-        let (events, checkpoint, killed_at) = run_until_kill(
-            algo,
-            instance,
-            &plan,
-            every_batches.max(1),
-            kill_at_batch.min(plan.len()),
-        )?;
-        let (report, stats) =
-            recover_and_replay(algo, instance, &plan, events, checkpoint, killed_at, 0)?;
-        Ok((report, stats))
-    }
-
-    /// The O(active) counterpart of [`run_checkpointed`](Self::run_checkpointed):
-    /// the driver syncs a [`SegmentLog`] with the frontier after every
-    /// ingested batch and snapshots through
-    /// [`LogCheckpointable::snapshot_live`], so blobs hold only live state
-    /// plus a log cursor and their size does not grow with the stream.
-    ///
+    /// times — so decisions and the finished schedule match the plain run.
     /// At most `retain_chain` checkpoints are kept (oldest dropped first,
     /// clamped to at least 1 — the bounded chain a daemon would hold); the
     /// log is compacted to the newest retained blob's cursor after each
     /// capture.  Returns the retained chain and the log; recovery from any
     /// `(log, chain[k])` pair is bit-identical (see
-    /// [`run_with_failover_logged`](Self::run_with_failover_logged)).
-    pub fn run_checkpointed_logged<A>(
+    /// [`run_with_failover`](Self::run_with_failover)).  `every_batches` is
+    /// clamped to at least 1.
+    pub fn run_checkpointed<A>(
         &self,
         algo: &A,
         instance: &Instance,
         every_batches: usize,
         retain_chain: usize,
-    ) -> Result<(StreamReport, Vec<LogCheckpointRecord>, SegmentLog), ScheduleError>
+    ) -> Result<(StreamReport, Vec<CheckpointRecord>, SegmentLog), ScheduleError>
     where
         A: OnlineAlgorithm + ?Sized,
         A::Run: LogCheckpointable,
     {
         let every = every_batches.max(1);
         let retain = retain_chain.max(1);
-        let plan = ingestion_plan(instance, self.coalesce_window);
+        let plan = coalesce_arrivals(instance, self.coalesce_window);
         let mut run = algo.start_for(instance)?;
         let mut log = SegmentLog::new(instance.machines);
         let mut events = Vec::with_capacity(instance.len());
-        let mut chain = vec![capture_live(&run, &mut log, 0, 0, f64::NEG_INFINITY)?];
+        let mut chain = vec![capture(&run, &mut log, 0, 0, f64::NEG_INFINITY)?];
         for (i, (feed_time, ids)) in plan.iter().enumerate() {
-            ingest_batch(&mut run, instance, *feed_time, ids, &mut events)?;
-            // The worker appends realised segments as it commits them.
-            log.sync_from(run.frontier())?;
+            ingest_batch(&mut run, &mut log, instance, *feed_time, ids, &mut events)?;
             if (i + 1) % every == 0 {
-                chain.push(capture_live(
-                    &run,
-                    &mut log,
-                    i + 1,
-                    events.len(),
-                    *feed_time,
-                )?);
+                chain.push(capture(&run, &mut log, i + 1, events.len(), *feed_time)?);
                 if chain.len() > retain {
                     chain.remove(0);
                 }
@@ -354,15 +213,18 @@ impl StreamingSimulation {
     }
 
     /// The crash drill over the `(log, blob)` pair: ingest until
-    /// `kill_at_batch` with O(active) checkpoints, **drop the run** (the
-    /// log and the last checkpoint survive — both are durable), truncate
-    /// the log to the checkpoint's cursor, restore through
-    /// [`LogCheckpointable::restore_with_log`] and replay the delta.
+    /// `kill_at_batch` (checkpointing every `every_batches`), **drop the
+    /// run** (the log and the last checkpoint survive — both are durable),
+    /// truncate the log to the checkpoint's cursor, restore from the blob's
+    /// wire bytes through [`LogCheckpointable::restore_with_log`] and
+    /// replay the delta.
     ///
     /// The returned report is indistinguishable from the failure-free run
     /// on every deterministic field, and the returned log ends bit-equal
-    /// to an uninterrupted run's.
-    pub fn run_with_failover_logged<A>(
+    /// to an uninterrupted run's; the [`RecoveryStats`] record what the
+    /// recovery cost.  `kill_at_batch` is clamped to the stream's batch
+    /// count.
+    pub fn run_with_failover<A>(
         &self,
         algo: &A,
         instance: &Instance,
@@ -373,479 +235,69 @@ impl StreamingSimulation {
         A: OnlineAlgorithm + ?Sized,
         A::Run: LogCheckpointable,
     {
-        let plan = ingestion_plan(instance, self.coalesce_window);
-        let (events, checkpoint, log, killed_at) = run_until_kill_logged(
-            algo,
-            instance,
-            &plan,
-            every_batches.max(1),
-            kill_at_batch.min(plan.len()),
-        )?;
-        recover_and_replay_logged(algo, instance, &plan, events, checkpoint, log, killed_at, 0)
-    }
-}
+        let every = every_batches.max(1);
+        let plan = coalesce_arrivals(instance, self.coalesce_window);
+        let killed_at_batch = kill_at_batch.min(plan.len());
 
-/// Phase 1 of a logged crash drill: ingest until the kill point, syncing
-/// the log after every batch and keeping only the most recent O(active)
-/// checkpoint.  The run is dropped (that *is* the crash); the log and the
-/// checkpoint survive, exactly like a durable journal would.
-fn run_until_kill_logged<A>(
-    algo: &A,
-    instance: &Instance,
-    plan: &[(f64, Vec<JobId>)],
-    every: usize,
-    kill_at: usize,
-) -> Result<(Vec<ArrivalRecord>, LogCheckpointRecord, SegmentLog, usize), ScheduleError>
-where
-    A: OnlineAlgorithm + ?Sized,
-    A::Run: LogCheckpointable,
-{
-    let mut run = algo.start_for(instance)?;
-    let mut log = SegmentLog::new(instance.machines);
-    let mut events = Vec::new();
-    let mut last_checkpoint = capture_live(&run, &mut log, 0, 0, f64::NEG_INFINITY)?;
-    for (i, (feed_time, ids)) in plan.iter().enumerate().take(kill_at) {
-        ingest_batch(&mut run, instance, *feed_time, ids, &mut events)?;
-        log.sync_from(run.frontier())?;
-        if (i + 1) % every == 0 {
-            last_checkpoint = capture_live(&run, &mut log, i + 1, events.len(), *feed_time)?;
-        }
-    }
-    Ok((events, last_checkpoint, log, kill_at))
-}
-
-/// Phase 2 of a logged crash drill: truncate the surviving log to the
-/// checkpoint's cursor (WAL tail discard — the replay below re-commits
-/// those segments through the run itself), restore from the blob's wire
-/// bytes with the log, replay the delta and finish the stream.
-#[allow(clippy::too_many_arguments)]
-fn recover_and_replay_logged<A>(
-    algo: &A,
-    instance: &Instance,
-    plan: &[(f64, Vec<JobId>)],
-    mut events: Vec<ArrivalRecord>,
-    checkpoint: LogCheckpointRecord,
-    mut log: SegmentLog,
-    killed_at_batch: usize,
-    shard: usize,
-) -> Result<(StreamReport, RecoveryStats, SegmentLog), ScheduleError>
-where
-    A: OnlineAlgorithm + ?Sized,
-    A::Run: LogCheckpointable,
-{
-    let wire = checkpoint.blob.to_bytes();
-    let started = Instant::now();
-    let blob = StateBlob::from_bytes(&wire)?;
-    log.truncate(checkpoint.cursor)?;
-    let mut run = <A::Run as LogCheckpointable>::restore_with_log(&blob, &log)?;
-    let restore_secs = started.elapsed().as_secs_f64();
-
-    // Everything the dead worker did after the checkpoint is lost.
-    events.truncate(checkpoint.events_done);
-    let replay_from = checkpoint.batches_done;
-    let started = Instant::now();
-    for (feed_time, ids) in plan.get(replay_from..).unwrap_or_default() {
-        ingest_batch(&mut run, instance, *feed_time, ids, &mut events)?;
-        log.sync_from(run.frontier())?;
-    }
-    let replay_secs = started.elapsed().as_secs_f64();
-    let replayed_events = events.len() - checkpoint.events_done;
-    let stats = RecoveryStats {
-        shard,
-        killed_at_batch,
-        restored_batches: replay_from,
-        replayed_events,
-        checkpoint_bytes: wire.len(),
-        restore_secs,
-        replay_secs,
-    };
-    let report = finish_stream(algo.algorithm_name(), run, instance, events, plan.len())?;
-    Ok((report, stats, log))
-}
-
-/// Phase 1 of a crash drill: ingest batches until the kill point, keeping
-/// only the most recent checkpoint (a real worker would ship each blob to
-/// durable storage as it is captured).  Returns the trace so far, the
-/// checkpoint to restore from, and the batch index the worker died at —
-/// the run itself is dropped here, which *is* the simulated crash.
-fn run_until_kill<A>(
-    algo: &A,
-    instance: &Instance,
-    plan: &[(f64, Vec<JobId>)],
-    every: usize,
-    kill_at: usize,
-) -> Result<(Vec<ArrivalRecord>, CheckpointRecord, usize), ScheduleError>
-where
-    A: OnlineAlgorithm + ?Sized,
-    A::Run: Checkpointable,
-{
-    let mut run = algo.start_for(instance)?;
-    let mut events = Vec::new();
-    let mut last_checkpoint = capture(&run, 0, 0, f64::NEG_INFINITY);
-    for (i, (feed_time, ids)) in plan.iter().enumerate().take(kill_at) {
-        ingest_batch(&mut run, instance, *feed_time, ids, &mut events)?;
-        if (i + 1) % every == 0 {
-            last_checkpoint = capture(&run, i + 1, events.len(), *feed_time);
-        }
-    }
-    Ok((events, last_checkpoint, kill_at))
-}
-
-/// Phase 2 of a crash drill: restore the scheduler from the checkpoint
-/// blob's *wire bytes* (the full decode path a real failover would take),
-/// discard the dead worker's post-checkpoint trace, replay the delta and
-/// finish the stream.
-fn recover_and_replay<A>(
-    algo: &A,
-    instance: &Instance,
-    plan: &[(f64, Vec<JobId>)],
-    mut events: Vec<ArrivalRecord>,
-    checkpoint: CheckpointRecord,
-    killed_at_batch: usize,
-    shard: usize,
-) -> Result<(StreamReport, RecoveryStats), ScheduleError>
-where
-    A: OnlineAlgorithm + ?Sized,
-    A::Run: Checkpointable,
-{
-    let wire = checkpoint.blob.to_bytes();
-    let started = Instant::now();
-    let blob = StateBlob::from_bytes(&wire)?;
-    let mut run = <A::Run as Checkpointable>::restore(&blob)?;
-    let restore_secs = started.elapsed().as_secs_f64();
-
-    // Everything the dead worker did after the checkpoint is lost.
-    events.truncate(checkpoint.events_done);
-    let replay_from = checkpoint.batches_done;
-    let started = Instant::now();
-    for (feed_time, ids) in &plan[replay_from..] {
-        ingest_batch(&mut run, instance, *feed_time, ids, &mut events)?;
-    }
-    let replay_secs = started.elapsed().as_secs_f64();
-    let replayed_events = events.len() - checkpoint.events_done;
-    let stats = RecoveryStats {
-        shard,
-        killed_at_batch,
-        restored_batches: replay_from,
-        replayed_events,
-        checkpoint_bytes: wire.len(),
-        restore_secs,
-        replay_secs,
-    };
-    let report = finish_stream(algo.algorithm_name(), run, instance, events, plan.len())?;
-    Ok((report, stats))
-}
-
-/// Phase-1 outcome of one shard in a fleet crash drill.
-enum ShardOutcome {
-    /// The shard's worker survived; its report is final.
-    Done(Result<StreamReport, ScheduleError>),
-    /// The shard's worker was killed mid-stream.
-    Killed {
-        events: Result<Vec<ArrivalRecord>, ScheduleError>,
-        checkpoint: Option<CheckpointRecord>,
-        killed_at_batch: usize,
-        failure: ShardFailover,
-    },
-}
-
-impl ParallelStreamingSimulation {
-    /// The fleet crash drill: runs every shard like
-    /// [`run`](ParallelStreamingSimulation::run), except that the shards
-    /// named in `failures` are **killed** on their original worker after
-    /// `kill_at_batch` ingestion batches, restored from their last
-    /// checkpoint, and *rebalanced* — the delta replay executes on a fresh
-    /// worker thread, not the one that died.
-    ///
-    /// The merged [`FleetReport`] equals the no-failure run on every
-    /// deterministic field (per-shard decisions, duals, schedules, batch
-    /// counts, acceptance, cost; pooled percentiles are recomputed over the
-    /// same pooled sample count).  One [`RecoveryStats`] is returned per
-    /// entry of `failures`, in order.
-    ///
-    /// Failures must name distinct, in-range shards; `checkpoint_every` is
-    /// clamped to at least 1.
-    pub fn run_with_failover<A>(
-        &self,
-        algo: &A,
-        shards: &[Instance],
-        failures: &[ShardFailover],
-    ) -> Result<(FleetReport, Vec<RecoveryStats>), ScheduleError>
-    where
-        A: OnlineAlgorithm + Sync + ?Sized,
-        A::Run: Checkpointable,
-    {
-        for f in failures {
-            if f.shard >= shards.len() {
-                return Err(ScheduleError::Internal(format!(
-                    "failover shard {} out of range ({} shards)",
-                    f.shard,
-                    shards.len()
-                )));
-            }
-            if failures.iter().filter(|g| g.shard == f.shard).count() > 1 {
-                return Err(ScheduleError::Internal(format!(
-                    "duplicate failover entry for shard {}",
-                    f.shard
-                )));
-            }
-        }
-        let started = Instant::now();
-        let sim = StreamingSimulation::with_coalescing(self.coalesce_window);
-        let workers = self.effective_workers(shards.len());
-        let failure_of = |k: usize| failures.iter().find(|f| f.shard == k).copied();
-
-        // Phase 1: the original workers.  Failing shards die at their kill
-        // point; surviving shards complete normally.
-        let mut outcomes: Vec<Option<ShardOutcome>> = (0..shards.len()).map(|_| None).collect();
-        let chunk = shards.len().div_ceil(workers).max(1);
-        std::thread::scope(|scope| {
-            for (chunk_idx, (slot_chunk, shard_chunk)) in outcomes
-                .chunks_mut(chunk)
-                .zip(shards.chunks(chunk))
-                .enumerate()
-            {
-                let base = chunk_idx * chunk;
-                let failure_of = &failure_of;
-                scope.spawn(move || {
-                    for (offset, (slot, shard)) in
-                        slot_chunk.iter_mut().zip(shard_chunk).enumerate()
-                    {
-                        let outcome = match failure_of(base + offset) {
-                            None => ShardOutcome::Done(sim.run(algo, shard)),
-                            Some(failure) => {
-                                let plan = ingestion_plan(shard, sim.coalesce_window);
-                                let kill_at = failure.kill_at_batch.min(plan.len());
-                                match run_until_kill(
-                                    algo,
-                                    shard,
-                                    &plan,
-                                    failure.checkpoint_every.max(1),
-                                    kill_at,
-                                ) {
-                                    Ok((events, checkpoint, killed_at_batch)) => {
-                                        ShardOutcome::Killed {
-                                            events: Ok(events),
-                                            checkpoint: Some(checkpoint),
-                                            killed_at_batch,
-                                            failure,
-                                        }
-                                    }
-                                    Err(e) => ShardOutcome::Killed {
-                                        events: Err(e),
-                                        checkpoint: None,
-                                        killed_at_batch: kill_at,
-                                        failure,
-                                    },
-                                }
-                            }
-                        };
-                        *slot = Some(outcome);
-                    }
-                });
-            }
-        });
-
-        // Phase 2: rebalancing.  Every killed shard's recovery — restore
-        // from the checkpoint's wire bytes, replay the delta, finish — runs
-        // on a *fresh* worker thread.
-        let mut reports: Vec<Option<Result<StreamReport, ScheduleError>>> =
-            (0..shards.len()).map(|_| None).collect();
-        let mut recoveries: Vec<Option<Result<(usize, RecoveryStats), ScheduleError>>> =
-            (0..failures.len()).map(|_| None).collect();
-        {
-            let mut recovery_slots: Vec<
-                &mut Option<Result<(usize, RecoveryStats), ScheduleError>>,
-            > = recoveries.iter_mut().collect();
-            std::thread::scope(|scope| {
-                for (k, (slot, outcome)) in reports.iter_mut().zip(outcomes).enumerate() {
-                    match outcome.expect("every shard outcome is filled") {
-                        ShardOutcome::Done(report) => *slot = Some(report),
-                        ShardOutcome::Killed {
-                            events,
-                            checkpoint,
-                            killed_at_batch,
-                            failure,
-                        } => {
-                            let failure_pos = failures
-                                .iter()
-                                .position(|f| f.shard == failure.shard)
-                                .expect("failure entry exists");
-                            let recovery_slot = recovery_slots.remove(0);
-                            let shard_instance = &shards[k];
-                            scope.spawn(move || {
-                                let result = (|| {
-                                    let events = events?;
-                                    let checkpoint =
-                                        checkpoint.expect("checkpoint exists when events do");
-                                    recover_and_replay(
-                                        algo,
-                                        shard_instance,
-                                        &ingestion_plan(shard_instance, sim.coalesce_window),
-                                        events,
-                                        checkpoint,
-                                        killed_at_batch,
-                                        k,
-                                    )
-                                })();
-                                match result {
-                                    Ok((report, stats)) => {
-                                        *slot = Some(Ok(report));
-                                        *recovery_slot = Some(Ok((failure_pos, stats)));
-                                    }
-                                    Err(e) => {
-                                        *slot = Some(Err(e.clone()));
-                                        *recovery_slot = Some(Err(e));
-                                    }
-                                }
-                            });
-                        }
-                    }
+        // Phase 1: ingest until the kill point, keeping only the most
+        // recent checkpoint.  Dropping the run at the end of this block
+        // *is* the crash.
+        let mut log = SegmentLog::new(instance.machines);
+        let mut events = Vec::new();
+        let checkpoint = {
+            let mut run = algo.start_for(instance)?;
+            let mut last = capture(&run, &mut log, 0, 0, f64::NEG_INFINITY)?;
+            for (i, (feed_time, ids)) in plan.iter().enumerate().take(killed_at_batch) {
+                ingest_batch(&mut run, &mut log, instance, *feed_time, ids, &mut events)?;
+                if (i + 1) % every == 0 {
+                    last = capture(&run, &mut log, i + 1, events.len(), *feed_time)?;
                 }
-            });
-        }
-
-        let mut shard_reports = Vec::with_capacity(shards.len());
-        for slot in reports {
-            shard_reports.push(slot.expect("every shard report is filled")?);
-        }
-        let mut stats: Vec<Option<RecoveryStats>> = (0..failures.len()).map(|_| None).collect();
-        for slot in recoveries {
-            let (pos, s) = slot.expect("every recovery slot is filled")?;
-            stats[pos] = Some(s);
-        }
-        let recovery_stats: Vec<RecoveryStats> = stats
-            .into_iter()
-            .map(|s| s.expect("every failure produced stats"))
-            .collect();
-        Ok((
-            FleetReport {
-                shards: shard_reports,
-                workers,
-                wall_clock_secs: started.elapsed().as_secs_f64(),
-            },
-            recovery_stats,
-        ))
-    }
-
-    /// The fleet crash drill over `(log, blob)` pairs: like
-    /// [`run_with_failover`](Self::run_with_failover), but every shard
-    /// carries its own [`SegmentLog`] and the shards named in `failures`
-    /// recover through O(active) checkpoints — truncate the surviving log
-    /// to the blob's cursor, [`LogCheckpointable::restore_with_log`],
-    /// replay the delta on the shard's worker.
-    ///
-    /// The merged [`FleetReport`] equals the no-failure run on every
-    /// deterministic field; one [`RecoveryStats`] is returned per entry of
-    /// `failures`, in order.  Failures must name distinct, in-range shards.
-    pub fn run_with_failover_logged<A>(
-        &self,
-        algo: &A,
-        shards: &[Instance],
-        failures: &[ShardFailover],
-    ) -> Result<(FleetReport, Vec<RecoveryStats>), ScheduleError>
-    where
-        A: OnlineAlgorithm + Sync + ?Sized,
-        A::Run: LogCheckpointable,
-    {
-        for f in failures {
-            if f.shard >= shards.len() {
-                return Err(ScheduleError::Internal(format!(
-                    "failover shard {} out of range ({} shards)",
-                    f.shard,
-                    shards.len()
-                )));
             }
-            if failures.iter().filter(|g| g.shard == f.shard).count() > 1 {
-                return Err(ScheduleError::Internal(format!(
-                    "duplicate failover entry for shard {}",
-                    f.shard
-                )));
-            }
-        }
+            last
+        };
+
+        // Phase 2: truncate the surviving log to the checkpoint's cursor,
+        // restore from the blob's wire bytes with the log, replay the delta
+        // and finish the stream.
+        let wire = checkpoint.blob.to_bytes();
         let started = Instant::now();
-        let sim = StreamingSimulation::with_coalescing(self.coalesce_window);
-        let workers = self.effective_workers(shards.len());
-        let failure_of = |k: usize| failures.iter().find(|f| f.shard == k).copied();
+        let blob = StateBlob::from_bytes(&wire)?;
+        log.truncate(checkpoint.cursor)?;
+        let mut run = <A::Run as LogCheckpointable>::restore_with_log(&blob, &log)?;
+        let restore_secs = started.elapsed().as_secs_f64();
 
-        type ShardSlot = Option<Result<(StreamReport, Option<RecoveryStats>), ScheduleError>>;
-        let mut slots: Vec<ShardSlot> = (0..shards.len()).map(|_| None).collect();
-        let chunk = shards.len().div_ceil(workers).max(1);
-        std::thread::scope(|scope| {
-            for (chunk_idx, (slot_chunk, shard_chunk)) in slots
-                .chunks_mut(chunk)
-                .zip(shards.chunks(chunk))
-                .enumerate()
-            {
-                let base = chunk_idx * chunk;
-                let failure_of = &failure_of;
-                let sim = &sim;
-                scope.spawn(move || {
-                    for (offset, (slot, shard)) in
-                        slot_chunk.iter_mut().zip(shard_chunk).enumerate()
-                    {
-                        let k = base + offset;
-                        let result = match failure_of(k) {
-                            None => sim.run(algo, shard).map(|r| (r, None)),
-                            Some(failure) => sim
-                                .run_with_failover_logged(
-                                    algo,
-                                    shard,
-                                    failure.checkpoint_every.max(1),
-                                    failure.kill_at_batch,
-                                )
-                                .map(|(report, mut stats, _log)| {
-                                    stats.shard = k;
-                                    (report, Some(stats))
-                                }),
-                        };
-                        *slot = Some(result);
-                    }
-                });
-            }
-        });
-
-        let mut shard_reports = Vec::with_capacity(shards.len());
-        let mut stats_by_shard: Vec<(usize, RecoveryStats)> = Vec::new();
-        for (k, slot) in slots.into_iter().enumerate() {
-            let (report, stats) = slot.expect("every shard slot is filled")?;
-            shard_reports.push(report);
-            if let Some(s) = stats {
-                stats_by_shard.push((k, s));
-            }
+        // Everything the dead worker did after the checkpoint is lost.
+        events.truncate(checkpoint.events_done);
+        let replay_from = checkpoint.batches_done;
+        let started = Instant::now();
+        for (feed_time, ids) in plan.get(replay_from..).unwrap_or_default() {
+            ingest_batch(&mut run, &mut log, instance, *feed_time, ids, &mut events)?;
         }
-        let mut recovery_stats = Vec::with_capacity(failures.len());
-        for f in failures {
-            let (_, s) = stats_by_shard
-                .iter()
-                .find(|(k, _)| *k == f.shard)
-                .cloned()
-                .ok_or_else(|| {
-                    ScheduleError::Internal(format!("failover shard {} produced no stats", f.shard))
-                })?;
-            recovery_stats.push(s);
-        }
-        Ok((
-            FleetReport {
-                shards: shard_reports,
-                workers,
-                wall_clock_secs: started.elapsed().as_secs_f64(),
-            },
-            recovery_stats,
-        ))
+        let replay_secs = started.elapsed().as_secs_f64();
+        let stats = RecoveryStats {
+            killed_at_batch,
+            restored_batches: replay_from,
+            replayed_events: events.len() - checkpoint.events_done,
+            checkpoint_bytes: wire.len(),
+            restore_secs,
+            replay_secs,
+        };
+        let report = finish_stream(algo.algorithm_name(), run, instance, events, plan.len())?;
+        Ok((report, stats, log))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pss_baselines::avr::AvrState;
+    use pss_baselines::bkp::BkpState;
     use pss_baselines::{AvrScheduler, BkpScheduler, CllScheduler, OaScheduler};
     use pss_types::snapshot::SnapshotError;
-    use pss_workloads::{ArrivalModel, RandomConfig, SmallRng, ValueModel};
+    use pss_workloads::{ArrivalModel, RandomConfig, ValueModel};
 
-    fn shard_instances(shards: usize, n: usize, seed: u64) -> Vec<Instance> {
-        let base = SmallRng::seed_from_u64(seed);
-        let cfg = RandomConfig {
+    fn bursty_instance(n: usize, seed: u64) -> Instance {
+        RandomConfig {
             n_jobs: n,
             machines: 1,
             alpha: 2.0,
@@ -856,10 +308,8 @@ mod tests {
             },
             value: ValueModel::ProportionalToEnergy { min: 0.3, max: 4.0 },
             ..RandomConfig::standard(seed)
-        };
-        (0..shards)
-            .map(|k| cfg.generate_with(&mut base.split_stream(k as u64)))
-            .collect()
+        }
+        .generate()
     }
 
     /// Asserts two stream reports agree on every deterministic field
@@ -892,48 +342,15 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_run_matches_the_plain_run_and_records_blobs() {
-        let inst = shard_instances(1, 40, 4242).remove(0);
-        let sim = StreamingSimulation::with_coalescing(1e-3);
-        let plain = sim.run(&CllScheduler, &inst).unwrap();
-        let (stream, checkpoints) = sim.run_checkpointed(&CllScheduler, &inst, 3).unwrap();
-        assert_streams_equal(&plain, &stream, "checkpointed CLL");
-        // One pre-ingestion checkpoint plus one per three batches.
-        assert_eq!(checkpoints.len(), 1 + stream.batches / 3);
-        assert_eq!(checkpoints[0].batches_done, 0);
-        assert_eq!(checkpoints[0].events_done, 0);
-        // Blob sizes grow with the committed frontier.
-        let first = checkpoints.first().unwrap().blob.size_bytes();
-        let last = checkpoints.last().unwrap().blob.size_bytes();
-        assert!(last > first, "blob sizes must grow along the stream");
-        // Checkpoints are monotone in batches and events.
-        for pair in checkpoints.windows(2) {
-            assert!(pair[0].batches_done < pair[1].batches_done);
-            assert!(pair[0].events_done <= pair[1].events_done);
-        }
-    }
-
-    #[test]
     fn logged_run_matches_plain_and_blobs_stay_o_active() {
-        let inst = shard_instances(1, 40, 4242).remove(0);
+        let inst = bursty_instance(40, 4242);
         let sim = StreamingSimulation::with_coalescing(1e-3);
         let plain = sim.run(&CllScheduler, &inst).unwrap();
         let (stream, chain, log) = sim
-            .run_checkpointed_logged(&CllScheduler, &inst, 3, usize::MAX)
+            .run_checkpointed(&CllScheduler, &inst, 3, usize::MAX)
             .unwrap();
         assert_streams_equal(&plain, &stream, "logged CLL");
         assert_eq!(chain.len(), 1 + stream.batches / 3);
-        // The live blobs do not absorb the frontier: the final one stays
-        // far below the final full-frontier blob of the legacy path.
-        let (_, legacy) = sim.run_checkpointed(&CllScheduler, &inst, 3).unwrap();
-        let legacy_last = legacy.last().unwrap().blob.size_bytes();
-        let live_last = chain.last().unwrap().blob.size_bytes();
-        assert!(
-            live_last * 2 < legacy_last,
-            "live blob ({live_last} B) must be far smaller than the \
-             full-frontier blob ({legacy_last} B); E18 measures the \
-             flat-vs-length asymptotics on longer streams"
-        );
         // The log mirrors the committed frontier: its end cursor equals the
         // frontier size the last event observed, and cursors are monotone.
         let final_frontier = stream.events.last().unwrap().frontier_segments;
@@ -947,12 +364,12 @@ mod tests {
 
     #[test]
     fn every_retained_chain_depth_recovers_from_every_retained_blob() {
-        let inst = shard_instances(1, 36, 1337).remove(0);
+        let inst = bursty_instance(36, 1337);
         let sim = StreamingSimulation::with_coalescing(1e-3);
         let plain = sim.run(&CllScheduler, &inst).unwrap();
         for retain in 1..=4 {
             let (stream, chain, log) = sim
-                .run_checkpointed_logged(&CllScheduler, &inst, 2, retain)
+                .run_checkpointed(&CllScheduler, &inst, 2, retain)
                 .unwrap();
             assert_streams_equal(&plain, &stream, &format!("retain {retain}"));
             assert!(chain.len() <= retain);
@@ -978,15 +395,15 @@ mod tests {
 
     #[test]
     fn logged_failover_is_invisible_and_leaves_a_consistent_log() {
-        let inst = shard_instances(1, 48, 9000).remove(0);
+        let inst = bursty_instance(48, 9000);
         let sim = StreamingSimulation::with_coalescing(1e-3);
         for algo_run in 0..2 {
+            // Two very different state shapes: the replanning executor and
+            // the BKP grid.
             let (plain, recovered, stats, log, label) = if algo_run == 0 {
                 let plain = sim.run(&OaScheduler, &inst).unwrap();
                 let kill = plain.batches / 2;
-                let (r, s, l) = sim
-                    .run_with_failover_logged(&OaScheduler, &inst, 4, kill)
-                    .unwrap();
+                let (r, s, l) = sim.run_with_failover(&OaScheduler, &inst, 4, kill).unwrap();
                 (plain, r, s, l, "OA")
             } else {
                 let algo = BkpScheduler {
@@ -995,7 +412,7 @@ mod tests {
                 };
                 let plain = sim.run(&algo, &inst).unwrap();
                 let kill = plain.batches / 2;
-                let (r, s, l) = sim.run_with_failover_logged(&algo, &inst, 4, kill).unwrap();
+                let (r, s, l) = sim.run_with_failover(&algo, &inst, 4, kill).unwrap();
                 (plain, r, s, l, "BKP")
             };
             assert_streams_equal(&plain, &recovered, label);
@@ -1008,151 +425,23 @@ mod tests {
     }
 
     #[test]
-    fn logged_fleet_failover_yields_the_no_failure_fleet_report() {
-        let shards = shard_instances(3, 36, 777);
-        let sim = ParallelStreamingSimulation::with_coalescing(1e-3);
-        let clean = sim.run(&CllScheduler, &shards).unwrap();
-        let batches_1 = clean.shards[1].batches;
-        for kill_at in [0, batches_1 / 2, batches_1 + 7] {
-            let (fleet, stats) = sim
-                .run_with_failover_logged(
-                    &CllScheduler,
-                    &shards,
-                    &[ShardFailover {
-                        shard: 1,
-                        kill_at_batch: kill_at,
-                        checkpoint_every: 3,
-                    }],
-                )
-                .unwrap();
-            assert_eq!(stats.len(), 1);
-            assert_eq!(stats[0].shard, 1);
-            for (k, (a, b)) in clean.shards.iter().zip(&fleet.shards).enumerate() {
-                assert_streams_equal(a, b, &format!("logged kill@{kill_at} shard {k}"));
-            }
-            assert_eq!(fleet.total_cost().to_bits(), clean.total_cost().to_bits());
-        }
-        assert!(sim
-            .run_with_failover_logged(
-                &CllScheduler,
-                &shards,
-                &[ShardFailover {
-                    shard: 9,
-                    kill_at_batch: 1,
-                    checkpoint_every: 1
-                }]
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn single_stream_failover_is_invisible_in_the_report() {
-        let inst = shard_instances(1, 48, 9000).remove(0);
-        let sim = StreamingSimulation::with_coalescing(1e-3);
-        for algo_run in 0..2 {
-            // Two very different state shapes: the replanning executor and
-            // the BKP grid.
-            let (plain, recovered, stats, label) = if algo_run == 0 {
-                let plain = sim.run(&OaScheduler, &inst).unwrap();
-                let kill = plain.batches / 2;
-                let (r, s) = sim.run_with_failover(&OaScheduler, &inst, 4, kill).unwrap();
-                (plain, r, s, "OA")
-            } else {
-                let algo = BkpScheduler {
-                    resolution: 400,
-                    ..Default::default()
-                };
-                let plain = sim.run(&algo, &inst).unwrap();
-                let kill = plain.batches / 2;
-                let (r, s) = sim.run_with_failover(&algo, &inst, 4, kill).unwrap();
-                (plain, r, s, "BKP")
-            };
-            assert_streams_equal(&plain, &recovered, label);
-            assert!(stats.killed_at_batch >= stats.restored_batches, "{label}");
-            assert!(stats.replayed_events > 0, "{label}: nothing was replayed");
-            assert!(stats.checkpoint_bytes > 0, "{label}");
-        }
-    }
-
-    #[test]
-    fn killed_and_restored_shard_yields_the_no_failure_fleet_report() {
-        let shards = shard_instances(3, 36, 777);
-        let sim = ParallelStreamingSimulation::with_coalescing(1e-3);
-        let clean = sim.run(&CllScheduler, &shards).unwrap();
-        // Kill shard 1 mid-stream at a handful of cut points (including 0 =
-        // killed before any batch, and one past the end = killed after the
-        // last batch).
-        let batches_1 = clean.shards[1].batches;
-        for kill_at in [
-            0,
-            1,
-            batches_1 / 2,
-            batches_1.saturating_sub(1),
-            batches_1 + 7,
-        ] {
-            let (fleet, stats) = sim
-                .run_with_failover(
-                    &CllScheduler,
-                    &shards,
-                    &[ShardFailover {
-                        shard: 1,
-                        kill_at_batch: kill_at,
-                        checkpoint_every: 3,
-                    }],
-                )
-                .unwrap();
-            assert_eq!(stats.len(), 1);
-            assert_eq!(fleet.shards.len(), clean.shards.len());
-            for (k, (a, b)) in clean.shards.iter().zip(&fleet.shards).enumerate() {
-                assert_streams_equal(a, b, &format!("kill@{kill_at} shard {k}"));
-            }
-            // Fleet-level pooled statistics agree on the deterministic
-            // parts: acceptance counts, batch totals, costs, and the pooled
-            // percentile sample universe.
-            assert_eq!(fleet.total_arrivals(), clean.total_arrivals());
-            assert_eq!(fleet.total_batches(), clean.total_batches());
-            assert_eq!(fleet.accepted_jobs(), clean.accepted_jobs());
-            assert_eq!(fleet.acceptance_rate(), clean.acceptance_rate());
-            assert_eq!(fleet.total_cost().to_bits(), clean.total_cost().to_bits());
-            assert!(fleet.latency_percentile_secs(99.0).is_finite());
-        }
-    }
-
-    #[test]
-    fn fleet_failover_rejects_bad_plans() {
-        let shards = shard_instances(2, 12, 55);
-        let sim = ParallelStreamingSimulation::default();
-        let bad_shard = ShardFailover {
-            shard: 5,
-            kill_at_batch: 1,
-            checkpoint_every: 1,
-        };
-        assert!(sim
-            .run_with_failover(&AvrScheduler, &shards, &[bad_shard])
-            .is_err());
-        let dup = ShardFailover {
-            shard: 0,
-            kill_at_batch: 1,
-            checkpoint_every: 1,
-        };
-        assert!(sim
-            .run_with_failover(&AvrScheduler, &shards, &[dup, dup])
-            .is_err());
-    }
-
-    #[test]
     fn corrupted_and_truncated_blobs_error_and_never_panic() {
         // A mid-stream BKP state: the richest blob (grid cursor, speed
         // index, hull, EDF heap).
-        let inst = shard_instances(1, 30, 31).remove(0);
+        let inst = bursty_instance(30, 31);
         let algo = BkpScheduler {
             resolution: 300,
             ..Default::default()
         };
-        let (_, checkpoints) = StreamingSimulation::default()
-            .run_checkpointed(&algo, &inst, 5)
+        let (_, chain, log) = StreamingSimulation::default()
+            .run_checkpointed(&algo, &inst, 5, 1)
             .unwrap();
-        let blob = &checkpoints.last().unwrap().blob;
+        let ckpt = chain.last().unwrap();
+        assert!(
+            ckpt.cursor > LogCursor(0),
+            "the blob must point into the log"
+        );
+        let blob = &ckpt.blob;
         let wire = blob.to_bytes();
         // Every truncation fails cleanly.
         for len in (0..wire.len()).step_by(7) {
@@ -1165,57 +454,57 @@ mod tests {
             assert!(StateBlob::from_bytes(&corrupted).is_err());
         }
         // Restoring the wrong kind errors.
-        use pss_baselines::avr::AvrState;
-        use pss_baselines::bkp::BkpState;
         assert!(matches!(
-            AvrState::restore(blob),
+            AvrState::restore_with_log(blob, &log),
             Err(SnapshotError::WrongKind { .. })
         ));
         // A kind-right blob with a truncated payload errors.
         let short = StateBlob::new(
             "bkp",
-            2,
+            blob.version(),
             blob.payload()[..blob.payload().len() / 2].to_vec(),
         );
-        assert!(BkpState::restore(&short).is_err());
-        // A version-1 blob (the pre-seglog layout, frontier inline with no
-        // tag byte) is rejected with the typed version error, never
-        // misparsed.
+        assert!(BkpState::restore_with_log(&short, &log).is_err());
+        // A version-1 blob (the pre-seglog layout) is rejected with the
+        // typed version error, never misparsed.
         let old = StateBlob::new("bkp", 1, blob.payload().to_vec());
         assert!(matches!(
-            BkpState::restore(&old),
+            BkpState::restore_with_log(&old, &log),
             Err(SnapshotError::UnsupportedVersion(1))
         ));
+        // A log that does not reach the blob's cursor errors.
+        assert!(BkpState::restore_with_log(blob, &SegmentLog::new(1)).is_err());
         // The JSON envelope round-trips the same state.
         let json = pss_metrics::blob_to_json(blob);
         let back = pss_metrics::blob_from_json(&json).unwrap();
         assert_eq!(&back, blob);
-        assert!(BkpState::restore(&back).is_ok());
+        assert!(BkpState::restore_with_log(&back, &log).is_ok());
     }
 
     #[test]
     fn empty_single_job_and_large_states_round_trip() {
-        use pss_baselines::avr::AvrState;
-        use pss_types::OnlineAlgorithm;
-
         // Empty state: a fresh run, never fed.
         let fresh = AvrScheduler.start(1, 2.0).unwrap();
-        let blob = fresh.snapshot();
+        let mut log = SegmentLog::new(1);
+        let blob = fresh.snapshot_live(&mut log).unwrap();
         let restored =
-            AvrState::restore(&StateBlob::from_bytes(&blob.to_bytes()).unwrap()).unwrap();
+            AvrState::restore_with_log(&StateBlob::from_bytes(&blob.to_bytes()).unwrap(), &log)
+                .unwrap();
         assert!(restored.finish().unwrap().segments.is_empty());
 
         // Single-job state.
         let single = Instance::from_tuples(1, 2.0, vec![(0.0, 2.0, 1.0, 1.0)]).unwrap();
         let mut run = AvrScheduler.start_for(&single).unwrap();
         run.on_arrival(&single.jobs[0], 0.0).unwrap();
-        let restored = AvrState::restore(&run.snapshot()).unwrap();
+        let mut log = SegmentLog::new(1);
+        let restored =
+            AvrState::restore_with_log(&run.snapshot_live(&mut log).unwrap(), &log).unwrap();
         assert_eq!(
             restored.finish().unwrap().segments,
             run.finish().unwrap().segments
         );
 
-        // A 10k-job state round-trips bit-exactly through the wire format.
+        // A 10k-job state round-trips bit-exactly through both wire formats.
         let big = RandomConfig {
             n_jobs: 10_000,
             machines: 1,
@@ -1230,14 +519,15 @@ mod tests {
             let job = big.job(id);
             run.on_arrival(job, job.release).unwrap();
         }
-        let blob = run.snapshot();
-        let wire = blob.to_bytes();
-        let back = StateBlob::from_bytes(&wire).unwrap();
+        let mut log = SegmentLog::new(1);
+        let blob = run.snapshot_live(&mut log).unwrap();
+        let back = StateBlob::from_bytes(&blob.to_bytes()).unwrap();
         assert_eq!(back, blob);
-        let restored = AvrState::restore(&back).unwrap();
+        let log = SegmentLog::from_bytes(&log.to_bytes()).unwrap();
+        let restored = AvrState::restore_with_log(&back, &log).unwrap();
         // The restored state is observably the same state: identical
-        // snapshot, identical finish.
-        assert_eq!(restored.snapshot(), blob);
+        // snapshot against the same log, identical finish.
+        assert_eq!(restored.snapshot_live(&mut log.clone()).unwrap(), blob);
         assert_eq!(
             restored.finish().unwrap().segments,
             run.finish().unwrap().segments

@@ -37,17 +37,14 @@
 //! [`engine::StreamingSimulation`].
 //!
 //! [`checkpoint`] makes streams *restartable*: every run state implements
-//! `pss_types::Checkpointable` and `pss_types::LogCheckpointable`, so
+//! `pss_types::LogCheckpointable`, so
 //! [`StreamingSimulation::run_checkpointed`](engine::StreamingSimulation)
-//! snapshots the scheduler every k ingestion batches, the failover
-//! drills (`run_with_failover`, single-stream and fleet-level) kill a
-//! worker mid-stream, restore from the last checkpoint blob and replay
-//! the delta — bit-identically, with killed shards *rebalanced* onto
-//! fresh worker threads — and E14 measures blob size, capture/restore
-//! cost and recovery latency.  The `_logged` variants carry a
-//! `pss_types::SegmentLog` per run: blobs hold only live state plus a
-//! log cursor (O(active), measured flat by E18), and recovery
-//! reassembles the frontier from the `(log, blob)` pair.
+//! captures a checkpoint every k ingestion batches — a blob of live state
+//! plus a cursor into the run's `pss_types::SegmentLog`, O(active) bytes —
+//! and the crash drill (`run_with_failover`) kills a worker mid-stream,
+//! restores from the last `(log, blob)` pair and replays the delta,
+//! bit-identically.  E18 measures blob size, capture/restore cost and
+//! recovery latency.
 //!
 //! [`replay`] provides the operational definition of "online": the
 //! streaming check [`replay::streaming_prefix_report`] verifies in a single
@@ -68,7 +65,7 @@ pub mod parallel;
 pub mod replay;
 pub mod sharded;
 
-pub use checkpoint::{CheckpointRecord, LogCheckpointRecord, RecoveryStats, ShardFailover};
+pub use checkpoint::{CheckpointRecord, RecoveryStats};
 pub use engine::{
     coalesce_arrivals, nearest_rank, ArrivalRecord, JobOutcome, MachineStats, SimReport,
     Simulation, StreamReport, StreamingSimulation,

@@ -29,17 +29,16 @@
 //!   ingestion boundary returns instead of panicking,
 //! * [`num`] — tolerance-aware floating point helpers used by all numeric
 //!   code in the workspace,
-//! * [`snapshot`] — checkpoint/restore for long-running runs: versioned
-//!   [`StateBlob`]s, the hand-rolled bounds-checked binary codec
-//!   ([`BlobWriter`]/[`BlobReader`], no serde in the offline build), and
-//!   the [`Checkpointable`]/[`SnapshotPart`] traits every online scheduler
-//!   state implements (restores continue bit-identically; the JSON
-//!   envelope lives in `pss-metrics`),
-//! * [`seglog`] — the append-only realised-segment log behind O(active)
-//!   checkpoints: checksummed [`SegmentLog`] records, [`LogCursor`]s,
-//!   the [`FrontierPart`] inline-or-cursor frontier encoding and the
-//!   [`LogCheckpointable`] trait (snapshot only live state, reassemble the
-//!   frontier from a `(log, blob)` pair bit-identically).
+//! * [`snapshot`] — the checkpoint codec: versioned [`StateBlob`]s, the
+//!   hand-rolled bounds-checked binary codec ([`BlobWriter`]/[`BlobReader`],
+//!   no serde in the offline build) and the [`SnapshotPart`] trait payloads
+//!   are assembled from (the JSON envelope lives in `pss-metrics`),
+//! * [`seglog`] — the append-only realised-segment log that holds a run's
+//!   committed frontier: checksummed [`SegmentLog`] records, [`LogCursor`]s,
+//!   the [`FrontierPart`] cursor a snapshot stores in place of its frontier,
+//!   and the [`LogCheckpointable`] trait every online scheduler state
+//!   implements (snapshot only live state, restore from a `(log, blob)`
+//!   pair bit-identically).
 //!
 //! The model follows Section 2 of the paper: `m` speed-scalable processors,
 //! power `P_α(s) = s^α` with `α > 1`, preemption and migration allowed, at
@@ -77,7 +76,5 @@ pub use scheduler::{
 };
 pub use seglog::{FrontierPart, LogCheckpointable, LogCursor, SegmentLog};
 pub use segment::{Schedule, Segment, SegmentsByJob};
-pub use snapshot::{
-    BlobReader, BlobWriter, Checkpointable, SnapshotError, SnapshotPart, StateBlob,
-};
+pub use snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 pub use validate::{validate_schedule, ValidationReport};

@@ -1,12 +1,12 @@
 //! Append-only realised-segment log: the O(active) checkpoint substrate.
 //!
-//! E14 measured checkpoint blobs growing linearly with the stream
-//! (~43 B/event) because the committed frontier rode inside every
-//! [`StateBlob`].  The paper's prefix-stability invariant — a committed
-//! segment is never revised — means that frontier is *immutable history*,
-//! not live state, so it belongs in an append-only log shared by every
-//! checkpoint of the run, not in each snapshot.  This module provides that
-//! log and the conventions the rest of the workspace builds on:
+//! The paper's prefix-stability invariant — a committed segment is never
+//! revised — means a run's committed frontier is *immutable history*, not
+//! live state, so it belongs in an append-only log shared by every
+//! checkpoint of the run, not in each snapshot.  A blob that carried the
+//! frontier inline would grow with the stream; one that carries a cursor
+//! into the log stays O(active).  This module provides that log and the
+//! conventions the rest of the workspace builds on:
 //!
 //! * [`SegmentLog`] — a per-run/per-shard append-only log of realised
 //!   segments, organised as checksummed *records* (one per append).  The
@@ -14,17 +14,15 @@
 //!   FNV-1a checksum, and decoding is total: truncation or corruption of
 //!   any record is a [`SnapshotError`], never a panic.
 //! * [`LogCursor`] — a position in the log (a count of realised segments).
-//!   A live-state snapshot stores a cursor instead of the frontier.
-//! * [`FrontierPart`] — the encoding of a snapshot's committed frontier:
-//!   either inline (the legacy full-frontier form, kept as a differential
-//!   baseline) or a cursor into the log.  [`FrontierPart::resolve`] turns
-//!   either form back into a [`Schedule`]; resolving a cursor without the
-//!   log yields [`SnapshotError::NeedsLog`].
-//! * [`LogCheckpointable`] — the O(active) counterpart of
-//!   [`Checkpointable`]: [`snapshot_live`](LogCheckpointable::snapshot_live)
+//! * [`FrontierPart`] — what a snapshot payload stores in place of its
+//!   committed frontier: the frontier's machine count and its end cursor
+//!   in the log.  [`FrontierPart::resolve`] reassembles the frontier from
+//!   the log.
+//! * [`LogCheckpointable`] — the checkpoint contract every online run
+//!   state implements: [`snapshot_live`](LogCheckpointable::snapshot_live)
 //!   syncs the log with the run's frontier and captures only live state
 //!   plus the cursor; [`restore_with_log`](LogCheckpointable::restore_with_log)
-//!   reassembles the frontier from the `(log, blob)` pair bit-identically.
+//!   reassembles the run from the `(log, blob)` pair bit-identically.
 //!
 //! # Compaction
 //!
@@ -46,9 +44,7 @@
 //! through the run itself, so skipping the truncation would duplicate them.
 
 use crate::segment::{Schedule, Segment};
-use crate::snapshot::{
-    fnv1a, BlobReader, BlobWriter, Checkpointable, SnapshotError, SnapshotPart, StateBlob,
-};
+use crate::snapshot::{fnv1a, BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 
 /// Blob kind under which a serialised log travels.
 const LOG_KIND: &str = "seglog";
@@ -369,93 +365,73 @@ impl SegmentLog {
     }
 }
 
-/// The committed frontier as stored inside a snapshot payload: inline (the
-/// legacy full-frontier form) or as a cursor into the run's [`SegmentLog`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum FrontierPart {
-    /// The whole frontier rides in the blob (O(events) blobs; retained as
-    /// the differential baseline behind the full-frontier toggle).
-    Inline(Schedule),
-    /// The blob stores only the log cursor; the frontier is reassembled
-    /// from the log at restore time (O(active) blobs).
-    Cursor {
-        /// Machine count of the frontier (checked against the log).
-        machines: usize,
-        /// End cursor of the frontier in the log.
-        cursor: LogCursor,
-    },
+/// The committed frontier as stored inside a snapshot payload: its machine
+/// count and its end cursor in the run's [`SegmentLog`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrontierPart {
+    /// Machine count of the frontier (checked against the log).
+    pub machines: usize,
+    /// End cursor of the frontier in the log.
+    pub cursor: LogCursor,
 }
 
 impl FrontierPart {
-    /// The cursor form of `frontier`, as synced into `log`.
-    pub fn cursor_of(machines: usize, cursor: LogCursor) -> Self {
-        FrontierPart::Cursor { machines, cursor }
+    /// Appends `frontier`'s new segments to `log` and returns the part that
+    /// points at the synced frontier.
+    pub fn sync(log: &mut SegmentLog, frontier: &Schedule) -> Result<Self, SnapshotError> {
+        Ok(FrontierPart {
+            machines: frontier.machines,
+            cursor: log.sync_from(frontier)?,
+        })
     }
 
-    /// Resolves to the frontier [`Schedule`], reassembling from `log` when
-    /// the part is a cursor.  A cursor with no log is
-    /// [`SnapshotError::NeedsLog`]; a log on a different machine count is
-    /// invalid.
-    pub fn resolve(self, log: Option<&SegmentLog>) -> Result<Schedule, SnapshotError> {
-        match self {
-            FrontierPart::Inline(schedule) => Ok(schedule),
-            FrontierPart::Cursor { machines, cursor } => {
-                let log = log.ok_or(SnapshotError::NeedsLog)?;
-                if log.machines() != machines {
-                    return Err(SnapshotError::Invalid(format!(
-                        "snapshot frontier has {machines} machines, log has {}",
-                        log.machines()
-                    )));
-                }
-                log.reassemble(cursor)
-            }
+    /// Reassembles the frontier [`Schedule`] from `log`.  A log on a
+    /// different machine count is invalid; a cursor beyond the log's end
+    /// is an error (see [`SegmentLog::reassemble`]).
+    pub fn resolve(self, log: &SegmentLog) -> Result<Schedule, SnapshotError> {
+        if log.machines() != self.machines {
+            return Err(SnapshotError::Invalid(format!(
+                "snapshot frontier has {} machines, log has {}",
+                self.machines,
+                log.machines()
+            )));
         }
+        log.reassemble(self.cursor)
     }
 }
 
 impl SnapshotPart for FrontierPart {
     fn encode(&self, w: &mut BlobWriter) {
-        match self {
-            FrontierPart::Inline(schedule) => {
-                w.write_u8(0);
-                w.write_part(schedule);
-            }
-            FrontierPart::Cursor { machines, cursor } => {
-                w.write_u8(1);
-                w.write_usize(*machines);
-                w.write_part(cursor);
-            }
-        }
+        w.write_usize(self.machines);
+        w.write_part(&self.cursor);
     }
     fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
-        match r.read_u8()? {
-            0 => Ok(FrontierPart::Inline(r.read_part()?)),
-            1 => Ok(FrontierPart::Cursor {
-                machines: r.read_usize()?,
-                cursor: r.read_part()?,
-            }),
-            other => Err(SnapshotError::Corrupted(format!(
-                "invalid frontier tag {other}"
-            ))),
-        }
+        Ok(FrontierPart {
+            machines: r.read_usize()?,
+            cursor: r.read_part()?,
+        })
     }
 }
 
-/// The O(active) checkpoint contract: snapshots that store a log cursor in
-/// place of the committed frontier.
+/// A run state that can be suspended into a `(log, blob)` pair and resumed
+/// without perturbing a single future decision.
 ///
 /// # Contract
 ///
 /// `snapshot_live` first syncs `log` with the run's frontier (so the
 /// cursor and the frontier agree by construction), then captures only the
 /// run's *live* state — pending sets, indexes, plan caches, grid cursors —
-/// plus the cursor.  `restore_with_log(&run.snapshot_live(log), log)` must
-/// yield a run whose `frontier()` and every future decision are
-/// bit-identical to the original (solver-accuracy-bounded for iterative
-/// planners), exactly as [`Checkpointable`] demands of the inline form.
-/// Both methods are total: mismatched machine counts, truncated logs and
-/// wrong-kind/wrong-version blobs are errors, never panics.
-pub trait LogCheckpointable: Checkpointable {
+/// plus the cursor.  For any prefix of a valid arrival stream,
+/// `restore_with_log(&run.snapshot_live(log)?, log)` must yield a run
+/// whose `frontier()` and every future decision, dual and segment are
+/// bit-identical to the original's (solver-accuracy-bounded for iterative
+/// planners).  See the checkpoint recipe in `src/README.md` for the
+/// compaction, truncation and cadence rules.
+///
+/// Both methods are total: mismatched machine counts, truncated logs,
+/// corrupted payloads and wrong-kind/wrong-version blobs are errors, never
+/// panics.
+pub trait LogCheckpointable: Sized {
     /// Syncs `log` with the run's committed frontier and captures the
     /// run's live state plus the resulting cursor.
     fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError>;
@@ -652,30 +628,25 @@ mod tests {
 
     #[test]
     fn frontier_part_round_trips_and_resolves() {
-        let log = sample_log();
-        let cur = log.cursor();
-        let inline = FrontierPart::Inline(log.reassemble(cur).unwrap());
-        let cursor = FrontierPart::cursor_of(2, cur);
-        for part in [inline.clone(), cursor.clone()] {
-            let mut w = BlobWriter::new();
-            w.write_part(&part);
-            let payload = w.into_payload();
-            let mut r = BlobReader::new(&payload);
-            let back: FrontierPart = r.read_part().unwrap();
-            r.finish().unwrap();
-            assert_eq!(back, part);
-        }
-        let a = inline.resolve(None).unwrap();
-        let b = cursor.clone().resolve(Some(&log)).unwrap();
-        assert_eq!(a.segments, b.segments);
-        assert!(matches!(
-            cursor.clone().resolve(None),
-            Err(SnapshotError::NeedsLog)
-        ));
+        let mut log = sample_log();
+        let full = log.reassemble(log.cursor()).unwrap();
+        let part = FrontierPart::sync(&mut log, &full).unwrap();
+        assert_eq!(part.cursor, log.cursor());
+        assert_eq!(log.record_count(), 4, "a synced frontier appends nothing");
+        let mut w = BlobWriter::new();
+        w.write_part(&part);
+        let payload = w.into_payload();
+        let mut r = BlobReader::new(&payload);
+        let back: FrontierPart = r.read_part().unwrap();
+        r.finish().unwrap();
+        assert_eq!(back, part);
+        assert_eq!(back.resolve(&log).unwrap().segments, full.segments);
         let wrong = SegmentLog::new(3);
         assert!(matches!(
-            cursor.resolve(Some(&wrong)),
+            part.resolve(&wrong),
             Err(SnapshotError::Invalid(_))
         ));
+        let short = SegmentLog::new(2);
+        assert!(part.resolve(&short).is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! The paper's online algorithms are *stateful* competitive schedulers whose
 //! committed frontier is never revised; suspending and resuming a run must
 //! therefore not perturb a single decision.  This module provides the
-//! workspace-wide contract for that:
+//! workspace-wide building blocks for that:
 //!
 //! * [`StateBlob`] — a versioned, self-describing snapshot of one run's
 //!   dynamic state, with a binary wire format
@@ -23,20 +23,19 @@
 //!   types and the model types ([`Job`], [`Segment`], [`Schedule`], …);
 //!   the algorithm crates implement it for their internal structures
 //!   (partitions, plan caches, speed indexes).
-//! * [`Checkpointable`] — the top-level trait of a run state:
-//!   [`snapshot`](Checkpointable::snapshot) captures the complete dynamic
-//!   state into a [`StateBlob`], [`restore`](Checkpointable::restore)
-//!   reconstructs a run that continues **bit-identically** (solver-accuracy
-//!   for the iterative multiprocessor planner).  All seven online scheduler
-//!   states in the workspace implement it, as does the workload generator's
-//!   `SmallRng` (so a stream's *source* can resume from the same position).
 //!
-//! The restore-equivalence integration tests (`tests/incremental_equivalence.rs`)
-//! pin the contract for every algorithm: a run snapshotted and restored at
-//! arbitrary cut points — including mid-burst — produces the same decisions,
-//! duals and schedule as the uninterrupted run.  On top of the trait,
-//! `pss-sim` builds checkpoint-at-interval streaming and shard *failover*
-//! (kill a worker, restore from the last checkpoint, replay the delta).
+//! The run-state contract built from these parts is
+//! [`LogCheckpointable`](crate::seglog::LogCheckpointable): a blob holds a
+//! run's *live* state plus a cursor into the run's append-only
+//! [`SegmentLog`](crate::seglog::SegmentLog), which holds the committed
+//! frontier.  All seven online scheduler states in the workspace implement
+//! it.  The restore-equivalence integration tests
+//! (`tests/incremental_equivalence.rs`) pin it for every algorithm: a run
+//! suspended and restored at arbitrary cut points — including mid-burst —
+//! produces the same decisions, duals and schedule as the uninterrupted
+//! run.  On top of it, `pss-sim` builds checkpoint-at-interval streaming
+//! and the crash drill (kill a worker, restore from the last checkpoint,
+//! replay the delta).
 
 use crate::job::{Job, JobId};
 use crate::num::Tolerance;
@@ -78,10 +77,6 @@ pub enum SnapshotError {
     /// The payload decoded structurally but violates an invariant of the
     /// state being restored (e.g. mismatched table lengths).
     Invalid(String),
-    /// The blob stores its committed frontier as a segment-log cursor
-    /// (`FrontierPart::Cursor`), so restoring it requires the matching
-    /// [`SegmentLog`](crate::seglog::SegmentLog); the caller supplied none.
-    NeedsLog,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -99,12 +94,6 @@ impl std::fmt::Display for SnapshotError {
                 write!(f, "unsupported snapshot state version {v}")
             }
             SnapshotError::Invalid(why) => write!(f, "invalid snapshot state: {why}"),
-            SnapshotError::NeedsLog => {
-                write!(
-                    f,
-                    "snapshot stores a log cursor but no segment log was supplied"
-                )
-            }
         }
     }
 }
@@ -133,8 +122,9 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// A blob is self-describing: it records which *kind* of state it holds
 /// (e.g. `"replan"`, `"pd"`, `"bkp"`) and that state's payload version, so
-/// [`Checkpointable::restore`] can reject blobs from the wrong algorithm or
-/// an incompatible build instead of misinterpreting them.
+/// [`restore_with_log`](crate::seglog::LogCheckpointable::restore_with_log)
+/// can reject blobs from the wrong algorithm or an incompatible build
+/// instead of misinterpreting them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateBlob {
     kind: String,
@@ -168,7 +158,7 @@ impl StateBlob {
     }
 
     /// Size of the serialised blob in bytes (header + payload + checksum) —
-    /// the number the checkpoint-size experiment (E14) reports.
+    /// what `to_bytes` produces, without serialising.
     pub fn size_bytes(&self) -> usize {
         // magic + format version + kind len + kind + state version +
         // payload len + payload + checksum.
@@ -241,7 +231,7 @@ impl StateBlob {
 
     /// Checks the blob's kind and state version against what a restorer
     /// expects, returning a [`BlobReader`] over the payload.  The helper
-    /// every [`Checkpointable::restore`] implementation starts with.
+    /// every restore implementation starts with.
     pub fn expect(&self, kind: &str, version: u16) -> Result<BlobReader<'_>, SnapshotError> {
         if self.kind != kind {
             return Err(SnapshotError::WrongKind {
@@ -489,7 +479,7 @@ impl<'a> BlobReader<'a> {
 }
 
 /// A component of a run's state that can encode itself into a payload and
-/// decode itself back — the building block [`Checkpointable`] payloads are
+/// decode itself back — the building block checkpoint payloads are
 /// assembled from.  Decoding must be total (errors, never panics) and
 /// round-trip exact: `decode(encode(x)) == x` bit for bit.
 pub trait SnapshotPart: Sized {
@@ -659,34 +649,6 @@ impl SnapshotPart for Tolerance {
             max_iters: r.read_usize()?,
         })
     }
-}
-
-/// A run state that can be suspended into a [`StateBlob`] and resumed
-/// without perturbing a single future decision.
-///
-/// # Contract
-///
-/// For any prefix of a valid arrival stream, feeding the remaining events
-/// to `Self::restore(&self.snapshot())` must produce bit-identical
-/// decisions, duals, frontier and final schedule to feeding them to the
-/// original run (solver-accuracy-bounded for iterative planners).  The
-/// blob holds the run's complete *dynamic* state — including the committed
-/// frontier inline, so blob size grows with the stream.  Production
-/// checkpointing uses the O(active) variant instead
-/// ([`LogCheckpointable`](crate::seglog::LogCheckpointable)), which stores
-/// only a cursor into an external
-/// [`SegmentLog`](crate::seglog::SegmentLog); see the checkpoint recipe in
-/// `src/README.md` for cadence guidance.
-///
-/// `restore` must be total: a blob of the wrong kind, an incompatible
-/// version, or corrupted/truncated payload bytes yield an error, never a
-/// panic.
-pub trait Checkpointable: Sized {
-    /// Captures the run's complete dynamic state.
-    fn snapshot(&self) -> StateBlob;
-
-    /// Reconstructs a run from a snapshot.
-    fn restore(blob: &StateBlob) -> Result<Self, SnapshotError>;
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! It is deterministic per seed across platforms, which is all the
 //! experiment tables and property tests need; it is **not** cryptographic.
 
-use pss_types::snapshot::{BlobWriter, Checkpointable, SnapshotError, StateBlob};
+use pss_types::snapshot::{BlobWriter, SnapshotError, StateBlob};
 
 /// A seedable, deterministic pseudo-random number generator
 /// (xoshiro256**).
@@ -131,8 +131,9 @@ impl SmallRng {
 /// the identical arrival stream.  (A snapshot holds the 256-bit xoshiro
 /// state, not the seed — the position within the period round-trips, not
 /// merely the stream identity.)
-impl Checkpointable for SmallRng {
-    fn snapshot(&self) -> StateBlob {
+impl SmallRng {
+    /// Captures the generator's stream position.
+    pub fn snapshot(&self) -> StateBlob {
         let mut w = BlobWriter::new();
         for word in self.state {
             w.write_u64(word);
@@ -140,7 +141,10 @@ impl Checkpointable for SmallRng {
         StateBlob::new("rng", 1, w.into_payload())
     }
 
-    fn restore(blob: &StateBlob) -> Result<Self, SnapshotError> {
+    /// Resumes a generator at the position [`snapshot`](Self::snapshot)
+    /// captured.  Wrong-kind, wrong-version and truncated blobs are errors,
+    /// never panics.
+    pub fn restore(blob: &StateBlob) -> Result<Self, SnapshotError> {
         let mut r = blob.expect("rng", 1)?;
         let state = [r.read_u64()?, r.read_u64()?, r.read_u64()?, r.read_u64()?];
         r.finish()?;

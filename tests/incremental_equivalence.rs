@@ -19,7 +19,7 @@ use pss_core::baselines::cll::CllAdmission;
 use pss_core::baselines::oa::{MultiOaPlanner, OaPlanner};
 use pss_core::baselines::replan::{AdmissionPolicy, AdmitAll, OnlineEnv, Planner, ReplanState};
 use pss_core::prelude::*;
-use pss_core::types::{LogCheckpointable, SegmentLog};
+use pss_core::types::SnapshotError;
 
 /// Compares two schedules of the same instance as schedules-proper: cost,
 /// finished set, and sampled total speed profiles.
@@ -806,22 +806,19 @@ fn singleton_bursts_are_bit_identical_to_the_per_event_path() {
 
 // ---- Checkpoint/restore: snapshots at arbitrary cut points ---------------
 //
-// Every online run state implements `Checkpointable`: suspending a run into
-// a `StateBlob` and restoring it must not perturb a single future decision.
-// These pins drive each algorithm twice over the same stream — once
-// uninterrupted, once snapshotted/restored at a cut point — and assert the
+// Every online run state implements `LogCheckpointable`: the committed
+// frontier lives in an append-only `SegmentLog`, a blob carries only live
+// state plus a log cursor, and suspending a run into that `(log, blob)`
+// pair and restoring it must not perturb a single future decision.  These
+// pins drive each algorithm twice over the same stream — once
+// uninterrupted, once suspended/restored at a cut point — and assert the
 // decisions, duals and schedules are bit-identical (solver accuracy with
 // exact decisions for OA(m), whose restored descent re-runs the identical
 // warm-seeded solves).  Cut points include every burst boundary shape:
 // between bursts, immediately after a burst, and *mid-burst* (a burst split
-// across the snapshot, both halves fed at the same instant).
-//
-// Since PR 10 every run state also implements `LogCheckpointable`: the
-// committed frontier lives in an append-only `SegmentLog` and blobs carry
-// only live state plus a log cursor.  The `(log, blob)` pins below mirror
-// the full-frontier ones cut-for-cut, and additionally drill the daemon's
-// compact-at-capture retention: recovery from every depth of a bounded
-// checkpoint chain over a compacted log.
+// across the snapshot, both halves fed at the same instant).  They also
+// drill the daemon's compact-at-capture retention: recovery from every
+// depth of a bounded checkpoint chain over a compacted log.
 
 /// Bit-compares a restored run's decision stream and final schedule
 /// against the uninterrupted baseline.  With `exact` false (OA(m), whose
@@ -887,19 +884,26 @@ fn assert_stream_matches(
 }
 
 /// Drives `make_run()` over the burst stream uninterrupted, and once per
-/// cut point with a snapshot/wire-round-trip/restore at the cut, comparing
-/// decisions and final schedules.
+/// cut point with a suspend/restore at the cut.  The run keeps a
+/// realised-segment log synced after every arrival; at the cut it is
+/// suspended with [`LogCheckpointable::snapshot_live`] (O(active) blob plus
+/// log cursor), the log is compacted to the capture cursor exactly as the
+/// daemon does at capture time, both halves cross the wire independently,
+/// the log is truncated back to the cursor (WAL discipline — records past
+/// the checkpoint are discarded on recovery), and the run is reassembled
+/// with [`LogCheckpointable::restore_with_log`].  Every future decision,
+/// the reassembled frontier, and the final schedule must match the
+/// uninterrupted run.
 fn assert_restore_equivalent<R>(
     bursts: &[(f64, Vec<Job>)],
     mut make_run: impl FnMut() -> R,
     label: &str,
     exact: bool,
 ) where
-    R: OnlineScheduler + Checkpointable,
+    R: OnlineScheduler + LogCheckpointable,
 {
-    // Flatten to per-event feeds so cuts can land mid-burst: feed events
-    // [0, cut) one way, snapshot, restore, feed [cut, n) — with every event
-    // of a burst fed at the burst's time, so splitting a burst is exactly
+    // Flatten to per-event feeds so cuts can land mid-burst: every event of
+    // a burst is fed at the burst's time, so splitting a burst is exactly
     // the ragged sub-burst shape the burst-equivalence pins cover.
     let feeds: Vec<(f64, Job)> = bursts
         .iter()
@@ -922,76 +926,6 @@ fn assert_restore_equivalent<R>(
         vec![
             0,
             1.min(feeds.len()),           // mid-first-burst (bursts have >1 job)
-            first_burst.min(feeds.len()), // immediately after the first burst
-            feeds.len() / 2,
-            feeds.len(),
-        ]
-    };
-    for &cut in &cuts {
-        let mut run = make_run();
-        let mut decisions = Vec::new();
-        for (t, job) in &feeds[..cut] {
-            decisions.push(run.on_arrival(job, *t).expect("pre-cut arrival"));
-        }
-        // Suspend through the full wire format and resume.
-        let wire = run.snapshot().to_bytes();
-        drop(run);
-        let blob = StateBlob::from_bytes(&wire).expect("wire round-trip");
-        let mut resumed = R::restore(&blob).expect("restore");
-        for (t, job) in &feeds[cut..] {
-            decisions.push(resumed.on_arrival(job, *t).expect("post-cut arrival"));
-        }
-        let schedule = resumed.finish().expect("restored finish");
-        assert_stream_matches(
-            &baseline_decisions,
-            &decisions,
-            &baseline_schedule,
-            &schedule,
-            label,
-            cut,
-            exact,
-        );
-    }
-}
-
-/// The `(log, blob)` twin of [`assert_restore_equivalent`]: the run keeps a
-/// realised-segment log synced after every arrival; at the cut it is
-/// suspended with [`LogCheckpointable::snapshot_live`] (O(active) blob plus
-/// log cursor), the log is compacted to the capture cursor exactly as the
-/// daemon does at capture time, both halves cross the wire independently,
-/// the log is truncated back to the cursor (WAL discipline — records past
-/// the checkpoint are discarded on recovery), and the run is reassembled
-/// with [`LogCheckpointable::restore_with_log`].  Every future decision,
-/// the reassembled frontier, and the final schedule must match the
-/// uninterrupted run.
-fn assert_log_restore_equivalent<R>(
-    bursts: &[(f64, Vec<Job>)],
-    mut make_run: impl FnMut() -> R,
-    label: &str,
-    exact: bool,
-) where
-    R: OnlineScheduler + LogCheckpointable,
-{
-    let feeds: Vec<(f64, Job)> = bursts
-        .iter()
-        .flat_map(|(t, jobs)| jobs.iter().map(|j| (*t, *j)))
-        .collect();
-    let mut baseline_run = make_run();
-    let mut baseline_decisions = Vec::new();
-    for (t, job) in &feeds {
-        baseline_decisions.push(baseline_run.on_arrival(job, *t).expect("baseline arrival"));
-    }
-    let baseline_schedule = baseline_run.finish().expect("baseline finish");
-
-    let first_burst = bursts.first().map(|(_, j)| j.len()).unwrap_or(0);
-    let exhaustive =
-        std::env::var("CHECKPOINT_SMOKE").is_ok() || std::env::var("SEGLOG_SMOKE").is_ok();
-    let cuts: Vec<usize> = if exhaustive {
-        (0..=feeds.len()).collect()
-    } else {
-        vec![
-            0,
-            1.min(feeds.len()),           // mid-first-burst
             first_burst.min(feeds.len()), // immediately after the first burst
             feeds.len() / 2,
             feeds.len(),
@@ -1056,92 +990,32 @@ fn as_bursts(instance: &Instance) -> Vec<(f64, Vec<Job>)> {
 }
 
 #[test]
-fn restored_runs_continue_bit_identically_for_every_algorithm() {
-    for seed in 0..3u64 {
-        let single = bursty_profitable(7600 + seed, 1, 2.0 + 0.5 * (seed % 3) as f64, 16, 4);
-        let bursts = as_bursts(&single);
-        assert_restore_equivalent(
-            &bursts,
-            || OaScheduler.start_for(&single).expect("OA run"),
-            "restore OA",
-            true,
-        );
-        assert_restore_equivalent(
-            &bursts,
-            || QoaScheduler::default().start_for(&single).expect("qOA run"),
-            "restore qOA",
-            true,
-        );
-        assert_restore_equivalent(
-            &bursts,
-            || CllScheduler.start_for(&single).expect("CLL run"),
-            "restore CLL",
-            true,
-        );
-        assert_restore_equivalent(
-            &bursts,
-            || AvrScheduler.start_for(&single).expect("AVR run"),
-            "restore AVR",
-            true,
-        );
-        let bkp = BkpScheduler {
-            resolution: 500,
-            ..Default::default()
-        };
-        assert_restore_equivalent(
-            &bursts,
-            || bkp.start_for(&single).expect("BKP run"),
-            "restore BKP",
-            true,
-        );
-        assert_restore_equivalent(
-            &bursts,
-            || PdScheduler::default().start_for(&single).expect("PD run"),
-            "restore PD",
-            true,
-        );
-        let multi = bursty_profitable(7700 + seed, 2, 2.5, 12, 3);
-        let multi_bursts = as_bursts(&multi);
-        assert_restore_equivalent(
-            &multi_bursts,
-            || {
-                MultiOaScheduler::default()
-                    .start_for(&multi)
-                    .expect("OA(m) run")
-            },
-            "restore OA(m)",
-            false,
-        );
-    }
-}
-
-#[test]
 fn log_restored_runs_continue_bit_identically_for_every_algorithm() {
-    // The O(active) twin of the pin above: every algorithm, same workloads,
-    // suspended at the same cut points (all of them under CHECKPOINT_SMOKE)
-    // through the (log, blob) pair instead of a full-frontier blob.
+    // Every algorithm, suspended at the cut points of
+    // `assert_restore_equivalent` (all of them under CHECKPOINT_SMOKE)
+    // through the (log, blob) pair.
     for seed in 0..3u64 {
         let single = bursty_profitable(7600 + seed, 1, 2.0 + 0.5 * (seed % 3) as f64, 16, 4);
         let bursts = as_bursts(&single);
-        assert_log_restore_equivalent(
+        assert_restore_equivalent(
             &bursts,
             || OaScheduler.start_for(&single).expect("OA run"),
             "log-restore OA",
             true,
         );
-        assert_log_restore_equivalent(
+        assert_restore_equivalent(
             &bursts,
             || QoaScheduler::default().start_for(&single).expect("qOA run"),
             "log-restore qOA",
             true,
         );
-        assert_log_restore_equivalent(
+        assert_restore_equivalent(
             &bursts,
             || CllScheduler.start_for(&single).expect("CLL run"),
             "log-restore CLL",
             true,
         );
-        assert_log_restore_equivalent(
+        assert_restore_equivalent(
             &bursts,
             || AvrScheduler.start_for(&single).expect("AVR run"),
             "log-restore AVR",
@@ -1151,13 +1025,13 @@ fn log_restored_runs_continue_bit_identically_for_every_algorithm() {
             resolution: 500,
             ..Default::default()
         };
-        assert_log_restore_equivalent(
+        assert_restore_equivalent(
             &bursts,
             || bkp.start_for(&single).expect("BKP run"),
             "log-restore BKP",
             true,
         );
-        assert_log_restore_equivalent(
+        assert_restore_equivalent(
             &bursts,
             || PdScheduler::default().start_for(&single).expect("PD run"),
             "log-restore PD",
@@ -1165,7 +1039,7 @@ fn log_restored_runs_continue_bit_identically_for_every_algorithm() {
         );
         let multi = bursty_profitable(7700 + seed, 2, 2.5, 12, 3);
         let multi_bursts = as_bursts(&multi);
-        assert_log_restore_equivalent(
+        assert_restore_equivalent(
             &multi_bursts,
             || {
                 MultiOaScheduler::default()
@@ -1262,19 +1136,19 @@ fn restored_runs_survive_the_tolerance_edge_cases() {
     assert_restore_equivalent(
         &bursts,
         || OaScheduler.start_for(&instance).expect("OA run"),
-        "restore OA (edge)",
+        "log-restore OA (edge)",
         true,
     );
     assert_restore_equivalent(
         &bursts,
         || AvrScheduler.start_for(&instance).expect("AVR run"),
-        "restore AVR (edge)",
+        "log-restore AVR (edge)",
         true,
     );
     assert_restore_equivalent(
         &bursts,
         || PdScheduler::default().start_for(&instance).expect("PD run"),
-        "restore PD (edge)",
+        "log-restore PD (edge)",
         true,
     );
     let bkp_edge = edge_instance(1, 3.0);
@@ -1286,7 +1160,7 @@ fn restored_runs_survive_the_tolerance_edge_cases() {
     assert_restore_equivalent(
         &bkp_bursts,
         || bkp.start_for(&bkp_edge).expect("BKP run"),
-        "restore BKP (edge)",
+        "log-restore BKP (edge)",
         true,
     );
 }
@@ -1294,21 +1168,24 @@ fn restored_runs_survive_the_tolerance_edge_cases() {
 #[test]
 fn mid_burst_snapshots_round_trip_through_on_arrivals() {
     // Split every burst across a snapshot: feed the first half through
-    // on_arrivals, suspend/restore, feed the rest through on_arrivals at
-    // the same instant — against the same split without the restore.
+    // on_arrivals, suspend/restore through the (log, blob) pair, feed the
+    // rest through on_arrivals at the same instant — against the same split
+    // without the restore.
     let instance = bursty_profitable(7800, 1, 2.0, 16, 4);
     let bursts = as_bursts(&instance);
     macro_rules! pin {
         ($label:expr, $make:expr) => {{
             let drive_split = |restore_mid: bool| {
                 let mut run = $make;
+                let mut log = SegmentLog::new(instance.machines);
                 let mut decisions = Vec::new();
                 for (t, jobs) in &bursts {
                     let half = jobs.len() / 2;
                     decisions.extend(run.on_arrivals(&jobs[..half], *t).expect("first half"));
                     if restore_mid {
-                        let blob = run.snapshot();
-                        run = Checkpointable::restore(&blob).expect("mid-burst restore");
+                        let blob = run.snapshot_live(&mut log).expect("mid-burst snapshot");
+                        run = LogCheckpointable::restore_with_log(&blob, &log)
+                            .expect("mid-burst restore");
                     }
                     decisions.extend(run.on_arrivals(&jobs[half..], *t).expect("second half"));
                 }
@@ -1339,6 +1216,54 @@ fn mid_burst_snapshots_round_trip_through_on_arrivals() {
     pin!(
         "PD",
         PdScheduler::default().start_for(&instance).expect("PD run")
+    );
+}
+
+#[test]
+fn superseded_state_versions_are_refused() {
+    // Each state version was bumped when the payload's frontier lost its
+    // inline-or-cursor tag byte, so blobs of the two layouts are never
+    // confused.  A live blob re-labelled with the previous version (replan,
+    // AVR and BKP 2; PD 3) must be refused with the typed version error.
+    fn refuse<R: OnlineScheduler + LogCheckpointable>(mut run: R, instance: &Instance, old: u16) {
+        for (t, jobs) in as_bursts(instance) {
+            run.on_arrivals(&jobs, t).expect("burst");
+        }
+        let mut log = SegmentLog::new(instance.machines);
+        let blob = run.snapshot_live(&mut log).expect("live snapshot");
+        assert!(R::restore_with_log(&blob, &log).is_ok(), "{}", blob.kind());
+        let relabelled = StateBlob::new(blob.kind(), old, blob.payload().to_vec());
+        assert!(
+            matches!(
+                R::restore_with_log(&relabelled, &log),
+                Err(SnapshotError::UnsupportedVersion(v)) if v == old
+            ),
+            "{} blob labelled version {old} was not refused",
+            blob.kind()
+        );
+    }
+    let instance = bursty_profitable(7950, 1, 2.0, 12, 3);
+    refuse(
+        CllScheduler.start_for(&instance).expect("CLL run"),
+        &instance,
+        2,
+    );
+    refuse(
+        AvrScheduler.start_for(&instance).expect("AVR run"),
+        &instance,
+        2,
+    );
+    refuse(
+        BkpScheduler::default()
+            .start_for(&instance)
+            .expect("BKP run"),
+        &instance,
+        2,
+    );
+    refuse(
+        PdScheduler::default().start_for(&instance).expect("PD run"),
+        &instance,
+        3,
     );
 }
 

@@ -15,10 +15,9 @@
 //! near-zero works, the Bansal–Kimbrel–Pruhs staircase), pinning every
 //! path to the independently coded batch reference.
 //!
-//! The daemon's checkpoint-encoding toggle
-//! (`with_full_frontier_checkpoints`) gets the same treatment: O(active)
-//! `(log, blob)` checkpoints vs legacy inline-frontier blobs, crossed
-//! with a mid-stream hand-off, pinned bit-identical.
+//! The daemon's checkpoint path gets the same treatment: a mid-stream
+//! hand-off, which ships a `(log tail, blob)` pair to a fresh worker, is
+//! pinned bit-identical to the unbroken run.
 
 mod common;
 
@@ -257,14 +256,11 @@ fn avr_toggle_matrix_pins_to_the_batch_reference() {
 }
 
 #[test]
-fn daemon_checkpoint_toggle_matrix_is_bit_identical_across_handoff() {
-    // The daemon's `with_full_frontier_checkpoints` toggle swaps the
-    // checkpoint *encoding* (O(active) live-state blob + segment log vs
-    // legacy inline-frontier blob) without touching the scheduling path:
-    // the fed jobs, decision events, price trace and final schedule must
-    // be bit-identical across the toggle, and a mid-stream hand-off —
-    // which ships a `(log tail, blob)` pair on the seglog path and a
-    // plain blob on the legacy path — must be invisible too.
+fn daemon_handoff_is_bit_identical_to_the_unbroken_run() {
+    // A mid-stream hand-off checkpoints at a quiescent boundary, ships the
+    // `(log tail, blob)` pair and restores on a fresh worker: the fed jobs,
+    // decision events, price trace and final schedule must be bit-identical
+    // to a run that was never handed off.
     use pss_serve::{deterministic_fields_equal, Daemon, ServeConfig, Submission, TenantSpec};
     use pss_workloads::arrival_envelopes;
 
@@ -272,7 +268,7 @@ fn daemon_checkpoint_toggle_matrix_is_bit_identical_across_handoff() {
     let envelopes = arrival_envelopes(&instance);
     let half = envelopes.len() / 2;
 
-    let run = |full_frontier: bool, handoff: bool| {
+    let run = |handoff: bool| {
         let config = ServeConfig {
             machines: instance.machines,
             alpha: instance.alpha,
@@ -280,8 +276,7 @@ fn daemon_checkpoint_toggle_matrix_is_bit_identical_across_handoff() {
             checkpoint_chain: 3,
             coalesce_window: 0.0,
             ..ServeConfig::default()
-        }
-        .with_full_frontier_checkpoints(full_frontier);
+        };
         // Rejecting (not deferring) on price makes a priced-out submission
         // a terminal, deterministic outcome instead of a retry loop.
         let tenant = TenantSpec::new("t").rejecting_on_price();
@@ -298,8 +293,8 @@ fn daemon_checkpoint_toggle_matrix_is_bit_identical_across_handoff() {
             }
             // Serialise the feeds: wait until the worker has ingested this
             // envelope before submitting the next, so every admission gate
-            // sees a price that is a pure function of the prefix and the
-            // two toggle settings batch identically.
+            // sees a price that is a pure function of the prefix and both
+            // runs batch identically.
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
             while daemon.shard_event_count(0) < fed {
                 assert!(
@@ -309,30 +304,12 @@ fn daemon_checkpoint_toggle_matrix_is_bit_identical_across_handoff() {
                 std::thread::yield_now();
             }
         }
-        let sizes = daemon.shard_checkpoint_sizes(0);
-        let report = daemon.shutdown().expect("clean drain");
-        (report, sizes)
+        daemon.shutdown().expect("clean drain")
     };
 
-    let (live, live_sizes) = run(false, true);
-    let (legacy, legacy_sizes) = run(true, true);
-    let (unbroken, _) = run(false, false);
-
     assert!(
-        deterministic_fields_equal(&live, &legacy),
-        "checkpoint encoding toggle leaked into the scheduling path"
-    );
-    assert!(
-        deterministic_fields_equal(&live, &unbroken),
+        deterministic_fields_equal(&run(true), &run(false)),
         "hand-off with (log tail, blob) shipping was not invisible"
-    );
-    // The point of the segment log: the newest live-state blob undercuts
-    // the legacy full-frontier blob captured at the same cut.
-    let live_last = *live_sizes.last().expect("live chain nonempty");
-    let legacy_last = *legacy_sizes.last().expect("legacy chain nonempty");
-    assert!(
-        live_last < legacy_last,
-        "O(active) blob ({live_last} B) should undercut the full-frontier blob ({legacy_last} B)"
     );
 }
 
