@@ -23,11 +23,8 @@
 //! **active-set index**: released jobs sorted by deadline (descending), with
 //! expired jobs popped from the tail as the committed frontier advances.
 //! Each committed piece touches only the jobs covering it — amortised
-//! `O(active)` per commit, independent of the stream length.  The original
-//! full-history scan survives behind
-//! [`AvrState::with_active_index(false)`](AvrState::with_active_index) as
-//! cross-check and benchmark baseline, mirroring the warm-start toggles of
-//! PD and the replanning executor.
+//! `O(active)` per commit, independent of the stream length — and the run
+//! keeps no job history, so its checkpoint blob is `O(active)` too.
 
 use pss_intervals::IntervalPartition;
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
@@ -91,52 +88,30 @@ struct ActiveJob {
 /// One event-driven AVR run.
 #[derive(Debug, Clone)]
 pub struct AvrState {
-    /// Jobs released so far (original ids); only read by the full-scan
-    /// reference path.
-    jobs: Vec<Job>,
     /// Released, not-yet-expired jobs sorted by deadline *descending*, so
     /// expiry pops from the tail and the jobs covering a piece are a prefix.
     active: Vec<ActiveJob>,
     /// Largest deadline seen so far (the finish horizon).
     horizon_end: f64,
-    /// When `true` (the default), commits use the active-set index; when
-    /// `false`, the original full-history scan.
-    indexed: bool,
     committed: Schedule,
     now: f64,
 }
 
 impl AvrState {
-    /// Enables or disables the active-set index.  With `false` every commit
-    /// re-scans the full job history — the pre-index behaviour, kept as the
-    /// baseline the `warm_replan` benchmark and the indexed-vs-scan
-    /// equivalence tests compare against.
-    pub fn with_active_index(mut self, enabled: bool) -> Self {
-        self.indexed = enabled;
-        self
-    }
-
     /// Commits the window `[self.now, to)` using the densities of the jobs
     /// known so far.  Future arrivals have release `≥ to`, so they can never
     /// contribute to this window — the commit is final.
+    ///
+    /// The interior cuts are the active deadlines (all stored jobs are
+    /// already released, so releases never cut the window) and each piece
+    /// is covered by a prefix of the deadline-descending active set, so the
+    /// commit touches only jobs intersecting the window.
     fn commit_to(&mut self, to: f64) {
-        if self.indexed {
-            self.commit_to_indexed(to);
-        } else {
-            self.commit_to_scan(to);
-        }
-    }
-
-    /// Index-driven commit: the interior cuts are the active deadlines (all
-    /// stored jobs are already released, so releases never cut the window)
-    /// and each piece is covered by a prefix of the deadline-descending
-    /// active set.  Touches only jobs intersecting the window.
-    fn commit_to_indexed(&mut self, to: f64) {
         if !self.now.is_finite() || to <= self.now + 1e-15 {
             self.now = self.now.max(to);
             return;
         }
-        // Same cut dedup rule as the scan path: chained, 1e-12 apart.
+        // Cuts closer than 1e-12 to the previous cut are merged into it.
         let mut cuts: Vec<f64> = vec![self.now];
         for a in self.active.iter().rev() {
             if a.deadline > self.now + 1e-12
@@ -181,52 +156,6 @@ impl AvrState {
             }
         }
     }
-
-    /// The original full-history commit, kept as the reference baseline.
-    fn commit_to_scan(&mut self, to: f64) {
-        if !self.now.is_finite() || to <= self.now + 1e-15 {
-            self.now = self.now.max(to);
-            return;
-        }
-        // Sub-partition the window at every known boundary inside it; the
-        // pieces coincide with the batch partition's atomic intervals
-        // because arrival times are themselves boundaries.
-        let mut cuts: Vec<f64> = vec![self.now, to];
-        for j in &self.jobs {
-            for b in [j.release, j.deadline] {
-                if b > self.now + 1e-12 && b < to - 1e-12 {
-                    cuts.push(b);
-                }
-            }
-        }
-        cuts.sort_by(f64::total_cmp);
-        cuts.dedup_by(|a, b| (*a - *b).abs() <= 1e-12);
-
-        for pair in cuts.windows(2) {
-            let (start, end) = (pair[0], pair[1]);
-            let active: Vec<(JobId, f64)> = self
-                .jobs
-                .iter()
-                .filter(|j| j.covers(start, end))
-                .map(|j| (j.id, j.density()))
-                .collect();
-            let total_speed: f64 = active.iter().map(|(_, d)| d).sum();
-            if total_speed <= 0.0 {
-                continue;
-            }
-            let mut t = start;
-            for (job, density) in &active {
-                let duration = (end - start) * density / total_speed;
-                if duration <= 0.0 {
-                    continue;
-                }
-                self.committed
-                    .push(Segment::work(0, t, t + duration, total_speed, *job));
-                t += duration;
-            }
-        }
-        self.now = to;
-    }
 }
 
 impl SnapshotPart for ActiveJob {
@@ -245,23 +174,20 @@ impl SnapshotPart for ActiveJob {
     }
 }
 
-/// State version of [`AvrState`] snapshots.  Version 3 stores the
-/// committed frontier as a bare [`FrontierPart`] cursor into the run's
-/// [`SegmentLog`]; older blobs are rejected with a typed error.
-const AVR_STATE_VERSION: u16 = 3;
+/// State version of [`AvrState`] snapshots.  Version 4 dropped the job
+/// history and the index toggle; older blobs are rejected with a typed
+/// error.
+const AVR_STATE_VERSION: u16 = 4;
 
-/// The blob holds the full job history (the reference scan path reads it),
-/// the deadline-descending active-set index, the clock, the index toggle
-/// and the frontier's log cursor, so a run restored from the `(log, blob)`
-/// pair commits bit-identical windows.
+/// The blob holds the deadline-descending active-set index, the horizon,
+/// the clock and the frontier's log cursor — `O(active)` bytes — so a run
+/// restored from the `(log, blob)` pair commits bit-identical windows.
 impl LogCheckpointable for AvrState {
     fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
         let frontier = FrontierPart::sync(log, &self.committed)?;
         let mut w = BlobWriter::new();
-        w.write_seq(&self.jobs);
         w.write_seq(&self.active);
         w.write_f64(self.horizon_end);
-        w.write_bool(self.indexed);
         w.write_part(&frontier);
         w.write_f64(self.now);
         Ok(StateBlob::new("avr", AVR_STATE_VERSION, w.into_payload()))
@@ -270,17 +196,28 @@ impl LogCheckpointable for AvrState {
     fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
         let mut r = blob.expect("avr", AVR_STATE_VERSION)?;
         let state = Self {
-            jobs: r.read_seq()?,
             active: r.read_seq()?,
             horizon_end: r.read_f64()?,
-            indexed: r.read_bool()?,
             committed: r.read_part::<FrontierPart>()?.resolve(log)?,
             now: r.read_f64()?,
         };
         r.finish()?;
-        if state.active.len() > state.jobs.len() {
+        if state
+            .active
+            .iter()
+            .any(|a| !a.deadline.is_finite() || !a.density.is_finite())
+        {
             return Err(SnapshotError::Invalid(
-                "active set larger than the job history".into(),
+                "active set holds a non-finite deadline or density".into(),
+            ));
+        }
+        if state
+            .active
+            .windows(2)
+            .any(|pair| pair[0].deadline < pair[1].deadline)
+        {
+            return Err(SnapshotError::Invalid(
+                "active set is not sorted by deadline descending".into(),
             ));
         }
         Ok(state)
@@ -291,7 +228,6 @@ impl OnlineScheduler for AvrState {
     fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
         check_arrival(job, self.now, now)?;
         self.commit_to(now.max(self.now));
-        self.jobs.push(*job);
         // Keep the active set sorted by deadline descending (ties keep
         // arrival order); expired-on-arrival jobs can still cover nothing,
         // but inserting them is harmless — the next commit pops them.
@@ -336,7 +272,6 @@ impl OnlineScheduler for AvrState {
                 }
             })
             .collect();
-        self.jobs.extend_from_slice(jobs);
         fresh.sort_by(|a, b| b.deadline.total_cmp(&a.deadline));
         let mut merged = Vec::with_capacity(self.active.len() + fresh.len());
         let (mut i, mut j) = (0usize, 0usize);
@@ -385,10 +320,8 @@ impl OnlineAlgorithm for AvrScheduler {
     fn start(&self, machines: usize, _alpha: f64) -> Result<Self::Run, ScheduleError> {
         crate::require_single_machine(machines, "AVR", "")?;
         Ok(AvrState {
-            jobs: Vec::new(),
             active: Vec::new(),
             horizon_end: f64::NEG_INFINITY,
-            indexed: true,
             committed: Schedule::empty(1),
             now: f64::NEG_INFINITY,
         })
@@ -498,31 +431,46 @@ mod tests {
     }
 
     #[test]
-    fn indexed_commits_match_the_full_scan_path() {
-        let inst = instance();
-        let mut indexed = AvrScheduler.start_for(&inst).unwrap();
-        let mut scan = AvrScheduler
-            .start_for(&inst)
-            .unwrap()
-            .with_active_index(false);
-        for id in inst.arrival_order() {
-            let job = inst.job(id);
-            indexed.on_arrival(job, job.release).unwrap();
-            scan.on_arrival(job, job.release).unwrap();
-        }
-        let a = indexed.finish().unwrap();
-        let b = scan.finish().unwrap();
-        assert!((a.cost(&inst).energy - b.cost(&inst).energy).abs() < 1e-9);
-        for t in [0.5, 1.5, 2.5, 3.5, 4.5] {
+    fn restore_refuses_an_unsorted_or_non_finite_active_set() {
+        let blob = |active: &[(f64, f64)]| {
+            let mut log = SegmentLog::new(1);
+            let frontier = FrontierPart::sync(&mut log, &Schedule::empty(1)).unwrap();
+            let active: Vec<ActiveJob> = active
+                .iter()
+                .enumerate()
+                .map(|(j, &(deadline, density))| ActiveJob {
+                    deadline,
+                    density,
+                    id: JobId(j),
+                })
+                .collect();
+            let mut w = BlobWriter::new();
+            w.write_seq(&active);
+            w.write_f64(5.0);
+            w.write_part(&frontier);
+            w.write_f64(1.0);
+            (
+                StateBlob::new("avr", AVR_STATE_VERSION, w.into_payload()),
+                log,
+            )
+        };
+        // Deadline descending, ties allowed: restores.
+        let (ok, log) = blob(&[(5.0, 0.5), (3.0, 0.5), (3.0, 1.0)]);
+        assert!(AvrState::restore_with_log(&ok, &log).is_ok());
+        for bad in [
+            vec![(3.0, 0.5), (5.0, 0.5)],
+            vec![(5.0, 0.5), (f64::NAN, 0.5)],
+            vec![(f64::INFINITY, 0.5)],
+            vec![(5.0, f64::INFINITY)],
+        ] {
+            let (blob, log) = blob(&bad);
             assert!(
-                (a.total_speed_at(t) - b.total_speed_at(t)).abs() < 1e-9,
-                "indexed vs scan profiles differ at t={t}"
+                matches!(
+                    AvrState::restore_with_log(&blob, &log),
+                    Err(SnapshotError::Invalid(_))
+                ),
+                "active set {bad:?} was not refused"
             );
-        }
-        let aw = a.work_per_job(inst.len());
-        let bw = b.work_per_job(inst.len());
-        for j in 0..inst.len() {
-            assert!((aw[j] - bw[j]).abs() < 1e-9, "work differs for job {j}");
         }
     }
 }

@@ -38,8 +38,8 @@
 //! step for `k` released jobs.  [`BkpState`] instead keeps a resident
 //! `BkpSpeedIndex` across arrivals: released jobs sorted by deadline and
 //! by release (releases arrive in nondecreasing order, so the release list
-//! appends at the back; with key pruning the deadline list holds only
-//! active jobs, so both insertions are `O(active)` or better).  For a
+//! appends at the back; the deadline list's live tail holds only active
+//! jobs, so both insertions are `O(active)` or better).  For a
 //! query at time `t`, every job `j` has a *key*
 //! `max(d_j, (e·t − r_j)/(e−1))` — the first candidate at which it is
 //! counted — and the supremum of `w/(e·(t'−t))` is attained at the keys.
@@ -48,10 +48,8 @@
 //! yield all keys in ascending order by a single merge, and one prefix-sum
 //! sweep evaluates every candidate — `O(k)` per grid evaluation, with no
 //! per-candidate rescan.  EDF dispatch inside a step similarly replaces its
-//! full-history scan with a lazy min-deadline heap.  Both fast paths can be
-//! disabled via [`BkpState::with_indexed_events(false)`](BkpState::with_indexed_events),
-//! which restores the original scans as cross-check and bench baseline;
-//! [`BkpScheduler::batch_schedule`] keeps using the naive scan, so the
+//! full-history scan with a lazy min-deadline heap.
+//! [`BkpScheduler::batch_schedule`] keeps the naive scan, so the
 //! equivalence tests pin the index against an independent implementation.
 //!
 //! On top of the merge, the index **prunes far-future candidate keys**:
@@ -61,9 +59,7 @@
 //! by a single `O(log n)` max-slope query on a convex hull of
 //! release/prefix-work points instead of being swept job by job.  A grid
 //! evaluation costs `O(active + recent + log n)` instead of `O(released)`,
-//! so per-arrival tail latencies stop growing with the stream length;
-//! [`BkpState::with_key_pruning(false)`](BkpState::with_key_pruning)
-//! restores the full sweep.
+//! so per-arrival tail latencies stop growing with the stream length.
 
 use std::collections::BinaryHeap;
 
@@ -100,7 +96,9 @@ impl Default for BkpScheduler {
     }
 }
 
-/// The BKP speed `e·v(t)` at time `t`, given the jobs released so far.
+/// The BKP speed `e·v(t)` at time `t`, given the jobs released so far: the
+/// naive `O(k²)` scan behind [`BkpScheduler::batch_schedule`] and
+/// [`BkpScheduler::speed_at`].
 fn bkp_speed(jobs: &[Job], t: f64) -> f64 {
     let e = std::f64::consts::E;
     // Candidate t': all deadlines after t, plus the points where the
@@ -171,7 +169,7 @@ impl IndexedJob {
 /// scan's release filter), but costs a single `O(k)` merge-and-sweep
 /// instead of the naive `O(k²)` candidate × rescan loop.
 ///
-/// Cost model: with **key pruning** (the default) an insertion is
+/// Cost model: because the index **prunes keys**, an insertion is
 /// `O(active)` and an evaluation is `O(active + recent + log n)`:
 ///
 /// * the release list appends at the back (releases are nondecreasing) and
@@ -198,19 +196,18 @@ impl IndexedJob {
 /// (prefix work grows linearly with key distance, so their values plateau
 /// near `ρ·(e−1)/e` for arrival work rate `ρ` — they cannot be *skipped*,
 /// only aggregated), which is why the hull, not a decay bound, is the
-/// right structure.  [`BkpState::with_key_pruning(false)`] restores the
-/// full `O(released)` sweep as cross-check and bench baseline.
+/// right structure.
 ///
 /// Queries must be made at nondecreasing times `t` (the grid execution
 /// does this by construction); the expired-prefix drop relies on it.
 #[derive(Debug, Clone)]
 struct BkpSpeedIndex {
-    /// Jobs sorted by deadline ascending (ties keep arrival order).  With
-    /// pruning on, the entries before `expired_prefix` are dead and
-    /// periodically drained, so the live tail holds only *active* jobs —
-    /// which is what keeps insertion `O(active)`.
+    /// Jobs sorted by deadline ascending (ties keep arrival order).  The
+    /// entries before `expired_prefix` are dead and periodically drained,
+    /// so the live tail holds only *active* jobs — which is what keeps
+    /// insertion `O(active)`.
     by_deadline: Vec<IndexedJob>,
-    /// Number of leading `by_deadline` entries dropped by the pruning
+    /// Number of leading `by_deadline` entries dropped by the expiry
     /// cursor (physically drained once they outnumber the live tail).
     expired_prefix: usize,
     /// Jobs sorted by release *ascending* — arrival order up to the feed
@@ -230,10 +227,6 @@ struct BkpSpeedIndex {
     /// conservative `d_max` of the hull cutoff, so coverage regresses only
     /// when an unusually long window arrives.
     d_max_all: f64,
-    /// Whether pruning (expired-prefix drop + hull aggregation of the aged
-    /// history) is active (the default; disable for the full-sweep
-    /// baseline).
-    prune: bool,
 }
 
 impl Default for BkpSpeedIndex {
@@ -246,7 +239,6 @@ impl Default for BkpSpeedIndex {
             hull: Vec::new(),
             hull_len: 0,
             d_max_all: f64::NEG_INFINITY,
-            prune: true,
         }
     }
 }
@@ -350,26 +342,24 @@ impl BkpSpeedIndex {
     fn speed(&mut self, t: f64) -> f64 {
         let e = std::f64::consts::E;
         let et = e * t;
-        if self.prune {
-            // Expired jobs (deadline ≤ t, hence — windows being strictly
-            // positive — `phi < e·t` now and forever) are crossing-keyed at
-            // every future query: their deadline-list copy would only ever
-            // be skipped, so drop it permanently.  The cursor advances
-            // monotonically because query times do; the occasional physical
-            // drain keeps the dead prefix bounded by the live tail, so it
-            // is `O(1)` amortised per expiry.
-            while self.expired_prefix < self.by_deadline.len() {
-                let job = &self.by_deadline[self.expired_prefix];
-                if job.deadline <= t && job.phi < et {
-                    self.expired_prefix += 1;
-                } else {
-                    break;
-                }
+        // Expired jobs (deadline ≤ t, hence — windows being strictly
+        // positive — `phi < e·t` now and forever) are crossing-keyed at
+        // every future query: their deadline-list copy would only ever be
+        // skipped, so drop it permanently.  The cursor advances
+        // monotonically because query times do; the occasional physical
+        // drain keeps the dead prefix bounded by the live tail, so it is
+        // `O(1)` amortised per expiry.
+        while self.expired_prefix < self.by_deadline.len() {
+            let job = &self.by_deadline[self.expired_prefix];
+            if job.deadline <= t && job.phi < et {
+                self.expired_prefix += 1;
+            } else {
+                break;
             }
-            if self.expired_prefix > 64 && 2 * self.expired_prefix > self.by_deadline.len() {
-                self.by_deadline.drain(..self.expired_prefix);
-                self.expired_prefix = 0;
-            }
+        }
+        if self.expired_prefix > 64 && 2 * self.expired_prefix > self.by_deadline.len() {
+            self.by_deadline.drain(..self.expired_prefix);
+            self.expired_prefix = 0;
         }
 
         // Hull split: jobs released at or before `r*` have crossing keys at
@@ -379,26 +369,23 @@ impl BkpSpeedIndex {
         // The sweep below walks only the positions at or after `split`; the
         // hull answers the rest in O(log n).  A 128-position margin behind
         // the back keeps tolerance-early inserts out of the hulled prefix.
-        let mut split = 0usize;
-        if self.prune {
-            let k_cut = self.d_max_all.max(t);
-            let r_star = e * t - (e - 1.0) * k_cut;
-            // Strict: a job released exactly at r* could still be
-            // deadline-keyed (its crossing key ties d_max), so it sweeps.
-            let idx = self.by_release.partition_point(|j| j.release < r_star);
-            if idx < self.hull_len {
-                // Coverage regressed past the hull (rare: a record-length
-                // window arrived); rebuild over the still-valid prefix.
-                self.hull.clear();
-                self.hull_len = 0;
-            }
-            let target = idx.min(self.by_release.len().saturating_sub(128));
-            while self.hull_len < target {
-                self.hull_push(self.hull_len);
-                self.hull_len += 1;
-            }
-            split = self.hull_len;
+        let k_cut = self.d_max_all.max(t);
+        let r_star = e * t - (e - 1.0) * k_cut;
+        // Strict: a job released exactly at r* could still be
+        // deadline-keyed (its crossing key ties d_max), so it sweeps.
+        let idx = self.by_release.partition_point(|j| j.release < r_star);
+        if idx < self.hull_len {
+            // Coverage regressed past the hull (rare: a record-length
+            // window arrived); rebuild over the still-valid prefix.
+            self.hull.clear();
+            self.hull_len = 0;
         }
+        let target = idx.min(self.by_release.len().saturating_sub(128));
+        while self.hull_len < target {
+            self.hull_push(self.hull_len);
+            self.hull_len += 1;
+        }
+        let split = self.hull_len;
 
         let a = &self.by_deadline;
         let b = &self.by_release;
@@ -459,7 +446,7 @@ impl BkpSpeedIndex {
                 v = v.max(sum / (e * (key - t)));
             }
         }
-        if self.prune && split > 0 {
+        if split > 0 {
             // The aged history, aggregated: max over the hulled prefix of
             // `(W − P(r_j))·(e−1)/(e·(t − r_j))` with `W` the total work
             // released by `t`.
@@ -598,10 +585,6 @@ pub struct BkpState {
     /// loop.
     step_idle: bool,
     inflight: Option<Inflight>,
-    /// When `true` (the default), grid evaluations use the resident
-    /// deadline/release index and EDF dispatch the lazy heap; when `false`,
-    /// the original full-history scans.
-    indexed: bool,
     /// Resident speed index over the released jobs.
     index: BkpSpeedIndex,
     /// Lazy EDF queue over the released jobs (finished/expired entries are
@@ -610,36 +593,14 @@ pub struct BkpState {
 }
 
 impl BkpState {
-    /// Enables or disables the indexed event path (speed index + EDF heap).
-    /// With `false` every grid evaluation and every dispatch re-scans the
-    /// full job history — the pre-index behaviour, kept as the baseline the
-    /// `warm_replan` benchmark and the indexed-vs-scan equivalence tests
-    /// compare against.
-    pub fn with_indexed_events(mut self, enabled: bool) -> Self {
-        self.indexed = enabled;
-        self
-    }
-
-    /// Enables or disables the speed index's **key pruning** (the
-    /// far-future early-out plus the expired-prefix drop; enabled by
-    /// default).  With `false` every indexed grid evaluation sweeps the
-    /// full released history — the pre-pruning behaviour, kept as the
-    /// baseline the pruned-vs-full equivalence tests and the tail-latency
-    /// measurements compare against.  Irrelevant when
-    /// [`with_indexed_events(false)`](Self::with_indexed_events) selects
-    /// the naive scan.
-    pub fn with_key_pruning(mut self, enabled: bool) -> Self {
-        self.index.prune = enabled;
-        self
-    }
-
     fn step_start(&self, anchor: f64) -> f64 {
         anchor + self.step_idx as f64 * self.dt
     }
 
     /// The earliest-deadline eligible job at `self.now`, by scanning the
-    /// full history — the original dispatch rule, used by the non-indexed
-    /// path and as the rare-edge fallback of the heap.
+    /// full history — the batch loop's dispatch rule, and the heap's
+    /// fallback while a job fed within the arrival-order tolerance is not
+    /// released yet.
     fn scan_next(&self) -> Option<usize> {
         self.jobs
             .iter()
@@ -697,11 +658,7 @@ impl BkpState {
             let speed = match self.step_speed {
                 Some(s) => s,
                 None => {
-                    let s = if self.indexed {
-                        self.index.speed(step_start) * self.speed_margin
-                    } else {
-                        bkp_speed(&self.jobs, step_start) * self.speed_margin
-                    };
+                    let s = self.index.speed(step_start) * self.speed_margin;
                     self.step_speed = Some(s);
                     s
                 }
@@ -717,12 +674,7 @@ impl BkpState {
                     let fl = match self.inflight {
                         Some(fl) => fl,
                         None => {
-                            let next = if self.indexed {
-                                self.edf_peek()
-                            } else {
-                                self.scan_next()
-                            };
-                            let Some(j) = next else {
+                            let Some(j) = self.edf_peek() else {
                                 // Batch `break`: the rest of the step idles,
                                 // even past arrivals landing inside it.
                                 self.step_idle = true;
@@ -804,7 +756,6 @@ impl SnapshotPart for BkpSpeedIndex {
         w.write_seq(&self.hull);
         w.write_usize(self.hull_len);
         w.write_f64(self.d_max_all);
-        w.write_bool(self.prune);
     }
 
     fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
@@ -816,7 +767,6 @@ impl SnapshotPart for BkpSpeedIndex {
             hull: r.read_seq()?,
             hull_len: r.read_usize()?,
             d_max_all: r.read_f64()?,
-            prune: r.read_bool()?,
         };
         if index.expired_prefix > index.by_deadline.len()
             || index.prefix_work.len() != index.by_release.len() + 1
@@ -831,15 +781,14 @@ impl SnapshotPart for BkpSpeedIndex {
     }
 }
 
-/// State version of [`BkpState`] snapshots.  Version 3 stores the
-/// committed frontier as a bare [`FrontierPart`] cursor into the run's
-/// [`SegmentLog`]; older blobs are rejected with a typed error.
-const BKP_STATE_VERSION: u16 = 3;
+/// State version of [`BkpState`] snapshots.  Version 4 dropped the two
+/// fast-path toggles; older blobs are rejected with a typed error.
+const BKP_STATE_VERSION: u16 = 4;
 
 /// The blob holds the grid cursor (step index, the fixed per-step speed,
 /// the idle flag and any EDF sub-segment in flight), the job history with
 /// remaining works, the resident speed index including its convex hull, the
-/// lazy EDF queue, both fast-path toggles and the frontier's log cursor —
+/// lazy EDF queue and the frontier's log cursor —
 /// the complete live state, so a run restored from the `(log, blob)` pair
 /// resumes the same grid step at the same speed.
 impl LogCheckpointable for BkpState {
@@ -866,7 +815,6 @@ impl LogCheckpointable for BkpState {
                 w.write_f64(fl.remaining_after);
             }
         }
-        w.write_bool(self.indexed);
         w.write_part(&self.index);
         // The heap's pop order is a total order on (deadline, dense id), so
         // serialising the entries sorted keeps blobs deterministic without
@@ -899,7 +847,6 @@ impl LogCheckpointable for BkpState {
         } else {
             None
         };
-        let indexed = r.read_bool()?;
         let index = r.read_part()?;
         let entries: Vec<(f64, usize)> = r.read_seq()?;
         r.finish()?;
@@ -928,7 +875,6 @@ impl LogCheckpointable for BkpState {
             step_speed,
             step_idle,
             inflight,
-            indexed,
             index,
             edf,
         })
@@ -1037,7 +983,6 @@ impl OnlineAlgorithm for BkpScheduler {
             step_speed: None,
             step_idle: false,
             inflight: None,
-            indexed: true,
             index: BkpSpeedIndex::default(),
             edf: BinaryHeap::new(),
         })
@@ -1070,7 +1015,6 @@ impl OnlineAlgorithm for BkpScheduler {
             step_speed: None,
             step_idle: false,
             inflight: None,
-            indexed: true,
             index: BkpSpeedIndex::default(),
             edf: BinaryHeap::new(),
         })
@@ -1252,9 +1196,10 @@ mod tests {
 
     #[test]
     fn key_pruning_matches_the_full_sweep_at_increasing_times() {
-        // A long stream whose early jobs expire far behind the query time:
-        // the pruned sweep must still produce the exact same speeds as the
-        // unpruned sweep and the naive scan at every query.
+        // A long stream whose early jobs expire far behind the query time
+        // (past 128 released jobs, so the hull aggregates the aged
+        // history): the pruned sweep must still produce the same speeds as
+        // the naive scan at every query.
         let mut state = 23u64;
         let mut jobs: Vec<Job> = Vec::new();
         let mut release = 0.0;
@@ -1270,25 +1215,15 @@ mod tests {
             ));
         }
         let mut pruned = BkpSpeedIndex::default();
-        let mut full = BkpSpeedIndex {
-            prune: false,
-            ..Default::default()
-        };
         let mut inserted = 0usize;
         let mut t = 0.0;
         while t < release + 3.0 {
             while inserted < jobs.len() && jobs[inserted].release <= t {
                 pruned.insert(&jobs[inserted]);
-                full.insert(&jobs[inserted]);
                 inserted += 1;
             }
             let fast = pruned.speed(t);
-            let slow = full.speed(t);
             let naive = bkp_speed(&jobs[..inserted], t);
-            assert!(
-                (fast - slow).abs() <= 1e-9 * slow.max(1.0),
-                "pruned vs full sweep differ at t={t}: {fast} vs {slow}"
-            );
             assert!(
                 (fast - naive).abs() <= 1e-9 * naive.max(1.0),
                 "pruned vs naive scan differ at t={t}: {fast} vs {naive}"
@@ -1300,60 +1235,5 @@ mod tests {
             pruned.by_deadline.len() - pruned.expired_prefix < jobs.len() / 2,
             "pruning never dropped the aged deadline prefix"
         );
-    }
-
-    #[test]
-    fn key_pruning_toggle_produces_identical_runs() {
-        let inst = instance();
-        let algo = BkpScheduler {
-            resolution: 500,
-            ..Default::default()
-        };
-        let mut pruned = algo.start_for(&inst).unwrap();
-        let mut full = algo.start_for(&inst).unwrap().with_key_pruning(false);
-        for id in inst.arrival_order() {
-            let job = inst.job(id);
-            pruned.on_arrival(job, job.release).unwrap();
-            full.on_arrival(job, job.release).unwrap();
-        }
-        let a = pruned.finish().unwrap();
-        let b = full.finish().unwrap();
-        assert!((a.cost(&inst).energy - b.cost(&inst).energy).abs() < 1e-9);
-        for i in 0..60 {
-            let t = 0.05 + i as f64 * 0.1;
-            assert!(
-                (a.speed_at(0, t) - b.speed_at(0, t)).abs() < 1e-9,
-                "pruned vs full profiles differ at t={t}"
-            );
-        }
-    }
-
-    #[test]
-    fn indexed_events_match_the_full_scan_path() {
-        let inst = instance();
-        let algo = BkpScheduler {
-            resolution: 600,
-            ..Default::default()
-        };
-        let mut indexed = algo.start_for(&inst).unwrap();
-        let mut scan = algo.start_for(&inst).unwrap().with_indexed_events(false);
-        for id in inst.arrival_order() {
-            let job = inst.job(id);
-            indexed.on_arrival(job, job.release).unwrap();
-            scan.on_arrival(job, job.release).unwrap();
-        }
-        let a = indexed.finish().unwrap();
-        let b = scan.finish().unwrap();
-        assert!(
-            (a.cost(&inst).energy - b.cost(&inst).energy).abs()
-                < 1e-9 * b.cost(&inst).energy.max(1.0)
-        );
-        for i in 0..60 {
-            let t = 0.05 + i as f64 * 0.1;
-            assert!(
-                (a.speed_at(0, t) - b.speed_at(0, t)).abs() < 1e-9,
-                "indexed vs scan profiles differ at t={t}"
-            );
-        }
     }
 }

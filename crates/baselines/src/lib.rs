@@ -32,32 +32,31 @@
 //!
 //! Every arrival path avoids rebuild-per-arrival work: the per-arrival
 //! cost depends on the active set — except BKP's grid evaluation, which
-//! is one `O(released)` sweep (its work term never forgets old jobs), so
-//! BKP is amortised-flat per arrival but its tail latencies grow slowly
-//! with the history.  OA, qOA
+//! costs `O(active + recent + log n)` (its work term never forgets old
+//! jobs; a convex hull aggregates the aged history).  OA, qOA
 //! and CLL warm-start their left-aligned YDS replans
 //! (`pss_offline::incremental` via [`replan::PlanCache`]); multiprocessor
 //! OA seeds `pss_convex::solve_min_energy_warm` with the previous
 //! coordinate-descent solution ([`oa::MultiOaWarm`]); AVR commits through a
 //! deadline-sorted active-set index ([`avr::AvrState`]); and BKP keeps a
 //! resident deadline/release speed index plus a lazy EDF heap
-//! ([`bkp::BkpState`]).  Each fast path has a toggle
-//! (`with_warm_start(false)`, `with_active_index(false)`,
-//! `with_indexed_events(false)`) restoring the original
-//! rebuild-or-rescan-per-arrival behaviour as cross-check and benchmark
-//! baseline, and the `incremental_equivalence` integration tests pin the
-//! fast and slow paths against each other (the `toggle_matrix` suite
-//! additionally sweeps every toggle *combination* against the batch
-//! references).
+//! ([`bkp::BkpState`]).  Each algorithm has one arrival path, pinned to its
+//! batch reference (`batch_schedule`) by the `incremental_equivalence`
+//! integration tests.  The one fast-path toggle,
+//! `ReplanState::with_warm_start(false)`, selects the from-scratch
+//! `Planner::plan` that the batch references run; the `toggle_matrix`
+//! suite sweeps it, crossed with the coalescing mode, against the batch
+//! references.
 //!
 //! Every run state ([`replan::ReplanState`], [`avr::AvrState`],
 //! [`bkp::BkpState`]) implements `pss_types::LogCheckpointable`: a blob
 //! captures the live state — pending/active sets, warm caches (including
 //! [`oa::MultiOaWarm`] and BKP's speed index with its convex hull) and
-//! toggles — plus a cursor into the run's segment log, which holds the
-//! committed frontier, and a run restored from the `(log, blob)` pair
-//! continues bit-identically (solver accuracy for OA(m)).  This is what
-//! the checkpoint layers in `pss-sim` and `pss-serve` build on.
+//! the warm-start toggle — plus a cursor into the run's segment log,
+//! which holds the committed frontier, and a run restored from the
+//! `(log, blob)` pair continues bit-identically (solver accuracy for
+//! OA(m)).  This is what the checkpoint layers in `pss-sim` and
+//! `pss-serve` build on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,9 @@
-//! Criterion bench: warm-started / indexed incremental arrivals vs the
-//! rebuild-or-rescan-per-arrival baselines, for every algorithm with a fast
-//! arrival path — OA and OA(m) (the replanning executor), AVR (the
-//! active-set index) and BKP (the resident speed index + lazy EDF heap) —
-//! plus PD's persistent planning context on its own (it keeps no rebuild
-//! baseline).
+//! Criterion bench: the incremental arrival path of every algorithm with a
+//! fast one.  OA and OA(m) (the replanning executor) run warm-started
+//! against their rebuild-per-arrival baselines; PD's persistent planning
+//! context, AVR's active-set index and BKP's resident speed index + lazy
+//! EDF heap run on their own (each has one arrival path, pinned to its
+//! batch reference by the test suite).
 //!
 //! The workload is a Poisson stream with a bounded active set, so the
 //! per-arrival cost of the warm paths stays flat as the stream grows while
@@ -11,10 +11,9 @@
 //! is the *total arrival-processing time* of feeding the whole stream to a
 //! fresh run (no `finish`, no validation) — the serving-path metric.
 //!
-//! The rebuild/rescan baselines are quadratic (or worse) per stream and
-//! cannot reasonably run at `n = 10_000`; they are benched at smaller sizes
-//! where the comparison is already decisive (the E12 experiment tabulates
-//! the same speedups).  Set `WARM_REPLAN_SMOKE=1` to shrink every size for
+//! The rebuild baselines are quadratic (or worse) per stream; OA(m)'s, the
+//! heaviest, is benched at smaller sizes where the comparison is already
+//! decisive (the E12 experiment tabulates the same speedups).  Set `WARM_REPLAN_SMOKE=1` to shrink every size for
 //! CI smoke runs — the smoke step covers all five algorithm groups, so a
 //! regression in any fast arrival path fails CI.
 
@@ -81,11 +80,10 @@ fn bench_pd_arrivals(c: &mut Criterion) {
 }
 
 fn bench_avr_arrivals(c: &mut Criterion) {
-    let indexed_sizes: &[usize] = if smoke() { &[200] } else { &[2000, 10000] };
-    let scan_sizes: &[usize] = if smoke() { &[200] } else { &[1000, 2000] };
+    let sizes: &[usize] = if smoke() { &[200] } else { &[2000, 10000] };
     let mut group = c.benchmark_group("avr_arrivals");
     group.sample_size(10);
-    for &n in indexed_sizes {
+    for &n in sizes {
         let inst = stream_instance(n, 7100 + n as u64);
         group.bench_with_input(BenchmarkId::new("indexed", n), &inst, |b, inst| {
             b.iter(|| {
@@ -94,44 +92,19 @@ fn bench_avr_arrivals(c: &mut Criterion) {
             })
         });
     }
-    for &n in scan_sizes {
-        let inst = stream_instance(n, 7100 + n as u64);
-        group.bench_with_input(BenchmarkId::new("full_scan", n), &inst, |b, inst| {
-            b.iter(|| {
-                let run = AvrScheduler
-                    .start_for(inst)
-                    .expect("AVR run")
-                    .with_active_index(false);
-                std::hint::black_box(feed_all(run, inst))
-            })
-        });
-    }
     group.finish();
 }
 
 fn bench_bkp_arrivals(c: &mut Criterion) {
-    let indexed_sizes: &[usize] = if smoke() { &[200] } else { &[2000, 10000] };
-    let scan_sizes: &[usize] = if smoke() { &[200] } else { &[500, 1000] };
+    let sizes: &[usize] = if smoke() { &[200] } else { &[2000, 10000] };
     let algo = BkpScheduler::default();
     let mut group = c.benchmark_group("bkp_arrivals");
     group.sample_size(10);
-    for &n in indexed_sizes {
+    for &n in sizes {
         let inst = stream_instance(n, 7100 + n as u64);
         group.bench_with_input(BenchmarkId::new("indexed", n), &inst, |b, inst| {
             b.iter(|| {
                 let run = algo.start_for(inst).expect("BKP run");
-                std::hint::black_box(feed_all(run, inst))
-            })
-        });
-    }
-    for &n in scan_sizes {
-        let inst = stream_instance(n, 7100 + n as u64);
-        group.bench_with_input(BenchmarkId::new("full_scan", n), &inst, |b, inst| {
-            b.iter(|| {
-                let run = algo
-                    .start_for(inst)
-                    .expect("BKP run")
-                    .with_indexed_events(false);
                 std::hint::black_box(feed_all(run, inst))
             })
         });

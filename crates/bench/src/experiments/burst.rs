@@ -1,24 +1,20 @@
-//! E13 — burst-batched ingestion and parallel sharded streaming.
+//! E13 — burst-batched ingestion.
 //!
 //! The ingestion-grain experiment: arrivals come in bursts of `b`
 //! near-simultaneous jobs (distinct microsecond-scale timestamps — the shape
 //! real "simultaneous" traffic has), and the streaming simulator's
 //! **coalescing window** turns each burst back into one
 //! [`OnlineScheduler::on_arrivals`] batch, so the burst costs one replan /
-//! one index merge instead of one per job.  Three tables:
+//! one index merge instead of one per job.  Two tables:
 //!
 //! 1. per-algorithm ingestion metrics over the burst sweep
 //!    `b ∈ {1, 4, 16, 64}` (arrivals/s, batches, latency percentiles),
 //! 2. the replanning executor's batch-vs-loop comparison (replans per
-//!    arrival collapse `b`-fold; total arrival-processing speedup),
-//! 3. fleet throughput of [`ParallelStreamingSimulation`] over the shard
-//!    sweep `s ∈ {1, 2, 4, 8}` (worker threads clamped to the machine's
-//!    available parallelism; shard workloads drawn from provably disjoint
-//!    `SmallRng::split_stream` substreams; merged percentiles recomputed
-//!    from pooled samples).
+//!    arrival collapse `b`-fold; total arrival-processing speedup).
 //!
-//! The `burst_ingest` criterion bench pins the same batch-vs-loop speedups
-//! as a CI regression gate (`BURST_SMOKE=1`).
+//! Sharding one stream across scheduler runs is E17's subject.  The
+//! `burst_ingest` criterion bench pins the same batch-vs-loop speedups as a
+//! CI regression gate (`BURST_SMOKE=1`).
 
 use std::time::Instant;
 
@@ -28,8 +24,8 @@ use pss_core::baselines::replan::{AdmissionPolicy, AdmitAll, OnlineEnv, Planner,
 use pss_core::prelude::*;
 use pss_metrics::table::fmt_f64;
 use pss_metrics::Table;
-use pss_sim::{coalesce_arrivals, ParallelStreamingSimulation, StreamingSimulation};
-use pss_workloads::{ArrivalModel, RandomConfig, SmallRng, ValueModel};
+use pss_sim::{coalesce_arrivals, StreamingSimulation};
+use pss_workloads::{ArrivalModel, RandomConfig, ValueModel};
 
 use super::ExperimentOutput;
 use crate::support::check;
@@ -60,27 +56,6 @@ pub fn burst_instance(machines: usize, n: usize, b: usize, seed: u64) -> Instanc
         ..RandomConfig::standard(seed)
     }
     .generate()
-}
-
-/// Shard instances for the fleet sweep: shard `k` draws from substream `k`
-/// of one base generator.
-pub fn shard_instances(shards: usize, n: usize, b: usize, seed: u64) -> Vec<Instance> {
-    let base = SmallRng::seed_from_u64(seed);
-    let cfg = RandomConfig {
-        n_jobs: n,
-        machines: 1,
-        alpha: 2.5,
-        arrival: ArrivalModel::BurstyPoisson {
-            rate: 4.0 / b.max(1) as f64,
-            burst_size: b.max(1),
-            jitter: BURST_JITTER,
-        },
-        value: ValueModel::ProportionalToEnergy { min: 0.3, max: 4.0 },
-        ..RandomConfig::standard(seed)
-    };
-    (0..shards)
-        .map(|k| cfg.generate_with(&mut base.split_stream(k as u64)))
-        .collect()
 }
 
 /// Feeds every arrival one event at a time (the loop baseline) and returns
@@ -283,75 +258,6 @@ pub fn run(quick: bool) -> ExperimentOutput {
         );
     }
 
-    // ---- Table 3: sharded fleet throughput.
-    let shard_counts: &[usize] = &[1, 2, 4, 8];
-    let fleet_b = 16usize;
-    let shard_n = if quick { 96 } else { 768 };
-    let parallelism = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let mut fleet = Table::new(
-        "Parallel sharded streaming (fixed b = 16, workers clamped to available parallelism)",
-        &[
-            "algorithm",
-            "shards",
-            "workers",
-            "arrivals",
-            "batches",
-            "wall (ms)",
-            "arrivals/s (wall)",
-            "merged p50 (us)",
-            "merged p95 (us)",
-            "merged p99 (us)",
-            "accept rate",
-        ],
-    );
-    let mut deterministic = true;
-    for &s in shard_counts {
-        let shards = shard_instances(s, shard_n, fleet_b, 13_400 + s as u64);
-        let moa_shards = shard_instances(s, shard_n / 4, fleet_b, 13_500 + s as u64);
-        let sim = ParallelStreamingSimulation::with_coalescing(COALESCE_WINDOW);
-        let fleets: Vec<pss_sim::FleetReport> = vec![
-            sim.run(&PdScheduler::coarse(), &shards).expect("PD fleet"),
-            sim.run(&OaScheduler, &shards).expect("OA fleet"),
-            sim.run(&QoaScheduler::default(), &shards)
-                .expect("qOA fleet"),
-            sim.run(&MultiOaScheduler::default(), &moa_shards)
-                .expect("OA(m) fleet"),
-            sim.run(&CllScheduler, &shards).expect("CLL fleet"),
-            sim.run(&AvrScheduler, &shards).expect("AVR fleet"),
-            sim.run(&BkpScheduler::default(), &shards)
-                .expect("BKP fleet"),
-        ];
-        // Determinism pin: a second run over the same shard set must make
-        // identical decisions at identical cost (only wall-clock varies).
-        let again = sim.run(&CllScheduler, &shards).expect("CLL fleet again");
-        let cll = &fleets[4];
-        deterministic &= cll.accepted_jobs() == again.accepted_jobs()
-            && cll.total_batches() == again.total_batches()
-            && cll.total_cost() == again.total_cost();
-        for report in &fleets {
-            let algorithm = report
-                .shards
-                .first()
-                .map(|r| r.algorithm.clone())
-                .unwrap_or_default();
-            fleet.push_row(vec![
-                algorithm,
-                s.to_string(),
-                report.workers.to_string(),
-                report.total_arrivals().to_string(),
-                report.total_batches().to_string(),
-                fmt_f64(report.wall_clock_secs * 1e3),
-                fmt_f64(report.arrivals_per_sec()),
-                fmt_f64(report.latency_percentile_secs(50.0) * 1e6),
-                fmt_f64(report.latency_percentile_secs(95.0) * 1e6),
-                fmt_f64(report.latency_percentile_secs(99.0) * 1e6),
-                fmt_f64(report.acceptance_rate()),
-            ]);
-        }
-    }
-
     let b16_oa_speedup = speedups
         .iter()
         .filter(|(label, b, _)| *b == 16 && (label == "OA" || label == "OA(m)"))
@@ -364,8 +270,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
         .fold(f64::INFINITY, f64::min);
     ExperimentOutput {
         id: "E13".into(),
-        title: "Burst-batched arrivals + parallel sharded streaming throughput".into(),
-        tables: vec![ingest, collapse, fleet],
+        title: "Burst-batched arrivals: coalesced ingestion and replan collapse".into(),
+        tables: vec![ingest, collapse],
         notes: vec![
             format!(
                 "latency percentiles are ordered p50 <= p95 <= p99 in every row: {}",
@@ -378,15 +284,6 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 fmt_f64(b16_oa_speedup),
                 fmt_f64(b16_min)
             ),
-            format!(
-                "merged fleet reports are deterministic across runs for a fixed \
-                 seed and shard count: {}",
-                check(deterministic)
-            ),
-            format!(
-                "shard workers clamped to available parallelism ({parallelism} on this host); \
-                 shard workloads drawn from disjoint SmallRng::split_stream substreams"
-            ),
         ],
     }
 }
@@ -398,14 +295,12 @@ mod tests {
     #[test]
     fn e13_quick_produces_all_three_tables() {
         let out = run(true);
-        assert_eq!(out.tables.len(), 3);
-        // 7 algorithms x 4 burst sizes; 4 executors x 4 burst sizes;
-        // 7 algorithms x 4 shard counts.
+        assert_eq!(out.tables.len(), 2);
+        // 7 algorithms x 4 burst sizes; 4 executors x 4 burst sizes.
         assert_eq!(out.tables[0].rows.len(), 28);
         assert_eq!(out.tables[1].rows.len(), 16);
-        assert_eq!(out.tables[2].rows.len(), 28);
+        assert_eq!(out.notes.len(), 2);
         assert!(out.notes[0].contains("yes"), "{:?}", out.notes);
-        assert!(out.notes[2].contains("yes"), "{:?}", out.notes);
     }
 
     #[test]

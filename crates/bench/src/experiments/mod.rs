@@ -1,5 +1,5 @@
 //! The experiment registry (E1–E11 of DESIGN.md, plus the streaming
-//! latency experiment E12, the burst-ingestion/sharding experiment E13,
+//! latency experiment E12, the burst-ingestion experiment E13,
 //! the multi-tenant ingestion soak E15, the chaos soak E16, the
 //! stream-sharding experiment E17 and the checkpoint experiment E18).
 //! E14, which measured the retired full-frontier checkpoint format, is

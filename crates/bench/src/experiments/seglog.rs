@@ -10,11 +10,11 @@
 //!    streamed at two lengths with a checkpoint after *every* burst (the
 //!    cadence the log is built for).  For the replanning family (OA, qOA,
 //!    OA(m), CLL) the live blob must stay flat while the log — the run's
-//!    O(events) history — grows with the stream; AVR and BKP still carry
-//!    O(events) job-history tables, so their blobs grow too.  PD keeps
-//!    only its uncommitted intervals: after a sentinel job released past
-//!    every deadline, its live blob must have the same size at both
-//!    lengths.
+//!    O(events) history — grows with the stream; BKP still carries
+//!    O(events) job-history tables, so its blob grows too.  PD keeps only
+//!    its uncommitted intervals and AVR only its active set: after a
+//!    sentinel job released past every deadline, each of their live blobs
+//!    must have the same size at both lengths.
 //! 2. **Recovery from the `(log, blob)` pair** — a mid-stream kill for
 //!    every algorithm: truncate the surviving log to the checkpoint's
 //!    cursor, restore through `restore_with_log`, replay the delta, and
@@ -114,22 +114,26 @@ where
     )
 }
 
-/// Streams `instance` through PD in coalesced bursts, then feeds one
+/// Streams `instance` through `algo` in coalesced bursts, then feeds one
 /// sentinel job released 1 after the last deadline and returns the size of
 /// the live blob captured after it: every earlier window has elapsed, so a
 /// history-free state holds the sentinel alone.
-fn pd_live_bytes_after_sentinel(instance: &Instance) -> usize {
-    let mut run = PdScheduler::coarse().start_for(instance).expect("PD run");
+fn live_bytes_after_sentinel<A>(algo: &A, instance: &Instance) -> usize
+where
+    A: OnlineAlgorithm + ?Sized,
+    A::Run: LogCheckpointable,
+{
+    let mut run = algo.start_for(instance).expect("sentinel run");
     for (feed_time, ids) in coalesce_arrivals(instance, COALESCE_WINDOW) {
         let jobs: Vec<Job> = ids.iter().map(|&id| *instance.job(id)).collect();
-        run.on_arrivals(&jobs, feed_time).expect("PD burst");
+        run.on_arrivals(&jobs, feed_time).expect("burst");
     }
     let release = instance.horizon().1 + 1.0;
     let sentinel = Job::new(instance.len(), release, release + 1.0, 0.1, 1e6);
-    run.on_arrival(&sentinel, release).expect("PD sentinel");
+    run.on_arrival(&sentinel, release).expect("sentinel");
     let mut log = SegmentLog::new(instance.machines);
     run.snapshot_live(&mut log)
-        .expect("PD live snapshot")
+        .expect("live snapshot")
         .to_bytes()
         .len()
 }
@@ -188,10 +192,11 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     let mut equivalent = true;
     let mut samples: Vec<SizeSample> = Vec::new();
-    let mut pd_sentinel_bytes = Vec::new();
+    let (mut pd_sentinel_bytes, mut avr_sentinel_bytes) = (Vec::new(), Vec::new());
     for &n in &[n_small, n_large] {
         let instance = burst_instance(1, n, burst, 18_000 + n as u64);
-        pd_sentinel_bytes.push(pd_live_bytes_after_sentinel(&instance));
+        pd_sentinel_bytes.push(live_bytes_after_sentinel(&PdScheduler::coarse(), &instance));
+        avr_sentinel_bytes.push(live_bytes_after_sentinel(&AvrScheduler, &instance));
         let moa_instance = burst_instance(1, n / 4, burst, 18_100 + n as u64);
         let mut push = |ok: bool, sample: SizeSample| {
             equivalent &= ok;
@@ -291,15 +296,21 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 check(flat && grew)
             ),
             format!(
-                "after a sentinel job released past every deadline, PD's live blob has the \
-                 same size at n = {n_small} and n = {n_large} ({} B vs {} B): {}",
+                "after a sentinel job released past every deadline, PD's and AVR's live \
+                 blobs each have the same size at n = {n_small} and n = {n_large} (PD {} B vs \
+                 {} B, AVR {} B vs {} B): {}",
                 pd_sentinel_bytes[0],
                 pd_sentinel_bytes[1],
-                check(pd_sentinel_bytes[0] == pd_sentinel_bytes[1])
+                avr_sentinel_bytes[0],
+                avr_sentinel_bytes[1],
+                check(
+                    pd_sentinel_bytes[0] == pd_sentinel_bytes[1]
+                        && avr_sentinel_bytes[0] == avr_sentinel_bytes[1]
+                )
             ),
-            "AVR and BKP blobs still carry O(events) job-history tables — the segment \
-             log removes only the committed-frontier term of their growth; shrinking those \
-             tables to live-only is future work"
+            "BKP's blob still carries O(events) job-history tables (jobs, remaining, \
+             by_release, prefix_work) — the segment log removes only the committed-frontier \
+             term of its growth; shrinking those tables to live-only is future work"
                 .into(),
         ],
     }
@@ -317,7 +328,8 @@ mod tests {
         assert_eq!(out.tables[0].rows.len(), 14);
         assert_eq!(out.tables[1].rows.len(), 7);
         // Every note but the last (informational) one is a yes/NO gate,
-        // including PD's history-free blob after the sentinel gap.
+        // including PD's and AVR's history-free blobs after the sentinel
+        // gap.
         assert_eq!(out.notes.len(), 5);
         for note in &out.notes[..4] {
             assert!(note.contains("yes"), "failing E18 note: {note}");

@@ -1,17 +1,17 @@
 //! E12 — streaming arrival latency: per-arrival handling time percentiles
 //! (p50/p95/p99) versus stream length for *all* the event-driven online
 //! algorithms (PD, OA, qOA, OA(m), CLL, AVR, BKP), driven through
-//! [`StreamingSimulation`], plus the warm-started/indexed-vs-rebuild
-//! arrival-processing speedups (OA, AVR, BKP and OA(m); PD keeps no
-//! rebuild path, the batch oracle pins it instead) and the OA(m)
-//! coordinate-descent convergence statistics.
+//! [`StreamingSimulation`], plus the warm-started-vs-rebuild
+//! arrival-processing speedups of the replanning executor (OA and OA(m);
+//! PD, AVR and BKP have one arrival path, pinned to their batch references
+//! instead) and the OA(m) coordinate-descent convergence statistics.
 //!
 //! The workload is a Poisson arrival stream with a bounded active set (the
 //! regime a long-running scheduler actually serves), so the stream length
 //! `n` grows while the instantaneous load stays fixed — per-arrival latency
 //! then measures how the *history* size affects the arrival step.  With the
 //! persistent planning contexts and the AVR/BKP event indices this cost is
-//! flat; the rebuild/rescan-per-arrival baselines degrade with `n`.
+//! flat; the rebuild-per-arrival baselines degrade with `n`.
 
 use std::time::Instant;
 
@@ -136,19 +136,14 @@ pub fn run(quick: bool) -> ExperimentOutput {
         }
     }
 
-    // Warm-started/indexed vs rebuild-per-arrival total arrival-processing
-    // time, at sizes the (quadratic-per-arrival or worse) rebuild paths can
-    // still handle.
-    // OA(m)'s warm-start overhead (remap + seed pricing) only amortises
-    // once the pending sets reach their steady-state size, so its quick
-    // size is not scaled down as aggressively as the others.
-    let (oa_n, avr_n, bkp_n, moa_n) = if quick {
-        (120, 120, 80, 150)
-    } else {
-        (1500, 1500, 600, 400)
-    };
+    // Warm-started vs rebuild-per-arrival total arrival-processing time, at
+    // sizes the (quadratic-per-arrival or worse) rebuild paths can still
+    // handle.  OA(m)'s warm-start overhead (remap + seed pricing) only
+    // amortises once the pending sets reach their steady-state size, so its
+    // quick size is not scaled down as aggressively as OA's.
+    let (oa_n, moa_n) = if quick { (120, 150) } else { (1500, 400) };
     let mut speedup = Table::new(
-        "Warm-started/indexed vs rebuild-per-arrival arrival processing",
+        "Warm-started vs rebuild-per-arrival arrival processing",
         &[
             "algorithm",
             "n",
@@ -180,27 +175,6 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let mut cold_run = ReplanState::new(planner, AdmitAll, env).with_warm_start(false);
     let cold = drive_arrivals(&mut cold_run, &oa_inst);
     speedup_row(&mut speedup, "OA", oa_n, warm, cold);
-
-    let avr_inst = stream_instance(avr_n, 9500);
-    let mut warm_run = AvrScheduler.start_for(&avr_inst).expect("AVR run");
-    let warm = drive_arrivals(&mut warm_run, &avr_inst);
-    let mut cold_run = AvrScheduler
-        .start_for(&avr_inst)
-        .expect("AVR run")
-        .with_active_index(false);
-    let cold = drive_arrivals(&mut cold_run, &avr_inst);
-    speedup_row(&mut speedup, "AVR", avr_n, warm, cold);
-
-    let bkp_inst = stream_instance(bkp_n, 9600);
-    let bkp = BkpScheduler::default();
-    let mut warm_run = bkp.start_for(&bkp_inst).expect("BKP run");
-    let warm = drive_arrivals(&mut warm_run, &bkp_inst);
-    let mut cold_run = bkp
-        .start_for(&bkp_inst)
-        .expect("BKP run")
-        .with_indexed_events(false);
-    let cold = drive_arrivals(&mut cold_run, &bkp_inst);
-    speedup_row(&mut speedup, "BKP", bkp_n, warm, cold);
 
     // OA(m): warm-started coordinate descent, with convergence statistics
     // read back from the run's plan cache so the pass counts are visible.
@@ -275,9 +249,9 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 check(percentiles_ordered)
             ),
             format!(
-                "warm-started/indexed arrival processing is faster than \
-                 rebuild-per-arrival (min speedup {}x across OA, AVR, BKP \
-                 and OA(m) at m = 1 and m = 2)",
+                "warm-started arrival processing is faster than \
+                 rebuild-per-arrival (min speedup {}x across OA and OA(m) \
+                 at m = 1 and m = 2)",
                 fmt_f64(min_speedup)
             ),
             format!(
@@ -299,10 +273,10 @@ mod tests {
     fn e12_quick_produces_ordered_percentiles() {
         let out = run(true);
         assert_eq!(out.tables.len(), 3);
-        // 7 algorithms x 2 sizes latency rows, 5 speedup rows (OA(m) at
-        // m = 1 and m = 2), 2 convergence rows.
+        // 7 algorithms x 2 sizes latency rows, 3 speedup rows (OA, and
+        // OA(m) at m = 1 and m = 2), 2 convergence rows.
         assert_eq!(out.tables[0].rows.len(), 14);
-        assert_eq!(out.tables[1].rows.len(), 5);
+        assert_eq!(out.tables[1].rows.len(), 3);
         assert_eq!(out.tables[2].rows.len(), 2);
         assert!(out.notes[0].contains("yes"), "{:?}", out.notes);
     }

@@ -56,7 +56,7 @@ fn codec_totality_ignores_attributes_and_literals() {
 fn ordering_rule_fires_outside_the_audited_files() {
     let bad = "fn f(a: &AtomicUsize) -> usize { a.load(Ordering::Acquire) }\n";
     assert_eq!(
-        rule_hits("crates/sim/src/parallel.rs", bad, "ordering-outside-facade"),
+        rule_hits("crates/sim/src/sharded.rs", bad, "ordering-outside-facade"),
         1
     );
     // The two audited lock-free files and the facade itself are exempt.
@@ -75,7 +75,7 @@ fn ordering_rule_fires_outside_the_audited_files() {
     // cmp::Ordering is a different enum and is unrestricted.
     let cmp = "fn g(a: i32, b: i32) -> Ordering { if a < b { Ordering::Less } else { Ordering::Greater } }\n";
     assert_eq!(
-        rule_hits("crates/sim/src/parallel.rs", cmp, "ordering-outside-facade"),
+        rule_hits("crates/sim/src/sharded.rs", cmp, "ordering-outside-facade"),
         0
     );
 }

@@ -31,10 +31,10 @@ use std::time::Instant;
 
 use pss_types::seglog::{LogCheckpointable, LogCursor, SegmentLog};
 use pss_types::snapshot::StateBlob;
-use pss_types::{Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, ScheduleError};
+use pss_types::{Instance, OnlineAlgorithm, OnlineScheduler, ScheduleError};
 
 use crate::engine::{
-    coalesce_arrivals, ArrivalRecord, Simulation, StreamReport, StreamingSimulation,
+    coalesce_arrivals, finish_stream, ingest_batch, StreamReport, StreamingSimulation,
 };
 
 /// One captured checkpoint of a streaming run: the blob holds only live
@@ -83,45 +83,6 @@ impl RecoveryStats {
     }
 }
 
-/// Feeds one batch through `on_arrivals`, appending trace records exactly
-/// like the streaming simulator (amortised latency, post-batch frontier
-/// size, batch width), then syncs `log` with the run's frontier.
-fn ingest_batch<R: OnlineScheduler>(
-    run: &mut R,
-    log: &mut SegmentLog,
-    instance: &Instance,
-    feed_time: f64,
-    ids: &[JobId],
-    events: &mut Vec<ArrivalRecord>,
-) -> Result<(), ScheduleError> {
-    let jobs: Vec<Job> = ids.iter().map(|&id| *instance.job(id)).collect();
-    let started = Instant::now();
-    let decisions = run.on_arrivals(&jobs, feed_time)?;
-    let amortised = started.elapsed().as_secs_f64() / ids.len().max(1) as f64;
-    if decisions.len() != ids.len() {
-        return Err(ScheduleError::Internal(format!(
-            "on_arrivals contract violation: {} decisions for a batch of {} jobs",
-            decisions.len(),
-            ids.len()
-        )));
-    }
-    let frontier_segments = run.frontier().segments.len();
-    for (id, decision) in ids.iter().zip(decisions) {
-        events.push(ArrivalRecord {
-            job: *id,
-            time: instance.job(*id).release,
-            accepted: decision.accepted,
-            dual: decision.dual,
-            latency_secs: amortised,
-            frontier_segments,
-            burst: ids.len(),
-        });
-    }
-    // The worker appends realised segments as it commits them.
-    log.sync_from(run.frontier())?;
-    Ok(())
-}
-
 /// Snapshots a run's live state into `log`, timing the capture.  The log is
 /// synced with the frontier by `snapshot_live`, then compacted to the new
 /// checkpoint's cursor — the newest retained blob — so record envelopes
@@ -145,26 +106,6 @@ fn capture<R: LogCheckpointable>(
         capture_secs,
         cursor,
         blob,
-    })
-}
-
-/// Finishes a run and wraps the trace into a [`StreamReport`] (validated
-/// and replayed through [`Simulation`], like the plain streaming path).
-fn finish_stream<R: OnlineScheduler>(
-    algorithm: String,
-    run: R,
-    instance: &Instance,
-    events: Vec<ArrivalRecord>,
-    batches: usize,
-) -> Result<StreamReport, ScheduleError> {
-    let schedule = run.finish()?;
-    let report = Simulation.run(instance, &schedule)?;
-    Ok(StreamReport {
-        algorithm,
-        events,
-        batches,
-        schedule,
-        report,
     })
 }
 
@@ -198,9 +139,19 @@ impl StreamingSimulation {
         let mut run = algo.start_for(instance)?;
         let mut log = SegmentLog::new(instance.machines);
         let mut events = Vec::with_capacity(instance.len());
+        let mut burst_jobs = Vec::new();
         let mut chain = vec![capture(&run, &mut log, 0, 0, f64::NEG_INFINITY)?];
         for (i, (feed_time, ids)) in plan.iter().enumerate() {
-            ingest_batch(&mut run, &mut log, instance, *feed_time, ids, &mut events)?;
+            ingest_batch(
+                &mut run,
+                instance,
+                *feed_time,
+                ids,
+                &mut burst_jobs,
+                &mut events,
+            )?;
+            // The worker appends realised segments as it commits them.
+            log.sync_from(run.frontier())?;
             if (i + 1) % every == 0 {
                 chain.push(capture(&run, &mut log, i + 1, events.len(), *feed_time)?);
                 if chain.len() > retain {
@@ -244,11 +195,20 @@ impl StreamingSimulation {
         // *is* the crash.
         let mut log = SegmentLog::new(instance.machines);
         let mut events = Vec::new();
+        let mut burst_jobs = Vec::new();
         let checkpoint = {
             let mut run = algo.start_for(instance)?;
             let mut last = capture(&run, &mut log, 0, 0, f64::NEG_INFINITY)?;
             for (i, (feed_time, ids)) in plan.iter().enumerate().take(killed_at_batch) {
-                ingest_batch(&mut run, &mut log, instance, *feed_time, ids, &mut events)?;
+                ingest_batch(
+                    &mut run,
+                    instance,
+                    *feed_time,
+                    ids,
+                    &mut burst_jobs,
+                    &mut events,
+                )?;
+                log.sync_from(run.frontier())?;
                 if (i + 1) % every == 0 {
                     last = capture(&run, &mut log, i + 1, events.len(), *feed_time)?;
                 }
@@ -271,7 +231,15 @@ impl StreamingSimulation {
         let replay_from = checkpoint.batches_done;
         let started = Instant::now();
         for (feed_time, ids) in plan.get(replay_from..).unwrap_or_default() {
-            ingest_batch(&mut run, &mut log, instance, *feed_time, ids, &mut events)?;
+            ingest_batch(
+                &mut run,
+                instance,
+                *feed_time,
+                ids,
+                &mut burst_jobs,
+                &mut events,
+            )?;
+            log.sync_from(run.frontier())?;
         }
         let replay_secs = started.elapsed().as_secs_f64();
         let stats = RecoveryStats {

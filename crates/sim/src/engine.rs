@@ -3,16 +3,17 @@
 //!
 //! [`Simulation`] replays a complete schedule and reports per-machine and
 //! per-job execution statistics.  [`StreamingSimulation`] drives an
-//! event-driven online algorithm ([`OnlineAlgorithm`]) one arrival at a
-//! time, recording a per-event trace (decision, dual value, arrival-handling
-//! latency, frontier growth) before replaying the finished schedule through
-//! [`Simulation`] — the runtime view of the paper's online model.
+//! event-driven online algorithm ([`OnlineAlgorithm`]) one coalesced burst
+//! at a time (one arrival per burst by default), recording a per-event
+//! trace (decision, dual value, arrival-handling latency, frontier growth)
+//! before replaying the finished schedule through [`Simulation`] — the
+//! runtime view of the paper's online model.
 
 use std::time::Instant;
 
 use pss_power::{AlphaPower, PowerFunction};
 use pss_types::{
-    num, Instance, JobId, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, Segment,
+    num, Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, Segment,
 };
 
 /// Per-machine execution statistics.
@@ -308,8 +309,8 @@ impl StreamReport {
 
 /// The nearest-rank `p`-th percentile (`0 ≤ p ≤ 100`) of an
 /// ascending-sorted sample list; 0 for an empty list.  The single
-/// percentile definition shared by [`StreamReport`], the fleet-level
-/// merge (`pss_sim::parallel`) and the `pss-serve` daemon's queue-depth
+/// percentile definition shared by [`StreamReport`], the sharded report
+/// (`pss_sim::sharded`) and the `pss-serve` daemon's queue-depth
 /// statistics, so per-shard, pooled and service-level numbers can never
 /// follow different formulas.
 pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
@@ -327,9 +328,8 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 /// burst's *last* (largest) release — feeding the whole burst there keeps
 /// every job's `check_arrival` ingress contract satisfied (`now ≥ release`).
 ///
-/// `window = 0` yields one singleton burst per arrival (the per-event
-/// stream), including for bit-equal release times, so the degenerate case
-/// is exactly the pre-coalescing event loop.
+/// `window = 0` yields one singleton burst per arrival, fed at its own
+/// release, including for bit-equal release times: the per-event stream.
 pub fn coalesce_arrivals(instance: &Instance, window: f64) -> Vec<(f64, Vec<JobId>)> {
     let order = instance.arrival_order();
     let mut bursts: Vec<(f64, Vec<JobId>)> = Vec::new();
@@ -349,17 +349,75 @@ pub fn coalesce_arrivals(instance: &Instance, window: f64) -> Vec<(f64, Vec<JobI
     bursts
 }
 
+/// Feeds one burst through `on_arrivals` at `feed_time`, appending one
+/// trace record per job: the amortised latency, the post-burst frontier
+/// size and the burst width.  `burst_jobs` is a reusable buffer.
+pub(crate) fn ingest_batch<R: OnlineScheduler>(
+    run: &mut R,
+    instance: &Instance,
+    feed_time: f64,
+    ids: &[JobId],
+    burst_jobs: &mut Vec<Job>,
+    events: &mut Vec<ArrivalRecord>,
+) -> Result<(), ScheduleError> {
+    burst_jobs.clear();
+    burst_jobs.extend(ids.iter().map(|&id| *instance.job(id)));
+    let started = Instant::now();
+    let decisions = run.on_arrivals(burst_jobs, feed_time)?;
+    let amortised = started.elapsed().as_secs_f64() / ids.len().max(1) as f64;
+    if decisions.len() != ids.len() {
+        return Err(ScheduleError::Internal(format!(
+            "on_arrivals contract violation: {} decisions for a burst of {} jobs",
+            decisions.len(),
+            ids.len()
+        )));
+    }
+    let frontier_segments = run.frontier().segments.len();
+    for (id, decision) in ids.iter().zip(decisions) {
+        events.push(ArrivalRecord {
+            job: *id,
+            time: instance.job(*id).release,
+            accepted: decision.accepted,
+            dual: decision.dual,
+            latency_secs: amortised,
+            frontier_segments,
+            burst: ids.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Finishes a run and wraps the trace into a [`StreamReport`], validating
+/// and replaying the schedule through [`Simulation`].
+pub(crate) fn finish_stream<R: OnlineScheduler>(
+    algorithm: String,
+    run: R,
+    instance: &Instance,
+    events: Vec<ArrivalRecord>,
+    batches: usize,
+) -> Result<StreamReport, ScheduleError> {
+    let schedule = run.finish()?;
+    let report = Simulation.run(instance, &schedule)?;
+    Ok(StreamReport {
+        algorithm,
+        events,
+        batches,
+        schedule,
+        report,
+    })
+}
+
 /// Drives an event-driven online algorithm over an instance's arrival
-/// stream — one job at a time by default, or one coalesced *burst* at a
-/// time when a coalescing window is configured.
+/// stream, one coalesced burst at a time through
+/// [`OnlineScheduler::on_arrivals`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamingSimulation {
     /// Width of the burst-coalescing window: arrivals within this much of a
     /// burst's first release are fed together through
     /// [`OnlineScheduler::on_arrivals`] at the burst's last release (see
-    /// [`coalesce_arrivals`]).  `0` (the default) feeds every arrival
-    /// individually through [`OnlineScheduler::on_arrival`], exactly like
-    /// the pre-batching simulator.
+    /// [`coalesce_arrivals`]).  `0` (the default) makes every arrival a
+    /// burst of its own, fed at its own release; a singleton
+    /// `on_arrivals` is bit-identical to [`OnlineScheduler::on_arrival`].
     ///
     /// Coalescing deliberately treats near-simultaneous arrivals as
     /// simultaneous: jobs are fed up to one window *later* than their
@@ -378,10 +436,10 @@ impl StreamingSimulation {
         }
     }
 
-    /// Feeds the instance's jobs to a fresh run of `algo` in arrival order
-    /// (batched per coalesced burst if a window is configured), recording
-    /// per-event metrics, then finishes the run, validates the schedule and
-    /// replays it through [`Simulation`].
+    /// Feeds the instance's jobs to a fresh run of `algo` in arrival order,
+    /// one coalesced burst per `on_arrivals` call, recording per-event
+    /// metrics, then finishes the run, validates the schedule and replays
+    /// it through [`Simulation`].
     pub fn run<A: OnlineAlgorithm + ?Sized>(
         &self,
         algo: &A,
@@ -389,63 +447,20 @@ impl StreamingSimulation {
     ) -> Result<StreamReport, ScheduleError> {
         let mut run = algo.start_for(instance)?;
         let mut events = Vec::with_capacity(instance.len());
+        let mut burst_jobs = Vec::new();
         let mut batches = 0usize;
-        if self.coalesce_window > 0.0 {
-            let mut burst_jobs = Vec::new();
-            for (feed_time, ids) in coalesce_arrivals(instance, self.coalesce_window) {
-                burst_jobs.clear();
-                burst_jobs.extend(ids.iter().map(|&id| *instance.job(id)));
-                let started = Instant::now();
-                let decisions = run.on_arrivals(&burst_jobs, feed_time)?;
-                let amortised = started.elapsed().as_secs_f64() / ids.len().max(1) as f64;
-                if decisions.len() != ids.len() {
-                    return Err(ScheduleError::Internal(format!(
-                        "on_arrivals contract violation: {} decisions for a burst of {} jobs",
-                        decisions.len(),
-                        ids.len()
-                    )));
-                }
-                batches += 1;
-                let frontier_segments = run.frontier().segments.len();
-                for (id, decision) in ids.iter().zip(decisions) {
-                    events.push(ArrivalRecord {
-                        job: *id,
-                        time: instance.job(*id).release,
-                        accepted: decision.accepted,
-                        dual: decision.dual,
-                        latency_secs: amortised,
-                        frontier_segments,
-                        burst: ids.len(),
-                    });
-                }
-            }
-        } else {
-            for id in instance.arrival_order() {
-                let job = instance.job(id);
-                let started = Instant::now();
-                let decision = run.on_arrival(job, job.release)?;
-                let latency_secs = started.elapsed().as_secs_f64();
-                batches += 1;
-                events.push(ArrivalRecord {
-                    job: id,
-                    time: job.release,
-                    accepted: decision.accepted,
-                    dual: decision.dual,
-                    latency_secs,
-                    frontier_segments: run.frontier().segments.len(),
-                    burst: 1,
-                });
-            }
+        for (feed_time, ids) in coalesce_arrivals(instance, self.coalesce_window) {
+            ingest_batch(
+                &mut run,
+                instance,
+                feed_time,
+                &ids,
+                &mut burst_jobs,
+                &mut events,
+            )?;
+            batches += 1;
         }
-        let schedule = run.finish()?;
-        let report = Simulation.run(instance, &schedule)?;
-        Ok(StreamReport {
-            algorithm: algo.algorithm_name(),
-            events,
-            batches,
-            schedule,
-            report,
-        })
+        finish_stream(algo.algorithm_name(), run, instance, events, batches)
     }
 }
 

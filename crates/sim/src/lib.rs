@@ -13,19 +13,15 @@
 //! event timeline).
 //!
 //! [`engine::StreamingSimulation`] drives an event-driven online algorithm
-//! ([`OnlineAlgorithm`](pss_types::OnlineAlgorithm)) one arrival at a time
-//! and records a per-event trace (decision, dual, latency, frontier
+//! ([`OnlineAlgorithm`](pss_types::OnlineAlgorithm)) over an arrival
+//! stream and records a per-event trace (decision, dual, latency, frontier
 //! growth) — the runtime counterpart of the paper's online model.  A
 //! configurable **burst-coalescing window** feeds near-simultaneous
 //! arrivals (within the window of a burst's first release) as one batch
 //! through [`OnlineScheduler::on_arrivals`](pss_types::OnlineScheduler::on_arrivals),
 //! at the burst's last release time, so a burst costs one replan / index
-//! merge instead of one per job; `coalesce_window = 0` (the default) is the
-//! exact per-event loop.  [`parallel::ParallelStreamingSimulation`] shards
-//! independent streams across `std::thread` workers and deterministically
-//! merges the per-shard [`engine::StreamReport`]s into a fleet-level
-//! [`parallel::FleetReport`] (pooled percentiles recomputed from pooled
-//! samples, never averaged).
+//! merge instead of one per job; with `coalesce_window = 0` (the default)
+//! every arrival is a burst of its own, fed at its own release.
 //!
 //! [`sharded`] partitions *one* logical stream across `S` independent
 //! scheduler runs — [`sharded::RoutePolicy`] (hash / round-robin /
@@ -61,7 +57,6 @@
 pub mod checkpoint;
 pub mod engine;
 pub mod gantt;
-pub mod parallel;
 pub mod replay;
 pub mod sharded;
 
@@ -71,7 +66,6 @@ pub use engine::{
     Simulation, StreamReport, StreamingSimulation,
 };
 pub use gantt::{render_gantt, GanttOptions};
-pub use parallel::{FleetReport, ParallelStreamingSimulation};
 pub use replay::{prefix_stability_report, streaming_prefix_report, PrefixStabilityReport};
 pub use sharded::{
     sharded_fields_equal, sharding_drift, RoutePolicy, ShardedEvent, ShardedReport, ShardedStream,

@@ -1,10 +1,10 @@
 //! Sharding *one* logical stream: routing policies, the in-process
 //! sharded stream driver, and the sharding-cost oracle.
 //!
-//! The parallel harness ([`crate::parallel`]) scales across *independent*
-//! streams; production traffic is one logical stream.  This module
-//! partitions a single arrival sequence across `S` independent scheduler
-//! runs and reassembles one logical answer:
+//! Independent streams need no coordination; production traffic is one
+//! logical stream.  This module partitions a single arrival sequence
+//! across `S` independent scheduler runs and reassembles one logical
+//! answer:
 //!
 //! * [`RoutePolicy`] — the pluggable routing decision, a *pure function*
 //!   of the submission sequence number and the published per-shard prices

@@ -21,7 +21,6 @@ pub use pss_workloads as workloads;
 pub mod prelude {
     pub use pss_core::prelude::*;
     pub use pss_sim::{
-        prefix_stability_report, streaming_prefix_report, ParallelStreamingSimulation, Simulation,
-        StreamingSimulation,
+        prefix_stability_report, streaming_prefix_report, Simulation, StreamingSimulation,
     };
 }

@@ -107,7 +107,7 @@ pub fn mandatory(seed: u64, machines: usize, alpha: f64, n: usize) -> Instance {
     .generate()
 }
 
-/// The hand-crafted tolerance edge case shared by the warm-start, indexed
+/// The hand-crafted tolerance edge case shared by the warm-start, batch
 /// and toggle-matrix pins: equal releases, deadlines tied within `1e-12`,
 /// and (nearly) zero-work jobs.
 pub fn edge_instance(machines: usize, alpha: f64) -> Instance {

@@ -135,18 +135,27 @@ fn multi_oa_incremental_equals_batch_on_random_workloads() {
 
 #[test]
 fn avr_incremental_equals_batch_on_random_workloads() {
-    for seed in 0..6u64 {
-        let instance = profitable(4600 + seed, 1, 2.0);
+    let workloads = (0..6u64)
+        .flat_map(|seed| {
+            [
+                profitable(4600 + seed, 1, 2.0),
+                profitable(5800 + seed, 1, 2.0),
+            ]
+        })
+        .chain((0..3u64).map(|seed| bursty_profitable(5900 + seed, 1, 2.0, 12, 3)))
+        .chain([edge_instance(1, 2.0)]);
+    for (k, instance) in workloads.enumerate() {
         let batch = AvrScheduler.batch_schedule(&instance).expect("batch AVR");
         let incremental = AvrScheduler.schedule(&instance).expect("incremental AVR");
-        assert_equivalent(&instance, &batch, &incremental, "AVR", 1e-9);
+        let label = format!("AVR workload {k}");
+        assert_equivalent(&instance, &batch, &incremental, &label, 1e-9);
         // AVR also guarantees identical per-job work.
         let bw = batch.work_per_job(instance.len());
         let iw = incremental.work_per_job(instance.len());
         for j in 0..instance.len() {
             assert!(
                 (bw[j] - iw[j]).abs() < 1e-9,
-                "AVR work differs for job {j}: {} vs {}",
+                "{label}: work differs for job {j}: {} vs {}",
                 bw[j],
                 iw[j]
             );
@@ -156,17 +165,22 @@ fn avr_incremental_equals_batch_on_random_workloads() {
 
 #[test]
 fn bkp_incremental_equals_batch_on_random_workloads() {
-    for seed in 0..4u64 {
-        let instance = profitable(4700 + seed, 1, 3.0);
-        // A moderate grid keeps the test fast; the comparison is
-        // grid-for-grid so the resolution does not affect equality.
+    // A moderate grid keeps the test fast; the comparison is grid-for-grid
+    // so the resolution does not affect equality.
+    let workloads = (0..4u64)
+        .flat_map(|seed| [4700, 6000, 6200].map(|base| (800, profitable(base + seed, 1, 3.0))))
+        .chain((0..2u64).map(|seed| (800, bursty_profitable(6100 + seed, 1, 3.0, 12, 3))))
+        .chain((0..2u64).map(|seed| (800, poisson_profitable(6300 + seed, 1, 3.0, 60, 4.0))))
+        .chain([(600, edge_instance(1, 3.0))]);
+    for (k, (resolution, instance)) in workloads.enumerate() {
         let algo = BkpScheduler {
-            resolution: 800,
+            resolution,
             ..Default::default()
         };
         let batch = algo.batch_schedule(&instance).expect("batch BKP");
         let incremental = algo.schedule(&instance).expect("incremental BKP");
-        assert_equivalent(&instance, &batch, &incremental, "BKP", 1e-6);
+        let label = format!("BKP workload {k}");
+        assert_equivalent(&instance, &batch, &incremental, &label, 1e-6);
     }
 }
 
@@ -399,138 +413,6 @@ fn warm_multi_oa_survives_near_zero_works_and_tied_deadlines() {
         "warm OA(m) (edge)",
         1e-4,
     );
-}
-
-// ---- AVR / BKP: indexed event paths vs the full-history scans ------------
-//
-// AVR's active-set index and BKP's deadline/release speed index change only
-// *how* the same quantities are computed (summation order aside), so the
-// pins are at numeric accuracy, like the OA warm-start ones.
-
-/// Drives two runs over the instance's arrival stream and asserts their
-/// decisions and final schedules agree.
-fn assert_runs_equivalent<R1: OnlineScheduler, R2: OnlineScheduler>(
-    instance: &Instance,
-    mut fast: R1,
-    mut slow: R2,
-    label: &str,
-    tol: f64,
-) {
-    for id in instance.arrival_order() {
-        let job = instance.job(id);
-        let df = fast.on_arrival(job, job.release).expect("fast arrival");
-        let ds = slow.on_arrival(job, job.release).expect("slow arrival");
-        assert_eq!(
-            df.accepted, ds.accepted,
-            "{label}: decision for {id} differs between fast and slow paths"
-        );
-    }
-    let f = fast.finish().expect("fast finish");
-    let s = slow.finish().expect("slow finish");
-    assert_equivalent(instance, &s, &f, label, tol);
-}
-
-#[test]
-fn indexed_avr_equals_full_scan_on_random_and_bursty_workloads() {
-    for seed in 0..6u64 {
-        let instance = profitable(5800 + seed, 1, 2.0);
-        let fast = AvrScheduler.start_for(&instance).expect("indexed AVR");
-        let slow = AvrScheduler
-            .start_for(&instance)
-            .expect("scan AVR")
-            .with_active_index(false);
-        assert_runs_equivalent(&instance, fast, slow, "indexed AVR", 1e-9);
-    }
-    for seed in 0..3u64 {
-        let instance = bursty_profitable(5900 + seed, 1, 2.0, 12, 3);
-        let fast = AvrScheduler.start_for(&instance).expect("indexed AVR");
-        let slow = AvrScheduler
-            .start_for(&instance)
-            .expect("scan AVR")
-            .with_active_index(false);
-        assert_runs_equivalent(&instance, fast, slow, "indexed AVR (bursty)", 1e-9);
-    }
-}
-
-#[test]
-fn indexed_avr_survives_near_zero_works_and_tied_deadlines() {
-    let instance = edge_instance(1, 2.0);
-    let fast = AvrScheduler.start_for(&instance).expect("indexed AVR");
-    let slow = AvrScheduler
-        .start_for(&instance)
-        .expect("scan AVR")
-        .with_active_index(false);
-    assert_runs_equivalent(&instance, fast, slow, "indexed AVR (edge)", 1e-9);
-}
-
-#[test]
-fn indexed_bkp_equals_full_scan_on_random_and_bursty_workloads() {
-    let algo = BkpScheduler {
-        resolution: 800,
-        ..Default::default()
-    };
-    for seed in 0..4u64 {
-        let instance = profitable(6000 + seed, 1, 3.0);
-        let fast = algo.start_for(&instance).expect("indexed BKP");
-        let slow = algo
-            .start_for(&instance)
-            .expect("scan BKP")
-            .with_indexed_events(false);
-        assert_runs_equivalent(&instance, fast, slow, "indexed BKP", 1e-9);
-    }
-    for seed in 0..2u64 {
-        let instance = bursty_profitable(6100 + seed, 1, 3.0, 12, 3);
-        let fast = algo.start_for(&instance).expect("indexed BKP");
-        let slow = algo
-            .start_for(&instance)
-            .expect("scan BKP")
-            .with_indexed_events(false);
-        assert_runs_equivalent(&instance, fast, slow, "indexed BKP (bursty)", 1e-9);
-    }
-}
-
-#[test]
-fn indexed_bkp_survives_near_zero_works_and_tied_deadlines() {
-    let instance = edge_instance(1, 3.0);
-    let algo = BkpScheduler {
-        resolution: 600,
-        ..Default::default()
-    };
-    let fast = algo.start_for(&instance).expect("indexed BKP");
-    let slow = algo
-        .start_for(&instance)
-        .expect("scan BKP")
-        .with_indexed_events(false);
-    assert_runs_equivalent(&instance, fast, slow, "indexed BKP (edge)", 1e-9);
-}
-
-#[test]
-fn pruned_bkp_grid_equals_unpruned_on_random_and_bursty_workloads() {
-    // The key-pruned speed index (the default) against the full-sweep
-    // index: the pruning bound is exact, so the runs must agree at numeric
-    // accuracy like the other indexed-vs-scan pins.
-    let algo = BkpScheduler {
-        resolution: 800,
-        ..Default::default()
-    };
-    for seed in 0..4u64 {
-        let instance = profitable(6200 + seed, 1, 3.0);
-        let fast = algo.start_for(&instance).expect("pruned BKP");
-        let slow = algo
-            .start_for(&instance)
-            .expect("full BKP")
-            .with_key_pruning(false);
-        assert_runs_equivalent(&instance, fast, slow, "pruned BKP", 1e-9);
-    }
-    for seed in 0..2u64 {
-        let instance = poisson_profitable(6300 + seed, 1, 3.0, 60, 4.0);
-        let fast = algo.start_for(&instance).expect("pruned BKP");
-        let slow = algo
-            .start_for(&instance)
-            .expect("full BKP")
-            .with_key_pruning(false);
-        assert_runs_equivalent(&instance, fast, slow, "pruned BKP (stream)", 1e-9);
-    }
 }
 
 // ---- Burst ingestion: on_arrivals vs the on_arrival loop ----------------
@@ -1222,9 +1104,11 @@ fn mid_burst_snapshots_round_trip_through_on_arrivals() {
 #[test]
 fn superseded_state_versions_are_refused() {
     // Each state version was bumped when the payload's frontier lost its
-    // inline-or-cursor tag byte, so blobs of the two layouts are never
-    // confused.  A live blob re-labelled with the previous version (replan,
-    // AVR and BKP 2; PD 3) must be refused with the typed version error.
+    // inline-or-cursor tag byte, and AVR's and BKP's again when their
+    // fast-path toggles (and AVR's job history) left the payload, so blobs
+    // of different layouts are never confused.  A live blob re-labelled
+    // with a superseded version (replan 2; AVR and BKP 2 and 3; PD 3) must
+    // be refused with the typed version error.
     fn refuse<R: OnlineScheduler + LogCheckpointable>(mut run: R, instance: &Instance, old: u16) {
         for (t, jobs) in as_bursts(instance) {
             run.on_arrivals(&jobs, t).expect("burst");
@@ -1248,18 +1132,20 @@ fn superseded_state_versions_are_refused() {
         &instance,
         2,
     );
-    refuse(
-        AvrScheduler.start_for(&instance).expect("AVR run"),
-        &instance,
-        2,
-    );
-    refuse(
-        BkpScheduler::default()
-            .start_for(&instance)
-            .expect("BKP run"),
-        &instance,
-        2,
-    );
+    for old in [2, 3] {
+        refuse(
+            AvrScheduler.start_for(&instance).expect("AVR run"),
+            &instance,
+            old,
+        );
+        refuse(
+            BkpScheduler::default()
+                .start_for(&instance)
+                .expect("BKP run"),
+            &instance,
+            old,
+        );
+    }
     refuse(
         PdScheduler::default().start_for(&instance).expect("PD run"),
         &instance,

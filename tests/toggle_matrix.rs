@@ -1,19 +1,16 @@
 //! Toggle-matrix differential test: every fast-path toggle combination of
 //! every algorithm, against the batch reference.
 //!
-//! PR 2–4 added per-algorithm fast paths, each with a toggle restoring the
-//! original behaviour: warm-started replans (`with_warm_start`), AVR's
-//! active-set index (`with_active_index`), BKP's resident speed index and
-//! EDF heap (`with_indexed_events`) and its key pruning
-//! (`with_key_pruning`), and the streaming coalescing window
-//! (`w ∈ {0, w > 0}`).  PD keeps no toggle: its persistent planning
-//! context is pinned to the batch reference in both coalescing modes.
-//! The pairwise pins elsewhere cover each toggle in
-//! isolation; this suite sweeps the full *matrix* — every combination of
-//! each algorithm's toggles crossed with the coalescing mode — on random
-//! and adversarial workloads (equal-release bursts, tied deadlines,
-//! near-zero works, the Bansal–Kimbrel–Pruhs staircase), pinning every
-//! path to the independently coded batch reference.
+//! There are two switches: the replanning executor's warm start
+//! (`with_warm_start`, whose off-arm is the from-scratch `Planner::plan`
+//! the batch references run) and the streaming coalescing window
+//! (`w ∈ {0, w > 0}`).  PD, AVR and BKP keep no toggle: each has one
+//! arrival path, pinned to its batch reference in both coalescing modes.
+//! This suite sweeps the full *matrix* — every combination of each
+//! algorithm's toggles crossed with the coalescing mode — on random and
+//! adversarial workloads (equal-release bursts, tied deadlines, near-zero
+//! works, the Bansal–Kimbrel–Pruhs staircase), pinning every path to the
+//! independently coded batch reference.
 //!
 //! The daemon's checkpoint path gets the same treatment: a mid-stream
 //! hand-off, which ships a `(log tail, blob)` pair to a fresh worker, is
@@ -236,21 +233,16 @@ fn pd_toggle_matrix_pins_to_the_batch_reference() {
 fn avr_toggle_matrix_pins_to_the_batch_reference() {
     for (name, instance) in single_machine_workloads(2.0) {
         let reference = AvrScheduler.batch_schedule(&instance).expect("batch AVR");
-        for indexed in [true, false] {
-            for window in [0.0, WINDOW] {
-                let run = AvrScheduler
-                    .start_for(&instance)
-                    .expect("AVR run")
-                    .with_active_index(indexed);
-                let schedule = drive(run, &instance, window);
-                assert_matches_reference(
-                    &instance,
-                    &reference,
-                    &schedule,
-                    &format!("AVR [{name}] indexed={indexed} w={window:e}"),
-                    1e-9,
-                );
-            }
+        for window in [0.0, WINDOW] {
+            let run = AvrScheduler.start_for(&instance).expect("AVR run");
+            let schedule = drive(run, &instance, window);
+            assert_matches_reference(
+                &instance,
+                &reference,
+                &schedule,
+                &format!("AVR [{name}] w={window:e}"),
+                1e-9,
+            );
         }
     }
 }
@@ -315,33 +307,22 @@ fn daemon_handoff_is_bit_identical_to_the_unbroken_run() {
 
 #[test]
 fn bkp_toggle_matrix_pins_to_the_batch_reference() {
-    // BKP has the largest matrix: indexed × pruning × coalescing (pruning
-    // is inert on the non-indexed path but swept anyway — the combination
-    // must still match).
     let algo = BkpScheduler {
         resolution: 500,
         ..Default::default()
     };
     for (name, instance) in single_machine_workloads(3.0) {
         let reference = algo.batch_schedule(&instance).expect("batch BKP");
-        for indexed in [true, false] {
-            for pruning in [true, false] {
-                for window in [0.0, WINDOW] {
-                    let run = algo
-                        .start_for(&instance)
-                        .expect("BKP run")
-                        .with_indexed_events(indexed)
-                        .with_key_pruning(pruning);
-                    let schedule = drive(run, &instance, window);
-                    assert_matches_reference(
-                        &instance,
-                        &reference,
-                        &schedule,
-                        &format!("BKP [{name}] indexed={indexed} pruning={pruning} w={window:e}"),
-                        1e-6,
-                    );
-                }
-            }
+        for window in [0.0, WINDOW] {
+            let run = algo.start_for(&instance).expect("BKP run");
+            let schedule = drive(run, &instance, window);
+            assert_matches_reference(
+                &instance,
+                &reference,
+                &schedule,
+                &format!("BKP [{name}] w={window:e}"),
+                1e-6,
+            );
         }
     }
 }
