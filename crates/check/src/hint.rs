@@ -1,4 +1,6 @@
-//! Spin-loop hint facade.
+//! Spin-loop hint facade: busy-wait loops in the serving layer spin
+//! through here so the model checker sees them as schedule points
+//! (`pss-lint`'s `spin-outside-facade` rule enforces it).
 
 /// Emits a spin-loop hint.
 ///

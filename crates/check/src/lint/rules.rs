@@ -13,6 +13,7 @@
 //! | `float-eq` | no bare `==`/`!=` against float literals outside the tolerance module |
 //! | `toggle-matrix` | every `pub fn with_*(… bool)` toggle is exercised by `tests/toggle_matrix.rs` |
 //! | `crate-attrs` | every crate's `lib.rs` carries its unsafe-code posture attribute |
+//! | `spin-outside-facade` | serving-layer spins and yields go through `pss_check::{thread, hint}` |
 
 use super::source::Source;
 
@@ -346,6 +347,49 @@ pub fn toggle_matrix(toggles: &[(String, String, usize)], matrix_text: &str) -> 
                 *idx,
                 RULE,
                 format!("toggle `{name}` is not exercised by tests/toggle_matrix.rs"),
+            ));
+        }
+    }
+    out
+}
+
+/// The tree `spin-outside-facade` applies to: the serving layer, whose
+/// spin and retry loops the model checker must see as schedule points.
+pub const SPIN_SCOPE: &str = "crates/serve/src/";
+
+/// The spin and yield calls `spin-outside-facade` routes through the
+/// facade, as path suffixes.
+const SPIN_CALLS: &[&str] = &["thread::yield_now", "hint::spin_loop"];
+
+/// `spin-outside-facade`: in the serving layer, forbids
+/// `std::thread::yield_now` and `std::hint::spin_loop` (or a
+/// `thread::`/`hint::` path to them) outside `#[cfg(test)]` code.  Spins
+/// call `pss_check::thread::yield_now` / `pss_check::hint::spin_loop` by
+/// full path: std in normal builds, a schedule point under
+/// `--cfg pss_model_check`, so the checker can run the thread a spinner
+/// waits for.
+pub fn spin_outside_facade(path: &str, src: &Source) -> Vec<Finding> {
+    const RULE: &str = "spin-outside-facade";
+    if !path.starts_with(SPIN_SCOPE) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (idx, line) in src.lines.iter().enumerate() {
+        if src.waived(idx, RULE) {
+            continue;
+        }
+        let direct = SPIN_CALLS.iter().any(|call| {
+            line.match_indices(call)
+                .any(|(at, _)| !line[..at].ends_with("pss_check::"))
+        });
+        if direct {
+            out.push(finding(
+                path,
+                idx,
+                RULE,
+                "serving-layer spins go through pss_check::thread::yield_now or \
+                 pss_check::hint::spin_loop, so the model checker sees a schedule point"
+                    .into(),
             ));
         }
     }

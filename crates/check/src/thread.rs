@@ -1,5 +1,6 @@
 //! Thread-yield facade: spin-retry loops in the serving layer yield
-//! through here so the model checker sees them as schedule points.
+//! through here so the model checker sees them as schedule points
+//! (`pss-lint`'s `spin-outside-facade` rule enforces it).
 
 /// Yields the current thread.
 ///

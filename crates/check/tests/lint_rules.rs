@@ -110,6 +110,28 @@ fn float_eq_fires_on_literal_comparisons() {
 }
 
 #[test]
+fn spin_rule_routes_serving_layer_spins_through_the_facade() {
+    const RULE: &str = "spin-outside-facade";
+    let bad = "fn a() { std::thread::yield_now(); }\n\
+               fn b() { thread::yield_now(); }\n\
+               fn c() { std::hint::spin_loop(); }\n";
+    assert_eq!(rule_hits("crates/serve/src/router.rs", bad, RULE), 3);
+    // The facade spelled by full path is the compliant form.
+    let good = "fn a() { pss_check::thread::yield_now(); pss_check::hint::spin_loop(); }\n";
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", good, RULE), 0);
+    // A line with one facade call and one std call still fires.
+    let mixed = "fn a() { pss_check::thread::yield_now(); std::thread::yield_now(); }\n";
+    assert_eq!(rule_hits("crates/serve/src/chaos.rs", mixed, RULE), 1);
+    // Test modules and code outside the serving layer are out of scope.
+    let test_only = "#[cfg(test)]\nmod tests {\n    fn a() { std::thread::yield_now(); }\n}\n";
+    assert_eq!(rule_hits("crates/serve/src/queue.rs", test_only, RULE), 0);
+    assert_eq!(
+        rule_hits("crates/bench/src/experiments/serve.rs", bad, RULE),
+        0
+    );
+}
+
+#[test]
 fn waiver_comment_suppresses_the_named_rule_only() {
     let waived =
         "// pss-lint: allow(float-eq) — exact sentinel\nfn f(x: f64) -> bool { x == 0.0 }\n";

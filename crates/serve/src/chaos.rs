@@ -489,7 +489,7 @@ where
                 "chaos driver timed out waiting for shard {shard} to park"
             )));
         }
-        std::thread::yield_now();
+        pss_check::thread::yield_now();
     }
     Ok(())
 }
@@ -507,7 +507,7 @@ where
                 "chaos driver timed out waiting for {expected} events on shard {shard}"
             )));
         }
-        std::thread::yield_now();
+        pss_check::thread::yield_now();
     }
     Ok(())
 }
@@ -552,7 +552,7 @@ where
                         "chaos driver timed out waiting for the worker to die".into(),
                     ));
                 }
-                std::thread::yield_now();
+                pss_check::thread::yield_now();
             }
         }
     }

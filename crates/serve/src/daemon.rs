@@ -22,6 +22,23 @@
 //! in feed order, making each shard's fed stream a valid standalone
 //! instance.
 //!
+//! Between batches the worker stays *hot* for a moment: after a round
+//! that fed a batch it polls its queue for up to `HOT_SPIN` (tens of µs)
+//! before it parks for `IDLE_PARK`.  In the paper's online model every job
+//! is decided when it arrives, so a caller typically submits, waits for
+//! the decision and submits the next job a few µs later.  A parked worker
+//! makes each such round trip pay a futex wake in the submitter's
+//! `unpark` and a scheduler wake-up in the worker, which cost more than
+//! PD's own arrival; a polling worker finds the next job in the queue, and
+//! the `unpark` only leaves a token.  Each fed batch buys at most one
+//! window, and a worker whose last round fed nothing parks at once.  The
+//! spin also runs only while the shards leave a CPU for the producers
+//! (`shards < available_parallelism()`, read once at spawn): with as many
+//! shards as CPUs the hot workers and the callers compete for the CPUs,
+//! and a spinning worker can starve the very thread it waits for (see
+//! `HotSpin` for the measurements), so those services keep the park-only
+//! loop.
+//!
 //! # Backpressure
 //!
 //! The duals the scheduler emits (λ_j on acceptance, the lost value v_j on
@@ -44,6 +61,9 @@
 //! Workers act on lifecycle signals (crash injection, hand-off, shutdown)
 //! only at *quiescent batch boundaries* — with no drained-but-unfed
 //! arrivals in hand — so a dying worker never loses work it acknowledged.
+//! A hot spin that sees an arrival returns to that boundary before it
+//! drains, so pauses, crashes and hand-offs land exactly where they did
+//! for a parked worker.
 //! Every fed batch is first appended to a durable in-memory journal, and
 //! the segments the batch *committed* are mirrored into the shard's
 //! append-only [`SegmentLog`] (one checksummed record per batch, under the
@@ -95,8 +115,88 @@ use crate::tenant::{BackpressurePolicy, TenantSpec, TenantState};
 
 /// How long an idle worker parks between queue polls.  Bounded parking
 /// (rather than unbounded park/unpark handshakes) keeps the loop correct
-/// even if an unpark races worker startup.
+/// even if an unpark races worker startup.  A worker that just fed a batch
+/// first polls for [`HOT_SPIN`]; one whose last round fed nothing parks
+/// straight away, so an idle worker still wakes only once per park.
 const IDLE_PARK: Duration = Duration::from_micros(100);
+
+/// How long a worker that just fed a batch polls its queue before it
+/// parks.  A closed-loop caller comes back with its next job within a few
+/// µs of seeing a decision, so the window has to outlast one such round
+/// trip and no more: a few tens of µs, well under [`IDLE_PARK`].  On
+/// serve-pd (one shard, a 2-vCPU x86_64 guest) a 10 µs window gained as
+/// much as 50 µs on four seeds of six and less on the other two; the
+/// longer one leaves slack for a caller descheduled between submissions.
+const HOT_SPIN: Duration = Duration::from_micros(50);
+
+/// The hot hand-off rule: how long the worker polls its queue before it
+/// parks.  It spins only right after a round that fed a batch, and only
+/// while the service's shards leave at least one CPU to the producers;
+/// otherwise the window is zero and the worker parks at once.
+///
+/// Each fed batch buys at most one window: taking it clears the flag.  So
+/// a poll that saw the queue non-empty but whose drain then got nothing (a
+/// producer that claimed its slot and has not yet published it) ends in a
+/// park, not in another spin.
+///
+/// The CPU rule is measured, on a 2-vCPU x86_64 guest with PD, 20 seeds
+/// per shape, spinning forced on against this rule's park: with two
+/// shards, one caller alternating its jobs between them lost 60% of its
+/// throughput, and E17's routed free-running ingest over four shards lost
+/// 23% (neither faster on any seed; over two shards it was a tie); two
+/// callers on two shards doubled in the median but fell to a third of the
+/// parked rate on 4 seeds of 20.  Only a lone caller on one shard of two
+/// gained throughout (2.1x), and the rule gives that up.  With one shard
+/// the rule spins: 1.6–1.8x on the same host.
+#[derive(Debug)]
+struct HotSpin {
+    /// Whether the shards leave a CPU to spare: `shards < cpus`.
+    allowed: bool,
+    /// Whether a batch was fed since the last window was taken.
+    fed: bool,
+}
+
+impl HotSpin {
+    fn new(shards: usize, cpus: usize) -> Self {
+        Self {
+            allowed: shards < cpus,
+            fed: false,
+        }
+    }
+
+    /// Records a fed batch.
+    fn fed(&mut self) {
+        self.fed = true;
+    }
+
+    /// The window to poll for now: [`HOT_SPIN`] once per fed batch,
+    /// otherwise zero.
+    fn take_window(&mut self) -> Duration {
+        if std::mem::take(&mut self.fed) && self.allowed {
+            HOT_SPIN
+        } else {
+            Duration::ZERO
+        }
+    }
+}
+
+/// Polls `queue` for up to `window`: true as soon as it holds an arrival,
+/// false once the window has run out (at once for a zero window).
+fn poll_for_arrival<T>(queue: &ArrivalQueue<T>, window: Duration) -> bool {
+    if window.is_zero() {
+        return false;
+    }
+    let deadline = Instant::now() + window;
+    loop {
+        if !queue.is_empty() {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        pss_check::hint::spin_loop();
+    }
+}
 
 /// Static configuration of a service.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -439,6 +539,11 @@ impl ShardShared {
 #[derive(Debug)]
 struct ServiceShared {
     config: ServeConfig,
+    /// The CPUs available to the process, read once at spawn (1 when the
+    /// count is unknown): the hot hand-off rule's input.  The probe parses
+    /// cgroup files (20–80 µs on a 2-vCPU Linux guest), so workers started
+    /// per shard, hand-off and recovery read this copy instead.
+    cpus: usize,
     shutdown: AtomicBool,
     paused: AtomicBool,
     tenants: Vec<TenantState>,
@@ -675,7 +780,18 @@ fn feed_batch<R: OnlineScheduler>(
         .filter(|j| j.deadline > batch.feed_time)
         .cloned()
         .collect();
-    let mut live_decisions = run.on_arrivals(&live, batch.feed_time)?.into_iter();
+    let live_decisions = run.on_arrivals(&live, batch.feed_time)?;
+    // A run that breaks the one-decision-per-job contract poisons the
+    // shard like any ingestion error, instead of panicking the worker
+    // while it holds the journal lock.
+    if live_decisions.len() != live.len() {
+        return Err(ScheduleError::Internal(format!(
+            "on_arrivals contract violation: {} decisions for a burst of {} jobs",
+            live_decisions.len(),
+            live.len()
+        )));
+    }
+    let mut live_decisions = live_decisions.into_iter();
     let decisions: Vec<Decision> = batch
         .envelopes
         .iter()
@@ -686,7 +802,7 @@ fn feed_batch<R: OnlineScheduler>(
             } else {
                 live_decisions
                     .next()
-                    .expect("one decision per live job in the batch")
+                    .expect("decision count checked against the live jobs")
             }
         })
         .collect();
@@ -790,14 +906,19 @@ fn spawn_worker<R>(
     shared: Arc<ServiceShared>,
     shard: Arc<ShardShared>,
     seed: WorkerSeed<R>,
-) -> JoinHandle<()>
+) -> Result<JoinHandle<()>, ScheduleError>
 where
     R: OnlineScheduler + LogCheckpointable + Send + 'static,
 {
+    let index = shard.shard;
     std::thread::Builder::new()
-        .name(format!("pss-serve-{}", shard.shard))
+        .name(format!("pss-serve-{index}"))
         .spawn(move || worker_loop(shared, shard, seed))
-        .expect("failed to spawn shard worker thread")
+        .map_err(|e| {
+            ScheduleError::Internal(format!(
+                "failed to spawn shard {index}'s worker thread: {e}"
+            ))
+        })
 }
 
 fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
@@ -814,6 +935,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
     let mut pending: VecDeque<JobEnvelope> = VecDeque::new();
     let mut drain_buf: Vec<JobEnvelope> = Vec::new();
     let mut drain_from: Option<Instant> = None;
+    let mut hot = HotSpin::new(config.shards, shared.cpus);
     loop {
         if pending.is_empty() {
             // A quiescent batch boundary: no drained-but-unfed arrivals in
@@ -885,6 +1007,13 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
                     }
                     return;
                 }
+                // Hot hand-off: poll for the caller's next job before
+                // parking.  An arrival sends the worker back to the
+                // quiescent boundary above, so every lifecycle signal is
+                // still checked before the drain.
+                if poll_for_arrival(&shard.queue, hot.take_window()) {
+                    continue;
+                }
                 std::thread::park_timeout(IDLE_PARK);
                 continue;
             }
@@ -936,6 +1065,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
                 return;
             }
         }
+        hot.fed();
         if config.checkpoint_every > 0 && cursor.batches_done % config.checkpoint_every == 0 {
             if let Err(e) = capture_checkpoint(&shard, &run, &cursor, &config) {
                 // A failed capture poisons the shard like a feed error:
@@ -989,6 +1119,7 @@ where
         }
         let inner = Arc::new(ServiceShared {
             config,
+            cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
             shutdown: AtomicBool::new(false),
             paused: AtomicBool::new(config.start_paused),
             tenants: tenants.into_iter().map(TenantState::new).collect(),
@@ -996,9 +1127,16 @@ where
                 .map(|s| Arc::new(ShardShared::new(s, config.queue_capacity, config.machines)))
                 .collect(),
         });
-        let mut workers = Vec::with_capacity(config.shards);
-        for shard in &inner.shards {
-            let run = algorithm.start(config.machines, config.alpha)?;
+        // The daemon exists before its first worker, so an error part-way
+        // through drops it, and its `Drop` releases the workers already
+        // started.
+        let mut daemon = Self {
+            algorithm,
+            inner,
+            workers: Vec::with_capacity(config.shards),
+        };
+        for shard in &daemon.inner.shards {
+            let run = daemon.algorithm.start(config.machines, config.alpha)?;
             let cursor = FeedCursor {
                 batches_done: 0,
                 jobs_done: 0,
@@ -1008,26 +1146,16 @@ where
             // An initial checkpoint makes recovery possible from batch 0.
             capture_checkpoint(shard, &run, &cursor, &config)?;
             let seed = WorkerSeed { run, cursor };
-            workers.push(Some(spawn_worker(
-                Arc::clone(&inner),
-                Arc::clone(shard),
-                seed,
-            )));
+            let worker = spawn_worker(Arc::clone(&daemon.inner), Arc::clone(shard), seed)?;
+            daemon.workers.push(Some(worker));
         }
-        let handles = (0..inner.tenants.len())
+        let handles = (0..daemon.inner.tenants.len())
             .map(|i| TenantHandle {
-                inner: Arc::clone(&inner),
+                inner: Arc::clone(&daemon.inner),
                 tenant: TenantId(i as u32),
             })
             .collect();
-        Ok((
-            Self {
-                algorithm,
-                inner,
-                workers,
-            },
-            handles,
-        ))
+        Ok((daemon, handles))
     }
 
     /// The algorithm's display name.
@@ -1254,7 +1382,7 @@ where
         }
         drop(journal);
         let seed = WorkerSeed { run, cursor };
-        self.workers[shard] = Some(spawn_worker(Arc::clone(&self.inner), sh, seed));
+        self.workers[shard] = Some(spawn_worker(Arc::clone(&self.inner), sh, seed)?);
         Ok(RecoveryReport {
             replayed_batches: delta.len(),
             recovery_secs: started.elapsed().as_secs_f64(),
@@ -1535,6 +1663,50 @@ mod tests {
         ] {
             assert!(broken.validate().is_err(), "accepted {broken:?}");
         }
+    }
+
+    #[test]
+    fn hot_spin_runs_only_after_a_fed_round_with_a_cpu_to_spare() {
+        let window_after_a_feed = |shards, cpus| {
+            let mut hot = HotSpin::new(shards, cpus);
+            hot.fed();
+            hot.take_window()
+        };
+        // A worker that has fed nothing parks at once.
+        assert_eq!(HotSpin::new(1, 8).take_window(), Duration::ZERO);
+        // As many shards as CPUs, or more, park at once; an unknown CPU
+        // count reads as one CPU, so it never spins either.
+        assert_eq!(window_after_a_feed(2, 2), Duration::ZERO);
+        assert_eq!(window_after_a_feed(8, 2), Duration::ZERO);
+        assert_eq!(window_after_a_feed(1, 1), Duration::ZERO);
+        // Otherwise the fixed window, well under the idle park.
+        assert_eq!(window_after_a_feed(1, 2), HOT_SPIN);
+        assert_eq!(window_after_a_feed(3, 4), HOT_SPIN);
+        assert!(HOT_SPIN < IDLE_PARK);
+        // Each fed batch buys one window.  A poll that saw an arrival
+        // whose drain then fed nothing (a producer between claiming its
+        // slot and publishing it) is followed by a park, not a spin.
+        let mut hot = HotSpin::new(1, 2);
+        hot.fed();
+        assert_eq!(hot.take_window(), HOT_SPIN);
+        assert_eq!(hot.take_window(), Duration::ZERO);
+        hot.fed();
+        hot.fed();
+        assert_eq!(hot.take_window(), HOT_SPIN);
+        assert_eq!(hot.take_window(), Duration::ZERO);
+    }
+
+    #[test]
+    fn polling_stops_at_an_arrival_or_when_the_window_runs_out() {
+        let queue = ArrivalQueue::with_capacity(4);
+        // A zero window never polls, whatever the queue holds.
+        assert!(!poll_for_arrival(&queue, Duration::ZERO));
+        let started = Instant::now();
+        assert!(!poll_for_arrival(&queue, HOT_SPIN));
+        assert!(started.elapsed() >= HOT_SPIN);
+        queue.push(7u8).unwrap();
+        assert!(poll_for_arrival(&queue, HOT_SPIN));
+        assert!(!poll_for_arrival(&queue, Duration::ZERO));
     }
 
     #[test]

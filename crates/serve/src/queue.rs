@@ -9,6 +9,18 @@
 //! over by bumping its sequence, so the two sides never contend on the same
 //! cacheline protocol and no operation ever blocks.
 //!
+//! The two cursors are cache-padded, as crossbeam's `CachePadded` pads
+//! them on x86_64: each sits alone in a 128-byte-aligned block (two
+//! 64-byte lines, because the spatial prefetcher pulls lines in adjacent
+//! pairs).  The daemon's worker polls [`ArrivalQueue::is_empty`] in a
+//! tight loop for a moment after each batch.  Without the padding both
+//! cursors would share one line, possibly with fields of the enclosing
+//! struct such as the daemon's admission counters, so every producer CAS
+//! and every admission RMW would pull that line away from the polling
+//! worker and back: the poll would slow the very submissions it waits
+//! for.  Padded, a submission that does not push touches no line the
+//! polling worker reads.
+//!
 //! The queue is deliberately *bounded*: a full queue returns the value to
 //! the producer ([`ArrivalQueue::push`] → `Err`), which the daemon surfaces
 //! as the typed, retryable `IngressError::QueueFull` — the first layer of
@@ -73,6 +85,20 @@ pub mod mutation {
     }
 }
 
+/// A value alone in a 128-byte-aligned block, so no other hot field
+/// shares its cache lines (see the module docs).
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    #[inline(always)]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// One slot of the ring: a sequence number and a possibly-initialised value.
 struct Slot<T> {
     sequence: AtomicUsize,
@@ -89,8 +115,8 @@ struct Slot<T> {
 pub struct ArrivalQueue<T> {
     slots: Box<[Slot<T>]>,
     mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
+    enqueue_pos: CachePadded<AtomicUsize>,
+    dequeue_pos: CachePadded<AtomicUsize>,
 }
 
 // SAFETY: the protocol hands each value from exactly one producer to
@@ -113,8 +139,8 @@ impl<T> ArrivalQueue<T> {
         Self {
             slots,
             mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
+            enqueue_pos: CachePadded(AtomicUsize::new(0)),
+            dequeue_pos: CachePadded(AtomicUsize::new(0)),
         }
     }
 
@@ -437,6 +463,20 @@ mod tests {
         assert_eq!(drops.load(Ordering::Relaxed), 1);
         drop(q); // four remaining
         assert_eq!(drops.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn cursors_sit_on_their_own_cache_lines() {
+        let q = ArrivalQueue::<u64>::with_capacity(8);
+        let enqueue = &*q.enqueue_pos as *const AtomicUsize as usize;
+        let dequeue = &*q.dequeue_pos as *const AtomicUsize as usize;
+        assert!(
+            enqueue.abs_diff(dequeue) >= 128,
+            "cursors {} B apart",
+            enqueue.abs_diff(dequeue)
+        );
+        assert_eq!(enqueue % 128, 0);
+        assert_eq!(dequeue % 128, 0);
     }
 
     #[test]

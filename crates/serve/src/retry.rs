@@ -172,7 +172,7 @@ impl RetryPolicy {
                     if delay > 0.0 {
                         std::thread::sleep(Duration::from_secs_f64(delay));
                     } else {
-                        std::thread::yield_now();
+                        pss_check::thread::yield_now();
                     }
                 }
             }

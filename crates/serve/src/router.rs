@@ -427,7 +427,7 @@ where
                     "stream router timed out waiting for shard {s} to park"
                 )));
             }
-            std::thread::yield_now();
+            pss_check::thread::yield_now();
         }
     }
     Ok(())
@@ -446,7 +446,7 @@ where
                 "stream router timed out waiting for {expected} events on shard {shard}"
             )));
         }
-        std::thread::yield_now();
+        pss_check::thread::yield_now();
     }
     Ok(())
 }

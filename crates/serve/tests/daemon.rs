@@ -8,7 +8,10 @@ use std::time::{Duration, Instant};
 use pss_baselines::CllScheduler;
 use pss_core::PdScheduler;
 use pss_serve::{Daemon, ServeConfig, ServiceReport, Submission, TenantSpec};
-use pss_types::{IngressError, JobEnvelope, TenantId};
+use pss_types::{
+    Decision, IngressError, Job, JobEnvelope, LogCheckpointable, OnlineAlgorithm, OnlineScheduler,
+    Schedule, ScheduleError, SegmentLog, SnapshotError, StateBlob, TenantId,
+};
 
 /// A valid envelope for tenant 0 with the given tag and release.
 fn env(tag: u64, release: f64) -> JobEnvelope {
@@ -329,6 +332,86 @@ fn dual_price_backpressure_defers_and_rejects() {
     assert_eq!(report.tenants[1].lost_value, 1.5);
     // The price trace recorded the spike.
     assert!(report.shards[0].price_trace.iter().any(|&p| p >= 8.0));
+}
+
+/// CLL whose `on_arrivals` drops the last decision of every burst: a run
+/// that breaks the one-decision-per-job contract.
+#[derive(Debug, Clone, Copy)]
+struct DropsLastDecision;
+
+struct DropsLastRun(<CllScheduler as OnlineAlgorithm>::Run);
+
+impl OnlineAlgorithm for DropsLastDecision {
+    type Run = DropsLastRun;
+
+    fn algorithm_name(&self) -> String {
+        "CLL dropping its last decision".into()
+    }
+
+    fn start(&self, machines: usize, alpha: f64) -> Result<Self::Run, ScheduleError> {
+        CllScheduler.start(machines, alpha).map(DropsLastRun)
+    }
+}
+
+impl OnlineScheduler for DropsLastRun {
+    fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
+        self.0.on_arrival(job, now)
+    }
+
+    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
+        let mut decisions = self.0.on_arrivals(jobs, now)?;
+        decisions.pop();
+        Ok(decisions)
+    }
+
+    fn frontier(&self) -> &Schedule {
+        self.0.frontier()
+    }
+
+    fn finish(self) -> Result<Schedule, ScheduleError> {
+        self.0.finish()
+    }
+}
+
+impl LogCheckpointable for DropsLastRun {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        self.0.snapshot_live(log)
+    }
+
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
+        LogCheckpointable::restore_with_log(blob, log).map(DropsLastRun)
+    }
+}
+
+#[test]
+fn a_contract_violating_run_poisons_the_shard_instead_of_panicking() {
+    let (daemon, handles) =
+        Daemon::spawn(DropsLastDecision, solo_config(), vec![TenantSpec::new("t")]).unwrap();
+    for tag in 0..3 {
+        assert!(matches!(
+            handles[0].submit(env(tag, tag as f64)),
+            Ok(Submission::Queued { .. })
+        ));
+    }
+    daemon.resume();
+    // An invalid envelope is a probe that never reaches the queue: a
+    // poisoned shard bounces it as shutting down before validating it.
+    let mut probe = env(99, 0.0);
+    probe.work = f64::NAN;
+    wait_for("the shard to be poisoned", || {
+        matches!(handles[0].submit(probe), Err(IngressError::ShuttingDown))
+    });
+    // The journal lock is intact: the worker returned an error, it did not
+    // unwind while holding the lock.
+    assert_eq!(daemon.shard_event_count(0), 0);
+    match daemon.shutdown() {
+        Err(e) => assert!(
+            e.to_string()
+                .contains("on_arrivals contract violation: 0 decisions for a burst of 1 jobs"),
+            "unexpected error: {e}"
+        ),
+        Ok(_) => panic!("a poisoned shard must fail the shutdown"),
+    }
 }
 
 #[test]

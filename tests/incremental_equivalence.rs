@@ -1154,19 +1154,38 @@ fn superseded_state_versions_are_refused() {
 }
 
 /// Differential pin of the ingestion daemon: a single-tenant, single-shard
-/// `pss_serve::Daemon` run — pre-queued while paused so the worker drains
-/// the whole stream as one backlog — is **bit-identical** to
-/// `StreamingSimulation::with_coalescing` on the same instance: same dense
-/// id assignment, same burst splits and feed times, same decisions and
-/// duals (to the bit), same final schedule segments.  This is the daemon's
-/// contract that "the queue is just another coalescing window".
+/// `pss_serve::Daemon` run is **bit-identical** to a `StreamingSimulation`
+/// of the stream it fed: same dense id assignment, same burst splits and
+/// feed times, same decisions and duals (to the bit), same final schedule
+/// segments.  Two feeds are pinned:
+///
+/// * pre-queued while paused, so the worker drains the whole stream as one
+///   backlog and its burst splits are those of
+///   `StreamingSimulation::with_coalescing` on the instance — the daemon's
+///   contract that "the queue is just another coalescing window";
+/// * closed loop, as a serving caller drives it: one submission at a time,
+///   each awaited through the shard watermark, with price-gate rejections
+///   and the default checkpoint cadence.  Every job reaches the worker
+///   alone, across its hot spin and its park between batches, and the fed
+///   stream replays through `StreamingSimulation::default()`.
 #[test]
 fn single_tenant_daemon_equals_streaming_simulation() {
+    use std::time::{Duration, Instant};
+
     use pss_core::types::{JobEnvelope, TenantId};
     use pss_serve::{Daemon, ServeConfig, Submission, TenantSpec};
     use pss_sim::StreamingSimulation;
 
-    fn pin<A>(label: &str, algo: A, instance: &Instance, window: f64)
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Feed {
+        /// The whole stream queued while paused, then drained as one
+        /// backlog.
+        PreQueued,
+        /// One submission at a time, each awaited through the watermark.
+        ClosedLoop,
+    }
+
+    fn pin<A>(label: &str, algo: A, instance: &Instance, window: f64, feed: Feed)
     where
         A: OnlineAlgorithm + Clone,
         A::Run: LogCheckpointable + Send + 'static,
@@ -1174,22 +1193,47 @@ fn single_tenant_daemon_equals_streaming_simulation() {
         // Re-densify ids in arrival order so the daemon's feed-order id
         // assignment coincides with the instance's own ids.
         let inst = instance.restrict(&instance.arrival_order());
-        let config = ServeConfig {
-            machines: inst.machines,
-            alpha: inst.alpha,
-            shards: 1,
-            queue_capacity: inst.len().max(2),
-            coalesce_window: window,
-            // The daemon coalesces over its drained backlog; draining the
-            // whole pre-queued stream in one chunk makes its burst splits
-            // exactly those of `coalesce_arrivals`.
-            max_batch: inst.len().max(1),
-            checkpoint_every: 0,
-            start_paused: true,
-            ..ServeConfig::default()
+        let (config, tenant) = match feed {
+            Feed::PreQueued => (
+                ServeConfig {
+                    machines: inst.machines,
+                    alpha: inst.alpha,
+                    shards: 1,
+                    queue_capacity: inst.len().max(2),
+                    coalesce_window: window,
+                    // The daemon coalesces over its drained backlog;
+                    // draining the whole pre-queued stream in one chunk
+                    // makes its burst splits exactly those of
+                    // `coalesce_arrivals`.
+                    max_batch: inst.len().max(1),
+                    checkpoint_every: 0,
+                    start_paused: true,
+                    ..ServeConfig::default()
+                },
+                TenantSpec::new("solo"),
+            ),
+            Feed::ClosedLoop => {
+                // The watermark marks a job as fed only if no later job
+                // shares its release.
+                assert!(
+                    inst.jobs.windows(2).all(|w| w[0].release < w[1].release),
+                    "{label}: closed-loop releases must strictly increase"
+                );
+                (
+                    ServeConfig {
+                        machines: inst.machines,
+                        alpha: inst.alpha,
+                        coalesce_window: window,
+                        ..ServeConfig::default()
+                    },
+                    TenantSpec::new("solo").rejecting_on_price(),
+                )
+            }
         };
-        let (daemon, handles) =
-            Daemon::spawn(algo.clone(), config, vec![TenantSpec::new("solo")]).expect("spawn");
+        let (daemon, handles) = Daemon::spawn(algo.clone(), config, vec![tenant]).expect("spawn");
+        // The jobs the shard should feed, densely re-numbered in
+        // submission order.
+        let mut queued: Vec<Job> = Vec::new();
         for job in &inst.jobs {
             let envelope = JobEnvelope::new(
                 TenantId(0),
@@ -1201,22 +1245,46 @@ fn single_tenant_daemon_equals_streaming_simulation() {
             );
             match handles[0].submit(envelope) {
                 Ok(Submission::Queued { .. }) => {}
-                other => panic!("{label}: pre-queued submission failed: {other:?}"),
+                Ok(Submission::RejectedByPrice { .. }) if feed == Feed::ClosedLoop => continue,
+                other => panic!("{label}: submission failed: {other:?}"),
+            }
+            queued.push(Job {
+                id: JobId(queued.len()),
+                ..*job
+            });
+            if feed == Feed::ClosedLoop {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while handles[0].watermark() < job.release {
+                    assert!(Instant::now() < deadline, "{label}: {:?} never fed", job.id);
+                    std::hint::spin_loop();
+                }
             }
         }
         daemon.resume();
         let served = daemon.shutdown().expect("daemon run");
-        let offline = StreamingSimulation::with_coalescing(window)
-            .run(&algo, &inst)
-            .expect("offline replay");
-
         let shard = &served.shards[0];
+        // The shard fed exactly the queued jobs, in submission order.
+        let fed = shard.instance(inst.machines, inst.alpha).expect("rebuild");
+        assert_eq!(fed.jobs, queued, "{label}: fed stream");
+        let simulation = match feed {
+            Feed::PreQueued => StreamingSimulation::with_coalescing(window),
+            Feed::ClosedLoop => StreamingSimulation::default(),
+        };
+        let offline = simulation.run(&algo, &fed).expect("offline replay");
+
         assert_eq!(
             shard.events.len(),
             offline.events.len(),
             "{label}: event counts"
         );
         assert_eq!(shard.batches, offline.batches, "{label}: batch counts");
+        if feed == Feed::ClosedLoop {
+            assert_eq!(shard.batches, fed.len(), "{label}: one batch per fed job");
+            assert!(
+                shard.checkpoints > 1,
+                "{label}: no checkpoint past the initial one"
+            );
+        }
         for (daemon_ev, sim_ev) in shard.events.iter().zip(&offline.events) {
             assert_eq!(daemon_ev.job, sim_ev.job, "{label}: id assignment");
             assert_eq!(
@@ -1235,18 +1303,55 @@ fn single_tenant_daemon_equals_streaming_simulation() {
             shard.schedule.segments, offline.schedule.segments,
             "{label}: schedule segments"
         );
-        // The shard's fed stream reassembles into the very instance.
-        let rebuilt = shard.instance(inst.machines, inst.alpha).expect("rebuild");
-        assert_eq!(rebuilt.jobs, inst.jobs, "{label}: fed stream");
     }
 
     let poisson = poisson_profitable(9100, 1, 2.0, 40, 3.0);
     let bursty = common::bursty_poisson_profitable(9101, 1, 2.0, 48, 4, 2.0, 1e-4);
-    pin("CLL window=0", CllScheduler, &poisson, 0.0);
-    pin("CLL window=1e-3", CllScheduler, &bursty, 1e-3);
-    pin("PD window=0", PdScheduler::coarse(), &poisson, 0.0);
-    pin("PD window=1e-3", PdScheduler::coarse(), &bursty, 1e-3);
+    pin("CLL window=0", CllScheduler, &poisson, 0.0, Feed::PreQueued);
+    pin(
+        "CLL window=1e-3",
+        CllScheduler,
+        &bursty,
+        1e-3,
+        Feed::PreQueued,
+    );
+    pin(
+        "PD window=0",
+        PdScheduler::coarse(),
+        &poisson,
+        0.0,
+        Feed::PreQueued,
+    );
+    pin(
+        "PD window=1e-3",
+        PdScheduler::coarse(),
+        &bursty,
+        1e-3,
+        Feed::PreQueued,
+    );
     // Multiprocessor PD through the daemon.
     let multi = profitable(9102, 3, 2.5);
-    pin("PD m=3", PdScheduler::coarse(), &multi, 1e-3);
+    pin(
+        "PD m=3",
+        PdScheduler::coarse(),
+        &multi,
+        1e-3,
+        Feed::PreQueued,
+    );
+    // Closed loop over enough fed jobs to cross a checkpoint.
+    let long = poisson_profitable(9103, 1, 2.0, 400, 3.0);
+    pin(
+        "CLL closed loop",
+        CllScheduler,
+        &long,
+        0.0,
+        Feed::ClosedLoop,
+    );
+    pin(
+        "PD closed loop",
+        PdScheduler::coarse(),
+        &long,
+        0.0,
+        Feed::ClosedLoop,
+    );
 }
