@@ -14,6 +14,7 @@
 //! | `toggle-matrix` | every `pub fn with_*(… bool)` toggle is exercised by `tests/toggle_matrix.rs` |
 //! | `crate-attrs` | every crate's `lib.rs` carries its unsafe-code posture attribute |
 //! | `spin-outside-facade` | serving-layer spins and yields go through `pss_check::{thread, hint}` |
+//! | `feed-outside-core` | the simulator and the serving layer feed runs only through `pss_sim::ShardCore` |
 
 use super::source::Source;
 
@@ -390,6 +391,38 @@ pub fn spin_outside_facade(path: &str, src: &Source) -> Vec<Finding> {
                 "serving-layer spins go through pss_check::thread::yield_now or \
                  pss_check::hint::spin_loop, so the model checker sees a schedule point"
                     .into(),
+            ));
+        }
+    }
+    out
+}
+
+/// The trees `feed-outside-core` applies to: the drivers of online runs.
+pub const FEED_SCOPE: &[&str] = &["crates/sim/src/", "crates/serve/src/"];
+
+/// The one file in [`FEED_SCOPE`] allowed to call a run's arrival methods.
+pub const FEED_CORE: &str = "crates/sim/src/feed.rs";
+
+/// `feed-outside-core`: in the simulator and the serving layer, forbids
+/// `.on_arrival(` and `.on_arrivals(` calls outside `#[cfg(test)]` code
+/// and the feed core.  Every driver feeds through `pss_sim::ShardCore`,
+/// which applies the model's arrival rules (release floor, expiry, one
+/// decision per job, the price fold) in one place, so the daemon and the
+/// simulator cannot drift apart.
+pub fn feed_outside_core(path: &str, src: &Source) -> Vec<Finding> {
+    const RULE: &str = "feed-outside-core";
+    if path == FEED_CORE || !FEED_SCOPE.iter().any(|scope| path.starts_with(scope)) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (idx, line) in src.lines.iter().enumerate() {
+        let feeds = line.contains(".on_arrival(") || line.contains(".on_arrivals(");
+        if feeds && !src.waived(idx, RULE) {
+            out.push(finding(
+                path,
+                idx,
+                RULE,
+                "feed runs through pss_sim::ShardCore::feed, where the arrival rules live".into(),
             ));
         }
     }

@@ -132,6 +132,26 @@ fn spin_rule_routes_serving_layer_spins_through_the_facade() {
 }
 
 #[test]
+fn feed_rule_confines_arrival_calls_to_the_feed_core() {
+    const RULE: &str = "feed-outside-core";
+    let bad = "fn a(r: &mut R, j: &Job) { r.on_arrival(j, 0.0).ok(); }\n\
+               fn b(r: &mut R, js: &[Job]) { r.on_arrivals(js, 0.0).ok(); }\n";
+    assert_eq!(rule_hits("crates/sim/src/sharded.rs", bad, RULE), 2);
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", bad, RULE), 2);
+    // The core itself, test modules, waived lines and other crates are
+    // out of scope.
+    assert_eq!(rule_hits("crates/sim/src/feed.rs", bad, RULE), 0);
+    let test_only = "#[cfg(test)]\nmod tests {\n    fn a(r: &mut R, j: &Job) { r.on_arrival(j, 0.0).ok(); }\n}\n";
+    assert_eq!(rule_hits("crates/sim/src/engine.rs", test_only, RULE), 0);
+    let waived = "// pss-lint: allow(feed-outside-core) — timing the raw call\nfn a(r: &mut R, j: &Job) { r.on_arrival(j, 0.0).ok(); }\n";
+    assert_eq!(rule_hits("crates/sim/src/replay.rs", waived, RULE), 0);
+    assert_eq!(
+        rule_hits("crates/bench/src/experiments/burst.rs", bad, RULE),
+        0
+    );
+}
+
+#[test]
 fn waiver_comment_suppresses_the_named_rule_only() {
     let waived =
         "// pss-lint: allow(float-eq) — exact sentinel\nfn f(x: f64) -> bool { x == 0.0 }\n";

@@ -12,15 +12,19 @@
 //! TenantHandle ──────────────────────────────▶ ArrivalQueue ───┘  (shard 1) ...
 //! ```
 //!
-//! Each shard owns one scheduler run and one worker thread.  The worker
-//! drains its queue in bounded chunks, splits the chunk into *bursts* with
-//! the same maximal-run rule as `pss_sim::coalesce_arrivals` (releases
-//! within `coalesce_window` of the burst's first), and feeds each burst
-//! through one [`OnlineScheduler::on_arrivals`] call — so a b-job burst
-//! costs one replan instead of b, automatically, exactly when load is high
-//! enough for the queue to hold a backlog.  Dense [`JobId`]s are assigned
-//! in feed order, making each shard's fed stream a valid standalone
-//! instance.
+//! Each shard has one worker thread, which owns a [`pss_sim::ShardCore`]
+//! around the shard's scheduler run.  The worker drains its queue in
+//! bounded chunks, splits the chunk into *bursts* with the same
+//! maximal-run rule as `pss_sim::coalesce_arrivals` (releases within
+//! `coalesce_window` of the burst's first), and feeds each burst through
+//! the core, which makes one [`OnlineScheduler::on_arrivals`] call per
+//! burst — so a b-job burst costs one replan instead of b, automatically,
+//! exactly when load is high enough for the queue to hold a backlog.  The
+//! core applies the same arrival rules as the simulator (release floor,
+//! expiry, one decision per job, the price fold), so a shard decides what
+//! `pss_sim::StreamingSimulation` decides on the stream it fed.  Dense
+//! [`JobId`]s are assigned in feed order, making each shard's fed stream a
+//! valid standalone instance.
 //!
 //! Between batches the worker stays *hot* for a moment: after a round
 //! that fed a batch it polls its queue for up to `HOT_SPIN` (tens of µs)
@@ -44,10 +48,8 @@
 //! The duals the scheduler emits (λ_j on acceptance, the lost value v_j on
 //! rejection) are folded into a per-shard rolling EWMA — the *price* —
 //! decision by decision, so a shard drowning in rejections *raises* its
-//! published price instead of freezing it (rejection-only batches used to
-//! be skipped, which starved the signal and made cheapest-price routing
-//! herd — the E17 finding).  A batch with no decisions at all leaves the
-//! price bit-unchanged and never NaN (see `feed_batch`).
+//! published price instead of freezing it (the rule lives in
+//! [`pss_sim::ShardCore::feed`]).
 //! Admission compares the price against `min(tenant price ceiling, job
 //! value)`: a submission whose declared value cannot cover the current
 //! marginal price is deferred (retryable) or rejected at the boundary,
@@ -104,9 +106,10 @@ use std::time::{Duration, Instant};
 // comment.
 use pss_check::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use pss_metrics::DrainSummary;
+use pss_sim::{burst_len, expired_at, FeedState, ShardCore, PRICE_SMOOTHING};
 use pss_types::{
-    fold_price, Decision, IngressError, Job, JobEnvelope, JobId, LogCheckpointable, LogCursor,
-    OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, SegmentLog, StateBlob, TenantId,
+    IngressError, Job, JobEnvelope, JobId, LogCheckpointable, LogCursor, OnlineAlgorithm,
+    OnlineScheduler, Schedule, ScheduleError, SegmentLog, StateBlob, TenantId,
 };
 
 use crate::queue::ArrivalQueue;
@@ -259,7 +262,7 @@ impl Default for ServeConfig {
             checkpoint_every: 64,
             checkpoint_chain: 4,
             max_recovery_attempts: 3,
-            price_smoothing: 0.1,
+            price_smoothing: PRICE_SMOOTHING,
             stale_tolerance: f64::INFINITY,
             start_paused: false,
         }
@@ -379,15 +382,14 @@ struct LoggedBatch {
 }
 
 /// A captured shard state: the run's `StateBlob` wire image plus the
-/// journal cursor it corresponds to.
+/// journal position it corresponds to.
 #[derive(Debug, Clone)]
 struct ShardCheckpoint {
-    batches_done: usize,
-    events_done: usize,
+    /// The core's feed state; its batch count indexes the journal's log.
+    feed: FeedState,
+    /// Jobs (and events: one per job) journalled at capture time.
     jobs_done: usize,
     watermark: f64,
-    price: f64,
-    release_floor: f64,
     /// The segment-log cursor at capture time: recovery truncates the log
     /// here before replay (write-ahead discipline), and an O(active) blob
     /// stores the same cursor in place of its frontier.
@@ -696,133 +698,39 @@ impl TenantHandle {
     }
 }
 
-/// The worker's feed cursor: how far the run has progressed, as journal
-/// coordinates.
-#[derive(Debug, Clone, Copy)]
-struct FeedCursor {
-    batches_done: usize,
-    jobs_done: usize,
-    price: f64,
-    /// The largest release the run has been fed so far.  The online model
-    /// requires nondecreasing releases (PD's partition refinement keys on
-    /// them), but a multi-tenant queue interleaves producers' releases out
-    /// of order — late live jobs are fed with their release clamped up to
-    /// this floor (never past the feed time, so their windows stay open).
-    release_floor: f64,
-}
-
-/// A worker's starting state: a run plus the cursor it is at.
-struct WorkerSeed<R> {
-    run: R,
-    cursor: FeedCursor,
-}
-
-/// Splits one coalesced burst off the front of `pending`: the maximal run
-/// of consecutive envelopes whose releases lie within `window` of the
-/// first's — the same rule as `pss_sim::coalesce_arrivals`, applied to the
-/// drained stream.  `window == 0` yields singletons.
+/// Splits one coalesced burst off the front of `pending` by the rule of
+/// `pss_sim::coalesce_arrivals` ([`burst_len`]), applied to the drained
+/// stream.  `window == 0` yields singletons.
 fn split_burst(pending: &mut VecDeque<JobEnvelope>, window: f64) -> Vec<JobEnvelope> {
-    let head = pending.pop_front().expect("split_burst on empty pending");
-    let first = head.release;
-    let mut burst = vec![head];
-    if window > 0.0 {
-        while pending.front().is_some_and(|e| e.release <= first + window) {
-            burst.push(pending.pop_front().unwrap());
-        }
-    }
-    burst
+    let len = burst_len(pending.iter().map(|e| e.release), window);
+    pending.drain(..len).collect()
 }
 
-/// Feeds one journalled batch into the run and records its outcomes:
-/// per-decision events, the EWMA price update, the price trace and the
-/// published watermark.  Shared verbatim by the live worker path and the
-/// recovery replay, which is what makes replay bit-identical.
+/// Feeds one journalled batch through the shard's core and records its
+/// outcomes: the jobs as fed, one event per job, the price trace, the
+/// segment log and the published price and watermark.  Shared verbatim by
+/// the live worker path and the recovery replay, which is what makes
+/// replay bit-identical.
 ///
-/// A job whose deadline the batch's feed time has already overtaken
-/// (admitted in time, then *expired in the queue* while the watermark ran
-/// ahead) is never shown to the scheduler — the model forbids arrivals
-/// past the deadline, and the algorithms treat them as contract
-/// violations.  The service synthesises the rejection the model implies
-/// (`Decision::reject(value)`, marked [`ServedEvent::expired`]) so the
-/// boundary stays total and the run is never poisoned.  The guard depends
-/// only on the journalled envelopes and feed time, so replay reproduces
-/// it bit-for-bit.
+/// A job that *expired in the queue* (admitted in time, then overtaken by
+/// the watermark) is rejected by the core at its value without reaching
+/// the run, and its event is marked [`ServedEvent::expired`]; the run is
+/// never poisoned by it.
 fn feed_batch<R: OnlineScheduler>(
-    run: &mut R,
+    core: &mut ShardCore<R>,
     shard: &ShardShared,
     journal: &mut ShardJournal,
-    cursor: &mut FeedCursor,
-    smoothing: f64,
     batch: &LoggedBatch,
 ) -> Result<(), ScheduleError> {
-    let base = cursor.jobs_done;
-    let jobs: Vec<Job> = batch
-        .envelopes
-        .iter()
-        .enumerate()
-        .map(|(k, e)| {
-            let mut job = e.job(JobId(base + k));
-            if job.deadline > batch.feed_time {
-                // Live job: clamp a late release up to the run's release
-                // floor — the online model requires nondecreasing releases,
-                // and a multi-tenant queue interleaves them out of order.
-                // The floor never exceeds the feed time, so the clamped
-                // window stays open; expired jobs (never fed) keep their
-                // original release for the record.
-                job.release = job.release.max(cursor.release_floor);
-                cursor.release_floor = job.release;
-            }
-            job
-        })
-        .collect();
-    let live: Vec<Job> = jobs
-        .iter()
-        .filter(|j| j.deadline > batch.feed_time)
-        .cloned()
-        .collect();
-    let live_decisions = run.on_arrivals(&live, batch.feed_time)?;
-    // A run that breaks the one-decision-per-job contract poisons the
-    // shard like any ingestion error, instead of panicking the worker
-    // while it holds the journal lock.
-    if live_decisions.len() != live.len() {
-        return Err(ScheduleError::Internal(format!(
-            "on_arrivals contract violation: {} decisions for a burst of {} jobs",
-            live_decisions.len(),
-            live.len()
-        )));
-    }
-    let mut live_decisions = live_decisions.into_iter();
-    let decisions: Vec<Decision> = batch
-        .envelopes
-        .iter()
-        .zip(&jobs)
-        .map(|(envelope, job)| {
-            if job.deadline <= batch.feed_time {
-                Decision::reject(envelope.value)
-            } else {
-                live_decisions
-                    .next()
-                    .expect("decision count checked against the live jobs")
-            }
-        })
-        .collect();
-    // Every decision is a pricing event, folded through the shared
-    // `fold_price` rule (same code path as the sharded simulator, so
-    // replay, recovery and the drift oracle agree to the bit):
-    // acceptances fold their marginal price λ_j symmetrically, while
-    // rejections only ratchet the price *up* toward the lost value v_j —
-    // a shard drowning in hopeless jobs raises its published price
-    // instead of freezing it (rejection-only batches used to be skipped
-    // entirely; a congested shard's price then never moved and
-    // cheapest-price routing kept herding onto it — the E17 starvation
-    // finding), yet a flood of below-price rejections cannot drag the
-    // price down and turn the congested shard into the argmin.  A batch
-    // with no decisions at all still leaves the price bit-unchanged and
-    // never NaN: admission-level bounces (the ceiling-0 flood) produce
-    // no decisions and must not perturb the signal.
-    for ((envelope, job), decision) in batch.envelopes.iter().zip(&jobs).zip(&decisions) {
-        let expired = job.deadline <= batch.feed_time;
-        cursor.price = fold_price(cursor.price, smoothing, decision);
+    let base = journal.jobs.len();
+    let index = core.state().batches;
+    let envelopes = batch.envelopes.iter().enumerate();
+    journal
+        .jobs
+        .extend(envelopes.map(|(k, e)| e.job(JobId(base + k))));
+    core.feed(&mut journal.jobs[base..], batch.feed_time)?;
+    let fed = batch.envelopes.iter().zip(&journal.jobs[base..]);
+    for ((envelope, job), decision) in fed.zip(core.decisions()) {
         journal.events.push(ServedEvent {
             shard: shard.shard,
             tenant: envelope.tenant,
@@ -830,21 +738,19 @@ fn feed_batch<R: OnlineScheduler>(
             job: job.id,
             release: envelope.release,
             feed_time: batch.feed_time,
-            batch: cursor.batches_done,
+            batch: index,
             accepted: decision.accepted,
-            expired,
+            expired: expired_at(job, batch.feed_time),
             dual: decision.dual,
         });
     }
-    cursor.jobs_done += jobs.len();
-    cursor.batches_done += 1;
-    journal.jobs.extend(jobs);
-    journal.price_trace.push(cursor.price);
+    journal.price_trace.push(core.price());
     // The run's frontier just grew by this batch's committed segments;
     // mirror the delta into the shard's append-only segment log (one
     // checksummed record per batch).  Recovery replays through this same
     // path, so a restored shard rebuilds the identical log.
-    journal.seglog.sync_from(run.frontier()).map_err(|e| {
+    let frontier = core.run().frontier();
+    journal.seglog.sync_from(frontier).map_err(|e| {
         ScheduleError::Internal(format!(
             "segment log rejected the batch's frontier delta: {e}"
         ))
@@ -855,7 +761,7 @@ fn feed_batch<R: OnlineScheduler>(
     // tenant pacing on the watermark never sees a price older than it.
     shard
         .price_bits
-        .store(cursor.price.to_bits(), Ordering::Release);
+        .store(core.price().to_bits(), Ordering::Release);
     shard
         .watermark_bits
         .store(batch.feed_time.to_bits(), Ordering::Release);
@@ -871,28 +777,25 @@ fn feed_batch<R: OnlineScheduler>(
 /// log (`snapshot_live`) — O(active) bytes per capture — and the log's
 /// record envelopes are compacted below the fresh cursor (segment data is
 /// never dropped, so the older retained blobs still reassemble).
-fn capture_checkpoint<R: LogCheckpointable>(
+fn capture_checkpoint<R: OnlineScheduler + LogCheckpointable>(
     shard: &ShardShared,
-    run: &R,
-    cursor: &FeedCursor,
+    core: &ShardCore<R>,
     config: &ServeConfig,
 ) -> Result<(), ScheduleError> {
     let mut journal = shard.journal.lock().unwrap();
-    let wire = run
+    let wire = core
+        .run()
         .snapshot_live(&mut journal.seglog)
         .map_err(|e| ScheduleError::Internal(format!("checkpoint capture failed: {e}")))?
         .to_bytes();
     let log_cursor = journal.seglog.cursor();
     journal.seglog.compact(log_cursor);
-    let events_done = journal.events.len();
+    let jobs_done = journal.jobs.len();
     journal.checkpoints_taken += 1;
     journal.checkpoints.push_back(ShardCheckpoint {
-        batches_done: cursor.batches_done,
-        events_done,
-        jobs_done: cursor.jobs_done,
+        feed: core.state(),
+        jobs_done,
         watermark: shard.watermark(),
-        price: cursor.price,
-        release_floor: cursor.release_floor,
         cursor: log_cursor,
         wire,
     });
@@ -905,7 +808,7 @@ fn capture_checkpoint<R: LogCheckpointable>(
 fn spawn_worker<R>(
     shared: Arc<ServiceShared>,
     shard: Arc<ShardShared>,
-    seed: WorkerSeed<R>,
+    core: ShardCore<R>,
 ) -> Result<JoinHandle<()>, ScheduleError>
 where
     R: OnlineScheduler + LogCheckpointable + Send + 'static,
@@ -913,7 +816,7 @@ where
     let index = shard.shard;
     std::thread::Builder::new()
         .name(format!("pss-serve-{index}"))
-        .spawn(move || worker_loop(shared, shard, seed))
+        .spawn(move || worker_loop(shared, shard, core))
         .map_err(|e| {
             ScheduleError::Internal(format!(
                 "failed to spawn shard {index}'s worker thread: {e}"
@@ -924,14 +827,10 @@ where
 fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
     shared: Arc<ServiceShared>,
     shard: Arc<ShardShared>,
-    seed: WorkerSeed<R>,
+    mut core: ShardCore<R>,
 ) {
     *shard.worker.lock().unwrap() = Some(std::thread::current());
     let config = shared.config;
-    let WorkerSeed {
-        mut run,
-        mut cursor,
-    } = seed;
     let mut pending: VecDeque<JobEnvelope> = VecDeque::new();
     let mut drain_buf: Vec<JobEnvelope> = Vec::new();
     let mut drain_from: Option<Instant> = None;
@@ -941,7 +840,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
             // A quiescent batch boundary: no drained-but-unfed arrivals in
             // hand.  Lifecycle signals are honoured only here, so a dying
             // worker never loses acknowledged work.
-            if cursor.batches_done >= shard.crash_at.load(Ordering::Acquire) {
+            if core.state().batches >= shard.crash_at.load(Ordering::Acquire) {
                 // Injected crash: die *without* checkpointing; the run's
                 // in-memory state is lost with this thread.
                 shard.journal.lock().unwrap().crashed = true;
@@ -951,7 +850,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
             // ordered for a later requester; acquire pairs with the
             // control plane's `Release` store so its writes are visible).
             if shard.handoff.swap(false, Ordering::AcqRel) {
-                if let Err(e) = capture_checkpoint(&shard, &run, &cursor, &config) {
+                if let Err(e) = capture_checkpoint(&shard, &core, &config) {
                     let mut journal = shard.journal.lock().unwrap();
                     journal.failed = Some(e);
                     shard.failed.store(true, Ordering::Release);
@@ -998,7 +897,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
                     && shard.queue.is_empty()
                 {
                     let started = drain_from.unwrap_or_else(Instant::now);
-                    let result = run.finish();
+                    let result = core.finish();
                     let mut journal = shard.journal.lock().unwrap();
                     journal.drain_secs = started.elapsed().as_secs_f64();
                     match result {
@@ -1041,7 +940,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
             // but the feed "fails" — the run is poisoned exactly as a real
             // ingestion error would, and recovery replays the logged batch
             // (successfully) for a bit-identical merged outcome.
-            if cursor.batches_done >= shard.fail_feed_at.load(Ordering::Acquire) {
+            if core.state().batches >= shard.fail_feed_at.load(Ordering::Acquire) {
                 shard.fail_feed_at.store(usize::MAX, Ordering::Release);
                 journal.failed = Some(ScheduleError::Internal(
                     "injected transient feed fault".into(),
@@ -1049,14 +948,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
                 shard.failed.store(true, Ordering::Release);
                 return;
             }
-            if let Err(e) = feed_batch(
-                &mut run,
-                &shard,
-                &mut journal,
-                &mut cursor,
-                config.price_smoothing,
-                &batch,
-            ) {
+            if let Err(e) = feed_batch(&mut core, &shard, &mut journal, &batch) {
                 // An ingestion error poisons the run; surface it at
                 // shutdown instead of panicking the worker, and stop
                 // admitting so producers don't spin on a dead queue.
@@ -1066,8 +958,10 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
             }
         }
         hot.fed();
-        if config.checkpoint_every > 0 && cursor.batches_done % config.checkpoint_every == 0 {
-            if let Err(e) = capture_checkpoint(&shard, &run, &cursor, &config) {
+        if config.checkpoint_every > 0
+            && core.state().batches.is_multiple_of(config.checkpoint_every)
+        {
+            if let Err(e) = capture_checkpoint(&shard, &core, &config) {
                 // A failed capture poisons the shard like a feed error:
                 // surface it at shutdown, stop admitting, let the
                 // watchdog recover from the journal.
@@ -1137,16 +1031,10 @@ where
         };
         for shard in &daemon.inner.shards {
             let run = daemon.algorithm.start(config.machines, config.alpha)?;
-            let cursor = FeedCursor {
-                batches_done: 0,
-                jobs_done: 0,
-                price: 0.0,
-                release_floor: f64::NEG_INFINITY,
-            };
+            let core = ShardCore::new(run, config.price_smoothing);
             // An initial checkpoint makes recovery possible from batch 0.
-            capture_checkpoint(shard, &run, &cursor, &config)?;
-            let seed = WorkerSeed { run, cursor };
-            let worker = spawn_worker(Arc::clone(&daemon.inner), Arc::clone(shard), seed)?;
+            capture_checkpoint(shard, &core, &config)?;
+            let worker = spawn_worker(Arc::clone(&daemon.inner), Arc::clone(shard), core)?;
             daemon.workers.push(Some(worker));
         }
         let handles = (0..daemon.inner.tenants.len())
@@ -1317,72 +1205,49 @@ where
             }
         }
         let cold_restart = restored.is_none();
-        let (mut run, mut cursor) = match restored {
-            Some((run, ckpt)) => {
-                journal.events.truncate(ckpt.events_done);
-                journal.jobs.truncate(ckpt.jobs_done);
-                journal.price_trace.truncate(ckpt.batches_done);
-                // Write-ahead discipline: drop log segments at or beyond
-                // the restored blob's cursor *before* replay — replay
-                // re-commits them through the run itself (`feed_batch`
-                // re-syncs the log), so skipping the truncation would
-                // duplicate them.
-                journal.seglog.truncate(ckpt.cursor).map_err(|e| {
-                    ScheduleError::Internal(format!("segment log rewind failed: {e}"))
-                })?;
-                sh.price_bits.store(ckpt.price.to_bits(), Ordering::Release);
-                sh.watermark_bits
-                    .store(ckpt.watermark.to_bits(), Ordering::Release);
-                let cursor = FeedCursor {
-                    batches_done: ckpt.batches_done,
-                    jobs_done: ckpt.jobs_done,
-                    price: ckpt.price,
-                    release_floor: ckpt.release_floor,
-                };
-                (run, cursor)
-            }
+        // With the whole chain corrupt, restore at position zero: a fresh
+        // run, and the full journal replays.
+        let (run, ckpt) = match restored {
+            Some(restored) => restored,
             None => {
-                let run = self
-                    .algorithm
-                    .start(self.inner.config.machines, self.inner.config.alpha)?;
-                journal.events.clear();
-                journal.jobs.clear();
-                journal.price_trace.clear();
-                // The full journal replays from scratch, so the log
-                // restarts empty and is rebuilt batch by batch.
-                journal.seglog = SegmentLog::new(self.inner.config.machines);
-                sh.price_bits.store(0.0_f64.to_bits(), Ordering::Release);
-                sh.watermark_bits
-                    .store(f64::NEG_INFINITY.to_bits(), Ordering::Release);
-                let cursor = FeedCursor {
-                    batches_done: 0,
+                let config = self.inner.config;
+                let origin = ShardCheckpoint {
+                    feed: FeedState::START,
                     jobs_done: 0,
-                    price: 0.0,
-                    release_floor: f64::NEG_INFINITY,
+                    watermark: f64::NEG_INFINITY,
+                    cursor: LogCursor(0),
+                    wire: Vec::new(),
                 };
-                (run, cursor)
+                (self.algorithm.start(config.machines, config.alpha)?, origin)
             }
         };
+        journal.events.truncate(ckpt.jobs_done);
+        journal.jobs.truncate(ckpt.jobs_done);
+        journal.price_trace.truncate(ckpt.feed.batches);
+        // Write-ahead discipline: drop log segments at or beyond the
+        // restored blob's cursor *before* replay — replay re-commits them
+        // through the run itself (`feed_batch` re-syncs the log), so
+        // skipping the truncation would duplicate them.
+        journal
+            .seglog
+            .truncate(ckpt.cursor)
+            .map_err(|e| ScheduleError::Internal(format!("segment log rewind failed: {e}")))?;
+        sh.price_bits
+            .store(ckpt.feed.price.to_bits(), Ordering::Release);
+        sh.watermark_bits
+            .store(ckpt.watermark.to_bits(), Ordering::Release);
         journal.crashed = false;
         journal.failed = None;
         sh.failed.store(false, Ordering::Release);
-        let delta: Vec<LoggedBatch> = journal.log[cursor.batches_done..].to_vec();
+        let mut core = ShardCore::resume(run, self.inner.config.price_smoothing, ckpt.feed);
+        let delta: Vec<LoggedBatch> = journal.log[ckpt.feed.batches..].to_vec();
         for batch in &delta {
-            feed_batch(
-                &mut run,
-                &sh,
-                &mut journal,
-                &mut cursor,
-                self.inner.config.price_smoothing,
-                batch,
-            )
-            .map_err(|e| {
+            feed_batch(&mut core, &sh, &mut journal, batch).map_err(|e| {
                 ScheduleError::Internal(format!("journal replay rejected a logged batch: {e}"))
             })?;
         }
         drop(journal);
-        let seed = WorkerSeed { run, cursor };
-        self.workers[shard] = Some(spawn_worker(Arc::clone(&self.inner), sh, seed)?);
+        self.workers[shard] = Some(spawn_worker(Arc::clone(&self.inner), sh, core)?);
         Ok(RecoveryReport {
             replayed_batches: delta.len(),
             recovery_secs: started.elapsed().as_secs_f64(),

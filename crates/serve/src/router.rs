@@ -38,7 +38,7 @@
 
 use std::time::{Duration, Instant};
 
-use pss_sim::RoutePolicy;
+use pss_sim::{RoutePolicy, PRICE_SMOOTHING};
 use pss_types::{merge_frontiers, Instance, JobId, Schedule, ScheduleError, ShardPiece};
 use pss_types::{LogCheckpointable, OnlineAlgorithm};
 use pss_workloads::{arrival_envelopes, SmallRng};
@@ -84,7 +84,7 @@ impl Default for StreamRouter {
             alpha: 2.0,
             wave_size: 8,
             queue_capacity: 1024,
-            price_smoothing: 0.1,
+            price_smoothing: PRICE_SMOOTHING,
         }
     }
 }

@@ -36,6 +36,7 @@ use pss_types::{Instance, OnlineAlgorithm, OnlineScheduler, ScheduleError};
 use crate::engine::{
     coalesce_arrivals, finish_stream, ingest_batch, StreamReport, StreamingSimulation,
 };
+use crate::feed::{FeedState, ShardCore, PRICE_SMOOTHING};
 
 /// One captured checkpoint of a streaming run: the blob holds only live
 /// state, and `cursor` records where in the run's [`SegmentLog`] its
@@ -83,24 +84,23 @@ impl RecoveryStats {
     }
 }
 
-/// Snapshots a run's live state into `log`, timing the capture.  The log is
-/// synced with the frontier by `snapshot_live`, then compacted to the new
-/// checkpoint's cursor — the newest retained blob — so record envelopes
-/// stay bounded by the retained chain.
-fn capture<R: LogCheckpointable>(
-    run: &R,
+/// Snapshots a core's live run state into `log`, timing the capture.  The
+/// log is synced with the frontier by `snapshot_live`, then compacted to
+/// the new checkpoint's cursor — the newest retained blob — so record
+/// envelopes stay bounded by the retained chain.
+fn capture<R: OnlineScheduler + LogCheckpointable>(
+    core: &ShardCore<R>,
     log: &mut SegmentLog,
-    batches_done: usize,
     events_done: usize,
     time: f64,
 ) -> Result<CheckpointRecord, ScheduleError> {
     let started = Instant::now();
-    let blob = run.snapshot_live(log)?;
+    let blob = core.run().snapshot_live(log)?;
     let capture_secs = started.elapsed().as_secs_f64();
     let cursor = log.cursor();
     log.compact(cursor);
     Ok(CheckpointRecord {
-        batches_done,
+        batches_done: core.state().batches,
         events_done,
         time,
         capture_secs,
@@ -136,14 +136,14 @@ impl StreamingSimulation {
         let every = every_batches.max(1);
         let retain = retain_chain.max(1);
         let plan = coalesce_arrivals(instance, self.coalesce_window);
-        let mut run = algo.start_for(instance)?;
+        let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
         let mut log = SegmentLog::new(instance.machines);
         let mut events = Vec::with_capacity(instance.len());
         let mut burst_jobs = Vec::new();
-        let mut chain = vec![capture(&run, &mut log, 0, 0, f64::NEG_INFINITY)?];
-        for (i, (feed_time, ids)) in plan.iter().enumerate() {
+        let mut chain = vec![capture(&core, &mut log, 0, f64::NEG_INFINITY)?];
+        for (feed_time, ids) in &plan {
             ingest_batch(
-                &mut run,
+                &mut core,
                 instance,
                 *feed_time,
                 ids,
@@ -151,15 +151,15 @@ impl StreamingSimulation {
                 &mut events,
             )?;
             // The worker appends realised segments as it commits them.
-            log.sync_from(run.frontier())?;
-            if (i + 1) % every == 0 {
-                chain.push(capture(&run, &mut log, i + 1, events.len(), *feed_time)?);
+            log.sync_from(core.run().frontier())?;
+            if core.state().batches.is_multiple_of(every) {
+                chain.push(capture(&core, &mut log, events.len(), *feed_time)?);
                 if chain.len() > retain {
                     chain.remove(0);
                 }
             }
         }
-        let report = finish_stream(algo.algorithm_name(), run, instance, events, plan.len())?;
+        let report = finish_stream(algo.algorithm_name(), core, instance, events)?;
         Ok((report, chain, log))
     }
 
@@ -197,20 +197,20 @@ impl StreamingSimulation {
         let mut events = Vec::new();
         let mut burst_jobs = Vec::new();
         let checkpoint = {
-            let mut run = algo.start_for(instance)?;
-            let mut last = capture(&run, &mut log, 0, 0, f64::NEG_INFINITY)?;
-            for (i, (feed_time, ids)) in plan.iter().enumerate().take(killed_at_batch) {
+            let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
+            let mut last = capture(&core, &mut log, 0, f64::NEG_INFINITY)?;
+            for (feed_time, ids) in plan.iter().take(killed_at_batch) {
                 ingest_batch(
-                    &mut run,
+                    &mut core,
                     instance,
                     *feed_time,
                     ids,
                     &mut burst_jobs,
                     &mut events,
                 )?;
-                log.sync_from(run.frontier())?;
-                if (i + 1) % every == 0 {
-                    last = capture(&run, &mut log, i + 1, events.len(), *feed_time)?;
+                log.sync_from(core.run().frontier())?;
+                if core.state().batches.is_multiple_of(every) {
+                    last = capture(&core, &mut log, events.len(), *feed_time)?;
                 }
             }
             last
@@ -223,23 +223,29 @@ impl StreamingSimulation {
         let started = Instant::now();
         let blob = StateBlob::from_bytes(&wire)?;
         log.truncate(checkpoint.cursor)?;
-        let mut run = <A::Run as LogCheckpointable>::restore_with_log(&blob, &log)?;
+        let run = <A::Run as LogCheckpointable>::restore_with_log(&blob, &log)?;
         let restore_secs = started.elapsed().as_secs_f64();
 
-        // Everything the dead worker did after the checkpoint is lost.
+        // Everything the dead worker did after the checkpoint is lost.  With
+        // no price reported and releases in order, the batch count suffices.
         events.truncate(checkpoint.events_done);
         let replay_from = checkpoint.batches_done;
+        let resume_at = FeedState {
+            batches: replay_from,
+            ..FeedState::START
+        };
+        let mut core = ShardCore::resume(run, PRICE_SMOOTHING, resume_at);
         let started = Instant::now();
         for (feed_time, ids) in plan.get(replay_from..).unwrap_or_default() {
             ingest_batch(
-                &mut run,
+                &mut core,
                 instance,
                 *feed_time,
                 ids,
                 &mut burst_jobs,
                 &mut events,
             )?;
-            log.sync_from(run.frontier())?;
+            log.sync_from(core.run().frontier())?;
         }
         let replay_secs = started.elapsed().as_secs_f64();
         let stats = RecoveryStats {
@@ -250,7 +256,7 @@ impl StreamingSimulation {
             restore_secs,
             replay_secs,
         };
-        let report = finish_stream(algo.algorithm_name(), run, instance, events, plan.len())?;
+        let report = finish_stream(algo.algorithm_name(), core, instance, events)?;
         Ok((report, stats, log))
     }
 }

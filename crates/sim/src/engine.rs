@@ -16,6 +16,8 @@ use pss_types::{
     num, Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, Segment,
 };
 
+use crate::feed::{burst_len, ShardCore, PRICE_SMOOTHING};
+
 /// Per-machine execution statistics.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MachineStats {
@@ -323,10 +325,11 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 
 /// Partitions an instance's arrival stream into coalesced ingestion bursts:
 /// each burst is a maximal run of consecutive arrivals (in arrival order)
-/// whose release times lie within `window` of the burst's **first** release.
-/// Returned as `(feed_time, job ids)` pairs, where `feed_time` is the
-/// burst's *last* (largest) release — feeding the whole burst there keeps
-/// every job's `check_arrival` ingress contract satisfied (`now ≥ release`).
+/// whose release times lie within `window` of the burst's **first** release
+/// ([`burst_len`]).  Returned as `(feed_time, job ids)` pairs, where
+/// `feed_time` is the burst's *last* (largest) release — feeding the whole
+/// burst there keeps every job's `check_arrival` ingress contract satisfied
+/// (`now ≥ release`).
 ///
 /// `window = 0` yields one singleton burst per arrival, fed at its own
 /// release, including for bit-equal release times: the per-event stream.
@@ -335,13 +338,8 @@ pub fn coalesce_arrivals(instance: &Instance, window: f64) -> Vec<(f64, Vec<JobI
     let mut bursts: Vec<(f64, Vec<JobId>)> = Vec::new();
     let mut i = 0usize;
     while i < order.len() {
-        let first = instance.job(order[i]).release;
-        let mut j = i + 1;
-        if window > 0.0 {
-            while j < order.len() && instance.job(order[j]).release <= first + window {
-                j += 1;
-            }
-        }
+        let releases = order[i..].iter().map(|&id| instance.job(id).release);
+        let j = i + burst_len(releases, window);
         let feed_time = instance.job(order[j - 1]).release;
         bursts.push((feed_time, order[i..j].to_vec()));
         i = j;
@@ -349,11 +347,11 @@ pub fn coalesce_arrivals(instance: &Instance, window: f64) -> Vec<(f64, Vec<JobI
     bursts
 }
 
-/// Feeds one burst through `on_arrivals` at `feed_time`, appending one
-/// trace record per job: the amortised latency, the post-burst frontier
-/// size and the burst width.  `burst_jobs` is a reusable buffer.
+/// Feeds one burst through `core` at `feed_time`, appending one trace
+/// record per job: the amortised latency, the post-burst frontier size and
+/// the burst width.  `burst_jobs` is a reusable buffer.
 pub(crate) fn ingest_batch<R: OnlineScheduler>(
-    run: &mut R,
+    core: &mut ShardCore<R>,
     instance: &Instance,
     feed_time: f64,
     ids: &[JobId],
@@ -363,17 +361,10 @@ pub(crate) fn ingest_batch<R: OnlineScheduler>(
     burst_jobs.clear();
     burst_jobs.extend(ids.iter().map(|&id| *instance.job(id)));
     let started = Instant::now();
-    let decisions = run.on_arrivals(burst_jobs, feed_time)?;
+    core.feed(burst_jobs, feed_time)?;
     let amortised = started.elapsed().as_secs_f64() / ids.len().max(1) as f64;
-    if decisions.len() != ids.len() {
-        return Err(ScheduleError::Internal(format!(
-            "on_arrivals contract violation: {} decisions for a burst of {} jobs",
-            decisions.len(),
-            ids.len()
-        )));
-    }
-    let frontier_segments = run.frontier().segments.len();
-    for (id, decision) in ids.iter().zip(decisions) {
+    let frontier_segments = core.run().frontier().segments.len();
+    for (id, decision) in ids.iter().zip(core.decisions()) {
         events.push(ArrivalRecord {
             job: *id,
             time: instance.job(*id).release,
@@ -391,12 +382,12 @@ pub(crate) fn ingest_batch<R: OnlineScheduler>(
 /// and replaying the schedule through [`Simulation`].
 pub(crate) fn finish_stream<R: OnlineScheduler>(
     algorithm: String,
-    run: R,
+    core: ShardCore<R>,
     instance: &Instance,
     events: Vec<ArrivalRecord>,
-    batches: usize,
 ) -> Result<StreamReport, ScheduleError> {
-    let schedule = run.finish()?;
+    let batches = core.state().batches;
+    let schedule = core.finish()?;
     let report = Simulation.run(instance, &schedule)?;
     Ok(StreamReport {
         algorithm,
@@ -408,8 +399,7 @@ pub(crate) fn finish_stream<R: OnlineScheduler>(
 }
 
 /// Drives an event-driven online algorithm over an instance's arrival
-/// stream, one coalesced burst at a time through
-/// [`OnlineScheduler::on_arrivals`].
+/// stream, one coalesced burst at a time through a [`ShardCore`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamingSimulation {
     /// Width of the burst-coalescing window: arrivals within this much of a
@@ -423,8 +413,10 @@ pub struct StreamingSimulation {
     /// simultaneous: jobs are fed up to one window *later* than their
     /// release.  Replanning algorithms catch up (they plan the *remaining*
     /// work), but fixed-rate algorithms like AVR permanently under-process
-    /// a delayed job by `density × delay` — keep the window far below the
-    /// jobs' time scale (it models timestamp jitter, not load shedding).
+    /// a delayed job by `density × delay`, and a job whose deadline the
+    /// delay passes is rejected at its value without being shown to the
+    /// run — keep the window far below the jobs' time scale (it models
+    /// timestamp jitter, not load shedding).
     pub coalesce_window: f64,
 }
 
@@ -437,7 +429,7 @@ impl StreamingSimulation {
     }
 
     /// Feeds the instance's jobs to a fresh run of `algo` in arrival order,
-    /// one coalesced burst per `on_arrivals` call, recording per-event
+    /// one coalesced burst per [`ShardCore::feed`], recording per-event
     /// metrics, then finishes the run, validates the schedule and replays
     /// it through [`Simulation`].
     pub fn run<A: OnlineAlgorithm + ?Sized>(
@@ -445,22 +437,20 @@ impl StreamingSimulation {
         algo: &A,
         instance: &Instance,
     ) -> Result<StreamReport, ScheduleError> {
-        let mut run = algo.start_for(instance)?;
+        let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
         let mut events = Vec::with_capacity(instance.len());
         let mut burst_jobs = Vec::new();
-        let mut batches = 0usize;
         for (feed_time, ids) in coalesce_arrivals(instance, self.coalesce_window) {
             ingest_batch(
-                &mut run,
+                &mut core,
                 instance,
                 feed_time,
                 &ids,
                 &mut burst_jobs,
                 &mut events,
             )?;
-            batches += 1;
         }
-        finish_stream(algo.algorithm_name(), run, instance, events, batches)
+        finish_stream(algo.algorithm_name(), core, instance, events)
     }
 }
 
@@ -723,6 +713,44 @@ mod tests {
         assert!((rejected.dual - 0.001).abs() < 1e-12);
         // The execution report agrees: the rejected job's value is lost.
         assert!((stream.report.lost_value - 0.001).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_job_its_burst_carries_past_its_deadline_is_rejected_at_its_value() {
+        use pss_baselines::{
+            AvrScheduler, BkpScheduler, CllScheduler, MultiOaScheduler, OaScheduler, QoaScheduler,
+        };
+
+        // Coalesced with the second arrival, job 0 is fed at 8e-4, after
+        // its deadline 5e-4.
+        let inst =
+            Instance::from_tuples(1, 2.0, vec![(0.0, 5e-4, 1e-4, 5.0), (8e-4, 3.0, 1.0, 2.0)])
+                .unwrap();
+        fn check<A: OnlineAlgorithm>(algo: &A, inst: &Instance) {
+            let name = algo.algorithm_name();
+            let stream = StreamingSimulation::with_coalescing(1e-3)
+                .run(algo, inst)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(stream.batches, 1, "{name}");
+            let job0 = &stream.events[0];
+            assert_eq!(job0.job, JobId(0), "{name}");
+            assert!(!job0.accepted, "{name}");
+            assert_eq!(job0.dual, 5.0, "{name}");
+            assert!(
+                stream
+                    .schedule
+                    .segments
+                    .iter()
+                    .all(|s| s.job != Some(JobId(0))),
+                "{name}: job 0 was scheduled"
+            );
+        }
+        check(&OaScheduler, &inst);
+        check(&QoaScheduler::default(), &inst);
+        check(&CllScheduler, &inst);
+        check(&MultiOaScheduler::default(), &inst);
+        check(&AvrScheduler, &inst);
+        check(&BkpScheduler::default(), &inst);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! accounting in `pss-types` (the simulator integrates power over its own
 //! event timeline).
 //!
+//! [`feed::ShardCore`] is the one place where jobs reach an online run: it
+//! applies the model's arrival rules (release floor, expiry, one decision
+//! per job, the price fold), and every driver here and in `pss-serve` is a
+//! loop around it.
+//!
 //! [`engine::StreamingSimulation`] drives an event-driven online algorithm
 //! ([`OnlineAlgorithm`](pss_types::OnlineAlgorithm)) over an arrival
 //! stream and records a per-event trace (decision, dual, latency, frontier
@@ -56,6 +61,7 @@
 
 pub mod checkpoint;
 pub mod engine;
+pub mod feed;
 pub mod gantt;
 pub mod replay;
 pub mod sharded;
@@ -65,6 +71,7 @@ pub use engine::{
     coalesce_arrivals, nearest_rank, ArrivalRecord, JobOutcome, MachineStats, SimReport,
     Simulation, StreamReport, StreamingSimulation,
 };
+pub use feed::{burst_len, expired_at, FeedState, ShardCore, PRICE_SMOOTHING};
 pub use gantt::{render_gantt, GanttOptions};
 pub use replay::{prefix_stability_report, streaming_prefix_report, PrefixStabilityReport};
 pub use sharded::{

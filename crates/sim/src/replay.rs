@@ -21,6 +21,8 @@
 
 use pss_types::{Instance, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, Scheduler};
 
+use crate::feed::{ShardCore, PRICE_SMOOTHING};
+
 /// Result of the prefix-stability check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefixStabilityReport {
@@ -93,11 +95,13 @@ pub fn prefix_stability_report<S: Scheduler + ?Sized>(
 }
 
 /// Runs the *streaming* prefix-stability check for an event-driven
-/// algorithm: a single run of `algo` is fed the arrival stream, the speed
-/// profile of each window between consecutive distinct arrival times is
-/// sampled from the committed [`frontier`](OnlineScheduler::frontier) at the
-/// moment the window becomes past, and at the end the finished schedule is
-/// compared against every stored sample.
+/// algorithm: a single run of `algo` is fed the arrival stream (one
+/// singleton burst per arrival, at its release, through a [`ShardCore`]),
+/// the speed profile of each window between consecutive distinct arrival
+/// times is sampled from the committed
+/// [`frontier`](OnlineScheduler::frontier) at the moment the window
+/// becomes past, and at the end the finished schedule is compared against
+/// every stored sample.
 ///
 /// A nonzero deviation means the finished schedule differs from what the
 /// run had already committed to — i.e. the "past" was revised.  The whole
@@ -111,7 +115,7 @@ pub fn streaming_prefix_report<A: OnlineAlgorithm + ?Sized>(
     samples: usize,
 ) -> Result<PrefixStabilityReport, ScheduleError> {
     let samples = samples.max(1);
-    let mut run = algo.start_for(instance)?;
+    let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
     let machines = instance.machines;
 
     // (from, to, per-machine frontier samples at window midpoints).
@@ -120,9 +124,8 @@ pub fn streaming_prefix_report<A: OnlineAlgorithm + ?Sized>(
     let mut last_time: Option<f64> = None;
 
     for id in instance.arrival_order() {
-        let job = instance.job(id);
-        let t = job.release;
-        run.on_arrival(job, t)?;
+        let t = instance.job(id).release;
+        core.feed(&mut [*instance.job(id)], t)?;
         match last_time {
             None => {
                 checkpoints.push(t);
@@ -134,7 +137,7 @@ pub fn streaming_prefix_report<A: OnlineAlgorithm + ?Sized>(
                 windows.push((
                     prev,
                     t,
-                    sample_profile(run.frontier(), machines, prev, t, samples),
+                    sample_profile(core.run().frontier(), machines, prev, t, samples),
                 ));
                 checkpoints.push(t);
                 last_time = Some(t);
@@ -143,7 +146,7 @@ pub fn streaming_prefix_report<A: OnlineAlgorithm + ?Sized>(
         }
     }
 
-    let finished = run.finish()?;
+    let finished = core.finish()?;
     let mut max_deviation = 0.0_f64;
     for (from, to, frozen) in &windows {
         let final_profile = sample_profile(&finished, machines, *from, *to, samples);

@@ -9,16 +9,16 @@
 //! * [`RoutePolicy`] — the pluggable routing decision, a *pure function*
 //!   of the submission sequence number and the published per-shard prices
 //!   (`route(seq, prices)`): deterministic hash-by-id, round-robin, or
-//!   **cheapest-price** (argmin of the rolling dual-price EWMAs, ties
-//!   broken by shard index — the paper's own congestion signal turned into
-//!   a router, exactly the duals PD publishes).
-//! * [`ShardedStream`] — a stateful driver holding one
-//!   [`OnlineScheduler`] run per shard: bursts are routed job by job,
-//!   relabelled to each shard's dense local ids, fed through
-//!   `on_arrivals`, and priced with the same per-batch EWMA rule as the
-//!   serving daemon.  [`ShardedStream::merged_frontier`] zips the
-//!   per-shard committed frontiers into one logical schedule
-//!   ([`pss_types::merge_frontiers`]) at any point mid-stream.
+//!   **cheapest-price** (argmin of the rolling dual-price EWMAs, exact
+//!   ties rotated by sequence number — the paper's own congestion signal
+//!   turned into a router, exactly the duals PD publishes).
+//! * [`ShardedStream`] — a stateful driver holding one [`ShardCore`] per
+//!   shard: bursts are routed job by job, relabelled to each shard's dense
+//!   local ids and fed through the shard's core, which prices them exactly
+//!   as the serving daemon's worker does.
+//!   [`ShardedStream::merged_frontier`] zips the per-shard committed
+//!   frontiers into one logical schedule ([`pss_types::merge_frontiers`])
+//!   at any point mid-stream.
 //! * [`ShardedStreaming`] — the one-call harness (the sharded sibling of
 //!   [`StreamingSimulation`]): drives
 //!   a whole instance through a sharded stream and reports the merged
@@ -38,11 +38,12 @@
 use std::time::Instant;
 
 use pss_types::{
-    fold_price, merge_frontiers, Decision, Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler,
-    Schedule, ScheduleError, ShardPiece,
+    merge_frontiers, Decision, Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, Schedule,
+    ScheduleError, ShardPiece,
 };
 
 use crate::engine::{coalesce_arrivals, nearest_rank, StreamingSimulation};
+use crate::feed::{ShardCore, PRICE_SMOOTHING};
 
 /// How the router picks a shard for each submission.
 ///
@@ -147,22 +148,18 @@ pub struct ShardedEvent {
     pub burst: usize,
 }
 
-/// A live sharded stream: one [`OnlineScheduler`] run per shard plus the
-/// routing and pricing state.  Created by [`ShardedStream::start`]; driven
-/// by [`on_burst`](ShardedStream::on_burst); observed mid-stream through
+/// A live sharded stream: one [`ShardCore`] per shard plus the routing
+/// state.  Created by [`ShardedStream::start`]; driven by
+/// [`on_burst`](ShardedStream::on_burst); observed mid-stream through
 /// [`merged_frontier`](ShardedStream::merged_frontier); consumed by
 /// [`finish`](ShardedStream::finish).
 #[derive(Debug)]
 pub struct ShardedStream<R: OnlineScheduler> {
     policy: RoutePolicy,
     machines_per_shard: usize,
-    smoothing: f64,
-    runs: Vec<R>,
-    prices: Vec<f64>,
+    cores: Vec<ShardCore<R>>,
     price_traces: Vec<Vec<f64>>,
-    batches: Vec<usize>,
     job_maps: Vec<Vec<JobId>>,
-    assignments: Vec<usize>,
     events: Vec<ShardedEvent>,
     next_seq: u64,
 }
@@ -188,37 +185,22 @@ impl<R: OnlineScheduler> ShardedStream<R> {
                 "price_smoothing must lie in (0, 1], got {smoothing}"
             )));
         }
-        let runs = (0..shards)
-            .map(|_| algo.start(machines_per_shard, alpha))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut cores = Vec::with_capacity(shards);
+        for _ in 0..shards {
+            cores.push(ShardCore::new(
+                algo.start(machines_per_shard, alpha)?,
+                smoothing,
+            ));
+        }
         Ok(Self {
             policy,
             machines_per_shard,
-            smoothing,
-            runs,
-            prices: vec![0.0; shards],
+            cores,
             price_traces: vec![Vec::new(); shards],
-            batches: vec![0; shards],
             job_maps: vec![Vec::new(); shards],
-            assignments: Vec::new(),
             events: Vec::new(),
             next_seq: 0,
         })
-    }
-
-    /// The number of shards.
-    pub fn shards(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// The shards' current rolling dual prices (what the router reads).
-    pub fn prices(&self) -> &[f64] {
-        &self.prices
-    }
-
-    /// The shard each logical arrival was routed to, in sequence order.
-    pub fn assignments(&self) -> &[usize] {
-        &self.assignments
     }
 
     /// Routes and feeds one burst of simultaneous arrivals at time `now`,
@@ -226,21 +208,19 @@ impl<R: OnlineScheduler> ShardedStream<R> {
     ///
     /// Each job is routed individually (`route(seq, prices)` with `seq`
     /// advancing per job), the burst is partitioned into per-shard
-    /// sub-bursts preserving arrival order, each sub-burst is relabelled
-    /// to the shard's dense local ids and fed through `on_arrivals`, and
-    /// each fed shard's price folds the sub-burst's duals with the same
-    /// EWMA-per-decision, priced-only-if-any-accepted rule as the serving
-    /// daemon's `feed_batch`.
+    /// sub-bursts preserving arrival order, and each sub-burst is
+    /// relabelled to the shard's dense local ids and fed through the
+    /// shard's core, which folds every decision into the shard's price.
     pub fn on_burst(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
-        let shards = self.runs.len();
+        let shards = self.cores.len();
         // Route first: every job's shard is fixed by (seq, prices) before
         // any feeding updates the prices — within a burst the router sees
         // one consistent price snapshot, mirroring a paused daemon wave.
+        let prices: Vec<f64> = self.cores.iter().map(ShardCore::price).collect();
         let mut routed: Vec<usize> = Vec::with_capacity(jobs.len());
         for _ in jobs {
-            let shard = self.policy.route(self.next_seq, &self.prices);
+            routed.push(self.policy.route(self.next_seq, &prices));
             self.next_seq += 1;
-            routed.push(shard);
         }
         let mut subs: Vec<Vec<Job>> = vec![Vec::new(); shards];
         for (job, &shard) in jobs.iter().zip(&routed) {
@@ -249,60 +229,31 @@ impl<R: OnlineScheduler> ShardedStream<R> {
             self.job_maps[shard].push(job.id);
             subs[shard].push(local);
         }
-        let mut per_shard: Vec<std::vec::IntoIter<(Decision, f64, usize)>> = Vec::new();
-        for (shard, sub) in subs.iter().enumerate() {
+        let mut latencies = vec![0.0; shards];
+        for (shard, sub) in subs.iter_mut().enumerate() {
             if sub.is_empty() {
-                per_shard.push(Vec::new().into_iter());
                 continue;
             }
+            let core = &mut self.cores[shard];
             let started = Instant::now();
-            let decisions = self.runs[shard].on_arrivals(sub, now)?;
-            let amortised = started.elapsed().as_secs_f64() / sub.len() as f64;
-            if decisions.len() != sub.len() {
-                return Err(ScheduleError::Internal(format!(
-                    "on_arrivals contract violation on shard {shard}: {} decisions for {} jobs",
-                    decisions.len(),
-                    sub.len()
-                )));
-            }
-            // Every decision prices in through the shared `fold_price`
-            // rule: acceptances fold λ_j symmetrically, rejections only
-            // ratchet the price *up* toward the lost value v_j — so a
-            // congested shard's price rises under a rejection flood
-            // instead of freezing (the E17 starvation bug) and a stream
-            // of cheap hopeless jobs cannot drag it down and keep the
-            // shard the argmin.  A decision-free burst (admission
-            // bounced everything upstream) leaves the price
-            // bit-unchanged, never NaN — the surviving PR-8 guard.
-            // Mirrors the daemon's `feed_batch` exactly.
-            for d in &decisions {
-                self.prices[shard] = fold_price(self.prices[shard], self.smoothing, d);
-            }
-            self.price_traces[shard].push(self.prices[shard]);
-            self.batches[shard] += 1;
-            let burst = sub.len();
-            per_shard.push(
-                decisions
-                    .into_iter()
-                    .map(|d| (d, amortised, burst))
-                    .collect::<Vec<_>>()
-                    .into_iter(),
-            );
+            core.feed(sub, now)?;
+            latencies[shard] = started.elapsed().as_secs_f64() / sub.len() as f64;
+            self.price_traces[shard].push(core.price());
         }
+        // The k-th job routed to a shard takes its core's k-th decision.
+        let mut taken = vec![0usize; shards];
         let mut out = Vec::with_capacity(jobs.len());
         for (job, &shard) in jobs.iter().zip(&routed) {
-            let (decision, latency_secs, burst) = per_shard[shard]
-                .next()
-                .expect("one decision per routed job");
-            self.assignments.push(shard);
+            let decision = self.cores[shard].decisions()[taken[shard]];
+            taken[shard] += 1;
             self.events.push(ShardedEvent {
                 job: job.id,
                 shard,
                 feed_time: now,
                 accepted: decision.accepted,
                 dual: decision.dual,
-                latency_secs,
-                burst,
+                latency_secs: latencies[shard],
+                burst: subs[shard].len(),
             });
             out.push(decision);
         }
@@ -316,11 +267,11 @@ impl<R: OnlineScheduler> ShardedStream<R> {
     /// in every later merge.
     pub fn merged_frontier(&self) -> Result<Schedule, ScheduleError> {
         let pieces: Vec<ShardPiece<'_>> = self
-            .runs
+            .cores
             .iter()
             .zip(&self.job_maps)
-            .map(|(run, jobs)| ShardPiece {
-                schedule: run.frontier(),
+            .map(|(core, jobs)| ShardPiece {
+                schedule: core.run().frontier(),
                 jobs,
             })
             .collect();
@@ -329,10 +280,11 @@ impl<R: OnlineScheduler> ShardedStream<R> {
 
     /// Finishes every shard run and reassembles the logical outcome.
     pub fn finish(self, algorithm: String) -> Result<ShardedReport, ScheduleError> {
+        let batches = self.cores.iter().map(|core| core.state().batches).collect();
         let shard_schedules = self
-            .runs
+            .cores
             .into_iter()
-            .map(|r| r.finish())
+            .map(ShardCore::finish)
             .collect::<Result<Vec<_>, _>>()?;
         let pieces: Vec<ShardPiece<'_>> = shard_schedules
             .iter()
@@ -347,9 +299,9 @@ impl<R: OnlineScheduler> ShardedStream<R> {
             algorithm,
             policy: self.policy,
             machines_per_shard: self.machines_per_shard,
+            assignments: self.events.iter().map(|e| e.shard).collect(),
             events: self.events,
-            assignments: self.assignments,
-            batches: self.batches,
+            batches,
             price_traces: self.price_traces,
             shard_schedules,
             merged,
@@ -507,7 +459,7 @@ impl Default for ShardedStreaming {
             shards: 1,
             policy: RoutePolicy::CheapestPrice,
             coalesce_window: 0.0,
-            price_smoothing: 0.1,
+            price_smoothing: PRICE_SMOOTHING,
         }
     }
 }

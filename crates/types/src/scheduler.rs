@@ -86,10 +86,10 @@ impl Decision {
     }
 }
 
-/// Folds one decision into a rolling dual-price EWMA — the shared pricing
-/// rule of the serving daemon's `feed_batch` and the sharded simulator
-/// (one implementation so replay, recovery and the drift oracle agree to
-/// the bit).
+/// Folds one decision into a rolling dual-price EWMA — the pricing rule of
+/// `pss_sim::ShardCore`, through which the serving daemon and the sharded
+/// simulator feed (one implementation so replay, recovery and the drift
+/// oracle agree to the bit).
 ///
 /// * **Accepted** — the marginal price `λ_j` folds symmetrically:
 ///   `p ← (1-β)·p + β·λ_j`.  Cheap capacity pulls the price down.

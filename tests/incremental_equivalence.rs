@@ -1338,6 +1338,32 @@ fn single_tenant_daemon_equals_streaming_simulation() {
         1e-3,
         Feed::PreQueued,
     );
+    // The coalescing window carries job 0 past its deadline: both sides
+    // reject it at its value without showing it to the run.
+    let expiring = Instance::from_tuples(
+        1,
+        2.0,
+        vec![
+            (0.0, 5e-4, 1e-4, 5.0),
+            (8e-4, 3.0, 1.0, 2.0),
+            (2.0, 4.0, 1.0, 3.0),
+        ],
+    )
+    .unwrap();
+    pin(
+        "CLL expired in burst",
+        CllScheduler,
+        &expiring,
+        1e-3,
+        Feed::PreQueued,
+    );
+    pin(
+        "PD expired in burst",
+        PdScheduler::coarse(),
+        &expiring,
+        1e-3,
+        Feed::PreQueued,
+    );
     // Closed loop over enough fed jobs to cross a checkpoint.
     let long = poisson_profitable(9103, 1, 2.0, 400, 3.0);
     pin(
