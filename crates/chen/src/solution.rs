@@ -87,16 +87,47 @@ impl ChenInterval {
             .enumerate()
             .filter(|(_, u)| *u > 0.0)
             .collect();
-        // Sort by decreasing work; ties broken by job id for determinism.
-        positive.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let split = self.split(&mut positive);
+        let pool = positive.split_off(split.dedicated);
+        IntervalSolution {
+            length: self.length,
+            machines: self.machines,
+            dedicated: positive,
+            pool,
+            pool_machines: self.machines - split.dedicated,
+            pool_speed: split.pool_speed,
+            energy: split.energy,
+        }
+    }
+
+    /// The energy `P_k` of Chen et al.'s algorithm for sparse `(job, work)`
+    /// pairs, one per job with work in the interval; pairs whose work is not
+    /// positive are ignored.  The pairs are sorted in place into the rule's
+    /// order (work descending, ties by job id), so the energy equals, bit
+    /// for bit, [`solve`](Self::solve)'s on the dense vector holding the
+    /// same works.
+    pub fn energy_of_pairs(&self, pairs: &mut [(usize, f64)]) -> f64 {
+        self.split(pairs).energy
+    }
+
+    /// Sorts `pairs` (positive works first, then by decreasing work, ties
+    /// by job id for determinism) and applies the dedicated-prefix rule.
+    fn split(&self, pairs: &mut [(usize, f64)]) -> Split {
+        pairs.sort_by(|a, b| {
+            (b.1 > 0.0)
+                .cmp(&(a.1 > 0.0))
+                .then(b.1.total_cmp(&a.1))
+                .then(a.0.cmp(&b.0))
+        });
+        let positive = &pairs[..pairs.partition_point(|(_, u)| *u > 0.0)];
 
         let total: f64 = num::stable_sum(positive.iter().map(|(_, u)| *u));
         let m = self.machines;
 
         // -- Dedicated prefix (Equation (5)) ------------------------------
-        let mut dedicated: Vec<(usize, f64)> = Vec::new();
+        let mut dedicated = 0;
         let mut remaining = total;
-        for (rank, &(job, u)) in positive.iter().enumerate() {
+        for (rank, &(_, u)) in positive.iter().enumerate() {
             if rank >= m {
                 break;
             }
@@ -109,16 +140,15 @@ impl ChenInterval {
                 u * machines_left as f64 >= rest * (1.0 - DEDICATED_REL_EPS)
             };
             if is_dedicated {
-                dedicated.push((job, u));
+                dedicated += 1;
                 remaining = rest;
             } else {
                 break;
             }
         }
 
-        let pool: Vec<(usize, f64)> = positive.iter().copied().skip(dedicated.len()).collect();
-        let pool_machines = m - dedicated.len();
-        let pool_work: f64 = num::stable_sum(pool.iter().map(|(_, u)| *u));
+        let pool_machines = m - dedicated;
+        let pool_work: f64 = num::stable_sum(positive[dedicated..].iter().map(|(_, u)| *u));
         let pool_speed = if pool_machines > 0 && pool_work > 0.0 {
             pool_work / (pool_machines as f64 * self.length)
         } else {
@@ -127,7 +157,7 @@ impl ChenInterval {
 
         let energy = {
             let ded: f64 = num::stable_sum(
-                dedicated
+                positive[..dedicated]
                     .iter()
                     .map(|(_, u)| self.power.energy_for_work(*u, self.length)),
             );
@@ -139,16 +169,21 @@ impl ChenInterval {
             ded + pool_e
         };
 
-        IntervalSolution {
-            length: self.length,
-            machines: m,
+        Split {
             dedicated,
-            pool,
-            pool_machines,
             pool_speed,
             energy,
         }
     }
+}
+
+/// The shape of Chen et al.'s solution over pairs sorted by
+/// [`ChenInterval::split`]: the first `dedicated` pairs run alone, the
+/// other positive ones share the pool.
+struct Split {
+    dedicated: usize,
+    pool_speed: f64,
+    energy: f64,
 }
 
 impl IntervalSolution {
@@ -336,6 +371,20 @@ mod tests {
     fn sorting_is_by_work_not_job_id() {
         let sol = solver(2).solve(&dense(&[(3, 10.0), (0, 1.0), (1, 1.0)], 4));
         assert_eq!(sol.dedicated, vec![(3, 10.0)]);
+    }
+
+    #[test]
+    fn sparse_pairs_price_like_the_dense_vector_bit_for_bit() {
+        let chen = ChenInterval::new(0.7, 3, AlphaPower::new(2.5));
+        let works = [0.0, 2.5, 0.3, 2.5, 0.0, 9.0, 0.3, 0.1];
+        let dense = chen.solve(&works).energy;
+        // Scrambled order, plus entries the rule must ignore.
+        let mut pairs = vec![(6, 0.3), (9, 0.0), (1, 2.5), (7, 0.1), (10, -1.0)];
+        pairs.extend([(5, 9.0), (3, 2.5), (2, 0.3), (11, f64::NAN)]);
+        assert_eq!(chen.energy_of_pairs(&mut pairs).to_bits(), dense.to_bits());
+        pairs.reverse();
+        assert_eq!(chen.energy_of_pairs(&mut pairs).to_bits(), dense.to_bits());
+        assert_eq!(chen.energy_of_pairs(&mut []), chen.solve(&[]).energy);
     }
 
     #[test]

@@ -27,8 +27,33 @@
 //! `≤ s`.  `z*` is continuous and nondecreasing in `s` (when `s·l` crosses
 //! some `u_i`, `q` gains one machine and `B` gains `u_i`, which cancel), so
 //! an outer bisection on `s` finds the common level.
+//!
+//! ## How the level is found
+//!
+//! The level is the speed at which the capacity sum `Σ_k z*_k(s) / w_j`
+//! reaches the fraction to place.  The sum is piecewise linear in `s`:
+//! each interval's right slope is 0, `q·l` or `l`.  A safeguarded Newton
+//! search on it (a step that would leave the known bracket halves it, or
+//! doubles the speed while there is no upper end) lands on the root in
+//! about three evaluations.  A window a few rounding-error bounds wide
+//! around the root is then checked by evaluating the sum at its two ends:
+//! below the target at the left end and above it at the right end, each by
+//! twice a bound on the evaluation's rounding error.
+//!
+//! The level itself still comes from [`num::bisect_nondecreasing`],
+//! unchanged: the same start, doubling, cap and [`Tolerance`] as a plain
+//! bisection.  Only its comparator differs: it answers −∞ below the window
+//! and +∞ above it, and evaluates the sum only inside.  The sum computed
+//! exactly is nondecreasing and the evaluated sum stays within its error
+//! bound of it, so every evaluation left of the window would come out below
+//! the target and every one right of it above.  The bisection therefore
+//! takes the same branches, visits the same points and returns the same
+//! level, bit for bit, while the fill evaluates the sum about five times
+//! instead of about 37 (OA(m)'s replans on E12 m = 2 streams).  When the
+//! search or the check fails, the comparator evaluates everywhere.
 
 use pss_intervals::WorkAssignment;
+use pss_power::AlphaPower;
 use pss_types::num::{self, Tolerance};
 
 use crate::program::ProgramContext;
@@ -82,51 +107,311 @@ impl WaterfillResult {
     }
 }
 
-/// Per-interval data needed to evaluate the capacity function.
-struct IntervalCapacity {
+/// Newton steps and window checks the level search may take before the
+/// fill falls back to evaluating the capacity sum at every bisection point.
+const SEARCH_STEPS: usize = 24;
+
+/// One candidate interval of [`Capacities`].
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// Interval index echoed back in [`WaterfillResult::added`].
     interval: usize,
     length: f64,
-    /// Other jobs' works, sorted in decreasing order.
-    sorted_works: Vec<f64>,
-    /// Prefix sums of `sorted_works`.
+    /// The interval's other works are `works[start..start + len]`, in
+    /// decreasing order; their prefix sums are `prefix[prefix..=prefix +
+    /// len]`, starting at 0.
+    start: usize,
+    len: usize,
+    prefix: usize,
+}
+
+/// The capacity sum at one speed and its right slope there.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    speed: f64,
+    value: f64,
+    slope: f64,
+}
+
+/// The capacity function of one fill: per candidate interval, the other
+/// jobs' positive works in decreasing order and their prefix sums, packed
+/// into flat buffers that a caller filling many jobs clears and reuses.
+#[derive(Debug, Default)]
+pub(crate) struct Capacities {
+    spans: Vec<Span>,
+    works: Vec<f64>,
     prefix: Vec<f64>,
 }
 
-impl IntervalCapacity {
-    fn new(interval: usize, length: f64, mut works: Vec<f64>) -> Self {
-        works.retain(|u| *u > 0.0);
+impl Capacities {
+    /// Forgets every candidate, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.spans.clear();
+        self.works.clear();
+        self.prefix.clear();
+    }
+
+    /// Adds a candidate interval of length `length` in which the other
+    /// jobs place `other_works` (order irrelevant; non-positive entries are
+    /// ignored).
+    pub(crate) fn push(
+        &mut self,
+        interval: usize,
+        length: f64,
+        other_works: impl IntoIterator<Item = f64>,
+    ) {
+        let start = self.works.len();
+        self.works
+            .extend(other_works.into_iter().filter(|u| *u > 0.0));
+        let works = &mut self.works[start..];
         works.sort_by(|a, b| b.total_cmp(a));
-        let mut prefix = Vec::with_capacity(works.len() + 1);
-        prefix.push(0.0);
+        let prefix = self.prefix.len();
         let mut acc = 0.0;
-        for u in &works {
+        self.prefix.push(acc);
+        for u in works.iter() {
             acc += u;
-            prefix.push(acc);
+            self.prefix.push(acc);
         }
-        Self {
+        self.spans.push(Span {
             interval,
             length,
-            sorted_works: works,
+            start,
+            len: works.len(),
             prefix,
+        });
+    }
+
+    /// Maximum work job `j` can place in `span` with its speed staying
+    /// `≤ speed`, and the right slope of that capacity in `speed`: 0, `q·l`
+    /// or `l`.
+    fn capacity(&self, span: &Span, speed: f64, machines: usize) -> (f64, f64) {
+        if speed <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let threshold = speed * span.length;
+        // Number of other jobs whose work exceeds the threshold; works are
+        // sorted in decreasing order, so this is a partition point.
+        let works = &self.works[span.start..span.start + span.len];
+        let above = works.partition_point(|u| *u > threshold);
+        if above >= machines {
+            return (0.0, 0.0);
+        }
+        let q = (machines - above) as f64;
+        let b_small = self.prefix[span.prefix + span.len] - self.prefix[span.prefix + above];
+        let free = q * threshold - b_small;
+        let slope = if free < 0.0 {
+            0.0
+        } else if threshold <= free {
+            span.length
+        } else {
+            q * span.length
+        };
+        (threshold.min(free.max(0.0)), slope)
+    }
+
+    /// The fraction of a job of workload `w_j` that fits at `speed`: the
+    /// capacity sum the level search solves for.
+    fn fraction_at(&self, speed: f64, machines: usize, w_j: f64) -> f64 {
+        num::stable_sum(
+            self.spans
+                .iter()
+                .map(|c| self.capacity(c, speed, machines).0),
+        ) / w_j
+    }
+
+    /// [`fraction_at`](Self::fraction_at), bit for bit, with its right
+    /// slope.
+    fn probe(&self, speed: f64, machines: usize, w_j: f64) -> Probe {
+        let mut slope = 0.0;
+        let sum = num::stable_sum(self.spans.iter().map(|c| {
+            let (capacity, dz) = self.capacity(c, speed, machines);
+            slope += dz;
+            capacity
+        }));
+        Probe {
+            speed,
+            value: sum / w_j,
+            slope: slope / w_j,
         }
     }
 
-    /// Maximum work job `j` can place here with its speed staying `≤ speed`.
-    fn capacity(&self, speed: f64, machines: usize) -> f64 {
-        if speed <= 0.0 {
-            return 0.0;
+    /// Runs the water-filling allocation of a job of workload `w_j` over
+    /// the pushed candidates.
+    pub(crate) fn fill(
+        &self,
+        power: AlphaPower,
+        machines: usize,
+        w_j: f64,
+        opts: &WaterfillOptions,
+    ) -> WaterfillResult {
+        if self.spans.is_empty() || w_j <= 0.0 || opts.max_fraction <= 0.0 {
+            return WaterfillResult::empty();
         }
-        let threshold = speed * self.length;
-        // Number of other jobs whose work exceeds the threshold; works are
-        // sorted in decreasing order, so this is a partition point.
-        let above = self.sorted_works.partition_point(|u| *u > threshold);
-        if above >= machines {
-            return 0.0;
+        let m = machines;
+
+        // The speed corresponding to the marginal cap (if any).
+        let speed_cap = opts.max_marginal.map(|mm| power.dual_speed(mm, w_j));
+
+        // If even at the cap the job cannot be fully placed, the fill stops at
+        // the cap (PD's rejection case).
+        if let Some(cap) = speed_cap {
+            if self.fraction_at(cap, m, w_j) < opts.max_fraction * (1.0 - 1e-12) {
+                return self.result(m, w_j, cap, power, false, opts.max_fraction);
+            }
         }
-        let q = (machines - above) as f64;
-        let b_small = self.prefix[self.sorted_works.len()] - self.prefix[above];
-        let machine_cap = (q * threshold - b_small).max(0.0);
-        threshold.min(machine_cap)
+
+        // The doubling and the bisection see the capacity sum through a
+        // comparator that evaluates it only inside the checked window (see
+        // the module docs): they take the branches they would take on the
+        // sum itself.
+        let start = self.initial_speed_guess(w_j, opts.max_fraction);
+        let window = self.window(m, w_j, opts.max_fraction, start);
+        let guarded = |speed: f64| match window {
+            Some((a, _)) if speed < a => f64::NEG_INFINITY,
+            Some((_, b)) if speed > b => f64::INFINITY,
+            _ => self.fraction_at(speed, m, w_j),
+        };
+
+        // Find an upper bracket for the level: double until the job fits.
+        let mut hi = start;
+        let mut guard = 0;
+        while guarded(hi) < opts.max_fraction && guard < 200 {
+            hi *= 2.0;
+            guard += 1;
+        }
+        if let Some(cap) = speed_cap {
+            hi = hi.min(cap);
+        }
+
+        // Bisection on the speed level.
+        let level = num::bisect_nondecreasing(0.0, hi, opts.max_fraction, opts.tol, guarded);
+
+        self.result(m, w_j, level, power, true, opts.max_fraction)
+    }
+
+    /// Locates the level: a safeguarded Newton search on the capacity sum
+    /// for the speed where it reaches `target`, then a check of a window
+    /// around the estimate.  Returns the window `[a, b]` or `None` if no
+    /// estimate passes the check within [`SEARCH_STEPS`].
+    ///
+    /// A Newton step shorter than the window's half-width gives the
+    /// estimate; any longer step is kept inside the known bracket, halving
+    /// it (or doubling the speed while no upper end is known) when it
+    /// would leave.  The window extends to either side of the estimate by the
+    /// speed over which the sum rises by eight rounding-error bounds.  It
+    /// passes if the sum at `a` plus twice its error bound is below
+    /// `target` and the sum at `b` minus twice its bound is above it.  The
+    /// sum computed exactly is nondecreasing, so no evaluation left of `a`
+    /// can reach `target`, and none right of `b` can fall to it: there the
+    /// sum rises by at least the shortest candidate's length per unit of
+    /// speed, and the bound by `2ε·m·Σl`, which must be smaller.
+    ///
+    /// The error bound: each capacity is within `3u·(m·s·l + (p + 1)·U)` of
+    /// the exact capacity, with `p` other works of total `U` in the
+    /// interval and `u` the unit roundoff (the threshold, the prefix sums
+    /// and the two products round); the compensated sum and the division
+    /// add `3u` of the fraction.  The bound takes `4u` of both.
+    fn window(&self, machines: usize, w_j: f64, target: f64, start: f64) -> Option<(f64, f64)> {
+        let m = machines as f64;
+        let lengths = self.spans.iter().map(|c| c.length);
+        let total_length: f64 = lengths.clone().sum();
+        if lengths.fold(f64::INFINITY, f64::min) <= 4.0 * f64::EPSILON * m * total_length {
+            return None;
+        }
+        let prefix_share: f64 = (self.spans.iter())
+            .map(|c| (c.len + 1) as f64 * self.prefix[c.prefix + c.len])
+            .sum();
+        let error_bound = |speed: f64, value: f64| {
+            let magnitude = m * speed.max(0.0) * total_length + prefix_share;
+            2.0 * f64::EPSILON * (magnitude / w_j + value)
+        };
+        // The sum is below the target at `lo` and above it at `hi`.
+        let (mut lo, mut hi) = (0.0_f64, f64::INFINITY);
+        let mut p = self.probe(start, machines, w_j);
+        for _ in 0..SEARCH_STEPS {
+            if p.value < target {
+                lo = lo.max(p.speed);
+            } else if p.value > target {
+                hi = hi.min(p.speed);
+            }
+            let root = p.speed + (target - p.value) / p.slope;
+            let half = (8.0 * error_bound(p.speed, p.value) / p.slope)
+                .max(4.0 * f64::EPSILON * root.abs());
+            if root.is_finite() && (root - p.speed).abs() <= half {
+                let (a, b) = (root - half, root + half);
+                let below = self.fraction_at(a, machines, w_j);
+                if below >= target {
+                    p = self.probe(a, machines, w_j);
+                    continue;
+                }
+                let above = self.fraction_at(b, machines, w_j);
+                if above <= target {
+                    p = self.probe(b, machines, w_j);
+                    continue;
+                }
+                let clear = below + 2.0 * error_bound(a, below) < target
+                    && above - 2.0 * error_bound(b, above) > target;
+                return clear.then_some((a, b));
+            }
+            let next = if root > lo && root < hi {
+                root
+            } else if hi.is_finite() {
+                0.5 * (lo + hi)
+            } else {
+                2.0 * p.speed
+            };
+            p = self.probe(next, machines, w_j);
+        }
+        None
+    }
+
+    fn initial_speed_guess(&self, w_j: f64, max_fraction: f64) -> f64 {
+        let max_existing = self
+            .spans
+            .iter()
+            .flat_map(|c| (c.len > 0).then(|| self.works[c.start] / c.length))
+            .fold(0.0_f64, f64::max);
+        let total_length: f64 = self.spans.iter().map(|c| c.length).sum();
+        let spread_speed = if total_length > 0.0 {
+            w_j * max_fraction / total_length
+        } else {
+            1.0
+        };
+        (max_existing + spread_speed).max(1e-9)
+    }
+
+    fn result(
+        &self,
+        machines: usize,
+        w_j: f64,
+        level_speed: f64,
+        power: AlphaPower,
+        saturated: bool,
+        max_fraction: f64,
+    ) -> WaterfillResult {
+        let mut added: Vec<(usize, f64)> = self
+            .spans
+            .iter()
+            .map(|c| (c.interval, self.capacity(c, level_speed, machines).0 / w_j))
+            .filter(|(_, f)| *f > 0.0)
+            .collect();
+        let mut total = num::stable_sum(added.iter().map(|(_, f)| *f));
+        if saturated && total > 0.0 {
+            // The bisection leaves a relative error of ~tol; rescale so that a
+            // fully placed job has an assigned fraction of exactly max_fraction.
+            let scale = max_fraction / total;
+            for (_, f) in &mut added {
+                *f *= scale;
+            }
+            total = max_fraction;
+        }
+        WaterfillResult {
+            added,
+            total,
+            level_speed,
+            level_marginal: power.dual_value(level_speed, w_j),
+            saturated: saturated && total >= max_fraction * (1.0 - 1e-9),
+        }
     }
 }
 
@@ -157,22 +442,12 @@ pub fn waterfill_job(
     job: usize,
     opts: &WaterfillOptions,
 ) -> WaterfillResult {
-    let candidates: Vec<WaterfillCandidate> = ctx
-        .covered(job)
-        .iter()
-        .map(|&k| WaterfillCandidate {
-            interval: k,
-            length: ctx.partition().length(k),
-            other_works: ctx.interval_works_excluding(x, k, job),
-        })
-        .collect();
-    waterfill_candidates(
-        ctx.power(),
-        ctx.machines(),
-        ctx.workloads()[job],
-        candidates,
-        opts,
-    )
+    let mut capacities = Capacities::default();
+    for &k in ctx.covered(job) {
+        let others = ctx.interval_works_excluding(x, k, job);
+        capacities.push(k, ctx.partition().length(k), others);
+    }
+    capacities.fill(ctx.power(), ctx.machines(), ctx.workloads()[job], opts)
 }
 
 /// Runs the water-filling allocation for a job of workload `w_j` over the
@@ -180,100 +455,17 @@ pub fn waterfill_job(
 /// used by the persistent online-PD planning context (which keeps sparse
 /// per-interval loads instead of a dense assignment).
 pub fn waterfill_candidates(
-    power: pss_power::AlphaPower,
+    power: AlphaPower,
     machines: usize,
     w_j: f64,
     candidates: Vec<WaterfillCandidate>,
     opts: &WaterfillOptions,
 ) -> WaterfillResult {
-    if candidates.is_empty() || w_j <= 0.0 || opts.max_fraction <= 0.0 {
-        return WaterfillResult::empty();
+    let mut capacities = Capacities::default();
+    for c in candidates {
+        capacities.push(c.interval, c.length, c.other_works);
     }
-    let m = machines;
-
-    let caps: Vec<IntervalCapacity> = candidates
-        .into_iter()
-        .map(|c| IntervalCapacity::new(c.interval, c.length, c.other_works))
-        .collect();
-
-    let total_fraction_at =
-        |speed: f64| -> f64 { num::stable_sum(caps.iter().map(|c| c.capacity(speed, m))) / w_j };
-
-    // The speed corresponding to the marginal cap (if any).
-    let speed_cap = opts.max_marginal.map(|mm| power.dual_speed(mm, w_j));
-
-    // If even at the cap the job cannot be fully placed, the fill stops at
-    // the cap (PD's rejection case).
-    if let Some(cap) = speed_cap {
-        if total_fraction_at(cap) < opts.max_fraction * (1.0 - 1e-12) {
-            return build_result(&caps, m, w_j, cap, power, false, opts.max_fraction);
-        }
-    }
-
-    // Find an upper bracket for the level: double until the job fits.
-    let mut hi = initial_speed_guess(&caps, w_j, opts.max_fraction);
-    let mut guard = 0;
-    while total_fraction_at(hi) < opts.max_fraction && guard < 200 {
-        hi *= 2.0;
-        guard += 1;
-    }
-    if let Some(cap) = speed_cap {
-        hi = hi.min(cap);
-    }
-
-    // Bisection on the speed level.
-    let level = num::bisect_nondecreasing(0.0, hi, opts.max_fraction, opts.tol, |s| {
-        total_fraction_at(s)
-    });
-
-    build_result(&caps, m, w_j, level, power, true, opts.max_fraction)
-}
-
-fn initial_speed_guess(caps: &[IntervalCapacity], w_j: f64, max_fraction: f64) -> f64 {
-    let max_existing = caps
-        .iter()
-        .flat_map(|c| c.sorted_works.first().map(|u| u / c.length))
-        .fold(0.0_f64, f64::max);
-    let total_length: f64 = caps.iter().map(|c| c.length).sum();
-    let spread_speed = if total_length > 0.0 {
-        w_j * max_fraction / total_length
-    } else {
-        1.0
-    };
-    (max_existing + spread_speed).max(1e-9)
-}
-
-fn build_result(
-    caps: &[IntervalCapacity],
-    machines: usize,
-    w_j: f64,
-    level_speed: f64,
-    power: pss_power::AlphaPower,
-    saturated: bool,
-    max_fraction: f64,
-) -> WaterfillResult {
-    let mut added: Vec<(usize, f64)> = caps
-        .iter()
-        .map(|c| (c.interval, c.capacity(level_speed, machines) / w_j))
-        .filter(|(_, f)| *f > 0.0)
-        .collect();
-    let mut total = num::stable_sum(added.iter().map(|(_, f)| *f));
-    if saturated && total > 0.0 {
-        // The bisection leaves a relative error of ~tol; rescale so that a
-        // fully placed job has an assigned fraction of exactly max_fraction.
-        let scale = max_fraction / total;
-        for (_, f) in &mut added {
-            *f *= scale;
-        }
-        total = max_fraction;
-    }
-    WaterfillResult {
-        added,
-        total,
-        level_speed,
-        level_marginal: power.dual_value(level_speed, w_j),
-        saturated: saturated && total >= max_fraction * (1.0 - 1e-9),
-    }
+    capacities.fill(power, machines, w_j, opts)
 }
 
 #[cfg(test)]
@@ -418,18 +610,42 @@ mod tests {
 
     #[test]
     fn capacity_function_is_monotone_and_continuous() {
-        let cap = IntervalCapacity::new(0, 1.0, vec![2.0, 1.0, 0.5]);
+        let mut caps = Capacities::default();
+        caps.push(0, 1.0, vec![2.0, 1.0, 0.5]);
+        let span = caps.spans[0];
         let m = 3;
         let mut prev = 0.0;
         let mut s = 0.0;
         while s < 5.0 {
-            let c = cap.capacity(s, m);
+            let c = caps.capacity(&span, s, m).0;
             assert!(c + 1e-12 >= prev, "capacity decreased at s={s}");
             // Continuity check: small step, small change.
-            let c2 = cap.capacity(s + 1e-6, m);
+            let c2 = caps.capacity(&span, s + 1e-6, m).0;
             assert!((c2 - c).abs() < 1e-4);
             prev = c;
             s += 0.01;
+        }
+    }
+
+    #[test]
+    fn probe_reports_the_right_slope() {
+        // Two candidates; the sum's kinks sit at the works' speeds and
+        // where a capacity turns positive or meets `s·l`.
+        let mut caps = Capacities::default();
+        caps.push(0, 1.0, vec![2.0, 1.0, 0.5]);
+        caps.push(1, 0.5, vec![2.0, -1.0, 0.0]);
+        let (m, w) = (2, 1.5);
+        let h = 1e-7;
+        for i in 1..600 {
+            let s = f64::from(i) * 0.01 + 0.003;
+            let p = caps.probe(s, m, w);
+            assert_eq!(p.value.to_bits(), caps.fraction_at(s, m, w).to_bits());
+            let forward = (caps.fraction_at(s + h, m, w) - p.value) / h;
+            assert!(
+                (forward - p.slope).abs() < 1e-5 * p.slope.max(1.0),
+                "s = {s}: slope {}, forward difference {forward}",
+                p.slope
+            );
         }
     }
 }

@@ -1240,16 +1240,22 @@ where
         journal.failed = None;
         sh.failed.store(false, Ordering::Release);
         let mut core = ShardCore::resume(run, self.inner.config.price_smoothing, ckpt.feed);
-        let delta: Vec<LoggedBatch> = journal.log[ckpt.feed.batches..].to_vec();
-        for batch in &delta {
-            feed_batch(&mut core, &sh, &mut journal, batch).map_err(|e| {
-                ScheduleError::Internal(format!("journal replay rejected a logged batch: {e}"))
-            })?;
-        }
+        // Replay the delta in place: `feed_batch` never touches the batch
+        // log, so it is taken out for the replay and put back on every path.
+        let log = std::mem::take(&mut journal.log);
+        let delta = &log[ckpt.feed.batches..];
+        let replayed = delta
+            .iter()
+            .try_for_each(|batch| feed_batch(&mut core, &sh, &mut journal, batch));
+        let replayed_batches = delta.len();
+        journal.log = log;
+        replayed.map_err(|e| {
+            ScheduleError::Internal(format!("journal replay rejected a logged batch: {e}"))
+        })?;
         drop(journal);
         self.workers[shard] = Some(spawn_worker(Arc::clone(&self.inner), sh, core)?);
         Ok(RecoveryReport {
-            replayed_batches: delta.len(),
+            replayed_batches,
             recovery_secs: started.elapsed().as_secs_f64(),
             chain_skipped,
             cold_restart,

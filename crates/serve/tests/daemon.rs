@@ -272,9 +272,13 @@ fn quotas_cap_outstanding_jobs_and_release_on_drain() {
 
 /// Drives the shard price up by feeding jobs the scheduler must reject
 /// (huge density, tiny value relative to the energy needed), then checks
-/// both backpressure policies.  An all-rejected batch is not a pricing
-/// event (see the EWMA guard in `feed_batch`), so the hopeless job rides
-/// in one coalesced batch behind an accepted anchor.
+/// both backpressure policies.  Every decision folds into the price (the
+/// fold in `pss_sim::ShardCore::feed`, `crates/sim/src/feed.rs`): an
+/// acceptance folds in the job's dual, and under `fold_price`'s one-sided
+/// rule a rejection ratchets the price up toward its value.  The hopeless
+/// job rides in one coalesced batch behind an accepted anchor; with
+/// `price_smoothing` 1.0 the batch's last decision, the rejection, sets the
+/// price to its value.
 #[test]
 fn dual_price_backpressure_defers_and_rejects() {
     let config = ServeConfig {
@@ -289,9 +293,9 @@ fn dual_price_backpressure_defers_and_rejects() {
     ];
     let (daemon, handles) = Daemon::spawn(CllScheduler, config, tenants).unwrap();
     // The anchor is trivially profitable (speed 0.2, energy ≪ value), so
-    // its acceptance makes the batch a pricing event.  Work 50 in a window
-    // of 0.1 needs speed 500: energy ≈ 500² · 0.1 ≫ value 8, so CLL
-    // rejects the hopeless job and the batch's last dual is the value 8.
+    // CLL accepts it at a small dual.  Work 50 in a window of 0.1 needs
+    // speed 500: energy ≈ 500² · 0.1 ≫ value 8, so CLL rejects the hopeless
+    // job, and its value 8, above the anchor's dual, becomes the price.
     let anchor = JobEnvelope::new(TenantId(0), 98, 0.0, 1.0, 0.2, 1.0);
     let hopeless = JobEnvelope::new(TenantId(0), 99, 0.0, 0.1, 50.0, 8.0);
     handles[0].submit(anchor).unwrap();
