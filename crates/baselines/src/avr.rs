@@ -225,34 +225,16 @@ impl LogCheckpointable for AvrState {
 }
 
 impl OnlineScheduler for AvrState {
-    fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
-        check_arrival(job, self.now, now)?;
-        self.commit_to(now.max(self.now));
-        // Keep the active set sorted by deadline descending (ties keep
-        // arrival order); expired-on-arrival jobs can still cover nothing,
-        // but inserting them is harmless — the next commit pops them.
-        let pos = self.active.partition_point(|a| a.deadline >= job.deadline);
-        self.active.insert(
-            pos,
-            ActiveJob {
-                deadline: job.deadline,
-                density: job.density(),
-                id: job.id,
-            },
-        );
-        self.horizon_end = self.horizon_end.max(job.deadline);
-        Ok(Decision::accept(0.0))
-    }
-
-    /// Batch ingestion: one commit for the whole burst, then a single
+    /// Burst ingestion: one commit for the whole burst, then a single
     /// sorted merge of the burst into the deadline-descending active set —
     /// `O(active + b log b)` instead of `b` binary-search insertions each
-    /// moving an `O(active)` tail.
+    /// moving an `O(active)` tail.  Expired-on-arrival jobs cover nothing,
+    /// but merging them is harmless: the next commit pops them.
     ///
     /// The merge keeps existing entries ahead of burst entries on tied
     /// deadlines and preserves slice order within the burst, which is
-    /// exactly the order the one-insertion-at-a-time path produces, so the
-    /// committed time-sharing order is identical too.
+    /// exactly the order feeding the jobs as one-job bursts produces, so
+    /// the committed time-sharing order is identical too.
     fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
         if jobs.is_empty() {
             return Ok(Vec::new());

@@ -882,27 +882,7 @@ impl LogCheckpointable for BkpState {
 }
 
 impl OnlineScheduler for BkpState {
-    fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
-        check_arrival(job, self.now, now)?;
-        if self.anchor.is_none() {
-            self.anchor = Some(now);
-            self.now = now;
-        }
-        if self.now.is_finite() {
-            let to = now.max(self.now);
-            self.advance_to(to);
-        }
-        self.edf.push(EdfEntry {
-            deadline: job.deadline,
-            job: self.jobs.len(),
-        });
-        self.index.insert(job);
-        self.jobs.push(*job);
-        self.remaining.push(job.work);
-        Ok(Decision::accept(0.0))
-    }
-
-    /// Batch ingestion: the grid is advanced **once** for the whole burst,
+    /// Burst ingestion: the grid is advanced **once** for the whole burst,
     /// then every job is registered with the resident structures — the EDF
     /// heap push (`O(log n)`), the speed index (append-biased release
     /// list, `O(active)` deadline list), and the job/remaining tables.

@@ -14,15 +14,16 @@
 //!
 //! * [`ReplanState`] — the *incremental* executor implementing the
 //!   event-driven [`OnlineScheduler`] trait: each
-//!   [`on_arrival`](OnlineScheduler::on_arrival) executes the current plan
-//!   up to the arrival time (extending the committed frontier), consults the
-//!   admission policy, and replans.  Replans are **warm-started** through
-//!   [`Planner::plan_warm`] and the per-run [`PlanCache`]: the OA-family
-//!   planners reuse their previous YDS solution and only re-derive the part
-//!   of the staircase the new arrival perturbs, instead of re-solving from
-//!   zero.  This is what the blanket batch adapter and the streaming
-//!   simulator drive; `with_warm_start(false)` restores the from-scratch
-//!   behaviour for benchmarks.
+//!   [`on_arrivals`](OnlineScheduler::on_arrivals) burst executes the
+//!   current plan up to the arrival time (extending the committed
+//!   frontier), consults the admission policy per job, and replans.
+//!   Replans are **warm-started** through [`Planner::plan_warm`] and the
+//!   per-run [`PlanCache`]: the OA-family planners reuse their previous
+//!   YDS solution and only re-derive the part of the staircase the new
+//!   arrival perturbs, instead of re-solving from zero.  This is what the
+//!   blanket batch adapter and the streaming simulator drive;
+//!   `with_warm_start(false)` restores the from-scratch behaviour for
+//!   benchmarks.
 //! * [`run_replanning`] — the original *batch* loop over an instance's
 //!   distinct release times, retained verbatim as an independently coded
 //!   reference: the `incremental_equivalence` integration tests check that
@@ -317,39 +318,20 @@ impl<P: Planner, A: AdmissionPolicy> ReplanState<P, A> {
 }
 
 impl<P: Planner, A: AdmissionPolicy> OnlineScheduler for ReplanState<P, A> {
-    fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
-        check_arrival(job, self.now, now)?;
-        self.advance_to(now.max(self.now))?;
-        self.horizon_end = self.horizon_end.max(job.deadline);
-        let admitted = self
-            .admission
-            .admit(&self.env, self.now, job, &self.pending)?;
-        if admitted {
-            self.pending.push(PendingJob::new(job));
-        }
-        self.plan_stale = true;
-        Ok(if admitted {
-            Decision::accept(0.0)
-        } else {
-            Decision::reject(job.value)
-        })
-    }
-
-    /// Batch ingestion: the window up to `now` is executed **once** for the
+    /// Burst ingestion: the window up to `now` is executed **once** for the
     /// whole burst, each job then runs the per-job ingress check and the
     /// admission rule against the pending set as it stands (so the burst's
-    /// earlier jobs are visible, exactly like the one-at-a-time loop and
-    /// the batch reference's per-release admission pass), and the plan is
-    /// marked stale once — the next execution performs a **single** (warm)
-    /// replan for the burst.
+    /// earlier jobs are visible, exactly like the batch reference's
+    /// per-release admission pass), and the plan is marked stale once —
+    /// the next execution performs a **single** (warm) replan for the
+    /// burst.
     ///
-    /// Because replanning is already lazy, this is decision- and
-    /// schedule-identical to looping [`on_arrival`](OnlineScheduler::on_arrival)
-    /// at the same `now`; the batch path saves only the per-job window
-    /// bookkeeping.  The b-fold replan collapse comes from *feeding* bursts
-    /// at one timestamp (e.g. via the streaming simulator's coalescing
-    /// window) instead of at `b` distinct ones, each of which would execute
-    /// a sliver of plan and force its own replan.
+    /// Because replanning is lazy, this is decision- and schedule-identical
+    /// to feeding the jobs as one-job bursts at the same `now`.  The b-fold
+    /// replan collapse comes from *feeding* bursts at one timestamp (e.g.
+    /// via the streaming simulator's coalescing window) instead of at `b`
+    /// distinct ones, each of which would execute a sliver of plan and
+    /// force its own replan.
     fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
         if jobs.is_empty() {
             return Ok(Vec::new());

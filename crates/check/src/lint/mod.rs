@@ -31,6 +31,7 @@ pub fn check_file(rel_path: &str, src: &Source) -> Vec<Finding> {
     findings.extend(rules::float_eq(rel_path, src));
     findings.extend(rules::spin_outside_facade(rel_path, src));
     findings.extend(rules::feed_outside_core(rel_path, src));
+    findings.extend(rules::arrival_override(rel_path, src));
     findings
 }
 

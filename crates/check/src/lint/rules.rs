@@ -15,6 +15,7 @@
 //! | `crate-attrs` | every crate's `lib.rs` carries its unsafe-code posture attribute |
 //! | `spin-outside-facade` | serving-layer spins and yields go through `pss_check::{thread, hint}` |
 //! | `feed-outside-core` | the simulator and the serving layer feed runs only through `pss_sim::ShardCore` |
+//! | `arrival-override` | runs implement only `on_arrivals`; `on_arrival` is the trait's provided one-job burst |
 
 use super::source::Source;
 
@@ -423,6 +424,34 @@ pub fn feed_outside_core(path: &str, src: &Source) -> Vec<Finding> {
                 idx,
                 RULE,
                 "feed runs through pss_sim::ShardCore::feed, where the arrival rules live".into(),
+            ));
+        }
+    }
+    out
+}
+
+/// The one file allowed to define `on_arrival`: the trait's, whose
+/// provided method feeds a one-job burst.
+pub const ARRIVAL_TRAIT: &str = "crates/types/src/scheduler.rs";
+
+/// `arrival-override`: forbids `fn on_arrival(` outside `#[cfg(test)]`
+/// code and [`ARRIVAL_TRAIT`].  A run implements `on_arrivals` only, and
+/// the provided `on_arrival` feeds it a one-job burst, so a lone job and a
+/// burst cannot take two arrival paths that drift apart.
+pub fn arrival_override(path: &str, src: &Source) -> Vec<Finding> {
+    const RULE: &str = "arrival-override";
+    if path == ARRIVAL_TRAIT {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (idx, line) in src.lines.iter().enumerate() {
+        if line.contains("fn on_arrival(") && !src.waived(idx, RULE) {
+            out.push(finding(
+                path,
+                idx,
+                RULE,
+                "implement on_arrivals only: the provided on_arrival feeds it a one-job burst"
+                    .into(),
             ));
         }
     }

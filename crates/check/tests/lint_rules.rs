@@ -152,6 +152,27 @@ fn feed_rule_confines_arrival_calls_to_the_feed_core() {
 }
 
 #[test]
+fn arrival_rule_keeps_one_arrival_method_per_run() {
+    const RULE: &str = "arrival-override";
+    let bad = "impl OnlineScheduler for R {\n    \
+               fn on_arrival(&mut self, j: &Job, now: f64) -> Result<Decision, E> { todo!() }\n}\n";
+    assert_eq!(rule_hits("crates/baselines/src/avr.rs", bad, RULE), 1);
+    assert_eq!(rule_hits("crates/core/src/online.rs", bad, RULE), 1);
+    assert_eq!(rule_hits("examples/datacenter.rs", bad, RULE), 1);
+    // Implementing the burst method, or calling the provided one, is fine.
+    let good = "fn on_arrivals(&mut self, js: &[Job], now: f64) -> R { todo!() }\n\
+                fn f(r: &mut R, j: &Job) { r.on_arrival(j, 0.0).ok(); }\n";
+    assert_eq!(rule_hits("crates/baselines/src/avr.rs", good, RULE), 0);
+    // The trait's own file, test modules and waived lines are out of scope.
+    assert_eq!(rule_hits("crates/types/src/scheduler.rs", bad, RULE), 0);
+    let test_only =
+        "#[cfg(test)]\nmod tests {\n    fn on_arrival(&mut self, j: &Job, now: f64) {}\n}\n";
+    assert_eq!(rule_hits("crates/sim/src/replay.rs", test_only, RULE), 0);
+    let waived = "// pss-lint: allow(arrival-override) — a wrapper under test\nfn on_arrival(&mut self, j: &Job, now: f64) {}\n";
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", waived, RULE), 0);
+}
+
+#[test]
 fn waiver_comment_suppresses_the_named_rule_only() {
     let waived =
         "// pss-lint: allow(float-eq) — exact sentinel\nfn f(x: f64) -> bool { x == 0.0 }\n";

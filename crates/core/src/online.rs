@@ -8,11 +8,11 @@
 //! each arrival and splitting assigned work proportionally whenever a new
 //! boundary refines an interval produces the identical schedule.
 //!
-//! [`OnlinePd`] implements that online version literally: jobs are fed one
-//! by one via [`OnlinePd::arrive`], the partition grows by refinement, and
-//! previously assigned work is split proportionally.  The equivalence with
-//! the batch scheduler is verified by tests and by the `online_equivalence`
-//! integration test.
+//! [`OnlinePd`] implements that online version literally: jobs are fed
+//! through [`OnlineScheduler::on_arrivals`] (a lone job as a one-job
+//! burst), the partition grows by refinement, and previously assigned
+//! work is split proportionally.  The equivalence with the batch scheduler
+//! is verified by tests and by the `online_equivalence` integration test.
 //!
 //! ## The live planning context
 //!
@@ -44,8 +44,8 @@ use pss_types::num::Tolerance;
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 use pss_types::{
-    check_arrival, Decision, Instance, Job, JobId, OnlineScheduler, Schedule, ScheduleError,
-    Segment, ARRIVAL_ORDER_TOLERANCE,
+    check_arrival, Decision, Job, JobId, OnlineScheduler, Schedule, ScheduleError, Segment,
+    ARRIVAL_ORDER_TOLERANCE,
 };
 
 /// One job's share of an atomic interval: the job's original id, the
@@ -195,17 +195,6 @@ impl OnlinePd {
         self.arrived
     }
 
-    /// Feeds the next arriving job.  Jobs must be fed in nondecreasing order
-    /// of release time (the online model); the job keeps its original id for
-    /// the final schedule.  Returns PD's decision under the workspace dual
-    /// convention.
-    pub fn arrive(&mut self, job: &Job) -> Result<Decision, ScheduleError> {
-        check_arrival(job, self.last_release, job.release)?;
-        let decision = self.fill(job);
-        self.commit_elapsed(job.release);
-        Ok(decision)
-    }
-
     /// PD's greedy primal-dual step for one job (Listing 1): refine the
     /// partition with the job's window endpoints, water-fill its work into
     /// the covered intervals, and keep the fill only if it saturates.
@@ -283,68 +272,6 @@ impl OnlinePd {
             self.plan.retire_prefix(elapsed);
             self.floor = self.plan.partition.boundaries()[0];
         }
-    }
-
-    /// The current schedule for everything that has arrived so far, with the
-    /// jobs' original ids: the committed frontier plus the realisation of
-    /// every live interval.
-    pub fn schedule(&self) -> Result<Schedule, ScheduleError> {
-        let mut schedule = self.committed.clone();
-        for k in 0..self.plan.partition.len() {
-            for seg in self.realize_interval(k) {
-                schedule.push(seg);
-            }
-        }
-        Ok(schedule)
-    }
-
-    /// Feeds a burst of jobs arriving together: per-job partition
-    /// refinement + water-fill in slice order (the greedy primal-dual step
-    /// is order-dependent, so the fills stay sequential — exactly Listing
-    /// 1's semantics) and **one** frontier commit (the per-interval Chen
-    /// realisations) at the end instead of one per arrival.
-    ///
-    /// Splitting an interval proportionally never changes any water level
-    /// or realised speed (the paper's partition-refinement invariance,
-    /// Section 3), so committing after the whole burst realises exactly
-    /// what the one-at-a-time interleaving would have; the
-    /// burst-equivalence integration tests (`tests/incremental_equivalence.rs`)
-    /// pin this.  Returns the decision per job, like
-    /// [`arrive`](Self::arrive).
-    pub fn arrive_burst(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Validate the whole burst (against the loop's sequential ordering
-        // contract) before mutating any state.
-        let mut last = self.last_release;
-        for job in jobs {
-            check_fed(job, now)?;
-            check_arrival(job, last, job.release)?;
-            last = last.max(job.release);
-        }
-        // The floor cannot move inside the burst (the commit is deferred),
-        // and each job refines the partition with its own two boundaries
-        // just before its fill, so the burst's earlier fills see the coarser
-        // partition exactly like the one-at-a-time path.
-        let decisions = jobs.iter().map(|job| self.fill(job)).collect();
-        // One frontier commit for the whole burst: realising an atomic
-        // interval (a Chen solve per interval) is the expensive part of an
-        // arrival on a jittered burst, and deferring it until the burst's
-        // loads are final does it once instead of per sliver.
-        self.commit_elapsed(self.last_release);
-        Ok(decisions)
-    }
-
-    /// Convenience: runs the online algorithm over a whole instance (feeding
-    /// jobs in release order) and returns the schedule in the instance's
-    /// original job ids.
-    pub fn run_instance(instance: &Instance) -> Result<Schedule, ScheduleError> {
-        let mut online = Self::new(instance.machines, instance.alpha);
-        for id in instance.arrival_order() {
-            online.arrive(instance.job(id))?;
-        }
-        online.schedule()
     }
 }
 
@@ -472,15 +399,43 @@ impl LogCheckpointable for OnlinePd {
 }
 
 impl OnlineScheduler for OnlinePd {
-    fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
-        check_fed(job, now)?;
-        self.arrive(job)
-    }
-
-    /// Batch ingestion through [`arrive_burst`](OnlinePd::arrive_burst):
-    /// one frontier commit per burst, sequential (order-exact) water-fills.
+    /// Feeds a burst of jobs arriving together: per-job partition
+    /// refinement + water-fill in slice order (the greedy primal-dual step
+    /// is order-dependent, so the fills stay sequential — exactly Listing
+    /// 1's semantics) and **one** frontier commit (the per-interval Chen
+    /// realisations) at the end instead of one per arrival.  Jobs must be
+    /// fed in nondecreasing order of release time (the online model); each
+    /// keeps its original id for the final schedule.
+    ///
+    /// Splitting an interval proportionally never changes any water level
+    /// or realised speed (the paper's partition-refinement invariance,
+    /// Section 3), so committing after the whole burst realises exactly
+    /// what feeding the jobs as one-job bursts would have; the
+    /// burst-equivalence integration tests (`tests/incremental_equivalence.rs`)
+    /// pin this.
     fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
-        self.arrive_burst(jobs, now)
+        if jobs.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Validate the whole burst (against the sequential ordering
+        // contract) before mutating any state.
+        let mut last = self.last_release;
+        for job in jobs {
+            check_fed(job, now)?;
+            check_arrival(job, last, job.release)?;
+            last = last.max(job.release);
+        }
+        // The floor cannot move inside the burst (the commit is deferred),
+        // and each job refines the partition with its own two boundaries
+        // just before its fill, so the burst's earlier fills see the coarser
+        // partition exactly as one-job bursts would.
+        let decisions = jobs.iter().map(|job| self.fill(job)).collect();
+        // One frontier commit for the whole burst: realising an atomic
+        // interval (a Chen solve per interval) is the expensive part of an
+        // arrival on a jittered burst, and deferring it until the burst's
+        // loads are final does it once instead of per sliver.
+        self.commit_elapsed(self.last_release);
+        Ok(decisions)
     }
 
     fn frontier(&self) -> &Schedule {
@@ -497,7 +452,7 @@ impl OnlineScheduler for OnlinePd {
 mod tests {
     use super::*;
     use crate::pd::PdScheduler;
-    use pss_types::validate_schedule;
+    use pss_types::{validate_schedule, Instance, Scheduler};
 
     fn instance() -> Instance {
         Instance::from_tuples(
@@ -519,14 +474,15 @@ mod tests {
         let batch = PdScheduler::default().run(&inst).unwrap();
         let mut online = OnlinePd::new(inst.machines, inst.alpha);
         for id in inst.arrival_order() {
-            let decision = online.arrive(inst.job(id)).unwrap();
+            let job = inst.job(id);
+            let decision = online.on_arrival(job, job.release).unwrap();
             assert_eq!(
                 decision.accepted,
                 batch.accepted[id.index()],
                 "decision for {id} differs between online and batch PD"
             );
         }
-        let online_cost = online.schedule().unwrap().cost(&inst).total();
+        let online_cost = online.finish().unwrap().cost(&inst).total();
         let batch_cost = batch.schedule.cost(&inst).total();
         assert!(
             (online_cost - batch_cost).abs() < 1e-6 * batch_cost.max(1.0),
@@ -539,8 +495,9 @@ mod tests {
         let inst = instance();
         let mut online = OnlinePd::new(inst.machines, inst.alpha);
         for (i, id) in inst.arrival_order().into_iter().enumerate() {
-            online.arrive(inst.job(id)).unwrap();
-            let schedule = online.schedule().unwrap();
+            let job = inst.job(id);
+            online.on_arrival(job, job.release).unwrap();
+            let schedule = online.clone().finish().unwrap();
             // Validate against the prefix instance (jobs released so far).
             let prefix_ids: Vec<JobId> = inst.arrival_order()[..=i].to_vec();
             let mut jobs: Vec<Job> = prefix_ids.iter().map(|j| *inst.job(*j)).collect();
@@ -573,7 +530,8 @@ mod tests {
         let inst = instance();
         let mut online = OnlinePd::new(inst.machines, inst.alpha);
         for id in inst.arrival_order() {
-            online.arrive(inst.job(id)).unwrap();
+            let job = inst.job(id);
+            online.on_arrival(job, job.release).unwrap();
         }
         // The last release is 2.0: everything before it is committed and
         // gone from the plan, whose first boundary is now the floor.
@@ -586,7 +544,7 @@ mod tests {
             .all(|seg| seg.end <= 2.0 + 1e-12));
         // The frontier plus the live realisation is the whole schedule.
         let batch = PdScheduler::default().run(&inst).unwrap().schedule;
-        let schedule = online.schedule().unwrap();
+        let schedule = online.finish().unwrap();
         for t in [0.25, 0.75, 1.5, 2.25, 3.25, 3.75] {
             assert!(
                 (schedule.total_speed_at(t) - batch.total_speed_at(t)).abs() < 1e-6,
@@ -599,7 +557,8 @@ mod tests {
     fn restore_rejects_non_finite_or_negative_loads() {
         let inst = instance();
         let mut online = OnlinePd::new(inst.machines, inst.alpha);
-        online.arrive(inst.job(JobId(0))).unwrap();
+        let first = inst.job(JobId(0));
+        online.on_arrival(first, first.release).unwrap();
         let mut log = SegmentLog::new(inst.machines);
         let mut round_trip = |run: &OnlinePd| {
             let blob = run.snapshot_live(&mut log).unwrap();
@@ -625,8 +584,10 @@ mod tests {
     #[test]
     fn out_of_order_arrivals_are_rejected() {
         let mut online = OnlinePd::new(1, 2.0);
-        online.arrive(&Job::new(0, 5.0, 6.0, 1.0, 1.0)).unwrap();
-        let err = online.arrive(&Job::new(1, 1.0, 2.0, 1.0, 1.0));
+        online
+            .on_arrival(&Job::new(0, 5.0, 6.0, 1.0, 1.0), 5.0)
+            .unwrap();
+        let err = online.on_arrival(&Job::new(1, 1.0, 2.0, 1.0, 1.0), 1.0);
         assert!(err.is_err());
     }
 
@@ -635,14 +596,14 @@ mod tests {
         let mut online = OnlinePd::new(1, 2.0);
         let mut bad = Job::new(0, 0.0, 1.0, 1.0, 1.0);
         bad.work = f64::NAN;
-        assert!(online.arrive(&bad).is_err());
+        assert!(online.on_arrival(&bad, bad.release).is_err());
         assert_eq!(online.arrived(), 0);
     }
 
     #[test]
     fn run_instance_convenience_matches_batch_cost() {
         let inst = instance();
-        let online = OnlinePd::run_instance(&inst).unwrap();
+        let online = PdScheduler::default().schedule(&inst).unwrap();
         let batch = PdScheduler::default().run(&inst).unwrap();
         let a = online.cost(&inst).total();
         let b = batch.schedule.cost(&inst).total();
@@ -653,7 +614,7 @@ mod tests {
     fn empty_online_schedule_is_empty() {
         let online = OnlinePd::new(3, 2.0);
         assert_eq!(online.arrived(), 0);
-        assert!(online.schedule().unwrap().segments.is_empty());
+        assert!(online.finish().unwrap().segments.is_empty());
     }
 
     #[test]

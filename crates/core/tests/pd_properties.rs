@@ -116,10 +116,11 @@ fn online_pd_matches_batch() {
         let batch = PdScheduler::default().run(&inst).expect("batch");
         let mut online = OnlinePd::new(inst.machines, inst.alpha);
         for id in inst.arrival_order() {
-            let decision = online.arrive(inst.job(id)).expect("arrive");
+            let job = inst.job(id);
+            let decision = online.on_arrival(job, job.release).expect("arrive");
             assert_eq!(decision.accepted, batch.accepted[id.index()]);
         }
-        let oc = online.schedule().expect("schedule").cost(&inst).total();
+        let oc = online.finish().expect("schedule").cost(&inst).total();
         let bc = batch.schedule.cost(&inst).total();
         assert!(
             (oc - bc).abs() <= 1e-4 * bc.max(1.0),
@@ -194,7 +195,7 @@ fn live_blob_size_does_not_grow_with_the_history() {
 #[test]
 fn version_2_pd_blobs_are_rejected() {
     let mut run = OnlinePd::new(1, 2.0);
-    run.arrive(&Job::new(0, 0.0, 1.0, 1.0, 5.0))
+    run.on_arrival(&Job::new(0, 0.0, 1.0, 1.0, 5.0), 0.0)
         .expect("arrival");
     let mut log = SegmentLog::new(1);
     let current = run.snapshot_live(&mut log).expect("live snapshot");

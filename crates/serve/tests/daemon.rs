@@ -261,7 +261,11 @@ fn quotas_cap_outstanding_jobs_and_release_on_drain() {
     // Draining frees quota: once the worker ingests the backlog the same
     // submission goes through.
     daemon.resume();
-    wait_for("the queue to drain", || daemon.queue_depth(0) == 0);
+    // The worker journals a batch's events only after it has released
+    // their quota slots, so three events mean three free slots.
+    wait_for("the backlog to be journalled", || {
+        daemon.shard_event_count(0) == 3
+    });
     wait_for("quota to free up", || {
         handles[0].submit(env(4, 0.4)).is_ok()
     });

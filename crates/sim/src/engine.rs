@@ -406,8 +406,8 @@ pub struct StreamingSimulation {
     /// burst's first release are fed together through
     /// [`OnlineScheduler::on_arrivals`] at the burst's last release (see
     /// [`coalesce_arrivals`]).  `0` (the default) makes every arrival a
-    /// burst of its own, fed at its own release; a singleton
-    /// `on_arrivals` is bit-identical to [`OnlineScheduler::on_arrival`].
+    /// burst of its own, fed at its own release — the one-job burst that
+    /// [`OnlineScheduler::on_arrival`] also feeds.
     ///
     /// Coalescing deliberately treats near-simultaneous arrivals as
     /// simultaneous: jobs are fed up to one window *later* than their

@@ -48,12 +48,9 @@
 //! recovery latency.
 //!
 //! [`replay`] provides the operational definition of "online": the
-//! streaming check [`replay::streaming_prefix_report`] verifies in a single
-//! pass that the machine speed profiles an incremental run *commits to*
-//! are never revised by later arrivals, and the batch fallback
-//! [`replay::prefix_stability_report`] re-runs any
-//! [`Scheduler`](pss_types::Scheduler) on growing prefixes of an instance
-//! for algorithms without the incremental API.
+//! streaming check [`replay::streaming_prefix_report`] feeds one run
+//! through a [`ShardCore`] and verifies in a single pass that the machine
+//! speed profiles it *commits to* are never revised by later arrivals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,7 +70,7 @@ pub use engine::{
 };
 pub use feed::{burst_len, expired_at, FeedState, ShardCore, PRICE_SMOOTHING};
 pub use gantt::{render_gantt, GanttOptions};
-pub use replay::{prefix_stability_report, streaming_prefix_report, PrefixStabilityReport};
+pub use replay::{streaming_prefix_report, PrefixStabilityReport};
 pub use sharded::{
     sharded_fields_equal, sharding_drift, RoutePolicy, ShardedEvent, ShardedReport, ShardedStream,
     ShardedStreaming, ShardingDrift,

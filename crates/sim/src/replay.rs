@@ -2,24 +2,16 @@
 //!
 //! An algorithm is *online* when its decisions about the past do not depend
 //! on jobs that have not been released yet.  An implementation bug could
-//! leak future information, so this module checks the operational property
-//! directly, in two flavours:
-//!
-//! * [`streaming_prefix_report`] — the primary, single-pass check for
-//!   event-driven algorithms ([`OnlineAlgorithm`]): one run is fed the
-//!   arrival stream; after each arrival the speed profile of the window
-//!   that just became past is sampled *from the committed frontier*, and at
-//!   the end the finished schedule is compared against every stored sample.
-//!   Any deviation means the final schedule revised a past the run had
-//!   already committed to.  Cost: one run plus `O(n · samples)` profile
-//!   samples — no re-solves.
-//! * [`prefix_stability_report`] — the batch fallback for arbitrary
-//!   [`Scheduler`]s (including offline ones under test): re-runs the
-//!   scheduler on every prefix instance and compares past speed profiles
-//!   against the full run, at `O(n)` full solves.  Kept for algorithms that
-//!   do not expose the incremental API and as an independent cross-check.
+//! leak future information, so [`streaming_prefix_report`] checks the
+//! operational property directly, in a single pass over an event-driven
+//! algorithm ([`OnlineAlgorithm`]): one run is fed the arrival stream;
+//! after each arrival the speed profile of the window that just became past
+//! is sampled *from the committed frontier*, and at the end the finished
+//! schedule is compared against every stored sample.  Any deviation means
+//! the final schedule revised a past the run had already committed to.
+//! Cost: one run plus `O(n · samples)` profile samples — no re-solves.
 
-use pss_types::{Instance, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, Scheduler};
+use pss_types::{Instance, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError};
 
 use crate::feed::{ShardCore, PRICE_SMOOTHING};
 
@@ -42,58 +34,6 @@ impl PrefixStabilityReport {
     }
 }
 
-/// Runs the *batch* prefix-stability check for `scheduler` on `instance`,
-/// sampling each machine's speed profile at `samples` points: the scheduler
-/// is re-run on every prefix instance (`O(n)` full solves).  Prefer
-/// [`streaming_prefix_report`] for algorithms implementing the event-driven
-/// [`OnlineAlgorithm`] API.
-pub fn prefix_stability_report<S: Scheduler + ?Sized>(
-    scheduler: &S,
-    instance: &Instance,
-    samples: usize,
-) -> Result<PrefixStabilityReport, ScheduleError> {
-    let full = scheduler.schedule(instance)?;
-    let mut checkpoints: Vec<f64> = instance.jobs.iter().map(|j| j.release).collect();
-    checkpoints.sort_by(f64::total_cmp);
-    checkpoints.dedup();
-
-    let mut max_deviation = 0.0_f64;
-    for &t in &checkpoints {
-        if t <= instance.horizon().0 {
-            continue;
-        }
-        // The prefix instance: jobs released strictly before t (jobs
-        // released exactly at t may be processed from t onwards only, so
-        // they cannot affect the past either way; excluding them keeps the
-        // comparison strict).
-        let keep: Vec<pss_types::JobId> = instance
-            .jobs
-            .iter()
-            .filter(|j| j.release < t - 1e-12)
-            .map(|j| j.id)
-            .collect();
-        if keep.is_empty() {
-            continue;
-        }
-        let prefix = instance.restrict(&keep);
-        let prefix_schedule = scheduler.schedule(&prefix)?;
-        max_deviation = max_deviation.max(profile_deviation(
-            &full,
-            &prefix_schedule,
-            instance.machines,
-            instance.horizon().0,
-            t,
-            samples,
-        ));
-    }
-
-    Ok(PrefixStabilityReport {
-        checkpoints,
-        max_deviation,
-        samples,
-    })
-}
-
 /// Runs the *streaming* prefix-stability check for an event-driven
 /// algorithm: a single run of `algo` is fed the arrival stream (one
 /// singleton burst per arrival, at its release, through a [`ShardCore`]),
@@ -105,8 +45,7 @@ pub fn prefix_stability_report<S: Scheduler + ?Sized>(
 ///
 /// A nonzero deviation means the finished schedule differs from what the
 /// run had already committed to — i.e. the "past" was revised.  The whole
-/// check costs one run plus `O(n · samples)` profile evaluations, instead
-/// of the `O(n)` full re-solves of [`prefix_stability_report`].
+/// check costs one run plus `O(n · samples)` profile evaluations.
 ///
 /// `samples` is the number of profile samples per window and machine.
 pub fn streaming_prefix_report<A: OnlineAlgorithm + ?Sized>(
@@ -184,84 +123,10 @@ fn sample_profile(
         .collect()
 }
 
-fn profile_deviation(
-    a: &Schedule,
-    b: &Schedule,
-    machines: usize,
-    from: f64,
-    to: f64,
-    samples: usize,
-) -> f64 {
-    if to <= from {
-        return 0.0;
-    }
-    let step = (to - from) / samples as f64;
-    let mut max_dev = 0.0_f64;
-    for machine in 0..machines {
-        for i in 0..samples {
-            let t = from + (i as f64 + 0.5) * step;
-            let dev = (a.speed_at(machine, t) - b.speed_at(machine, t)).abs();
-            max_dev = max_dev.max(dev);
-        }
-    }
-    max_dev
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pss_types::{JobId, Segment};
-
-    /// A fake "offline" scheduler that schedules every job at a common speed
-    /// proportional to the *total* number of jobs — later arrivals change
-    /// the past, so the prefix check must flag it.
-    struct Clairvoyant;
-
-    impl Scheduler for Clairvoyant {
-        fn name(&self) -> String {
-            "clairvoyant".into()
-        }
-
-        fn schedule(&self, instance: &Instance) -> Result<Schedule, ScheduleError> {
-            let mut s = Schedule::empty(instance.machines);
-            let boost = instance.len() as f64;
-            for job in &instance.jobs {
-                s.push(Segment::work(
-                    0,
-                    job.release,
-                    job.deadline,
-                    boost * job.density(),
-                    job.id,
-                ));
-            }
-            Ok(s)
-        }
-    }
-
-    /// An honest online scheduler: every job at its own density, which never
-    /// depends on other jobs — but jobs of one machine may overlap, so use a
-    /// one-job-per-interval instance.
-    struct Honest;
-
-    impl Scheduler for Honest {
-        fn name(&self) -> String {
-            "honest".into()
-        }
-
-        fn schedule(&self, instance: &Instance) -> Result<Schedule, ScheduleError> {
-            let mut s = Schedule::empty(instance.machines);
-            for job in &instance.jobs {
-                s.push(Segment::work(
-                    0,
-                    job.release,
-                    job.deadline,
-                    job.density(),
-                    job.id,
-                ));
-            }
-            Ok(s)
-        }
-    }
+    use pss_types::Segment;
 
     fn disjoint_instance() -> Instance {
         Instance::from_tuples(
@@ -274,27 +139,6 @@ mod tests {
             ],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn honest_scheduler_passes_the_check() {
-        let report = prefix_stability_report(&Honest, &disjoint_instance(), 64).unwrap();
-        assert!(report.is_online(1e-9), "deviation {}", report.max_deviation);
-    }
-
-    #[test]
-    fn clairvoyant_scheduler_fails_the_check() {
-        let report = prefix_stability_report(&Clairvoyant, &disjoint_instance(), 64).unwrap();
-        assert!(!report.is_online(1e-6));
-        assert!(report.max_deviation > 0.1);
-    }
-
-    #[test]
-    fn single_job_instances_are_trivially_online() {
-        let inst = Instance::from_tuples(1, 2.0, vec![(0.0, 1.0, 0.5, 1.0)]).unwrap();
-        let report = prefix_stability_report(&Honest, &inst, 16).unwrap();
-        assert_eq!(report.max_deviation, 0.0);
-        let _ = JobId(0);
     }
 
     #[test]
@@ -333,11 +177,11 @@ mod tests {
     }
 
     impl pss_types::OnlineScheduler for CheaterRun {
-        fn on_arrival(
+        fn on_arrivals(
             &mut self,
-            job: &pss_types::Job,
+            jobs: &[pss_types::Job],
             now: f64,
-        ) -> Result<pss_types::Decision, ScheduleError> {
+        ) -> Result<Vec<pss_types::Decision>, ScheduleError> {
             for j in &self.jobs {
                 let from = j.release.max(self.now);
                 let to = j.deadline.min(now);
@@ -347,8 +191,8 @@ mod tests {
                 }
             }
             self.now = self.now.max(now);
-            self.jobs.push(*job);
-            Ok(pss_types::Decision::accept(0.0))
+            self.jobs.extend_from_slice(jobs);
+            Ok(vec![pss_types::Decision::accept(0.0); jobs.len()])
         }
 
         fn frontier(&self) -> &Schedule {

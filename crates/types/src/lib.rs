@@ -16,7 +16,7 @@
 //! * [`Scheduler`] — the batch algorithm trait implemented by the offline
 //!   baselines, plus the event-driven online pair
 //!   [`OnlineAlgorithm`]/[`OnlineScheduler`] (incremental arrivals via
-//!   [`OnlineScheduler::on_arrival`], a never-revised committed
+//!   [`OnlineScheduler::on_arrivals`], a never-revised committed
 //!   [`OnlineScheduler::frontier`], and a blanket batch adapter) implemented
 //!   by every online algorithm in the workspace,
 //! * [`merge`] — reassembling one logical schedule from per-shard

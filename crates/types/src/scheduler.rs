@@ -6,15 +6,15 @@
 //!   [`Schedule`].  Offline algorithms (YDS, brute force, the convex
 //!   solver) implement this directly.
 //! * [`OnlineScheduler`] / [`OnlineAlgorithm`] — the *event-driven* view:
-//!   jobs arrive one at a time via [`OnlineScheduler::on_arrival`] (or as
-//!   simultaneous bursts via [`OnlineScheduler::on_arrivals`], which is
-//!   observably equivalent but lets implementations share the per-burst
-//!   work), every decision is made with only the jobs released so far, and
-//!   the already-committed past ([`OnlineScheduler::frontier`]) is never
-//!   revised.  All online algorithms in the workspace (PD, OA, qOA,
-//!   multiprocessor OA, AVR, BKP, CLL) implement this pair, and a blanket
-//!   adapter recovers their batch [`Scheduler`] impl, so the experiment
-//!   harness can keep treating every algorithm uniformly.
+//!   jobs arrive in bursts of simultaneous arrivals via
+//!   [`OnlineScheduler::on_arrivals`] (a lone job is the one-job burst
+//!   [`OnlineScheduler::on_arrival`]), every decision is made with only the
+//!   jobs released so far, and the already-committed past
+//!   ([`OnlineScheduler::frontier`]) is never revised.  All online
+//!   algorithms in the workspace (PD, OA, qOA, multiprocessor OA, AVR, BKP,
+//!   CLL) implement this pair, and a blanket adapter recovers their batch
+//!   [`Scheduler`] impl, so the experiment harness can keep treating every
+//!   algorithm uniformly.
 
 use crate::error::ScheduleError;
 use crate::instance::Instance;
@@ -41,7 +41,7 @@ pub trait Scheduler {
     fn schedule(&self, instance: &Instance) -> Result<Schedule, ScheduleError>;
 }
 
-/// The outcome of one [`OnlineScheduler::on_arrival`] event.
+/// The outcome of one job's arrival.
 ///
 /// # Dual-value convention
 ///
@@ -115,57 +115,61 @@ pub fn fold_price(price: f64, smoothing: f64, decision: &Decision) -> f64 {
 
 /// One *run* of an event-driven online algorithm.
 ///
-/// A run is stateful: jobs are fed one at a time, in nondecreasing release
-/// order, via [`on_arrival`](Self::on_arrival).  The online information
-/// model is structural: a run only ever sees jobs that have been fed to it,
-/// so it cannot base decisions on the future.  The complementary property —
-/// the *past* is never revised — is exposed through
-/// [`frontier`](Self::frontier) and verified operationally by the streaming
-/// replay harness in the `pss-sim` crate (`replay` module).
+/// A run is stateful: jobs are fed in bursts, at nondecreasing times, via
+/// [`on_arrivals`](Self::on_arrivals), the one arrival method a run
+/// implements.  The online information model is structural: a run only
+/// ever sees jobs that have been fed to it, so it cannot base decisions on
+/// the future.  The complementary property — the *past* is never revised —
+/// is exposed through [`frontier`](Self::frontier) and verified
+/// operationally by the streaming replay harness in the `pss-sim` crate
+/// (`replay` module).
 ///
 /// Runs are created by [`OnlineAlgorithm::start`]; the blanket adapter
 /// `impl<A: OnlineAlgorithm> Scheduler for A` drives a fresh run over a
 /// whole instance via [`run_online`].
 pub trait OnlineScheduler {
-    /// Feeds the next arriving job at time `now` and returns the
-    /// accept/reject decision together with the job's dual value.
-    ///
-    /// `now` must be nondecreasing across calls and at least the run's
-    /// previous arrival time; implementations return an error on
-    /// out-of-order feeds.  Typically `now == job.release`.
-    fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError>;
-
     /// Feeds a *burst* of simultaneous arrivals at time `now` and returns
-    /// one decision per job, in slice order.
+    /// one accept/reject decision per job, in slice order, each with the
+    /// job's dual value.
     ///
     /// # Contract
     ///
+    /// * `now` must be nondecreasing across calls; implementations return
+    ///   an error on out-of-order feeds.  Typically `now` is the release of
+    ///   the burst's last job.
     /// * Every job in `jobs` arrives at the same instant `now` (each job's
-    ///   release may precede `now`, exactly as for
-    ///   [`on_arrival`](Self::on_arrival); the per-job ingress checks of
+    ///   release may precede `now`; the per-job ingress checks of
     ///   [`check_arrival`] still apply, so a job more than
     ///   [`ARRIVAL_ORDER_TOLERANCE`] *after* `now` is rejected with an
     ///   error).
     /// * Jobs are processed **in slice order**: admission rules that
     ///   consult the pending set see the burst's earlier jobs already
-    ///   admitted, exactly as if the slice had been fed job by job.
-    /// * The method is **observably equivalent** to looping
-    ///   [`on_arrival`](Self::on_arrival) over the slice at the same `now`:
-    ///   same decisions and duals, same frontier, same final schedule.  The
-    ///   default implementation *is* that loop; specialised
-    ///   implementations only collapse shared per-burst work (one replan,
-    ///   one index merge, one partition update for the whole burst instead
-    ///   of one per job) — the burst-equivalence integration tests
+    ///   admitted.
+    /// * A burst decides exactly as the same jobs fed as one-job bursts at
+    ///   the same `now`: same decisions and duals, same frontier, same
+    ///   final schedule.  The burst only shares the per-burst work (one
+    ///   replan, one index merge, one partition update for the whole burst
+    ///   instead of one per job) — the burst-equivalence integration tests
     ///   (`tests/incremental_equivalence.rs`) pin this for every algorithm
     ///   in the workspace.
-    /// * On error the run may have ingested a prefix of the burst; like an
-    ///   [`on_arrival`](Self::on_arrival) error, the run should be
-    ///   discarded.
+    /// * On error the run may have ingested a prefix of the burst and
+    ///   should be discarded.
     ///
     /// An empty burst is a no-op returning an empty vector (in particular
     /// it does not advance the run's clock).
-    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
-        jobs.iter().map(|job| self.on_arrival(job, now)).collect()
+    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError>;
+
+    /// Feeds one job at time `now` as a one-job burst and returns its
+    /// decision, or an error if `on_arrivals` breaks its contract by not
+    /// answering with exactly one.
+    fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
+        match self.on_arrivals(std::slice::from_ref(job), now)?[..] {
+            [decision] => Ok(decision),
+            ref other => Err(ScheduleError::Internal(format!(
+                "on_arrivals contract violation: {} decisions for one job",
+                other.len()
+            ))),
+        }
     }
 
     /// The committed *frontier*: the partial schedule for the past (times
@@ -208,7 +212,7 @@ pub trait OnlineAlgorithm {
     /// decisions) depends on static instance metadata — BKP evaluates its
     /// speed expression on a uniform time grid over the horizon — override
     /// this to pick the grid; they still learn about individual jobs only
-    /// through [`OnlineScheduler::on_arrival`].
+    /// through [`OnlineScheduler::on_arrivals`].
     fn start_for(&self, instance: &Instance) -> Result<Self::Run, ScheduleError> {
         self.start(instance.machines, instance.alpha)
     }
@@ -216,8 +220,8 @@ pub trait OnlineAlgorithm {
 
 /// Tolerance of the arrival-time contract checks: times closer than this
 /// are treated as simultaneous, and a job may be fed at most this much
-/// before its nominal release.  All `on_arrival` implementations in the
-/// workspace share this single constant (via [`check_arrival`] /
+/// before its nominal release.  Every `on_arrivals` implementation in the
+/// workspace shares this single constant (via [`check_arrival`] /
 /// [`check_arrival_order`]).
 ///
 /// Producers that cannot honour the contract (concurrent tenants racing
@@ -228,7 +232,7 @@ pub trait OnlineAlgorithm {
 pub const ARRIVAL_ORDER_TOLERANCE: f64 = 1e-9;
 
 /// Checks the nondecreasing-arrival-time contract of
-/// [`OnlineScheduler::on_arrival`]: `now` may not lie (more than
+/// [`OnlineScheduler::on_arrivals`]: `now` may not lie (more than
 /// [`ARRIVAL_ORDER_TOLERANCE`]) before the previous arrival time.  Every run
 /// implementation in the workspace routes its ordering check through this
 /// helper so the tolerance and error wording stay in one place.
@@ -241,7 +245,7 @@ pub fn check_arrival_order(previous: f64, now: f64) -> Result<(), ScheduleError>
     Ok(())
 }
 
-/// The full ingress check shared by every `on_arrival` implementation:
+/// The full ingress check shared by every `on_arrivals` implementation:
 ///
 /// 1. the job's fields are finite and well-formed ([`Job::validate`]) —
 ///    validating once at ingress is what lets the numeric code downstream
@@ -339,13 +343,13 @@ mod tests {
     }
 
     impl OnlineScheduler for DensityRun {
-        fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
+        fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
             if now < self.now {
                 return Err(ScheduleError::Internal("out of order arrival".into()));
             }
             self.commit_to(now);
-            self.pending.push(*job);
-            Ok(Decision::accept(0.0))
+            self.pending.extend_from_slice(jobs);
+            Ok(vec![Decision::accept(0.0); jobs.len()])
         }
 
         fn frontier(&self) -> &Schedule {
@@ -436,8 +440,26 @@ mod tests {
         }
     }
 
+    /// A run that answers every burst with a fixed number of decisions,
+    /// whatever the burst's length.
+    struct Miscounting(usize, Schedule);
+
+    impl OnlineScheduler for Miscounting {
+        fn on_arrivals(&mut self, _: &[Job], _: f64) -> Result<Vec<Decision>, ScheduleError> {
+            Ok(vec![Decision::accept(0.0); self.0])
+        }
+
+        fn frontier(&self) -> &Schedule {
+            &self.1
+        }
+
+        fn finish(self) -> Result<Schedule, ScheduleError> {
+            Ok(self.1)
+        }
+    }
+
     #[test]
-    fn default_on_arrivals_is_the_on_arrival_loop() {
+    fn on_arrival_is_the_one_job_burst() {
         let inst = Instance::from_tuples(
             1,
             2.0,
@@ -448,25 +470,31 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut looped = Density.start_for(&inst).unwrap();
-        let mut batched = Density.start_for(&inst).unwrap();
-        // Burst of the two t=0 jobs, then the t=1 singleton.
-        let jobs = &inst.jobs;
-        let burst = batched.on_arrivals(&jobs[0..2], 0.0).unwrap();
-        let mut single = Vec::new();
-        for job in &jobs[0..2] {
-            single.push(looped.on_arrival(job, 0.0).unwrap());
+        let mut single = Density.start_for(&inst).unwrap();
+        let mut burst = Density.start_for(&inst).unwrap();
+        for job in &inst.jobs {
+            assert_eq!(
+                vec![single.on_arrival(job, job.release).unwrap()],
+                burst
+                    .on_arrivals(std::slice::from_ref(job), job.release)
+                    .unwrap()
+            );
         }
-        assert_eq!(burst, single);
-        assert_eq!(
-            batched.on_arrivals(&jobs[2..3], 1.0).unwrap(),
-            vec![looped.on_arrival(&jobs[2], 1.0).unwrap()]
-        );
-        // Empty bursts are no-ops.
-        assert!(batched.on_arrivals(&[], 1.0).unwrap().is_empty());
-        let a = batched.finish().unwrap();
-        let b = looped.finish().unwrap();
-        assert_eq!(a.segments, b.segments, "burst path revised the schedule");
+        let a = single.finish().unwrap();
+        let b = burst.finish().unwrap();
+        assert_eq!(a.segments, b.segments, "one-job paths diverged");
+
+        // A run answering a one-job burst with zero or two decisions breaks
+        // the contract: `on_arrival` reports it instead of panicking.
+        for answers in [0, 2] {
+            let mut run = Miscounting(answers, Schedule::empty(1));
+            match run.on_arrival(&inst.jobs[0], 0.0) {
+                Err(ScheduleError::Internal(msg)) => {
+                    assert!(msg.contains("on_arrivals contract violation"), "{msg}")
+                }
+                other => panic!("{answers} decisions: expected the violation, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,5 @@ pub use pss_workloads as workloads;
 /// simulator entry points.
 pub mod prelude {
     pub use pss_core::prelude::*;
-    pub use pss_sim::{
-        prefix_stability_report, streaming_prefix_report, Simulation, StreamingSimulation,
-    };
+    pub use pss_sim::{streaming_prefix_report, Simulation, StreamingSimulation};
 }

@@ -104,7 +104,9 @@ fn online_and_offline_pd_agree_with_the_simulator_energy() {
         .run(&instance, &run.schedule)
         .expect("simulate");
     assert!((sim.total_energy - run.cost().energy).abs() < 1e-6 * sim.total_energy.max(1.0));
-    let online = OnlinePd::run_instance(&instance).expect("online PD");
+    let online = PdScheduler::default()
+        .schedule(&instance)
+        .expect("online PD");
     let sim_online = pss_sim::Simulation
         .run(&instance, &online)
         .expect("simulate online");

@@ -30,7 +30,8 @@ fn online_pd_matches_batch_pd_decisions_and_cost() {
         let batch = PdScheduler::default().run(&instance).expect("batch PD");
         let mut online = OnlinePd::new(instance.machines, instance.alpha);
         for id in instance.arrival_order() {
-            let decision = online.arrive(instance.job(id)).expect("online arrival");
+            let job = instance.job(id);
+            let decision = online.on_arrival(job, job.release).expect("online arrival");
             assert_eq!(
                 decision.accepted,
                 batch.accepted[id.index()],
@@ -38,7 +39,7 @@ fn online_pd_matches_batch_pd_decisions_and_cost() {
                 instance.alpha
             );
         }
-        let online_cost = online.schedule().expect("online schedule").cost(&instance);
+        let online_cost = online.finish().expect("online schedule").cost(&instance);
         let batch_cost = batch.schedule.cost(&instance);
         assert!(
             (online_cost.total() - batch_cost.total()).abs() < 1e-5 * batch_cost.total().max(1.0),
@@ -116,7 +117,9 @@ fn baselines_never_revise_the_past() {
 #[test]
 fn online_pd_schedule_is_feasible_for_the_full_instance() {
     for instance in instances() {
-        let schedule = OnlinePd::run_instance(&instance).expect("online run");
+        let schedule = PdScheduler::default()
+            .schedule(&instance)
+            .expect("online run");
         validate_schedule(&instance, &schedule).expect("online schedule is feasible");
     }
 }
