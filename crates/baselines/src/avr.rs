@@ -1,16 +1,37 @@
 //! Average Rate (AVR), Yao, Demers & Shenker's second online algorithm.
 //!
-//! Every job is processed at its own density `w_j / (d_j − r_j)`, spread
-//! uniformly over its availability window; the machine's speed at any time
-//! is the sum of the densities of the jobs available at that time.  AVR is
-//! `(2α)^α / 2`-competitive and serves as an easy-to-predict baseline in the
-//! classical (mandatory completion) experiments.
+//! Every job is processed at its own density `w_j / (d_j − r_j)` over its
+//! availability window: the machine's speed at any time is the sum of the
+//! densities of the jobs available at that time.  That speed profile alone
+//! fixes AVR's energy.  AVR is `(2α)^α / 2`-competitive and serves as an
+//! easy-to-predict baseline in the classical (mandatory completion)
+//! experiments.
+//!
+//! ### EDF dispatch
+//!
+//! The profile is usually realised by time-sharing: every piece of time is
+//! split among the available jobs in proportion to their densities.  Both
+//! paths here run the same profile in EDF order instead.  Each job carries
+//! a work budget, and each piece runs the pending job with the earliest
+//! deadline until its budget is spent or the piece ends.  Time-sharing
+//! meets every budget by its deadline at this profile, so on one machine
+//! EDF meets them too, and it never idles while the speed is positive:
+//! per-job work and energy are those of time-sharing.  A segment, though,
+//! ends only at a feed time, a deadline or a completion, so a stream of `n`
+//! jobs has at most `3n` segments instead of one per covering job per
+//! piece.  Every segment with `end > start` is kept, completion slivers
+//! shorter than [`Schedule::push`]'s absolute 1e-9 s cut included: dropping
+//! one would leave its job short of its work.
 //!
 //! AVR is naturally event-driven: a job's contribution to the speed profile
 //! is fixed at its own arrival and never touches the past, so the
 //! incremental [`AvrState`] simply *commits* the window between consecutive
-//! arrivals using the densities of the jobs known so far.  The one-shot
-//! construction over the full atomic-interval partition is retained as
+//! arrivals using the densities of the jobs known so far.  A job's budget
+//! is the work time-sharing gives it over what is left of its window when
+//! it is fed, `density × (deadline − frontier)`: its whole work when it is
+//! fed at its release, and `density × delay` less when a coalescing window
+//! feeds it late.  The one-shot construction over the full atomic-interval
+//! partition, where every budget is the job's work, is retained as
 //! [`AvrScheduler::batch_schedule`] for the equivalence tests.
 //!
 //! ### The active-set index
@@ -22,9 +43,10 @@
 //! whose deadline has not passed.  [`AvrState`] therefore keeps a persistent
 //! **active-set index**: released jobs sorted by deadline (descending), with
 //! expired jobs popped from the tail as the committed frontier advances.
-//! Each committed piece touches only the jobs covering it — amortised
-//! `O(active)` per commit, independent of the stream length — and the run
-//! keeps no job history, so its checkpoint blob is `O(active)` too.
+//! The jobs covering a piece are a prefix of the index: its speed sums their
+//! densities, and EDF walks the prefix back from its earliest deadline.
+//! Each piece costs `O(active)`, independent of the stream length, and the
+//! run keeps no job history, so its checkpoint blob is `O(active)` too.
 
 use pss_intervals::IntervalPartition;
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
@@ -41,47 +63,95 @@ pub struct AvrScheduler;
 impl AvrScheduler {
     /// The original batch construction over the instance's atomic-interval
     /// partition, kept as the reference implementation for the
-    /// incremental-vs-batch equivalence tests.
+    /// incremental-vs-batch equivalence tests.  Every job is seen at its
+    /// release, so its budget is its work.
     pub fn batch_schedule(&self, instance: &Instance) -> Result<Schedule, ScheduleError> {
         crate::require_single_machine(instance.machines, "AVR", "")?;
         let mut schedule = Schedule::empty(1);
         let partition = IntervalPartition::from_jobs(&instance.jobs);
+        let mut jobs: Vec<ActiveJob> = instance
+            .jobs
+            .iter()
+            .map(|j| ActiveJob {
+                deadline: j.deadline,
+                density: j.density(),
+                remaining: j.work,
+                id: j.id,
+            })
+            .collect();
 
+        let mut covering = Vec::new();
         for iv in partition.intervals() {
-            // Jobs available throughout this atomic interval.
-            let active: Vec<(JobId, f64)> = instance
-                .jobs
-                .iter()
-                .filter(|j| partition.job_covers(j, iv.index))
-                .map(|j| (j.id, j.density()))
-                .collect();
-            let total_speed: f64 = active.iter().map(|(_, d)| d).sum();
-            if total_speed <= 0.0 {
+            // Jobs available throughout this atomic interval run at the
+            // sum of their densities, in EDF order.
+            covering.clear();
+            covering.extend(
+                (0..jobs.len()).filter(|&k| partition.job_covers(&instance.jobs[k], iv.index)),
+            );
+            let speed: f64 = covering.iter().map(|&k| jobs[k].density).sum();
+            if speed <= 0.0 {
                 continue;
             }
-            // Run at the summed density; each job receives a share of the
-            // interval proportional to its own density, which processes
-            // exactly `density · length` of its work.
-            let mut t = iv.start;
-            for (job, density) in &active {
-                let duration = iv.length() * density / total_speed;
-                if duration <= 0.0 {
-                    continue;
-                }
-                schedule.push(Segment::work(0, t, t + duration, total_speed, *job));
-                t += duration;
-            }
+            covering.sort_by(|&a, &b| jobs[a].deadline.total_cmp(&jobs[b].deadline));
+            run_edf(
+                &mut schedule,
+                (iv.start, iv.end),
+                speed,
+                &mut jobs,
+                covering.iter().copied(),
+            );
         }
         Ok(schedule)
     }
 }
 
-/// One entry of the active-set index: a released job that can still cover a
-/// future commit piece.
+/// Runs the piece `[start, end)` at `speed` in EDF order: `order` lists
+/// indices into `jobs` by deadline ascending, and each pending job runs
+/// until its budget is spent or the piece ends.  Every segment with
+/// `end > start` is pushed straight into `schedule.segments`, bypassing
+/// [`Schedule::push`]'s absolute 1e-9 s cut.
+fn run_edf(
+    schedule: &mut Schedule,
+    (start, end): (f64, f64),
+    speed: f64,
+    jobs: &mut [ActiveJob],
+    order: impl Iterator<Item = usize>,
+) {
+    let mut t = start;
+    for k in order {
+        if t >= end {
+            break;
+        }
+        let job = &mut jobs[k];
+        if job.remaining <= 0.0 {
+            continue;
+        }
+        let finish = t + job.remaining / speed;
+        let stop = finish.min(end);
+        if stop > t {
+            schedule
+                .segments
+                .push(Segment::work(0, t, stop, speed, job.id));
+        }
+        job.remaining = if finish < end {
+            0.0
+        } else {
+            (job.remaining - speed * (end - t)).max(0.0)
+        };
+        t = stop;
+    }
+}
+
+/// One job as EDF dispatches it.  In [`AvrState`]'s active-set index, a
+/// released job that can still cover a future commit piece.
 #[derive(Debug, Clone, Copy)]
 struct ActiveJob {
     deadline: f64,
     density: f64,
+    /// The job's work budget left to run: `density × (deadline − frontier)`
+    /// at its arrival (its work in the batch construction), less what EDF
+    /// has run since.
+    remaining: f64,
     id: JobId,
 }
 
@@ -103,48 +173,25 @@ impl AvrState {
     /// contribute to this window — the commit is final.
     ///
     /// The interior cuts are the active deadlines (all stored jobs are
-    /// already released, so releases never cut the window) and each piece
-    /// is covered by a prefix of the deadline-descending active set, so the
-    /// commit touches only jobs intersecting the window.
+    /// already released, so releases never cut the window); a cut closer
+    /// than 1e-12 to the previous one is merged into it.
     fn commit_to(&mut self, to: f64) {
         if !self.now.is_finite() || to <= self.now + 1e-15 {
             self.now = self.now.max(to);
             return;
         }
-        // Cuts closer than 1e-12 to the previous cut are merged into it.
-        let mut cuts: Vec<f64> = vec![self.now];
-        for a in self.active.iter().rev() {
-            if a.deadline > self.now + 1e-12
-                && a.deadline < to - 1e-12
-                && cuts.last().is_none_or(|last| a.deadline - last > 1e-12)
-            {
-                cuts.push(a.deadline);
+        let mut start = self.now;
+        for k in (0..self.active.len()).rev() {
+            let deadline = self.active[k].deadline;
+            if deadline >= to - 1e-12 {
+                break;
+            }
+            if deadline > self.now + 1e-12 && deadline - start > 1e-12 {
+                self.commit_piece(start, deadline);
+                start = deadline;
             }
         }
-        cuts.push(to);
-
-        for pair in cuts.windows(2) {
-            let (start, end) = (pair[0], pair[1]);
-            // Covering jobs are the prefix whose deadline reaches `end`
-            // (releases are all <= start already).
-            let covering = self
-                .active
-                .partition_point(|a| num::approx_le(end, a.deadline));
-            let total_speed: f64 = self.active[..covering].iter().map(|a| a.density).sum();
-            if total_speed <= 0.0 {
-                continue;
-            }
-            let mut t = start;
-            for a in &self.active[..covering] {
-                let duration = (end - start) * a.density / total_speed;
-                if duration <= 0.0 {
-                    continue;
-                }
-                self.committed
-                    .push(Segment::work(0, t, t + duration, total_speed, a.id));
-                t += duration;
-            }
-        }
+        self.commit_piece(start, to);
         self.now = to;
         // Jobs whose deadline lies definitely before the frontier can never
         // cover a future piece: drop them so the index stays `O(active)`.
@@ -156,12 +203,32 @@ impl AvrState {
             }
         }
     }
+
+    /// Commits one piece `[start, end)` free of interior cuts: the covering
+    /// jobs are the prefix whose deadline reaches `end` (releases are all
+    /// `≤ start` already), and EDF runs them at the sum of their densities.
+    fn commit_piece(&mut self, start: f64, end: f64) {
+        let covering = self
+            .active
+            .partition_point(|a| num::approx_le(end, a.deadline));
+        let speed: f64 = self.active[..covering].iter().map(|a| a.density).sum();
+        if speed > 0.0 {
+            run_edf(
+                &mut self.committed,
+                (start, end),
+                speed,
+                &mut self.active,
+                (0..covering).rev(),
+            );
+        }
+    }
 }
 
 impl SnapshotPart for ActiveJob {
     fn encode(&self, w: &mut BlobWriter) {
         w.write_f64(self.deadline);
         w.write_f64(self.density);
+        w.write_f64(self.remaining);
         w.write_part(&self.id);
     }
 
@@ -169,19 +236,21 @@ impl SnapshotPart for ActiveJob {
         Ok(Self {
             deadline: r.read_f64()?,
             density: r.read_f64()?,
+            remaining: r.read_f64()?,
             id: r.read_part()?,
         })
     }
 }
 
 /// State version of [`AvrState`] snapshots.  Version 4 dropped the job
-/// history and the index toggle; older blobs are rejected with a typed
-/// error.
-const AVR_STATE_VERSION: u16 = 4;
+/// history and the index toggle; version 5 added each active job's
+/// remaining budget.  Older blobs are rejected with a typed error.
+const AVR_STATE_VERSION: u16 = 5;
 
-/// The blob holds the deadline-descending active-set index, the horizon,
-/// the clock and the frontier's log cursor — `O(active)` bytes — so a run
-/// restored from the `(log, blob)` pair commits bit-identical windows.
+/// The blob holds the deadline-descending active-set index with each job's
+/// remaining budget, the horizon, the clock and the frontier's log cursor —
+/// `O(active)` bytes — so a run restored from the `(log, blob)` pair
+/// commits bit-identical windows.
 impl LogCheckpointable for AvrState {
     fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
         let frontier = FrontierPart::sync(log, &self.committed)?;
@@ -202,13 +271,15 @@ impl LogCheckpointable for AvrState {
             now: r.read_f64()?,
         };
         r.finish()?;
-        if state
-            .active
-            .iter()
-            .any(|a| !a.deadline.is_finite() || !a.density.is_finite())
-        {
+        if state.active.iter().any(|a| {
+            !a.deadline.is_finite()
+                || !a.density.is_finite()
+                || !a.remaining.is_finite()
+                || a.remaining < 0.0
+        }) {
             return Err(SnapshotError::Invalid(
-                "active set holds a non-finite deadline or density".into(),
+                "active set holds a non-finite deadline, density or budget, or a negative budget"
+                    .into(),
             ));
         }
         if state
@@ -231,10 +302,13 @@ impl OnlineScheduler for AvrState {
     /// moving an `O(active)` tail.  Expired-on-arrival jobs cover nothing,
     /// but merging them is harmless: the next commit pops them.
     ///
-    /// The merge keeps existing entries ahead of burst entries on tied
-    /// deadlines and preserves slice order within the burst, which is
-    /// exactly the order feeding the jobs as one-job bursts produces, so
-    /// the committed time-sharing order is identical too.
+    /// Each job's budget is `density × (deadline − frontier)` after the
+    /// burst's commit: the work time-sharing would give it over the rest of
+    /// its window (0 for a job already expired).  The merge keeps existing
+    /// entries ahead of burst entries on tied deadlines and preserves slice
+    /// order within the burst, which is exactly the order feeding the jobs
+    /// as one-job bursts produces, so EDF breaks deadline ties identically
+    /// too.
     fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
         if jobs.is_empty() {
             return Ok(Vec::new());
@@ -247,9 +321,11 @@ impl OnlineScheduler for AvrState {
             .iter()
             .map(|job| {
                 self.horizon_end = self.horizon_end.max(job.deadline);
+                let density = job.density();
                 ActiveJob {
                     deadline: job.deadline,
-                    density: job.density(),
+                    density,
+                    remaining: (density * (job.deadline - self.now)).max(0.0),
                     id: job.id,
                 }
             })
@@ -280,14 +356,6 @@ impl OnlineScheduler for AvrState {
         if self.horizon_end.is_finite() {
             self.commit_to(self.horizon_end);
         }
-        // One segment per covering job per piece makes this frontier the
-        // one schedule in the workspace that reaches megabytes.  Return it
-        // without the up-to-half of its capacity that doubling left unused:
-        // freed at its exact size, it does not raise glibc's dynamic mmap
-        // threshold to the doubled capacity, so a later run's last doubling
-        // step gets a mapping of its own instead of depending on where
-        // earlier blocks sit in the heap.
-        self.committed.segments.shrink_to_fit();
         Ok(self.committed)
     }
 }
@@ -414,15 +482,16 @@ mod tests {
 
     #[test]
     fn restore_refuses_an_unsorted_or_non_finite_active_set() {
-        let blob = |active: &[(f64, f64)]| {
+        let blob = |active: &[(f64, f64, f64)]| {
             let mut log = SegmentLog::new(1);
             let frontier = FrontierPart::sync(&mut log, &Schedule::empty(1)).unwrap();
             let active: Vec<ActiveJob> = active
                 .iter()
                 .enumerate()
-                .map(|(j, &(deadline, density))| ActiveJob {
+                .map(|(j, &(deadline, density, remaining))| ActiveJob {
                     deadline,
                     density,
+                    remaining,
                     id: JobId(j),
                 })
                 .collect();
@@ -436,14 +505,17 @@ mod tests {
                 log,
             )
         };
-        // Deadline descending, ties allowed: restores.
-        let (ok, log) = blob(&[(5.0, 0.5), (3.0, 0.5), (3.0, 1.0)]);
+        // Deadline descending, ties allowed, spent budgets allowed: restores.
+        let (ok, log) = blob(&[(5.0, 0.5, 2.0), (3.0, 0.5, 0.0), (3.0, 1.0, 1.5)]);
         assert!(AvrState::restore_with_log(&ok, &log).is_ok());
         for bad in [
-            vec![(3.0, 0.5), (5.0, 0.5)],
-            vec![(5.0, 0.5), (f64::NAN, 0.5)],
-            vec![(f64::INFINITY, 0.5)],
-            vec![(5.0, f64::INFINITY)],
+            vec![(3.0, 0.5, 1.0), (5.0, 0.5, 1.0)],
+            vec![(5.0, 0.5, 1.0), (f64::NAN, 0.5, 1.0)],
+            vec![(f64::INFINITY, 0.5, 1.0)],
+            vec![(5.0, f64::INFINITY, 1.0)],
+            vec![(5.0, 0.5, -1e-300)],
+            vec![(5.0, 0.5, 1.0), (3.0, 0.5, f64::NAN)],
+            vec![(5.0, 0.5, f64::INFINITY)],
         ] {
             let (blob, log) = blob(&bad);
             assert!(

@@ -13,7 +13,7 @@
 //!   (coordinate descent on the convex program) at every arrival.
 //! * [`avr::AvrScheduler`] — **Average Rate**: every job is processed at its
 //!   own density; the machine speed is the sum of densities of the active
-//!   jobs.
+//!   jobs, run in EDF order (at most three segments per job).
 //! * [`bkp::BkpScheduler`] — the **BKP** algorithm (Bansal, Kimbrel &
 //!   Pruhs), evaluated on a configurable time grid.
 //! * [`cll::CllScheduler`] — the **Chan–Lam–Li** profitable scheduler for a

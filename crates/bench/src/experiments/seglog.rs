@@ -14,7 +14,8 @@
 //!    O(events) job-history tables, so its blob grows too.  PD keeps only
 //!    its uncommitted intervals and AVR only its active set: after a
 //!    sentinel job released past every deadline, each of their live blobs
-//!    must have the same size at both lengths.
+//!    must have the same size at both lengths.  AVR runs its speed profile
+//!    in EDF order, so its log must hold at most 3 segments per job.
 //! 2. **Recovery from the `(log, blob)` pair** — a mid-stream kill for
 //!    every algorithm: truncate the surviving log to the checkpoint's
 //!    cursor, restore through `restore_with_log`, replay the delta, and
@@ -39,8 +40,10 @@ const CHAIN: usize = 4;
 /// flatness gate computed after the sweep.
 struct SizeSample {
     algorithm: String,
+    jobs: usize,
     live_bytes: usize,
     log_bytes: usize,
+    log_segments: u64,
 }
 
 /// Deterministic-field equality of two stream reports (latencies excluded).
@@ -108,8 +111,10 @@ where
         ok,
         SizeSample {
             algorithm: stream.algorithm.clone(),
+            jobs: instance.len(),
             live_bytes: wire.len(),
             log_bytes,
+            log_segments: log.cursor().segments(),
         },
     )
 }
@@ -236,6 +241,11 @@ pub fn run(quick: bool) -> ExperimentOutput {
         log_ratio = log_ratio.min(gr);
     }
 
+    // AVR's segment bound: a segment ends only at a feed time, a deadline
+    // or a completion.
+    let avr_logs: Vec<&SizeSample> = samples.iter().filter(|s| s.algorithm == "AVR").collect();
+    let avr_bounded = avr_logs.iter().all(|s| s.log_segments <= 3 * s.jobs as u64);
+
     // ---- Table 2: recovery from the (log, blob) pair.
     let mut recovery = Table::new(
         "Recovery from (log, blob): kill at half the stream, truncate the log to the \
@@ -308,6 +318,13 @@ pub fn run(quick: bool) -> ExperimentOutput {
                         && avr_sentinel_bytes[0] == avr_sentinel_bytes[1]
                 )
             ),
+            format!(
+                "AVR's segment log holds at most 3 segments per job at n = {n_small} and \
+                 n = {n_large} ({} and {} segments): {}",
+                avr_logs[0].log_segments,
+                avr_logs[1].log_segments,
+                check(avr_bounded)
+            ),
             "BKP's blob still carries O(events) job-history tables (jobs, remaining, \
              by_release, prefix_work) — the segment log removes only the committed-frontier \
              term of its growth; shrinking those tables to live-only is future work"
@@ -329,9 +346,9 @@ mod tests {
         assert_eq!(out.tables[1].rows.len(), 7);
         // Every note but the last (informational) one is a yes/NO gate,
         // including PD's and AVR's history-free blobs after the sentinel
-        // gap.
-        assert_eq!(out.notes.len(), 5);
-        for note in &out.notes[..4] {
+        // gap and AVR's segment bound.
+        assert_eq!(out.notes.len(), 6);
+        for note in &out.notes[..5] {
             assert!(note.contains("yes"), "failing E18 note: {note}");
         }
     }

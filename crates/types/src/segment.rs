@@ -124,9 +124,13 @@ impl Schedule {
         }
     }
 
-    /// Appends a segment, silently dropping segments of (numerically) zero
-    /// duration or zero work, which arise naturally from degenerate atomic
-    /// intervals.
+    /// Appends a segment, silently dropping a segment whose duration is at
+    /// most 1e-9 and a work segment whose speed is at most 1e-9; such
+    /// segments arise naturally from degenerate atomic intervals.  Both
+    /// tests are absolute ([`num::approx_zero`]), whatever the magnitude of
+    /// the segment's times or work, so a genuinely short segment is dropped
+    /// together with the work it carries.  A caller whose segments can be
+    /// that short pushes into `segments` directly.
     pub fn push(&mut self, seg: Segment) {
         if seg.duration() <= 0.0 || num::approx_zero(seg.duration()) {
             return;

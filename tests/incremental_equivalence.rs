@@ -1105,10 +1105,11 @@ fn mid_burst_snapshots_round_trip_through_on_arrivals() {
 fn superseded_state_versions_are_refused() {
     // Each state version was bumped when the payload's frontier lost its
     // inline-or-cursor tag byte, and AVR's and BKP's again when their
-    // fast-path toggles (and AVR's job history) left the payload, so blobs
+    // fast-path toggles (and AVR's job history) left the payload, and AVR's
+    // once more when its active jobs gained a remaining budget, so blobs
     // of different layouts are never confused.  A live blob re-labelled
-    // with a superseded version (replan 2; AVR and BKP 2 and 3; PD 3) must
-    // be refused with the typed version error.
+    // with a superseded version (replan 2; AVR 2, 3 and 4; BKP 2 and 3; PD
+    // 3) must be refused with the typed version error.
     fn refuse<R: OnlineScheduler + LogCheckpointable>(mut run: R, instance: &Instance, old: u16) {
         for (t, jobs) in as_bursts(instance) {
             run.on_arrivals(&jobs, t).expect("burst");
@@ -1132,12 +1133,14 @@ fn superseded_state_versions_are_refused() {
         &instance,
         2,
     );
-    for old in [2, 3] {
+    for old in [2, 3, 4] {
         refuse(
             AvrScheduler.start_for(&instance).expect("AVR run"),
             &instance,
             old,
         );
+    }
+    for old in [2, 3] {
         refuse(
             BkpScheduler::default()
                 .start_for(&instance)
