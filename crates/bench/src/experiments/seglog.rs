@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use pss_core::prelude::*;
 use pss_metrics::table::fmt_f64;
-use pss_metrics::{seglog_to_json, Table};
+use pss_metrics::Table;
 use pss_sim::{coalesce_arrivals, StreamReport, StreamingSimulation};
 
 use super::burst::{burst_instance, COALESCE_WINDOW};
@@ -82,27 +82,26 @@ where
     let plain = sim.run(algo, instance).expect("plain stream");
     // Per-burst cadence: a checkpoint after every ingested batch — the
     // worst case for capture cost and exactly what the log makes cheap.
-    let (stream, chain, log) = sim
+    let (stream, chain) = sim
         .run_checkpointed(algo, instance, 1, CHAIN)
         .expect("checkpointed stream");
     let ok = streams_agree(&plain, &stream);
 
-    let last = chain.last().expect("at least the initial checkpoint");
-    let wire = last.blob.to_bytes();
+    let (log, retained) = (chain.log(), chain.checkpoints());
+    let wire = &retained.back().expect("at least one checkpoint").wire;
     let log_bytes = log.to_bytes().len();
     let started = Instant::now();
-    let decoded = StateBlob::from_bytes(&wire).expect("wire decode");
+    let decoded = StateBlob::from_bytes(wire).expect("wire decode");
     let _restored =
-        <A::Run as LogCheckpointable>::restore_with_log(&decoded, &log).expect("restore with log");
+        <A::Run as LogCheckpointable>::restore_with_log(&decoded, log).expect("restore with log");
     let restore_secs = started.elapsed().as_secs_f64();
-    let mean_capture = chain.iter().map(|c| c.capture_secs).sum::<f64>() / chain.len() as f64;
+    let mean_capture = retained.iter().map(|c| c.capture_secs).sum::<f64>() / retained.len() as f64;
     table.push_row(vec![
         stream.algorithm.clone(),
         instance.len().to_string(),
         stream.batches.to_string(),
         wire.len().to_string(),
         fmt_f64(log_bytes as f64 / 1024.0),
-        fmt_f64(seglog_to_json(&log).len() as f64 / 1024.0),
         log.record_count().to_string(),
         fmt_f64(mean_capture * 1e6),
         fmt_f64(restore_secs * 1e6),
@@ -154,9 +153,10 @@ where
     let sim = StreamingSimulation::with_coalescing(COALESCE_WINDOW);
     let plain = sim.run(algo, instance).expect("plain stream");
     let kill_at = plain.batches / 2;
-    let (recovered, stats, log) = sim
+    let (recovered, stats, chain) = sim
         .run_with_failover(algo, instance, 1, kill_at)
         .expect("failover stream");
+    let log = chain.log();
     let ok = if exact {
         streams_agree(&plain, &recovered)
     } else {
@@ -189,7 +189,6 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "bursts",
             "live blob (B)",
             "log (KiB)",
-            "log JSON (KiB)",
             "records",
             "capture mean (us)",
             "restore (us)",

@@ -16,6 +16,7 @@
 //! | `spin-outside-facade` | serving-layer spins and yields go through `pss_check::{thread, hint}` |
 //! | `feed-outside-core` | the simulator and the serving layer feed runs only through `pss_sim::ShardCore` |
 //! | `arrival-override` | runs implement only `on_arrivals`; `on_arrival` is the trait's provided one-job burst |
+//! | `checkpoint-outside-chain` | the simulator and the serving layer checkpoint runs only through `pss_sim::CheckpointChain` |
 
 use super::source::Source;
 
@@ -80,11 +81,7 @@ pub fn total_cmp(path: &str, src: &Source) -> Vec<Finding> {
 
 /// The modules `codec-totality` applies to: decoders that must be total
 /// functions of arbitrary input bytes.
-pub const CODEC_MODULES: &[&str] = &[
-    "crates/types/src/snapshot.rs",
-    "crates/types/src/seglog.rs",
-    "crates/metrics/src/codec.rs",
-];
+pub const CODEC_MODULES: &[&str] = &["crates/types/src/snapshot.rs", "crates/types/src/seglog.rs"];
 
 /// `codec-totality`: inside the codec modules, forbids `.unwrap()`,
 /// `.expect(` and direct indexing — a decoder fed attacker-controlled or
@@ -424,6 +421,49 @@ pub fn feed_outside_core(path: &str, src: &Source) -> Vec<Finding> {
                 idx,
                 RULE,
                 "feed runs through pss_sim::ShardCore::feed, where the arrival rules live".into(),
+            ));
+        }
+    }
+    out
+}
+
+/// The one file in [`FEED_SCOPE`] allowed to touch a run's `(log, blob)`
+/// pair.
+pub const CHECKPOINT_CHAIN: &str = "crates/sim/src/checkpoint.rs";
+
+/// The checkpoint calls `checkpoint-outside-chain` confines to
+/// [`CHECKPOINT_CHAIN`].
+const CHECKPOINT_CALLS: &[&str] = &[
+    ".snapshot_live(",
+    "restore_with_log(",
+    ".sync_from(",
+    ".compact(",
+    ".encode_tail(",
+    ".absorb_tail(",
+];
+
+/// `checkpoint-outside-chain`: in the simulator and the serving layer,
+/// forbids capturing, restoring, syncing, compacting or shipping a run's
+/// `(log, blob)` pair outside `#[cfg(test)]` code and
+/// [`CHECKPOINT_CHAIN`].  Every driver goes through
+/// `pss_sim::CheckpointChain`, which keeps the pair's rules (sync before
+/// capture, compact at capture, restore then truncate) in one place, so
+/// the daemon and the drills cannot drift apart.
+pub fn checkpoint_outside_chain(path: &str, src: &Source) -> Vec<Finding> {
+    const RULE: &str = "checkpoint-outside-chain";
+    if path == CHECKPOINT_CHAIN || !FEED_SCOPE.iter().any(|scope| path.starts_with(scope)) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (idx, line) in src.lines.iter().enumerate() {
+        let touches = CHECKPOINT_CALLS.iter().any(|call| line.contains(call));
+        if touches && !src.waived(idx, RULE) {
+            out.push(finding(
+                path,
+                idx,
+                RULE,
+                "checkpoint runs through pss_sim::CheckpointChain, where the (log, blob) rules live"
+                    .into(),
             ));
         }
     }

@@ -31,7 +31,7 @@ fn codec_totality_fires_only_in_codec_modules() {
         2
     );
     assert_eq!(
-        rule_hits("crates/metrics/src/codec.rs", bad, "codec-totality"),
+        rule_hits("crates/types/src/seglog.rs", bad, "codec-totality"),
         2
     );
     // Same source outside the codec modules: out of scope.
@@ -170,6 +170,33 @@ fn arrival_rule_keeps_one_arrival_method_per_run() {
     assert_eq!(rule_hits("crates/sim/src/replay.rs", test_only, RULE), 0);
     let waived = "// pss-lint: allow(arrival-override) — a wrapper under test\nfn on_arrival(&mut self, j: &Job, now: f64) {}\n";
     assert_eq!(rule_hits("crates/serve/src/daemon.rs", waived, RULE), 0);
+}
+
+#[test]
+fn checkpoint_rule_confines_the_log_and_blob_calls_to_the_chain() {
+    const RULE: &str = "checkpoint-outside-chain";
+    let bad = "fn a(r: &R, l: &mut SegmentLog) { r.snapshot_live(l).ok(); }\n\
+               fn b(b: &StateBlob, l: &SegmentLog) { R::restore_with_log(b, l).ok(); }\n\
+               fn c(r: &R, l: &mut SegmentLog) { l.sync_from(r.frontier()).ok(); }\n\
+               fn d(l: &mut SegmentLog) { let c = l.cursor(); l.compact(c); }\n\
+               fn e(l: &mut SegmentLog, t: &[u8]) { l.encode_tail(LogCursor(0)).ok(); l.absorb_tail(t).ok(); }\n";
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", bad, RULE), 5);
+    assert_eq!(rule_hits("crates/sim/src/engine.rs", bad, RULE), 5);
+    // The chain itself, test modules, waived lines and other crates are
+    // out of scope.
+    assert_eq!(rule_hits("crates/sim/src/checkpoint.rs", bad, RULE), 0);
+    let test_only = "#[cfg(test)]\nmod tests {\n    fn a(r: &R, l: &mut SegmentLog) { r.snapshot_live(l).ok(); }\n}\n";
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", test_only, RULE), 0);
+    let waived = "// pss-lint: allow(checkpoint-outside-chain) — timing the raw capture\nfn a(r: &R, l: &mut SegmentLog) { r.snapshot_live(l).ok(); }\n";
+    assert_eq!(rule_hits("crates/sim/src/replay.rs", waived, RULE), 0);
+    assert_eq!(
+        rule_hits("crates/bench/src/experiments/seglog.rs", bad, RULE),
+        0
+    );
+    // Calling the chain is the compliant form.
+    let good =
+        "fn a(c: &mut CheckpointChain, k: &Core) { c.sync(k).ok(); c.capture(k, 0, 0.0).ok(); }\n";
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", good, RULE), 0);
 }
 
 #[test]

@@ -3,30 +3,25 @@
 //! Measurement and reporting utilities shared by the experiment harness:
 //! per-algorithm result records, competitive-ratio summaries, and plain-text
 //! / Markdown / JSON table rendering used to produce the tables recorded in
-//! `EXPERIMENTS.md` — plus the JSON half of the checkpoint codec
-//! ([`codec`]): the hand-rolled, versioned text envelope for the
-//! [`StateBlob`](pss_types::StateBlob) snapshots of `pss_types::snapshot`
-//! (the binary wire form lives next to the blob type itself).
+//! `EXPERIMENTS.md`.
 //!
 //! All text output shares one strict, total, hand-rolled JSON tree
-//! ([`json::JsonValue`] — the offline build has no serde): the checkpoint
-//! envelope parses through it, and [`service::ServiceSummary`] (the flat
-//! summary of a `pss-serve` multi-tenant ingestion run: per-tenant
-//! admission counts, queue depths, the dual-price trace, drain/hand-off
-//! latencies) round-trips through it bit-exactly.
+//! ([`json::JsonValue`] — the offline build has no serde), and
+//! [`service::ServiceSummary`] (the flat summary of a `pss-serve`
+//! multi-tenant ingestion run: per-tenant admission counts, queue depths,
+//! the dual-price trace, drain/hand-off latencies) round-trips through it
+//! bit-exactly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod codec;
 pub mod csv;
 pub mod json;
 pub mod report;
 pub mod service;
 pub mod table;
 
-pub use codec::{blob_from_json, blob_to_json, seglog_from_json, seglog_to_json};
 pub use csv::table_to_csv;
 pub use json::{JsonError, JsonValue};
 pub use report::{evaluate_scheduler, AlgorithmResult, RatioSummary};

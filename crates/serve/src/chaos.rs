@@ -11,12 +11,13 @@
 //!
 //! 1. **Wave-stepped driving.**  The driver pauses the daemon
 //!    ([`Daemon::pause`]), waits for the worker to park at a quiescent
-//!    boundary ([`Daemon::shard_idle_epoch`]), queues one *wave* of
-//!    envelopes, resumes, and waits for the wave's decision events.  All
-//!    of a wave's envelopes sit in the queue before the worker wakes, so
-//!    the drain chunking — and therefore the batch structure, feed times
-//!    and dense id assignment — is a pure function of the plan, not of
-//!    producer/worker timing.  Each wave feeds as exactly one batch.
+//!    boundary ([`Daemon::wait_parked`]), queues one *wave* of envelopes,
+//!    resumes, and waits for the wave's decision events
+//!    ([`Daemon::wait_events`]).  All of a wave's envelopes sit in the
+//!    queue before the worker wakes, so the drain chunking — and therefore
+//!    the batch structure, feed times and dense id assignment — is a pure
+//!    function of the plan, not of producer/worker timing.  Each wave
+//!    feeds as exactly one batch.
 //! 2. **Fault taxonomy.**  *Workload shaping* (the wave partition,
 //!    including queue-capacity-sized storm waves, and the adversarial
 //!    out-of-order interleaving within each wave) derives from the plan
@@ -35,7 +36,7 @@
 //! interleavings, retry jitter, corrupted bit positions — replays
 //! bit-for-bit from one `u64`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pss_types::{
     IngressError, Instance, JobEnvelope, LogCheckpointable, OnlineAlgorithm, ScheduleError,
@@ -43,7 +44,7 @@ use pss_types::{
 };
 use pss_workloads::SmallRng;
 
-use crate::daemon::{Daemon, ServeConfig, Submission, WatchdogVerdict};
+use crate::daemon::{Daemon, ServeConfig, Submission, WatchdogVerdict, WAIT_LIMIT};
 use crate::report::ServiceReport;
 use crate::retry::{RetryError, RetryPolicy};
 use crate::tenant::TenantSpec;
@@ -58,8 +59,6 @@ const STREAM_CLASSES: u64 = 10;
 const STORM_DECOYS: usize = 3;
 /// Dead-on-arrival decoys per tenant-flood wave.
 const FLOOD_DECOYS: usize = 4;
-/// How long the driver waits for any single worker transition.
-const WAIT_LIMIT: Duration = Duration::from_secs(30);
 
 /// Which lifecycle fault (if any) a wave injects.  At most one per wave:
 /// a kill and a feed fault at the same boundary would race over the same
@@ -386,7 +385,7 @@ impl ChaosDriver {
         let mut expected_events = 0usize;
         let mut batches_fed = 0usize;
         for (w, wave) in waves.iter().enumerate() {
-            wait_idle(&daemon, 0)?;
+            daemon.wait_parked(WAIT_LIMIT)?;
             // Adversarial interleaving: the wave enters the queue in a
             // seeded shuffle of arrival order, putting releases out of
             // order far beyond ARRIVAL_ORDER_TOLERANCE — the release-floor
@@ -439,7 +438,7 @@ impl ChaosDriver {
                 // the watchdog heals it by replaying the logged batch.
                 absorb(&mut daemon, &mut stats)?;
             }
-            wait_events(&daemon, 0, expected_events)?;
+            daemon.wait_events(0, expected_events, WAIT_LIMIT)?;
             if queued > 0 {
                 batches_fed += 1;
             }
@@ -472,44 +471,6 @@ fn shuffle(wave: &mut [JobEnvelope], rng: &mut SmallRng) {
         let j = rng.usize_range(0, i);
         wave.swap(i, j);
     }
-}
-
-/// Waits for the shard's worker to park at a quiescent boundary while the
-/// service is paused.
-fn wait_idle<A>(daemon: &Daemon<A>, shard: usize) -> Result<(), ScheduleError>
-where
-    A: OnlineAlgorithm,
-    A::Run: LogCheckpointable + Send + 'static,
-{
-    let epoch = daemon.shard_idle_epoch(shard);
-    let deadline = Instant::now() + WAIT_LIMIT;
-    while daemon.shard_idle_epoch(shard) == epoch {
-        if Instant::now() > deadline {
-            return Err(ScheduleError::Internal(format!(
-                "chaos driver timed out waiting for shard {shard} to park"
-            )));
-        }
-        pss_check::thread::yield_now();
-    }
-    Ok(())
-}
-
-/// Waits for the shard to have journalled `expected` decision events.
-fn wait_events<A>(daemon: &Daemon<A>, shard: usize, expected: usize) -> Result<(), ScheduleError>
-where
-    A: OnlineAlgorithm,
-    A::Run: LogCheckpointable + Send + 'static,
-{
-    let deadline = Instant::now() + WAIT_LIMIT;
-    while daemon.shard_event_count(shard) < expected {
-        if Instant::now() > deadline {
-            return Err(ScheduleError::Internal(format!(
-                "chaos driver timed out waiting for {expected} events on shard {shard}"
-            )));
-        }
-        pss_check::thread::yield_now();
-    }
-    Ok(())
 }
 
 /// Sweeps the watchdog until the shard's dead worker is reaped and

@@ -66,30 +66,27 @@
 //! A hot spin that sees an arrival returns to that boundary before it
 //! drains, so pauses, crashes and hand-offs land exactly where they did
 //! for a parked worker.
-//! Every fed batch is first appended to a durable in-memory journal, and
-//! the segments the batch *committed* are mirrored into the shard's
-//! append-only [`SegmentLog`] (one checksummed record per batch, under the
-//! journal lock).  The worker checkpoints its run every `checkpoint_every`
-//! batches as a `StateBlob` wire image, kept in a bounded per-shard
-//! *chain* of the `checkpoint_chain` newest blobs.  A blob holds only the
-//! run's *live* state plus a log cursor — O(active) bytes, independent of
-//! how long the shard has been fed — and the log's record envelopes are
-//! compacted below the newest retained cursor at each capture (segment
-//! data is never dropped, so every retained blob still reassembles).
+//! Every fed batch is first appended to a durable in-memory journal.  The
+//! shard's [`pss_sim::CheckpointChain`] holds its segment log and its
+//! checkpoints, under the journal lock: the segments each batch
+//! *committed* are synced into the log, and every `checkpoint_every`
+//! batches the worker captures its run into the chain, which retains the
+//! `checkpoint_chain` newest.  A checkpoint holds only the run's *live*
+//! state plus a log cursor — O(active) bytes, independent of how long the
+//! shard has been fed.
 //!
-//! Recovery restores the run from the newest blob that decodes against
+//! Recovery takes the run from the newest checkpoint that decodes against
 //! the log (a corrupted checkpoint costs replay length, not the shard),
-//! rewinds the derived records *and the log* to that checkpoint's cursor
-//! (write-ahead discipline: replay re-commits the truncated segments
-//! through the run itself), and replays the journal delta — reproducing
-//! the pre-crash decisions bit-for-bit, because every run's restore is
-//! bit-identical and the journal fixes feed times and id assignment.  If
-//! the whole chain is corrupt, the run restarts cold, the log resets and
+//! rewinds the derived records to it, and replays the journal delta —
+//! reproducing the pre-crash decisions bit-for-bit, because every run's
+//! restore is bit-identical and the journal fixes feed times and id
+//! assignment.  If the whole chain is corrupt, the run restarts cold and
 //! the full journal replays: the journal is the source of truth,
-//! checkpoints only shorten replay.  A hand-off is the graceful special
-//! case: checkpoint at the boundary, exit, ship the `(log tail, blob)`
-//! pair, restore on a fresh thread with an empty delta.  A
-//! `watchdog_sweep` on the control plane reaps dead workers (injected
+//! checkpoints only shorten replay.  A recovery that fails poisons the
+//! shard, so admission bounces until a later one succeeds.  A hand-off is
+//! the graceful special case: checkpoint at the boundary, exit, ship the
+//! `(log tail, blob)` pair, restore on a fresh thread with an empty delta.
+//! A `watchdog_sweep` on the control plane reaps dead workers (injected
 //! crashes, poisoned runs) and auto-recovers them with capped consecutive
 //! attempts.
 
@@ -106,10 +103,10 @@ use std::time::{Duration, Instant};
 // comment.
 use pss_check::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use pss_metrics::DrainSummary;
-use pss_sim::{burst_len, expired_at, FeedState, ShardCore, PRICE_SMOOTHING};
+use pss_sim::{burst_len, expired_at, CheckpointChain, ShardCore, PRICE_SMOOTHING};
 use pss_types::{
-    IngressError, Job, JobEnvelope, JobId, LogCheckpointable, LogCursor, OnlineAlgorithm,
-    OnlineScheduler, Schedule, ScheduleError, SegmentLog, StateBlob, TenantId,
+    IngressError, Job, JobEnvelope, JobId, LogCheckpointable, OnlineAlgorithm, OnlineScheduler,
+    Schedule, ScheduleError, TenantId,
 };
 
 use crate::queue::ArrivalQueue;
@@ -181,6 +178,29 @@ impl HotSpin {
             Duration::ZERO
         }
     }
+}
+
+/// How long the crate's wave-stepped drivers (the chaos engine and the
+/// stream router) wait for any single worker transition.
+pub(crate) const WAIT_LIMIT: Duration = Duration::from_secs(30);
+
+/// Yields until `done` holds, or fails once `deadline` has passed; `what`
+/// names the awaited transition in the error.
+fn wait_until(
+    deadline: Instant,
+    what: impl FnOnce() -> String,
+    mut done: impl FnMut() -> bool,
+) -> Result<(), ScheduleError> {
+    while !done() {
+        if Instant::now() > deadline {
+            return Err(ScheduleError::Internal(format!(
+                "timed out waiting for {}",
+                what()
+            )));
+        }
+        pss_check::thread::yield_now();
+    }
+    Ok(())
 }
 
 /// Polls `queue` for up to `window`: true as soon as it holds an arrival,
@@ -381,22 +401,6 @@ struct LoggedBatch {
     envelopes: Vec<JobEnvelope>,
 }
 
-/// A captured shard state: the run's `StateBlob` wire image plus the
-/// journal position it corresponds to.
-#[derive(Debug, Clone)]
-struct ShardCheckpoint {
-    /// The core's feed state; its batch count indexes the journal's log.
-    feed: FeedState,
-    /// Jobs (and events: one per job) journalled at capture time.
-    jobs_done: usize,
-    watermark: f64,
-    /// The segment-log cursor at capture time: recovery truncates the log
-    /// here before replay (write-ahead discipline), and an O(active) blob
-    /// stores the same cursor in place of its frontier.
-    cursor: LogCursor,
-    wire: Vec<u8>,
-}
-
 /// Everything a shard's worker writes: the durable batch log, the derived
 /// per-event records, and the lifecycle outcome.
 #[derive(Debug)]
@@ -406,13 +410,11 @@ struct ShardJournal {
     jobs: Vec<Job>,
     price_trace: Vec<f64>,
     depth_samples: Vec<usize>,
-    /// The shard's append-only realised-segment log: synced with the
-    /// run's frontier after every fed batch (under this lock), the other
-    /// half of every O(active) checkpoint in the chain.
-    seglog: SegmentLog,
-    /// The bounded checkpoint chain, oldest first, newest last.
-    checkpoints: VecDeque<ShardCheckpoint>,
-    checkpoints_taken: usize,
+    /// The shard's segment log and its bounded checkpoint chain: synced
+    /// after every fed batch and captured on the checkpoint cadence, both
+    /// under this lock.  A checkpoint's event count indexes `events` and
+    /// `jobs`, and its batch count indexes `log`.
+    chain: CheckpointChain,
     handoffs: usize,
     handoff_secs: Vec<f64>,
     drain_secs: f64,
@@ -422,16 +424,14 @@ struct ShardJournal {
 }
 
 impl ShardJournal {
-    fn new(machines: usize) -> Self {
+    fn new(machines: usize, retain: usize) -> Self {
         Self {
             log: Vec::new(),
             events: Vec::new(),
             jobs: Vec::new(),
             price_trace: Vec::new(),
             depth_samples: Vec::new(),
-            seglog: SegmentLog::new(machines),
-            checkpoints: VecDeque::new(),
-            checkpoints_taken: 0,
+            chain: CheckpointChain::new(machines, retain),
             handoffs: 0,
             handoff_secs: Vec::new(),
             drain_secs: 0.0,
@@ -496,10 +496,10 @@ struct ShardShared {
 }
 
 impl ShardShared {
-    fn new(shard: usize, queue_capacity: usize, machines: usize) -> Self {
+    fn new(shard: usize, config: &ServeConfig) -> Self {
         Self {
             shard,
-            queue: ArrivalQueue::with_capacity(queue_capacity),
+            queue: ArrivalQueue::with_capacity(config.queue_capacity),
             submitting: AtomicUsize::new(0),
             peak_depth: AtomicUsize::new(0),
             price_bits: AtomicU64::new(0.0_f64.to_bits()),
@@ -511,7 +511,7 @@ impl ShardShared {
             handoff: AtomicBool::new(false),
             failed: AtomicBool::new(false),
             worker: Mutex::new(None),
-            journal: Mutex::new(ShardJournal::new(machines)),
+            journal: Mutex::new(ShardJournal::new(config.machines, config.checkpoint_chain)),
         }
     }
 
@@ -746,15 +746,10 @@ fn feed_batch<R: OnlineScheduler>(
     }
     journal.price_trace.push(core.price());
     // The run's frontier just grew by this batch's committed segments;
-    // mirror the delta into the shard's append-only segment log (one
-    // checksummed record per batch).  Recovery replays through this same
-    // path, so a restored shard rebuilds the identical log.
-    let frontier = core.run().frontier();
-    journal.seglog.sync_from(frontier).map_err(|e| {
-        ScheduleError::Internal(format!(
-            "segment log rejected the batch's frontier delta: {e}"
-        ))
-    })?;
+    // mirror the delta into the shard's segment log.  Recovery replays
+    // through this same path, so a restored shard rebuilds the identical
+    // log.
+    journal.chain.sync(core)?;
     // `Release` publication: an admission thread that acquires either
     // signal also sees this batch's journal updates (see the contract on
     // `ShardShared::price`).  The watermark is stored after the price so a
@@ -768,41 +763,15 @@ fn feed_batch<R: OnlineScheduler>(
     Ok(())
 }
 
-/// Captures a checkpoint: the run's `StateBlob` wire image plus the
-/// journal cursor, appended to the shard's bounded checkpoint chain
-/// (oldest entries fall off once the chain exceeds `checkpoint_chain`
-/// blobs).
-///
-/// The blob holds only live state plus a cursor into the shard's segment
-/// log (`snapshot_live`) — O(active) bytes per capture — and the log's
-/// record envelopes are compacted below the fresh cursor (segment data is
-/// never dropped, so the older retained blobs still reassemble).
+/// Captures a checkpoint of the core's run into the shard's chain, at the
+/// journal's current event count and the shard's watermark.
 fn capture_checkpoint<R: OnlineScheduler + LogCheckpointable>(
     shard: &ShardShared,
     core: &ShardCore<R>,
-    config: &ServeConfig,
 ) -> Result<(), ScheduleError> {
     let mut journal = shard.journal.lock().unwrap();
-    let wire = core
-        .run()
-        .snapshot_live(&mut journal.seglog)
-        .map_err(|e| ScheduleError::Internal(format!("checkpoint capture failed: {e}")))?
-        .to_bytes();
-    let log_cursor = journal.seglog.cursor();
-    journal.seglog.compact(log_cursor);
-    let jobs_done = journal.jobs.len();
-    journal.checkpoints_taken += 1;
-    journal.checkpoints.push_back(ShardCheckpoint {
-        feed: core.state(),
-        jobs_done,
-        watermark: shard.watermark(),
-        cursor: log_cursor,
-        wire,
-    });
-    while journal.checkpoints.len() > config.checkpoint_chain.max(1) {
-        journal.checkpoints.pop_front();
-    }
-    Ok(())
+    let events = journal.jobs.len();
+    journal.chain.capture(core, events, shard.watermark())
 }
 
 fn spawn_worker<R>(
@@ -850,7 +819,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
             // ordered for a later requester; acquire pairs with the
             // control plane's `Release` store so its writes are visible).
             if shard.handoff.swap(false, Ordering::AcqRel) {
-                if let Err(e) = capture_checkpoint(&shard, &core, &config) {
+                if let Err(e) = capture_checkpoint(&shard, &core) {
                     let mut journal = shard.journal.lock().unwrap();
                     journal.failed = Some(e);
                     shard.failed.store(true, Ordering::Release);
@@ -961,7 +930,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
         if config.checkpoint_every > 0
             && core.state().batches.is_multiple_of(config.checkpoint_every)
         {
-            if let Err(e) = capture_checkpoint(&shard, &core, &config) {
+            if let Err(e) = capture_checkpoint(&shard, &core) {
                 // A failed capture poisons the shard like a feed error:
                 // surface it at shutdown, stop admitting, let the
                 // watchdog recover from the journal.
@@ -1018,7 +987,7 @@ where
             paused: AtomicBool::new(config.start_paused),
             tenants: tenants.into_iter().map(TenantState::new).collect(),
             shards: (0..config.shards)
-                .map(|s| Arc::new(ShardShared::new(s, config.queue_capacity, config.machines)))
+                .map(|s| Arc::new(ShardShared::new(s, &config)))
                 .collect(),
         });
         // The daemon exists before its first worker, so an error part-way
@@ -1033,7 +1002,7 @@ where
             let run = daemon.algorithm.start(config.machines, config.alpha)?;
             let core = ShardCore::new(run, config.price_smoothing);
             // An initial checkpoint makes recovery possible from batch 0.
-            capture_checkpoint(shard, &core, &config)?;
+            capture_checkpoint(shard, &core)?;
             let worker = spawn_worker(Arc::clone(&daemon.inner), Arc::clone(shard), core)?;
             daemon.workers.push(Some(worker));
         }
@@ -1108,6 +1077,39 @@ where
             .len()
     }
 
+    /// Waits until every shard's worker has parked at a quiescent boundary
+    /// since the call (an advance of each [`shard_idle_epoch`](Self::shard_idle_epoch)),
+    /// or fails once `limit` has passed.  After [`pause`](Self::pause), this
+    /// proves no worker holds drained-but-unfed arrivals.
+    pub fn wait_parked(&self, limit: Duration) -> Result<(), ScheduleError> {
+        let deadline = Instant::now() + limit;
+        let shards = 0..self.inner.shards.len();
+        let epochs: Vec<u64> = shards.map(|s| self.shard_idle_epoch(s)).collect();
+        for (shard, &epoch) in epochs.iter().enumerate() {
+            wait_until(
+                deadline,
+                || format!("shard {shard} to park"),
+                || self.shard_idle_epoch(shard) != epoch,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Waits until the shard has journalled at least `expected` decision
+    /// events, or fails once `limit` has passed.
+    pub fn wait_events(
+        &self,
+        shard: usize,
+        expected: usize,
+        limit: Duration,
+    ) -> Result<(), ScheduleError> {
+        wait_until(
+            Instant::now() + limit,
+            || format!("{expected} events on shard {shard}"),
+            || self.shard_event_count(shard) >= expected,
+        )
+    }
+
     /// The shard's current rolling dual price (the backpressure signal).
     pub fn shard_price(&self, shard: usize) -> f64 {
         self.inner.shards[shard].price()
@@ -1118,10 +1120,8 @@ where
     /// and E18 (compaction keeps the envelope count O(retained chain)).
     pub fn shard_log_stats(&self, shard: usize) -> (u64, usize) {
         let journal = self.inner.shards[shard].journal.lock().unwrap();
-        (
-            journal.seglog.cursor().segments(),
-            journal.seglog.record_count(),
-        )
+        let log = journal.chain.log();
+        (log.cursor().segments(), log.record_count())
     }
 
     /// Wire sizes of the shard's retained checkpoint blobs, oldest first —
@@ -1129,7 +1129,8 @@ where
     /// read.
     pub fn shard_checkpoint_sizes(&self, shard: usize) -> Vec<usize> {
         let journal = self.inner.shards[shard].journal.lock().unwrap();
-        journal.checkpoints.iter().map(|c| c.wire.len()).collect()
+        let checkpoints = journal.chain.checkpoints();
+        checkpoints.iter().map(|c| c.wire.len()).collect()
     }
 
     /// A snapshot of the shard's arrival-queue depth.
@@ -1168,8 +1169,8 @@ where
     }
 
     /// Restores a dead shard on a fresh worker thread: reconstructs the run
-    /// from the newest checkpoint in the chain whose `StateBlob` wire image
-    /// still decodes (skipping corrupted blobs towards older ones), rewinds
+    /// from the newest checkpoint in the chain whose blob still decodes
+    /// (skipping corrupted blobs towards older ones), rewinds
     /// the derived records to that checkpoint, replays the journalled
     /// batches after it (bit-identically — same feed times, same dense
     /// ids), and resumes ingestion where the dead worker left off.  If
@@ -1177,7 +1178,10 @@ where
     /// and the whole journal replayed (`cold_restart`) — the journal, not
     /// the checkpoint, is the source of truth; checkpoints only shorten
     /// replay.  A poisoned shard (`failed` raised by a feed fault) is
-    /// un-poisoned: the pending error is dropped and admission reopens.
+    /// un-poisoned once the new worker runs: the pending error is dropped
+    /// and admission reopens.  A recovery that fails leaves no worker, so it
+    /// poisons the shard instead: admission bounces until a later recovery
+    /// succeeds.
     pub fn recover_shard(&mut self, shard: usize) -> Result<RecoveryReport, ScheduleError> {
         if self.workers[shard].is_some() {
             return Err(ScheduleError::Internal(format!(
@@ -1186,80 +1190,68 @@ where
         }
         let started = Instant::now();
         let sh = Arc::clone(&self.inner.shards[shard]);
+        // The journal stays locked until the new worker runs: the worker
+        // raises `failed` only under this lock, so clearing the flags here
+        // cannot hide a failure of the new worker.
         let mut journal = sh.journal.lock().unwrap();
-        // Newest blob that decodes wins; count what we had to skip.  A blob
-        // decodes *against the log*: its frontier cursor reassembles from
-        // the journal's segment log (compaction never discards the
-        // segments an older retained blob needs).
-        let mut chain_skipped = 0;
-        let mut restored: Option<(A::Run, ShardCheckpoint)> = None;
-        for ckpt in journal.checkpoints.iter().rev() {
-            let decoded = StateBlob::from_bytes(&ckpt.wire)
-                .and_then(|blob| A::Run::restore_with_log(&blob, &journal.seglog));
-            match decoded {
-                Ok(run) => {
-                    restored = Some((run, ckpt.clone()));
-                    break;
-                }
-                Err(_) => chain_skipped += 1,
-            }
-        }
-        let cold_restart = restored.is_none();
-        // With the whole chain corrupt, restore at position zero: a fresh
-        // run, and the full journal replays.
-        let (run, ckpt) = match restored {
-            Some(restored) => restored,
-            None => {
-                let config = self.inner.config;
-                let origin = ShardCheckpoint {
-                    feed: FeedState::START,
-                    jobs_done: 0,
-                    watermark: f64::NEG_INFINITY,
-                    cursor: LogCursor(0),
-                    wire: Vec::new(),
-                };
-                (self.algorithm.start(config.machines, config.alpha)?, origin)
-            }
-        };
-        journal.events.truncate(ckpt.jobs_done);
-        journal.jobs.truncate(ckpt.jobs_done);
-        journal.price_trace.truncate(ckpt.feed.batches);
-        // Write-ahead discipline: drop log segments at or beyond the
-        // restored blob's cursor *before* replay — replay re-commits them
-        // through the run itself (`feed_batch` re-syncs the log), so
-        // skipping the truncation would duplicate them.
-        journal
-            .seglog
-            .truncate(ckpt.cursor)
-            .map_err(|e| ScheduleError::Internal(format!("segment log rewind failed: {e}")))?;
-        sh.price_bits
-            .store(ckpt.feed.price.to_bits(), Ordering::Release);
-        sh.watermark_bits
-            .store(ckpt.watermark.to_bits(), Ordering::Release);
+        let restarted = self.replay(&sh, &mut journal).and_then(|(core, report)| {
+            let worker = spawn_worker(Arc::clone(&self.inner), Arc::clone(&sh), core)?;
+            Ok((worker, report))
+        });
+        let (worker, report) = restarted.inspect_err(|e| {
+            journal.failed = Some(e.clone());
+            sh.failed.store(true, Ordering::Release);
+        })?;
         journal.crashed = false;
         journal.failed = None;
         sh.failed.store(false, Ordering::Release);
-        let mut core = ShardCore::resume(run, self.inner.config.price_smoothing, ckpt.feed);
+        self.workers[shard] = Some(worker);
+        Ok(RecoveryReport {
+            recovery_secs: started.elapsed().as_secs_f64(),
+            ..report
+        })
+    }
+
+    /// Recovers the shard's run from its checkpoint chain, rewinds the
+    /// derived records and the published signals to the restored
+    /// checkpoint, and replays the journalled batches after it.
+    fn replay(
+        &self,
+        sh: &ShardShared,
+        journal: &mut ShardJournal,
+    ) -> Result<(ShardCore<A::Run>, RecoveryReport), ScheduleError> {
+        let config = self.inner.config;
+        let recovery = journal.chain.recover(config.price_smoothing, || {
+            self.algorithm.start(config.machines, config.alpha)
+        })?;
+        let mut core = recovery.core;
+        let restored = core.state();
+        journal.events.truncate(recovery.events);
+        journal.jobs.truncate(recovery.events);
+        journal.price_trace.truncate(restored.batches);
+        sh.price_bits
+            .store(restored.price.to_bits(), Ordering::Release);
+        sh.watermark_bits
+            .store(recovery.time.to_bits(), Ordering::Release);
         // Replay the delta in place: `feed_batch` never touches the batch
         // log, so it is taken out for the replay and put back on every path.
         let log = std::mem::take(&mut journal.log);
-        let delta = &log[ckpt.feed.batches..];
+        let delta = &log[restored.batches..];
         let replayed = delta
             .iter()
-            .try_for_each(|batch| feed_batch(&mut core, &sh, &mut journal, batch));
+            .try_for_each(|batch| feed_batch(&mut core, sh, journal, batch));
         let replayed_batches = delta.len();
         journal.log = log;
         replayed.map_err(|e| {
             ScheduleError::Internal(format!("journal replay rejected a logged batch: {e}"))
         })?;
-        drop(journal);
-        self.workers[shard] = Some(spawn_worker(Arc::clone(&self.inner), sh, core)?);
-        Ok(RecoveryReport {
+        let report = RecoveryReport {
             replayed_batches,
-            recovery_secs: started.elapsed().as_secs_f64(),
-            chain_skipped,
-            cold_restart,
-        })
+            recovery_secs: 0.0,
+            chain_skipped: recovery.skipped,
+            cold_restart: recovery.cold,
+        };
+        Ok((core, report))
     }
 
     /// Sweeps every shard for dead workers and auto-recovers them with
@@ -1325,23 +1317,7 @@ where
         bit: usize,
     ) -> Result<(), ScheduleError> {
         let mut journal = self.inner.shards[shard].journal.lock().unwrap();
-        let len = journal.checkpoints.len();
-        let slot = len
-            .checked_sub(1 + newest_offset)
-            .ok_or_else(|| {
-                ScheduleError::Internal(format!(
-                    "shard {shard} chain holds {len} checkpoint(s); cannot corrupt offset {newest_offset}"
-                ))
-            })?;
-        let wire = &mut journal.checkpoints[slot].wire;
-        if wire.is_empty() {
-            return Err(ScheduleError::Internal(format!(
-                "shard {shard} checkpoint {slot} has an empty wire image"
-            )));
-        }
-        let bit = bit % (wire.len() * 8);
-        wire[bit / 8] ^= 1 << (bit % 8);
-        Ok(())
+        journal.chain.corrupt(newest_offset, bit)
     }
 
     /// Arms the transient-feed-fault injection hook (a chaos-engine hook):
@@ -1375,23 +1351,10 @@ where
         handle
             .join()
             .map_err(|_| ScheduleError::Internal(format!("shard {shard} worker panicked")))?;
-        // The hand-off ships a `(log tail, blob)` pair across the worker
-        // boundary: the departing worker's final checkpoint blob plus the
-        // serialised segment-log tail, re-absorbed into a *fresh* log on
-        // the receiving side.  Rebuilding the journal's log from the
-        // shipped bytes — and only those bytes — proves the pair is
-        // self-contained before `recover_shard` restores from it.
-        {
-            let mut journal = self.inner.shards[shard].journal.lock().unwrap();
-            let tail = journal.seglog.encode_tail(LogCursor(0)).map_err(|e| {
-                ScheduleError::Internal(format!("hand-off log-tail encode failed: {e}"))
-            })?;
-            let mut moved = SegmentLog::new(self.inner.config.machines);
-            moved.absorb_tail(&tail).map_err(|e| {
-                ScheduleError::Internal(format!("hand-off log-tail absorb failed: {e}"))
-            })?;
-            journal.seglog = moved;
-        }
+        // The hand-off ships the `(log tail, blob)` pair across the worker
+        // boundary: the departing worker's final checkpoint plus the log,
+        // which `recover_shard` then restores from.
+        sh.journal.lock().unwrap().chain.ship_log()?;
         let report = self.recover_shard(shard)?;
         let secs = started.elapsed().as_secs_f64();
         let mut journal = self.inner.shards[shard].journal.lock().unwrap();
@@ -1453,7 +1416,7 @@ where
                 final_price: sh.price(),
                 depth_samples: std::mem::take(&mut journal.depth_samples),
                 peak_queue_depth: sh.peak_depth.load(Ordering::Relaxed),
-                checkpoints: journal.checkpoints_taken,
+                checkpoints: journal.chain.taken(),
                 handoffs: journal.handoffs,
                 drain_secs: journal.drain_secs,
             });

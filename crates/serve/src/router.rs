@@ -36,7 +36,7 @@
 //! same EWMA pricing) lives in `pss_sim::sharded` and hosts the
 //! sharding-cost oracle.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pss_sim::{RoutePolicy, PRICE_SMOOTHING};
 use pss_types::{merge_frontiers, Instance, JobId, Schedule, ScheduleError, ShardPiece};
@@ -44,13 +44,10 @@ use pss_types::{LogCheckpointable, OnlineAlgorithm};
 use pss_workloads::{arrival_envelopes, SmallRng};
 
 use crate::chaos::deterministic_fields_equal;
-use crate::daemon::{Daemon, ServeConfig, Submission};
+use crate::daemon::{Daemon, ServeConfig, Submission, WAIT_LIMIT};
 use crate::report::ServiceReport;
 use crate::retry::RetryPolicy;
 use crate::tenant::TenantSpec;
-
-/// How long the stepped driver waits for any single worker transition.
-const WAIT_LIMIT: Duration = Duration::from_secs(30);
 
 /// Drives one logical arrival stream across an `S`-shard daemon under a
 /// [`RoutePolicy`].  See the module docs for the two drive modes.
@@ -268,7 +265,7 @@ impl StreamRouter {
         let mut expected = vec![0usize; self.shards];
         let mut seq = 0u64;
         for wave in envelopes.chunks(self.wave_size.max(1)) {
-            wait_idle_all(&daemon, self.shards)?;
+            daemon.wait_parked(WAIT_LIMIT)?;
             // All workers are parked: the price snapshot cannot move while
             // this wave routes, so the whole wave routes against one
             // consistent snapshot — routing is a pure function of the
@@ -297,7 +294,7 @@ impl StreamRouter {
             }
             daemon.resume();
             for (s, &count) in expected.iter().enumerate() {
-                wait_events(&daemon, s, count)?;
+                daemon.wait_events(s, count, WAIT_LIMIT)?;
             }
             daemon.pause();
         }
@@ -409,44 +406,4 @@ impl StreamRouter {
             wall_secs,
         })
     }
-}
-
-/// Waits for every shard's worker to park at a quiescent boundary while
-/// the service is paused (each holds no drained-but-unfed arrivals).
-fn wait_idle_all<A>(daemon: &Daemon<A>, shards: usize) -> Result<(), ScheduleError>
-where
-    A: OnlineAlgorithm,
-    A::Run: LogCheckpointable + Send + 'static,
-{
-    let epochs: Vec<u64> = (0..shards).map(|s| daemon.shard_idle_epoch(s)).collect();
-    let deadline = Instant::now() + WAIT_LIMIT;
-    for (s, &epoch) in epochs.iter().enumerate() {
-        while daemon.shard_idle_epoch(s) == epoch {
-            if Instant::now() > deadline {
-                return Err(ScheduleError::Internal(format!(
-                    "stream router timed out waiting for shard {s} to park"
-                )));
-            }
-            pss_check::thread::yield_now();
-        }
-    }
-    Ok(())
-}
-
-/// Waits for the shard to have journalled `expected` decision events.
-fn wait_events<A>(daemon: &Daemon<A>, shard: usize, expected: usize) -> Result<(), ScheduleError>
-where
-    A: OnlineAlgorithm,
-    A::Run: LogCheckpointable + Send + 'static,
-{
-    let deadline = Instant::now() + WAIT_LIMIT;
-    while daemon.shard_event_count(shard) < expected {
-        if Instant::now() > deadline {
-            return Err(ScheduleError::Internal(format!(
-                "stream router timed out waiting for {expected} events on shard {shard}"
-            )));
-        }
-        pss_check::thread::yield_now();
-    }
-    Ok(())
 }

@@ -3,11 +3,12 @@
 //! dual-price backpressure, and the checkpointed crash / hand-off
 //! lifecycle with bit-identical recovery.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use pss_baselines::CllScheduler;
 use pss_core::PdScheduler;
-use pss_serve::{Daemon, ServeConfig, ServiceReport, Submission, TenantSpec};
+use pss_serve::{Daemon, ServeConfig, ServiceReport, Submission, TenantSpec, WatchdogVerdict};
 use pss_types::{
     Decision, IngressError, Job, JobEnvelope, LogCheckpointable, OnlineAlgorithm, OnlineScheduler,
     Schedule, ScheduleError, SegmentLog, SnapshotError, StateBlob, TenantId,
@@ -420,6 +421,98 @@ fn a_contract_violating_run_poisons_the_shard_instead_of_panicking() {
         ),
         Ok(_) => panic!("a poisoned shard must fail the shutdown"),
     }
+}
+
+/// `on_arrivals` calls made by every run of [`FailsThirdBurst`], restored
+/// runs included.  Only the one test below starts such runs.
+static FLAKY_BURSTS: AtomicUsize = AtomicUsize::new(0);
+
+/// CLL whose third `on_arrivals` call, counted over all of its runs, fails
+/// once: a transient fault that strikes a recovery's journal replay.
+#[derive(Debug, Clone, Copy)]
+struct FailsThirdBurst;
+
+struct FailsThirdBurstRun(<CllScheduler as OnlineAlgorithm>::Run);
+
+impl OnlineAlgorithm for FailsThirdBurst {
+    type Run = FailsThirdBurstRun;
+
+    fn algorithm_name(&self) -> String {
+        "CLL failing its third burst".into()
+    }
+
+    fn start(&self, machines: usize, alpha: f64) -> Result<Self::Run, ScheduleError> {
+        CllScheduler.start(machines, alpha).map(FailsThirdBurstRun)
+    }
+}
+
+impl OnlineScheduler for FailsThirdBurstRun {
+    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
+        if FLAKY_BURSTS.fetch_add(1, Ordering::Relaxed) == 2 {
+            return Err(ScheduleError::Internal("transient fault".into()));
+        }
+        self.0.on_arrivals(jobs, now)
+    }
+
+    fn frontier(&self) -> &Schedule {
+        self.0.frontier()
+    }
+
+    fn finish(self) -> Result<Schedule, ScheduleError> {
+        self.0.finish()
+    }
+}
+
+impl LogCheckpointable for FailsThirdBurstRun {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        self.0.snapshot_live(log)
+    }
+
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
+        LogCheckpointable::restore_with_log(blob, log).map(FailsThirdBurstRun)
+    }
+}
+
+/// A recovery whose replay fails leaves the shard without a worker, so it
+/// must keep admission closed until a later recovery succeeds; no event is
+/// lost on the way.
+#[test]
+fn a_failed_recovery_keeps_admission_closed_until_one_succeeds() {
+    let (mut daemon, handles) =
+        Daemon::spawn(FailsThirdBurst, solo_config(), vec![TenantSpec::new("t")]).unwrap();
+    for tag in 0..2 {
+        assert!(matches!(
+            handles[0].submit(env(tag, tag as f64)),
+            Ok(Submission::Queued { .. })
+        ));
+    }
+    daemon.resume();
+    wait_for("two fed bursts", || daemon.shard_event_count(0) == 2);
+    daemon.crash_shard(0, 2).unwrap();
+    // The replay's first burst is the runs' third call, which fails.
+    let error = daemon.recover_shard(0).unwrap_err();
+    assert!(
+        error
+            .to_string()
+            .contains("journal replay rejected a logged batch"),
+        "unexpected error: {error}"
+    );
+    assert!(matches!(
+        handles[0].submit(env(2, 2.0)),
+        Err(IngressError::ShuttingDown)
+    ));
+    match daemon.watchdog_sweep().unwrap()[0] {
+        WatchdogVerdict::Recovered { report, .. } => assert_eq!(report.replayed_batches, 2),
+        other => panic!("expected a recovery, got {other:?}"),
+    }
+    assert!(matches!(
+        handles[0].submit(env(2, 2.0)),
+        Ok(Submission::Queued { .. })
+    ));
+    let report = daemon.shutdown().unwrap();
+    assert_eq!(report.total_arrivals(), 3);
+    let tags: Vec<u64> = report.shards[0].events.iter().map(|e| e.tag).collect();
+    assert_eq!(tags, [0, 1, 2]);
 }
 
 #[test]

@@ -1,61 +1,221 @@
-//! Checkpointed streaming and the crash drill.
+//! Checkpoint chains and the crash drill.
 //!
-//! A production stream runs for days; suspending and resuming it must not
-//! perturb a single committed decision.  This module builds that on the
-//! `(log, blob)` contract of `pss_types::seglog`: every run carries a
-//! [`SegmentLog`] that the driver syncs with the frontier after every
-//! ingested batch (the worker appending realised segments as it commits),
-//! and each checkpoint is a [`LogCheckpointable::snapshot_live`] blob that
-//! holds only live state plus a log cursor, so blobs stay O(active).
+//! Suspending and resuming a stream must not perturb a single committed
+//! decision.  In the paper's online model a committed decision is never
+//! revised, so a checkpoint can be an O(active) blob plus a cursor into
+//! the run's append-only [`SegmentLog`].  [`CheckpointChain`] owns that
+//! `(log, blob)` pair, and the daemon's shards and the drills here all go
+//! through it.  It keeps three rules:
 //!
-//! * [`StreamingSimulation::run_checkpointed`] — drive a stream like
-//!   [`StreamingSimulation::run`], capturing a checkpoint every `k`
-//!   ingestion batches (plus once before any ingestion, so a crash at any
-//!   point is recoverable), keeping a bounded chain of the newest ones and
-//!   compacting the log's record envelopes below the newest cursor.
-//! * [`StreamingSimulation::run_with_failover`] — the crash drill: ingest
-//!   until `kill_at_batch`, *drop the run* (the worker died; everything
-//!   since the last checkpoint is lost, while the log and the checkpoint
-//!   survive), truncate the log to the checkpoint's cursor (write-ahead-log
-//!   discipline — replay re-commits those segments through the run
-//!   itself), restore through [`LogCheckpointable::restore_with_log`] and
-//!   **replay the delta** (the arrivals after the checkpoint, which a real
-//!   deployment would re-read from its ingestion log).  Because restores
-//!   continue bit-identically, the recovered stream's decisions, schedule
-//!   and report equal the failure-free run's.
+//! * **sync before capture**: [`sync`](CheckpointChain::sync) appends the
+//!   segments the run committed since the last sync, after every batch;
+//! * **compact at capture**: [`capture`](CheckpointChain::capture)
+//!   compacts the log to the new blob's cursor (segment data is never
+//!   dropped, so every retained blob still reassembles) and drops the
+//!   oldest checkpoint beyond the chain's bound;
+//! * **restore, then truncate**: [`recover`](CheckpointChain::recover)
+//!   restores the newest blob that decodes against the log and truncates
+//!   the log to its cursor, since replay re-commits the segments past it.
+//!   If no blob decodes, the log resets and the run starts cold.
 //!
-//! What is (and is not) in a blob, cadence guidance and the RNG-position
-//! caveat are documented in the checkpoint recipe in `src/README.md`.
+//! [`StreamingSimulation::run_checkpointed`] and the crash drill
+//! [`StreamingSimulation::run_with_failover`] (ingest, *drop the run*,
+//! recover, replay the delta) are loops around a chain.  What is (and is
+//! not) in a blob, cadence guidance and the RNG-position caveat are in the
+//! checkpoint recipe in `src/README.md`.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use pss_types::seglog::{LogCheckpointable, LogCursor, SegmentLog};
 use pss_types::snapshot::StateBlob;
-use pss_types::{Instance, OnlineAlgorithm, OnlineScheduler, ScheduleError};
+use pss_types::{Instance, JobId, OnlineAlgorithm, OnlineScheduler, ScheduleError};
 
 use crate::engine::{
-    coalesce_arrivals, finish_stream, ingest_batch, StreamReport, StreamingSimulation,
+    coalesce_arrivals, finish_stream, ingest_batch, ArrivalRecord, StreamReport,
+    StreamingSimulation,
 };
 use crate::feed::{FeedState, ShardCore, PRICE_SMOOTHING};
 
-/// One captured checkpoint of a streaming run: the blob holds only live
-/// state, and `cursor` records where in the run's [`SegmentLog`] its
-/// frontier ends (recovery truncates the log here before replay).
+/// One captured checkpoint: the run's live-state blob and where the stream
+/// stood when it was taken.
 #[derive(Debug, Clone)]
-pub struct CheckpointRecord {
-    /// Ingestion batches already processed when the checkpoint was taken
-    /// (0 for the pre-ingestion checkpoint).
-    pub batches_done: usize,
-    /// Arrival events already processed when the checkpoint was taken.
-    pub events_done: usize,
+pub struct Checkpoint {
+    /// The core's feed state; its batch count is where replay resumes.
+    pub feed: FeedState,
+    /// Arrival events processed so far (one per fed job).
+    pub events: usize,
     /// Feed time of the last ingested batch (`-inf` before the first).
     pub time: f64,
-    /// Wall-clock cost of capturing the snapshot, in seconds.
-    pub capture_secs: f64,
-    /// End cursor of the run's frontier in the segment log.
+    /// End cursor of the run's frontier in the log.
     pub cursor: LogCursor,
-    /// The live-state snapshot (no frontier inside).
-    pub blob: StateBlob,
+    /// Wall-clock cost of the capture, in seconds.
+    pub capture_secs: f64,
+    /// The live-state blob's wire bytes.
+    pub wire: Vec<u8>,
+}
+
+/// A shard's segment log and its bounded chain of checkpoints, oldest
+/// first (see the module docs).
+#[derive(Debug, Clone)]
+pub struct CheckpointChain {
+    log: SegmentLog,
+    checkpoints: VecDeque<Checkpoint>,
+    retain: usize,
+    taken: usize,
+}
+
+/// A run rebuilt by [`CheckpointChain::recover`].
+#[derive(Debug)]
+pub struct Recovery<R> {
+    /// The core, resumed at the restored checkpoint's feed state.
+    pub core: ShardCore<R>,
+    /// Arrival events the restored checkpoint had processed.
+    pub events: usize,
+    /// Feed time of the restored checkpoint's last batch.
+    pub time: f64,
+    /// Wire size of the restored blob (0 after a cold start).
+    pub bytes: usize,
+    /// Checkpoints skipped, newest first, because they did not decode.
+    pub skipped: usize,
+    /// No checkpoint decoded, so the run started cold.
+    pub cold: bool,
+}
+
+impl CheckpointChain {
+    /// An empty log for runs on `machines` machines, with a chain that
+    /// retains the `retain` newest checkpoints (at least 1).
+    pub fn new(machines: usize, retain: usize) -> Self {
+        Self {
+            log: SegmentLog::new(machines),
+            checkpoints: VecDeque::new(),
+            retain: retain.max(1),
+            taken: 0,
+        }
+    }
+
+    /// The segment log.
+    pub fn log(&self) -> &SegmentLog {
+        &self.log
+    }
+
+    /// The retained checkpoints, oldest first.
+    pub fn checkpoints(&self) -> &VecDeque<Checkpoint> {
+        &self.checkpoints
+    }
+
+    /// Checkpoints captured so far, the dropped ones included.
+    pub fn taken(&self) -> usize {
+        self.taken
+    }
+
+    /// Appends the segments the core's run has committed since the last
+    /// sync.  A frontier that lost committed segments is an error.
+    pub fn sync<R: OnlineScheduler>(&mut self, core: &ShardCore<R>) -> Result<(), ScheduleError> {
+        self.log.sync_from(core.run().frontier())?;
+        Ok(())
+    }
+
+    /// Captures the core's run after `events` arrival events, the last fed
+    /// at `time`: its live state goes to wire bytes, the log is compacted
+    /// to the new cursor, and the oldest checkpoint beyond the chain's
+    /// bound is dropped.
+    pub fn capture<R>(
+        &mut self,
+        core: &ShardCore<R>,
+        events: usize,
+        time: f64,
+    ) -> Result<(), ScheduleError>
+    where
+        R: OnlineScheduler + LogCheckpointable,
+    {
+        let started = Instant::now();
+        let wire = core.run().snapshot_live(&mut self.log)?.to_bytes();
+        let capture_secs = started.elapsed().as_secs_f64();
+        let cursor = self.log.cursor();
+        self.log.compact(cursor);
+        self.taken += 1;
+        self.checkpoints.push_back(Checkpoint {
+            feed: core.state(),
+            events,
+            time,
+            cursor,
+            capture_secs,
+            wire,
+        });
+        if self.checkpoints.len() > self.retain {
+            self.checkpoints.pop_front();
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the run from the newest checkpoint whose blob decodes
+    /// against the log, truncates the log to that checkpoint's cursor and
+    /// resumes a core, pricing with EWMA weight `smoothing`, at the
+    /// checkpoint's feed state.  If no blob decodes, the log resets and the
+    /// core starts from `cold()` at [`FeedState::START`].  Either way the
+    /// caller replays its batches from the core's batch count on.
+    pub fn recover<R>(
+        &mut self,
+        smoothing: f64,
+        cold: impl FnOnce() -> Result<R, ScheduleError>,
+    ) -> Result<Recovery<R>, ScheduleError>
+    where
+        R: OnlineScheduler + LogCheckpointable,
+    {
+        for (skipped, ckpt) in self.checkpoints.iter().rev().enumerate() {
+            let restored = StateBlob::from_bytes(&ckpt.wire)
+                .and_then(|blob| R::restore_with_log(&blob, &self.log));
+            if let Ok(run) = restored {
+                self.log.truncate(ckpt.cursor)?;
+                return Ok(Recovery {
+                    core: ShardCore::resume(run, smoothing, ckpt.feed),
+                    events: ckpt.events,
+                    time: ckpt.time,
+                    bytes: ckpt.wire.len(),
+                    skipped,
+                    cold: false,
+                });
+            }
+        }
+        self.log = SegmentLog::new(self.log.machines());
+        Ok(Recovery {
+            core: ShardCore::new(cold()?, smoothing),
+            events: 0,
+            time: f64::NEG_INFINITY,
+            bytes: 0,
+            skipped: self.checkpoints.len(),
+            cold: true,
+        })
+    }
+
+    /// Flips one bit of the checkpoint `newest_offset` back from the newest
+    /// (`0` = the newest), a chaos-engine hook.  The checksummed wire form
+    /// makes the blob fail to decode, so recovery falls back along the
+    /// chain.  Errors if the chain holds no such checkpoint.
+    pub fn corrupt(&mut self, newest_offset: usize, bit: usize) -> Result<(), ScheduleError> {
+        let len = self.checkpoints.len();
+        let Some(ckpt) = self.checkpoints.iter_mut().rev().nth(newest_offset) else {
+            return Err(ScheduleError::Internal(format!(
+                "the chain holds {len} checkpoint(s); cannot corrupt offset {newest_offset}"
+            )));
+        };
+        let bit = bit % (ckpt.wire.len() * 8);
+        ckpt.wire[bit / 8] ^= 1 << (bit % 8);
+        Ok(())
+    }
+
+    /// Ships the log across a worker boundary, as a hand-off does: the
+    /// whole log travels as one encoded tail and is absorbed into a fresh
+    /// log, which replaces this one.  The receiving worker then restores
+    /// from shipped bytes alone, which proves the pair self-contained.
+    pub fn ship_log(&mut self) -> Result<(), ScheduleError> {
+        let tail = self.log.encode_tail(LogCursor(0))?;
+        let mut shipped = SegmentLog::new(self.log.machines());
+        shipped.absorb_tail(&tail)?;
+        self.log = shipped;
+        Ok(())
+    }
 }
 
 /// What a recovery cost: the numbers E18's recovery table reports.
@@ -84,180 +244,118 @@ impl RecoveryStats {
     }
 }
 
-/// Snapshots a core's live run state into `log`, timing the capture.  The
-/// log is synced with the frontier by `snapshot_live`, then compacted to
-/// the new checkpoint's cursor — the newest retained blob — so record
-/// envelopes stay bounded by the retained chain.
-fn capture<R: OnlineScheduler + LogCheckpointable>(
-    core: &ShardCore<R>,
-    log: &mut SegmentLog,
-    events_done: usize,
-    time: f64,
-) -> Result<CheckpointRecord, ScheduleError> {
-    let started = Instant::now();
-    let blob = core.run().snapshot_live(log)?;
-    let capture_secs = started.elapsed().as_secs_f64();
-    let cursor = log.cursor();
-    log.compact(cursor);
-    Ok(CheckpointRecord {
-        batches_done: core.state().batches,
-        events_done,
-        time,
-        capture_secs,
-        cursor,
-        blob,
-    })
+/// Feeds `bursts` through `core`, syncing the chain after every batch and
+/// capturing after every `every`-th (never when `every` is 0).
+fn feed_chained<R>(
+    core: &mut ShardCore<R>,
+    chain: &mut CheckpointChain,
+    instance: &Instance,
+    bursts: &[(f64, Vec<JobId>)],
+    every: usize,
+    events: &mut Vec<ArrivalRecord>,
+) -> Result<(), ScheduleError>
+where
+    R: OnlineScheduler + LogCheckpointable,
+{
+    let mut burst_jobs = Vec::new();
+    for (feed_time, ids) in bursts {
+        ingest_batch(core, instance, *feed_time, ids, &mut burst_jobs, events)?;
+        chain.sync(core)?;
+        if every > 0 && core.state().batches.is_multiple_of(every) {
+            chain.capture(core, events.len(), *feed_time)?;
+        }
+    }
+    Ok(())
 }
 
 impl StreamingSimulation {
     /// Like [`run`](Self::run), but captures a checkpoint every
-    /// `every_batches` ingestion batches (and once before any ingestion).
+    /// `every_batches` ingestion batches (and once before any ingestion)
+    /// into a [`CheckpointChain`] that retains the `retain_chain` newest.
     ///
     /// The stream itself is driven identically — same batches, same feed
     /// times — so decisions and the finished schedule match the plain run.
-    /// At most `retain_chain` checkpoints are kept (oldest dropped first,
-    /// clamped to at least 1 — the bounded chain a daemon would hold); the
-    /// log is compacted to the newest retained blob's cursor after each
-    /// capture.  Returns the retained chain and the log; recovery from any
-    /// `(log, chain[k])` pair is bit-identical (see
-    /// [`run_with_failover`](Self::run_with_failover)).  `every_batches` is
-    /// clamped to at least 1.
+    /// Returns the chain, whose log ends at the run's final frontier;
+    /// recovery from any retained checkpoint is bit-identical (see
+    /// [`run_with_failover`](Self::run_with_failover)).  `every_batches`
+    /// and `retain_chain` are clamped to at least 1.
     pub fn run_checkpointed<A>(
         &self,
         algo: &A,
         instance: &Instance,
         every_batches: usize,
         retain_chain: usize,
-    ) -> Result<(StreamReport, Vec<CheckpointRecord>, SegmentLog), ScheduleError>
+    ) -> Result<(StreamReport, CheckpointChain), ScheduleError>
     where
         A: OnlineAlgorithm + ?Sized,
         A::Run: LogCheckpointable,
     {
-        let every = every_batches.max(1);
-        let retain = retain_chain.max(1);
         let plan = coalesce_arrivals(instance, self.coalesce_window);
         let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
-        let mut log = SegmentLog::new(instance.machines);
+        let mut chain = CheckpointChain::new(instance.machines, retain_chain);
         let mut events = Vec::with_capacity(instance.len());
-        let mut burst_jobs = Vec::new();
-        let mut chain = vec![capture(&core, &mut log, 0, f64::NEG_INFINITY)?];
-        for (feed_time, ids) in &plan {
-            ingest_batch(
-                &mut core,
-                instance,
-                *feed_time,
-                ids,
-                &mut burst_jobs,
-                &mut events,
-            )?;
-            // The worker appends realised segments as it commits them.
-            log.sync_from(core.run().frontier())?;
-            if core.state().batches.is_multiple_of(every) {
-                chain.push(capture(&core, &mut log, events.len(), *feed_time)?);
-                if chain.len() > retain {
-                    chain.remove(0);
-                }
-            }
-        }
+        chain.capture(&core, 0, f64::NEG_INFINITY)?;
+        let every = every_batches.max(1);
+        feed_chained(&mut core, &mut chain, instance, &plan, every, &mut events)?;
         let report = finish_stream(algo.algorithm_name(), core, instance, events)?;
-        Ok((report, chain, log))
+        Ok((report, chain))
     }
 
-    /// The crash drill over the `(log, blob)` pair: ingest until
-    /// `kill_at_batch` (checkpointing every `every_batches`), **drop the
-    /// run** (the log and the last checkpoint survive — both are durable),
-    /// truncate the log to the checkpoint's cursor, restore from the blob's
-    /// wire bytes through [`LogCheckpointable::restore_with_log`] and
-    /// replay the delta.
+    /// The crash drill: ingest until `kill_at_batch`, checkpointing every
+    /// `every_batches` into a chain that keeps the newest checkpoint,
+    /// **drop the run** (the chain survives: its log and blob are durable),
+    /// [`recover`](CheckpointChain::recover) and replay the delta.
     ///
     /// The returned report is indistinguishable from the failure-free run
-    /// on every deterministic field, and the returned log ends bit-equal
-    /// to an uninterrupted run's; the [`RecoveryStats`] record what the
-    /// recovery cost.  `kill_at_batch` is clamped to the stream's batch
-    /// count.
+    /// on every deterministic field, and the returned chain's log ends
+    /// bit-equal to an uninterrupted run's; the [`RecoveryStats`] record
+    /// what the recovery cost.  `kill_at_batch` is clamped to the stream's
+    /// batch count.
     pub fn run_with_failover<A>(
         &self,
         algo: &A,
         instance: &Instance,
         every_batches: usize,
         kill_at_batch: usize,
-    ) -> Result<(StreamReport, RecoveryStats, SegmentLog), ScheduleError>
+    ) -> Result<(StreamReport, RecoveryStats, CheckpointChain), ScheduleError>
     where
         A: OnlineAlgorithm + ?Sized,
         A::Run: LogCheckpointable,
     {
-        let every = every_batches.max(1);
         let plan = coalesce_arrivals(instance, self.coalesce_window);
         let killed_at_batch = kill_at_batch.min(plan.len());
-
-        // Phase 1: ingest until the kill point, keeping only the most
-        // recent checkpoint.  Dropping the run at the end of this block
-        // *is* the crash.
-        let mut log = SegmentLog::new(instance.machines);
-        let mut events = Vec::new();
-        let mut burst_jobs = Vec::new();
-        let checkpoint = {
+        let mut chain = CheckpointChain::new(instance.machines, 1);
+        let mut events = Vec::with_capacity(instance.len());
+        // Dropping the core at the end of this block *is* the crash.
+        {
             let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
-            let mut last = capture(&core, &mut log, 0, f64::NEG_INFINITY)?;
-            for (feed_time, ids) in plan.iter().take(killed_at_batch) {
-                ingest_batch(
-                    &mut core,
-                    instance,
-                    *feed_time,
-                    ids,
-                    &mut burst_jobs,
-                    &mut events,
-                )?;
-                log.sync_from(core.run().frontier())?;
-                if core.state().batches.is_multiple_of(every) {
-                    last = capture(&core, &mut log, events.len(), *feed_time)?;
-                }
-            }
-            last
-        };
-
-        // Phase 2: truncate the surviving log to the checkpoint's cursor,
-        // restore from the blob's wire bytes with the log, replay the delta
-        // and finish the stream.
-        let wire = checkpoint.blob.to_bytes();
-        let started = Instant::now();
-        let blob = StateBlob::from_bytes(&wire)?;
-        log.truncate(checkpoint.cursor)?;
-        let run = <A::Run as LogCheckpointable>::restore_with_log(&blob, &log)?;
-        let restore_secs = started.elapsed().as_secs_f64();
-
-        // Everything the dead worker did after the checkpoint is lost.  With
-        // no price reported and releases in order, the batch count suffices.
-        events.truncate(checkpoint.events_done);
-        let replay_from = checkpoint.batches_done;
-        let resume_at = FeedState {
-            batches: replay_from,
-            ..FeedState::START
-        };
-        let mut core = ShardCore::resume(run, PRICE_SMOOTHING, resume_at);
-        let started = Instant::now();
-        for (feed_time, ids) in plan.get(replay_from..).unwrap_or_default() {
-            ingest_batch(
-                &mut core,
-                instance,
-                *feed_time,
-                ids,
-                &mut burst_jobs,
-                &mut events,
-            )?;
-            log.sync_from(core.run().frontier())?;
+            chain.capture(&core, 0, f64::NEG_INFINITY)?;
+            let every = every_batches.max(1);
+            let fed = &plan[..killed_at_batch];
+            feed_chained(&mut core, &mut chain, instance, fed, every, &mut events)?;
         }
+
+        // Everything the dead worker did after the checkpoint is lost.
+        let started = Instant::now();
+        let recovery = chain.recover(PRICE_SMOOTHING, || algo.start_for(instance))?;
+        let restore_secs = started.elapsed().as_secs_f64();
+        events.truncate(recovery.events);
+        let mut core = recovery.core;
+        let restored_batches = core.state().batches;
+        let started = Instant::now();
+        let delta = &plan[restored_batches..];
+        feed_chained(&mut core, &mut chain, instance, delta, 0, &mut events)?;
         let replay_secs = started.elapsed().as_secs_f64();
         let stats = RecoveryStats {
             killed_at_batch,
-            restored_batches: replay_from,
-            replayed_events: events.len() - checkpoint.events_done,
-            checkpoint_bytes: wire.len(),
+            restored_batches,
+            replayed_events: events.len() - recovery.events,
+            checkpoint_bytes: recovery.bytes,
             restore_secs,
             replay_secs,
         };
         let report = finish_stream(algo.algorithm_name(), core, instance, events)?;
-        Ok((report, stats, log))
+        Ok((report, stats, chain))
     }
 }
 
@@ -320,17 +418,20 @@ mod tests {
         let inst = bursty_instance(40, 4242);
         let sim = StreamingSimulation::with_coalescing(1e-3);
         let plain = sim.run(&CllScheduler, &inst).unwrap();
-        let (stream, chain, log) = sim
+        let (stream, chain) = sim
             .run_checkpointed(&CllScheduler, &inst, 3, usize::MAX)
             .unwrap();
         assert_streams_equal(&plain, &stream, "logged CLL");
-        assert_eq!(chain.len(), 1 + stream.batches / 3);
+        assert_eq!(chain.checkpoints().len(), 1 + stream.batches / 3);
+        assert_eq!(chain.taken(), chain.checkpoints().len());
         // The log mirrors the committed frontier: its end cursor equals the
         // frontier size the last event observed, and cursors are monotone.
+        let log = chain.log();
         let final_frontier = stream.events.last().unwrap().frontier_segments;
         assert_eq!(log.cursor(), LogCursor(final_frontier as u64));
-        for pair in chain.windows(2) {
-            assert!(pair[0].cursor <= pair[1].cursor);
+        let retained = chain.checkpoints();
+        for (older, newer) in retained.iter().zip(retained.iter().skip(1)) {
+            assert!(older.cursor <= newer.cursor);
         }
         // Compaction after each capture bounds the record envelopes.
         assert!(log.record_count() <= stream.batches % 3 + 1);
@@ -342,19 +443,19 @@ mod tests {
         let sim = StreamingSimulation::with_coalescing(1e-3);
         let plain = sim.run(&CllScheduler, &inst).unwrap();
         for retain in 1..=4 {
-            let (stream, chain, log) = sim
+            let (stream, chain) = sim
                 .run_checkpointed(&CllScheduler, &inst, 2, retain)
                 .unwrap();
             assert_streams_equal(&plain, &stream, &format!("retain {retain}"));
-            assert!(chain.len() <= retain);
+            assert!(chain.checkpoints().len() <= retain);
             // Every retained blob restores against the log truncated to its
             // cursor — including the oldest, whose records were compacted
             // into the prefix.
-            for (k, ckpt) in chain.iter().enumerate() {
-                let mut cut = log.clone();
+            for (k, ckpt) in chain.checkpoints().iter().enumerate() {
+                let mut cut = chain.log().clone();
                 cut.truncate(ckpt.cursor).unwrap();
                 let run = <CllScheduler as OnlineAlgorithm>::Run::restore_with_log(
-                    &StateBlob::from_bytes(&ckpt.blob.to_bytes()).unwrap(),
+                    &StateBlob::from_bytes(&ckpt.wire).unwrap(),
                     &cut,
                 )
                 .unwrap_or_else(|e| panic!("retain {retain} chain[{k}]: {e}"));
@@ -374,7 +475,7 @@ mod tests {
         for algo_run in 0..2 {
             // Two very different state shapes: the replanning executor and
             // the BKP grid.
-            let (plain, recovered, stats, log, label) = if algo_run == 0 {
+            let (plain, recovered, stats, chain, label) = if algo_run == 0 {
                 let plain = sim.run(&OaScheduler, &inst).unwrap();
                 let kill = plain.batches / 2;
                 let (r, s, l) = sim.run_with_failover(&OaScheduler, &inst, 4, kill).unwrap();
@@ -394,7 +495,76 @@ mod tests {
             // The recovered log ends exactly at the uninterrupted run's
             // final frontier.
             let final_frontier = plain.events.last().unwrap().frontier_segments;
-            assert_eq!(log.cursor(), LogCursor(final_frontier as u64), "{label}");
+            let end = chain.log().cursor();
+            assert_eq!(end, LogCursor(final_frontier as u64), "{label}");
+        }
+    }
+
+    /// The chain's fallback and cold start, pinned inside pss-sim: a bursty
+    /// stream fed through a core and a chain of 3 that captures after every
+    /// batch is killed mid-stream.  With the k newest blobs corrupted,
+    /// recovery skips k of them (k = 3 is the whole chain, so the run starts
+    /// cold), resumes the core's full feed state, and the replayed stream
+    /// and log end bit-equal to the uninterrupted ones.
+    #[test]
+    fn chain_recovery_falls_back_past_corrupted_blobs_and_resumes_the_feed_state() {
+        let inst = bursty_instance(40, 77);
+        let plan = coalesce_arrivals(&inst, 1e-3);
+        let start = || CllScheduler.start_for(&inst);
+        let kill = plan.len() / 2;
+        assert!(kill >= 3, "the chain must be full at the kill");
+
+        // The uninterrupted run, with its feed state after every batch.
+        let mut core = ShardCore::new(start().unwrap(), PRICE_SMOOTHING);
+        let mut chain = CheckpointChain::new(inst.machines, 3);
+        let mut events = Vec::new();
+        let mut states = vec![core.state()];
+        for burst in plan.chunks(1) {
+            feed_chained(&mut core, &mut chain, &inst, burst, 1, &mut events).unwrap();
+            states.push(core.state());
+        }
+        let log = chain.log();
+        let plain_log = log.reassemble(log.cursor()).unwrap();
+        let plain = finish_stream("CLL".into(), core, &inst, events).unwrap();
+
+        for k in 0..=3 {
+            let label = format!("{k} corrupted");
+            let mut chain = CheckpointChain::new(inst.machines, 3);
+            let mut events = Vec::new();
+            {
+                let mut core = ShardCore::new(start().unwrap(), PRICE_SMOOTHING);
+                chain.capture(&core, 0, f64::NEG_INFINITY).unwrap();
+                let fed = &plan[..kill];
+                feed_chained(&mut core, &mut chain, &inst, fed, 1, &mut events).unwrap();
+            }
+            for depth in 0..k {
+                chain.corrupt(depth, 8 * depth + 3).unwrap();
+            }
+            let recovery = chain.recover(PRICE_SMOOTHING, start).unwrap();
+            assert_eq!(recovery.skipped, k, "{label}: skipped");
+            assert_eq!(recovery.cold, k == 3, "{label}: cold start");
+            // The chain held the checkpoints after batches kill-2..=kill.
+            let at = if k == 3 { 0 } else { kill - k };
+            let resumed = recovery.core.state();
+            let expected = states[at];
+            assert_eq!(resumed.batches, at, "{label}: batches");
+            assert_eq!(
+                resumed.price.to_bits(),
+                expected.price.to_bits(),
+                "{label}: price"
+            );
+            assert_eq!(
+                resumed.release_floor.to_bits(),
+                expected.release_floor.to_bits(),
+                "{label}: release floor"
+            );
+            events.truncate(recovery.events);
+            let mut core = recovery.core;
+            feed_chained(&mut core, &mut chain, &inst, &plan[at..], 1, &mut events).unwrap();
+            let log = chain.log();
+            assert_eq!(log.reassemble(log.cursor()).unwrap(), plain_log, "{label}");
+            let recovered = finish_stream("CLL".into(), core, &inst, events).unwrap();
+            assert_streams_equal(&plain, &recovered, &label);
         }
     }
 
@@ -407,16 +577,17 @@ mod tests {
             resolution: 300,
             ..Default::default()
         };
-        let (_, chain, log) = StreamingSimulation::default()
+        let (_, chain) = StreamingSimulation::default()
             .run_checkpointed(&algo, &inst, 5, 1)
             .unwrap();
-        let ckpt = chain.last().unwrap();
+        let log = chain.log();
+        let ckpt = chain.checkpoints().back().unwrap();
         assert!(
             ckpt.cursor > LogCursor(0),
             "the blob must point into the log"
         );
-        let blob = &ckpt.blob;
-        let wire = blob.to_bytes();
+        let wire = &ckpt.wire;
+        let blob = &StateBlob::from_bytes(wire).unwrap();
         // Every truncation fails cleanly.
         for len in (0..wire.len()).step_by(7) {
             assert!(StateBlob::from_bytes(&wire[..len]).is_err());
@@ -429,7 +600,7 @@ mod tests {
         }
         // Restoring the wrong kind errors.
         assert!(matches!(
-            AvrState::restore_with_log(blob, &log),
+            AvrState::restore_with_log(blob, log),
             Err(SnapshotError::WrongKind { .. })
         ));
         // A kind-right blob with a truncated payload errors.
@@ -438,21 +609,16 @@ mod tests {
             blob.version(),
             blob.payload()[..blob.payload().len() / 2].to_vec(),
         );
-        assert!(BkpState::restore_with_log(&short, &log).is_err());
+        assert!(BkpState::restore_with_log(&short, log).is_err());
         // A version-1 blob (the pre-seglog layout) is rejected with the
         // typed version error, never misparsed.
         let old = StateBlob::new("bkp", 1, blob.payload().to_vec());
         assert!(matches!(
-            BkpState::restore_with_log(&old, &log),
+            BkpState::restore_with_log(&old, log),
             Err(SnapshotError::UnsupportedVersion(1))
         ));
         // A log that does not reach the blob's cursor errors.
         assert!(BkpState::restore_with_log(blob, &SegmentLog::new(1)).is_err());
-        // The JSON envelope round-trips the same state.
-        let json = pss_metrics::blob_to_json(blob);
-        let back = pss_metrics::blob_from_json(&json).unwrap();
-        assert_eq!(&back, blob);
-        assert!(BkpState::restore_with_log(&back, &log).is_ok());
     }
 
     #[test]

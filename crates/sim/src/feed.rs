@@ -86,7 +86,7 @@ impl<R: OnlineScheduler> ShardCore<R> {
     }
 
     /// A core around a restored run, resuming at `state`.
-    pub fn resume(run: R, price_smoothing: f64, state: FeedState) -> Self {
+    pub(crate) fn resume(run: R, price_smoothing: f64, state: FeedState) -> Self {
         Self {
             run,
             smoothing: price_smoothing,

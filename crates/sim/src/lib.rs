@@ -37,15 +37,18 @@
 //! With `shards = 1`, [`sharded::ShardedStreaming`] is bit-identical to
 //! [`engine::StreamingSimulation`].
 //!
-//! [`checkpoint`] makes streams *restartable*: every run state implements
-//! `pss_types::LogCheckpointable`, so
+//! [`checkpoint`] makes streams *restartable*.  Every run state implements
+//! `pss_types::LogCheckpointable`, and [`checkpoint::CheckpointChain`]
+//! owns a shard's `(log, blob)` pair: it syncs the run's committed
+//! segments into an append-only `pss_types::SegmentLog`, captures blobs of
+//! live state plus a log cursor (O(active) bytes) into a bounded chain, and
+//! recovers from the newest blob that decodes.  The daemon's shards and the
+//! drills here all go through it:
 //! [`StreamingSimulation::run_checkpointed`](engine::StreamingSimulation)
-//! captures a checkpoint every k ingestion batches — a blob of live state
-//! plus a cursor into the run's `pss_types::SegmentLog`, O(active) bytes —
-//! and the crash drill (`run_with_failover`) kills a worker mid-stream,
-//! restores from the last `(log, blob)` pair and replays the delta,
-//! bit-identically.  E18 measures blob size, capture/restore cost and
-//! recovery latency.
+//! captures every k ingestion batches, and the crash drill
+//! (`run_with_failover`) kills a worker mid-stream, recovers and replays
+//! the delta, bit-identically.  E18 measures blob size, capture/restore
+//! cost and recovery latency.
 //!
 //! [`replay`] provides the operational definition of "online": the
 //! streaming check [`replay::streaming_prefix_report`] feeds one run
@@ -63,7 +66,7 @@ pub mod gantt;
 pub mod replay;
 pub mod sharded;
 
-pub use checkpoint::{CheckpointRecord, RecoveryStats};
+pub use checkpoint::{Checkpoint, CheckpointChain, Recovery, RecoveryStats};
 pub use engine::{
     coalesce_arrivals, nearest_rank, ArrivalRecord, JobOutcome, MachineStats, SimReport,
     Simulation, StreamReport, StreamingSimulation,

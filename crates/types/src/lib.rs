@@ -32,7 +32,7 @@
 //! * [`snapshot`] — the checkpoint codec: versioned [`StateBlob`]s, the
 //!   hand-rolled bounds-checked binary codec ([`BlobWriter`]/[`BlobReader`],
 //!   no serde in the offline build) and the [`SnapshotPart`] trait payloads
-//!   are assembled from (the JSON envelope lives in `pss-metrics`),
+//!   are assembled from,
 //! * [`seglog`] — the append-only realised-segment log that holds a run's
 //!   committed frontier: checksummed [`SegmentLog`] records, [`LogCursor`]s,
 //!   the [`FrontierPart`] cursor a snapshot stores in place of its frontier,

@@ -11,9 +11,7 @@
 //!   ([`StateBlob::to_bytes`]/[`StateBlob::from_bytes`]: magic, format
 //!   version, kind, state version, length-prefixed payload, FNV-1a
 //!   checksum).  Decoding is total: truncated or corrupted bytes produce a
-//!   [`SnapshotError`], never a panic.  (The companion *JSON* envelope of
-//!   the same blob lives in `pss-metrics`' `codec` module, next to the
-//!   other hand-rolled JSON output.)
+//!   [`SnapshotError`], never a panic.
 //! * [`BlobWriter`]/[`BlobReader`] — the hand-rolled little-endian
 //!   primitives payloads are built from.  The build environment has no
 //!   serde, so every field is written explicitly; readers bounds-check
