@@ -653,10 +653,23 @@ impl BkpState {
                 self.now = to;
                 return;
             }
+            // A step entered with no eligible job idles whatever its speed
+            // (the batch loop's `break` below), so its speed is evaluated
+            // only on a step that can dispatch.  Skipping the evaluation
+            // changes nothing else: the speed index's caches catch up at
+            // the next evaluation.
+            if self.step_speed.is_none()
+                && !self.step_idle
+                && self.inflight.is_none()
+                && self.edf_peek().is_none()
+            {
+                self.step_idle = true;
+            }
             // The speed of a step is fixed at its start time, from the jobs
             // released by then — later arrivals never change it.
             let speed = match self.step_speed {
                 Some(s) => s,
+                None if self.step_idle => 0.0,
                 None => {
                     let s = self.index.speed(step_start) * self.speed_margin;
                     self.step_speed = Some(s);

@@ -25,8 +25,12 @@
 //! * [`interval_power`] and [`interval_power_derivative`] — the per-interval
 //!   power function `P_k` of the convex program and its partial derivatives
 //!   (Proposition 1 of the paper),
-//! * [`placement`] — conversion of an [`IntervalSolution`] into concrete
-//!   machine-level [`Segment`](pss_types::Segment)s.
+//! * [`placement`] — conversion of Chen's solution into concrete
+//!   machine-level [`Segment`](pss_types::Segment)s: one McNaughton
+//!   routine with two entries, [`placement::place_interval`] for an
+//!   [`IntervalSolution`] and [`ChenInterval::place_pairs`], which sorts
+//!   sparse `(job, work)` pairs in place and hands each segment to the
+//!   caller without allocating.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
-//! Conversion of an [`IntervalSolution`] into concrete machine-level
-//! segments.
+//! Conversion of Chen et al.'s solution for one atomic interval into
+//! concrete machine-level segments.
 //!
 //! Dedicated jobs occupy their own machine for the whole interval.  Pool
 //! jobs are placed on the pool machines with **McNaughton's wrap-around
@@ -17,10 +17,35 @@
 //! short to emit) instead of skipping it, so rounding never pushes work past
 //! the last pool machine; what rounding leaves beyond the last machine's end
 //! is cut off there.
+//!
+//! One routine places a solution's shape, its dedicated and pool `(job,
+//! work)` slices, and it has two entries:
+//!
+//! * [`place_interval`] places an [`IntervalSolution`] and returns the
+//!   segments;
+//! * [`ChenInterval::place_pairs`] runs Chen's rule over sparse `(job,
+//!   work)` pairs sorted in place, as
+//!   [`energy_of_pairs`](ChenInterval::energy_of_pairs) does, and hands each
+//!   segment to the caller.  It allocates nothing, so a caller committing
+//!   interval after interval (online PD) can reuse one pairs buffer and
+//!   write the segments straight into its frontier.  Its segments equal,
+//!   bit for bit and in order, those of `place_interval` over
+//!   [`solve`](ChenInterval::solve) on the dense vector of the same works.
 
 use pss_types::{num, JobId, Segment};
 
-use crate::solution::IntervalSolution;
+use crate::solution::{ChenInterval, IntervalSolution};
+
+/// The shape of Chen et al.'s solution that placement reads: the dedicated
+/// jobs in decreasing order of work, the pool jobs, and the pool's machines
+/// and speed.
+struct Shape<'a> {
+    length: f64,
+    dedicated: &'a [(usize, f64)],
+    pool: &'a [(usize, f64)],
+    pool_machines: usize,
+    pool_speed: f64,
+}
 
 /// Places the solution into the absolute time window `[start, start + length)`
 /// using machines `machine_offset..machine_offset + solution.machines`,
@@ -34,17 +59,70 @@ pub fn place_interval(
     machine_offset: usize,
     job_id_of: impl Fn(usize) -> JobId,
 ) -> Vec<Segment> {
-    let l = solution.length;
-    let end = start + l;
+    let shape = Shape {
+        length: solution.length,
+        dedicated: &solution.dedicated,
+        pool: &solution.pool,
+        pool_machines: solution.pool_machines,
+        pool_speed: solution.pool_speed,
+    };
     let mut segments = Vec::new();
+    place(&shape, start, machine_offset, job_id_of, |seg| {
+        segments.push(seg)
+    });
+    segments
+}
+
+impl ChenInterval {
+    /// Runs Chen et al.'s algorithm over sparse `(job, work)` pairs and
+    /// places the result into `[start, start + length)` on machines
+    /// `machine_offset..machine_offset + machines`, handing each segment to
+    /// `emit` in placement order.  Pairs whose work is not positive are
+    /// ignored.  The pairs are sorted in place into the rule's order (work
+    /// descending, ties by job id), so the segments equal, bit for bit and
+    /// in order, [`place_interval`] over [`solve`](Self::solve) on the dense
+    /// vector holding the same works.
+    pub fn place_pairs(
+        &self,
+        pairs: &mut [(usize, f64)],
+        start: f64,
+        machine_offset: usize,
+        job_id_of: impl Fn(usize) -> JobId,
+        emit: impl FnMut(Segment),
+    ) {
+        let split = self.split(pairs);
+        let (dedicated, pool) = pairs[..split.positive].split_at(split.dedicated);
+        let shape = Shape {
+            length: self.length,
+            dedicated,
+            pool,
+            pool_machines: self.machines - split.dedicated,
+            pool_speed: split.pool_speed,
+        };
+        place(&shape, start, machine_offset, job_id_of, emit);
+    }
+}
+
+/// Places `shape` into `[start, start + length)`: machine
+/// `machine_offset + i` runs dedicated job `i` alone, and the pool jobs wrap
+/// McNaughton-style over the machines after the dedicated ones.
+fn place(
+    shape: &Shape<'_>,
+    start: f64,
+    machine_offset: usize,
+    job_id_of: impl Fn(usize) -> JobId,
+    mut emit: impl FnMut(Segment),
+) {
+    let l = shape.length;
+    let end = start + l;
 
     // Dedicated jobs: machine i runs job i of the dedicated list alone.
-    for (i, (job, work)) in solution.dedicated.iter().enumerate() {
+    for (i, (job, work)) in shape.dedicated.iter().enumerate() {
         let speed = work / l;
         if speed <= 0.0 {
             continue;
         }
-        segments.push(Segment::work(
+        emit(Segment::work(
             machine_offset + i,
             start,
             end,
@@ -54,13 +132,13 @@ pub fn place_interval(
     }
 
     // Pool jobs: McNaughton wrap-around on the remaining machines.
-    if solution.pool_speed > 0.0 && solution.pool_machines > 0 {
-        let first_pool_machine = machine_offset + solution.dedicated.len();
-        let last_pool_machine = first_pool_machine + solution.pool_machines - 1;
+    if shape.pool_speed > 0.0 && shape.pool_machines > 0 {
+        let first_pool_machine = machine_offset + shape.dedicated.len();
+        let last_pool_machine = first_pool_machine + shape.pool_machines - 1;
         let mut machine = first_pool_machine;
         let mut offset = 0.0_f64; // time offset within the interval
-        for (job, work) in &solution.pool {
-            let mut duration = work / solution.pool_speed;
+        for (job, work) in shape.pool {
+            let mut duration = work / shape.pool_speed;
             debug_assert!(
                 duration <= l * (1.0 + 1e-9),
                 "pool job longer than the interval: {duration} > {l}"
@@ -71,11 +149,11 @@ pub fn place_interval(
                 let available = (l - offset).max(0.0);
                 let piece = remaining.min(available);
                 if piece > 0.0 && !num::approx_zero(piece) {
-                    segments.push(Segment::work(
+                    emit(Segment::work(
                         machine,
                         start + offset,
                         start + offset + piece,
-                        solution.pool_speed,
+                        shape.pool_speed,
                         job_id_of(*job),
                     ));
                 }
@@ -90,14 +168,11 @@ pub fn place_interval(
             }
         }
     }
-
-    segments
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solution::ChenInterval;
     use pss_power::AlphaPower;
     use pss_types::num::stable_sum;
 
@@ -215,6 +290,38 @@ mod tests {
         for (j, &w) in works.iter().enumerate() {
             assert!(num::approx_eq(work_of_job(&segs, j), w), "job {j}");
         }
+    }
+
+    /// A segment's fields, its times and speed as bits.
+    fn bits(s: &Segment) -> (usize, Option<JobId>, [u64; 3]) {
+        (
+            s.machine,
+            s.job,
+            [s.start, s.end, s.speed].map(f64::to_bits),
+        )
+    }
+
+    #[test]
+    fn sparse_pairs_place_like_the_dense_solution_bit_for_bit() {
+        let chen = ChenInterval::new(0.7, 3, AlphaPower::new(2.5));
+        let works = [0.0, 2.5, 0.3, 2.5, 0.0, 9.0, 0.3, 0.1];
+        let dense: Vec<_> = place_interval(&chen.solve(&works), 4.25, 2, JobId)
+            .iter()
+            .map(bits)
+            .collect();
+        assert!(!dense.is_empty());
+        // Scrambled order, plus entries the rule must ignore.
+        let mut pairs = vec![(6, 0.3), (9, 0.0), (1, 2.5), (7, 0.1), (10, -1.0)];
+        pairs.extend([(5, 9.0), (3, 2.5), (2, 0.3), (11, f64::NAN)]);
+        for _ in 0..2 {
+            let mut sparse = Vec::new();
+            chen.place_pairs(&mut pairs, 4.25, 2, JobId, |seg| sparse.push(bits(&seg)));
+            assert_eq!(sparse, dense);
+            pairs.reverse();
+        }
+        let mut none = Vec::new();
+        chen.place_pairs(&mut [], 4.25, 2, JobId, |seg| none.push(seg));
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -88,6 +88,7 @@ impl ChenInterval {
             .filter(|(_, u)| *u > 0.0)
             .collect();
         let split = self.split(&mut positive);
+        let energy = self.energy(&positive, &split);
         let pool = positive.split_off(split.dedicated);
         IntervalSolution {
             length: self.length,
@@ -96,7 +97,7 @@ impl ChenInterval {
             pool,
             pool_machines: self.machines - split.dedicated,
             pool_speed: split.pool_speed,
-            energy: split.energy,
+            energy,
         }
     }
 
@@ -107,12 +108,13 @@ impl ChenInterval {
     /// for bit, [`solve`](Self::solve)'s on the dense vector holding the
     /// same works.
     pub fn energy_of_pairs(&self, pairs: &mut [(usize, f64)]) -> f64 {
-        self.split(pairs).energy
+        let split = self.split(pairs);
+        self.energy(pairs, &split)
     }
 
     /// Sorts `pairs` (positive works first, then by decreasing work, ties
     /// by job id for determinism) and applies the dedicated-prefix rule.
-    fn split(&self, pairs: &mut [(usize, f64)]) -> Split {
+    pub(crate) fn split(&self, pairs: &mut [(usize, f64)]) -> Split {
         pairs.sort_by(|a, b| {
             (b.1 > 0.0)
                 .cmp(&(a.1 > 0.0))
@@ -155,35 +157,38 @@ impl ChenInterval {
             0.0
         };
 
-        let energy = {
-            let ded: f64 = num::stable_sum(
-                positive[..dedicated]
-                    .iter()
-                    .map(|(_, u)| self.power.energy_for_work(*u, self.length)),
-            );
-            let pool_e = if pool_machines > 0 {
-                pool_machines as f64 * self.power.energy_at_speed(pool_speed, self.length)
-            } else {
-                0.0
-            };
-            ded + pool_e
-        };
-
         Split {
+            positive: positive.len(),
             dedicated,
             pool_speed,
-            energy,
         }
+    }
+
+    /// The energy of the split of `pairs` (sorted by [`split`](Self::split)):
+    /// the dedicated jobs alone, plus the pool machines at the pool speed.
+    fn energy(&self, pairs: &[(usize, f64)], split: &Split) -> f64 {
+        let ded: f64 = num::stable_sum(
+            pairs[..split.dedicated]
+                .iter()
+                .map(|(_, u)| self.power.energy_for_work(*u, self.length)),
+        );
+        let pool_machines = self.machines - split.dedicated;
+        let pool_e = if pool_machines > 0 {
+            pool_machines as f64 * self.power.energy_at_speed(split.pool_speed, self.length)
+        } else {
+            0.0
+        };
+        ded + pool_e
     }
 }
 
 /// The shape of Chen et al.'s solution over pairs sorted by
-/// [`ChenInterval::split`]: the first `dedicated` pairs run alone, the
-/// other positive ones share the pool.
-struct Split {
-    dedicated: usize,
-    pool_speed: f64,
-    energy: f64,
+/// [`ChenInterval::split`]: the first `positive` pairs have work, the first
+/// `dedicated` of them run alone, and the rest of them share the pool.
+pub(crate) struct Split {
+    pub(crate) positive: usize,
+    pub(crate) dedicated: usize,
+    pub(crate) pool_speed: f64,
 }
 
 impl IntervalSolution {

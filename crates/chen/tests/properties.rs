@@ -8,14 +8,18 @@
 //! * Proposition 2: when a single job's work grows from 0 to `z`, the load
 //!   of the i-th fastest machine changes by some amount in `[0, z]`;
 //! * energy optimality: Chen's split never does worse than natural
-//!   alternative feasible splits.
+//!   alternative feasible splits;
+//! * the sparse placement entry places exactly what the dense solution
+//!   places.
 //!
 //! The cases are drawn from the workspace's seeded [`SmallRng`] (the build
 //! environment has no crates.io access, so `proptest` is unavailable); equal
 //! seeds make every failure reproducible.
 
+use pss_chen::placement::place_interval;
 use pss_chen::{interval_power, interval_power_derivative, ChenInterval};
 use pss_power::{AlphaPower, PowerFunction};
+use pss_types::{JobId, Segment};
 use pss_workloads::SmallRng;
 
 const ALPHAS: [f64; 5] = [1.5, 2.0, 2.5, 3.0, 4.0];
@@ -173,5 +177,53 @@ fn loads_conserve_work() {
             (total_in - total_loads).abs() <= 1e-9 * (1.0 + total_in),
             "work not conserved: in {total_in}, loads {total_loads}"
         );
+    }
+}
+
+/// The sparse placement entry emits the dense solution's segments, bit for
+/// bit and in order, on scrambled pairs with tied works (Chen's rule breaks
+/// ties by job id), zero and negative works, and a job id map.
+#[test]
+fn sparse_placement_matches_the_dense_solution_bit_for_bit() {
+    let mut rng = SmallRng::seed_from_u64(0xC4E4_0006);
+    let bits = |s: &Segment| {
+        (
+            s.machine,
+            s.job,
+            [s.start, s.end, s.speed].map(f64::to_bits),
+        )
+    };
+    for _ in 0..512 {
+        let alpha = sample_alpha(&mut rng);
+        let m = rng.usize_range(1, 5);
+        let n = rng.usize_range(0, 12);
+        let tie = rng.f64_range(0.05, 3.0);
+        let works: Vec<f64> = (0..n)
+            .map(|_| match rng.usize_range(0, 4) {
+                0 => 0.0,
+                1 => -rng.f64_range(0.0, 1.0),
+                2 => tie,
+                _ => rng.f64_range(0.0, 5.0),
+            })
+            .collect();
+        let length = rng.f64_range(0.01, 4.0);
+        let start = rng.f64_range(-10.0, 1e4);
+        let offset = rng.usize_range(0, 3);
+        let chen = ChenInterval::new(length, m, AlphaPower::new(alpha));
+        let job_of = |i: usize| JobId(1000 + 7 * i);
+        let dense: Vec<_> = place_interval(&chen.solve(&works), start, offset, job_of)
+            .iter()
+            .map(bits)
+            .collect();
+        // The pairs in a scrambled order: a random rotation, reversed on
+        // every other case.
+        let mut pairs: Vec<(usize, f64)> = works.iter().copied().enumerate().collect();
+        pairs.rotate_left(rng.usize_range(0, n));
+        if rng.usize_range(0, 1) == 0 {
+            pairs.reverse();
+        }
+        let mut sparse = Vec::new();
+        chen.place_pairs(&mut pairs, start, offset, job_of, |s| sparse.push(bits(&s)));
+        assert_eq!(sparse, dense, "m = {m}, l = {length}, works {works:?}");
     }
 }

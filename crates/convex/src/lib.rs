@@ -8,7 +8,12 @@
 //! * [`waterfill`] — the greedy marginal-cost-equalising allocation of one
 //!   job's workload across its atomic intervals.  This is both the inner
 //!   step of the paper's online primal-dual algorithm (`pss-core`) and the
-//!   coordinate step of the offline solver,
+//!   coordinate step of the offline solver.  Every fill runs through one
+//!   reusable buffer, [`Capacities`]: a caller clears it, pushes the job's
+//!   candidate intervals with the other jobs' works, and fills, so a caller
+//!   filling job after job (PD's arrivals, the solver's passes) allocates
+//!   no per-interval vectors; [`waterfill_job`] is the one-shot form over a
+//!   [`ProgramContext`] and a dense assignment,
 //! * [`dual`] — the dual function `g(λ)` of Lemma 5/6 in closed form.  For
 //!   any `λ ≥ 0`, `g(λ)` is a *rigorous lower bound* on the optimal cost,
 //!   which is how the experiment harness measures empirical competitive
@@ -40,6 +45,4 @@ pub use solver::{
     solve_min_energy, solve_min_energy_warm, solve_min_energy_with, MinEnergySolution,
     SolverOptions,
 };
-pub use waterfill::{
-    waterfill_candidates, waterfill_job, WaterfillCandidate, WaterfillOptions, WaterfillResult,
-};
+pub use waterfill::{waterfill_job, Capacities, WaterfillOptions, WaterfillResult};

@@ -44,7 +44,7 @@ impl ProgramContext {
         let covered: Vec<Vec<usize>> = instance
             .jobs
             .iter()
-            .map(|j| partition.covered_intervals(j))
+            .map(|j| partition.covered_range(j).collect())
             .collect();
         Self {
             instance: instance.clone(),

@@ -133,11 +133,23 @@ struct Probe {
     slope: f64,
 }
 
-/// The capacity function of one fill: per candidate interval, the other
-/// jobs' positive works in decreasing order and their prefix sums, packed
-/// into flat buffers that a caller filling many jobs clears and reuses.
-#[derive(Debug, Default)]
-pub(crate) struct Capacities {
+/// The water-fill's one entry point: the capacity function of one fill,
+/// per candidate interval the other jobs' positive works in decreasing
+/// order and their prefix sums, packed into flat buffers.
+///
+/// A caller filling many jobs keeps one buffer and, per job, [`clear`]s it,
+/// [`push`]es the job's candidate intervals and runs [`fill`].  Once the
+/// buffers have grown to the largest fill, a fill allocates nothing but its
+/// result's `added` pairs.  [`waterfill_job`] and the offline solver's
+/// coordinate descent fill through it, and so does online PD, straight from
+/// its per-interval load lists.  A cleared buffer fills exactly as a fresh
+/// one: no state carries from one fill to the next.
+///
+/// [`clear`]: Self::clear
+/// [`push`]: Self::push
+/// [`fill`]: Self::fill
+#[derive(Debug, Clone, Default)]
+pub struct Capacities {
     spans: Vec<Span>,
     works: Vec<f64>,
     prefix: Vec<f64>,
@@ -145,7 +157,7 @@ pub(crate) struct Capacities {
 
 impl Capacities {
     /// Forgets every candidate, keeping the buffers.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.spans.clear();
         self.works.clear();
         self.prefix.clear();
@@ -153,8 +165,9 @@ impl Capacities {
 
     /// Adds a candidate interval of length `length` in which the other
     /// jobs place `other_works` (order irrelevant; non-positive entries are
-    /// ignored).
-    pub(crate) fn push(
+    /// ignored).  `interval` is the caller's index for the interval,
+    /// echoed back in [`WaterfillResult::added`].
+    pub fn push(
         &mut self,
         interval: usize,
         length: f64,
@@ -235,9 +248,9 @@ impl Capacities {
         }
     }
 
-    /// Runs the water-filling allocation of a job of workload `w_j` over
-    /// the pushed candidates.
-    pub(crate) fn fill(
+    /// Runs the water-filling allocation of a job of workload `w_j` on
+    /// `machines` machines over the pushed candidates.
+    pub fn fill(
         &self,
         power: AlphaPower,
         machines: usize,
@@ -415,23 +428,6 @@ impl Capacities {
     }
 }
 
-/// One candidate interval of a water-filling run, described independently of
-/// a [`ProgramContext`]: the interval's index (echoed back in the result's
-/// `added` pairs), its length, and the works the *other* jobs already place
-/// in it.  The incremental online context builds these directly from its
-/// per-interval load lists instead of materialising a dense assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaterfillCandidate {
-    /// Caller-chosen interval index reported back in
-    /// [`WaterfillResult::added`].
-    pub interval: usize,
-    /// Length `l_k` of the interval.
-    pub length: f64,
-    /// Work every *other* job places in the interval (order irrelevant;
-    /// non-positive entries are ignored).
-    pub other_works: Vec<f64>,
-}
-
 /// Runs the water-filling allocation for `job` on top of the assignment `x`
 /// (whose entries for `job` are ignored — callers wanting to *re*-allocate a
 /// job should conceptually treat its old row as cleared; the base works are
@@ -448,24 +444,6 @@ pub fn waterfill_job(
         capacities.push(k, ctx.partition().length(k), others);
     }
     capacities.fill(ctx.power(), ctx.machines(), ctx.workloads()[job], opts)
-}
-
-/// Runs the water-filling allocation for a job of workload `w_j` over the
-/// given candidate intervals — the context-free core of [`waterfill_job`],
-/// used by the persistent online-PD planning context (which keeps sparse
-/// per-interval loads instead of a dense assignment).
-pub fn waterfill_candidates(
-    power: AlphaPower,
-    machines: usize,
-    w_j: f64,
-    candidates: Vec<WaterfillCandidate>,
-    opts: &WaterfillOptions,
-) -> WaterfillResult {
-    let mut capacities = Capacities::default();
-    for c in candidates {
-        capacities.push(c.interval, c.length, c.other_works);
-    }
-    capacities.fill(power, machines, w_j, opts)
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! reproducible.
 
 use pss_convex::{
-    dual_bound, solve_min_energy, solve_min_energy_warm, solve_min_energy_with,
-    waterfill_candidates, waterfill_job, MinEnergySolution, ProgramContext, SolverOptions,
-    WaterfillCandidate, WaterfillOptions, WaterfillResult,
+    dual_bound, solve_min_energy, solve_min_energy_warm, solve_min_energy_with, waterfill_job,
+    Capacities, MinEnergySolution, ProgramContext, SolverOptions, WaterfillOptions,
+    WaterfillResult,
 };
 use pss_intervals::WorkAssignment;
 use pss_power::AlphaPower;
@@ -156,6 +156,33 @@ fn sweep_fills() -> usize {
     }
 }
 
+/// One candidate interval of a fill: the interval's index (echoed back in
+/// the result's `added` pairs), its length, and the works the *other* jobs
+/// place in it (order irrelevant; non-positive entries are ignored).
+#[derive(Debug, Clone)]
+struct WaterfillCandidate {
+    interval: usize,
+    length: f64,
+    other_works: Vec<f64>,
+}
+
+/// Fills through the one reused [`Capacities`] buffer, as a caller filling
+/// job after job does: cleared, refilled with `candidates`, filled.
+fn buffer_fill(
+    capacities: &mut Capacities,
+    power: AlphaPower,
+    m: usize,
+    w_j: f64,
+    candidates: &[WaterfillCandidate],
+    opts: &WaterfillOptions,
+) -> WaterfillResult {
+    capacities.clear();
+    for c in candidates {
+        capacities.push(c.interval, c.length, c.other_works.iter().copied());
+    }
+    capacities.fill(power, m, w_j, opts)
+}
+
 /// One interval of [`plain_fill`]: its other works in decreasing order and
 /// their prefix sums.
 struct PlainCapacity {
@@ -201,9 +228,9 @@ impl PlainCapacity {
 }
 
 /// The water-fill with an unguarded comparator: the same capacity sum,
-/// start, doubling, cap, bisection and rescaling as
-/// [`waterfill_candidates`], evaluating the sum at every point the doubling
-/// and the bisection ask for.
+/// start, doubling, cap, bisection and rescaling as [`Capacities::fill`],
+/// evaluating the sum at every point the doubling and the bisection ask
+/// for.
 fn plain_fill(
     power: AlphaPower,
     m: usize,
@@ -322,11 +349,14 @@ fn kink_at(speed: f64, length: f64, m: usize, above: usize, offset: f64) -> Vec<
 /// saturation bit for bit, over m ∈ {1, 2, 3, 4}, the three tolerances,
 /// uncapped and capped fills (caps anywhere and within 1e-12 of the root),
 /// equal works, empty intervals, a 1e-12-long interval beside a long one,
-/// and roots placed on a kink where `q·s·l ≈ B`.
+/// and roots placed on a kink where `q·s·l ≈ B`.  Every fill of the sweep
+/// runs through one [`Capacities`] buffer, cleared and refilled, so state
+/// carried from one fill into the next would fail it.
 #[test]
 fn guarded_level_search_matches_the_plain_bisection_bit_for_bit() {
     let mut rng = SmallRng::seed_from_u64(0xC0 + 5);
     let tolerances = [Tolerance::default(), Tolerance::coarse(), Tolerance::fine()];
+    let mut capacities = Capacities::default();
     for case in 0..sweep_fills() {
         let m = 1 + case % 4;
         let power = AlphaPower::new(ALPHAS[rng.usize_range(0, ALPHAS.len() - 1)]);
@@ -363,7 +393,7 @@ fn guarded_level_search_matches_the_plain_bisection_bit_for_bit() {
                 Some(power.dual_value(cap, w_j))
             }
         };
-        let guarded = waterfill_candidates(power, m, w_j, candidates.clone(), &opts);
+        let guarded = buffer_fill(&mut capacities, power, m, w_j, &candidates, &opts);
         let plain = plain_fill(power, m, w_j, &candidates, &opts);
         assert!(
             same_fill(&guarded, &plain),

@@ -35,16 +35,35 @@
 //! entry carries its job's original id and work, so no per-job table is
 //! kept either: the state, and a checkpoint of it, is O(active), not
 //! O(arrivals).
+//!
+//! An arrival allocates almost nothing in steady state: the decision vector
+//! and the fill's `added` pairs, and no vector per covered or committed
+//! interval.  Three buffers are reused from arrival to arrival:
+//!
+//! * the water-fill buffer ([`Capacities`]), which each fill clears and
+//!   feeds straight from the covered intervals' load lists;
+//! * the `(entry, work)` pairs of the interval being committed, which
+//!   Chen's rule sorts in place before it places the segments straight
+//!   into the committed frontier;
+//! * the emptied load lists of retired intervals, which become the lists
+//!   of new intervals.
+//!
+//! They are scratch, not state: no arrival reads what an earlier one left
+//! in them.  A checkpoint leaves them out, so the blob is the same byte for
+//! byte, and a restored run starts with them empty.  The order of each load
+//! list, by contrast, is state: Chen's rule breaks ties among equal works
+//! by position in the list, so entries stay in the order they were
+//! appended.
 
-use pss_chen::{placement::place_interval, ChenInterval};
-use pss_convex::{waterfill_candidates, WaterfillCandidate, WaterfillOptions};
+use pss_chen::ChenInterval;
+use pss_convex::{Capacities, WaterfillOptions};
 use pss_intervals::{BoundaryInsert, IntervalPartition};
 use pss_power::AlphaPower;
 use pss_types::num::Tolerance;
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 use pss_types::{
-    check_arrival, Decision, Job, JobId, OnlineScheduler, Schedule, ScheduleError, Segment,
+    check_arrival, Decision, Job, JobId, OnlineScheduler, Schedule, ScheduleError,
     ARRIVAL_ORDER_TOLERANCE,
 };
 
@@ -71,6 +90,9 @@ struct PlanState {
     partition: IntervalPartition,
     /// `loads[k]` lists the jobs with positive fraction in interval `k`.
     loads: Vec<Vec<Load>>,
+    /// Scratch, not state: emptied load lists of retired intervals, reused
+    /// for the lists of new intervals.
+    spare: Vec<Vec<Load>>,
 }
 
 impl PlanState {
@@ -78,6 +100,7 @@ impl PlanState {
         Self {
             partition: IntervalPartition::from_boundaries(std::iter::empty()),
             loads: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -94,7 +117,8 @@ impl PlanState {
                 BoundaryInsert::Existing => {}
                 BoundaryInsert::Append { created_interval } => {
                     if created_interval {
-                        self.loads.push(Vec::new());
+                        let list = self.spare.pop().unwrap_or_default();
+                        self.loads.push(list);
                     }
                 }
                 BoundaryInsert::Prepend { created_interval } => {
@@ -102,7 +126,8 @@ impl PlanState {
                     // first boundary can only occur before anything was
                     // committed.
                     if created_interval {
-                        self.loads.insert(0, Vec::new());
+                        let list = self.spare.pop().unwrap_or_default();
+                        self.loads.insert(0, list);
                     }
                 }
                 BoundaryInsert::Split {
@@ -110,13 +135,11 @@ impl PlanState {
                     left_fraction,
                 } => {
                     let entries = &mut self.loads[interval];
-                    let right: Vec<Load> = entries
-                        .iter()
-                        .map(|&e| Load {
-                            fraction: e.fraction * (1.0 - left_fraction),
-                            ..e
-                        })
-                        .collect();
+                    let mut right = self.spare.pop().unwrap_or_default();
+                    right.extend(entries.iter().map(|&e| Load {
+                        fraction: e.fraction * (1.0 - left_fraction),
+                        ..e
+                    }));
                     for e in entries.iter_mut() {
                         e.fraction *= left_fraction;
                     }
@@ -127,10 +150,14 @@ impl PlanState {
         debug_assert_eq!(self.loads.len(), self.partition.len());
     }
 
-    /// Drops the first `k` intervals and their load lists.
+    /// Drops the first `k` intervals and empties their load lists into
+    /// the spares.
     fn retire_prefix(&mut self, k: usize) {
         self.partition.retire_prefix(k);
-        self.loads.drain(..k);
+        self.spare.extend(self.loads.drain(..k).map(|mut list| {
+            list.clear();
+            list
+        }));
     }
 }
 
@@ -154,6 +181,12 @@ pub struct OnlinePd {
     /// Realised segments of every fully elapsed atomic interval (original
     /// job ids) — the committed frontier of the event-driven API.
     committed: Schedule,
+    /// Scratch, not state: the water-fill buffer every fill clears and
+    /// refills from the covered load lists.
+    capacities: Capacities,
+    /// Scratch, not state: the `(entry, work)` pairs of the interval being
+    /// committed, sorted in place by Chen's rule.
+    pairs: Vec<(usize, f64)>,
 }
 
 impl OnlinePd {
@@ -187,6 +220,8 @@ impl OnlinePd {
             last_release: f64::NEG_INFINITY,
             floor: f64::NEG_INFINITY,
             committed: Schedule::empty(machines),
+            capacities: Capacities::default(),
+            pairs: Vec::new(),
         }
     }
 
@@ -207,22 +242,19 @@ impl OnlinePd {
     fn fill(&mut self, job: &Job) -> Decision {
         let plan = &mut self.plan;
         plan.refine(&[job.release.max(self.floor), job.deadline.max(self.floor)]);
-        let candidates: Vec<WaterfillCandidate> = plan
-            .partition
-            .covered_intervals(job)
-            .into_iter()
-            .map(|k| WaterfillCandidate {
-                interval: k,
-                length: plan.partition.length(k),
-                other_works: plan.loads[k].iter().map(Load::amount).collect(),
-            })
-            .collect();
+        self.capacities.clear();
+        for k in plan.partition.covered_range(job) {
+            let others = plan.loads[k].iter().map(Load::amount);
+            self.capacities.push(k, plan.partition.length(k), others);
+        }
         let opts = WaterfillOptions {
             max_fraction: 1.0,
             max_marginal: Some(job.value / self.delta),
             tol: self.tol,
         };
-        let fill = waterfill_candidates(self.power, self.machines, job.work, candidates, &opts);
+        let fill = self
+            .capacities
+            .fill(self.power, self.machines, job.work, &opts);
         self.arrived += 1;
         self.last_release = self.last_release.max(job.release);
         if !fill.saturated {
@@ -238,20 +270,28 @@ impl OnlinePd {
         Decision::accept(self.delta * fill.level_marginal)
     }
 
-    /// Realises interval `k` of the planning context, with the jobs'
-    /// original ids.
-    fn realize_interval(&self, k: usize) -> Vec<Segment> {
+    /// Realises interval `k` of the planning context into the committed
+    /// frontier, with the jobs' original ids: Chen's rule over the
+    /// interval's positive loads, each paired with its position in the load
+    /// list (the rule's tie-break among equal works).
+    fn realize_interval(&mut self, k: usize) {
         let entries = &self.plan.loads[k];
-        if entries.is_empty() {
-            return Vec::new();
+        self.pairs.clear();
+        let positive = entries.iter().map(Load::amount).enumerate();
+        self.pairs.extend(positive.filter(|(_, u)| *u > 0.0));
+        if self.pairs.is_empty() {
+            return;
         }
         let iv = self.plan.partition.interval(k);
-        let works: Vec<f64> = entries.iter().map(Load::amount).collect();
-        if works.iter().all(|u| *u <= 0.0) {
-            return Vec::new();
-        }
-        let sol = ChenInterval::new(iv.length(), self.machines, self.power).solve(&works);
-        place_interval(&sol, iv.start, 0, |i| entries[i].job)
+        let chen = ChenInterval::new(iv.length(), self.machines, self.power);
+        let committed = &mut self.committed;
+        chen.place_pairs(
+            &mut self.pairs,
+            iv.start,
+            0,
+            |i| entries[i].job,
+            |seg| committed.push(seg),
+        );
     }
 
     /// Realises every interval ending at or before `now` into the committed
@@ -263,9 +303,7 @@ impl OnlinePd {
         while elapsed < self.plan.partition.len()
             && self.plan.partition.interval(elapsed).end <= now + 1e-12
         {
-            for seg in self.realize_interval(elapsed) {
-                self.committed.push(seg);
-            }
+            self.realize_interval(elapsed);
             elapsed += 1;
         }
         if elapsed > 0 {
@@ -330,7 +368,11 @@ impl SnapshotPart for PlanState {
                 partition.len()
             )));
         }
-        Ok(Self { partition, loads })
+        Ok(Self {
+            partition,
+            loads,
+            spare: Vec::new(),
+        })
     }
 }
 
@@ -384,6 +426,8 @@ impl LogCheckpointable for OnlinePd {
             last_release: r.read_f64()?,
             floor: r.read_f64()?,
             committed: r.read_part::<FrontierPart>()?.resolve(log)?,
+            capacities: Capacities::default(),
+            pairs: Vec::new(),
         };
         r.finish()?;
         let first = state.plan.partition.boundaries().first().copied();

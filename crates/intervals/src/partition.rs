@@ -1,5 +1,7 @@
 //! Atomic interval partitions and their online refinement.
 
+use std::ops::Range;
+
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart};
 use pss_types::{num, Job};
 
@@ -102,22 +104,28 @@ impl IntervalPartition {
         job.covers(iv.start, iv.end)
     }
 
-    /// Indices of all intervals contained in the job's availability window.
+    /// The indices of all intervals contained in the job's availability
+    /// window, as a range.
     ///
-    /// Runs in `O(log N + |result|)`: because every partition in the
-    /// workspace contains the window endpoints of the jobs it was built
-    /// from, the covered set is a contiguous index range, found here by
-    /// binary search (the incremental online context calls this once per
-    /// arrival).
-    pub fn covered_intervals(&self, job: &Job) -> Vec<usize> {
+    /// Every partition in the workspace contains the window endpoints of
+    /// the jobs it was built from, so the covered set is contiguous: the
+    /// intervals from the first start at or after the release to the last
+    /// end at or before the deadline, each compared with the tolerance of
+    /// [`job_covers`](Self::job_covers).  Two binary searches find it in
+    /// `O(log N)`, and nothing is allocated (the online planning contexts
+    /// call this once per arrival).  Debug builds check the range against a
+    /// linear scan of `job_covers`.
+    pub fn covered_range(&self, job: &Job) -> Range<usize> {
         let n = self.len();
         if n == 0 {
-            return Vec::new();
+            return 0..0;
         }
         let starts = &self.boundaries[..n];
         let ends = &self.boundaries[1..];
         // Coarse bracket by raw comparison, widened to respect the
-        // tolerance-aware `job_covers` predicate.
+        // tolerance-aware `job_covers` predicate: every start from `lo` on
+        // passes its release test, and every end before `hi` its deadline
+        // test.
         let mut lo = starts.partition_point(|&s| s < job.release);
         while lo > 0 && num::approx_le(job.release, starts[lo - 1]) {
             lo -= 1;
@@ -126,12 +134,11 @@ impl IntervalPartition {
         while hi < n && num::approx_le(ends[hi], job.deadline) {
             hi += 1;
         }
-        let covered: Vec<usize> = (lo..hi).filter(|&k| self.job_covers(job, k)).collect();
-        debug_assert_eq!(
-            covered,
-            (0..n)
-                .filter(|&k| self.job_covers(job, k))
-                .collect::<Vec<_>>(),
+        let covered = lo..hi.max(lo);
+        debug_assert!(
+            covered
+                .clone()
+                .eq((0..n).filter(|&k| self.job_covers(job, k))),
             "binary-searched coverage disagrees with the linear scan"
         );
         covered
@@ -408,8 +415,8 @@ mod tests {
         let js = jobs();
         let p = IntervalPartition::from_jobs(&js);
         // Job 0 covers all three intervals, job 1 only the middle one.
-        assert_eq!(p.covered_intervals(&js[0]), vec![0, 1, 2]);
-        assert_eq!(p.covered_intervals(&js[1]), vec![1]);
+        assert_eq!(p.covered_range(&js[0]), 0..3);
+        assert_eq!(p.covered_range(&js[1]), 1..2);
         assert!(p.job_covers(&js[0], 0));
         assert!(!p.job_covers(&js[1], 0));
     }
@@ -492,15 +499,16 @@ mod tests {
     }
 
     #[test]
-    fn covered_intervals_binary_search_handles_partial_overlap() {
+    fn covered_range_binary_search_handles_partial_overlap() {
         // Window strictly inside one interval: covers nothing.
         let p = IntervalPartition::from_boundaries([0.0, 4.0, 8.0]);
         let inside = Job::new(0, 1.0, 3.0, 1.0, 1.0);
-        assert!(p.covered_intervals(&inside).is_empty());
-        // Window starting before and ending inside: covers only the first.
+        assert!(p.covered_range(&inside).is_empty());
+        // Window starting before and ending inside: covers only the first
+        // two.
         let p = IntervalPartition::from_boundaries([0.0, 1.0, 2.0, 3.0]);
         let job = Job::new(0, 0.0, 2.5, 1.0, 1.0);
-        assert_eq!(p.covered_intervals(&job), vec![0, 1]);
+        assert_eq!(p.covered_range(&job), 0..2);
     }
 
     #[test]

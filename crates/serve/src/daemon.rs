@@ -91,7 +91,7 @@
 //! attempts.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -1339,7 +1339,9 @@ where
     /// restores from the blob (empty replay delta) and continues —
     /// bit-identically, as if the hand-off never happened.  Returns the
     /// recovery statistics; the hand-off latency is also recorded in the
-    /// service report.
+    /// service report.  A hand-off whose old worker died (or whose log
+    /// fails to ship, or whose recovery fails) leaves no worker and
+    /// poisons the shard: admission bounces until a recovery succeeds.
     pub fn handoff_shard(&mut self, shard: usize) -> Result<RecoveryReport, ScheduleError> {
         let started = Instant::now();
         let sh = &self.inner.shards[shard];
@@ -1348,13 +1350,26 @@ where
         let handle = self.workers[shard]
             .take()
             .ok_or_else(|| ScheduleError::Internal(format!("shard {shard} has no live worker")))?;
-        handle
-            .join()
-            .map_err(|_| ScheduleError::Internal(format!("shard {shard} worker panicked")))?;
         // The hand-off ships the `(log tail, blob)` pair across the worker
         // boundary: the departing worker's final checkpoint plus the log,
-        // which `recover_shard` then restores from.
-        sh.journal.lock().unwrap().chain.ship_log()?;
+        // which `recover_shard` then restores from.  If the departing
+        // worker died instead, or the log cannot ship, the shard is left
+        // without a worker: poison it, as a failed recovery does, so
+        // admission bounces.  A worker that panicked poisoned the journal
+        // lock too.
+        let shipped = handle
+            .join()
+            .map_err(|_| ScheduleError::Internal(format!("shard {shard} worker panicked")))
+            .and_then(|()| {
+                let mut journal = sh.journal.lock().unwrap_or_else(PoisonError::into_inner);
+                journal.chain.ship_log()
+            });
+        if let Err(e) = shipped {
+            let mut journal = sh.journal.lock().unwrap_or_else(PoisonError::into_inner);
+            journal.failed = Some(e.clone());
+            sh.failed.store(true, Ordering::Release);
+            return Err(e);
+        }
         let report = self.recover_shard(shard)?;
         let secs = started.elapsed().as_secs_f64();
         let mut journal = self.inner.shards[shard].journal.lock().unwrap();

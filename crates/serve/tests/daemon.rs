@@ -3,7 +3,7 @@
 //! dual-price backpressure, and the checkpointed crash / hand-off
 //! lifecycle with bit-identical recovery.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use pss_baselines::CllScheduler;
@@ -513,6 +513,94 @@ fn a_failed_recovery_keeps_admission_closed_until_one_succeeds() {
     assert_eq!(report.total_arrivals(), 3);
     let tags: Vec<u64> = report.shards[0].events.iter().map(|e| e.tag).collect();
     assert_eq!(tags, [0, 1, 2]);
+}
+
+/// Raised by every run of [`PanicsOnMark`] just before it panics.  Only
+/// the one test below starts such runs.
+static MARKED_PANIC: AtomicBool = AtomicBool::new(false);
+
+/// A job worth more than this marks its burst for [`PanicsOnMark`].
+const MARK_VALUE: f64 = 5.0;
+
+/// CLL whose `on_arrivals` panics on a burst holding a marked job: a
+/// worker that dies mid-feed, with the journal lock held.
+#[derive(Debug, Clone, Copy)]
+struct PanicsOnMark;
+
+struct PanicsOnMarkRun(<CllScheduler as OnlineAlgorithm>::Run);
+
+impl OnlineAlgorithm for PanicsOnMark {
+    type Run = PanicsOnMarkRun;
+
+    fn algorithm_name(&self) -> String {
+        "CLL panicking on a marked job".into()
+    }
+
+    fn start(&self, machines: usize, alpha: f64) -> Result<Self::Run, ScheduleError> {
+        CllScheduler.start(machines, alpha).map(PanicsOnMarkRun)
+    }
+}
+
+impl OnlineScheduler for PanicsOnMarkRun {
+    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
+        if jobs.iter().any(|job| job.value > MARK_VALUE) {
+            MARKED_PANIC.store(true, Ordering::SeqCst);
+            panic!("a marked burst");
+        }
+        self.0.on_arrivals(jobs, now)
+    }
+
+    fn frontier(&self) -> &Schedule {
+        self.0.frontier()
+    }
+
+    fn finish(self) -> Result<Schedule, ScheduleError> {
+        self.0.finish()
+    }
+}
+
+impl LogCheckpointable for PanicsOnMarkRun {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        self.0.snapshot_live(log)
+    }
+
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
+        LogCheckpointable::restore_with_log(blob, log).map(PanicsOnMarkRun)
+    }
+}
+
+/// A hand-off whose departing worker died leaves the shard without a
+/// worker, so it must close admission, as a failed recovery does, and the
+/// shutdown must report the failure instead of waiting on the shard.
+#[test]
+fn a_failed_handoff_closes_admission() {
+    let (mut daemon, handles) =
+        Daemon::spawn(PanicsOnMark, solo_config(), vec![TenantSpec::new("t")]).unwrap();
+    let mut marked = env(1, 1.0);
+    marked.value = 2.0 * MARK_VALUE;
+    for envelope in [env(0, 0.0), marked] {
+        assert!(matches!(
+            handles[0].submit(envelope),
+            Ok(Submission::Queued { .. })
+        ));
+    }
+    daemon.resume();
+    wait_for("the worker to panic", || {
+        MARKED_PANIC.load(Ordering::SeqCst)
+    });
+    let error = daemon.handoff_shard(0).unwrap_err();
+    assert!(
+        error.to_string().contains("worker panicked"),
+        "unexpected error: {error}"
+    );
+    assert!(matches!(
+        handles[0].submit(env(2, 2.0)),
+        Err(IngressError::ShuttingDown)
+    ));
+    assert!(
+        daemon.shutdown().is_err(),
+        "a dead shard must fail the shutdown"
+    );
 }
 
 #[test]

@@ -50,37 +50,64 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A Poisson stream with a bounded active set (~10 pending jobs at a time).
-fn stream(n: usize, seed: u64) -> Instance {
-    common::poisson_profitable(seed, 1, 2.5, n, 4.0)
+/// The pin's arrival rate: a Poisson stream at this rate keeps about ten
+/// jobs pending at a time.
+const RATE: f64 = 4.0;
+
+/// A Poisson stream on one machine with a bounded active set.
+fn stream(n: usize, seed: u64, rate: f64) -> Instance {
+    common::poisson_profitable(seed, 1, 2.5, n, rate)
 }
 
-/// Feeds the whole stream to `run`, returning the allocation counts of the
-/// arrival windows `[lo, lo+len)` and `[hi, hi+len)` and the largest
-/// pending-set size observed (via `peek`, called after every arrival).
+/// The allocations of one fed stream: in the arrival windows `[lo, lo+len)`
+/// and `[hi, hi+len)` and over the whole stream, and the largest
+/// pending-set size observed.
+struct Counts {
+    early: usize,
+    late: usize,
+    total: usize,
+    max_pending: usize,
+}
+
+/// Feeds the whole stream to `run`, one arrival at a time, counting its
+/// allocations; `peek` reads the pending-set size after every arrival.
 fn windows<R: OnlineScheduler>(
     run: &mut R,
     instance: &Instance,
     (lo, hi, len): (usize, usize, usize),
     mut peek: impl FnMut(&R) -> usize,
-) -> (usize, usize, usize) {
-    let (mut early, mut late, mut max_pending) = (0usize, 0usize, 0usize);
+) -> Counts {
+    let mut counts = Counts {
+        early: 0,
+        late: 0,
+        total: 0,
+        max_pending: 0,
+    };
     for (i, id) in instance.arrival_order().into_iter().enumerate() {
         let job = instance.job(id);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         run.on_arrival(job, job.release).expect("arrival");
         let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
         if (lo..lo + len).contains(&i) {
-            early += spent;
+            counts.early += spent;
         } else if (hi..hi + len).contains(&i) {
-            late += spent;
+            counts.late += spent;
         }
-        max_pending = max_pending.max(peek(run));
+        counts.total += spent;
+        counts.max_pending = counts.max_pending.max(peek(run));
     }
-    (early, late, max_pending)
+    counts
 }
 
-fn assert_flat(label: &str, early: usize, late: usize) {
+/// Prints the per-arrival counts of the two windows of `len` arrivals and
+/// asserts they are flat.
+fn assert_flat(label: &str, counts: &Counts, len: usize) {
+    let (early, late) = (counts.early, counts.late);
+    println!(
+        "{label}: {:.1} allocations per arrival early, {:.1} late",
+        early as f64 / len as f64,
+        late as f64 / len as f64
+    );
     // A full-history clone per arrival would make `late` scale with the
     // ~4x larger history; genuine per-arrival work is active-set-bounded
     // and stays put.  The slack absorbs occasional buffer doublings.
@@ -94,8 +121,9 @@ fn assert_flat(label: &str, early: usize, late: usize) {
 #[test]
 fn incremental_arrival_paths_do_not_allocate_with_history_size() {
     let n = 2000;
-    let instance = stream(n, 8600);
+    let instance = stream(n, 8600, RATE);
     let windows_spec = (300usize, 1600usize, 200usize);
+    let len = windows_spec.2;
 
     // OA through the warm replanning executor: the satellite audit target.
     let mut oa = ReplanState::new(
@@ -106,30 +134,50 @@ fn incremental_arrival_paths_do_not_allocate_with_history_size() {
             alpha: instance.alpha,
         },
     );
-    let (early, late, max_pending) =
-        windows(&mut oa, &instance, windows_spec, |run| run.pending().len());
-    assert_flat("OA warm replans", early, late);
+    let counts = windows(&mut oa, &instance, windows_spec, |run| run.pending().len());
+    assert_flat("OA warm replans", &counts, len);
     assert!(
-        max_pending <= 64,
-        "OA pending set not bounded by the active set: {max_pending}"
+        counts.max_pending <= 64,
+        "OA pending set not bounded by the active set: {}",
+        counts.max_pending
     );
 
     // AVR through the active-set index.
     let mut avr = AvrScheduler.start_for(&instance).expect("AVR run");
-    let (early, late, _) = windows(&mut avr, &instance, windows_spec, |_| 0);
-    assert_flat("AVR indexed commits", early, late);
+    let counts = windows(&mut avr, &instance, windows_spec, |_| 0);
+    assert_flat("AVR indexed commits", &counts, len);
 
     // BKP through the resident speed index and lazy EDF heap.
     let bkp = BkpScheduler::default();
     let mut run = bkp.start_for(&instance).expect("BKP run");
-    let (early, late, _) = windows(&mut run, &instance, windows_spec, |_| 0);
-    assert_flat("BKP indexed grid", early, late);
+    let counts = windows(&mut run, &instance, windows_spec, |_| 0);
+    assert_flat("BKP indexed grid", &counts, len);
+
+    // PD through its live planning context, which fills and commits
+    // through reused buffers: its allocations per arrival are flat, and
+    // they do not depend on how many intervals a job covers either, which
+    // ten times the rate multiplies.
+    let pd = PdScheduler::coarse();
+    let mut run = pd.start(1, instance.alpha).expect("PD run");
+    let counts = windows(&mut run, &instance, windows_spec, |_| 0);
+    assert_flat("PD live context", &counts, len);
+    for rate in [RATE, 10.0 * RATE] {
+        let instance = stream(n, 8602, rate);
+        let mut run = pd.start(1, instance.alpha).expect("PD run");
+        let counts = windows(&mut run, &instance, windows_spec, |_| 0);
+        let per_arrival = counts.total as f64 / n as f64;
+        println!("PD at rate {rate}: {per_arrival:.1} allocations per arrival over {n} arrivals");
+        assert!(
+            per_arrival < 10.0,
+            "PD allocates {per_arrival:.1} times per arrival at rate {rate}"
+        );
+    }
 
     // Burst ingestion: with the replan shared by the whole burst, the
     // allocation count *per arrival* must not grow with the burst size b —
     // a batch path that secretly re-planned per job would scale ~b-fold.
     let per_arrival = |b: usize, seed: u64| -> usize {
-        let inst = common::bursty_poisson_profitable(seed, 1, 2.5, n, b, 4.0 / b as f64, 0.0);
+        let inst = common::bursty_poisson_profitable(seed, 1, 2.5, n, b, RATE / b as f64, 0.0);
         // Group the stream into its equal-release bursts up front, so the
         // measurement covers only the ingestion calls.
         let mut bursts: Vec<(f64, Vec<Job>)> = Vec::new();
@@ -156,6 +204,7 @@ fn incremental_arrival_paths_do_not_allocate_with_history_size() {
     };
     let at_b4 = per_arrival(4, 8700);
     let at_b16 = per_arrival(16, 8701);
+    println!("OA bursts: {at_b4} allocations per arrival at b = 4, {at_b16} at b = 16");
     assert!(
         at_b16 <= at_b4 + at_b4 / 2 + 8,
         "OA burst ingestion allocations grew with b: {at_b4}/arrival at b=4 \
