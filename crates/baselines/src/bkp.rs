@@ -16,7 +16,7 @@
 //! The speed `e·v(t)` varies continuously with `t`, so this implementation
 //! evaluates it on a uniform time grid ([`BkpScheduler::resolution`] steps
 //! over the instance horizon) and holds it constant within each step.  A
-//! configurable safety margin (default 2%) compensates for the
+//! fixed 2% safety margin ([`SPEED_MARGIN`]) compensates for the
 //! discretisation error so that all jobs still finish; the induced energy
 //! error is of the same order.  BKP is only used as a context baseline in
 //! the classical-scheduling experiment (E9), where this accuracy is ample.
@@ -26,10 +26,10 @@
 //! on jobs released by the step's start, so later arrivals cannot change
 //! it), and the EDF sub-segment in flight when an arrival lands mid-step is
 //! completed before the dispatcher re-evaluates — exactly reproducing the
-//! batch loop.  Because the grid itself is derived from the instance
-//! horizon, [`OnlineAlgorithm::start_for`] picks the grid; a pure
-//! [`start`](OnlineAlgorithm::start) requires an explicit
-//! [`step`](BkpScheduler::step) width.
+//! batch loop.  Because the grid is derived from the instance horizon,
+//! [`OnlineAlgorithm::start_for`] is the only way to start a run;
+//! [`start`](OnlineAlgorithm::start), which knows no horizon, returns an
+//! error.
 //!
 //! ### The deadline-indexed event path
 //!
@@ -47,10 +47,17 @@
 //! in `e·t`, so the split is a per-job predicate), the two presorted lists
 //! yield all keys in ascending order by a single merge, and one prefix-sum
 //! sweep evaluates every candidate — `O(k)` per grid evaluation, with no
-//! per-candidate rescan.  EDF dispatch inside a step similarly replaces its
-//! full-history scan with a lazy min-deadline heap.
-//! [`BkpScheduler::batch_schedule`] keeps the naive scan, so the
-//! equivalence tests pin the index against an independent implementation.
+//! per-candidate rescan.  [`BkpScheduler::batch_schedule`] keeps the naive
+//! scan, so the equivalence tests pin the index against an independent
+//! implementation.
+//!
+//! The deadline list is also the one place the run's live jobs live: each
+//! entry carries the job's id and its remaining work, and EDF dispatch
+//! picks the first entry that is released, unfinished and before its
+//! deadline.  The list keeps equal deadlines in arrival order, so that is
+//! the batch loop's `min_by` with its first-minimum tie-break, and a job fed
+//! within the arrival-order tolerance before its release is simply skipped
+//! until it is released.
 //!
 //! On top of the merge, the index **prunes far-future candidate keys**:
 //! expired jobs are dropped from the deadline list permanently (they stay
@@ -61,38 +68,29 @@
 //! evaluation costs `O(active + recent + log n)` instead of `O(released)`,
 //! so per-arrival tail latencies stop growing with the stream length.
 
-use std::collections::BinaryHeap;
-
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 use pss_types::{
-    check_arrival, num, Decision, Instance, Job, OnlineAlgorithm, OnlineScheduler, Schedule,
+    check_arrival, num, Decision, Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, Schedule,
     ScheduleError, Segment,
 };
+
+/// Multiplicative safety margin on the grid speed, absorbing the
+/// discretisation error so that every job still finishes.
+pub const SPEED_MARGIN: f64 = 1.02;
 
 /// The BKP scheduler (single machine).
 #[derive(Debug, Clone, Copy)]
 pub struct BkpScheduler {
-    /// Number of uniform time steps used to evaluate the speed profile when
-    /// the horizon is known upfront (the batch path and
+    /// Number of uniform time steps over the instance horizon at which the
+    /// speed profile is evaluated (the batch path and
     /// [`OnlineAlgorithm::start_for`]).
     pub resolution: usize,
-    /// Multiplicative safety margin on the speed to absorb discretisation
-    /// error (1.0 = none).
-    pub speed_margin: f64,
-    /// Explicit grid step width for horizon-free streaming runs started via
-    /// [`OnlineAlgorithm::start`]; `None` derives the step from the horizon
-    /// via `resolution` (and makes `start` without an instance an error).
-    pub step: Option<f64>,
 }
 
 impl Default for BkpScheduler {
     fn default() -> Self {
-        Self {
-            resolution: 4000,
-            speed_margin: 1.02,
-            step: None,
-        }
+        Self { resolution: 4000 }
     }
 }
 
@@ -158,6 +156,15 @@ impl IndexedJob {
     }
 }
 
+/// A deadline-list entry: the job as the speed index sees it, plus what EDF
+/// dispatch needs — its id and its remaining work.
+#[derive(Debug, Clone, Copy)]
+struct LiveJob {
+    job: IndexedJob,
+    id: JobId,
+    remaining: f64,
+}
+
 /// The resident deadline/release index behind the incremental BKP speed
 /// evaluation.
 ///
@@ -202,14 +209,21 @@ impl IndexedJob {
 /// does this by construction); the expired-prefix drop relies on it.
 #[derive(Debug, Clone)]
 struct BkpSpeedIndex {
-    /// Jobs sorted by deadline ascending (ties keep arrival order).  The
+    /// Jobs sorted by deadline ascending (ties keep arrival order), with
+    /// their remaining work: the run's live jobs and its EDF order.  The
     /// entries before `expired_prefix` are dead and periodically drained,
     /// so the live tail holds only *active* jobs — which is what keeps
     /// insertion `O(active)`.
-    by_deadline: Vec<IndexedJob>,
+    by_deadline: Vec<LiveJob>,
     /// Number of leading `by_deadline` entries dropped by the expiry
     /// cursor (physically drained once they outnumber the live tail).
     expired_prefix: usize,
+    /// Dispatch cursor, at least `expired_prefix`: every entry before it is
+    /// finished or expired.  EDF finishes jobs in deadline order, so they
+    /// pile up at the front until they expire; the cursor keeps each pick
+    /// from rescanning them.  Not state: a restore starts it at
+    /// `expired_prefix`.
+    cursor: usize,
     /// Jobs sorted by release *ascending* — arrival order up to the feed
     /// tolerance, so an insert appends at (or within a few slots of) the
     /// back.  The sweep walks it backward: descending release is ascending
@@ -234,6 +248,7 @@ impl Default for BkpSpeedIndex {
         Self {
             by_deadline: Vec::new(),
             expired_prefix: 0,
+            cursor: 0,
             by_release: Vec::new(),
             prefix_work: vec![0.0],
             hull: Vec::new(),
@@ -254,8 +269,14 @@ impl BkpSpeedIndex {
     fn insert(&mut self, job: &Job) {
         let ij = IndexedJob::new(job);
         let live = &self.by_deadline[self.expired_prefix..];
-        let pos = self.expired_prefix + live.partition_point(|a| a.deadline <= ij.deadline);
-        self.by_deadline.insert(pos, ij);
+        let pos = self.expired_prefix + live.partition_point(|a| a.job.deadline <= ij.deadline);
+        let entry = LiveJob {
+            job: ij,
+            id: job.id,
+            remaining: job.work,
+        };
+        self.by_deadline.insert(pos, entry);
+        self.cursor = self.cursor.min(pos);
         let mut pos = self.by_release.len();
         while pos > 0 && self.by_release[pos - 1].release > ij.release {
             pos -= 1;
@@ -350,15 +371,17 @@ impl BkpSpeedIndex {
         // drain keeps the dead prefix bounded by the live tail, so it is
         // `O(1)` amortised per expiry.
         while self.expired_prefix < self.by_deadline.len() {
-            let job = &self.by_deadline[self.expired_prefix];
+            let job = &self.by_deadline[self.expired_prefix].job;
             if job.deadline <= t && job.phi < et {
                 self.expired_prefix += 1;
             } else {
                 break;
             }
         }
+        self.cursor = self.cursor.max(self.expired_prefix);
         if self.expired_prefix > 64 && 2 * self.expired_prefix > self.by_deadline.len() {
             self.by_deadline.drain(..self.expired_prefix);
+            self.cursor -= self.expired_prefix;
             self.expired_prefix = 0;
         }
 
@@ -405,7 +428,7 @@ impl BkpSpeedIndex {
             // job (phi < e·t); the other group is skipped in each list
             // (list b is walked backward — most recent release first, and
             // only down to the hull split).
-            while ai < a.len() && a[ai].phi < et {
+            while ai < a.len() && a[ai].job.phi < et {
                 ai += 1;
             }
             while bi > split && b[bi - 1].phi >= et {
@@ -414,7 +437,7 @@ impl BkpSpeedIndex {
                 }
                 bi -= 1;
             }
-            let ka = (ai < a.len()).then(|| a[ai].deadline);
+            let ka = (ai < a.len()).then(|| a[ai].job.deadline);
             let kb = (bi > split).then(|| (et - b[bi - 1].release) / (e - 1.0));
             // Consume the smaller key.  Evaluating after every single job is
             // sound even for tied keys: the last evaluation at a key sees
@@ -433,7 +456,7 @@ impl BkpSpeedIndex {
                 (&b[bi], kb.expect("b key exists when consuming b"))
             } else {
                 ai += 1;
-                (&a[ai - 1], ka.expect("a key exists when consuming a"))
+                (&a[ai - 1].job, ka.expect("a key exists when consuming a"))
             };
             // The scan's release filter: a job fed early (within the
             // arrival-order tolerance) and not released by `t` contributes
@@ -455,39 +478,18 @@ impl BkpSpeedIndex {
         }
         e * v
     }
-}
 
-/// Entry of the lazy EDF queue: ordered so the max-heap pops the smallest
-/// `(deadline, job)` — exactly the first minimum the scan's `min_by` picks.
-#[derive(Debug, Clone, Copy)]
-struct EdfEntry {
-    deadline: f64,
-    /// Dense index into [`BkpState::jobs`].
-    job: usize,
-}
-
-impl PartialEq for EdfEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for EdfEntry {}
-
-impl PartialOrd for EdfEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EdfEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest deadline
-        // (ties: smallest index) on top.
-        other
-            .deadline
-            .total_cmp(&self.deadline)
-            .then(other.job.cmp(&self.job))
+    /// The EDF pick at `now`: the position of the first deadline-list entry
+    /// that is released, unfinished and before its deadline.  A finished or
+    /// expired entry stays dead (remaining work only falls and `now` only
+    /// grows), so the cursor skips the dead prefix for good.
+    fn edf(&mut self, now: f64) -> Option<usize> {
+        let live = &self.by_deadline;
+        let dead = |pos: usize| live[pos].remaining <= 1e-12 || live[pos].job.deadline <= now;
+        while self.cursor < live.len() && dead(self.cursor) {
+            self.cursor += 1;
+        }
+        (self.cursor..live.len()).find(|&pos| !dead(pos) && live[pos].job.release <= now + 1e-12)
     }
 }
 
@@ -513,7 +515,7 @@ impl BkpScheduler {
 
         for i in 0..steps {
             let t = lo + i as f64 * dt;
-            let speed = self.speed_at(instance, t) * self.speed_margin;
+            let speed = self.speed_at(instance, t) * SPEED_MARGIN;
             if speed <= 0.0 {
                 continue;
             }
@@ -546,32 +548,26 @@ impl BkpScheduler {
 }
 
 /// The EDF sub-segment currently being executed (it survives arrivals that
-/// land in its middle, exactly like the batch loop's inner dispatch).
+/// land in its middle, exactly like the batch loop's inner dispatch).  Its
+/// work is charged to the job's deadline-list entry when it starts: it
+/// always runs to its end, and nothing reads the entry's remaining work
+/// meanwhile, so completing it looks nothing up.
 #[derive(Debug, Clone, Copy)]
 struct Inflight {
-    /// Dense index into [`BkpState::jobs`].
-    job: usize,
+    id: JobId,
     /// Time at which the sub-segment ends.
     end: f64,
-    /// The job's remaining work once the sub-segment completes.
-    remaining_after: f64,
 }
 
 /// One event-driven BKP run.
 #[derive(Debug, Clone)]
 pub struct BkpState {
-    speed_margin: f64,
     /// Grid step width.
     dt: f64,
-    /// Grid anchor (`τ_0`); fixed by `start_for`, or at the first arrival
-    /// for horizon-free runs.
-    anchor: Option<f64>,
-    /// Upper bound on the number of grid steps (set by `start_for` to match
-    /// the batch grid exactly; `None` runs until the released horizon ends).
-    max_steps: Option<usize>,
-    /// Jobs released so far (original ids).
-    jobs: Vec<Job>,
-    remaining: Vec<f64>,
+    /// Grid anchor (`τ_0`): the instance horizon's start.
+    anchor: f64,
+    /// Number of grid steps: the batch grid's, so the run ends where it does.
+    steps: usize,
     committed: Schedule,
     /// Time up to which the frontier is committed.
     now: f64,
@@ -585,69 +581,20 @@ pub struct BkpState {
     /// loop.
     step_idle: bool,
     inflight: Option<Inflight>,
-    /// Resident speed index over the released jobs.
+    /// Resident speed index over the released jobs, whose deadline list
+    /// also holds the live jobs' remaining work.
     index: BkpSpeedIndex,
-    /// Lazy EDF queue over the released jobs (finished/expired entries are
-    /// discarded at peek time; they can never become eligible again).
-    edf: BinaryHeap<EdfEntry>,
 }
 
 impl BkpState {
-    fn step_start(&self, anchor: f64) -> f64 {
-        anchor + self.step_idx as f64 * self.dt
-    }
-
-    /// The earliest-deadline eligible job at `self.now`, by scanning the
-    /// full history — the batch loop's dispatch rule, and the heap's
-    /// fallback while a job fed within the arrival-order tolerance is not
-    /// released yet.
-    fn scan_next(&self) -> Option<usize> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter(|(j, job)| {
-                self.remaining[*j] > 1e-12
-                    && job.release <= self.now + 1e-12
-                    && job.deadline > self.now
-            })
-            .min_by(|(_, a), (_, b)| a.deadline.total_cmp(&b.deadline))
-            .map(|(j, _)| j)
-    }
-
-    /// The earliest-deadline eligible job at `self.now`, via the lazy heap
-    /// (equivalent to [`scan_next`](Self::scan_next), including its
-    /// first-minimum tie-break).
-    fn edf_peek(&mut self) -> Option<usize> {
-        while let Some(entry) = self.edf.peek() {
-            let j = entry.job;
-            if self.remaining[j] <= 1e-12 || self.jobs[j].deadline <= self.now {
-                // Finished or expired: permanently ineligible, drop it.
-                self.edf.pop();
-                continue;
-            }
-            if self.jobs[j].release > self.now + 1e-12 {
-                // Fed early (within the arrival tolerance) and not released
-                // yet at dispatch time: it may become eligible later, so it
-                // cannot be popped — fall back to the scan for this
-                // dispatch.
-                return self.scan_next();
-            }
-            return Some(j);
-        }
-        None
-    }
-
     /// Executes the grid over `[self.now, to)`.
     fn advance_to(&mut self, to: f64) {
-        let Some(anchor) = self.anchor else { return };
         while self.now < to - 1e-15 {
-            if let Some(limit) = self.max_steps {
-                if self.step_idx >= limit {
-                    self.now = to;
-                    return;
-                }
+            if self.step_idx >= self.steps {
+                self.now = to;
+                return;
             }
-            let step_start = self.step_start(anchor);
+            let step_start = self.anchor + self.step_idx as f64 * self.dt;
             let step_end = step_start + self.dt;
             if self.dt <= 0.0 || step_end <= step_start {
                 self.now = to;
@@ -661,7 +608,7 @@ impl BkpState {
             if self.step_speed.is_none()
                 && !self.step_idle
                 && self.inflight.is_none()
-                && self.edf_peek().is_none()
+                && self.index.edf(self.now).is_none()
             {
                 self.step_idle = true;
             }
@@ -671,7 +618,7 @@ impl BkpState {
                 Some(s) => s,
                 None if self.step_idle => 0.0,
                 None => {
-                    let s = self.index.speed(step_start) * self.speed_margin;
+                    let s = self.index.speed(step_start) * SPEED_MARGIN;
                     self.step_speed = Some(s);
                     s
                 }
@@ -687,40 +634,36 @@ impl BkpState {
                     let fl = match self.inflight {
                         Some(fl) => fl,
                         None => {
-                            let Some(j) = self.edf_peek() else {
+                            let Some(pos) = self.index.edf(self.now) else {
                                 // Batch `break`: the rest of the step idles,
                                 // even past arrivals landing inside it.
                                 self.step_idle = true;
                                 break;
                             };
-                            let job = self.jobs[j];
-                            let max_dur = (self.remaining[j] / speed)
+                            let entry = &mut self.index.by_deadline[pos];
+                            let max_dur = (entry.remaining / speed)
                                 .min(step_end - self.now)
-                                .min(job.deadline - self.now);
+                                .min(entry.job.deadline - self.now);
                             if max_dur <= 1e-15 {
                                 self.step_idle = true;
                                 break;
                             }
+                            // Clamped at zero: a finished job is dead either
+                            // way, and a restore refuses negative work.
+                            entry.remaining = (entry.remaining - speed * max_dur).max(0.0);
                             let fl = Inflight {
-                                job: j,
+                                id: entry.id,
                                 end: self.now + max_dur,
-                                remaining_after: self.remaining[j] - speed * max_dur,
                             };
                             self.inflight = Some(fl);
                             fl
                         }
                     };
                     let until = fl.end.min(stop);
-                    self.committed.push(Segment::work(
-                        0,
-                        self.now,
-                        until,
-                        speed,
-                        self.jobs[fl.job].id,
-                    ));
+                    self.committed
+                        .push(Segment::work(0, self.now, until, speed, fl.id));
                     self.now = until;
                     if until >= fl.end - 1e-15 {
-                        self.remaining[fl.job] = fl.remaining_after;
                         self.inflight = None;
                     }
                 }
@@ -756,10 +699,28 @@ impl SnapshotPart for IndexedJob {
     }
 }
 
-/// The resident speed index round-trips *verbatim* — both sorted lists, the
-/// expired-prefix cursor, the prefix works and the append-only convex hull
-/// with its coverage length — so the first grid evaluation after a restore
-/// walks exactly the structures the uninterrupted run would have walked.
+impl SnapshotPart for LiveJob {
+    fn encode(&self, w: &mut BlobWriter) {
+        w.write_part(&self.job);
+        w.write_part(&self.id);
+        w.write_f64(self.remaining);
+    }
+
+    fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            job: r.read_part()?,
+            id: r.read_part()?,
+            remaining: r.read_f64()?,
+        })
+    }
+}
+
+/// The resident speed index round-trips *verbatim* — both sorted lists (the
+/// deadline list with each job's id and remaining work), the expired-prefix
+/// cursor, the prefix works and the append-only convex hull with its
+/// coverage length — so the first grid evaluation after a restore walks
+/// exactly the structures the uninterrupted run would have walked.  The
+/// dispatch cursor restarts at the expired prefix.
 impl SnapshotPart for BkpSpeedIndex {
     fn encode(&self, w: &mut BlobWriter) {
         w.write_seq(&self.by_deadline);
@@ -772,9 +733,12 @@ impl SnapshotPart for BkpSpeedIndex {
     }
 
     fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
+        let by_deadline: Vec<LiveJob> = r.read_seq()?;
+        let expired_prefix = r.read_usize()?;
         let index = Self {
-            by_deadline: r.read_seq()?,
-            expired_prefix: r.read_usize()?,
+            by_deadline,
+            expired_prefix,
+            cursor: expired_prefix,
             by_release: r.read_seq()?,
             prefix_work: r.read_seq()?,
             hull: r.read_seq()?,
@@ -790,115 +754,90 @@ impl SnapshotPart for BkpSpeedIndex {
                 "speed index cursors out of range".into(),
             ));
         }
+        // Ingress keeps deadlines finite, and insertion keeps the live tail
+        // sorted; a dispatched job's remaining work is clamped at zero.
+        let live = &index.by_deadline[index.expired_prefix..];
+        if index
+            .by_deadline
+            .iter()
+            .any(|e| !e.job.deadline.is_finite() || !e.remaining.is_finite() || e.remaining < 0.0)
+            || live
+                .windows(2)
+                .any(|pair| pair[0].job.deadline > pair[1].job.deadline)
+        {
+            return Err(SnapshotError::Invalid(
+                "deadline list holds a non-finite deadline, a negative or non-finite \
+                 remaining work, or an entry out of deadline order"
+                    .into(),
+            ));
+        }
         Ok(index)
     }
 }
 
 /// State version of [`BkpState`] snapshots.  Version 4 dropped the two
-/// fast-path toggles; older blobs are rejected with a typed error.
-const BKP_STATE_VERSION: u16 = 4;
+/// fast-path toggles; version 5 dropped the job history and the EDF heap,
+/// whose remaining works moved into the deadline list.  Older blobs are
+/// rejected with a typed error.
+const BKP_STATE_VERSION: u16 = 5;
 
-/// The blob holds the grid cursor (step index, the fixed per-step speed,
-/// the idle flag and any EDF sub-segment in flight), the job history with
-/// remaining works, the resident speed index including its convex hull, the
-/// lazy EDF queue and the frontier's log cursor —
-/// the complete live state, so a run restored from the `(log, blob)` pair
+/// The blob holds the grid (step width, anchor and step count), the grid
+/// cursor (step index, the fixed per-step speed, the idle flag and any EDF
+/// sub-segment in flight), the resident speed index — its deadline list
+/// holds the live jobs with their remaining works, its release list and
+/// convex hull the release history — and the frontier's log cursor: the
+/// complete live state, so a run restored from the `(log, blob)` pair
 /// resumes the same grid step at the same speed.
 impl LogCheckpointable for BkpState {
     fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
         let frontier = FrontierPart::sync(log, &self.committed)?;
         let mut w = BlobWriter::new();
-        w.write_f64(self.speed_margin);
         w.write_f64(self.dt);
-        w.write_part(&self.anchor);
-        w.write_part(&self.max_steps);
-        w.write_seq(&self.jobs);
-        w.write_seq(&self.remaining);
+        w.write_f64(self.anchor);
+        w.write_usize(self.steps);
         w.write_part(&frontier);
         w.write_f64(self.now);
         w.write_usize(self.step_idx);
         w.write_part(&self.step_speed);
         w.write_bool(self.step_idle);
-        match self.inflight {
-            None => w.write_bool(false),
-            Some(fl) => {
-                w.write_bool(true);
-                w.write_usize(fl.job);
-                w.write_f64(fl.end);
-                w.write_f64(fl.remaining_after);
-            }
-        }
+        w.write_part(&self.inflight.map(|fl| (fl.id, fl.end)));
         w.write_part(&self.index);
-        // The heap's pop order is a total order on (deadline, dense id), so
-        // serialising the entries sorted keeps blobs deterministic without
-        // changing behaviour.
-        let mut entries: Vec<(f64, usize)> = self.edf.iter().map(|e| (e.deadline, e.job)).collect();
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        w.write_seq(&entries);
         Ok(StateBlob::new("bkp", BKP_STATE_VERSION, w.into_payload()))
     }
 
     fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
         let mut r = blob.expect("bkp", BKP_STATE_VERSION)?;
-        let speed_margin = r.read_f64()?;
-        let dt = r.read_f64()?;
-        let anchor = r.read_part()?;
-        let max_steps = r.read_part()?;
-        let jobs: Vec<Job> = r.read_seq()?;
-        let remaining: Vec<f64> = r.read_seq()?;
-        let committed = r.read_part::<FrontierPart>()?.resolve(log)?;
-        let now = r.read_f64()?;
-        let step_idx = r.read_usize()?;
-        let step_speed = r.read_part()?;
-        let step_idle = r.read_bool()?;
-        let inflight = if r.read_bool()? {
-            Some(Inflight {
-                job: r.read_usize()?,
-                end: r.read_f64()?,
-                remaining_after: r.read_f64()?,
-            })
-        } else {
-            None
+        let state = Self {
+            dt: r.read_f64()?,
+            anchor: r.read_f64()?,
+            steps: r.read_usize()?,
+            committed: r.read_part::<FrontierPart>()?.resolve(log)?,
+            now: r.read_f64()?,
+            step_idx: r.read_usize()?,
+            step_speed: r.read_part()?,
+            step_idle: r.read_bool()?,
+            inflight: r
+                .read_part::<Option<(JobId, f64)>>()?
+                .map(|(id, end)| Inflight { id, end }),
+            index: r.read_part()?,
         };
-        let index = r.read_part()?;
-        let entries: Vec<(f64, usize)> = r.read_seq()?;
         r.finish()?;
-        if remaining.len() != jobs.len()
-            || inflight.is_some_and(|fl| fl.job >= jobs.len())
-            || entries.iter().any(|&(_, j)| j >= jobs.len())
-        {
-            return Err(SnapshotError::Invalid(
-                "BKP job table indices out of range".into(),
-            ));
+        if let Some(fl) = state.inflight {
+            if !state.index.by_deadline.iter().any(|e| e.id == fl.id) {
+                return Err(SnapshotError::Invalid(
+                    "the job in flight is not in the deadline list".into(),
+                ));
+            }
         }
-        let mut edf = BinaryHeap::with_capacity(entries.len());
-        for (deadline, job) in entries {
-            edf.push(EdfEntry { deadline, job });
-        }
-        Ok(Self {
-            speed_margin,
-            dt,
-            anchor,
-            max_steps,
-            jobs,
-            remaining,
-            committed,
-            now,
-            step_idx,
-            step_speed,
-            step_idle,
-            inflight,
-            index,
-            edf,
-        })
+        Ok(state)
     }
 }
 
 impl OnlineScheduler for BkpState {
     /// Burst ingestion: the grid is advanced **once** for the whole burst,
-    /// then every job is registered with the resident structures — the EDF
-    /// heap push (`O(log n)`), the speed index (append-biased release
-    /// list, `O(active)` deadline list), and the job/remaining tables.
+    /// then every job is registered with the speed index (append-biased
+    /// release list, `O(active)` deadline list, which also carries the
+    /// job's remaining work for EDF dispatch).
     fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
         if jobs.is_empty() {
             return Ok(Vec::new());
@@ -906,22 +845,9 @@ impl OnlineScheduler for BkpState {
         for job in jobs {
             check_arrival(job, self.now, now)?;
         }
-        if self.anchor.is_none() {
-            self.anchor = Some(now);
-            self.now = now;
-        }
-        if self.now.is_finite() {
-            let to = now.max(self.now);
-            self.advance_to(to);
-        }
+        self.advance_to(now.max(self.now));
         for job in jobs {
-            self.edf.push(EdfEntry {
-                deadline: job.deadline,
-                job: self.jobs.len(),
-            });
             self.index.insert(job);
-            self.jobs.push(*job);
-            self.remaining.push(job.work);
         }
         Ok(vec![Decision::accept(0.0); jobs.len()])
     }
@@ -931,13 +857,7 @@ impl OnlineScheduler for BkpState {
     }
 
     fn finish(mut self) -> Result<Schedule, ScheduleError> {
-        if let Some(anchor) = self.anchor {
-            let end = match self.max_steps {
-                Some(steps) => anchor + steps as f64 * self.dt,
-                None => self.jobs.iter().map(|j| j.deadline).fold(anchor, f64::max),
-            };
-            self.advance_to(end);
-        }
+        self.advance_to(self.anchor + self.steps as f64 * self.dt);
         Ok(self.committed)
     }
 }
@@ -951,57 +871,23 @@ impl OnlineAlgorithm for BkpScheduler {
 
     fn start(&self, machines: usize, _alpha: f64) -> Result<Self::Run, ScheduleError> {
         crate::require_single_machine(machines, "BKP", "")?;
-        let Some(dt) = self.step else {
-            return Err(ScheduleError::Internal(
-                "BKP needs a time grid: set BkpScheduler::step for horizon-free streaming, \
-                 or start the run with start_for(instance)"
-                    .into(),
-            ));
-        };
-        if !(dt.is_finite() && dt > 0.0) {
-            return Err(ScheduleError::Internal(format!(
-                "BKP step width must be positive and finite, got {dt}"
-            )));
-        }
-        Ok(BkpState {
-            speed_margin: self.speed_margin,
-            dt,
-            anchor: None,
-            max_steps: None,
-            jobs: Vec::new(),
-            remaining: Vec::new(),
-            committed: Schedule::empty(1),
-            now: f64::NEG_INFINITY,
-            step_idx: 0,
-            step_speed: None,
-            step_idle: false,
-            inflight: None,
-            index: BkpSpeedIndex::default(),
-            edf: BinaryHeap::new(),
-        })
+        Err(ScheduleError::Internal(
+            "BKP evaluates its speed on a grid over the instance horizon: \
+             start the run with start_for(instance)"
+                .into(),
+        ))
     }
 
     fn start_for(&self, instance: &Instance) -> Result<Self::Run, ScheduleError> {
         crate::require_single_machine(instance.machines, "BKP", "")?;
-        if let Some(dt) = self.step {
-            // An explicit step takes precedence over the horizon grid.
-            let mut run = self.start(1, instance.alpha)?;
-            debug_assert_eq!(run.dt, dt);
-            run.anchor = Some(instance.horizon().0);
-            run.now = instance.horizon().0;
-            return Ok(run);
-        }
         let (lo, hi) = instance.horizon();
         let steps = self.resolution.max(1);
         let span = hi - lo;
         let dt = if span > 0.0 { span / steps as f64 } else { 1.0 };
         Ok(BkpState {
-            speed_margin: self.speed_margin,
             dt,
-            anchor: Some(lo),
-            max_steps: Some(steps),
-            jobs: Vec::new(),
-            remaining: Vec::new(),
+            anchor: lo,
+            steps,
             committed: Schedule::empty(1),
             now: lo,
             step_idx: 0,
@@ -1009,7 +895,6 @@ impl OnlineAlgorithm for BkpScheduler {
             step_idle: false,
             inflight: None,
             index: BkpSpeedIndex::default(),
-            edf: BinaryHeap::new(),
         })
     }
 }
@@ -1060,10 +945,7 @@ mod tests {
     #[test]
     fn incremental_bkp_matches_the_batch_reference() {
         let inst = instance();
-        let algo = BkpScheduler {
-            resolution: 500,
-            ..Default::default()
-        };
+        let algo = BkpScheduler { resolution: 500 };
         let batch = algo.batch_schedule(&inst).unwrap();
         let inc = algo.schedule(&inst).unwrap();
         assert!(
@@ -1085,35 +967,50 @@ mod tests {
     }
 
     #[test]
-    fn horizon_free_streaming_needs_an_explicit_step() {
-        assert!(BkpScheduler::default().start(1, 2.0).is_err());
-        let with_step = BkpScheduler {
-            step: Some(0.01),
-            ..Default::default()
-        };
-        assert!(with_step.start(1, 2.0).is_ok());
+    fn start_without_an_instance_names_start_for() {
+        let err = BkpScheduler::default().start(1, 2.0).unwrap_err();
+        assert!(err.to_string().contains("start_for"), "{err}");
+        assert!(BkpScheduler::default().start_for(&instance()).is_ok());
     }
 
     #[test]
-    fn explicit_step_streaming_finishes_jobs() {
-        let inst = Instance::from_tuples(1, 2.0, vec![(0.0, 2.0, 1.0, 1.0), (1.0, 4.0, 1.0, 1.0)])
-            .unwrap();
-        let algo = BkpScheduler {
-            step: Some(0.002),
-            ..Default::default()
-        };
-        let mut run = algo.start(1, inst.alpha).unwrap();
+    fn restore_refuses_bad_remaining_work_an_unsorted_list_or_a_stray_inflight() {
+        // A run stopped mid-sub-segment, so the blob carries a job in flight.
+        let inst = instance();
+        let mut run = BkpScheduler { resolution: 50 }.start_for(&inst).unwrap();
         for id in inst.arrival_order() {
             let job = inst.job(id);
-            assert!(run.on_arrival(job, job.release).unwrap().accepted);
+            run.on_arrival(job, job.release).unwrap();
         }
-        let s = run.finish().unwrap();
-        let report = validate_schedule(&inst, &s).unwrap();
-        assert!(
-            report.rejected.is_empty(),
-            "rejected: {:?}",
-            report.rejected
-        );
+        run.advance_to(2.55);
+        assert!(run.inflight.is_some() && run.index.by_deadline.len() == 3);
+        let restore = |state: &BkpState| {
+            let mut log = SegmentLog::new(1);
+            let blob = state.snapshot_live(&mut log).unwrap();
+            BkpState::restore_with_log(&blob, &log)
+        };
+        assert!(restore(&run).is_ok());
+        let mut bad: Vec<(&str, BkpState)> = Vec::new();
+        for remaining in [-1e-300, f64::NAN, f64::INFINITY] {
+            let mut state = run.clone();
+            state.index.by_deadline[1].remaining = remaining;
+            bad.push(("remaining work", state));
+        }
+        let mut state = run.clone();
+        state.index.by_deadline.swap(0, 2);
+        bad.push(("deadline order", state));
+        let mut state = run.clone();
+        state.inflight = Some(Inflight {
+            id: JobId(7),
+            end: 3.0,
+        });
+        bad.push(("job in flight", state));
+        for (what, state) in &bad {
+            assert!(
+                matches!(restore(state), Err(SnapshotError::Invalid(_))),
+                "a blob with a bad {what} was not refused"
+            );
+        }
     }
 
     #[test]

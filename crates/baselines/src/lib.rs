@@ -39,7 +39,8 @@
 //! OA seeds `pss_convex::solve_min_energy_warm` with the previous
 //! coordinate-descent solution ([`oa::MultiOaWarm`]); AVR commits through a
 //! deadline-sorted active-set index ([`avr::AvrState`]); and BKP keeps a
-//! resident deadline/release speed index plus a lazy EDF heap
+//! resident deadline/release speed index whose deadline list, holding the
+//! live jobs' remaining works, also drives its EDF dispatch
 //! ([`bkp::BkpState`]).  Each algorithm has one arrival path, pinned to its
 //! batch reference (`batch_schedule`) by the `incremental_equivalence`
 //! integration tests.  The one fast-path toggle,

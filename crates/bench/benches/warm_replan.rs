@@ -1,9 +1,9 @@
 //! Criterion bench: the incremental arrival path of every algorithm with a
 //! fast one.  OA and OA(m) (the replanning executor) run warm-started
 //! against their rebuild-per-arrival baselines; PD's persistent planning
-//! context, AVR's active-set index and BKP's resident speed index + lazy
-//! EDF heap run on their own (each has one arrival path, pinned to its
-//! batch reference by the test suite).
+//! context, AVR's active-set index and BKP's resident speed index (whose
+//! deadline list also drives its EDF dispatch) run on their own (each has
+//! one arrival path, pinned to its batch reference by the test suite).
 //!
 //! The workload is a Poisson stream with a bounded active set, so the
 //! per-arrival cost of the warm paths stays flat as the stream grows while

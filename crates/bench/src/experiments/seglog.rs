@@ -10,12 +10,15 @@
 //!    streamed at two lengths with a checkpoint after *every* burst (the
 //!    cadence the log is built for).  For the replanning family (OA, qOA,
 //!    OA(m), CLL) the live blob must stay flat while the log — the run's
-//!    O(events) history — grows with the stream; BKP still carries
-//!    O(events) job-history tables, so its blob grows too.  PD keeps only
-//!    its uncommitted intervals and AVR only its active set: after a
-//!    sentinel job released past every deadline, each of their live blobs
-//!    must have the same size at both lengths.  AVR runs its speed profile
-//!    in EDF order, so its log must hold at most 3 segments per job.
+//!    O(events) history — grows with the stream.  PD keeps only its
+//!    uncommitted intervals and AVR only its active set: after a sentinel
+//!    job released past every deadline, each of their live blobs must have
+//!    the same size at both lengths.  BKP keeps its live jobs in its
+//!    deadline list, and beside them only the release history its speed
+//!    bound reads (a release-list entry and a prefix work per released job,
+//!    40 B, plus hull vertices): after the sentinel, its live blob may grow
+//!    by at most 48 B per added arrival.  AVR runs its speed profile in EDF
+//!    order, so its log must hold at most 3 segments per job.
 //! 2. **Recovery from the `(log, blob)` pair** — a mid-stream kill for
 //!    every algorithm: truncate the surviving log to the checkpoint's
 //!    cursor, restore through `restore_with_log`, replay the delta, and
@@ -35,6 +38,11 @@ use crate::support::check;
 
 /// Retained chain depth, mirroring the daemon's default.
 const CHAIN: usize = 4;
+
+/// BKP's live blob growth bound after the sentinel job, in bytes per added
+/// arrival: a release-list entry and a prefix work (40 B) per released job,
+/// plus room for hull vertices.
+const BKP_BYTES_PER_ARRIVAL: f64 = 48.0;
 
 /// Final live blob and log sizes of one (algorithm, length) cell, for the
 /// flatness gate computed after the sweep.
@@ -197,10 +205,15 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let mut equivalent = true;
     let mut samples: Vec<SizeSample> = Vec::new();
     let (mut pd_sentinel_bytes, mut avr_sentinel_bytes) = (Vec::new(), Vec::new());
+    let mut bkp_sentinel_bytes = Vec::new();
     for &n in &[n_small, n_large] {
         let instance = burst_instance(1, n, burst, 18_000 + n as u64);
         pd_sentinel_bytes.push(live_bytes_after_sentinel(&PdScheduler::coarse(), &instance));
         avr_sentinel_bytes.push(live_bytes_after_sentinel(&AvrScheduler, &instance));
+        bkp_sentinel_bytes.push(live_bytes_after_sentinel(
+            &BkpScheduler::default(),
+            &instance,
+        ));
         let moa_instance = burst_instance(1, n / 4, burst, 18_100 + n as u64);
         let mut push = |ok: bool, sample: SizeSample| {
             equivalent &= ok;
@@ -244,6 +257,11 @@ pub fn run(quick: bool) -> ExperimentOutput {
     // or a completion.
     let avr_logs: Vec<&SizeSample> = samples.iter().filter(|s| s.algorithm == "AVR").collect();
     let avr_bounded = avr_logs.iter().all(|s| s.log_segments <= 3 * s.jobs as u64);
+
+    // BKP's growth per added arrival after the sentinel: only the release
+    // history behind its speed bound may still grow.
+    let bkp_growth =
+        (bkp_sentinel_bytes[1] as f64 - bkp_sentinel_bytes[0] as f64) / (n_large - n_small) as f64;
 
     // ---- Table 2: recovery from the (log, blob) pair.
     let mut recovery = Table::new(
@@ -324,10 +342,14 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 avr_logs[1].log_segments,
                 check(avr_bounded)
             ),
-            "BKP's blob still carries O(events) job-history tables (jobs, remaining, \
-             by_release, prefix_work) — the segment log removes only the committed-frontier \
-             term of its growth; shrinking those tables to live-only is future work"
-                .into(),
+            format!(
+                "after the sentinel job, BKP's live blob grows by at most \
+                 {BKP_BYTES_PER_ARRIVAL} B per added arrival between n = {n_small} and \
+                 n = {n_large} ({} B vs {} B, {bkp_growth:.1} B per arrival): {}",
+                bkp_sentinel_bytes[0],
+                bkp_sentinel_bytes[1],
+                check(bkp_growth <= BKP_BYTES_PER_ARRIVAL)
+            ),
         ],
     }
 }
@@ -343,11 +365,11 @@ mod tests {
         // 7 algorithms x 2 lengths; 7 recovery rows.
         assert_eq!(out.tables[0].rows.len(), 14);
         assert_eq!(out.tables[1].rows.len(), 7);
-        // Every note but the last (informational) one is a yes/NO gate,
-        // including PD's and AVR's history-free blobs after the sentinel
-        // gap and AVR's segment bound.
+        // Every note is a yes/NO gate, including PD's and AVR's
+        // history-free blobs after the sentinel gap, AVR's segment bound and
+        // BKP's blob growth.
         assert_eq!(out.notes.len(), 6);
-        for note in &out.notes[..5] {
+        for note in &out.notes {
             assert!(note.contains("yes"), "failing E18 note: {note}");
         }
     }

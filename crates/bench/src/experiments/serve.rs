@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use pss_core::prelude::*;
 use pss_metrics::table::fmt_f64;
-use pss_metrics::{ServiceSummary, Table};
+use pss_metrics::{JsonValue, Table};
 use pss_serve::{Daemon, RecoveryReport, ServeConfig, ServiceReport, TenantHandle, TenantSpec};
 use pss_sim::StreamingSimulation;
 use pss_types::{IngressError, JobEnvelope, LogCheckpointable, TenantId};
@@ -499,10 +499,9 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let pinned = daemon_matches_streaming(CllScheduler, 0.0, 15_200)
         && daemon_matches_streaming(CllScheduler, 1e-3, 15_201)
         && daemon_matches_streaming(PdScheduler::coarse(), 1e-3, 15_202);
-    let round_trips = outcomes.iter().all(|o| {
-        let summary = o.report.summary();
-        ServiceSummary::from_json(&summary.to_json()).is_ok_and(|back| back == summary)
-    });
+    let exports_parse = outcomes
+        .iter()
+        .all(|o| JsonValue::parse(&o.report.summary().to_json()).is_ok());
     let queue_full_total: u64 = outcomes
         .iter()
         .flat_map(|o| &o.report.tenants)
@@ -541,8 +540,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 check(pinned)
             ),
             format!(
-                "ServiceSummary round-trips through its JSON export: {}",
-                check(round_trips)
+                "ServiceSummary's JSON export parses: {}",
+                check(exports_parse)
             ),
             format!(
                 "producers bounced off full queues {queue_full_total} time(s) and retried; \

@@ -17,6 +17,7 @@
 //! | `feed-outside-core` | the simulator and the serving layer feed runs only through `pss_sim::ShardCore` |
 //! | `arrival-override` | runs implement only `on_arrivals`; `on_arrival` is the trait's provided one-job burst |
 //! | `checkpoint-outside-chain` | the simulator and the serving layer checkpoint runs only through `pss_sim::CheckpointChain` |
+//! | `serve-unwrap` | no `unwrap`/`expect` in the serving layer, whose worker and control plane must not panic |
 
 use super::source::Source;
 
@@ -464,6 +465,31 @@ pub fn checkpoint_outside_chain(path: &str, src: &Source) -> Vec<Finding> {
                 RULE,
                 "checkpoint runs through pss_sim::CheckpointChain, where the (log, blob) rules live"
                     .into(),
+            ));
+        }
+    }
+    out
+}
+
+/// `serve-unwrap`: in the serving layer ([`SPIN_SCOPE`]), forbids
+/// `.unwrap()` and `.expect(` outside `#[cfg(test)]` code.  A panic there
+/// kills a worker or the control plane: return a typed error instead, and
+/// take a lock that a panicked worker may have poisoned with
+/// `unwrap_or_else(PoisonError::into_inner)`.  Indexing stays allowed.
+pub fn serve_unwrap(path: &str, src: &Source) -> Vec<Finding> {
+    const RULE: &str = "serve-unwrap";
+    if !path.starts_with(SPIN_SCOPE) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (idx, line) in src.lines.iter().enumerate() {
+        let panics = line.contains(".unwrap()") || line.contains(".expect(");
+        if panics && !src.waived(idx, RULE) {
+            out.push(finding(
+                path,
+                idx,
+                RULE,
+                "the serving layer must not panic: return a typed error instead".into(),
             ));
         }
     }

@@ -200,6 +200,25 @@ fn checkpoint_rule_confines_the_log_and_blob_calls_to_the_chain() {
 }
 
 #[test]
+fn serve_unwrap_flags_panicking_unwraps_in_the_serving_layer() {
+    const RULE: &str = "serve-unwrap";
+    let bad = "fn a(m: &Mutex<u8>) -> u8 { *m.lock().unwrap() }\n\
+               fn b(h: Option<u8>) -> u8 { h.expect(\"live\") }\n";
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", bad, RULE), 2);
+    assert_eq!(rule_hits("crates/serve/src/router.rs", bad, RULE), 2);
+    // Test modules, waived lines and other crates are out of scope.
+    let test_only = "#[cfg(test)]\nmod tests {\n    fn a(q: &Q) { q.push(7).unwrap(); }\n}\n";
+    assert_eq!(rule_hits("crates/serve/src/queue.rs", test_only, RULE), 0);
+    let waived = "// pss-lint: allow(serve-unwrap) — a constant that parses\nfn a() -> u8 { \"7\".parse().unwrap() }\n";
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", waived, RULE), 0);
+    assert_eq!(rule_hits("crates/sim/src/feed.rs", bad, RULE), 0);
+    // Recovering a poisoned lock, defaulting and indexing are compliant.
+    let good = "fn a(m: &Mutex<u8>) -> u8 { *m.lock().unwrap_or_else(PoisonError::into_inner) }\n\
+                fn b(h: Option<u8>, v: &[u8]) -> u8 { h.unwrap_or(v[0]) }\n";
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", good, RULE), 0);
+}
+
+#[test]
 fn waiver_comment_suppresses_the_named_rule_only() {
     let waived =
         "// pss-lint: allow(float-eq) — exact sentinel\nfn f(x: f64) -> bool { x == 0.0 }\n";

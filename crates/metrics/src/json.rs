@@ -14,9 +14,9 @@
 //!   trailing characters, malformed escapes, out-of-range numbers — never
 //!   a panic.
 //!
-//! Consumers: the checkpoint envelope (`pss_metrics::codec`) parses its
-//! fixed object shape through this tree, and the service-report codec
-//! ([`crate::service`]) round-trips `ServiceSummary` through it.
+//! Consumers: the service summary ([`crate::service`]) renders its JSON
+//! export through this tree, and the tests and perfbench's self-test parse
+//! exported documents back with it.
 //!
 //! Deliberate limits (it is a data codec, not a general JSON library):
 //! numbers are `f64` (integers round-trip exactly up to 2⁵³) and must be

@@ -9,8 +9,8 @@
 //! ([`json::JsonValue`] — the offline build has no serde), and
 //! [`service::ServiceSummary`] (the flat summary of a `pss-serve`
 //! multi-tenant ingestion run: per-tenant admission counts, queue depths,
-//! the dual-price trace, drain/hand-off latencies) round-trips through it
-//! bit-exactly.
+//! the dual-price trace, drain/hand-off latencies) exports through it,
+//! every value parsing back bit-exactly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -91,7 +91,7 @@
 //! attempts.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -531,9 +531,23 @@ impl ShardShared {
     }
 
     fn unpark_worker(&self) {
-        if let Some(t) = self.worker.lock().unwrap().as_ref() {
+        if let Some(t) = self.worker().as_ref() {
             t.unpark();
         }
+    }
+
+    /// The journal, even if a worker panicked while holding it: such a
+    /// worker is dead like a crashed one, and recovery truncates the
+    /// journal's events, jobs and price trace to the restored checkpoint and
+    /// replays every logged batch, so whatever it half-wrote is never read.
+    fn journal(&self) -> MutexGuard<'_, ShardJournal> {
+        self.journal.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The live worker's handle, poison-tolerant like
+    /// [`journal`](Self::journal).
+    fn worker(&self) -> MutexGuard<'_, Option<std::thread::Thread>> {
+        self.worker.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -769,7 +783,7 @@ fn capture_checkpoint<R: OnlineScheduler + LogCheckpointable>(
     shard: &ShardShared,
     core: &ShardCore<R>,
 ) -> Result<(), ScheduleError> {
-    let mut journal = shard.journal.lock().unwrap();
+    let mut journal = shard.journal();
     let events = journal.jobs.len();
     journal.chain.capture(core, events, shard.watermark())
 }
@@ -798,7 +812,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
     shard: Arc<ShardShared>,
     mut core: ShardCore<R>,
 ) {
-    *shard.worker.lock().unwrap() = Some(std::thread::current());
+    *shard.worker() = Some(std::thread::current());
     let config = shared.config;
     let mut pending: VecDeque<JobEnvelope> = VecDeque::new();
     let mut drain_buf: Vec<JobEnvelope> = Vec::new();
@@ -812,7 +826,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
             if core.state().batches >= shard.crash_at.load(Ordering::Acquire) {
                 // Injected crash: die *without* checkpointing; the run's
                 // in-memory state is lost with this thread.
-                shard.journal.lock().unwrap().crashed = true;
+                shard.journal().crashed = true;
                 return;
             }
             // `AcqRel` swap: consume the request (release keeps the reset
@@ -820,7 +834,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
             // control plane's `Release` store so its writes are visible).
             if shard.handoff.swap(false, Ordering::AcqRel) {
                 if let Err(e) = capture_checkpoint(&shard, &core) {
-                    let mut journal = shard.journal.lock().unwrap();
+                    let mut journal = shard.journal();
                     journal.failed = Some(e);
                     shard.failed.store(true, Ordering::Release);
                 }
@@ -867,7 +881,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
                 {
                     let started = drain_from.unwrap_or_else(Instant::now);
                     let result = core.finish();
-                    let mut journal = shard.journal.lock().unwrap();
+                    let mut journal = shard.journal();
                     journal.drain_secs = started.elapsed().as_secs_f64();
                     match result {
                         Ok(schedule) => journal.finished = Some(schedule),
@@ -888,7 +902,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
             for envelope in &drain_buf {
                 shared.tenants[envelope.tenant.index()].outstanding.decr();
             }
-            shard.journal.lock().unwrap().depth_samples.push(depth);
+            shard.journal().depth_samples.push(depth);
             pending.extend(drain_buf.drain(..));
         }
         let envelopes = split_burst(&mut pending, config.coalesce_window);
@@ -903,7 +917,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
             envelopes,
         };
         {
-            let mut journal = shard.journal.lock().unwrap();
+            let mut journal = shard.journal();
             journal.log.push(batch.clone());
             // Injected transient feed fault: the batch is durably logged
             // but the feed "fails" — the run is poisoned exactly as a real
@@ -934,7 +948,7 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
                 // A failed capture poisons the shard like a feed error:
                 // surface it at shutdown, stop admitting, let the
                 // watchdog recover from the journal.
-                let mut journal = shard.journal.lock().unwrap();
+                let mut journal = shard.journal();
                 journal.failed = Some(e);
                 shard.failed.store(true, Ordering::Release);
                 return;
@@ -1069,12 +1083,7 @@ where
     /// that knows how many envelopes it queued polls this to detect that
     /// the worker has fed them all.
     pub fn shard_event_count(&self, shard: usize) -> usize {
-        self.inner.shards[shard]
-            .journal
-            .lock()
-            .unwrap()
-            .events
-            .len()
+        self.inner.shards[shard].journal().events.len()
     }
 
     /// Waits until every shard's worker has parked at a quiescent boundary
@@ -1119,7 +1128,7 @@ where
     /// record-envelope count — introspection for the checkpoint drills
     /// and E18 (compaction keeps the envelope count O(retained chain)).
     pub fn shard_log_stats(&self, shard: usize) -> (u64, usize) {
-        let journal = self.inner.shards[shard].journal.lock().unwrap();
+        let journal = self.inner.shards[shard].journal();
         let log = journal.chain.log();
         (log.cursor().segments(), log.record_count())
     }
@@ -1128,7 +1137,7 @@ where
     /// the O(active)-vs-O(events) measurement E18 and the chaos drills
     /// read.
     pub fn shard_checkpoint_sizes(&self, shard: usize) -> Vec<usize> {
-        let journal = self.inner.shards[shard].journal.lock().unwrap();
+        let journal = self.inner.shards[shard].journal();
         let checkpoints = journal.chain.checkpoints();
         checkpoints.iter().map(|c| c.wire.len()).collect()
     }
@@ -1164,7 +1173,7 @@ where
             .join()
             .map_err(|_| ScheduleError::Internal(format!("shard {shard} worker panicked")))?;
         sh.crash_at.store(usize::MAX, Ordering::Release);
-        debug_assert!(sh.journal.lock().unwrap().crashed);
+        debug_assert!(sh.journal().crashed);
         Ok(())
     }
 
@@ -1193,7 +1202,7 @@ where
         // The journal stays locked until the new worker runs: the worker
         // raises `failed` only under this lock, so clearing the flags here
         // cannot hide a failure of the new worker.
-        let mut journal = sh.journal.lock().unwrap();
+        let mut journal = sh.journal();
         let restarted = self.replay(&sh, &mut journal).and_then(|(core, report)| {
             let worker = spawn_worker(Arc::clone(&self.inner), Arc::clone(&sh), core)?;
             Ok((worker, report))
@@ -1257,8 +1266,8 @@ where
     /// Sweeps every shard for dead workers and auto-recovers them with
     /// capped attempts — the supervision loop a chaos run (or an operator
     /// timer) drives.  A shard whose worker thread has exited outside
-    /// shutdown — an injected crash, a poisoned run (feed fault), or a
-    /// previous give-up — is joined and restored via
+    /// shutdown — an injected crash, a poisoned run (feed fault), a panic
+    /// inside the run, or a previous give-up — is joined and restored via
     /// [`recover_shard`](Self::recover_shard), up to
     /// [`ServeConfig::max_recovery_attempts`] *consecutive* recoveries;
     /// past the cap the verdict is [`WatchdogVerdict::GaveUp`] and the
@@ -1268,20 +1277,16 @@ where
         let mut verdicts = Vec::with_capacity(self.inner.shards.len());
         for shard in 0..self.inner.shards.len() {
             let sh = &self.inner.shards[shard];
-            let finished = self.workers[shard]
-                .as_ref()
-                .is_some_and(|handle| handle.is_finished());
-            let dead = if finished {
-                // Reap the exited thread before restoring the shard.
-                let handle = self.workers[shard]
-                    .take()
-                    .expect("finished implies a live handle");
-                handle.join().map_err(|_| {
-                    ScheduleError::Internal(format!("shard {shard} worker panicked"))
-                })?;
-                true
-            } else {
-                self.workers[shard].is_none()
+            let dead = match self.workers[shard].take_if(|handle| handle.is_finished()) {
+                // Reap the exited thread before restoring the shard.  A
+                // worker that panicked is dead like a crashed one, and
+                // recovery restores it the same way, so the panic's payload
+                // is dropped.
+                Some(handle) => {
+                    let _ = handle.join();
+                    true
+                }
+                None => self.workers[shard].is_none(),
             };
             if !dead {
                 // Store (not RMW): the watchdog is the only writer.
@@ -1316,7 +1321,7 @@ where
         newest_offset: usize,
         bit: usize,
     ) -> Result<(), ScheduleError> {
-        let mut journal = self.inner.shards[shard].journal.lock().unwrap();
+        let mut journal = self.inner.shards[shard].journal();
         journal.chain.corrupt(newest_offset, bit)
     }
 
@@ -1361,18 +1366,18 @@ where
             .join()
             .map_err(|_| ScheduleError::Internal(format!("shard {shard} worker panicked")))
             .and_then(|()| {
-                let mut journal = sh.journal.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut journal = sh.journal();
                 journal.chain.ship_log()
             });
         if let Err(e) = shipped {
-            let mut journal = sh.journal.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut journal = sh.journal();
             journal.failed = Some(e.clone());
             sh.failed.store(true, Ordering::Release);
             return Err(e);
         }
         let report = self.recover_shard(shard)?;
         let secs = started.elapsed().as_secs_f64();
-        let mut journal = self.inner.shards[shard].journal.lock().unwrap();
+        let mut journal = self.inner.shards[shard].journal();
         journal.handoffs += 1;
         journal.handoff_secs.push(secs);
         Ok(report)
@@ -1403,7 +1408,7 @@ where
         let mut shards = Vec::with_capacity(self.inner.shards.len());
         let mut drain = DrainSummary::default();
         for sh in &self.inner.shards {
-            let mut journal = sh.journal.lock().unwrap();
+            let mut journal = sh.journal();
             if let Some(e) = journal.failed.take() {
                 return Err(e);
             }

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use pss_baselines::CllScheduler;
 use pss_core::PdScheduler;
+use pss_metrics::JsonValue;
 use pss_serve::{Daemon, ServeConfig, ServiceReport, Submission, TenantSpec, WatchdogVerdict};
 use pss_types::{
     Decision, IngressError, Job, JobEnvelope, LogCheckpointable, OnlineAlgorithm, OnlineScheduler,
@@ -603,6 +604,116 @@ fn a_failed_handoff_closes_admission() {
     );
 }
 
+/// Raised by the first run of [`PanicsOnceOnMark`] that panics; later runs
+/// feed the marked burst normally.  Only the one test below starts such
+/// runs.
+static PANICKED_ONCE: AtomicBool = AtomicBool::new(false);
+
+/// CLL whose `on_arrivals` panics on the first feed of a burst holding a
+/// marked job, and only then: a worker that dies mid-feed, with the journal
+/// lock held, whose recovery replays the burst successfully.
+#[derive(Debug, Clone, Copy)]
+struct PanicsOnceOnMark;
+
+struct PanicsOnceOnMarkRun(<CllScheduler as OnlineAlgorithm>::Run);
+
+impl OnlineAlgorithm for PanicsOnceOnMark {
+    type Run = PanicsOnceOnMarkRun;
+
+    fn algorithm_name(&self) -> String {
+        CllScheduler.algorithm_name()
+    }
+
+    fn start(&self, machines: usize, alpha: f64) -> Result<Self::Run, ScheduleError> {
+        CllScheduler.start(machines, alpha).map(PanicsOnceOnMarkRun)
+    }
+}
+
+impl OnlineScheduler for PanicsOnceOnMarkRun {
+    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
+        if jobs.iter().any(|job| job.value > MARK_VALUE)
+            && !PANICKED_ONCE.swap(true, Ordering::SeqCst)
+        {
+            panic!("a marked burst");
+        }
+        self.0.on_arrivals(jobs, now)
+    }
+
+    fn frontier(&self) -> &Schedule {
+        self.0.frontier()
+    }
+
+    fn finish(self) -> Result<Schedule, ScheduleError> {
+        self.0.finish()
+    }
+}
+
+impl LogCheckpointable for PanicsOnceOnMarkRun {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        self.0.snapshot_live(log)
+    }
+
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
+        LogCheckpointable::restore_with_log(blob, log).map(PanicsOnceOnMarkRun)
+    }
+}
+
+/// A worker that panicked mid-feed poisoned its journal lock; the watchdog
+/// still recovers it like a crashed one, and the replay makes the outcome
+/// bit-identical to a daemon whose run never panicked.
+#[test]
+fn the_watchdog_recovers_a_worker_that_panicked_mid_feed() {
+    let config = ServeConfig {
+        checkpoint_every: 2,
+        ..solo_config()
+    };
+    // The marked job comes last, so the burst that panics is the last one
+    // the worker drained.
+    let mut envelopes: Vec<JobEnvelope> = (0..6).map(|tag| env(tag, tag as f64)).collect();
+    envelopes[5].value = 2.0 * MARK_VALUE;
+    let submit_all = |handles: &[pss_serve::TenantHandle]| {
+        for envelope in &envelopes {
+            assert!(matches!(
+                handles[0].submit(*envelope),
+                Ok(Submission::Queued { .. })
+            ));
+        }
+    };
+
+    let (plain, handles) = Daemon::spawn(CllScheduler, config, vec![TenantSpec::new("t")]).unwrap();
+    submit_all(&handles);
+    plain.resume();
+    let expected = plain.shutdown().unwrap();
+
+    let (mut daemon, handles) =
+        Daemon::spawn(PanicsOnceOnMark, config, vec![TenantSpec::new("t")]).unwrap();
+    submit_all(&handles);
+    daemon.resume();
+    wait_for("the worker to panic", || {
+        PANICKED_ONCE.load(Ordering::SeqCst)
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let verdict = loop {
+        match daemon.watchdog_sweep().unwrap().remove(0) {
+            WatchdogVerdict::Healthy => {
+                assert!(
+                    Instant::now() < deadline,
+                    "the panicked worker never exited"
+                );
+                std::thread::yield_now();
+            }
+            other => break other,
+        }
+    };
+    assert!(
+        matches!(verdict, WatchdogVerdict::Recovered { .. }),
+        "expected a recovery, got {verdict:?}"
+    );
+    let report = daemon.shutdown().unwrap();
+    assert_eq!(report.total_arrivals(), envelopes.len());
+    assert!(pss_serve::deterministic_fields_equal(&report, &expected));
+}
+
 #[test]
 fn shutdown_rejects_new_submissions() {
     let (daemon, handles) = Daemon::spawn(
@@ -821,7 +932,8 @@ fn repeated_crashes_still_converge() {
     assert_deterministic_fields_equal(&baseline, &battered);
 }
 
-/// The service summary of a real run survives its JSON round-trip.
+/// The service summary of a real run survives its JSON round-trip: the
+/// exported document parses, and reads back the run's counts.
 #[test]
 fn service_summary_round_trips_through_json() {
     let stream = lifecycle_stream(32);
@@ -829,9 +941,22 @@ fn service_summary_round_trips_through_json() {
         daemon.handoff_shard(0).unwrap();
     });
     let summary = report.summary();
-    let json = summary.to_json();
-    let back = pss_metrics::ServiceSummary::from_json(&json).unwrap();
-    assert_eq!(back, summary);
-    assert_eq!(back.shards[0].arrivals, 32);
-    assert_eq!(back.drain.handoff_secs.len(), 1);
+    let json = JsonValue::parse(&summary.to_json()).unwrap();
+    let shard = &json.get("shards").and_then(JsonValue::as_array).unwrap()[0];
+    let count = |key: &str| shard.get(key).and_then(JsonValue::as_u64);
+    assert_eq!(count("arrivals"), Some(32));
+    assert_eq!(count("handoffs"), Some(1));
+    assert_eq!(
+        count("max_queue_depth"),
+        Some(summary.shards[0].max_queue_depth)
+    );
+    assert_eq!(
+        count("peak_queue_depth"),
+        Some(summary.shards[0].peak_queue_depth)
+    );
+    let handoffs = json
+        .get("drain")
+        .and_then(|drain| drain.get("handoff_secs"))
+        .and_then(JsonValue::as_array);
+    assert_eq!(handoffs.map(<[JsonValue]>::len), Some(1));
 }

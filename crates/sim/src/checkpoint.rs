@@ -481,10 +481,7 @@ mod tests {
                 let (r, s, l) = sim.run_with_failover(&OaScheduler, &inst, 4, kill).unwrap();
                 (plain, r, s, l, "OA")
             } else {
-                let algo = BkpScheduler {
-                    resolution: 400,
-                    ..Default::default()
-                };
+                let algo = BkpScheduler { resolution: 400 };
                 let plain = sim.run(&algo, &inst).unwrap();
                 let kill = plain.batches / 2;
                 let (r, s, l) = sim.run_with_failover(&algo, &inst, 4, kill).unwrap();
@@ -571,12 +568,9 @@ mod tests {
     #[test]
     fn corrupted_and_truncated_blobs_error_and_never_panic() {
         // A mid-stream BKP state: the richest blob (grid cursor, speed
-        // index, hull, EDF heap).
+        // index with the live jobs, hull).
         let inst = bursty_instance(30, 31);
-        let algo = BkpScheduler {
-            resolution: 300,
-            ..Default::default()
-        };
+        let algo = BkpScheduler { resolution: 300 };
         let (_, chain) = StreamingSimulation::default()
             .run_checkpointed(&algo, &inst, 5, 1)
             .unwrap();

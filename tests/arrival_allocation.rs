@@ -147,7 +147,8 @@ fn incremental_arrival_paths_do_not_allocate_with_history_size() {
     let counts = windows(&mut avr, &instance, windows_spec, |_| 0);
     assert_flat("AVR indexed commits", &counts, len);
 
-    // BKP through the resident speed index and lazy EDF heap.
+    // BKP through the resident speed index, whose deadline list also
+    // drives its EDF dispatch.
     let bkp = BkpScheduler::default();
     let mut run = bkp.start_for(&instance).expect("BKP run");
     let counts = windows(&mut run, &instance, windows_spec, |_| 0);

@@ -173,10 +173,7 @@ fn bkp_incremental_equals_batch_on_random_workloads() {
         .chain((0..2u64).map(|seed| (800, poisson_profitable(6300 + seed, 1, 3.0, 60, 4.0))))
         .chain([(600, edge_instance(1, 3.0))]);
     for (k, (resolution, instance)) in workloads.enumerate() {
-        let algo = BkpScheduler {
-            resolution,
-            ..Default::default()
-        };
+        let algo = BkpScheduler { resolution };
         let batch = algo.batch_schedule(&instance).expect("batch BKP");
         let incremental = algo.schedule(&instance).expect("incremental BKP");
         let label = format!("BKP workload {k}");
@@ -545,10 +542,7 @@ fn burst_feed_equals_loop_for_every_algorithm() {
                 "burst AVR",
                 1e-9,
             );
-            let bkp = BkpScheduler {
-                resolution: 600,
-                ..Default::default()
-            };
+            let bkp = BkpScheduler { resolution: 600 };
             assert_bursts_equal_loop(
                 &single,
                 groups,
@@ -650,12 +644,9 @@ fn singleton_bursts_are_bit_identical_to_the_per_event_path() {
     pin!("AVR", AvrScheduler.start_for(&instance).expect("AVR run"));
     pin!(
         "BKP",
-        BkpScheduler {
-            resolution: 500,
-            ..Default::default()
-        }
-        .start_for(&instance)
-        .expect("BKP run")
+        BkpScheduler { resolution: 500 }
+            .start_for(&instance)
+            .expect("BKP run")
     );
     pin!(
         "PD",
@@ -903,10 +894,7 @@ fn log_restored_runs_continue_bit_identically_for_every_algorithm() {
             "log-restore AVR",
             true,
         );
-        let bkp = BkpScheduler {
-            resolution: 500,
-            ..Default::default()
-        };
+        let bkp = BkpScheduler { resolution: 500 };
         assert_restore_equivalent(
             &bursts,
             || bkp.start_for(&single).expect("BKP run"),
@@ -1035,10 +1023,7 @@ fn restored_runs_survive_the_tolerance_edge_cases() {
     );
     let bkp_edge = edge_instance(1, 3.0);
     let bkp_bursts = as_bursts(&bkp_edge);
-    let bkp = BkpScheduler {
-        resolution: 400,
-        ..Default::default()
-    };
+    let bkp = BkpScheduler { resolution: 400 };
     assert_restore_equivalent(
         &bkp_bursts,
         || bkp.start_for(&bkp_edge).expect("BKP run"),
@@ -1088,12 +1073,9 @@ fn mid_burst_snapshots_round_trip_through_on_arrivals() {
     pin!("AVR", AvrScheduler.start_for(&instance).expect("AVR run"));
     pin!(
         "BKP",
-        BkpScheduler {
-            resolution: 400,
-            ..Default::default()
-        }
-        .start_for(&instance)
-        .expect("BKP run")
+        BkpScheduler { resolution: 400 }
+            .start_for(&instance)
+            .expect("BKP run")
     );
     pin!(
         "PD",
@@ -1105,11 +1087,12 @@ fn mid_burst_snapshots_round_trip_through_on_arrivals() {
 fn superseded_state_versions_are_refused() {
     // Each state version was bumped when the payload's frontier lost its
     // inline-or-cursor tag byte, and AVR's and BKP's again when their
-    // fast-path toggles (and AVR's job history) left the payload, and AVR's
-    // once more when its active jobs gained a remaining budget, so blobs
-    // of different layouts are never confused.  A live blob re-labelled
-    // with a superseded version (replan 2; AVR 2, 3 and 4; BKP 2 and 3; PD
-    // 3) must be refused with the typed version error.
+    // fast-path toggles (and AVR's job history) left the payload, AVR's
+    // once more when its active jobs gained a remaining budget, and BKP's
+    // once more when its job history and EDF heap left the payload, so
+    // blobs of different layouts are never confused.  A live blob
+    // re-labelled with a superseded version (replan 2; AVR 2, 3 and 4; BKP
+    // 2, 3 and 4; PD 3) must be refused with the typed version error.
     fn refuse<R: OnlineScheduler + LogCheckpointable>(mut run: R, instance: &Instance, old: u16) {
         for (t, jobs) in as_bursts(instance) {
             run.on_arrivals(&jobs, t).expect("burst");
@@ -1140,7 +1123,7 @@ fn superseded_state_versions_are_refused() {
             old,
         );
     }
-    for old in [2, 3] {
+    for old in [2, 3, 4] {
         refuse(
             BkpScheduler::default()
                 .start_for(&instance)

@@ -307,10 +307,7 @@ fn daemon_handoff_is_bit_identical_to_the_unbroken_run() {
 
 #[test]
 fn bkp_toggle_matrix_pins_to_the_batch_reference() {
-    let algo = BkpScheduler {
-        resolution: 500,
-        ..Default::default()
-    };
+    let algo = BkpScheduler { resolution: 500 };
     for (name, instance) in single_machine_workloads(3.0) {
         let reference = algo.batch_schedule(&instance).expect("batch BKP");
         for window in [0.0, WINDOW] {
