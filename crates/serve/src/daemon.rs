@@ -14,7 +14,7 @@
 //!
 //! Each shard has one worker thread, which owns a [`pss_sim::ShardCore`]
 //! around the shard's scheduler run.  The worker drains its queue in
-//! bounded chunks, splits the chunk into *bursts* with the same
+//! bounded chunks, cuts each chunk into *bursts* with the same
 //! maximal-run rule as `pss_sim::coalesce_arrivals` (releases within
 //! `coalesce_window` of the burst's first), and feeds each burst through
 //! the core, which makes one [`OnlineScheduler::on_arrivals`] call per
@@ -60,37 +60,42 @@
 //!
 //! # Lifecycle and determinism
 //!
+//! A shard's arrival journal fixes its run, and it is the one queue the
+//! run is fed from.  Every drained envelope is journalled before any burst
+//! of its chunk is fed, in the same journal-lock hold, and the worker and
+//! recovery feed the journal through one path (`feed_batch`).  So a worker
+//! that dies inside a chunk (a feed error, an injected fault, a panic in
+//! the run) loses nothing it acknowledged: recovery feeds what it left.
+//!
 //! Workers act on lifecycle signals (crash injection, hand-off, shutdown)
-//! only at *quiescent batch boundaries* — with no drained-but-unfed
-//! arrivals in hand — so a dying worker never loses work it acknowledged.
+//! only at *quiescent batch boundaries*, with every journalled burst fed.
 //! A hot spin that sees an arrival returns to that boundary before it
 //! drains, so pauses, crashes and hand-offs land exactly where they did
-//! for a parked worker.
-//! Every fed batch is first appended to a durable in-memory journal.  The
-//! shard's [`pss_sim::CheckpointChain`] holds its segment log and its
-//! checkpoints, under the journal lock: the segments each batch
-//! *committed* are synced into the log, and every `checkpoint_every`
-//! batches the worker captures its run into the chain, which retains the
-//! `checkpoint_chain` newest.  A checkpoint holds only the run's *live*
-//! state plus a log cursor — O(active) bytes, independent of how long the
-//! shard has been fed.
+//! for a parked worker.  The shard's [`pss_sim::CheckpointChain`] holds
+//! its segment log and its checkpoints, under the journal lock: the
+//! segments each batch *committed* are synced into the log, and every
+//! `checkpoint_every` batches the worker captures its run into the chain,
+//! which retains the `checkpoint_chain` newest.  A checkpoint holds only
+//! the run's *live* state plus a log cursor — O(active) bytes, independent
+//! of how long the shard has been fed.
 //!
 //! Recovery takes the run from the newest checkpoint that decodes against
 //! the log (a corrupted checkpoint costs replay length, not the shard),
-//! rewinds the derived records to it, and replays the journal delta —
-//! reproducing the pre-crash decisions bit-for-bit, because every run's
-//! restore is bit-identical and the journal fixes feed times and id
+//! rewinds the derived records to it, and feeds the journal's bursts after
+//! it — reproducing the pre-crash decisions bit-for-bit, because every
+//! run's restore is bit-identical and the journal fixes feed times and id
 //! assignment.  If the whole chain is corrupt, the run restarts cold and
 //! the full journal replays: the journal is the source of truth,
-//! checkpoints only shorten replay.  A recovery that fails poisons the
-//! shard, so admission bounces until a later one succeeds.  A hand-off is
+//! checkpoints only shorten replay.  A recovery that fails, its replay
+//! panicking included, poisons the shard, so admission bounces until a
+//! later one succeeds.  A hand-off is
 //! the graceful special case: checkpoint at the boundary, exit, ship the
 //! `(log tail, blob)` pair, restore on a fresh thread with an empty delta.
 //! A `watchdog_sweep` on the control plane reaps dead workers (injected
 //! crashes, poisoned runs) and auto-recovers them with capped consecutive
 //! attempts.
 
-use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -304,6 +309,10 @@ impl ServeConfig {
         if self.shards == 0 {
             return bad("service needs at least one shard".into());
         }
+        let ring = self.queue_capacity.max(2);
+        if ring.checked_next_power_of_two().is_none() {
+            return bad("queue_capacity does not round up to a power of two".into());
+        }
         if self.max_batch == 0 {
             return bad("max_batch must be positive".into());
         }
@@ -358,7 +367,8 @@ pub enum Submission {
 /// ([`Daemon::handoff_shard`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryReport {
-    /// Journal batches replayed on top of the restored checkpoint.
+    /// Journal batches replayed on top of the restored checkpoint, counting
+    /// those a worker that died inside a drained chunk journalled unfed.
     pub replayed_batches: usize,
     /// Wall-clock seconds from the request to the fresh worker running.
     pub recovery_secs: f64,
@@ -393,29 +403,27 @@ pub enum WatchdogVerdict {
     },
 }
 
-/// One batch as fed to the scheduler, journalled *before* the feed so a
-/// recovering worker can replay it deterministically.
-#[derive(Debug, Clone)]
-struct LoggedBatch {
-    feed_time: f64,
-    envelopes: Vec<JobEnvelope>,
-}
-
-/// Everything a shard's worker writes: the durable batch log, the derived
-/// per-event records, and the lifecycle outcome.
+/// Everything a shard's worker writes: the arrival journal the run is fed
+/// from, the derived per-event records, and the lifecycle outcome.
 #[derive(Debug)]
 struct ShardJournal {
-    log: Vec<LoggedBatch>,
+    /// Every envelope the worker drained, in drain order; envelope k is fed
+    /// as dense job k.  Never truncated: with `bursts` it fixes the run.
+    envelopes: Vec<JobEnvelope>,
+    /// One `(feed time, end)` per burst cut from `envelopes`, in feed
+    /// order: a burst's envelopes run from the previous burst's end to its
+    /// own.  The run has fed the first `ShardCore::state().batches`.
+    bursts: Vec<(f64, usize)>,
     events: Vec<ServedEvent>,
+    /// The jobs as fed, one per fed envelope, at the envelope's index.
     jobs: Vec<Job>,
     price_trace: Vec<f64>,
     depth_samples: Vec<usize>,
     /// The shard's segment log and its bounded checkpoint chain: synced
     /// after every fed batch and captured on the checkpoint cadence, both
     /// under this lock.  A checkpoint's event count indexes `events` and
-    /// `jobs`, and its batch count indexes `log`.
+    /// `jobs`, and its batch count indexes `bursts`.
     chain: CheckpointChain,
-    handoffs: usize,
     handoff_secs: Vec<f64>,
     drain_secs: f64,
     finished: Option<Schedule>,
@@ -426,19 +434,50 @@ struct ShardJournal {
 impl ShardJournal {
     fn new(machines: usize, retain: usize) -> Self {
         Self {
-            log: Vec::new(),
+            envelopes: Vec::new(),
+            bursts: Vec::new(),
             events: Vec::new(),
             jobs: Vec::new(),
             price_trace: Vec::new(),
             depth_samples: Vec::new(),
             chain: CheckpointChain::new(machines, retain),
-            handoffs: 0,
             handoff_secs: Vec::new(),
             drain_secs: 0.0,
             finished: None,
             failed: None,
             crashed: false,
         }
+    }
+
+    /// Journals a drained chunk, leaving `chunk` empty: appends its
+    /// envelopes and cuts them into bursts by the rule of
+    /// `pss_sim::coalesce_arrivals` ([`burst_len`]; `window == 0` yields
+    /// singletons).  A burst is fed at its largest release, or at the
+    /// previous burst's feed time if that is later, so late (stale-admitted)
+    /// jobs are fed at the watermark and feed times never decrease.
+    fn append(&mut self, chunk: &mut Vec<JobEnvelope>, window: f64) {
+        let mut start = self.envelopes.len();
+        self.envelopes.append(chunk);
+        while start < self.envelopes.len() {
+            let rest = self.envelopes[start..].iter().map(|e| e.release);
+            let end = start + burst_len(rest, window);
+            let releases = self.envelopes[start..end].iter().map(|e| e.release);
+            let release_max = releases.fold(f64::NEG_INFINITY, f64::max);
+            let previous = self.bursts.last().map_or(f64::NEG_INFINITY, |b| b.0);
+            self.bursts.push((previous.max(release_max), end));
+            start = end;
+        }
+    }
+
+    /// Captures the core's run into the chain, at the journal's event count
+    /// and the feed time of the run's last burst (`-inf` before the first).
+    fn capture<R>(&mut self, core: &ShardCore<R>) -> Result<(), ScheduleError>
+    where
+        R: OnlineScheduler + LogCheckpointable,
+    {
+        let last = core.state().batches.checked_sub(1);
+        let time = last.map_or(f64::NEG_INFINITY, |b| self.bursts[b].0);
+        self.chain.capture(core, self.jobs.len(), time)
     }
 }
 
@@ -466,13 +505,13 @@ struct ShardShared {
     /// Crash injection: the worker exits (without checkpointing) at the
     /// first quiescent boundary with `batches_done >= crash_at`.
     crash_at: AtomicUsize,
-    /// Fault injection: the worker journals the batch numbered
-    /// `fail_feed_at`, then poisons the shard *instead of* feeding it —
-    /// modelling a transient feed failure after the durable log write.
-    /// Recovery replays the logged batch successfully, so the merged
-    /// outcome is bit-identical to a fault-free run.  `usize::MAX`
-    /// (the default) never fires; the hook is one relaxed-free load per
-    /// batch when disabled.
+    /// Fault injection: the worker poisons the shard *instead of* feeding
+    /// the journalled batch numbered `fail_feed_at` — modelling a transient
+    /// feed failure after the durable journal write.  Recovery feeds that
+    /// batch and the rest of its chunk successfully, so the merged outcome
+    /// is bit-identical to a fault-free run.  `usize::MAX` (the default)
+    /// never fires; the hook is one relaxed-free load per batch when
+    /// disabled.
     fail_feed_at: AtomicUsize,
     /// Bumped every time the worker parks at a quiescent boundary while
     /// the service is paused.  Deterministic drivers (the chaos engine)
@@ -539,9 +578,18 @@ impl ShardShared {
     /// The journal, even if a worker panicked while holding it: such a
     /// worker is dead like a crashed one, and recovery truncates the
     /// journal's events, jobs and price trace to the restored checkpoint and
-    /// replays every logged batch, so whatever it half-wrote is never read.
+    /// feeds the bursts after it, so whatever it half-wrote is never read.
     fn journal(&self) -> MutexGuard<'_, ShardJournal> {
         self.journal.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Poisons the shard with `error`: the journal keeps it for shutdown to
+    /// return, and admission bounces until a recovery succeeds.  Takes the
+    /// journal because its lock must be held: recovery clears both under
+    /// that lock, so it cannot hide a failure of the worker it starts.
+    fn poison(&self, journal: &mut ShardJournal, error: ScheduleError) {
+        journal.failed = Some(error);
+        self.failed.store(true, Ordering::Release);
     }
 
     /// The live worker's handle, poison-tolerant like
@@ -712,19 +760,12 @@ impl TenantHandle {
     }
 }
 
-/// Splits one coalesced burst off the front of `pending` by the rule of
-/// `pss_sim::coalesce_arrivals` ([`burst_len`]), applied to the drained
-/// stream.  `window == 0` yields singletons.
-fn split_burst(pending: &mut VecDeque<JobEnvelope>, window: f64) -> Vec<JobEnvelope> {
-    let len = burst_len(pending.iter().map(|e| e.release), window);
-    pending.drain(..len).collect()
-}
-
-/// Feeds one journalled batch through the shard's core and records its
-/// outcomes: the jobs as fed, one event per job, the price trace, the
-/// segment log and the published price and watermark.  Shared verbatim by
-/// the live worker path and the recovery replay, which is what makes
-/// replay bit-identical.
+/// Feeds the journal's first unfed burst, the one numbered by the core's
+/// batch count, through the shard's core and records its outcomes: the
+/// jobs as fed, one event per job, the price trace, the segment log and the
+/// published price and watermark.  The live worker and the recovery replay
+/// both feed the journal through this, which is what makes replay
+/// bit-identical.
 ///
 /// A job that *expired in the queue* (admitted in time, then overtaken by
 /// the watermark) is rejected by the core at its value without reaching
@@ -734,16 +775,17 @@ fn feed_batch<R: OnlineScheduler>(
     core: &mut ShardCore<R>,
     shard: &ShardShared,
     journal: &mut ShardJournal,
-    batch: &LoggedBatch,
 ) -> Result<(), ScheduleError> {
-    let base = journal.jobs.len();
     let index = core.state().batches;
-    let envelopes = batch.envelopes.iter().enumerate();
-    journal
-        .jobs
-        .extend(envelopes.map(|(k, e)| e.job(JobId(base + k))));
-    core.feed(&mut journal.jobs[base..], batch.feed_time)?;
-    let fed = batch.envelopes.iter().zip(&journal.jobs[base..]);
+    let (feed_time, end) = journal.bursts[index];
+    // Every earlier burst is fed, so this one starts at the first envelope
+    // without a job, and envelope k is fed as dense job k.
+    let base = journal.jobs.len();
+    let envelopes = &journal.envelopes[base..end];
+    let jobs = envelopes.iter().zip(base..).map(|(e, k)| e.job(JobId(k)));
+    journal.jobs.extend(jobs);
+    core.feed(&mut journal.jobs[base..], feed_time)?;
+    let fed = envelopes.iter().zip(&journal.jobs[base..]);
     for ((envelope, job), decision) in fed.zip(core.decisions()) {
         journal.events.push(ServedEvent {
             shard: shard.shard,
@@ -751,10 +793,10 @@ fn feed_batch<R: OnlineScheduler>(
             tag: envelope.tag,
             job: job.id,
             release: envelope.release,
-            feed_time: batch.feed_time,
+            feed_time,
             batch: index,
             accepted: decision.accepted,
-            expired: expired_at(job, batch.feed_time),
+            expired: expired_at(job, feed_time),
             dual: decision.dual,
         });
     }
@@ -773,19 +815,8 @@ fn feed_batch<R: OnlineScheduler>(
         .store(core.price().to_bits(), Ordering::Release);
     shard
         .watermark_bits
-        .store(batch.feed_time.to_bits(), Ordering::Release);
+        .store(feed_time.to_bits(), Ordering::Release);
     Ok(())
-}
-
-/// Captures a checkpoint of the core's run into the shard's chain, at the
-/// journal's current event count and the shard's watermark.
-fn capture_checkpoint<R: OnlineScheduler + LogCheckpointable>(
-    shard: &ShardShared,
-    core: &ShardCore<R>,
-) -> Result<(), ScheduleError> {
-    let mut journal = shard.journal();
-    let events = journal.jobs.len();
-    journal.chain.capture(core, events, shard.watermark())
 }
 
 fn spawn_worker<R>(
@@ -814,145 +845,122 @@ fn worker_loop<R: OnlineScheduler + LogCheckpointable>(
 ) {
     *shard.worker() = Some(std::thread::current());
     let config = shared.config;
-    let mut pending: VecDeque<JobEnvelope> = VecDeque::new();
-    let mut drain_buf: Vec<JobEnvelope> = Vec::new();
+    let mut drained: Vec<JobEnvelope> = Vec::new();
     let mut drain_from: Option<Instant> = None;
     let mut hot = HotSpin::new(config.shards, shared.cpus);
     loop {
-        if pending.is_empty() {
-            // A quiescent batch boundary: no drained-but-unfed arrivals in
-            // hand.  Lifecycle signals are honoured only here, so a dying
-            // worker never loses acknowledged work.
-            if core.state().batches >= shard.crash_at.load(Ordering::Acquire) {
-                // Injected crash: die *without* checkpointing; the run's
-                // in-memory state is lost with this thread.
-                shard.journal().crashed = true;
-                return;
-            }
-            // `AcqRel` swap: consume the request (release keeps the reset
-            // ordered for a later requester; acquire pairs with the
-            // control plane's `Release` store so its writes are visible).
-            if shard.handoff.swap(false, Ordering::AcqRel) {
-                if let Err(e) = capture_checkpoint(&shard, &core) {
-                    let mut journal = shard.journal();
-                    journal.failed = Some(e);
-                    shard.failed.store(true, Ordering::Release);
-                }
-                return;
-            }
-            if shared.paused.load(Ordering::Acquire) && !shared.shutdown.load(Ordering::Acquire) {
-                // Publish that we parked at a quiescent boundary while
-                // paused: a deterministic driver that paused the service
-                // and saw the epoch advance knows every lifecycle signal
-                // above was checked with nothing drained-but-unfed in
-                // hand.  `AcqRel` so the bump orders after the signal
-                // checks for the driver's `Acquire` read.
-                shard.idle_epoch.fetch_add(1, Ordering::AcqRel);
-                std::thread::park_timeout(IDLE_PARK);
-                continue;
-            }
-            if shared.shutdown.load(Ordering::Acquire) && drain_from.is_none() {
-                drain_from = Some(Instant::now());
-            }
-            let depth = shard.queue.len();
-            shard.peak_depth.fetch_max(depth, Ordering::Relaxed);
-            drain_buf.clear();
-            if shard.queue.drain_into(&mut drain_buf, config.max_batch) == 0 {
-                // Drain-completion check.  Probe `submitting` FIRST, with
-                // an `AcqRel` RMW (not a plain load): an RMW always reads
-                // the latest value in the counter's modification order,
-                // and its release side means any submitter whose increment
-                // lands *after* this probe synchronises with it — having
-                // already observed `shutdown` (which happened-before the
-                // probe via our acquire load above), that submitter
-                // bounces in `admit` and never pushes.  A probe of zero
-                // also observes every completed push, because each
-                // submitter's `AcqRel` decrement released its push into
-                // the RMW chain the probe acquires.  Only then re-check
-                // the queue: any push the probe admitted is now visible,
-                // so an empty queue here really is the last word.  (The
-                // previous plain-`Acquire` load could miss a submitter
-                // that slipped between the drain and the check, losing its
-                // final push — the model checker's shutdown model catches
-                // exactly that interleaving.)
-                if shared.shutdown.load(Ordering::Acquire)
-                    && shard.submitting.fetch_add(0, Ordering::AcqRel) == 0
-                    && shard.queue.is_empty()
-                {
-                    let started = drain_from.unwrap_or_else(Instant::now);
-                    let result = core.finish();
-                    let mut journal = shard.journal();
-                    journal.drain_secs = started.elapsed().as_secs_f64();
-                    match result {
-                        Ok(schedule) => journal.finished = Some(schedule),
-                        Err(e) => journal.failed = Some(e),
-                    }
-                    return;
-                }
-                // Hot hand-off: poll for the caller's next job before
-                // parking.  An arrival sends the worker back to the
-                // quiescent boundary above, so every lifecycle signal is
-                // still checked before the drain.
-                if poll_for_arrival(&shard.queue, hot.take_window()) {
-                    continue;
-                }
-                std::thread::park_timeout(IDLE_PARK);
-                continue;
-            }
-            for envelope in &drain_buf {
-                shared.tenants[envelope.tenant.index()].outstanding.decr();
-            }
-            shard.journal().depth_samples.push(depth);
-            pending.extend(drain_buf.drain(..));
+        // A quiescent batch boundary: every journalled burst is fed.
+        // Lifecycle signals are honoured only here.
+        if core.state().batches >= shard.crash_at.load(Ordering::Acquire) {
+            // Injected crash: die *without* checkpointing; the run's
+            // in-memory state is lost with this thread.
+            shard.journal().crashed = true;
+            return;
         }
-        let envelopes = split_burst(&mut pending, config.coalesce_window);
-        let release_max = envelopes
-            .iter()
-            .map(|e| e.release)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let batch = LoggedBatch {
-            // Late (stale-admitted) jobs are fed at the watermark so the
-            // nondecreasing-arrival contract always holds.
-            feed_time: shard.watermark().max(release_max),
-            envelopes,
-        };
-        {
+        // `AcqRel` swap: consume the request (release keeps the reset
+        // ordered for a later requester; acquire pairs with the control
+        // plane's `Release` store so its writes are visible).
+        if shard.handoff.swap(false, Ordering::AcqRel) {
             let mut journal = shard.journal();
-            journal.log.push(batch.clone());
-            // Injected transient feed fault: the batch is durably logged
-            // but the feed "fails" — the run is poisoned exactly as a real
-            // ingestion error would, and recovery replays the logged batch
-            // (successfully) for a bit-identical merged outcome.
-            if core.state().batches >= shard.fail_feed_at.load(Ordering::Acquire) {
-                shard.fail_feed_at.store(usize::MAX, Ordering::Release);
-                journal.failed = Some(ScheduleError::Internal(
-                    "injected transient feed fault".into(),
-                ));
-                shard.failed.store(true, Ordering::Release);
-                return;
+            if let Err(e) = journal.capture(&core) {
+                shard.poison(&mut journal, e);
             }
-            if let Err(e) = feed_batch(&mut core, &shard, &mut journal, &batch) {
-                // An ingestion error poisons the run; surface it at
-                // shutdown instead of panicking the worker, and stop
-                // admitting so producers don't spin on a dead queue.
-                journal.failed = Some(e);
-                shard.failed.store(true, Ordering::Release);
-                return;
-            }
+            return;
         }
-        hot.fed();
-        if config.checkpoint_every > 0
-            && core.state().batches.is_multiple_of(config.checkpoint_every)
-        {
-            if let Err(e) = capture_checkpoint(&shard, &core) {
-                // A failed capture poisons the shard like a feed error:
-                // surface it at shutdown, stop admitting, let the
-                // watchdog recover from the journal.
+        if shared.paused.load(Ordering::Acquire) && !shared.shutdown.load(Ordering::Acquire) {
+            // Publish that we parked at a quiescent boundary while paused:
+            // a deterministic driver that paused the service and saw the
+            // epoch advance knows every lifecycle signal above was checked
+            // with every drained arrival fed.  `AcqRel` so the bump orders
+            // after the signal checks for the driver's `Acquire` read.
+            shard.idle_epoch.fetch_add(1, Ordering::AcqRel);
+            std::thread::park_timeout(IDLE_PARK);
+            continue;
+        }
+        if shared.shutdown.load(Ordering::Acquire) && drain_from.is_none() {
+            drain_from = Some(Instant::now());
+        }
+        let depth = shard.queue.len();
+        shard.peak_depth.fetch_max(depth, Ordering::Relaxed);
+        if shard.queue.drain_into(&mut drained, config.max_batch) == 0 {
+            // Drain-completion check.  Probe `submitting` FIRST, with an
+            // `AcqRel` RMW (not a plain load): an RMW always reads the
+            // latest value in the counter's modification order, and its
+            // release side means any submitter whose increment lands
+            // *after* this probe synchronises with it — having already
+            // observed `shutdown` (which happened-before the probe via our
+            // acquire load above), that submitter bounces in `admit` and
+            // never pushes.  A probe of zero also observes every completed
+            // push, because each submitter's `AcqRel` decrement released
+            // its push into the RMW chain the probe acquires.  Only then
+            // re-check the queue: any push the probe admitted is now
+            // visible, so an empty queue here really is the last word.
+            // (A plain `Acquire` load could miss a submitter that slipped
+            // between the drain and the check, losing its final push — the
+            // model checker's shutdown model catches exactly that
+            // interleaving.)
+            if shared.shutdown.load(Ordering::Acquire)
+                && shard.submitting.fetch_add(0, Ordering::AcqRel) == 0
+                && shard.queue.is_empty()
+            {
+                let started = drain_from.unwrap_or_else(Instant::now);
+                let result = core.finish();
                 let mut journal = shard.journal();
-                journal.failed = Some(e);
-                shard.failed.store(true, Ordering::Release);
+                journal.drain_secs = started.elapsed().as_secs_f64();
+                match result {
+                    Ok(schedule) => journal.finished = Some(schedule),
+                    Err(e) => journal.failed = Some(e),
+                }
                 return;
             }
+            // Hot hand-off: poll for the caller's next job before parking.
+            // An arrival sends the worker back to the quiescent boundary
+            // above, so every lifecycle signal is still checked before the
+            // drain.
+            if poll_for_arrival(&shard.queue, hot.take_window()) {
+                continue;
+            }
+            std::thread::park_timeout(IDLE_PARK);
+            continue;
+        }
+        for envelope in &drained {
+            shared.tenants[envelope.tenant.index()].outstanding.decr();
+        }
+        // One journal-lock hold per chunk: journal all of it, then feed
+        // it, so a worker that dies anywhere inside the chunk leaves every
+        // envelope it acknowledged to recovery.
+        let mut journal = shard.journal();
+        journal.depth_samples.push(depth);
+        journal.append(&mut drained, config.coalesce_window);
+        while core.state().batches < journal.bursts.len() {
+            let fed = if core.state().batches >= shard.fail_feed_at.load(Ordering::Acquire) {
+                // Injected transient feed fault: the burst is journalled
+                // but its feed "fails", poisoning the run exactly as a
+                // real ingestion error would; recovery feeds it (and the
+                // rest of the chunk) for a bit-identical merged outcome.
+                shard.fail_feed_at.store(usize::MAX, Ordering::Release);
+                Err(ScheduleError::Internal(
+                    "injected transient feed fault".into(),
+                ))
+            } else {
+                feed_batch(&mut core, &shard, &mut journal).and_then(|()| {
+                    let every = config.checkpoint_every;
+                    if every > 0 && core.state().batches.is_multiple_of(every) {
+                        journal.capture(&core)
+                    } else {
+                        Ok(())
+                    }
+                })
+            };
+            if let Err(e) = fed {
+                // A feed error or a failed capture poisons the run: surface
+                // it at shutdown instead of panicking the worker, stop
+                // admitting so producers don't spin on a dead queue, and
+                // let the watchdog recover from the journal.
+                shard.poison(&mut journal, e);
+                return;
+            }
+            hot.fed();
         }
     }
 }
@@ -1016,7 +1024,7 @@ where
             let run = daemon.algorithm.start(config.machines, config.alpha)?;
             let core = ShardCore::new(run, config.price_smoothing);
             // An initial checkpoint makes recovery possible from batch 0.
-            capture_checkpoint(shard, &core)?;
+            shard.journal().capture(&core)?;
             let worker = spawn_worker(Arc::clone(&daemon.inner), Arc::clone(shard), core)?;
             daemon.workers.push(Some(worker));
         }
@@ -1188,9 +1196,9 @@ where
     /// the checkpoint, is the source of truth; checkpoints only shorten
     /// replay.  A poisoned shard (`failed` raised by a feed fault) is
     /// un-poisoned once the new worker runs: the pending error is dropped
-    /// and admission reopens.  A recovery that fails leaves no worker, so it
-    /// poisons the shard instead: admission bounces until a later recovery
-    /// succeeds.
+    /// and admission reopens.  A recovery that fails, or whose replay
+    /// panics, leaves no worker, so it poisons the shard instead: admission
+    /// bounces until a later recovery succeeds.
     pub fn recover_shard(&mut self, shard: usize) -> Result<RecoveryReport, ScheduleError> {
         if self.workers[shard].is_some() {
             return Err(ScheduleError::Internal(format!(
@@ -1207,10 +1215,7 @@ where
             let worker = spawn_worker(Arc::clone(&self.inner), Arc::clone(&sh), core)?;
             Ok((worker, report))
         });
-        let (worker, report) = restarted.inspect_err(|e| {
-            journal.failed = Some(e.clone());
-            sh.failed.store(true, Ordering::Release);
-        })?;
+        let (worker, report) = restarted.inspect_err(|e| sh.poison(&mut journal, e.clone()))?;
         journal.crashed = false;
         journal.failed = None;
         sh.failed.store(false, Ordering::Release);
@@ -1242,15 +1247,17 @@ where
             .store(restored.price.to_bits(), Ordering::Release);
         sh.watermark_bits
             .store(recovery.time.to_bits(), Ordering::Release);
-        // Replay the delta in place: `feed_batch` never touches the batch
-        // log, so it is taken out for the replay and put back on every path.
-        let log = std::mem::take(&mut journal.log);
-        let delta = &log[restored.batches..];
-        let replayed = delta
-            .iter()
-            .try_for_each(|batch| feed_batch(&mut core, sh, journal, batch));
-        let replayed_batches = delta.len();
-        journal.log = log;
+        let replayed_batches = journal.bursts.len() - restored.batches;
+        // A run that panics on every feed of a burst fails the recovery
+        // instead of unwinding the control plane; the journal lock is held
+        // outside the closure, so a caught panic leaves it unpoisoned.
+        let replayed = catch_unwind(AssertUnwindSafe(|| {
+            while core.state().batches < journal.bursts.len() {
+                feed_batch(&mut core, sh, journal)?;
+            }
+            Ok(())
+        }))
+        .unwrap_or_else(|_| Err(ScheduleError::Internal("the run panicked".into())));
         replayed.map_err(|e| {
             ScheduleError::Internal(format!("journal replay rejected a logged batch: {e}"))
         })?;
@@ -1326,12 +1333,12 @@ where
     }
 
     /// Arms the transient-feed-fault injection hook (a chaos-engine hook):
-    /// the shard's worker will durably journal batch number `at_batches`
-    /// (0-based) and then poison the run instead of feeding it, exactly as
-    /// a real ingestion error would — the worker exits, admission bounces,
-    /// and [`watchdog_sweep`](Self::watchdog_sweep) (or
+    /// the shard's worker will poison the run instead of feeding the
+    /// journalled batch number `at_batches` (0-based), exactly as a real
+    /// ingestion error would — the worker exits, admission bounces, and
+    /// [`watchdog_sweep`](Self::watchdog_sweep) (or
     /// [`recover_shard`](Self::recover_shard) after joining) un-poisons the
-    /// shard by replaying the log.  One-shot: the hook disarms when it
+    /// shard by feeding the journal.  One-shot: the hook disarms when it
     /// fires.  Zero cost when never armed (one `Acquire` load per batch).
     pub fn inject_feed_fault(&self, shard: usize, at_batches: usize) {
         let sh = &self.inner.shards[shard];
@@ -1365,21 +1372,11 @@ where
         let shipped = handle
             .join()
             .map_err(|_| ScheduleError::Internal(format!("shard {shard} worker panicked")))
-            .and_then(|()| {
-                let mut journal = sh.journal();
-                journal.chain.ship_log()
-            });
-        if let Err(e) = shipped {
-            let mut journal = sh.journal();
-            journal.failed = Some(e.clone());
-            sh.failed.store(true, Ordering::Release);
-            return Err(e);
-        }
+            .and_then(|()| sh.journal().chain.ship_log());
+        shipped.inspect_err(|e| sh.poison(&mut sh.journal(), e.clone()))?;
         let report = self.recover_shard(shard)?;
         let secs = started.elapsed().as_secs_f64();
-        let mut journal = self.inner.shards[shard].journal();
-        journal.handoffs += 1;
-        journal.handoff_secs.push(secs);
+        self.inner.shards[shard].journal().handoff_secs.push(secs);
         Ok(report)
     }
 
@@ -1430,14 +1427,14 @@ where
                 shard: sh.shard,
                 jobs: std::mem::take(&mut journal.jobs),
                 events: std::mem::take(&mut journal.events),
-                batches: journal.log.len(),
+                batches: journal.bursts.len(),
                 schedule,
                 price_trace: std::mem::take(&mut journal.price_trace),
                 final_price: sh.price(),
                 depth_samples: std::mem::take(&mut journal.depth_samples),
                 peak_queue_depth: sh.peak_depth.load(Ordering::Relaxed),
                 checkpoints: journal.chain.taken(),
-                handoffs: journal.handoffs,
+                handoffs: journal.handoff_secs.len(),
                 drain_secs: journal.drain_secs,
             });
         }
@@ -1514,6 +1511,10 @@ mod tests {
                 stale_tolerance: f64::NAN,
                 ..ServeConfig::default()
             },
+            ServeConfig {
+                queue_capacity: usize::MAX,
+                ..ServeConfig::default()
+            },
         ] {
             assert!(broken.validate().is_err(), "accepted {broken:?}");
         }
@@ -1561,24 +1562,5 @@ mod tests {
         queue.push(7u8).unwrap();
         assert!(poll_for_arrival(&queue, HOT_SPIN));
         assert!(!poll_for_arrival(&queue, Duration::ZERO));
-    }
-
-    #[test]
-    fn split_burst_mirrors_the_coalescing_rule() {
-        let env = |release: f64| JobEnvelope::new(TenantId(0), 0, release, release + 1.0, 0.1, 1.0);
-        let mut pending: VecDeque<JobEnvelope> =
-            [0.0, 0.3, 0.9, 1.0, 5.0].into_iter().map(env).collect();
-        // Window 0: singletons, even for equal releases.
-        let burst = split_burst(&mut pending, 0.0);
-        assert_eq!(burst.len(), 1);
-        // Window 1.0 from the *first* release (0.3): 0.9 and 1.0 join.
-        let burst = split_burst(&mut pending, 1.0);
-        assert_eq!(burst.len(), 3);
-        assert_eq!(burst[0].release, 0.3);
-        assert_eq!(burst[2].release, 1.0);
-        let burst = split_burst(&mut pending, 1.0);
-        assert_eq!(burst.len(), 1);
-        assert_eq!(burst[0].release, 5.0);
-        assert!(pending.is_empty());
     }
 }

@@ -714,6 +714,276 @@ fn the_watchdog_recovers_a_worker_that_panicked_mid_feed() {
     assert!(pss_serve::deterministic_fields_equal(&report, &expected));
 }
 
+/// Where the two tests below break the worker inside a drained chunk of
+/// six singleton bursts: at the third burst, or at each of the six under
+/// `SERVE_SMOKE=1` (the CI serve-smoke step).
+fn chunk_breaks() -> Vec<usize> {
+    if std::env::var_os("SERVE_SMOKE").is_some() {
+        (0..6).collect()
+    } else {
+        vec![2]
+    }
+}
+
+/// A paused daemon over `algorithm` with `envelopes` queued, which its
+/// worker drains as one chunk once resumed.
+fn spawn_with_chunk<A>(algorithm: A, envelopes: &[JobEnvelope]) -> Daemon<A>
+where
+    A: OnlineAlgorithm,
+    A::Run: LogCheckpointable + Send + 'static,
+{
+    let (daemon, handles) =
+        Daemon::spawn(algorithm, solo_config(), vec![TenantSpec::new("t")]).unwrap();
+    for envelope in envelopes {
+        assert!(matches!(
+            handles[0].submit(*envelope),
+            Ok(Submission::Queued { .. })
+        ));
+    }
+    daemon
+}
+
+/// Sweeps the watchdog until it has reaped and recovered the shard's dead
+/// worker.
+fn recover_by_watchdog<A>(daemon: &mut Daemon<A>)
+where
+    A: OnlineAlgorithm,
+    A::Run: LogCheckpointable + Send + 'static,
+{
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match daemon.watchdog_sweep().unwrap().remove(0) {
+            WatchdogVerdict::Healthy => {
+                assert!(Instant::now() < deadline, "the worker never exited");
+                std::thread::yield_now();
+            }
+            WatchdogVerdict::Recovered { .. } => return,
+            other => panic!("expected a recovery, got {other:?}"),
+        }
+    }
+}
+
+/// Checks that a daemon whose worker broke at burst `k` of the chunk served
+/// all of it: the tenant's counters partition its submissions, and every
+/// deterministic field, the event count included, equals the unbroken run's.
+fn assert_whole_chunk(report: &ServiceReport, expected: &ServiceReport, k: usize) {
+    assert_eq!(
+        report.total_arrivals(),
+        expected.total_arrivals(),
+        "events after a break at burst {k}"
+    );
+    let t = &report.tenants[0];
+    assert_eq!(
+        t.submitted,
+        t.accepted
+            + t.rejected_by_scheduler
+            + t.rejected_by_price
+            + t.rejected_invalid
+            + t.rejected_stale
+            + t.deferred
+            + t.queue_full
+            + t.quota_exceeded,
+        "counters do not partition after a break at burst {k}"
+    );
+    assert!(
+        pss_serve::deterministic_fields_equal(report, expected),
+        "a break at burst {k} diverged from the unbroken run"
+    );
+}
+
+/// A feed fault inside a drained chunk loses none of it: the worker
+/// journals the whole chunk before it feeds a burst, so the recovery feeds
+/// the bursts the poisoned worker never reached.
+#[test]
+fn a_feed_fault_inside_a_drained_chunk_loses_no_acknowledged_work() {
+    let envelopes: Vec<JobEnvelope> = (0..6).map(|tag| env(tag, tag as f64)).collect();
+    let plain = spawn_with_chunk(CllScheduler, &envelopes);
+    plain.resume();
+    let expected = plain.shutdown().unwrap();
+    for k in chunk_breaks() {
+        let mut daemon = spawn_with_chunk(CllScheduler, &envelopes);
+        daemon.inject_feed_fault(0, k);
+        daemon.resume();
+        recover_by_watchdog(&mut daemon);
+        assert_whole_chunk(&daemon.shutdown().unwrap(), &expected, k);
+    }
+}
+
+/// Raised by the first run of [`PanicsMidChunk`] that panics; the one
+/// test below lowers it before each daemon it starts.
+static PANICKED_MID_CHUNK: AtomicBool = AtomicBool::new(false);
+
+/// CLL whose `on_arrivals` panics on the first feed of a burst holding a
+/// marked job, and only then: a worker that dies inside a drained chunk,
+/// before it feeds the chunk's later bursts.
+#[derive(Debug, Clone, Copy)]
+struct PanicsMidChunk;
+
+struct PanicsMidChunkRun(<CllScheduler as OnlineAlgorithm>::Run);
+
+impl OnlineAlgorithm for PanicsMidChunk {
+    type Run = PanicsMidChunkRun;
+
+    fn algorithm_name(&self) -> String {
+        CllScheduler.algorithm_name()
+    }
+
+    fn start(&self, machines: usize, alpha: f64) -> Result<Self::Run, ScheduleError> {
+        CllScheduler.start(machines, alpha).map(PanicsMidChunkRun)
+    }
+}
+
+impl OnlineScheduler for PanicsMidChunkRun {
+    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
+        if jobs.iter().any(|job| job.value > MARK_VALUE)
+            && !PANICKED_MID_CHUNK.swap(true, Ordering::SeqCst)
+        {
+            panic!("a marked burst");
+        }
+        self.0.on_arrivals(jobs, now)
+    }
+
+    fn frontier(&self) -> &Schedule {
+        self.0.frontier()
+    }
+
+    fn finish(self) -> Result<Schedule, ScheduleError> {
+        self.0.finish()
+    }
+}
+
+impl LogCheckpointable for PanicsMidChunkRun {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        self.0.snapshot_live(log)
+    }
+
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
+        LogCheckpointable::restore_with_log(blob, log).map(PanicsMidChunkRun)
+    }
+}
+
+/// A run that panics inside a drained chunk loses none of it either: the
+/// recovery replays the panicking burst and feeds the ones after it.
+#[test]
+fn a_panic_inside_a_drained_chunk_loses_no_acknowledged_work() {
+    for k in chunk_breaks() {
+        let mut envelopes: Vec<JobEnvelope> = (0..6).map(|tag| env(tag, tag as f64)).collect();
+        envelopes[k].value = 2.0 * MARK_VALUE;
+        let plain = spawn_with_chunk(CllScheduler, &envelopes);
+        plain.resume();
+        let expected = plain.shutdown().unwrap();
+        PANICKED_MID_CHUNK.store(false, Ordering::SeqCst);
+        let mut daemon = spawn_with_chunk(PanicsMidChunk, &envelopes);
+        daemon.resume();
+        recover_by_watchdog(&mut daemon);
+        assert!(PANICKED_MID_CHUNK.load(Ordering::SeqCst));
+        assert_whole_chunk(&daemon.shutdown().unwrap(), &expected, k);
+    }
+}
+
+/// Feeds of a marked burst by runs of [`PanicsOnEachMark`], the worker's
+/// and the recoveries' alike.  Only the one test below starts such runs.
+static MARK_PANICS: AtomicUsize = AtomicUsize::new(0);
+
+/// CLL whose `on_arrivals` panics on every feed of a burst holding a
+/// marked job: a run whose journal replay panics as its worker did.
+#[derive(Debug, Clone, Copy)]
+struct PanicsOnEachMark;
+
+struct PanicsOnEachMarkRun(<CllScheduler as OnlineAlgorithm>::Run);
+
+impl OnlineAlgorithm for PanicsOnEachMark {
+    type Run = PanicsOnEachMarkRun;
+
+    fn algorithm_name(&self) -> String {
+        "CLL panicking on every marked burst".into()
+    }
+
+    fn start(&self, machines: usize, alpha: f64) -> Result<Self::Run, ScheduleError> {
+        CllScheduler.start(machines, alpha).map(PanicsOnEachMarkRun)
+    }
+}
+
+impl OnlineScheduler for PanicsOnEachMarkRun {
+    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
+        if jobs.iter().any(|job| job.value > MARK_VALUE) {
+            MARK_PANICS.fetch_add(1, Ordering::SeqCst);
+            panic!("a marked burst");
+        }
+        self.0.on_arrivals(jobs, now)
+    }
+
+    fn frontier(&self) -> &Schedule {
+        self.0.frontier()
+    }
+
+    fn finish(self) -> Result<Schedule, ScheduleError> {
+        self.0.finish()
+    }
+}
+
+impl LogCheckpointable for PanicsOnEachMarkRun {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        self.0.snapshot_live(log)
+    }
+
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
+        LogCheckpointable::restore_with_log(blob, log).map(PanicsOnEachMarkRun)
+    }
+}
+
+/// A recovery whose journal replay panics fails like one whose replay
+/// returns an error: the sweep returns it, the shard stays poisoned, and
+/// after the configured attempts the watchdog gives up.  The control plane
+/// never unwinds.
+#[test]
+fn a_replay_that_panics_fails_the_recovery_instead_of_unwinding() {
+    let config = ServeConfig {
+        max_recovery_attempts: 2,
+        ..solo_config()
+    };
+    let (mut daemon, handles) =
+        Daemon::spawn(PanicsOnEachMark, config, vec![TenantSpec::new("t")]).unwrap();
+    let mut marked = env(1, 1.0);
+    marked.value = 2.0 * MARK_VALUE;
+    for envelope in [env(0, 0.0), marked] {
+        assert!(matches!(
+            handles[0].submit(envelope),
+            Ok(Submission::Queued { .. })
+        ));
+    }
+    daemon.resume();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut sweep = daemon.watchdog_sweep();
+    while matches!(sweep.as_deref(), Ok([WatchdogVerdict::Healthy])) {
+        assert!(Instant::now() < deadline, "the worker never exited");
+        std::thread::yield_now();
+        sweep = daemon.watchdog_sweep();
+    }
+    for attempt in 1..=2 {
+        let error = sweep.expect_err("a replay that panics must fail the recovery");
+        assert!(
+            error.to_string().contains("the run panicked"),
+            "attempt {attempt}: unexpected error: {error}"
+        );
+        assert!(matches!(
+            handles[0].submit(env(2, 2.0)),
+            Err(IngressError::ShuttingDown)
+        ));
+        sweep = daemon.watchdog_sweep();
+    }
+    assert_eq!(sweep.unwrap(), [WatchdogVerdict::GaveUp { attempts: 2 }]);
+    assert_eq!(
+        MARK_PANICS.load(Ordering::SeqCst),
+        3,
+        "the worker's feed and two replays"
+    );
+    assert!(
+        daemon.shutdown().is_err(),
+        "a shard left down must fail the shutdown"
+    );
+}
+
 #[test]
 fn shutdown_rejects_new_submissions() {
     let (daemon, handles) = Daemon::spawn(
