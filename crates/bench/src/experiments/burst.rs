@@ -196,7 +196,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 b.to_string(),
                 rows.to_string(),
                 stream.batches.to_string(),
-                format!("{}/{rows}", stream.accepted_jobs()),
+                format!("{}/{rows}", stream.accepted()),
                 fmt_f64(p50 * 1e6),
                 fmt_f64(p95 * 1e6),
                 fmt_f64(p99 * 1e6),

@@ -21,8 +21,8 @@
 use pss_core::prelude::*;
 use pss_metrics::table::fmt_f64;
 use pss_metrics::Table;
-use pss_serve::{deterministic_fields_equal, ChaosDriver, ChaosRun, FaultPlan};
-use pss_sim::StreamingSimulation;
+use pss_serve::{deterministic_fields_equal, ring_capacity, ChaosDriver, ChaosRun, FaultPlan};
+use pss_sim::{FeedRecord, ShardCore, StreamingSimulation, PRICE_SMOOTHING};
 use pss_workloads::ScenarioConfig;
 
 use super::ExperimentOutput;
@@ -50,29 +50,29 @@ struct Cell {
 }
 
 /// The toggle-matrix differential oracle on one instance: CLL driven
-/// warm-started vs from-scratch must emit identical decisions (accepted
-/// flags and dual bits) and agree on total cost.
+/// warm-started vs from-scratch, one job per feed at its release, must
+/// record identical decisions (records `==`, dual bits included) and agree
+/// on total cost.
 fn warm_vs_cold_agree(instance: &Instance) -> bool {
-    let drive = |warm: bool| -> (Vec<(bool, u64)>, Schedule) {
-        let mut run = CllScheduler
+    let drive = |warm: bool| -> (FeedRecord, Schedule) {
+        let run = CllScheduler
             .start(instance.machines, instance.alpha)
             .expect("CLL start")
             .with_warm_start(warm);
-        let decisions = instance
-            .jobs
-            .iter()
-            .map(|job| {
-                let d = run.on_arrival(job, job.release).expect("arrival");
-                (d.accepted, d.dual.to_bits())
-            })
-            .collect();
-        (decisions, run.finish().expect("finish"))
+        let mut core = ShardCore::new(run, PRICE_SMOOTHING);
+        let mut record = FeedRecord::default();
+        for job in &instance.jobs {
+            let tag = job.id.index() as u64;
+            core.feed(&mut record, [(*job, tag)], job.release)
+                .expect("arrival");
+        }
+        (record, core.finish().expect("finish"))
     };
-    let (warm_decisions, warm_schedule) = drive(true);
-    let (cold_decisions, cold_schedule) = drive(false);
+    let (warm_record, warm_schedule) = drive(true);
+    let (cold_record, cold_schedule) = drive(false);
     let warm_cost = warm_schedule.cost(instance).total();
     let cold_cost = cold_schedule.cost(instance).total();
-    warm_decisions == cold_decisions && (warm_cost - cold_cost).abs() <= 1e-9 * warm_cost.max(1.0)
+    warm_record == cold_record && (warm_cost - cold_cost).abs() <= 1e-9 * warm_cost.max(1.0)
 }
 
 /// Runs one scenario cell: the three chaos runs plus the stand-alone
@@ -111,7 +111,7 @@ fn run_cell(config: &ScenarioConfig, driver: &ChaosDriver, waves: usize, idx: us
         s.jobs.iter().enumerate().all(|(i, j)| j.id == JobId(i))
             && s.events.len() == s.jobs.len()
             && s.price_trace.len() == s.batches
-            && s.max_queue_depth() <= driver.queue_capacity.next_power_of_two()
+            && ring_capacity(driver.queue_capacity).is_ok_and(|ring| s.max_queue_depth() <= ring)
             && s.instance(report.machines, report.alpha)
                 .is_ok_and(|inst| validate_schedule(&inst, &s.schedule).is_ok())
     }) && report.tenants.iter().all(|t| {
@@ -295,7 +295,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
         notes: vec![
             format!(
                 "every fault-injected soak equals its fault-free reference on every \
-                 deterministic field (events, prices, schedules, bit-compared): {}",
+                 deterministic field (shard records, schedules, bit-compared): {}",
                 check(invisible)
             ),
             format!(

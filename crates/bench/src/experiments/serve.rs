@@ -30,7 +30,9 @@ use std::time::{Duration, Instant};
 use pss_core::prelude::*;
 use pss_metrics::table::fmt_f64;
 use pss_metrics::{JsonValue, Table};
-use pss_serve::{Daemon, RecoveryReport, ServeConfig, ServiceReport, TenantHandle, TenantSpec};
+use pss_serve::{
+    ring_capacity, Daemon, RecoveryReport, ServeConfig, ServiceReport, TenantHandle, TenantSpec,
+};
 use pss_sim::StreamingSimulation;
 use pss_types::{IngressError, JobEnvelope, LogCheckpointable, TenantId};
 use pss_workloads::{ArrivalModel, RandomConfig, ValueModel, WindowModel, WorkModel};
@@ -266,7 +268,7 @@ fn accounting_partitions(outcome: &SoakOutcome) -> bool {
 fn depths_bounded(outcome: &SoakOutcome) -> bool {
     outcome.report.shards.iter().all(|s| {
         let max = s.max_queue_depth();
-        max > 0 && max <= outcome.queue_capacity.next_power_of_two()
+        max > 0 && ring_capacity(outcome.queue_capacity).is_ok_and(|ring| max <= ring)
     })
 }
 
@@ -286,7 +288,7 @@ fn shards_consistent(outcome: &SoakOutcome) -> bool {
 
 /// The differential pin, inline: a single-tenant, single-shard daemon fed a
 /// pre-queued stream must match `StreamingSimulation::with_coalescing`
-/// bit-for-bit (ids, decisions, duals, batch structure, schedule).
+/// bit-for-bit (the record, batch structure, schedule).
 fn daemon_matches_streaming<A>(algorithm: A, window: f64, seed: u64) -> bool
 where
     A: OnlineAlgorithm + Clone,
@@ -341,11 +343,8 @@ where
         .run(&algorithm, &instance)
         .expect("offline stream");
     let shard = &report.shards[0];
-    shard.events.len() == stream.events.len()
+    shard.record == stream.record
         && shard.batches == stream.batches
-        && shard.events.iter().zip(&stream.events).all(|(a, b)| {
-            a.job == b.job && a.accepted == b.accepted && a.dual.to_bits() == b.dual.to_bits()
-        })
         && shard.schedule.segments == stream.schedule.segments
 }
 

@@ -124,7 +124,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
             latency.push_row(vec![
                 stream.algorithm.clone(),
                 n.to_string(),
-                format!("{}/{n}", stream.accepted_jobs()),
+                format!("{}/{n}", stream.accepted()),
                 fmt_f64(p50 * 1e6),
                 fmt_f64(p95 * 1e6),
                 fmt_f64(p99 * 1e6),

@@ -34,6 +34,7 @@ pub fn check_file(rel_path: &str, src: &Source) -> Vec<Finding> {
     findings.extend(rules::arrival_override(rel_path, src));
     findings.extend(rules::checkpoint_outside_chain(rel_path, src));
     findings.extend(rules::serve_unwrap(rel_path, src));
+    findings.extend(rules::decision_oracle(rel_path, src));
     findings
 }
 

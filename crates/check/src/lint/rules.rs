@@ -18,6 +18,7 @@
 //! | `arrival-override` | runs implement only `on_arrivals`; `on_arrival` is the trait's provided one-job burst |
 //! | `checkpoint-outside-chain` | the simulator and the serving layer checkpoint runs only through `pss_sim::CheckpointChain` |
 //! | `serve-unwrap` | no `unwrap`/`expect` in the serving layer, whose worker and control plane must not panic |
+//! | `decision-oracle` | decisions are compared only through the feed record's bit-exact `==`, never by hand on `dual.to_bits()` |
 
 use super::source::Source;
 
@@ -490,6 +491,33 @@ pub fn serve_unwrap(path: &str, src: &Source) -> Vec<Finding> {
                 idx,
                 RULE,
                 "the serving layer must not panic: return a typed error instead".into(),
+            ));
+        }
+    }
+    out
+}
+
+/// The one file allowed to compare decisions by their dual bits: the feed
+/// record's, whose bit-exact `==` is every driver's determinism oracle.
+pub const DECISION_RECORD: &str = "crates/sim/src/record.rs";
+
+/// `decision-oracle`: forbids `dual.to_bits()` outside `#[cfg(test)]` code
+/// and [`DECISION_RECORD`].  Such a call marks a decision comparison written
+/// by hand, and hand-written comparisons drift apart in the fields they
+/// check: compare `pss_sim::FeedRecord`s with `==` instead.
+pub fn decision_oracle(path: &str, src: &Source) -> Vec<Finding> {
+    const RULE: &str = "decision-oracle";
+    if path == DECISION_RECORD {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (idx, line) in src.lines.iter().enumerate() {
+        if line.contains("dual.to_bits()") && !src.waived(idx, RULE) {
+            out.push(finding(
+                path,
+                idx,
+                RULE,
+                "compare decisions through pss_sim::FeedRecord's bit-exact ==, not by hand".into(),
             ));
         }
     }

@@ -219,6 +219,34 @@ fn serve_unwrap_flags_panicking_unwraps_in_the_serving_layer() {
 }
 
 #[test]
+fn decision_rule_confines_dual_bit_comparisons_to_the_record() {
+    const RULE: &str = "decision-oracle";
+    let bad = "fn same(a: &Decision, b: &Decision) -> bool { a.dual.to_bits() == b.dual.to_bits() }\n\
+               fn pin(x: &[E], y: &[E]) -> bool { x.iter().zip(y).all(|(s, p)| s.dual.to_bits() == p.dual.to_bits()) }\n";
+    assert_eq!(rule_hits("crates/serve/src/chaos.rs", bad, RULE), 2);
+    assert_eq!(rule_hits("crates/sim/src/sharded.rs", bad, RULE), 2);
+    assert_eq!(
+        rule_hits("crates/bench/src/experiments/route.rs", bad, RULE),
+        2
+    );
+    // The record's own equality, test modules and waived lines are out of
+    // scope.
+    assert_eq!(rule_hits("crates/sim/src/record.rs", bad, RULE), 0);
+    let test_only =
+        "#[cfg(test)]\nmod tests {\n    fn a(d: &Decision) -> u64 { d.dual.to_bits() }\n}\n";
+    assert_eq!(rule_hits("crates/serve/src/daemon.rs", test_only, RULE), 0);
+    let waived = "// pss-lint: allow(decision-oracle) — a raw run's decisions\nfn a(d: &Decision) -> u64 { d.dual.to_bits() }\n";
+    assert_eq!(
+        rule_hits("crates/bench/src/experiments/chaos.rs", waived, RULE),
+        0
+    );
+    // Comparing records, and other floats' bits, is compliant.
+    let good = "fn a(x: &FeedRecord, y: &FeedRecord) -> bool { x == y }\n\
+                fn b(p: f64, q: f64) -> bool { p.to_bits() == q.to_bits() }\n";
+    assert_eq!(rule_hits("crates/serve/src/chaos.rs", good, RULE), 0);
+}
+
+#[test]
 fn waiver_comment_suppresses_the_named_rule_only() {
     let waived =
         "// pss-lint: allow(float-eq) — exact sentinel\nfn f(x: f64) -> bool { x == 0.0 }\n";

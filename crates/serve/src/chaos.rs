@@ -45,6 +45,7 @@ use pss_types::{
 use pss_workloads::SmallRng;
 
 use crate::daemon::{Daemon, ServeConfig, Submission, WatchdogVerdict, WAIT_LIMIT};
+use crate::queue::ring_capacity;
 use crate::report::ServiceReport;
 use crate::retry::{RetryError, RetryPolicy};
 use crate::tenant::TenantSpec;
@@ -295,18 +296,16 @@ impl Default for ChaosDriver {
 }
 
 impl ChaosDriver {
-    /// The ring capacity after the queue's power-of-two rounding — the
-    /// size a storm wave must have to fill it exactly.
-    fn rounded_capacity(&self) -> usize {
-        self.queue_capacity.max(2).next_power_of_two()
-    }
-
     /// Splits the instance's jobs (in arrival order) into waves: storm
-    /// waves take a full ring's worth, others `wave_size`.  Pure workload
-    /// shaping — identical for fault-free and fault-injected runs.
-    fn partition(&self, instance: &Instance, plan: &FaultPlan) -> Vec<Vec<JobEnvelope>> {
+    /// waves take a full ring of `cap` envelopes, others `wave_size`.  Pure
+    /// workload shaping — identical for fault-free and fault-injected runs.
+    fn partition(
+        &self,
+        instance: &Instance,
+        plan: &FaultPlan,
+        cap: usize,
+    ) -> Vec<Vec<JobEnvelope>> {
         let envelopes = pss_workloads::arrival_envelopes(instance);
-        let cap = self.rounded_capacity();
         let mut waves = Vec::new();
         let mut idx = 0;
         let mut w = 0;
@@ -340,7 +339,9 @@ impl ChaosDriver {
         A: OnlineAlgorithm,
         A::Run: LogCheckpointable + Send + 'static,
     {
-        let cap = self.rounded_capacity();
+        // The ring after the queue's rounding: the size a storm wave must
+        // have to fill it exactly.
+        let cap = ring_capacity(self.queue_capacity)?;
         let config = ServeConfig {
             machines: instance.machines,
             alpha: instance.alpha,
@@ -380,7 +381,7 @@ impl ChaosDriver {
             jitter: 0.5,
         };
 
-        let waves = self.partition(instance, plan);
+        let waves = self.partition(instance, plan, cap);
         let mut stats = ChaosStats::default();
         let mut expected_events = 0usize;
         let mut batches_fed = 0usize;
@@ -502,6 +503,11 @@ where
                     )),
                 };
             }
+            WatchdogVerdict::Failed { attempts } => {
+                return Err(ScheduleError::Internal(format!(
+                    "recovery attempt {attempts} failed during a chaos run"
+                )));
+            }
             WatchdogVerdict::GaveUp { attempts } => {
                 return Err(ScheduleError::Internal(format!(
                     "watchdog gave up after {attempts} attempts during a chaos run"
@@ -598,44 +604,24 @@ where
 }
 
 /// Whether two service reports agree on every *deterministic* field: the
-/// fed jobs, every decision event (ids, feed times, accepted/expired
-/// flags, dual bits), the per-batch price trace and final price (bit
-/// compared), and the final schedules.  Wall-clock fields (drain and
-/// recovery latencies, depth samples, checkpoint counts) and per-tenant
-/// decoy accounting are excluded on purpose — they legitimately differ
-/// between a fault-free and a fault-injected run.
+/// algorithm, machines and α, and per shard its record (`==`: the fed
+/// jobs, every decision and the price trace, bit for bit), its jobs'
+/// tenants, its final price and its schedule.  Wall-clock fields (feed,
+/// drain and recovery latencies, depth samples, checkpoint counts) and
+/// per-tenant decoy accounting are excluded on purpose — they legitimately
+/// differ between a fault-free and a fault-injected run.
 pub fn deterministic_fields_equal(a: &ServiceReport, b: &ServiceReport) -> bool {
-    if a.algorithm != b.algorithm
-        || a.machines != b.machines
-        || a.alpha.to_bits() != b.alpha.to_bits()
-        || a.shards.len() != b.shards.len()
-    {
-        return false;
-    }
-    a.shards.iter().zip(&b.shards).all(|(x, y)| {
-        x.shard == y.shard
-            && x.jobs == y.jobs
-            && x.events.len() == y.events.len()
-            && x.events.iter().zip(&y.events).all(|(e, f)| {
-                e.shard == f.shard
-                    && e.tenant == f.tenant
-                    && e.tag == f.tag
-                    && e.job == f.job
-                    && e.release.to_bits() == f.release.to_bits()
-                    && e.feed_time.to_bits() == f.feed_time.to_bits()
-                    && e.batch == f.batch
-                    && e.accepted == f.accepted
-                    && e.expired == f.expired
-                    && e.dual.to_bits() == f.dual.to_bits()
-            })
-            && x.price_trace.len() == y.price_trace.len()
-            && x.price_trace
-                .iter()
-                .zip(&y.price_trace)
-                .all(|(p, q)| p.to_bits() == q.to_bits())
-            && x.final_price.to_bits() == y.final_price.to_bits()
-            && x.schedule == y.schedule
-    })
+    a.algorithm == b.algorithm
+        && a.machines == b.machines
+        && a.alpha.to_bits() == b.alpha.to_bits()
+        && a.shards.len() == b.shards.len()
+        && a.shards.iter().zip(&b.shards).all(|(x, y)| {
+            x.shard == y.shard
+                && x.record == y.record
+                && x.tenants == y.tenants
+                && x.final_price.to_bits() == y.final_price.to_bits()
+                && x.schedule == y.schedule
+        })
 }
 
 #[cfg(test)]

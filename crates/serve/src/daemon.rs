@@ -81,7 +81,7 @@
 //!
 //! Recovery takes the run from the newest checkpoint that decodes against
 //! the log (a corrupted checkpoint costs replay length, not the shard),
-//! rewinds the derived records to it, and feeds the journal's bursts after
+//! rewinds the shard's record to it, and feeds the journal's bursts after
 //! it — reproducing the pre-crash decisions bit-for-bit, because every
 //! run's restore is bit-identical and the journal fixes feed times and id
 //! assignment.  If the whole chain is corrupt, the run restarts cold and
@@ -108,14 +108,14 @@ use std::time::{Duration, Instant};
 // comment.
 use pss_check::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use pss_metrics::DrainSummary;
-use pss_sim::{burst_len, expired_at, CheckpointChain, ShardCore, PRICE_SMOOTHING};
+use pss_sim::{burst_len, CheckpointChain, FeedRecord, ShardCore, PRICE_SMOOTHING};
 use pss_types::{
-    IngressError, Job, JobEnvelope, JobId, LogCheckpointable, OnlineAlgorithm, OnlineScheduler,
+    IngressError, JobEnvelope, JobId, LogCheckpointable, OnlineAlgorithm, OnlineScheduler,
     Schedule, ScheduleError, TenantId,
 };
 
-use crate::queue::ArrivalQueue;
-use crate::report::{ServedEvent, ServiceReport, ShardReport};
+use crate::queue::{ring_capacity, ArrivalQueue};
+use crate::report::{ServiceReport, ShardReport};
 use crate::tenant::{BackpressurePolicy, TenantSpec, TenantState};
 
 /// How long an idle worker parks between queue polls.  Bounded parking
@@ -309,10 +309,7 @@ impl ServeConfig {
         if self.shards == 0 {
             return bad("service needs at least one shard".into());
         }
-        let ring = self.queue_capacity.max(2);
-        if ring.checked_next_power_of_two().is_none() {
-            return bad("queue_capacity does not round up to a power of two".into());
-        }
+        ring_capacity(self.queue_capacity)?;
         if self.max_batch == 0 {
             return bad("max_batch must be positive".into());
         }
@@ -394,6 +391,14 @@ pub enum WatchdogVerdict {
         /// Consecutive automatic recovery attempts, including this one.
         attempts: usize,
     },
+    /// The worker was dead and this sweep's recovery failed (its replay
+    /// panicking included).  The shard stays down and poisoned, and
+    /// [`Daemon::shutdown`] returns the error; a later sweep tries again
+    /// until the attempts run out.
+    Failed {
+        /// Consecutive automatic recovery attempts, including this one.
+        attempts: usize,
+    },
     /// The worker was dead but the shard already exhausted
     /// [`ServeConfig::max_recovery_attempts`] consecutive recoveries; the
     /// shard is left down for the operator.
@@ -404,7 +409,7 @@ pub enum WatchdogVerdict {
 }
 
 /// Everything a shard's worker writes: the arrival journal the run is fed
-/// from, the derived per-event records, and the lifecycle outcome.
+/// from, the record of what the run decided, and the lifecycle outcome.
 #[derive(Debug)]
 struct ShardJournal {
     /// Every envelope the worker drained, in drain order; envelope k is fed
@@ -414,15 +419,14 @@ struct ShardJournal {
     /// order: a burst's envelopes run from the previous burst's end to its
     /// own.  The run has fed the first `ShardCore::state().batches`.
     bursts: Vec<(f64, usize)>,
-    events: Vec<ServedEvent>,
-    /// The jobs as fed, one per fed envelope, at the envelope's index.
-    jobs: Vec<Job>,
-    price_trace: Vec<f64>,
+    /// What the shard's core decided for each fed envelope, at the
+    /// envelope's index, and the price after each fed burst.
+    record: FeedRecord,
     depth_samples: Vec<usize>,
     /// The shard's segment log and its bounded checkpoint chain: synced
     /// after every fed batch and captured on the checkpoint cadence, both
-    /// under this lock.  A checkpoint's event count indexes `events` and
-    /// `jobs`, and its batch count indexes `bursts`.
+    /// under this lock.  A checkpoint's event count indexes the record's
+    /// jobs, and its batch count indexes `bursts`.
     chain: CheckpointChain,
     handoff_secs: Vec<f64>,
     drain_secs: f64,
@@ -436,9 +440,7 @@ impl ShardJournal {
         Self {
             envelopes: Vec::new(),
             bursts: Vec::new(),
-            events: Vec::new(),
-            jobs: Vec::new(),
-            price_trace: Vec::new(),
+            record: FeedRecord::default(),
             depth_samples: Vec::new(),
             chain: CheckpointChain::new(machines, retain),
             handoff_secs: Vec::new(),
@@ -477,7 +479,7 @@ impl ShardJournal {
     {
         let last = core.state().batches.checked_sub(1);
         let time = last.map_or(f64::NEG_INFINITY, |b| self.bursts[b].0);
-        self.chain.capture(core, self.jobs.len(), time)
+        self.chain.capture(core, self.record.jobs.len(), time)
     }
 }
 
@@ -535,10 +537,10 @@ struct ShardShared {
 }
 
 impl ShardShared {
-    fn new(shard: usize, config: &ServeConfig) -> Self {
-        Self {
+    fn new(shard: usize, config: &ServeConfig) -> Result<Self, ScheduleError> {
+        Ok(Self {
             shard,
-            queue: ArrivalQueue::with_capacity(config.queue_capacity),
+            queue: ArrivalQueue::with_capacity(config.queue_capacity)?,
             submitting: AtomicUsize::new(0),
             peak_depth: AtomicUsize::new(0),
             price_bits: AtomicU64::new(0.0_f64.to_bits()),
@@ -551,7 +553,7 @@ impl ShardShared {
             failed: AtomicBool::new(false),
             worker: Mutex::new(None),
             journal: Mutex::new(ShardJournal::new(config.machines, config.checkpoint_chain)),
-        }
+        })
     }
 
     // Ordering contract for the published signals: the worker stores both
@@ -577,8 +579,8 @@ impl ShardShared {
 
     /// The journal, even if a worker panicked while holding it: such a
     /// worker is dead like a crashed one, and recovery truncates the
-    /// journal's events, jobs and price trace to the restored checkpoint and
-    /// feeds the bursts after it, so whatever it half-wrote is never read.
+    /// journal's record to the restored checkpoint and feeds the bursts
+    /// after it, so whatever it half-wrote is never read.
     fn journal(&self) -> MutexGuard<'_, ShardJournal> {
         self.journal.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -761,46 +763,27 @@ impl TenantHandle {
 }
 
 /// Feeds the journal's first unfed burst, the one numbered by the core's
-/// batch count, through the shard's core and records its outcomes: the
-/// jobs as fed, one event per job, the price trace, the segment log and the
-/// published price and watermark.  The live worker and the recovery replay
-/// both feed the journal through this, which is what makes replay
-/// bit-identical.
+/// batch count, through the shard's core into the journal's record, then
+/// syncs the segment log and publishes the price and watermark.  The live
+/// worker and the recovery replay both feed the journal through this,
+/// which is what makes replay bit-identical.
 ///
 /// A job that *expired in the queue* (admitted in time, then overtaken by
 /// the watermark) is rejected by the core at its value without reaching
-/// the run, and its event is marked [`ServedEvent::expired`]; the run is
-/// never poisoned by it.
+/// the run, and its entry is marked expired; the run is never poisoned by
+/// it.
 fn feed_batch<R: OnlineScheduler>(
     core: &mut ShardCore<R>,
     shard: &ShardShared,
     journal: &mut ShardJournal,
 ) -> Result<(), ScheduleError> {
-    let index = core.state().batches;
-    let (feed_time, end) = journal.bursts[index];
+    let (feed_time, end) = journal.bursts[core.state().batches];
     // Every earlier burst is fed, so this one starts at the first envelope
     // without a job, and envelope k is fed as dense job k.
-    let base = journal.jobs.len();
-    let envelopes = &journal.envelopes[base..end];
-    let jobs = envelopes.iter().zip(base..).map(|(e, k)| e.job(JobId(k)));
-    journal.jobs.extend(jobs);
-    core.feed(&mut journal.jobs[base..], feed_time)?;
-    let fed = envelopes.iter().zip(&journal.jobs[base..]);
-    for ((envelope, job), decision) in fed.zip(core.decisions()) {
-        journal.events.push(ServedEvent {
-            shard: shard.shard,
-            tenant: envelope.tenant,
-            tag: envelope.tag,
-            job: job.id,
-            release: envelope.release,
-            feed_time,
-            batch: index,
-            accepted: decision.accepted,
-            expired: expired_at(job, feed_time),
-            dual: decision.dual,
-        });
-    }
-    journal.price_trace.push(core.price());
+    let base = journal.record.jobs.len();
+    let envelopes = journal.envelopes[base..end].iter().zip(base..);
+    let burst = envelopes.map(|(e, k)| (e.job(JobId(k)), e.tag));
+    core.feed(&mut journal.record, burst, feed_time)?;
     // The run's frontier just grew by this batch's committed segments;
     // mirror the delta into the shard's segment log.  Recovery replays
     // through this same path, so a restored shard rebuilds the identical
@@ -1009,8 +992,8 @@ where
             paused: AtomicBool::new(config.start_paused),
             tenants: tenants.into_iter().map(TenantState::new).collect(),
             shards: (0..config.shards)
-                .map(|s| Arc::new(ShardShared::new(s, &config)))
-                .collect(),
+                .map(|s| ShardShared::new(s, &config).map(Arc::new))
+                .collect::<Result<_, _>>()?,
         });
         // The daemon exists before its first worker, so an error part-way
         // through drops it, and its `Drop` releases the workers already
@@ -1087,11 +1070,11 @@ where
         self.inner.shards[shard].idle_epoch.load(Ordering::Acquire)
     }
 
-    /// How many decision events the shard has journalled so far.  A driver
-    /// that knows how many envelopes it queued polls this to detect that
-    /// the worker has fed them all.
+    /// How many decisions the shard has recorded so far.  A driver that
+    /// knows how many envelopes it queued polls this to detect that the
+    /// worker has fed them all.
     pub fn shard_event_count(&self, shard: usize) -> usize {
-        self.inner.shards[shard].journal().events.len()
+        self.inner.shards[shard].journal().record.events.len()
     }
 
     /// Waits until every shard's worker has parked at a quiescent boundary
@@ -1188,7 +1171,7 @@ where
     /// Restores a dead shard on a fresh worker thread: reconstructs the run
     /// from the newest checkpoint in the chain whose blob still decodes
     /// (skipping corrupted blobs towards older ones), rewinds
-    /// the derived records to that checkpoint, replays the journalled
+    /// the shard's record to that checkpoint, replays the journalled
     /// batches after it (bit-identically — same feed times, same dense
     /// ids), and resumes ingestion where the dead worker left off.  If
     /// *every* blob in the chain is corrupt the run is rebuilt from scratch
@@ -1227,8 +1210,8 @@ where
     }
 
     /// Recovers the shard's run from its checkpoint chain, rewinds the
-    /// derived records and the published signals to the restored
-    /// checkpoint, and replays the journalled batches after it.
+    /// record and the published signals to the restored checkpoint, and
+    /// replays the journalled batches after it.
     fn replay(
         &self,
         sh: &ShardShared,
@@ -1240,9 +1223,7 @@ where
         })?;
         let mut core = recovery.core;
         let restored = core.state();
-        journal.events.truncate(recovery.events);
-        journal.jobs.truncate(recovery.events);
-        journal.price_trace.truncate(restored.batches);
+        journal.record.truncate(recovery.events, restored.batches);
         sh.price_bits
             .store(restored.price.to_bits(), Ordering::Release);
         sh.watermark_bits
@@ -1278,8 +1259,10 @@ where
     /// [`recover_shard`](Self::recover_shard), up to
     /// [`ServeConfig::max_recovery_attempts`] *consecutive* recoveries;
     /// past the cap the verdict is [`WatchdogVerdict::GaveUp`] and the
-    /// shard stays down.  A healthy shard resets its attempt counter.
-    /// Returns one verdict per shard, in shard order.
+    /// shard stays down.  A recovery that fails is the shard's
+    /// [`WatchdogVerdict::Failed`], and the sweep goes on to the next shard.
+    /// A healthy shard resets its attempt counter.  Returns one verdict per
+    /// shard, in shard order.
     pub fn watchdog_sweep(&mut self) -> Result<Vec<WatchdogVerdict>, ScheduleError> {
         let mut verdicts = Vec::with_capacity(self.inner.shards.len());
         for shard in 0..self.inner.shards.len() {
@@ -1306,11 +1289,13 @@ where
                 verdicts.push(WatchdogVerdict::GaveUp { attempts: spent });
                 continue;
             }
-            sh.recovery_attempts.store(spent + 1, Ordering::Release);
-            let report = self.recover_shard(shard)?;
-            verdicts.push(WatchdogVerdict::Recovered {
-                report,
-                attempts: spent + 1,
+            let attempts = spent + 1;
+            sh.recovery_attempts.store(attempts, Ordering::Release);
+            // A failed recovery poisons the shard, which keeps its error for
+            // `shutdown`.
+            verdicts.push(match self.recover_shard(shard) {
+                Ok(report) => WatchdogVerdict::Recovered { report, attempts },
+                Err(_) => WatchdogVerdict::Failed { attempts },
             });
         }
         Ok(verdicts)
@@ -1390,11 +1375,16 @@ where
             shard.unpark_worker();
         }
         for (s, worker) in self.workers.iter_mut().enumerate() {
-            let handle = worker.take().ok_or_else(|| {
-                ScheduleError::Internal(format!(
-                    "shard {s} has no live worker at shutdown (crashed and never recovered?)"
-                ))
-            })?;
+            let Some(handle) = worker.take() else {
+                // A shard left down by a failed recovery or hand-off reports
+                // the error that poisoned it.
+                let failed = self.inner.shards[s].journal().failed.take();
+                return Err(failed.unwrap_or_else(|| {
+                    ScheduleError::Internal(format!(
+                        "shard {s} has no live worker at shutdown (crashed and never recovered?)"
+                    ))
+                }));
+            };
             handle
                 .join()
                 .map_err(|_| ScheduleError::Internal(format!("shard {s} worker panicked")))?;
@@ -1412,11 +1402,13 @@ where
             let schedule = journal.finished.take().ok_or_else(|| {
                 ScheduleError::Internal(format!("shard {} did not finish its run", sh.shard))
             })?;
-            for event in &journal.events {
+            let record = std::mem::take(&mut journal.record);
+            let tenants: Vec<TenantId> = journal.envelopes.iter().map(|e| e.tenant).collect();
+            for (tenant, event) in tenants.iter().zip(&record.events) {
                 if event.accepted {
-                    accepted[event.tenant.index()] += 1;
+                    accepted[tenant.index()] += 1;
                 } else {
-                    rejected[event.tenant.index()] += 1;
+                    rejected[tenant.index()] += 1;
                 }
             }
             drain.drain_secs.push(journal.drain_secs);
@@ -1425,11 +1417,10 @@ where
                 .extend(journal.handoff_secs.iter().copied());
             shards.push(ShardReport {
                 shard: sh.shard,
-                jobs: std::mem::take(&mut journal.jobs),
-                events: std::mem::take(&mut journal.events),
+                record,
+                tenants,
                 batches: journal.bursts.len(),
                 schedule,
-                price_trace: std::mem::take(&mut journal.price_trace),
                 final_price: sh.price(),
                 depth_samples: std::mem::take(&mut journal.depth_samples),
                 peak_queue_depth: sh.peak_depth.load(Ordering::Relaxed),
@@ -1553,7 +1544,7 @@ mod tests {
 
     #[test]
     fn polling_stops_at_an_arrival_or_when_the_window_runs_out() {
-        let queue = ArrivalQueue::with_capacity(4);
+        let queue = ArrivalQueue::with_capacity(4).unwrap();
         // A zero window never polls, whatever the queue holds.
         assert!(!poll_for_arrival(&queue, Duration::ZERO));
         let started = Instant::now();

@@ -18,9 +18,10 @@
 //!   EWMA of the scheduler's own duals is the congestion signal), and a
 //!   checkpointed lifecycle — crash injection, bit-identical journal-replay
 //!   recovery, graceful worker hand-off, and a draining shutdown.
-//! * **[`report`]** — what a run produces: per-decision events, per-shard
-//!   schedules and price traces, per-tenant accounting, and the projection
-//!   onto `pss_metrics::ServiceSummary` for JSON export.
+//! * **[`report`]** — what a run produces: each shard's
+//!   `pss_sim::FeedRecord` (every decision and the price trace) and
+//!   schedule, per-tenant accounting, and the projection onto
+//!   `pss_metrics::ServiceSummary` for JSON export.
 //! * **[`retry`]** — producer-side supervision: [`RetryPolicy`] drives a
 //!   submission through bounded exponential backoff with deterministic
 //!   jitter, honouring `IngressError::is_retryable`, to success or a typed
@@ -36,8 +37,9 @@
 //!   (worker kills, checkpoint corruption, transient feed faults,
 //!   queue-full storms, dead-on-arrival floods, adversarial out-of-order
 //!   interleavings) driven wave-by-wave by [`ChaosDriver`], with
-//!   [`deterministic_fields_equal`] as the oracle that a fault-injected
-//!   run ends equal to the fault-free run on every deterministic field.
+//!   [`deterministic_fields_equal`] (the shard records' bit-exact `==`
+//!   plus a few extras) as the oracle that a fault-injected run ends equal
+//!   to the fault-free run on every deterministic field.
 //!
 //! The service boundary is *total*: every way a submission can fail
 //! surfaces as a typed `pss_types::IngressError`, never a panic and never
@@ -63,8 +65,8 @@ pub mod tenant;
 
 pub use chaos::{deterministic_fields_equal, ChaosDriver, ChaosRun, ChaosStats, FaultPlan};
 pub use daemon::{Daemon, RecoveryReport, ServeConfig, Submission, TenantHandle, WatchdogVerdict};
-pub use queue::ArrivalQueue;
-pub use report::{ServedEvent, ServiceReport, ShardReport};
+pub use queue::{ring_capacity, ArrivalQueue};
+pub use report::{ServiceReport, ShardReport};
 pub use retry::{RetryError, RetryPolicy};
 pub use router::{routed_fields_equal, RoutedReport, RoutedSubmission, StreamRouter};
 pub use tenant::{BackpressurePolicy, TenantSpec};

@@ -48,6 +48,7 @@ use std::mem::MaybeUninit;
 
 use pss_check::cell::UnsafeCell;
 use pss_check::sync::atomic::{AtomicUsize, Ordering};
+use pss_types::ScheduleError;
 
 /// The ordering of the sequence store that publishes a slot to the other
 /// side: `Release`, so the value write happens-before the `Acquire` load
@@ -125,23 +126,35 @@ pub struct ArrivalQueue<T> {
 unsafe impl<T: Send> Sync for ArrivalQueue<T> {}
 unsafe impl<T: Send> Send for ArrivalQueue<T> {}
 
+/// The ring size a requested queue capacity rounds up to: the next power of
+/// two, at least 2.  The one rounding rule of the queue and of every driver
+/// that sizes batches to it; a capacity whose rounding overflows `usize` is
+/// an error.
+pub fn ring_capacity(capacity: usize) -> Result<usize, ScheduleError> {
+    capacity.max(2).checked_next_power_of_two().ok_or_else(|| {
+        ScheduleError::Internal(format!(
+            "queue capacity {capacity} does not round up to a power of two"
+        ))
+    })
+}
+
 impl<T> ArrivalQueue<T> {
-    /// Creates a queue holding at least `capacity` elements (rounded up to
-    /// the next power of two, minimum 2).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
+    /// Creates a queue holding at least `capacity` elements, rounded by
+    /// [`ring_capacity`].
+    pub fn with_capacity(capacity: usize) -> Result<Self, ScheduleError> {
+        let cap = ring_capacity(capacity)?;
         let slots: Box<[Slot<T>]> = (0..cap)
             .map(|i| Slot {
                 sequence: AtomicUsize::new(i),
                 value: UnsafeCell::new(MaybeUninit::uninit()),
             })
             .collect();
-        Self {
+        Ok(Self {
             slots,
             mask: cap - 1,
             enqueue_pos: CachePadded(AtomicUsize::new(0)),
             dequeue_pos: CachePadded(AtomicUsize::new(0)),
-        }
+        })
     }
 
     /// The queue's (rounded) capacity.
@@ -299,7 +312,7 @@ mod tests {
 
     #[test]
     fn fifo_order_single_threaded() {
-        let q = ArrivalQueue::with_capacity(8);
+        let q = ArrivalQueue::with_capacity(8).unwrap();
         assert!(q.is_empty());
         for i in 0..8 {
             q.push(i).unwrap();
@@ -324,15 +337,21 @@ mod tests {
 
     #[test]
     fn capacity_rounds_up_to_powers_of_two() {
-        assert_eq!(ArrivalQueue::<u8>::with_capacity(0).capacity(), 2);
-        assert_eq!(ArrivalQueue::<u8>::with_capacity(3).capacity(), 4);
-        assert_eq!(ArrivalQueue::<u8>::with_capacity(8).capacity(), 8);
-        assert_eq!(ArrivalQueue::<u8>::with_capacity(1000).capacity(), 1024);
+        assert_eq!(ArrivalQueue::<u8>::with_capacity(0).unwrap().capacity(), 2);
+        assert_eq!(ArrivalQueue::<u8>::with_capacity(3).unwrap().capacity(), 4);
+        assert_eq!(ArrivalQueue::<u8>::with_capacity(8).unwrap().capacity(), 8);
+        assert_eq!(
+            ArrivalQueue::<u8>::with_capacity(1000).unwrap().capacity(),
+            1024
+        );
+        // A capacity whose rounding overflows is an error, before any slot
+        // is allocated.
+        assert!(ArrivalQueue::<u8>::with_capacity(usize::MAX).is_err());
     }
 
     #[test]
     fn drain_into_respects_the_batch_bound() {
-        let q = ArrivalQueue::with_capacity(16);
+        let q = ArrivalQueue::with_capacity(16).unwrap();
         for i in 0..10 {
             q.push(i).unwrap();
         }
@@ -348,7 +367,7 @@ mod tests {
     fn multi_producer_single_consumer_preserves_every_element() {
         const PRODUCERS: usize = 4;
         const PER_PRODUCER: usize = 20_000;
-        let q = Arc::new(ArrivalQueue::with_capacity(64));
+        let q = Arc::new(ArrivalQueue::with_capacity(64).unwrap());
         let mut handles = Vec::new();
         for p in 0..PRODUCERS {
             let q = Arc::clone(&q);
@@ -401,7 +420,7 @@ mod tests {
         for capacity in [2usize, 4] {
             const PRODUCERS: usize = 6;
             const PER_PRODUCER: usize = 2_000;
-            let q = Arc::new(ArrivalQueue::with_capacity(capacity));
+            let q = Arc::new(ArrivalQueue::with_capacity(capacity).unwrap());
             let mut handles = Vec::new();
             for p in 0..PRODUCERS {
                 let q = Arc::clone(&q);
@@ -455,7 +474,7 @@ mod tests {
             }
         }
         let drops = Arc::new(Counter::new(0));
-        let q = ArrivalQueue::with_capacity(8);
+        let q = ArrivalQueue::with_capacity(8).unwrap();
         for _ in 0..5 {
             q.push(Tracked(Arc::clone(&drops))).unwrap();
         }
@@ -467,7 +486,7 @@ mod tests {
 
     #[test]
     fn cursors_sit_on_their_own_cache_lines() {
-        let q = ArrivalQueue::<u64>::with_capacity(8);
+        let q = ArrivalQueue::<u64>::with_capacity(8).unwrap();
         let enqueue = &*q.enqueue_pos as *const AtomicUsize as usize;
         let dequeue = &*q.dequeue_pos as *const AtomicUsize as usize;
         assert!(
@@ -481,7 +500,7 @@ mod tests {
 
     #[test]
     fn len_is_a_sane_snapshot() {
-        let q = ArrivalQueue::with_capacity(4);
+        let q = ArrivalQueue::with_capacity(4).unwrap();
         assert_eq!(q.len(), 0);
         q.push(1).unwrap();
         q.push(2).unwrap();

@@ -1,72 +1,42 @@
-//! What a service run produces: the per-event decision records, per-shard
-//! run artefacts and the whole-service report, plus its projection onto
-//! the flat [`pss_metrics::ServiceSummary`] for JSON export.
+//! What a service run produces: each shard's [`FeedRecord`] and run
+//! artefacts, and the whole-service report, plus its projection onto the
+//! flat [`pss_metrics::ServiceSummary`] for JSON export.
 //!
-//! The report is deliberately *heavyweight* — it keeps every decision
-//! event and each shard's finished [`Schedule`] so tests can compare a
-//! daemon run bit-for-bit against an offline replay (`StreamingSimulation`)
-//! and against a crash-recovered run; the chaos oracle
-//! ([`crate::chaos::deterministic_fields_equal`]) compares exactly the
-//! deterministic subset of these fields between a fault-free and a
-//! fault-injected run.  Operators exporting to dashboards call
+//! The report is deliberately *heavyweight* — it keeps each shard's
+//! record (every fed job, every decision and the price after every batch)
+//! and its finished [`Schedule`], so tests can compare a daemon run
+//! bit-for-bit against an offline replay (`StreamingSimulation`) and
+//! against a crash-recovered run.  The chaos oracle
+//! ([`crate::chaos::deterministic_fields_equal`]) compares the records with
+//! their bit-exact `==`, plus the few deterministic extras a shard report
+//! holds beside its record.  Operators exporting to dashboards call
 //! [`ServiceReport::summary`] and ship the JSON.
 
+use std::ops::Deref;
+
 use pss_metrics::{DrainSummary, ServiceSummary, ShardSummary, TenantSummary};
-use pss_sim::nearest_rank;
-use pss_types::{Instance, InstanceError, Job, JobId, Schedule, TenantId};
+use pss_sim::{nearest_rank, FeedRecord};
+use pss_types::{Schedule, TenantId};
 
-/// One ingestion decision: which envelope became which dense-id job on
-/// which shard, and what the scheduler said.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedEvent {
-    /// The shard that ingested the job.
-    pub shard: usize,
-    /// The submitting tenant.
-    pub tenant: TenantId,
-    /// The tenant's correlation tag from the envelope.
-    pub tag: u64,
-    /// The dense shard-local id the service assigned at feed time.
-    pub job: JobId,
-    /// The envelope's release time.
-    pub release: f64,
-    /// The time the job was fed to the scheduler (`max(release in burst,
-    /// shard watermark)` — never before `release`).
-    pub feed_time: f64,
-    /// Index of the ingestion batch (shard-local) this job rode in.
-    pub batch: usize,
-    /// Whether the scheduling algorithm accepted the job.
-    pub accepted: bool,
-    /// Whether the job expired in the queue: the shard's watermark overtook
-    /// its deadline before it could be fed, so the service synthesised the
-    /// rejection (`accepted == false`, `dual == value`) without showing the
-    /// job to the scheduler — the model forbids arrivals past the deadline.
-    pub expired: bool,
-    /// The decision's dual value (λ_j if accepted, the lost value v_j if
-    /// rejected — the raw material of the backpressure signal).
-    pub dual: f64,
-}
-
-/// Everything one shard's worker produced over the run.
+/// Everything one shard's worker produced over the run.  Derefs to its
+/// [`FeedRecord`], so `report.events`, `report.jobs` and
+/// `report.price_trace` read what the shard's core decided.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Shard index.
     pub shard: usize,
-    /// The jobs actually fed, in feed order (dense ids `0..` — each
-    /// shard's fed stream is a valid instance on its own).  Releases are
-    /// as the scheduler saw them: a late live release is clamped up to the
-    /// shard's release floor (the online model requires nondecreasing
-    /// releases); the matching [`ServedEvent`] keeps the envelope's
-    /// original release.
-    pub jobs: Vec<Job>,
-    /// One record per fed job, in feed order.
-    pub events: Vec<ServedEvent>,
+    /// What the shard's core decided, in feed order: the jobs as fed
+    /// (dense ids `0..`, so each shard's fed stream is a valid instance on
+    /// its own), one entry per job tagged with the envelope's correlation
+    /// tag, and the price after each batch.
+    pub record: FeedRecord,
+    /// The submitting tenant of each fed job, in feed order.
+    pub tenants: Vec<TenantId>,
     /// Ingestion batches the worker made (burst coalescing makes this ≤
     /// `events.len()`).
     pub batches: usize,
     /// The finished schedule of the shard's run.
     pub schedule: Schedule,
-    /// The rolling dual price after each ingestion batch.
-    pub price_trace: Vec<f64>,
     /// The rolling dual price when the run ended.
     pub final_price: f64,
     /// Queue depth observed at each drain point.
@@ -84,25 +54,15 @@ pub struct ShardReport {
     pub drain_secs: f64,
 }
 
+impl Deref for ShardReport {
+    type Target = FeedRecord;
+
+    fn deref(&self) -> &FeedRecord {
+        &self.record
+    }
+}
+
 impl ShardReport {
-    /// Jobs the scheduler accepted.
-    pub fn accepted(&self) -> usize {
-        self.events.iter().filter(|e| e.accepted).count()
-    }
-
-    /// Jobs the scheduler rejected (ordinary `Decision`-level rejections),
-    /// including the service-synthesised rejections of jobs that expired in
-    /// the queue.
-    pub fn rejected(&self) -> usize {
-        self.events.len() - self.accepted()
-    }
-
-    /// Jobs that expired in the queue (rejected at feed time without being
-    /// shown to the scheduler) — a subset of [`rejected`](Self::rejected).
-    pub fn expired(&self) -> usize {
-        self.events.iter().filter(|e| e.expired).count()
-    }
-
     /// The largest queue depth observed at a drain point.  The push-side
     /// [`peak_queue_depth`](Self::peak_queue_depth) bounds this from above.
     pub fn max_queue_depth(&self) -> usize {
@@ -114,13 +74,6 @@ impl ShardReport {
         let mut sorted: Vec<f64> = self.depth_samples.iter().map(|&d| d as f64).collect();
         sorted.sort_by(f64::total_cmp);
         nearest_rank(&sorted, p)
-    }
-
-    /// Reassembles the shard's fed stream as a standalone [`Instance`]
-    /// (dense ids in feed order), for offline cross-checks of the shard's
-    /// schedule.
-    pub fn instance(&self, machines: usize, alpha: f64) -> Result<Instance, InstanceError> {
-        Instance::from_jobs(machines, alpha, self.jobs.clone())
     }
 
     fn summary(&self) -> ShardSummary {
@@ -183,38 +136,42 @@ impl ServiceReport {
 mod tests {
     use super::*;
     use pss_metrics::JsonValue;
+    use pss_sim::FeedEntry;
+    use pss_types::{Job, JobId};
 
-    fn event(job: usize, accepted: bool, dual: f64) -> ServedEvent {
-        ServedEvent {
-            shard: 0,
-            tenant: TenantId(0),
-            tag: job as u64,
+    fn event(job: usize, accepted: bool, dual: f64) -> FeedEntry {
+        FeedEntry {
             job: JobId(job),
+            tag: job as u64,
             release: job as f64,
             feed_time: job as f64,
             batch: job,
             accepted,
             expired: false,
             dual,
+            latency_secs: 0.0,
         }
     }
 
     fn shard_report() -> ShardReport {
         ShardReport {
             shard: 0,
-            jobs: vec![
-                Job::new(0, 0.0, 1.0, 0.5, 1.0),
-                Job::new(1, 1.0, 2.0, 0.5, 1.0),
-                Job::new(2, 2.0, 3.0, 0.5, 1.0),
-            ],
-            events: vec![
-                event(0, true, 0.5),
-                event(1, false, 1.0),
-                event(2, true, 0.25),
-            ],
+            record: FeedRecord {
+                jobs: vec![
+                    Job::new(0, 0.0, 1.0, 0.5, 1.0),
+                    Job::new(1, 1.0, 2.0, 0.5, 1.0),
+                    Job::new(2, 2.0, 3.0, 0.5, 1.0),
+                ],
+                events: vec![
+                    event(0, true, 0.5),
+                    event(1, false, 1.0),
+                    event(2, true, 0.25),
+                ],
+                price_trace: vec![0.5, 0.75, 0.5],
+            },
+            tenants: vec![TenantId(0); 3],
             batches: 3,
             schedule: Schedule::default(),
-            price_trace: vec![0.5, 0.75, 0.5],
             final_price: 0.5,
             depth_samples: vec![3, 1, 7, 2],
             peak_queue_depth: 9,

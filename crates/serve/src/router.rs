@@ -19,11 +19,11 @@
 //! * [`StreamRouter::run_stepped`] — the determinism mode, borrowed from
 //!   the chaos driver's wave-stepping: pause, wait for every worker to
 //!   park at a quiescent boundary, route and queue one wave against the
-//!   frozen price snapshot, resume, wait for the wave's decision events,
+//!   frozen price snapshot, resume, wait for the wave's decisions,
 //!   repeat.  Batch structure, feed times, dense id assignment and
 //!   routing are then pure functions of the workload — same workload,
-//!   same configuration ⇒ bit-identical [`RoutedReport`] deterministic
-//!   fields ([`routed_fields_equal`]), the replay gate of the router
+//!   same configuration ⇒ equal routing logs, shard records and merged
+//!   schedules ([`routed_fields_equal`]), the replay gate of the router
 //!   suites.
 //! * [`StreamRouter::run_free`] — the throughput mode: workers run
 //!   freely, the producer submits the stream as fast as admission allows
@@ -38,13 +38,14 @@
 
 use std::time::Instant;
 
-use pss_sim::{RoutePolicy, PRICE_SMOOTHING};
-use pss_types::{merge_frontiers, Instance, JobId, Schedule, ScheduleError, ShardPiece};
+use pss_sim::{merge_shards, FeedRecord, RoutePolicy, ShardedOutcome, PRICE_SMOOTHING};
+use pss_types::{Instance, JobId, Schedule, ScheduleError};
 use pss_types::{LogCheckpointable, OnlineAlgorithm};
 use pss_workloads::{arrival_envelopes, SmallRng};
 
 use crate::chaos::deterministic_fields_equal;
 use crate::daemon::{Daemon, ServeConfig, Submission, WAIT_LIMIT};
+use crate::queue::ring_capacity;
 use crate::report::ServiceReport;
 use crate::retry::RetryPolicy;
 use crate::tenant::TenantSpec;
@@ -109,8 +110,8 @@ pub struct RoutedReport {
     pub machines_per_shard: usize,
     /// One record per logical submission, in sequence order.
     pub submissions: Vec<RoutedSubmission>,
-    /// The daemon's drained report (per-shard schedules, events, prices,
-    /// tenant accounting).
+    /// The daemon's drained report (per-shard records and schedules, tenant
+    /// accounting).
     pub service: ServiceReport,
     /// The merged logical schedule: per-shard finished schedules zipped
     /// onto lane-offset machines with logical job ids
@@ -137,47 +138,6 @@ impl RoutedReport {
         }
     }
 
-    /// Total value of the logical jobs accepted by their shard's
-    /// scheduler, under `instance`'s values.
-    pub fn value_accepted(&self, instance: &Instance) -> f64 {
-        self.service
-            .shards
-            .iter()
-            .flat_map(|s| &s.events)
-            .filter(|e| e.accepted)
-            .map(|e| instance.job(JobId(e.tag as usize)).value)
-            .sum()
-    }
-
-    /// Energy of the merged logical schedule — equal to the sum of the
-    /// shard energies by the merge identity.
-    pub fn merged_energy(&self, alpha: f64) -> f64 {
-        self.merged.energy(alpha)
-    }
-
-    /// Queued arrivals per shard — the load-balance view.
-    pub fn shard_loads(&self) -> Vec<usize> {
-        let mut loads = vec![0usize; self.shards()];
-        for sub in self.submissions.iter().filter(|s| s.queued) {
-            loads[sub.shard] += 1;
-        }
-        loads
-    }
-
-    /// Max/mean ratio of the per-shard queued-arrival counts (1.0 is
-    /// perfectly balanced; `S` means one shard took everything).
-    pub fn load_imbalance(&self) -> f64 {
-        let loads = self.shard_loads();
-        let total: usize = loads.iter().sum();
-        let max = loads.iter().copied().max().unwrap_or(0) as f64;
-        let mean = total as f64 / self.shards().max(1) as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
-    }
-
     /// The largest push-side peak queue depth across shards (the
     /// storm-proof bound, not the drain-point sample).
     pub fn peak_queue_depth(&self) -> usize {
@@ -190,10 +150,23 @@ impl RoutedReport {
     }
 }
 
+/// The shards' records hold the logical ids in their tags: every queued
+/// envelope's tag is its logical job id.
+impl ShardedOutcome for RoutedReport {
+    fn records(&self) -> Vec<&FeedRecord> {
+        self.service.shards.iter().map(|s| &s.record).collect()
+    }
+
+    fn merged(&self) -> &Schedule {
+        &self.merged
+    }
+}
+
 /// Whether two routed reports agree on every deterministic field: the
-/// routing log (assignment + admission outcome per submission) and the
-/// daemon's deterministic fields ([`deterministic_fields_equal`]), plus
-/// the merged schedule.  Wall-clock throughput is excluded.
+/// routing log (assignment + admission outcome per submission), the
+/// daemon's deterministic fields (the shard records' `==` and extras,
+/// [`deterministic_fields_equal`]), and the merged schedule.  Wall-clock
+/// throughput is excluded.
 pub fn routed_fields_equal(a: &RoutedReport, b: &RoutedReport) -> bool {
     a.policy == b.policy
         && a.machines_per_shard == b.machines_per_shard
@@ -203,8 +176,8 @@ pub fn routed_fields_equal(a: &RoutedReport, b: &RoutedReport) -> bool {
 }
 
 impl StreamRouter {
-    fn config(&self, start_paused: bool) -> ServeConfig {
-        ServeConfig {
+    fn config(&self, start_paused: bool) -> Result<ServeConfig, ScheduleError> {
+        Ok(ServeConfig {
             machines: self.machines_per_shard,
             alpha: self.alpha,
             shards: self.shards,
@@ -212,12 +185,12 @@ impl StreamRouter {
             // A wave (stepped) or a drained backlog chunk (free) coalesces
             // whole: one replan per burst under load.
             coalesce_window: f64::INFINITY,
-            max_batch: self.queue_capacity.max(2).next_power_of_two(),
+            max_batch: ring_capacity(self.queue_capacity)?,
             price_smoothing: self.price_smoothing,
             stale_tolerance: f64::INFINITY,
             start_paused,
             ..ServeConfig::default()
-        }
+        })
     }
 
     /// One routing tenant per shard, all on the `Reject` backpressure
@@ -258,7 +231,7 @@ impl StreamRouter {
         A::Run: LogCheckpointable + Send + 'static,
     {
         self.check()?;
-        let (daemon, handles) = Daemon::spawn(algorithm, self.config(true), self.tenants())?;
+        let (daemon, handles) = Daemon::spawn(algorithm, self.config(true)?, self.tenants())?;
         let envelopes = arrival_envelopes(instance);
         let started = Instant::now();
         let mut submissions = Vec::with_capacity(envelopes.len());
@@ -320,7 +293,7 @@ impl StreamRouter {
         A::Run: LogCheckpointable + Send + 'static,
     {
         self.check()?;
-        let (daemon, handles) = Daemon::spawn(algorithm, self.config(false), self.tenants())?;
+        let (daemon, handles) = Daemon::spawn(algorithm, self.config(false)?, self.tenants())?;
         let envelopes = arrival_envelopes(instance);
         let retry = RetryPolicy {
             max_attempts: 1000,
@@ -364,7 +337,7 @@ impl StreamRouter {
     }
 
     /// Zips the drained service report into the logical outcome: each
-    /// shard's events map its dense local ids back to the logical ids
+    /// shard's record maps its dense local ids back to the logical ids
     /// (the envelope tags), and the finished shard schedules merge onto
     /// lane-offset machines.
     fn assemble(
@@ -373,30 +346,21 @@ impl StreamRouter {
         service: ServiceReport,
         wall_secs: f64,
     ) -> Result<RoutedReport, ScheduleError> {
-        let mut maps: Vec<Vec<JobId>> = Vec::with_capacity(service.shards.len());
         for shard in &service.shards {
-            let mut map = Vec::with_capacity(shard.events.len());
-            for (i, event) in shard.events.iter().enumerate() {
-                if event.job.index() != i {
-                    return Err(ScheduleError::Internal(format!(
-                        "shard {} event {i} carries dense id {} — feed order broken",
-                        shard.shard, event.job
-                    )));
-                }
-                map.push(JobId(event.tag as usize));
+            let dense = shard
+                .jobs
+                .iter()
+                .enumerate()
+                .all(|(i, job)| job.id.index() == i);
+            if !dense {
+                return Err(ScheduleError::Internal(format!(
+                    "shard {} fed ids out of feed order",
+                    shard.shard
+                )));
             }
-            maps.push(map);
         }
-        let pieces: Vec<ShardPiece<'_>> = service
-            .shards
-            .iter()
-            .zip(&maps)
-            .map(|(shard, jobs)| ShardPiece {
-                schedule: &shard.schedule,
-                jobs,
-            })
-            .collect();
-        let merged = merge_frontiers(self.machines_per_shard, &pieces)?;
+        let shards = service.shards.iter().map(|s| (&s.schedule, &s.record));
+        let merged = merge_shards(self.machines_per_shard, shards)?;
         Ok(RoutedReport {
             policy: self.policy,
             machines_per_shard: self.machines_per_shard,

@@ -182,6 +182,24 @@ fn chaos_runs_are_seed_sensitive() {
     );
 }
 
+/// A queue capacity whose power-of-two rounding overflows is a typed error,
+/// found before the daemon spawns or allocates.
+#[test]
+fn an_overflowing_queue_capacity_is_an_error_not_a_panic() {
+    let instance = RandomConfig {
+        n_jobs: 8,
+        machines: 1,
+        ..RandomConfig::standard(3)
+    }
+    .generate();
+    let driver = ChaosDriver {
+        queue_capacity: usize::MAX,
+        ..ChaosDriver::default()
+    };
+    let plan = FaultPlan::generate(1, 4, driver.checkpoint_chain);
+    assert!(driver.run(CllScheduler, &instance, &plan, false).is_err());
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: chain fallback at every corruption depth.
 // ---------------------------------------------------------------------------

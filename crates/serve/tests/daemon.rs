@@ -933,9 +933,10 @@ impl LogCheckpointable for PanicsOnEachMarkRun {
 }
 
 /// A recovery whose journal replay panics fails like one whose replay
-/// returns an error: the sweep returns it, the shard stays poisoned, and
-/// after the configured attempts the watchdog gives up.  The control plane
-/// never unwinds.
+/// returns an error: the sweep reports it as the shard's `Failed` verdict,
+/// the shard stays poisoned, and after the configured attempts the watchdog
+/// gives up.  The control plane never unwinds, and shutdown returns the
+/// error the failed recovery left.
 #[test]
 fn a_replay_that_panics_fails_the_recovery_instead_of_unwinding() {
     let config = ServeConfig {
@@ -960,11 +961,11 @@ fn a_replay_that_panics_fails_the_recovery_instead_of_unwinding() {
         std::thread::yield_now();
         sweep = daemon.watchdog_sweep();
     }
-    for attempt in 1..=2 {
-        let error = sweep.expect_err("a replay that panics must fail the recovery");
-        assert!(
-            error.to_string().contains("the run panicked"),
-            "attempt {attempt}: unexpected error: {error}"
+    for attempts in 1..=2 {
+        assert_eq!(
+            sweep.unwrap(),
+            [WatchdogVerdict::Failed { attempts }],
+            "a replay that panics must fail the recovery"
         );
         assert!(matches!(
             handles[0].submit(env(2, 2.0)),
@@ -977,6 +978,138 @@ fn a_replay_that_panics_fails_the_recovery_instead_of_unwinding() {
         MARK_PANICS.load(Ordering::SeqCst),
         3,
         "the worker's feed and two replays"
+    );
+    let error = daemon
+        .shutdown()
+        .expect_err("a shard left down must fail the shutdown");
+    assert!(
+        error.to_string().contains("the run panicked"),
+        "unexpected error: {error}"
+    );
+}
+
+/// Feeds of a marked burst by runs of [`AlwaysPanicsOnMark`], the worker's
+/// and the recoveries' alike.  Only the one test below starts such runs.
+static ALWAYS_MARK_PANICS: AtomicUsize = AtomicUsize::new(0);
+
+/// CLL whose `on_arrivals` panics on every feed of a burst holding a
+/// marked job: the shard fed one never recovers.
+#[derive(Debug, Clone, Copy)]
+struct AlwaysPanicsOnMark;
+
+struct AlwaysPanicsOnMarkRun(<CllScheduler as OnlineAlgorithm>::Run);
+
+impl OnlineAlgorithm for AlwaysPanicsOnMark {
+    type Run = AlwaysPanicsOnMarkRun;
+
+    fn algorithm_name(&self) -> String {
+        "CLL panicking on every marked burst".into()
+    }
+
+    fn start(&self, machines: usize, alpha: f64) -> Result<Self::Run, ScheduleError> {
+        CllScheduler
+            .start(machines, alpha)
+            .map(AlwaysPanicsOnMarkRun)
+    }
+}
+
+impl OnlineScheduler for AlwaysPanicsOnMarkRun {
+    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
+        if jobs.iter().any(|job| job.value > MARK_VALUE) {
+            ALWAYS_MARK_PANICS.fetch_add(1, Ordering::SeqCst);
+            panic!("a marked burst");
+        }
+        self.0.on_arrivals(jobs, now)
+    }
+
+    fn frontier(&self) -> &Schedule {
+        self.0.frontier()
+    }
+
+    fn finish(self) -> Result<Schedule, ScheduleError> {
+        self.0.finish()
+    }
+}
+
+impl LogCheckpointable for AlwaysPanicsOnMarkRun {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        self.0.snapshot_live(log)
+    }
+
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
+        LogCheckpointable::restore_with_log(blob, log).map(AlwaysPanicsOnMarkRun)
+    }
+}
+
+/// One sweep gives every shard its verdict: shard 0's recovery fails (its
+/// replay panics on every attempt), and the same sweep still recovers
+/// shard 1, whose crashed worker left a job queued, which is then decided.
+#[test]
+fn one_sweep_gives_every_shard_a_verdict() {
+    let config = ServeConfig {
+        shards: 2,
+        ..solo_config()
+    };
+    let tenants = vec![TenantSpec::new("zero"), TenantSpec::new("one").on_shard(1)];
+    let (mut daemon, handles) = Daemon::spawn(AlwaysPanicsOnMark, config, tenants).unwrap();
+    let mut marked = env(1, 1.0);
+    marked.value = 2.0 * MARK_VALUE;
+    for envelope in [env(0, 0.0), marked] {
+        assert!(matches!(
+            handles[0].submit(envelope),
+            Ok(Submission::Queued { .. })
+        ));
+    }
+    assert!(matches!(
+        handles[1].submit(env(0, 0.0)),
+        Ok(Submission::Queued { .. })
+    ));
+    daemon.resume();
+    // Shard 0's worker panics on the marked burst, and its first recovery
+    // fails the same way.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut verdicts = daemon.watchdog_sweep().unwrap();
+    while verdicts[0] == WatchdogVerdict::Healthy {
+        assert!(Instant::now() < deadline, "shard 0's worker never exited");
+        std::thread::yield_now();
+        verdicts = daemon.watchdog_sweep().unwrap();
+    }
+    assert_eq!(
+        verdicts,
+        [
+            WatchdogVerdict::Failed { attempts: 1 },
+            WatchdogVerdict::Healthy
+        ]
+    );
+    // Shard 1 dies after its burst, and a job is queued while it is down.
+    daemon.crash_shard(1, 1).unwrap();
+    assert!(matches!(
+        handles[1].submit(env(1, 1.0)),
+        Ok(Submission::Queued { .. })
+    ));
+    let verdicts = daemon.watchdog_sweep().unwrap();
+    assert_eq!(verdicts[0], WatchdogVerdict::Failed { attempts: 2 });
+    assert!(
+        matches!(
+            verdicts[1],
+            WatchdogVerdict::Recovered {
+                attempts: 1,
+                report: _
+            }
+        ),
+        "shard 1 was not recovered: {verdicts:?}"
+    );
+    daemon
+        .wait_events(1, 2, Duration::from_secs(10))
+        .expect("shard 1's queued job is decided");
+    assert!(matches!(
+        handles[0].submit(env(2, 2.0)),
+        Err(IngressError::ShuttingDown)
+    ));
+    assert_eq!(
+        ALWAYS_MARK_PANICS.load(Ordering::SeqCst),
+        3,
+        "shard 0's feed and two replays"
     );
     assert!(
         daemon.shutdown().is_err(),

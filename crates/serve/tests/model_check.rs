@@ -42,7 +42,7 @@ fn is_subsequence(inner: &[u64], outer: &[u64]) -> bool {
 #[test]
 fn mpsc_queue_conserves_values_in_fifo_order() {
     let report = Model::new().check(|| {
-        let queue: Arc<ArrivalQueue<u64>> = Arc::new(ArrivalQueue::with_capacity(2));
+        let queue: Arc<ArrivalQueue<u64>> = Arc::new(ArrivalQueue::with_capacity(2).unwrap());
         let pushed: Arc<Mutex<Vec<Vec<u64>>>> = Arc::new(Mutex::new(vec![Vec::new(); 2]));
         let consumed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -175,7 +175,7 @@ fn price_watermark_publication_is_untorn_and_monotone() {
 /// [`previous_shutdown_check_loses_a_final_push`]) that the pre-fix
 /// plain-`Acquire`-load version loses a submission.
 fn shutdown_model(fixed: bool) -> ModelRun {
-    let queue: Arc<ArrivalQueue<u64>> = Arc::new(ArrivalQueue::with_capacity(2));
+    let queue: Arc<ArrivalQueue<u64>> = Arc::new(ArrivalQueue::with_capacity(2).unwrap());
     let submitting = Arc::new(AtomicUsize::new(0));
     let shutdown = Arc::new(AtomicBool::new(false));
     // What each side observed: did the submitter push or bounce, did the

@@ -21,7 +21,7 @@ use pss_serve::ArrivalQueue;
 
 /// One producer hands one value to one consumer through a fresh ring.
 fn handoff_model() -> ModelRun {
-    let queue: Arc<ArrivalQueue<u64>> = Arc::new(ArrivalQueue::with_capacity(2));
+    let queue: Arc<ArrivalQueue<u64>> = Arc::new(ArrivalQueue::with_capacity(2).unwrap());
     let producer = Arc::clone(&queue);
     let consumer = Arc::clone(&queue);
     ModelRun {

@@ -15,7 +15,7 @@ use pss_serve::{
     deterministic_fields_equal, routed_fields_equal, Daemon, ServeConfig, ServiceReport,
     StreamRouter, Submission, TenantSpec,
 };
-use pss_sim::RoutePolicy;
+use pss_sim::{RoutePolicy, ShardedOutcome};
 use pss_types::{Instance, JobEnvelope, JobId, TenantId};
 use pss_workloads::{arrival_envelopes, ScenarioConfig, ScenarioKind};
 
@@ -247,4 +247,17 @@ fn free_run_ingests_the_whole_stream_and_merges() {
     );
     assert!(report.value_accepted(&instance) >= 0.0);
     assert!(report.peak_queue_depth() >= 1);
+}
+
+/// A queue capacity whose power-of-two rounding overflows is a typed error
+/// in both drive modes, found before the daemon spawns or allocates.
+#[test]
+fn an_overflowing_queue_capacity_is_an_error_not_a_panic() {
+    let instance = scenario(ScenarioKind::Diurnal, 8, 7);
+    let r = StreamRouter {
+        queue_capacity: usize::MAX,
+        ..router(&instance, 2, RoutePolicy::RoundRobin)
+    };
+    assert!(r.run_stepped(CllScheduler, &instance).is_err());
+    assert!(r.run_free(CllScheduler, &instance, 7).is_err());
 }

@@ -32,10 +32,10 @@ use pss_types::snapshot::StateBlob;
 use pss_types::{Instance, JobId, OnlineAlgorithm, OnlineScheduler, ScheduleError};
 
 use crate::engine::{
-    coalesce_arrivals, finish_stream, ingest_batch, ArrivalRecord, StreamReport,
-    StreamingSimulation,
+    coalesce_arrivals, finish_stream, ingest_batch, Fed, StreamReport, StreamingSimulation,
 };
 use crate::feed::{FeedState, ShardCore, PRICE_SMOOTHING};
+use crate::record::FeedRecord;
 
 /// One captured checkpoint: the run's live-state blob and where the stream
 /// stood when it was taken.
@@ -244,25 +244,24 @@ impl RecoveryStats {
     }
 }
 
-/// Feeds `bursts` through `core`, syncing the chain after every batch and
-/// capturing after every `every`-th (never when `every` is 0).
+/// Feeds `bursts` through `core` into `fed`, syncing the chain after every
+/// batch and capturing after every `every`-th (never when `every` is 0).
 fn feed_chained<R>(
     core: &mut ShardCore<R>,
     chain: &mut CheckpointChain,
     instance: &Instance,
     bursts: &[(f64, Vec<JobId>)],
     every: usize,
-    events: &mut Vec<ArrivalRecord>,
+    fed: &mut Fed,
 ) -> Result<(), ScheduleError>
 where
     R: OnlineScheduler + LogCheckpointable,
 {
-    let mut burst_jobs = Vec::new();
     for (feed_time, ids) in bursts {
-        ingest_batch(core, instance, *feed_time, ids, &mut burst_jobs, events)?;
+        ingest_batch(core, instance, *feed_time, ids, fed)?;
         chain.sync(core)?;
         if every > 0 && core.state().batches.is_multiple_of(every) {
-            chain.capture(core, events.len(), *feed_time)?;
+            chain.capture(core, fed.0.jobs.len(), *feed_time)?;
         }
     }
     Ok(())
@@ -293,11 +292,11 @@ impl StreamingSimulation {
         let plan = coalesce_arrivals(instance, self.coalesce_window);
         let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
         let mut chain = CheckpointChain::new(instance.machines, retain_chain);
-        let mut events = Vec::with_capacity(instance.len());
+        let mut fed: Fed = (FeedRecord::with_capacity(instance.len()), Vec::new());
         chain.capture(&core, 0, f64::NEG_INFINITY)?;
         let every = every_batches.max(1);
-        feed_chained(&mut core, &mut chain, instance, &plan, every, &mut events)?;
-        let report = finish_stream(algo.algorithm_name(), core, instance, events)?;
+        feed_chained(&mut core, &mut chain, instance, &plan, every, &mut fed)?;
+        let report = finish_stream(algo.algorithm_name(), core, instance, fed)?;
         Ok((report, chain))
     }
 
@@ -325,36 +324,37 @@ impl StreamingSimulation {
         let plan = coalesce_arrivals(instance, self.coalesce_window);
         let killed_at_batch = kill_at_batch.min(plan.len());
         let mut chain = CheckpointChain::new(instance.machines, 1);
-        let mut events = Vec::with_capacity(instance.len());
+        let mut fed: Fed = (FeedRecord::with_capacity(instance.len()), Vec::new());
         // Dropping the core at the end of this block *is* the crash.
         {
             let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
             chain.capture(&core, 0, f64::NEG_INFINITY)?;
             let every = every_batches.max(1);
-            let fed = &plan[..killed_at_batch];
-            feed_chained(&mut core, &mut chain, instance, fed, every, &mut events)?;
+            let before = &plan[..killed_at_batch];
+            feed_chained(&mut core, &mut chain, instance, before, every, &mut fed)?;
         }
 
         // Everything the dead worker did after the checkpoint is lost.
         let started = Instant::now();
         let recovery = chain.recover(PRICE_SMOOTHING, || algo.start_for(instance))?;
         let restore_secs = started.elapsed().as_secs_f64();
-        events.truncate(recovery.events);
         let mut core = recovery.core;
         let restored_batches = core.state().batches;
+        fed.0.truncate(recovery.events, restored_batches);
+        fed.1.truncate(restored_batches);
         let started = Instant::now();
         let delta = &plan[restored_batches..];
-        feed_chained(&mut core, &mut chain, instance, delta, 0, &mut events)?;
+        feed_chained(&mut core, &mut chain, instance, delta, 0, &mut fed)?;
         let replay_secs = started.elapsed().as_secs_f64();
         let stats = RecoveryStats {
             killed_at_batch,
             restored_batches,
-            replayed_events: events.len() - recovery.events,
+            replayed_events: fed.0.jobs.len() - recovery.events,
             checkpoint_bytes: recovery.bytes,
             restore_secs,
             replay_secs,
         };
-        let report = finish_stream(algo.algorithm_name(), core, instance, events)?;
+        let report = finish_stream(algo.algorithm_name(), core, instance, fed)?;
         Ok((report, stats, chain))
     }
 }
@@ -385,8 +385,8 @@ mod tests {
     }
 
     /// Asserts two stream reports agree on every deterministic field
-    /// (decisions, duals, schedules, batch counts — latencies are
-    /// wall-clock and excluded).
+    /// (records, schedules, batch counts — latencies are wall-clock and
+    /// excluded).
     fn assert_streams_equal(a: &StreamReport, b: &StreamReport, label: &str) {
         assert_eq!(a.algorithm, b.algorithm, "{label}: algorithm");
         assert_eq!(a.batches, b.batches, "{label}: batch counts");
@@ -394,18 +394,7 @@ mod tests {
             a.schedule.segments, b.schedule.segments,
             "{label}: schedule"
         );
-        assert_eq!(a.events.len(), b.events.len(), "{label}: event counts");
-        for (x, y) in a.events.iter().zip(&b.events) {
-            assert_eq!(x.job, y.job, "{label}: event order");
-            assert_eq!(x.accepted, y.accepted, "{label}: decision for {:?}", x.job);
-            assert_eq!(
-                x.dual.to_bits(),
-                y.dual.to_bits(),
-                "{label}: dual for {:?}",
-                x.job
-            );
-            assert_eq!(x.burst, y.burst, "{label}: burst width for {:?}", x.job);
-        }
+        assert!(a.record == b.record, "{label}: records differ");
         assert_eq!(
             a.report.total_cost().to_bits(),
             b.report.total_cost().to_bits(),
@@ -427,7 +416,7 @@ mod tests {
         // The log mirrors the committed frontier: its end cursor equals the
         // frontier size the last event observed, and cursors are monotone.
         let log = chain.log();
-        let final_frontier = stream.events.last().unwrap().frontier_segments;
+        let final_frontier = *stream.frontier_segments.last().unwrap();
         assert_eq!(log.cursor(), LogCursor(final_frontier as u64));
         let retained = chain.checkpoints();
         for (older, newer) in retained.iter().zip(retained.iter().skip(1)) {
@@ -491,7 +480,7 @@ mod tests {
             assert!(stats.replayed_events > 0, "{label}: nothing was replayed");
             // The recovered log ends exactly at the uninterrupted run's
             // final frontier.
-            let final_frontier = plain.events.last().unwrap().frontier_segments;
+            let final_frontier = *plain.frontier_segments.last().unwrap();
             let end = chain.log().cursor();
             assert_eq!(end, LogCursor(final_frontier as u64), "{label}");
         }
@@ -514,25 +503,25 @@ mod tests {
         // The uninterrupted run, with its feed state after every batch.
         let mut core = ShardCore::new(start().unwrap(), PRICE_SMOOTHING);
         let mut chain = CheckpointChain::new(inst.machines, 3);
-        let mut events = Vec::new();
+        let mut fed = Fed::default();
         let mut states = vec![core.state()];
         for burst in plan.chunks(1) {
-            feed_chained(&mut core, &mut chain, &inst, burst, 1, &mut events).unwrap();
+            feed_chained(&mut core, &mut chain, &inst, burst, 1, &mut fed).unwrap();
             states.push(core.state());
         }
         let log = chain.log();
         let plain_log = log.reassemble(log.cursor()).unwrap();
-        let plain = finish_stream("CLL".into(), core, &inst, events).unwrap();
+        let plain = finish_stream("CLL".into(), core, &inst, fed).unwrap();
 
         for k in 0..=3 {
             let label = format!("{k} corrupted");
             let mut chain = CheckpointChain::new(inst.machines, 3);
-            let mut events = Vec::new();
+            let mut fed = Fed::default();
             {
                 let mut core = ShardCore::new(start().unwrap(), PRICE_SMOOTHING);
                 chain.capture(&core, 0, f64::NEG_INFINITY).unwrap();
-                let fed = &plan[..kill];
-                feed_chained(&mut core, &mut chain, &inst, fed, 1, &mut events).unwrap();
+                let before = &plan[..kill];
+                feed_chained(&mut core, &mut chain, &inst, before, 1, &mut fed).unwrap();
             }
             for depth in 0..k {
                 chain.corrupt(depth, 8 * depth + 3).unwrap();
@@ -555,12 +544,13 @@ mod tests {
                 expected.release_floor.to_bits(),
                 "{label}: release floor"
             );
-            events.truncate(recovery.events);
+            fed.0.truncate(recovery.events, at);
+            fed.1.truncate(at);
             let mut core = recovery.core;
-            feed_chained(&mut core, &mut chain, &inst, &plan[at..], 1, &mut events).unwrap();
+            feed_chained(&mut core, &mut chain, &inst, &plan[at..], 1, &mut fed).unwrap();
             let log = chain.log();
             assert_eq!(log.reassemble(log.cursor()).unwrap(), plain_log, "{label}");
-            let recovered = finish_stream("CLL".into(), core, &inst, events).unwrap();
+            let recovered = finish_stream("CLL".into(), core, &inst, fed).unwrap();
             assert_streams_equal(&plain, &recovered, &label);
         }
     }

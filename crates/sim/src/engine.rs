@@ -4,19 +4,20 @@
 //! [`Simulation`] replays a complete schedule and reports per-machine and
 //! per-job execution statistics.  [`StreamingSimulation`] drives an
 //! event-driven online algorithm ([`OnlineAlgorithm`]) one coalesced burst
-//! at a time (one arrival per burst by default), recording a per-event
-//! trace (decision, dual value, arrival-handling latency, frontier growth)
-//! before replaying the finished schedule through [`Simulation`] — the
-//! runtime view of the paper's online model.
+//! at a time (one arrival per burst by default) through a [`ShardCore`],
+//! which records every decision in the run's [`FeedRecord`], before
+//! replaying the finished schedule through [`Simulation`] — the runtime
+//! view of the paper's online model.
 
-use std::time::Instant;
+use std::ops::Deref;
 
 use pss_power::{AlphaPower, PowerFunction};
 use pss_types::{
-    num, Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, Segment,
+    num, Instance, JobId, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, Segment,
 };
 
 use crate::feed::{burst_len, ShardCore, PRICE_SMOOTHING};
+use crate::record::FeedRecord;
 
 /// Per-machine execution statistics.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -211,39 +212,18 @@ impl Simulation {
     }
 }
 
-/// One arrival event of a streaming run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrivalRecord {
-    /// The arriving job.
-    pub job: JobId,
-    /// Arrival (release) time.
-    pub time: f64,
-    /// Whether the algorithm accepted the job.
-    pub accepted: bool,
-    /// The dual value the algorithm reported for the job.
-    pub dual: f64,
-    /// Wall-clock time the algorithm spent handling this arrival, in
-    /// seconds.  When the arrival was ingested as part of a coalesced
-    /// burst, this is the burst's handling time divided by its size (the
-    /// amortised per-arrival cost — the quantity a throughput-oriented
-    /// latency percentile should see).
-    pub latency_secs: f64,
-    /// Number of committed frontier segments right after the arrival (after
-    /// the whole burst, for burst-ingested arrivals).
-    pub frontier_segments: usize,
-    /// Size of the ingestion batch this arrival was part of (1 in
-    /// per-event mode).
-    pub burst: usize,
-}
-
-/// The result of one streaming run: the per-event trace, the finished
-/// schedule, and the execution report of replaying it.
+/// The result of one streaming run: the feed record, the finished
+/// schedule, and the execution report of replaying it.  Derefs to its
+/// [`FeedRecord`], so `report.events` reads the decisions.
 #[derive(Debug, Clone)]
 pub struct StreamReport {
     /// Name of the algorithm that was driven.
     pub algorithm: String,
-    /// One record per arrival, in arrival order.
-    pub events: Vec<ArrivalRecord>,
+    /// What the core decided, in arrival order.  Each entry's tag is the
+    /// job's instance id.
+    pub record: FeedRecord,
+    /// Committed frontier segments after each batch.
+    pub frontier_segments: Vec<usize>,
     /// Number of ingestion calls made (`on_arrivals` batches; equals
     /// `events.len()` in per-event mode).
     pub batches: usize,
@@ -253,56 +233,15 @@ pub struct StreamReport {
     pub report: SimReport,
 }
 
+impl Deref for StreamReport {
+    type Target = FeedRecord;
+
+    fn deref(&self) -> &FeedRecord {
+        &self.record
+    }
+}
+
 impl StreamReport {
-    /// Number of accepted jobs.
-    pub fn accepted_jobs(&self) -> usize {
-        self.events.iter().filter(|e| e.accepted).count()
-    }
-
-    /// Number of rejected jobs.
-    pub fn rejected_jobs(&self) -> usize {
-        self.events.len() - self.accepted_jobs()
-    }
-
-    /// Fraction of arrivals accepted (1 for an empty stream).
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.events.is_empty() {
-            return 1.0;
-        }
-        self.accepted_jobs() as f64 / self.events.len() as f64
-    }
-
-    /// Mean arrival-handling latency in seconds (0 for an empty stream).
-    pub fn mean_latency_secs(&self) -> f64 {
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        self.events.iter().map(|e| e.latency_secs).sum::<f64>() / self.events.len() as f64
-    }
-
-    /// Maximum arrival-handling latency in seconds.
-    pub fn max_latency_secs(&self) -> f64 {
-        self.events
-            .iter()
-            .map(|e| e.latency_secs)
-            .fold(0.0, f64::max)
-    }
-
-    /// The `p`-th percentile (`0 ≤ p ≤ 100`, nearest-rank) of the per-arrival
-    /// handling latency, in seconds; 0 for an empty stream.  The streaming
-    /// latency experiment (E12) reports p50/p95/p99 through this.
-    pub fn latency_percentile_secs(&self, p: f64) -> f64 {
-        let mut lat: Vec<f64> = self.events.iter().map(|e| e.latency_secs).collect();
-        lat.sort_by(f64::total_cmp);
-        nearest_rank(&lat, p)
-    }
-
-    /// Total wall-clock time spent handling arrivals (the sum of per-event
-    /// latencies), in seconds.
-    pub fn total_arrival_secs(&self) -> f64 {
-        self.events.iter().map(|e| e.latency_secs).sum()
-    }
-
     /// Total cost of the finished schedule (energy + lost value).
     pub fn total_cost(&self) -> f64 {
         self.report.total_cost()
@@ -311,8 +250,8 @@ impl StreamReport {
 
 /// The nearest-rank `p`-th percentile (`0 ≤ p ≤ 100`) of an
 /// ascending-sorted sample list; 0 for an empty list.  The single
-/// percentile definition shared by [`StreamReport`], the sharded report
-/// (`pss_sim::sharded`) and the `pss-serve` daemon's queue-depth
+/// percentile definition shared by [`FeedRecord`]'s latencies, the sharded
+/// report (`pss_sim::sharded`) and the `pss-serve` daemon's queue-depth
 /// statistics, so per-shard, pooled and service-level numbers can never
 /// follow different formulas.
 pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
@@ -347,51 +286,41 @@ pub fn coalesce_arrivals(instance: &Instance, window: f64) -> Vec<(f64, Vec<JobI
     bursts
 }
 
-/// Feeds one burst through `core` at `feed_time`, appending one trace
-/// record per job: the amortised latency, the post-burst frontier size and
-/// the burst width.  `burst_jobs` is a reusable buffer.
+/// What a streaming run has fed so far: its record and the frontier size
+/// after each batch.
+pub(crate) type Fed = (FeedRecord, Vec<usize>);
+
+/// Feeds one burst of `instance`'s jobs through `core` at `feed_time` into
+/// the record, tagging each job with its instance id, and appends the
+/// post-burst frontier size.
 pub(crate) fn ingest_batch<R: OnlineScheduler>(
     core: &mut ShardCore<R>,
     instance: &Instance,
     feed_time: f64,
     ids: &[JobId],
-    burst_jobs: &mut Vec<Job>,
-    events: &mut Vec<ArrivalRecord>,
+    (record, frontier): &mut Fed,
 ) -> Result<(), ScheduleError> {
-    burst_jobs.clear();
-    burst_jobs.extend(ids.iter().map(|&id| *instance.job(id)));
-    let started = Instant::now();
-    core.feed(burst_jobs, feed_time)?;
-    let amortised = started.elapsed().as_secs_f64() / ids.len().max(1) as f64;
-    let frontier_segments = core.run().frontier().segments.len();
-    for (id, decision) in ids.iter().zip(core.decisions()) {
-        events.push(ArrivalRecord {
-            job: *id,
-            time: instance.job(*id).release,
-            accepted: decision.accepted,
-            dual: decision.dual,
-            latency_secs: amortised,
-            frontier_segments,
-            burst: ids.len(),
-        });
-    }
+    let burst = ids.iter().map(|&id| (*instance.job(id), id.index() as u64));
+    core.feed(record, burst, feed_time)?;
+    frontier.push(core.run().frontier().segments.len());
     Ok(())
 }
 
-/// Finishes a run and wraps the trace into a [`StreamReport`], validating
+/// Finishes a run and wraps its record into a [`StreamReport`], validating
 /// and replaying the schedule through [`Simulation`].
 pub(crate) fn finish_stream<R: OnlineScheduler>(
     algorithm: String,
     core: ShardCore<R>,
     instance: &Instance,
-    events: Vec<ArrivalRecord>,
+    (record, frontier_segments): Fed,
 ) -> Result<StreamReport, ScheduleError> {
     let batches = core.state().batches;
     let schedule = core.finish()?;
     let report = Simulation.run(instance, &schedule)?;
     Ok(StreamReport {
         algorithm,
-        events,
+        record,
+        frontier_segments,
         batches,
         schedule,
         report,
@@ -399,7 +328,8 @@ pub(crate) fn finish_stream<R: OnlineScheduler>(
 }
 
 /// Drives an event-driven online algorithm over an instance's arrival
-/// stream, one coalesced burst at a time through a [`ShardCore`].
+/// stream, one coalesced burst at a time through a [`ShardCore`], and
+/// reports the [`FeedRecord`] the core wrote.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamingSimulation {
     /// Width of the burst-coalescing window: arrivals within this much of a
@@ -429,28 +359,20 @@ impl StreamingSimulation {
     }
 
     /// Feeds the instance's jobs to a fresh run of `algo` in arrival order,
-    /// one coalesced burst per [`ShardCore::feed`], recording per-event
-    /// metrics, then finishes the run, validates the schedule and replays
-    /// it through [`Simulation`].
+    /// one coalesced burst per [`ShardCore::feed`] into the run's
+    /// [`FeedRecord`], then finishes the run, validates the schedule and
+    /// replays it through [`Simulation`].
     pub fn run<A: OnlineAlgorithm + ?Sized>(
         &self,
         algo: &A,
         instance: &Instance,
     ) -> Result<StreamReport, ScheduleError> {
         let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
-        let mut events = Vec::with_capacity(instance.len());
-        let mut burst_jobs = Vec::new();
+        let mut fed: Fed = (FeedRecord::with_capacity(instance.len()), Vec::new());
         for (feed_time, ids) in coalesce_arrivals(instance, self.coalesce_window) {
-            ingest_batch(
-                &mut core,
-                instance,
-                feed_time,
-                &ids,
-                &mut burst_jobs,
-                &mut events,
-            )?;
+            ingest_batch(&mut core, instance, feed_time, &ids, &mut fed)?;
         }
-        finish_stream(algo.algorithm_name(), core, instance, events)
+        finish_stream(algo.algorithm_name(), core, instance, fed)
     }
 }
 
@@ -458,6 +380,12 @@ impl StreamingSimulation {
 mod tests {
     use super::*;
     use pss_types::Segment;
+
+    /// The size of the batch the `i`-th arrival rode in.
+    fn burst_width(stream: &StreamReport, i: usize) -> usize {
+        let batch = stream.events[i].batch;
+        stream.events.iter().filter(|e| e.batch == batch).count()
+    }
 
     fn instance() -> Instance {
         Instance::from_tuples(2, 2.0, vec![(0.0, 4.0, 2.0, 5.0), (1.0, 3.0, 1.0, 2.0)]).unwrap()
@@ -556,15 +484,17 @@ mod tests {
             .unwrap();
         assert_eq!(stream.algorithm, "AVR");
         assert_eq!(stream.events.len(), inst.len());
-        assert_eq!(stream.accepted_jobs(), inst.len());
-        assert_eq!(stream.rejected_jobs(), 0);
+        assert_eq!(stream.accepted(), inst.len());
+        assert_eq!(stream.rejected(), 0);
         assert!((stream.acceptance_rate() - 1.0).abs() < 1e-12);
         assert!(stream.mean_latency_secs() >= 0.0);
         assert!(stream.max_latency_secs() >= stream.mean_latency_secs());
         // Event times follow the arrival order and the frontier only grows.
         for pair in stream.events.windows(2) {
-            assert!(pair[0].time <= pair[1].time);
-            assert!(pair[0].frontier_segments <= pair[1].frontier_segments);
+            assert!(pair[0].release <= pair[1].release);
+        }
+        for pair in stream.frontier_segments.windows(2) {
+            assert!(pair[0] <= pair[1]);
         }
         // The streamed schedule costs the same as the batch adapter's.
         let batch_cost = AvrScheduler.schedule(&inst).unwrap().cost(&inst).total();
@@ -589,7 +519,7 @@ mod tests {
             .run(&AvrScheduler, &inst)
             .unwrap();
         // Install deterministic latencies to pin the percentile math.
-        for (i, e) in stream.events.iter_mut().enumerate() {
+        for (i, e) in stream.record.events.iter_mut().enumerate() {
             e.latency_secs = (i + 1) as f64; // 1, 2, 3
         }
         assert_eq!(stream.latency_percentile_secs(50.0), 2.0);
@@ -623,13 +553,13 @@ mod tests {
         let mut stream = StreamingSimulation::default()
             .run(&AvrScheduler, &single)
             .unwrap();
-        stream.events[0].latency_secs = 3.5;
+        stream.record.events[0].latency_secs = 3.5;
         for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
             assert_eq!(stream.latency_percentile_secs(p), 3.5);
         }
         assert_eq!(stream.mean_latency_secs(), 3.5);
         assert_eq!(stream.batches, 1);
-        assert_eq!(stream.events[0].burst, 1);
+        assert_eq!(burst_width(&stream, 0), 1);
     }
 
     #[test]
@@ -665,18 +595,16 @@ mod tests {
             .unwrap();
         assert_eq!(coalesced.batches, 3);
         assert_eq!(coalesced.events.len(), 5);
-        assert_eq!(coalesced.events[0].burst, 2);
-        assert_eq!(coalesced.events[4].burst, 1);
+        assert_eq!(burst_width(&coalesced, 0), 2);
+        assert_eq!(burst_width(&coalesced, 4), 1);
         // Burst members share the amortised latency and the post-burst
-        // frontier size.
+        // frontier size (one per batch).
         assert_eq!(
             coalesced.events[0].latency_secs,
             coalesced.events[1].latency_secs
         );
-        assert_eq!(
-            coalesced.events[0].frontier_segments,
-            coalesced.events[1].frontier_segments
-        );
+        assert_eq!(coalesced.events[0].batch, coalesced.events[1].batch);
+        assert_eq!(coalesced.frontier_segments.len(), coalesced.batches);
         // For a replanning algorithm (which replans *remaining* work, so a
         // burst-delayed feed catches up) the coalesced schedule matches the
         // per-event one up to the jitter scale.
@@ -688,7 +616,7 @@ mod tests {
             .run(&OaScheduler, &inst)
             .unwrap();
         assert_eq!(per_event_oa.batches, 5);
-        assert_eq!(coalesced_oa.accepted_jobs(), per_event_oa.accepted_jobs());
+        assert_eq!(coalesced_oa.accepted(), per_event_oa.accepted());
         assert!(
             (coalesced_oa.total_cost() - per_event_oa.total_cost()).abs()
                 < 1e-3 * per_event_oa.total_cost().max(1.0)
@@ -706,8 +634,8 @@ mod tests {
         let stream = StreamingSimulation::default()
             .run(&CllScheduler, &inst)
             .unwrap();
-        assert_eq!(stream.accepted_jobs(), 1);
-        assert_eq!(stream.rejected_jobs(), 1);
+        assert_eq!(stream.accepted(), 1);
+        assert_eq!(stream.rejected(), 1);
         let rejected = stream.events.iter().find(|e| !e.accepted).unwrap();
         assert_eq!(rejected.job, JobId(0));
         assert!((rejected.dual - 0.001).abs() < 1e-12);

@@ -5,11 +5,12 @@
 //! value `v_j`.  [`ShardCore`] applies those rules to every burst, and the
 //! simulator, its drills, the sharded harness and the daemon's worker are
 //! loops around it, so the daemon decides what the simulation decides.
-//! A burst is fed in five steps:
+//! A burst is fed in five steps, and the core records each one in the
+//! caller's [`FeedRecord`]:
 //!
-//! 1. each live job's release is clamped up to the release floor, in
-//!    place, and the floor advances (a multi-tenant queue interleaves
-//!    releases; the floor never passes the feed time, so windows stay open);
+//! 1. each live job's release is clamped up to the release floor, and the
+//!    floor advances (a multi-tenant queue interleaves releases; the floor
+//!    never passes the feed time, so windows stay open);
 //! 2. a job already expired at the feed time ([`expired_at`]) is not shown
 //!    to the run and is rejected at its value;
 //! 3. the live jobs go to the run in one `on_arrivals` call;
@@ -17,7 +18,11 @@
 //! 5. every decision folds into the rolling dual price, and the batch
 //!    count advances.
 
+use std::time::Instant;
+
 use pss_types::{fold_price, Decision, Job, OnlineScheduler, Schedule, ScheduleError};
+
+use crate::record::{FeedEntry, FeedRecord};
 
 /// The EWMA weight β of the rolling dual price: the default of the daemon,
 /// the router and the sharded harness, and the drivers that report no price.
@@ -73,7 +78,6 @@ pub struct ShardCore<R> {
     run: R,
     smoothing: f64,
     state: FeedState,
-    decisions: Vec<Decision>,
     /// The last burst's live jobs, when some of its jobs had expired.
     live: Vec<Job>,
 }
@@ -91,7 +95,6 @@ impl<R: OnlineScheduler> ShardCore<R> {
             run,
             smoothing: price_smoothing,
             state,
-            decisions: Vec::new(),
             live: Vec::new(),
         }
     }
@@ -111,65 +114,95 @@ impl<R: OnlineScheduler> ShardCore<R> {
         self.state.price
     }
 
-    /// The last burst's decisions, one per job in slice order.
-    pub fn decisions(&self) -> &[Decision] {
-        &self.decisions
-    }
-
     /// Finishes the run.
     pub fn finish(self) -> Result<Schedule, ScheduleError> {
         self.run.finish()
     }
 
-    /// Feeds one burst at `feed_time` by the rules in the module docs.
-    /// Live jobs' releases are clamped in `jobs` itself, so the caller
-    /// records the jobs as the run saw them; [`decisions`](Self::decisions)
-    /// then holds one decision per job.  On error the run should be
-    /// discarded, as after any failed `on_arrivals`.
-    pub fn feed(&mut self, jobs: &mut [Job], feed_time: f64) -> Result<(), ScheduleError> {
+    /// Feeds one burst at `feed_time` by the rules in the module docs and
+    /// appends it to `record`: each `(job, tag)` becomes one fed job and one
+    /// entry, and the burst one price.  The jobs keep the ids the caller
+    /// gave them; the entries carry the caller's tags.  The wall-clock time
+    /// of the whole feed, divided by the burst's size, is each entry's
+    /// latency.  On error the record is left as it was, and the run should
+    /// be discarded, as after any failed `on_arrivals`.
+    pub fn feed(
+        &mut self,
+        record: &mut FeedRecord,
+        burst: impl IntoIterator<Item = (Job, u64)>,
+        feed_time: f64,
+    ) -> Result<(), ScheduleError> {
+        let started = Instant::now();
+        let base = record.jobs.len();
+        let batch = self.state.batches;
         let mut expired = 0;
-        for job in jobs.iter_mut() {
-            if expired_at(job, feed_time) {
+        for (mut job, tag) in burst {
+            let entry = FeedEntry {
+                job: job.id,
+                tag,
+                release: job.release,
+                feed_time,
+                batch,
+                accepted: false,
+                expired: expired_at(&job, feed_time),
+                dual: 0.0,
+                latency_secs: 0.0,
+            };
+            if entry.expired {
                 expired += 1;
             } else {
                 job.release = job.release.max(self.state.release_floor);
                 self.state.release_floor = job.release;
             }
+            record.events.push(entry);
+            record.jobs.push(job);
         }
+        let jobs = &record.jobs[base..];
         let live = jobs.len() - expired;
         let fed = if expired == 0 {
-            self.run.on_arrivals(jobs, feed_time)?
+            self.run.on_arrivals(jobs, feed_time)
         } else {
             self.live.clear();
             self.live
                 .extend(jobs.iter().filter(|job| !expired_at(job, feed_time)));
-            self.run.on_arrivals(&self.live, feed_time)?
+            self.run.on_arrivals(&self.live, feed_time)
         };
-        if fed.len() != live {
-            return Err(ScheduleError::Internal(format!(
-                "on_arrivals contract violation: {} decisions for a burst of {} jobs",
-                fed.len(),
-                live
-            )));
-        }
-        let mut fed = fed.into_iter();
-        self.decisions.clear();
-        self.decisions.extend(jobs.iter().filter_map(|job| {
-            if expired_at(job, feed_time) {
-                Some(Decision::reject(job.value))
-            } else {
-                fed.next()
+        let fed = match fed {
+            Ok(fed) if fed.len() == live => fed,
+            outcome => {
+                record.truncate(base, record.price_trace.len());
+                return Err(match outcome {
+                    Ok(fed) => ScheduleError::Internal(format!(
+                        "on_arrivals contract violation: {} decisions for a burst of {live} jobs",
+                        fed.len()
+                    )),
+                    Err(e) => e,
+                });
             }
-        }));
+        };
         // Every decision is a pricing event.  An acceptance folds its
         // marginal price λ_j in symmetrically; a rejection only ratchets the
         // price up toward its lost value v_j, so a shard drowning in hopeless
         // jobs raises its price, and cheap rejections cannot make a congested
         // shard the cheapest.  A burst without decisions leaves it unchanged.
-        for decision in &self.decisions {
-            self.state.price = fold_price(self.state.price, self.smoothing, decision);
+        let mut fed = fed.into_iter();
+        let entries = record.events[base..].iter_mut();
+        for (entry, job) in entries.zip(&record.jobs[base..]) {
+            // The contract check left one decision per live job.
+            let decision = match entry.expired {
+                true => Decision::reject(job.value),
+                false => fed.next().unwrap_or(Decision::reject(job.value)),
+            };
+            entry.accepted = decision.accepted;
+            entry.dual = decision.dual;
+            self.state.price = fold_price(self.state.price, self.smoothing, &decision);
         }
         self.state.batches += 1;
+        record.price_trace.push(self.state.price);
+        let latency = started.elapsed().as_secs_f64() / (record.jobs.len() - base).max(1) as f64;
+        for entry in &mut record.events[base..] {
+            entry.latency_secs = latency;
+        }
         Ok(())
     }
 }
@@ -206,25 +239,46 @@ mod tests {
             }
             price
         };
-        core.feed(&mut [job(0, 1.0, 3.0, 4.0)], 1.0).unwrap();
-        assert_eq!(core.decisions().len(), 1);
-        fold(core.decisions());
-        let mut burst = [job(1, 0.5, 1.5, 9.0), job(2, 0.5, 4.0, 6.0)];
-        core.feed(&mut burst, 2.0).unwrap();
+        let mut record = FeedRecord::default();
+        let decisions = |record: &FeedRecord, from: usize| -> Vec<Decision> {
+            let entries = &record.events[from..];
+            entries
+                .iter()
+                .map(|e| Decision {
+                    accepted: e.accepted,
+                    dual: e.dual,
+                })
+                .collect()
+        };
+        core.feed(&mut record, [(job(0, 1.0, 3.0, 4.0), 0)], 1.0)
+            .unwrap();
+        assert_eq!(record.events.len(), 1);
+        fold(&decisions(&record, 0));
+        let burst = [(job(1, 0.5, 1.5, 9.0), 1), (job(2, 0.5, 4.0, 6.0), 2)];
+        core.feed(&mut record, burst, 2.0).unwrap();
         // The expired job keeps its release; the live one is clamped up
         // to the floor the first burst left.
-        assert_eq!(burst[0].release, 0.5);
-        assert_eq!(burst[1].release, 1.0);
-        assert_eq!(core.decisions().len(), 2);
-        assert_eq!(core.decisions()[0], Decision::reject(9.0));
-        assert_eq!(core.price().to_bits(), fold(core.decisions()).to_bits());
+        assert_eq!(record.jobs[1].release, 0.5);
+        assert_eq!(record.jobs[2].release, 1.0);
+        assert_eq!(record.events.len(), 3);
+        assert_eq!(decisions(&record, 1)[0], Decision::reject(9.0));
+        assert_eq!(
+            core.price().to_bits(),
+            fold(&decisions(&record, 1)).to_bits()
+        );
         assert_eq!(core.state().batches, 2);
         assert_eq!(core.state().release_floor, 1.0);
         // A burst whose jobs have all expired still counts as a batch.
-        core.feed(&mut [job(3, 0.0, 2.5, 1.0)], 3.0).unwrap();
-        assert_eq!(core.decisions(), [Decision::reject(1.0)]);
-        assert_eq!(core.price().to_bits(), fold(core.decisions()).to_bits());
+        core.feed(&mut record, [(job(3, 0.0, 2.5, 1.0), 3)], 3.0)
+            .unwrap();
+        assert_eq!(decisions(&record, 3), [Decision::reject(1.0)]);
+        assert_eq!(
+            core.price().to_bits(),
+            fold(&decisions(&record, 3)).to_bits()
+        );
         assert_eq!(core.state().batches, 3);
+        assert_eq!(record.price_trace.len(), 3);
+        assert_eq!(record.price_trace[2].to_bits(), core.price().to_bits());
         assert!(core.finish().is_ok());
     }
 }

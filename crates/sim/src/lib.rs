@@ -15,12 +15,16 @@
 //! [`feed::ShardCore`] is the one place where jobs reach an online run: it
 //! applies the model's arrival rules (release floor, expiry, one decision
 //! per job, the price fold), and every driver here and in `pss-serve` is a
-//! loop around it.
+//! loop around it.  It is also the one place that records what was
+//! decided: every burst it feeds lands in the caller's
+//! [`record::FeedRecord`] (the jobs as fed, one entry per job with its
+//! decision and dual, the price after each burst), and the record's
+//! bit-exact `==` is every driver's determinism oracle.
 //!
 //! [`engine::StreamingSimulation`] drives an event-driven online algorithm
 //! ([`OnlineAlgorithm`](pss_types::OnlineAlgorithm)) over an arrival
-//! stream and records a per-event trace (decision, dual, latency, frontier
-//! growth) — the runtime counterpart of the paper's online model.  A
+//! stream and reports its record, with the frontier size after each
+//! batch — the runtime counterpart of the paper's online model.  A
 //! configurable **burst-coalescing window** feeds near-simultaneous
 //! arrivals (within the window of a burst's first release) as one batch
 //! through [`OnlineScheduler::on_arrivals`](pss_types::OnlineScheduler::on_arrivals),
@@ -34,8 +38,8 @@
 //! arrival, [`sharded::ShardedStream`] keeps a mergeable per-shard frontier
 //! ([`pss_types::merge_frontiers`]), and [`sharded::sharding_drift`] is the
 //! sharding-cost oracle comparing the same workload unsharded vs sharded.
-//! With `shards = 1`, [`sharded::ShardedStreaming`] is bit-identical to
-//! [`engine::StreamingSimulation`].
+//! With `shards = 1`, [`sharded::ShardedStreaming`]'s one record equals
+//! [`engine::StreamingSimulation`]'s.
 //!
 //! [`checkpoint`] makes streams *restartable*.  Every run state implements
 //! `pss_types::LogCheckpointable`, and [`checkpoint::CheckpointChain`]
@@ -63,18 +67,20 @@ pub mod checkpoint;
 pub mod engine;
 pub mod feed;
 pub mod gantt;
+pub mod record;
 pub mod replay;
 pub mod sharded;
 
 pub use checkpoint::{Checkpoint, CheckpointChain, Recovery, RecoveryStats};
 pub use engine::{
-    coalesce_arrivals, nearest_rank, ArrivalRecord, JobOutcome, MachineStats, SimReport,
-    Simulation, StreamReport, StreamingSimulation,
+    coalesce_arrivals, nearest_rank, JobOutcome, MachineStats, SimReport, Simulation, StreamReport,
+    StreamingSimulation,
 };
 pub use feed::{burst_len, expired_at, FeedState, ShardCore, PRICE_SMOOTHING};
 pub use gantt::{render_gantt, GanttOptions};
+pub use record::{FeedEntry, FeedRecord};
 pub use replay::{streaming_prefix_report, PrefixStabilityReport};
 pub use sharded::{
-    sharded_fields_equal, sharding_drift, RoutePolicy, ShardedEvent, ShardedReport, ShardedStream,
-    ShardedStreaming, ShardingDrift,
+    merge_shards, sharded_fields_equal, sharding_drift, RoutePolicy, ShardedOutcome, ShardedReport,
+    ShardedStream, ShardedStreaming, ShardingDrift,
 };

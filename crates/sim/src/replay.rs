@@ -14,6 +14,7 @@
 use pss_types::{Instance, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError};
 
 use crate::feed::{ShardCore, PRICE_SMOOTHING};
+use crate::record::FeedRecord;
 
 /// Result of the prefix-stability check.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,6 +56,7 @@ pub fn streaming_prefix_report<A: OnlineAlgorithm + ?Sized>(
 ) -> Result<PrefixStabilityReport, ScheduleError> {
     let samples = samples.max(1);
     let mut core = ShardCore::new(algo.start_for(instance)?, PRICE_SMOOTHING);
+    let mut record = FeedRecord::default();
     let machines = instance.machines;
 
     // (from, to, per-machine frontier samples at window midpoints).
@@ -64,7 +66,7 @@ pub fn streaming_prefix_report<A: OnlineAlgorithm + ?Sized>(
 
     for id in instance.arrival_order() {
         let t = instance.job(id).release;
-        core.feed(&mut [*instance.job(id)], t)?;
+        core.feed(&mut record, [(*instance.job(id), id.index() as u64)], t)?;
         match last_time {
             None => {
                 checkpoints.push(t);

@@ -12,38 +12,42 @@
 //!   **cheapest-price** (argmin of the rolling dual-price EWMAs, exact
 //!   ties rotated by sequence number — the paper's own congestion signal
 //!   turned into a router, exactly the duals PD publishes).
-//! * [`ShardedStream`] — a stateful driver holding one [`ShardCore`] per
-//!   shard: bursts are routed job by job, relabelled to each shard's dense
-//!   local ids and fed through the shard's core, which prices them exactly
-//!   as the serving daemon's worker does.
+//! * [`ShardedStream`] — a stateful driver holding one [`ShardCore`] and
+//!   one [`FeedRecord`] per shard: bursts are routed job by job, relabelled
+//!   to each shard's dense local ids and fed through the shard's core,
+//!   which prices them exactly as the serving daemon's worker does and
+//!   tags each entry with the job's logical id.
 //!   [`ShardedStream::merged_frontier`] zips the per-shard committed
 //!   frontiers into one logical schedule ([`pss_types::merge_frontiers`])
 //!   at any point mid-stream.
 //! * [`ShardedStreaming`] — the one-call harness (the sharded sibling of
 //!   [`StreamingSimulation`]): drives
-//!   a whole instance through a sharded stream and reports the merged
-//!   schedule, per-event decisions, latencies and price traces.  With
-//!   `shards = 1` it is bit-identical to the unsharded simulator — the
-//!   pin that makes drift measurements meaningful.
+//!   a whole instance through a sharded stream and reports the shards'
+//!   records, the routing log and the merged schedule.  With `shards = 1`
+//!   its one record equals the unsharded simulator's — the pin that makes
+//!   drift measurements meaningful.
+//! * [`ShardedOutcome`] — the logical figures of a stream sharded over
+//!   records (value accepted, merged energy, loads), written once for this
+//!   harness and `pss-serve`'s router.
 //! * [`sharding_drift`] — the sharding-cost oracle: the same workload run
 //!   unsharded and sharded, with the decision-quality drift (value
 //!   accepted, energy, total cost) reported side by side.
 //!
 //! Everything here is single-threaded and deterministic: same instance,
-//! same configuration ⇒ bit-identical reports ([`sharded_fields_equal`]).
+//! same configuration ⇒ equal records, routing logs and schedules
+//! ([`sharded_fields_equal`]).
 //! The *throughput* story (real queues, worker threads, admission gates)
 //! lives in `pss-serve`'s `StreamRouter`, which reuses [`RoutePolicy`]
 //! unchanged.
 
-use std::time::Instant;
-
 use pss_types::{
-    merge_frontiers, Decision, Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, Schedule,
+    merge_frontiers, Instance, Job, JobId, OnlineAlgorithm, OnlineScheduler, Schedule,
     ScheduleError, ShardPiece,
 };
 
-use crate::engine::{coalesce_arrivals, nearest_rank, StreamingSimulation};
+use crate::engine::{coalesce_arrivals, nearest_rank, StreamReport, StreamingSimulation};
 use crate::feed::{ShardCore, PRICE_SMOOTHING};
+use crate::record::FeedRecord;
 
 /// How the router picks a shard for each submission.
 ///
@@ -129,39 +133,18 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One logical arrival's outcome in a sharded stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardedEvent {
-    /// The logical stream's job id.
-    pub job: JobId,
-    /// The shard the router picked.
-    pub shard: usize,
-    /// The time the job was fed to its shard's run.
-    pub feed_time: f64,
-    /// Whether the shard's scheduler accepted the job.
-    pub accepted: bool,
-    /// The decision's dual value (λ_j accepted, lost value rejected).
-    pub dual: f64,
-    /// Wall-clock handling latency, amortised over the job's sub-burst.
-    pub latency_secs: f64,
-    /// Size of the sub-burst the job rode in on its shard.
-    pub burst: usize,
-}
-
-/// A live sharded stream: one [`ShardCore`] per shard plus the routing
-/// state.  Created by [`ShardedStream::start`]; driven by
-/// [`on_burst`](ShardedStream::on_burst); observed mid-stream through
-/// [`merged_frontier`](ShardedStream::merged_frontier); consumed by
-/// [`finish`](ShardedStream::finish).
+/// A live sharded stream: one [`ShardCore`] and one [`FeedRecord`] per
+/// shard plus the routing log.  Created by [`ShardedStream::start`];
+/// driven by [`on_burst`](ShardedStream::on_burst); observed mid-stream
+/// through [`merged_frontier`](ShardedStream::merged_frontier); consumed
+/// by [`finish`](ShardedStream::finish).
 #[derive(Debug)]
 pub struct ShardedStream<R: OnlineScheduler> {
     policy: RoutePolicy,
     machines_per_shard: usize,
     cores: Vec<ShardCore<R>>,
-    price_traces: Vec<Vec<f64>>,
-    job_maps: Vec<Vec<JobId>>,
-    events: Vec<ShardedEvent>,
-    next_seq: u64,
+    records: Vec<FeedRecord>,
+    assignments: Vec<usize>,
 }
 
 impl<R: OnlineScheduler> ShardedStream<R> {
@@ -196,68 +179,46 @@ impl<R: OnlineScheduler> ShardedStream<R> {
             policy,
             machines_per_shard,
             cores,
-            price_traces: vec![Vec::new(); shards],
-            job_maps: vec![Vec::new(); shards],
-            events: Vec::new(),
-            next_seq: 0,
+            records: vec![FeedRecord::default(); shards],
+            assignments: Vec::new(),
         })
     }
 
-    /// Routes and feeds one burst of simultaneous arrivals at time `now`,
-    /// returning one decision per job in slice order.
+    /// Routes and feeds one burst of simultaneous arrivals at time `now`.
     ///
     /// Each job is routed individually (`route(seq, prices)` with `seq`
     /// advancing per job), the burst is partitioned into per-shard
     /// sub-bursts preserving arrival order, and each sub-burst is
     /// relabelled to the shard's dense local ids and fed through the
-    /// shard's core, which folds every decision into the shard's price.
-    pub fn on_burst(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
-        let shards = self.cores.len();
+    /// shard's core into the shard's record, tagged with the jobs' logical
+    /// ids; the core folds every decision into the shard's price.
+    pub fn on_burst(&mut self, jobs: &[Job], now: f64) -> Result<(), ScheduleError> {
         // Route first: every job's shard is fixed by (seq, prices) before
         // any feeding updates the prices — within a burst the router sees
         // one consistent price snapshot, mirroring a paused daemon wave.
         let prices: Vec<f64> = self.cores.iter().map(ShardCore::price).collect();
-        let mut routed: Vec<usize> = Vec::with_capacity(jobs.len());
-        for _ in jobs {
-            routed.push(self.policy.route(self.next_seq, &prices));
-            self.next_seq += 1;
+        let first = self.assignments.len();
+        for seq in first..first + jobs.len() {
+            let shard = self.policy.route(seq as u64, &prices);
+            self.assignments.push(shard);
         }
-        let mut subs: Vec<Vec<Job>> = vec![Vec::new(); shards];
-        for (job, &shard) in jobs.iter().zip(&routed) {
-            let mut local = *job;
-            local.id = JobId(self.job_maps[shard].len());
-            self.job_maps[shard].push(job.id);
-            subs[shard].push(local);
-        }
-        let mut latencies = vec![0.0; shards];
-        for (shard, sub) in subs.iter_mut().enumerate() {
-            if sub.is_empty() {
+        let routed = &self.assignments[first..];
+        for (shard, (core, record)) in self.cores.iter_mut().zip(&mut self.records).enumerate() {
+            if !routed.contains(&shard) {
                 continue;
             }
-            let core = &mut self.cores[shard];
-            let started = Instant::now();
-            core.feed(sub, now)?;
-            latencies[shard] = started.elapsed().as_secs_f64() / sub.len() as f64;
-            self.price_traces[shard].push(core.price());
-        }
-        // The k-th job routed to a shard takes its core's k-th decision.
-        let mut taken = vec![0usize; shards];
-        let mut out = Vec::with_capacity(jobs.len());
-        for (job, &shard) in jobs.iter().zip(&routed) {
-            let decision = self.cores[shard].decisions()[taken[shard]];
-            taken[shard] += 1;
-            self.events.push(ShardedEvent {
-                job: job.id,
-                shard,
-                feed_time: now,
-                accepted: decision.accepted,
-                dual: decision.dual,
-                latency_secs: latencies[shard],
-                burst: subs[shard].len(),
+            let base = record.jobs.len();
+            let sub = jobs.iter().zip(routed).filter(|&(_, &s)| s == shard);
+            let sub = sub.enumerate().map(|(k, (job, _))| {
+                let local = Job {
+                    id: JobId(base + k),
+                    ..*job
+                };
+                (local, job.id.index() as u64)
             });
-            out.push(decision);
+            core.feed(record, sub, now)?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The merged logical frontier: the per-shard committed frontiers
@@ -266,46 +227,102 @@ impl<R: OnlineScheduler> ShardedStream<R> {
     /// from the shards — segments present in one merge reappear unchanged
     /// in every later merge.
     pub fn merged_frontier(&self) -> Result<Schedule, ScheduleError> {
-        let pieces: Vec<ShardPiece<'_>> = self
-            .cores
-            .iter()
-            .zip(&self.job_maps)
-            .map(|(core, jobs)| ShardPiece {
-                schedule: core.run().frontier(),
-                jobs,
-            })
-            .collect();
-        merge_frontiers(self.machines_per_shard, &pieces)
+        let frontiers = self.cores.iter().map(|core| core.run().frontier());
+        merge_shards(self.machines_per_shard, frontiers.zip(&self.records))
     }
 
     /// Finishes every shard run and reassembles the logical outcome.
     pub fn finish(self, algorithm: String) -> Result<ShardedReport, ScheduleError> {
-        let batches = self.cores.iter().map(|core| core.state().batches).collect();
         let shard_schedules = self
             .cores
             .into_iter()
             .map(ShardCore::finish)
             .collect::<Result<Vec<_>, _>>()?;
-        let pieces: Vec<ShardPiece<'_>> = shard_schedules
-            .iter()
-            .zip(&self.job_maps)
-            .map(|(schedule, jobs)| ShardPiece {
-                schedule,
-                jobs: jobs.as_slice(),
-            })
-            .collect();
-        let merged = merge_frontiers(self.machines_per_shard, &pieces)?;
+        let merged = merge_shards(
+            self.machines_per_shard,
+            shard_schedules.iter().zip(&self.records),
+        )?;
         Ok(ShardedReport {
             algorithm,
             policy: self.policy,
             machines_per_shard: self.machines_per_shard,
-            assignments: self.events.iter().map(|e| e.shard).collect(),
-            events: self.events,
-            batches,
-            price_traces: self.price_traces,
+            records: self.records,
+            assignments: self.assignments,
             shard_schedules,
             merged,
         })
+    }
+}
+
+/// Merges `(schedule, record)` pairs, one per shard, into one logical
+/// schedule over `machines_per_shard` lanes per shard
+/// ([`pss_types::merge_frontiers`]): each shard's dense local ids map back
+/// to the logical ids its record's entries are tagged with.
+pub fn merge_shards<'a>(
+    machines_per_shard: usize,
+    shards: impl IntoIterator<Item = (&'a Schedule, &'a FeedRecord)>,
+) -> Result<Schedule, ScheduleError> {
+    let (schedules, maps): (Vec<&Schedule>, Vec<Vec<JobId>>) = shards
+        .into_iter()
+        .map(|(schedule, record)| {
+            let ids = record.events.iter().map(|e| JobId(e.tag as usize));
+            (schedule, ids.collect())
+        })
+        .unzip();
+    let pieces: Vec<ShardPiece<'_>> = schedules
+        .into_iter()
+        .zip(&maps)
+        .map(|(schedule, jobs)| ShardPiece { schedule, jobs })
+        .collect();
+    merge_frontiers(machines_per_shard, &pieces)
+}
+
+/// A logical stream sharded over `S` runs, as a report holds it: one
+/// [`FeedRecord`] per shard, whose entries are tagged with the logical job
+/// ids, and the merged logical schedule.  The in-process
+/// [`ShardedReport`], `pss-serve`'s routed report and the unsharded
+/// [`StreamReport`] (`S = 1`) implement it, so the logical figures are
+/// written once.
+pub trait ShardedOutcome {
+    /// The shards' records, in shard order.
+    fn records(&self) -> Vec<&FeedRecord>;
+
+    /// The merged logical schedule.
+    fn merged(&self) -> &Schedule;
+
+    /// Total value of the logical jobs accepted by their shard's run, under
+    /// `instance`'s values.
+    fn value_accepted(&self, instance: &Instance) -> f64 {
+        let events = self.records().into_iter().flat_map(|r| &r.events);
+        let accepted = events.filter(|e| e.accepted);
+        accepted
+            .map(|e| instance.job(JobId(e.tag as usize)).value)
+            .sum()
+    }
+
+    /// Energy of the merged logical schedule — by the merge identity, equal
+    /// to the sum of the shard energies.
+    fn merged_energy(&self, alpha: f64) -> f64 {
+        self.merged().energy(alpha)
+    }
+
+    /// Jobs fed per shard — the load-balance view.
+    fn shard_loads(&self) -> Vec<usize> {
+        self.records().iter().map(|r| r.events.len()).collect()
+    }
+
+    /// Max/mean ratio of the per-shard loads (1.0 is perfectly balanced;
+    /// `S` means one shard took everything).
+    fn load_imbalance(&self) -> f64 {
+        let loads = self.shard_loads();
+        let total: usize = loads.iter().sum();
+        let max = loads.iter().copied().max().unwrap_or(0) as f64;
+        let mean = total as f64 / loads.len().max(1) as f64;
+        if mean > 0.0 {
+            max / mean
+        } else {
+            1.0
+        }
     }
 }
 
@@ -319,116 +336,69 @@ pub struct ShardedReport {
     /// Machines per shard run (the merged schedule spans
     /// `shards · machines_per_shard` lanes).
     pub machines_per_shard: usize,
-    /// One record per logical arrival, in sequence order.
-    pub events: Vec<ShardedEvent>,
+    /// Each shard's record: the jobs it fed under dense local ids, one
+    /// entry per job tagged with its logical id, and its price trace.
+    pub records: Vec<FeedRecord>,
     /// The shard each arrival was routed to, in sequence order.
     pub assignments: Vec<usize>,
-    /// Ingestion batches per shard.
-    pub batches: Vec<usize>,
-    /// The rolling dual price after each batch, per shard.
-    pub price_traces: Vec<Vec<f64>>,
     /// Each shard's finished schedule (shard-local machine lanes and ids).
     pub shard_schedules: Vec<Schedule>,
     /// The merged logical schedule (lane-offset machines, logical ids).
     pub merged: Schedule,
 }
 
+/// The unsharded run is the one-shard case: its record is tagged with the
+/// instance ids, and its schedule is the merged one.
+impl ShardedOutcome for StreamReport {
+    fn records(&self) -> Vec<&FeedRecord> {
+        vec![&self.record]
+    }
+
+    fn merged(&self) -> &Schedule {
+        &self.schedule
+    }
+}
+
+impl ShardedOutcome for ShardedReport {
+    fn records(&self) -> Vec<&FeedRecord> {
+        self.records.iter().collect()
+    }
+
+    fn merged(&self) -> &Schedule {
+        &self.merged
+    }
+}
+
 impl ShardedReport {
-    /// The number of shards.
-    pub fn shards(&self) -> usize {
-        self.shard_schedules.len()
-    }
-
-    /// Logical arrivals accepted by their shard's scheduler.
-    pub fn accepted_jobs(&self) -> usize {
-        self.events.iter().filter(|e| e.accepted).count()
-    }
-
-    /// Total value of the accepted arrivals under `instance`'s values.
-    pub fn value_accepted(&self, instance: &Instance) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.accepted)
-            .map(|e| instance.job(e.job).value)
-            .sum()
-    }
-
-    /// Energy of the merged logical schedule — by the merge identity,
-    /// equal to the sum of the shard energies.
-    pub fn merged_energy(&self, alpha: f64) -> f64 {
-        self.merged.energy(alpha)
-    }
-
     /// Total cost (energy + lost value) of the merged schedule against the
     /// logical instance.
     pub fn total_cost(&self, instance: &Instance) -> f64 {
         self.merged.cost(instance).total()
     }
 
-    /// Arrival counts per shard — the load-balance view.
-    pub fn shard_loads(&self) -> Vec<usize> {
-        let mut loads = vec![0usize; self.shards()];
-        for e in &self.events {
-            loads[e.shard] += 1;
-        }
-        loads
-    }
-
-    /// Max/mean ratio of the per-shard arrival counts (1.0 is perfectly
-    /// balanced; `S` means one shard took everything).
-    pub fn load_imbalance(&self) -> f64 {
-        let loads = self.shard_loads();
-        let max = loads.iter().copied().max().unwrap_or(0) as f64;
-        let mean = self.events.len() as f64 / self.shards().max(1) as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
-    }
-
-    /// Nearest-rank percentile of the per-event handling latencies,
-    /// pooled across shards.
+    /// Nearest-rank percentile of the per-job handling latencies, pooled
+    /// across shards.
     pub fn latency_percentile_secs(&self, p: f64) -> f64 {
-        let mut sorted: Vec<f64> = self.events.iter().map(|e| e.latency_secs).collect();
+        let events = self.records.iter().flat_map(|r| &r.events);
+        let mut sorted: Vec<f64> = events.map(|e| e.latency_secs).collect();
         sorted.sort_by(f64::total_cmp);
         nearest_rank(&sorted, p)
     }
 }
 
-/// Bit-compares the deterministic fields of two sharded reports:
-/// assignments, per-event decisions (shard, id, accepted, dual and feed
-/// time as bits), price traces, shard schedules and the merged schedule.
-/// Wall-clock latencies are excluded.
+/// Whether two sharded reports agree on every deterministic field: the
+/// shards' records (`==`, bit for bit), the routing log, and the shard and
+/// merged schedules, bit for bit.  Wall-clock latencies are excluded.
 pub fn sharded_fields_equal(a: &ShardedReport, b: &ShardedReport) -> bool {
-    let events = a.events.len() == b.events.len()
-        && a.events.iter().zip(&b.events).all(|(x, y)| {
-            x.job == y.job
-                && x.shard == y.shard
-                && x.accepted == y.accepted
-                && x.dual.to_bits() == y.dual.to_bits()
-                && x.feed_time.to_bits() == y.feed_time.to_bits()
-                && x.burst == y.burst
-        });
-    let prices = a.price_traces.len() == b.price_traces.len()
-        && a.price_traces.iter().zip(&b.price_traces).all(|(x, y)| {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-        });
     let schedules_eq = |x: &Schedule, y: &Schedule| {
-        x.machines == y.machines
-            && x.segments.len() == y.segments.len()
-            && x.segments.iter().zip(&y.segments).all(|(s, t)| {
-                s.machine == t.machine
-                    && s.start.to_bits() == t.start.to_bits()
-                    && s.end.to_bits() == t.end.to_bits()
-                    && s.speed.to_bits() == t.speed.to_bits()
-                    && s.job == t.job
-            })
+        let bits = |s: &pss_types::Segment| {
+            let times = [s.start, s.end, s.speed].map(f64::to_bits);
+            (s.machine, s.job, times)
+        };
+        x.machines == y.machines && x.segments.iter().map(bits).eq(y.segments.iter().map(bits))
     };
-    events
-        && prices
+    a.records == b.records
         && a.assignments == b.assignments
-        && a.batches == b.batches
         && a.shard_schedules.len() == b.shard_schedules.len()
         && a.shard_schedules
             .iter()
@@ -520,15 +490,9 @@ pub fn sharding_drift<A: OnlineAlgorithm + ?Sized>(
 ) -> Result<(ShardedReport, ShardingDrift), ScheduleError> {
     let unsharded =
         StreamingSimulation::with_coalescing(sharded.coalesce_window).run(algo, instance)?;
-    let unsharded_value: f64 = unsharded
-        .events
-        .iter()
-        .filter(|e| e.accepted)
-        .map(|e| instance.job(e.job).value)
-        .sum();
     let report = sharded.run(algo, instance)?;
     let drift = ShardingDrift {
-        unsharded_value,
+        unsharded_value: unsharded.value_accepted(instance),
         sharded_value: report.value_accepted(instance),
         unsharded_energy: unsharded.schedule.energy(instance.alpha),
         sharded_energy: report.merged_energy(instance.alpha),

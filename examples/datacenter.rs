@@ -82,8 +82,8 @@ fn main() {
     println!(
         "  arrivals           : {} ({} accepted, {} rejected, rate {:.1}%)",
         stream.events.len(),
-        stream.accepted_jobs(),
-        stream.rejected_jobs(),
+        stream.accepted(),
+        stream.rejected(),
         100.0 * stream.acceptance_rate()
     );
     println!(
@@ -94,11 +94,11 @@ fn main() {
     for event in stream.events.iter().take(5) {
         println!(
             "  t={:6.2}  {}  {}  dual {:.3}  frontier {} segs",
-            event.time,
+            event.release,
             event.job,
             if event.accepted { "accept" } else { "REJECT" },
             event.dual,
-            event.frontier_segments
+            stream.frontier_segments[event.batch]
         );
     }
     println!(
