@@ -426,8 +426,9 @@ impl SnapshotPart for AdmitAll {
 
 /// State version of [`ReplanState`] snapshots.  Version 3 stores the
 /// committed frontier as a bare [`FrontierPart`] cursor into the run's
-/// [`SegmentLog`]; older blobs are rejected with a typed error.
-const REPLAN_STATE_VERSION: u16 = 3;
+/// [`SegmentLog`]; version 4 drops the water-fill tolerance from OA(m)'s
+/// solver options.  Older blobs are rejected with a typed error.
+const REPLAN_STATE_VERSION: u16 = 4;
 
 /// Checkpoint/restore for the replanning executor: the blob holds the run's
 /// live state — the pending set with its remaining works, the current plan

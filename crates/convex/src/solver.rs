@@ -21,7 +21,7 @@
 //! * the "energy of the kept set" oracle inside the brute-force optimum.
 
 use pss_intervals::WorkAssignment;
-use pss_types::num::{self, Tolerance};
+use pss_types::num;
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart};
 
 use crate::program::ProgramContext;
@@ -34,8 +34,6 @@ pub struct SolverOptions {
     pub max_passes: usize,
     /// Relative improvement of the energy below which the solver stops.
     pub energy_tol: f64,
-    /// Tolerance forwarded to the per-job water-filling step.
-    pub waterfill_tol: Tolerance,
 }
 
 impl Default for SolverOptions {
@@ -43,7 +41,6 @@ impl Default for SolverOptions {
         Self {
             max_passes: 60,
             energy_tol: 1e-9,
-            waterfill_tol: Tolerance::default(),
         }
     }
 }
@@ -54,7 +51,6 @@ impl SolverOptions {
         Self {
             max_passes: 25,
             energy_tol: 1e-6,
-            waterfill_tol: Tolerance::coarse(),
         }
     }
 }
@@ -63,14 +59,12 @@ impl SnapshotPart for SolverOptions {
     fn encode(&self, w: &mut BlobWriter) {
         w.write_usize(self.max_passes);
         w.write_f64(self.energy_tol);
-        w.write_part(&self.waterfill_tol);
     }
 
     fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
         Ok(Self {
             max_passes: r.read_usize()?,
             energy_tol: r.read_f64()?,
-            waterfill_tol: r.read_part()?,
         })
     }
 }
@@ -144,11 +138,7 @@ fn descend(
         };
     }
 
-    let wf_opts = WaterfillOptions {
-        max_fraction: 1.0,
-        max_marginal: None,
-        tol: opts.waterfill_tol,
-    };
+    let wf_opts = WaterfillOptions::default();
     let workloads = ctx.workloads();
     // The columns of `x` as sparse `(job, work)` lists of positive works,
     // kept in step with `x`: every fill reads the other jobs' works from

@@ -25,8 +25,8 @@
 //! time units available), the second is the capacity of the machines not
 //! permanently occupied by jobs that are too large to ever run at speed
 //! `≤ s`.  `z*` is continuous and nondecreasing in `s` (when `s·l` crosses
-//! some `u_i`, `q` gains one machine and `B` gains `u_i`, which cancel), so
-//! an outer bisection on `s` finds the common level.
+//! some `u_i`, `q` gains one machine and `B` gains `u_i`, which cancel), and
+//! so is the capacity sum over the candidates.
 //!
 //! ## How the level is found
 //!
@@ -38,23 +38,20 @@
 //! about three evaluations.  A window a few rounding-error bounds wide
 //! around the root is then checked by evaluating the sum at its two ends:
 //! below the target at the left end and above it at the right end, each by
-//! twice a bound on the evaluation's rounding error.
+//! twice a bound on the evaluation's rounding error.  The sum computed
+//! exactly is nondecreasing, so the exact root lies in the window, and the
+//! checked Newton root is the level, clamped to the cap.
 //!
-//! The level itself still comes from [`num::bisect_nondecreasing`],
-//! unchanged: the same start, doubling, cap and [`Tolerance`] as a plain
-//! bisection.  Only its comparator differs: it answers −∞ below the window
-//! and +∞ above it, and evaluates the sum only inside.  The sum computed
-//! exactly is nondecreasing and the evaluated sum stays within its error
-//! bound of it, so every evaluation left of the window would come out below
-//! the target and every one right of it above.  The bisection therefore
-//! takes the same branches, visits the same points and returns the same
-//! level, bit for bit, while the fill evaluates the sum about five times
-//! instead of about 37 (OA(m)'s replans on E12 m = 2 streams).  When the
-//! search or the check fails, the comparator evaluates everywhere.
+//! When the search or the check fails, the level comes from a bisection
+//! with no tolerance: it halves the bit patterns of the speeds between 0
+//! and the cap until the bracket's ends are adjacent floats, at most 64
+//! evaluations.  Either way the level solves the sum to within its
+//! rounding error, and the fill rescales the placed fractions so that they
+//! add up to exactly the fraction to place.
 
 use pss_intervals::WorkAssignment;
 use pss_power::AlphaPower;
-use pss_types::num::{self, Tolerance};
+use pss_types::num;
 
 use crate::program::ProgramContext;
 
@@ -66,8 +63,6 @@ pub struct WaterfillOptions {
     /// Optional cap on the marginal cost `∂P_k/∂x_{jk}`; the fill stops at
     /// this level even if the job is not fully placed.  PD uses `v_j / δ`.
     pub max_marginal: Option<f64>,
-    /// Numeric tolerance of the level search.
-    pub tol: Tolerance,
 }
 
 impl Default for WaterfillOptions {
@@ -75,7 +70,6 @@ impl Default for WaterfillOptions {
         Self {
             max_fraction: 1.0,
             max_marginal: None,
-            tol: Tolerance::default(),
         }
     }
 }
@@ -83,9 +77,11 @@ impl Default for WaterfillOptions {
 /// Result of a water-filling run for one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaterfillResult {
-    /// `(interval, fraction)` pairs with strictly positive fractions.
+    /// `(interval, fraction)` pairs with strictly positive fractions; empty
+    /// unless the fill saturated.
     pub added: Vec<(usize, f64)>,
-    /// Total fraction placed, `Σ added`.
+    /// Total fraction placed, `Σ added`, or for a fill stopped at the
+    /// marginal cap, the fraction that fits there.
     pub total: f64,
     /// The common speed level `s*` reached by the fill.
     pub level_speed: f64,
@@ -108,7 +104,7 @@ impl WaterfillResult {
 }
 
 /// Newton steps and window checks the level search may take before the
-/// fill falls back to evaluating the capacity sum at every bisection point.
+/// fill falls back to bisecting the speeds' bit patterns.
 const SEARCH_STEPS: usize = 24;
 
 /// One candidate interval of [`Capacities`].
@@ -139,8 +135,8 @@ struct Probe {
 ///
 /// A caller filling many jobs keeps one buffer and, per job, [`clear`]s it,
 /// [`push`]es the job's candidate intervals and runs [`fill`].  Once the
-/// buffers have grown to the largest fill, a fill allocates nothing but its
-/// result's `added` pairs.  [`waterfill_job`] and the offline solver's
+/// buffers have grown to the largest fill, a fill allocates nothing but a
+/// saturated result's `added` pairs.  [`waterfill_job`] and the offline solver's
 /// coordinate descent fill through it, and so does online PD, straight from
 /// its per-interval load lists.  A cleared buffer fills exactly as a fresh
 /// one: no state carries from one fill to the next.
@@ -261,70 +257,62 @@ impl Capacities {
             return WaterfillResult::empty();
         }
         let m = machines;
+        let target = opts.max_fraction;
 
         // The speed corresponding to the marginal cap (if any).
         let speed_cap = opts.max_marginal.map(|mm| power.dual_speed(mm, w_j));
 
         // If even at the cap the job cannot be fully placed, the fill stops at
-        // the cap (PD's rejection case).
+        // the cap (PD's rejection case) and places nothing: no caller keeps a
+        // job it could not place.
         if let Some(cap) = speed_cap {
-            if self.fraction_at(cap, m, w_j) < opts.max_fraction * (1.0 - 1e-12) {
-                return self.result(m, w_j, cap, power, false, opts.max_fraction);
+            let total = self.fraction_at(cap, m, w_j);
+            if total < target * (1.0 - 1e-12) {
+                return WaterfillResult {
+                    added: Vec::new(),
+                    total,
+                    level_speed: cap,
+                    level_marginal: power.dual_value(cap, w_j),
+                    saturated: false,
+                };
             }
         }
 
-        // The doubling and the bisection see the capacity sum through a
-        // comparator that evaluates it only inside the checked window (see
-        // the module docs): they take the branches they would take on the
-        // sum itself.
-        let start = self.initial_speed_guess(w_j, opts.max_fraction);
-        let window = self.window(m, w_j, opts.max_fraction, start);
-        let guarded = |speed: f64| match window {
-            Some((a, _)) if speed < a => f64::NEG_INFINITY,
-            Some((_, b)) if speed > b => f64::INFINITY,
-            _ => self.fraction_at(speed, m, w_j),
+        let cap = speed_cap.unwrap_or(f64::INFINITY);
+        let level = match self.checked_root(m, w_j, target) {
+            Some(root) => root.min(cap),
+            None => self.bisect_bits(m, w_j, target, cap),
         };
-
-        // Find an upper bracket for the level: double until the job fits.
-        let mut hi = start;
-        let mut guard = 0;
-        while guarded(hi) < opts.max_fraction && guard < 200 {
-            hi *= 2.0;
-            guard += 1;
-        }
-        if let Some(cap) = speed_cap {
-            hi = hi.min(cap);
-        }
-
-        // Bisection on the speed level.
-        let level = num::bisect_nondecreasing(0.0, hi, opts.max_fraction, opts.tol, guarded);
-
-        self.result(m, w_j, level, power, true, opts.max_fraction)
+        self.result(m, w_j, level, power, target)
     }
 
-    /// Locates the level: a safeguarded Newton search on the capacity sum
-    /// for the speed where it reaches `target`, then a check of a window
-    /// around the estimate.  Returns the window `[a, b]` or `None` if no
-    /// estimate passes the check within [`SEARCH_STEPS`].
+    /// The checked Newton root: a safeguarded Newton search on the capacity
+    /// sum of a job of workload `w_j` for the speed where it reaches the
+    /// fraction `target`, then a check of a window around the estimate.
+    /// Returns the estimate once its window passes, or `None` if no
+    /// estimate passes within `SEARCH_STEPS` steps; [`fill`](Self::fill)
+    /// bisects then.  The pushed candidates and `(machines, w_j, target)`
+    /// decide the answer, so a caller can tell which of the two gave a
+    /// fill's level.
     ///
     /// A Newton step shorter than the window's half-width gives the
     /// estimate; any longer step is kept inside the known bracket, halving
     /// it (or doubling the speed while no upper end is known) when it
     /// would leave.  The window extends to either side of the estimate by the
     /// speed over which the sum rises by eight rounding-error bounds.  It
-    /// passes if the sum at `a` plus twice its error bound is below
-    /// `target` and the sum at `b` minus twice its bound is above it.  The
-    /// sum computed exactly is nondecreasing, so no evaluation left of `a`
-    /// can reach `target`, and none right of `b` can fall to it: there the
-    /// sum rises by at least the shortest candidate's length per unit of
-    /// speed, and the bound by `2ε·m·Σl`, which must be smaller.
+    /// passes if the sum at its left end plus twice its error bound is below
+    /// `target` and the sum at its right end minus twice its bound is above
+    /// it.  The sum computed exactly is nondecreasing, so its root lies in
+    /// the window: there the sum rises by at least the shortest candidate's
+    /// length per unit of speed, and the bound by `2ε·m·Σl`, which must be
+    /// smaller.
     ///
     /// The error bound: each capacity is within `3u·(m·s·l + (p + 1)·U)` of
     /// the exact capacity, with `p` other works of total `U` in the
     /// interval and `u` the unit roundoff (the threshold, the prefix sums
     /// and the two products round); the compensated sum and the division
     /// add `3u` of the fraction.  The bound takes `4u` of both.
-    fn window(&self, machines: usize, w_j: f64, target: f64, start: f64) -> Option<(f64, f64)> {
+    pub fn checked_root(&self, machines: usize, w_j: f64, target: f64) -> Option<f64> {
         let m = machines as f64;
         let lengths = self.spans.iter().map(|c| c.length);
         let total_length: f64 = lengths.clone().sum();
@@ -340,6 +328,7 @@ impl Capacities {
         };
         // The sum is below the target at `lo` and above it at `hi`.
         let (mut lo, mut hi) = (0.0_f64, f64::INFINITY);
+        let start = self.initial_speed_guess(w_j, target);
         let mut p = self.probe(start, machines, w_j);
         for _ in 0..SEARCH_STEPS {
             if p.value < target {
@@ -364,7 +353,7 @@ impl Capacities {
                 }
                 let clear = below + 2.0 * error_bound(a, below) < target
                     && above - 2.0 * error_bound(b, above) > target;
-                return clear.then_some((a, b));
+                return clear.then_some(root);
             }
             let next = if root > lo && root < hi {
                 root
@@ -376,6 +365,25 @@ impl Capacities {
             p = self.probe(next, machines, w_j);
         }
         None
+    }
+
+    /// The level when [`checked_root`](Self::checked_root) finds none: a
+    /// bisection of the speeds in `[0, cap]` by their bit patterns, which
+    /// nonnegative floats share their order with.  The sum is 0 at speed 0,
+    /// below any target, and the bisection stops when the bracket's ends
+    /// are adjacent floats, after at most 64 evaluations.  Returns the upper
+    /// end: the least speed at which the sum reaches `target`, or the cap.
+    fn bisect_bits(&self, machines: usize, w_j: f64, target: f64, cap: f64) -> f64 {
+        let (mut lo, mut hi) = (0_u64, cap.to_bits());
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.fraction_at(f64::from_bits(mid), machines, w_j) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        f64::from_bits(hi)
     }
 
     fn initial_speed_guess(&self, w_j: f64, max_fraction: f64) -> f64 {
@@ -393,13 +401,17 @@ impl Capacities {
         (max_existing + spread_speed).max(1e-9)
     }
 
+    /// The saturated fill at `level_speed`: every candidate's capacity
+    /// there, rescaled to add up to `max_fraction`.  The level solves the
+    /// capacity sum only to within its rounding error (or the 1e-12 slack
+    /// at a cap), so the rescale is what places a job exactly.  A level at
+    /// which nothing fits (a sum of 0) places nothing and is unsaturated.
     fn result(
         &self,
         machines: usize,
         w_j: f64,
         level_speed: f64,
         power: AlphaPower,
-        saturated: bool,
         max_fraction: f64,
     ) -> WaterfillResult {
         let mut added: Vec<(usize, f64)> = self
@@ -409,9 +421,8 @@ impl Capacities {
             .filter(|(_, f)| *f > 0.0)
             .collect();
         let mut total = num::stable_sum(added.iter().map(|(_, f)| *f));
-        if saturated && total > 0.0 {
-            // The bisection leaves a relative error of ~tol; rescale so that a
-            // fully placed job has an assigned fraction of exactly max_fraction.
+        let saturated = total > 0.0;
+        if saturated {
             let scale = max_fraction / total;
             for (_, f) in &mut added {
                 *f *= scale;
@@ -423,7 +434,7 @@ impl Capacities {
             total,
             level_speed,
             level_marginal: power.dual_value(level_speed, w_j),
-            saturated: saturated && total >= max_fraction * (1.0 - 1e-9),
+            saturated,
         }
     }
 }

@@ -13,7 +13,7 @@ use pss_convex::{
 };
 use pss_intervals::WorkAssignment;
 use pss_power::AlphaPower;
-use pss_types::num::{bisect_nondecreasing, stable_sum, Tolerance};
+use pss_types::num::stable_sum;
 use pss_types::{Instance, Job};
 use pss_workloads::{ArrivalModel, RandomConfig, SmallRng, ValueModel};
 
@@ -143,10 +143,10 @@ fn solver_beats_uniform_spreading() {
 }
 
 // ---------------------------------------------------------------------------
-// The guarded level search against a plain bisection, bit for bit.
+// The fill's level against a breakpoint walk, to the sum's rounding error.
 // ---------------------------------------------------------------------------
 
-/// Fills the bit-identity sweep compares: a few thousand by default, and
+/// Fills the exactness sweep checks: a few thousand by default, and
 /// `WATERFILL_SMOKE=1` (the CI streaming smoke, in release) sweeps 2×10⁵.
 fn sweep_fills() -> usize {
     if std::env::var_os("WATERFILL_SMOKE").is_some() {
@@ -225,12 +225,83 @@ impl PlainCapacity {
         let machine_cap = (q * threshold - b_small).max(0.0);
         threshold.min(machine_cap)
     }
+
+    /// The speeds where the capacity's linear piece may change: each
+    /// work's `u_i / l`, and for each count of works above the threshold,
+    /// where `q·s·l − B` meets 0 and where it meets `s·l`.
+    fn breakpoints(&self, machines: usize) -> impl Iterator<Item = f64> + '_ {
+        let p = self.sorted_works.len();
+        let kinks = (0..=p.min(machines - 1)).flat_map(move |above| {
+            let q = (machines - above) as f64;
+            let b = self.prefix[p] - self.prefix[above];
+            [b / (q * self.length), b / ((q - 1.0) * self.length)]
+        });
+        let works = self.sorted_works.iter().map(|u| u / self.length);
+        works.chain(kinks).filter(|s| s.is_finite())
+    }
 }
 
-/// The water-fill with an unguarded comparator: the same capacity sum,
-/// start, doubling, cap, bisection and rescaling as [`Capacities::fill`],
-/// evaluating the sum at every point the doubling and the bisection ask
-/// for.
+/// The capacity sum of a job of workload `w_j`, as a fraction of the job.
+fn plain_fraction(caps: &[PlainCapacity], m: usize, w_j: f64, speed: f64) -> f64 {
+    stable_sum(caps.iter().map(|c| c.capacity(speed, m))) / w_j
+}
+
+/// The speed at which the capacity sum reaches `target`, by walking its
+/// breakpoints: the sum is linear between two consecutive ones, so the
+/// level interpolates the first piece whose right end reaches `target`.
+/// Past the last breakpoint every capacity grows as `s·l`.
+fn breakpoint_level(caps: &[PlainCapacity], m: usize, w_j: f64, target: f64) -> f64 {
+    let mut points: Vec<f64> = caps.iter().flat_map(|c| c.breakpoints(m)).collect();
+    points.retain(|s| *s > 0.0);
+    points.sort_by(f64::total_cmp);
+    points.dedup();
+    let (mut left, mut below) = (0.0, 0.0);
+    for s in points {
+        let value = plain_fraction(caps, m, w_j, s);
+        if value >= target {
+            return left + (target - below) * (s - left) / (value - below);
+        }
+        (left, below) = (s, value);
+    }
+    let slope: f64 = caps.iter().map(|c| c.length).sum::<f64>() / w_j;
+    left + (target - below) / slope
+}
+
+/// A saturated fill at `level`: every capacity there, rescaled to add up
+/// to `max_fraction`, as the fill places them.
+fn plain_result(
+    caps: &[PlainCapacity],
+    power: AlphaPower,
+    m: usize,
+    w_j: f64,
+    level: f64,
+    max_fraction: f64,
+) -> WaterfillResult {
+    let mut added: Vec<(usize, f64)> = caps
+        .iter()
+        .map(|c| (c.interval, c.capacity(level, m) / w_j))
+        .filter(|(_, f)| *f > 0.0)
+        .collect();
+    let mut total = stable_sum(added.iter().map(|(_, f)| *f));
+    let saturated = total > 0.0;
+    if saturated {
+        let scale = max_fraction / total;
+        for (_, f) in &mut added {
+            *f *= scale;
+        }
+        total = max_fraction;
+    }
+    WaterfillResult {
+        added,
+        total,
+        level_speed: level,
+        level_marginal: power.dual_value(level, w_j),
+        saturated,
+    }
+}
+
+/// The water-fill with its level from [`breakpoint_level`]: the same
+/// capacity sum, cap test and rescaling as [`Capacities::fill`].
 fn plain_fill(
     power: AlphaPower,
     m: usize,
@@ -239,51 +310,52 @@ fn plain_fill(
     opts: &WaterfillOptions,
 ) -> WaterfillResult {
     let caps: Vec<PlainCapacity> = candidates.iter().map(PlainCapacity::new).collect();
-    let fraction_at = |s: f64| stable_sum(caps.iter().map(|c| c.capacity(s, m))) / w_j;
-    let result = |level: f64, saturated: bool| {
-        let mut added: Vec<(usize, f64)> = caps
-            .iter()
-            .map(|c| (c.interval, c.capacity(level, m) / w_j))
-            .filter(|(_, f)| *f > 0.0)
-            .collect();
-        let mut total = stable_sum(added.iter().map(|(_, f)| *f));
-        if saturated && total > 0.0 {
-            let scale = opts.max_fraction / total;
-            for (_, f) in &mut added {
-                *f *= scale;
-            }
-            total = opts.max_fraction;
-        }
-        WaterfillResult {
-            added,
-            total,
-            level_speed: level,
-            level_marginal: power.dual_value(level, w_j),
-            saturated: saturated && total >= opts.max_fraction * (1.0 - 1e-9),
-        }
-    };
     let speed_cap = opts.max_marginal.map(|mm| power.dual_speed(mm, w_j));
     if let Some(cap) = speed_cap {
-        if fraction_at(cap) < opts.max_fraction * (1.0 - 1e-12) {
-            return result(cap, false);
+        let total = plain_fraction(&caps, m, w_j, cap);
+        if total < opts.max_fraction * (1.0 - 1e-12) {
+            return WaterfillResult {
+                added: Vec::new(),
+                total,
+                level_speed: cap,
+                level_marginal: power.dual_value(cap, w_j),
+                saturated: false,
+            };
         }
     }
-    let max_existing = caps
-        .iter()
-        .flat_map(|c| c.sorted_works.first().map(|u| u / c.length))
-        .fold(0.0_f64, f64::max);
+    let level = breakpoint_level(&caps, m, w_j, opts.max_fraction);
+    let level = level.min(speed_cap.unwrap_or(f64::INFINITY));
+    plain_result(&caps, power, m, w_j, level, opts.max_fraction)
+}
+
+/// How far apart two levels of the same fill may lie: sixteen times the
+/// bound on the capacity sum's rounding error that the fill's window
+/// check uses, at each level, over a lower bound on the sum's slope
+/// between them, plus a few ulps.  Every capacity positive just below both
+/// levels stays positive above, where it rises by at least its length per
+/// unit of speed.
+fn level_tolerance(
+    caps: &[PlainCapacity],
+    m: usize,
+    w_j: f64,
+    target: f64,
+    levels: [f64; 2],
+) -> f64 {
     let total_length: f64 = caps.iter().map(|c| c.length).sum();
-    let mut hi = (max_existing + w_j * opts.max_fraction / total_length).max(1e-9);
-    let mut guard = 0;
-    while fraction_at(hi) < opts.max_fraction && guard < 200 {
-        hi *= 2.0;
-        guard += 1;
-    }
-    if let Some(cap) = speed_cap {
-        hi = hi.min(cap);
-    }
-    let level = bisect_nondecreasing(0.0, hi, opts.max_fraction, opts.tol, fraction_at);
-    result(level, true)
+    let prefix_share: f64 = caps
+        .iter()
+        .map(|c| c.prefix.len() as f64 * c.prefix[c.prefix.len() - 1])
+        .sum();
+    let error_bound = |speed: f64| {
+        2.0 * f64::EPSILON * ((m as f64 * speed * total_length + prefix_share) / w_j + target)
+    };
+    let below = levels[0].min(levels[1]) * (1.0 - 1e-9);
+    let slope: f64 = (caps.iter())
+        .filter(|c| c.capacity(below, m) > 0.0)
+        .map(|c| c.length / w_j)
+        .sum();
+    16.0 * (error_bound(levels[0]) + error_bound(levels[1])) / slope
+        + 8.0 * f64::EPSILON * levels[0].max(levels[1])
 }
 
 /// Whether two fills agree bit for bit: level, placed fractions, total and
@@ -345,18 +417,24 @@ fn kink_at(speed: f64, length: f64, m: usize, above: usize, offset: f64) -> Vec<
     works
 }
 
-/// The guarded level search returns the plain bisection's level, fill and
-/// saturation bit for bit, over m ∈ {1, 2, 3, 4}, the three tolerances,
-/// uncapped and capped fills (caps anywhere and within 1e-12 of the root),
-/// equal works, empty intervals, a 1e-12-long interval beside a long one,
-/// and roots placed on a kink where `q·s·l ≈ B`.  Every fill of the sweep
-/// runs through one [`Capacities`] buffer, cleared and refilled, so state
-/// carried from one fill into the next would fail it.
+/// The fill's level is exact: it matches the breakpoint walk's level to
+/// within the capacity sum's rounding error, a saturated fill places
+/// exactly its fraction (and places it as the reference does at the
+/// fill's level, bit for bit), and a fill stopped at the cap is the
+/// reference's bit for bit.  The sweep covers m ∈ {1, 2, 3, 4}, uncapped
+/// and capped fills (caps anywhere and within 1e-12 of the root), equal
+/// works, empty intervals, a 1e-12-long interval beside a long one, and
+/// roots placed on a kink where `q·s·l ≈ B`.  Both ways to the level run:
+/// the checked Newton root and the bisection the fill falls back to.
+/// Every fill of the sweep runs through one [`Capacities`] buffer,
+/// cleared and refilled, so state carried from one fill into the next
+/// would fail it.
 #[test]
-fn guarded_level_search_matches_the_plain_bisection_bit_for_bit() {
+fn fill_level_matches_the_breakpoint_walk() {
     let mut rng = SmallRng::seed_from_u64(0xC0 + 5);
-    let tolerances = [Tolerance::default(), Tolerance::coarse(), Tolerance::fine()];
     let mut capacities = Capacities::default();
+    let (mut capped, mut newton, mut bisected) = (0, 0, 0);
+    let mut widest = 0.0_f64;
     for case in 0..sweep_fills() {
         let m = 1 + case % 4;
         let power = AlphaPower::new(ALPHAS[rng.usize_range(0, ALPHAS.len() - 1)]);
@@ -370,7 +448,6 @@ fn guarded_level_search_matches_the_plain_bisection_bit_for_bit() {
                 1.0
             },
             max_marginal: None,
-            tol: tolerances[(case / 4) % 3],
         };
         let root = plain_fill(power, m, w_j, &candidates, &opts).level_speed;
         if shape == 4 {
@@ -393,14 +470,50 @@ fn guarded_level_search_matches_the_plain_bisection_bit_for_bit() {
                 Some(power.dual_value(cap, w_j))
             }
         };
-        let guarded = buffer_fill(&mut capacities, power, m, w_j, &candidates, &opts);
+        let fill = buffer_fill(&mut capacities, power, m, w_j, &candidates, &opts);
         let plain = plain_fill(power, m, w_j, &candidates, &opts);
-        assert!(
-            same_fill(&guarded, &plain),
+        let case = format!(
             "case {case}: m = {m}, shape {shape}, w = {w_j}, {opts:?}, {candidates:?}: \
-             guarded {guarded:?}, plain {plain:?}"
+             fill {fill:?}, plain {plain:?}"
+        );
+        if !plain.saturated {
+            capped += 1;
+            assert!(same_fill(&fill, &plain), "{case}");
+            continue;
+        }
+        match capacities.checked_root(m, w_j, opts.max_fraction) {
+            Some(_) => newton += 1,
+            None => bisected += 1,
+        }
+        assert!(fill.saturated, "{case}");
+        let caps: Vec<PlainCapacity> = candidates.iter().map(PlainCapacity::new).collect();
+        let (level, reference) = (fill.level_speed, plain.level_speed);
+        let tolerance = level_tolerance(&caps, m, w_j, opts.max_fraction, [level, reference]);
+        assert!(
+            (level - reference).abs() <= tolerance,
+            "{case}: levels {level} and {reference} differ by more than {tolerance}"
+        );
+        widest = widest.max((level - reference).abs() / tolerance);
+        assert_eq!(fill.total.to_bits(), opts.max_fraction.to_bits(), "{case}");
+        let placed = stable_sum(fill.added.iter().map(|(_, f)| *f));
+        assert!(
+            (placed - opts.max_fraction).abs() <= 4.0 * f64::EPSILON * opts.max_fraction,
+            "{case}: placed {placed}"
+        );
+        let at_level = plain_result(&caps, power, m, w_j, level, opts.max_fraction);
+        assert!(
+            same_fill(&fill, &at_level),
+            "{case}: placed {at_level:?} at the fill's level"
         );
     }
+    println!(
+        "exactness sweep: {capped} fills stopped at the cap, {newton} levels from the checked \
+         Newton root, {bisected} from the bisection; widest level gap {widest:.3} of its tolerance"
+    );
+    assert!(
+        newton > 0 && bisected > 0,
+        "both ways to the level must run"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -422,10 +535,7 @@ fn dense_descend(
     let mut x = seed
         .cloned()
         .unwrap_or_else(|| WorkAssignment::zeros(n, n_intervals));
-    let wf_opts = WaterfillOptions {
-        tol: opts.waterfill_tol,
-        ..WaterfillOptions::default()
-    };
+    let wf_opts = WaterfillOptions::default();
     let mut prev_energy = if seeded {
         ctx.total_energy(&x)
     } else {

@@ -188,7 +188,6 @@ pub fn rejection_policy_report(
             &WaterfillOptions {
                 max_fraction: 1.0,
                 max_marginal: None,
-                tol: scheduler.tol,
             },
         );
         let threshold_speed = power.rejection_speed_threshold(job.value, job.work);
@@ -201,7 +200,6 @@ pub fn rejection_policy_report(
             &WaterfillOptions {
                 max_fraction: 1.0,
                 max_marginal: Some(job.value / delta),
-                tol: scheduler.tol,
             },
         );
         if capped.saturated {

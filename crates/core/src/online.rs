@@ -37,8 +37,9 @@
 //! O(arrivals).
 //!
 //! An arrival allocates almost nothing in steady state: the decision vector
-//! and the fill's `added` pairs, and no vector per covered or committed
-//! interval.  Three buffers are reused from arrival to arrival:
+//! and, for an accepted job, the fill's `added` pairs (a rejected job's fill
+//! places nothing), and no vector per covered or committed interval.  Three
+//! buffers are reused from arrival to arrival:
 //!
 //! * the water-fill buffer ([`Capacities`]), which each fill clears and
 //!   feeds straight from the covered intervals' load lists;
@@ -59,7 +60,6 @@ use pss_chen::ChenInterval;
 use pss_convex::{Capacities, WaterfillOptions};
 use pss_intervals::{BoundaryInsert, IntervalPartition};
 use pss_power::AlphaPower;
-use pss_types::num::Tolerance;
 use pss_types::seglog::{FrontierPart, LogCheckpointable, SegmentLog};
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 use pss_types::{
@@ -169,7 +169,6 @@ pub struct OnlinePd {
     alpha: f64,
     power: AlphaPower,
     delta: f64,
-    tol: Tolerance,
     plan: PlanState,
     /// Number of jobs that have arrived so far.
     arrived: usize,
@@ -197,15 +196,9 @@ impl OnlinePd {
         Self::with_delta(machines, alpha, delta)
     }
 
-    /// Creates an online PD instance with an explicit `δ`.
-    pub fn with_delta(machines: usize, alpha: f64, delta: f64) -> Self {
-        Self::with_options(machines, alpha, delta, Tolerance::default())
-    }
-
-    /// Creates an online PD instance with an explicit `δ` and water-level
-    /// search tolerance (the knobs of
+    /// Creates an online PD instance with an explicit `δ` (the knob of
     /// [`PdScheduler`](crate::pd::PdScheduler)).
-    pub fn with_options(machines: usize, alpha: f64, delta: f64, tol: Tolerance) -> Self {
+    pub fn with_delta(machines: usize, alpha: f64, delta: f64) -> Self {
         assert!(machines > 0, "need at least one machine");
         assert!(delta > 0.0 && delta.is_finite(), "delta must be positive");
         let power = AlphaPower::new(alpha);
@@ -214,7 +207,6 @@ impl OnlinePd {
             alpha,
             power,
             delta,
-            tol,
             plan: PlanState::new(),
             arrived: 0,
             last_release: f64::NEG_INFINITY,
@@ -250,7 +242,6 @@ impl OnlinePd {
         let opts = WaterfillOptions {
             max_fraction: 1.0,
             max_marginal: Some(job.value / self.delta),
-            tol: self.tol,
         };
         let fill = self
             .capacities
@@ -379,15 +370,16 @@ impl SnapshotPart for PlanState {
 /// State version of [`OnlinePd`] snapshots.  Version 4 holds only live
 /// state (no per-job tables, no elapsed intervals) and stores the committed
 /// frontier as a bare [`FrontierPart`] cursor into the run's
-/// [`SegmentLog`]; older blobs are rejected with a typed error.
-const PD_STATE_VERSION: u16 = 4;
+/// [`SegmentLog`]; version 5 drops the water-level tolerance.  Older blobs
+/// are rejected with a typed error.
+const PD_STATE_VERSION: u16 = 5;
 
 /// The blob holds PD's complete live state: the live planning context (the
 /// boundaries of the uncommitted intervals and their `(job, fraction,
 /// work)` load lists), the arrival count, the last release, the floor, the
-/// run parameters (`m`, `α`, `δ`, water-level tolerance) and the frontier's
-/// log cursor.  The power function is re-derived from `α` on restore;
-/// continuation from the `(log, blob)` pair is bit-identical.
+/// run parameters (`m`, `α`, `δ`) and the frontier's log cursor.  The power
+/// function is re-derived from `α` on restore; continuation from the
+/// `(log, blob)` pair is bit-identical.
 impl LogCheckpointable for OnlinePd {
     fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
         let frontier = FrontierPart::sync(log, &self.committed)?;
@@ -395,7 +387,6 @@ impl LogCheckpointable for OnlinePd {
         w.write_usize(self.machines);
         w.write_f64(self.alpha);
         w.write_f64(self.delta);
-        w.write_part(&self.tol);
         w.write_part(&self.plan);
         w.write_usize(self.arrived);
         w.write_f64(self.last_release);
@@ -420,7 +411,6 @@ impl LogCheckpointable for OnlinePd {
             alpha,
             power: AlphaPower::new(alpha),
             delta,
-            tol: r.read_part()?,
             plan: r.read_part()?,
             arrived: r.read_usize()?,
             last_release: r.read_f64()?,

@@ -22,39 +22,33 @@
 
 use pss_convex::{waterfill_job, ProgramContext, WaterfillOptions};
 use pss_intervals::WorkAssignment;
-use pss_types::num::Tolerance;
 use pss_types::{Instance, OnlineAlgorithm, Schedule, ScheduleError};
 
 use crate::online::OnlinePd;
 
 /// The PD scheduler.
 ///
-/// The two knobs are the primal-dual parameter `δ` (defaults to the analysed
-/// optimum `α^{1-α}`) and the numeric tolerance of the water-level search.
+/// The one knob is the primal-dual parameter `δ` (defaults to the analysed
+/// optimum `α^{1-α}`): the water level has a closed form, so the fill has
+/// no tolerance to set.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PdScheduler {
     /// The parameter `δ` of Listing 1; `None` selects `δ* = α^{1-α}`.
     pub delta: Option<f64>,
-    /// Numeric tolerance of the water-filling level search.
-    pub tol: Tolerance,
 }
 
 impl PdScheduler {
     /// PD with an explicit `δ` (used by the δ-ablation experiment).
     pub fn with_delta(delta: f64) -> Self {
         assert!(delta.is_finite() && delta > 0.0, "delta must be positive");
-        Self {
-            delta: Some(delta),
-            tol: Tolerance::default(),
-        }
+        Self { delta: Some(delta) }
     }
 
-    /// PD with a coarser numeric tolerance for large benchmark sweeps.
+    /// The same scheduler as [`default`](Self::default).  The water level
+    /// has no tolerance left to coarsen; the constructor stays for the
+    /// callers that name it.
     pub fn coarse() -> Self {
-        Self {
-            delta: None,
-            tol: Tolerance::coarse(),
-        }
+        Self::default()
     }
 
     /// The effective `δ` for an instance with the given `α`.
@@ -85,7 +79,6 @@ impl PdScheduler {
             let opts = WaterfillOptions {
                 max_fraction: 1.0,
                 max_marginal: Some(job.value / delta),
-                tol: self.tol,
             };
             let fill = waterfill_job(&ctx, &assignment, j, &opts);
             planned_fraction[j] = fill.total;
@@ -135,11 +128,10 @@ impl OnlineAlgorithm for PdScheduler {
                 "PD needs at least one machine".into(),
             ));
         }
-        Ok(OnlinePd::with_options(
+        Ok(OnlinePd::with_delta(
             machines,
             alpha,
             self.effective_delta(alpha),
-            self.tol,
         ))
     }
 }

@@ -129,6 +129,40 @@ fn online_pd_matches_batch() {
     }
 }
 
+/// The water level has no tolerance to set, so `PdScheduler::coarse()` is
+/// the same scheduler as `default()`: their runs decide and schedule every
+/// stream bit for bit, online and batch.
+#[test]
+fn coarse_and_default_pd_runs_are_bit_identical() {
+    for (seed, machines) in [(81, 1), (82, 2)] {
+        let inst = RandomConfig {
+            n_jobs: 120,
+            machines,
+            ..RandomConfig::standard(seed)
+        }
+        .generate();
+        let drive = |pd: PdScheduler| {
+            let mut run = pd.start_for(&inst).expect("PD run");
+            let decisions: Vec<Decision> = inst
+                .arrival_order()
+                .into_iter()
+                .map(|id| {
+                    let job = inst.job(id);
+                    run.on_arrival(job, job.release).expect("arrival")
+                })
+                .collect();
+            let batch: Vec<u64> = (pd.run(&inst).expect("batch").lambda.iter())
+                .map(|l| l.to_bits())
+                .collect();
+            (decisions, batch, run.finish().expect("finish").segments)
+        };
+        assert!(
+            drive(PdScheduler::coarse()) == drive(PdScheduler::default()),
+            "seed {seed}, m = {machines}: coarse() and default() PD runs differ"
+        );
+    }
+}
+
 /// PD's cost never exceeds alpha^alpha times the cost of either trivial
 /// strategy (reject everything; finish everything optimally), both of
 /// which upper-bound the optimum.

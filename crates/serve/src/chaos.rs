@@ -483,7 +483,7 @@ where
 {
     let deadline = Instant::now() + WAIT_LIMIT;
     loop {
-        let verdicts = daemon.watchdog_sweep()?;
+        let verdicts = daemon.watchdog_sweep();
         match verdicts[0] {
             WatchdogVerdict::Recovered { report, .. } => {
                 stats.recoveries += 1;
@@ -496,7 +496,7 @@ where
                 // and a chaos run injects lifecycle faults back to back —
                 // without the confirmation every recovery would count as
                 // consecutive and the cap would fire spuriously.
-                return match daemon.watchdog_sweep()?[0] {
+                return match daemon.watchdog_sweep()[0] {
                     WatchdogVerdict::Healthy => Ok(()),
                     _ => Err(ScheduleError::Internal(
                         "shard died again immediately after a supervised recovery".into(),

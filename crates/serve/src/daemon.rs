@@ -1263,7 +1263,7 @@ where
     /// [`WatchdogVerdict::Failed`], and the sweep goes on to the next shard.
     /// A healthy shard resets its attempt counter.  Returns one verdict per
     /// shard, in shard order.
-    pub fn watchdog_sweep(&mut self) -> Result<Vec<WatchdogVerdict>, ScheduleError> {
+    pub fn watchdog_sweep(&mut self) -> Vec<WatchdogVerdict> {
         let mut verdicts = Vec::with_capacity(self.inner.shards.len());
         for shard in 0..self.inner.shards.len() {
             let sh = &self.inner.shards[shard];
@@ -1298,7 +1298,7 @@ where
                 Err(_) => WatchdogVerdict::Failed { attempts },
             });
         }
-        Ok(verdicts)
+        verdicts
     }
 
     /// Corrupts a stored checkpoint blob in place (a chaos-engine hook):
@@ -1374,21 +1374,25 @@ where
         for shard in &self.inner.shards {
             shard.unpark_worker();
         }
+        // Join every worker before returning any error, so none runs on
+        // detached; the first error in shard order is the one returned.
+        let mut joined = Ok(());
         for (s, worker) in self.workers.iter_mut().enumerate() {
             let Some(handle) = worker.take() else {
                 // A shard left down by a failed recovery or hand-off reports
                 // the error that poisoned it.
                 let failed = self.inner.shards[s].journal().failed.take();
-                return Err(failed.unwrap_or_else(|| {
+                joined = joined.and(Err(failed.unwrap_or_else(|| {
                     ScheduleError::Internal(format!(
                         "shard {s} has no live worker at shutdown (crashed and never recovered?)"
                     ))
-                }));
+                })));
+                continue;
             };
-            handle
-                .join()
-                .map_err(|_| ScheduleError::Internal(format!("shard {s} worker panicked")))?;
+            let panicked = |_| ScheduleError::Internal(format!("shard {s} worker panicked"));
+            joined = joined.and(handle.join().map_err(panicked));
         }
+        joined?;
         let tenant_count = self.inner.tenants.len();
         let mut accepted = vec![0u64; tenant_count];
         let mut rejected = vec![0u64; tenant_count];

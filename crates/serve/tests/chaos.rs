@@ -357,7 +357,7 @@ fn watchdog_recovers_a_poisoned_feed_and_replays_the_logged_batch() {
     ));
     daemon.resume();
     let verdict = loop {
-        match daemon.watchdog_sweep().unwrap()[0] {
+        match daemon.watchdog_sweep()[0] {
             WatchdogVerdict::Healthy => std::thread::yield_now(),
             verdict => break verdict,
         }
@@ -391,25 +391,22 @@ fn watchdog_gives_up_after_the_configured_consecutive_attempts() {
     // Two consecutive dead sweeps auto-recover; the third gives up.
     for expected in 1..=2usize {
         daemon.crash_shard(0, 0).unwrap();
-        match daemon.watchdog_sweep().unwrap()[0] {
+        match daemon.watchdog_sweep()[0] {
             WatchdogVerdict::Recovered { attempts, .. } => assert_eq!(attempts, expected),
             other => panic!("expected recovery #{expected}, got {other:?}"),
         }
     }
     daemon.crash_shard(0, 0).unwrap();
     assert_eq!(
-        daemon.watchdog_sweep().unwrap()[0],
+        daemon.watchdog_sweep()[0],
         WatchdogVerdict::GaveUp { attempts: 2 }
     );
     // Manual recovery still works after a give-up, and a healthy sweep
     // resets the consecutive counter so supervision can resume.
     daemon.recover_shard(0).unwrap();
-    assert_eq!(
-        daemon.watchdog_sweep().unwrap()[0],
-        WatchdogVerdict::Healthy
-    );
+    assert_eq!(daemon.watchdog_sweep()[0], WatchdogVerdict::Healthy);
     daemon.crash_shard(0, 0).unwrap();
-    match daemon.watchdog_sweep().unwrap()[0] {
+    match daemon.watchdog_sweep()[0] {
         WatchdogVerdict::Recovered { attempts, .. } => {
             assert_eq!(attempts, 1, "healthy sweep must reset the counter");
         }

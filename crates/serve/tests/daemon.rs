@@ -502,7 +502,7 @@ fn a_failed_recovery_keeps_admission_closed_until_one_succeeds() {
         handles[0].submit(env(2, 2.0)),
         Err(IngressError::ShuttingDown)
     ));
-    match daemon.watchdog_sweep().unwrap()[0] {
+    match daemon.watchdog_sweep()[0] {
         WatchdogVerdict::Recovered { report, .. } => assert_eq!(report.replayed_batches, 2),
         other => panic!("expected a recovery, got {other:?}"),
     }
@@ -694,7 +694,7 @@ fn the_watchdog_recovers_a_worker_that_panicked_mid_feed() {
     });
     let deadline = Instant::now() + Duration::from_secs(10);
     let verdict = loop {
-        match daemon.watchdog_sweep().unwrap().remove(0) {
+        match daemon.watchdog_sweep().remove(0) {
             WatchdogVerdict::Healthy => {
                 assert!(
                     Instant::now() < deadline,
@@ -752,7 +752,7 @@ where
 {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match daemon.watchdog_sweep().unwrap().remove(0) {
+        match daemon.watchdog_sweep().remove(0) {
             WatchdogVerdict::Healthy => {
                 assert!(Instant::now() < deadline, "the worker never exited");
                 std::thread::yield_now();
@@ -956,14 +956,14 @@ fn a_replay_that_panics_fails_the_recovery_instead_of_unwinding() {
     daemon.resume();
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut sweep = daemon.watchdog_sweep();
-    while matches!(sweep.as_deref(), Ok([WatchdogVerdict::Healthy])) {
+    while sweep == [WatchdogVerdict::Healthy] {
         assert!(Instant::now() < deadline, "the worker never exited");
         std::thread::yield_now();
         sweep = daemon.watchdog_sweep();
     }
     for attempts in 1..=2 {
         assert_eq!(
-            sweep.unwrap(),
+            sweep,
             [WatchdogVerdict::Failed { attempts }],
             "a replay that panics must fail the recovery"
         );
@@ -973,7 +973,7 @@ fn a_replay_that_panics_fails_the_recovery_instead_of_unwinding() {
         ));
         sweep = daemon.watchdog_sweep();
     }
-    assert_eq!(sweep.unwrap(), [WatchdogVerdict::GaveUp { attempts: 2 }]);
+    assert_eq!(sweep, [WatchdogVerdict::GaveUp { attempts: 2 }]);
     assert_eq!(
         MARK_PANICS.load(Ordering::SeqCst),
         3,
@@ -1068,11 +1068,11 @@ fn one_sweep_gives_every_shard_a_verdict() {
     // Shard 0's worker panics on the marked burst, and its first recovery
     // fails the same way.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut verdicts = daemon.watchdog_sweep().unwrap();
+    let mut verdicts = daemon.watchdog_sweep();
     while verdicts[0] == WatchdogVerdict::Healthy {
         assert!(Instant::now() < deadline, "shard 0's worker never exited");
         std::thread::yield_now();
-        verdicts = daemon.watchdog_sweep().unwrap();
+        verdicts = daemon.watchdog_sweep();
     }
     assert_eq!(
         verdicts,
@@ -1087,7 +1087,7 @@ fn one_sweep_gives_every_shard_a_verdict() {
         handles[1].submit(env(1, 1.0)),
         Ok(Submission::Queued { .. })
     ));
-    let verdicts = daemon.watchdog_sweep().unwrap();
+    let verdicts = daemon.watchdog_sweep();
     assert_eq!(verdicts[0], WatchdogVerdict::Failed { attempts: 2 });
     assert!(
         matches!(
@@ -1114,6 +1114,116 @@ fn one_sweep_gives_every_shard_a_verdict() {
     assert!(
         daemon.shutdown().is_err(),
         "a shard left down must fail the shutdown"
+    );
+}
+
+/// Finishes of runs of [`PanicsOnMarkFinishesSlowly`] that completed.
+/// Only the one test below starts such runs.
+static SLOW_FINISHES: AtomicUsize = AtomicUsize::new(0);
+
+/// CLL whose `on_arrivals` panics on every feed of a burst holding a
+/// marked job, and whose `finish` sleeps 100 ms before it counts itself.
+#[derive(Debug, Clone, Copy)]
+struct PanicsOnMarkFinishesSlowly;
+
+struct PanicsOnMarkFinishesSlowlyRun(<CllScheduler as OnlineAlgorithm>::Run);
+
+impl OnlineAlgorithm for PanicsOnMarkFinishesSlowly {
+    type Run = PanicsOnMarkFinishesSlowlyRun;
+
+    fn algorithm_name(&self) -> String {
+        "CLL panicking on every marked burst, finishing slowly".into()
+    }
+
+    fn start(&self, machines: usize, alpha: f64) -> Result<Self::Run, ScheduleError> {
+        CllScheduler
+            .start(machines, alpha)
+            .map(PanicsOnMarkFinishesSlowlyRun)
+    }
+}
+
+impl OnlineScheduler for PanicsOnMarkFinishesSlowlyRun {
+    fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
+        if jobs.iter().any(|job| job.value > MARK_VALUE) {
+            panic!("a marked burst");
+        }
+        self.0.on_arrivals(jobs, now)
+    }
+
+    fn frontier(&self) -> &Schedule {
+        self.0.frontier()
+    }
+
+    fn finish(self) -> Result<Schedule, ScheduleError> {
+        std::thread::sleep(Duration::from_millis(100));
+        let schedule = self.0.finish();
+        SLOW_FINISHES.fetch_add(1, Ordering::SeqCst);
+        schedule
+    }
+}
+
+impl LogCheckpointable for PanicsOnMarkFinishesSlowlyRun {
+    fn snapshot_live(&self, log: &mut SegmentLog) -> Result<StateBlob, SnapshotError> {
+        self.0.snapshot_live(log)
+    }
+
+    fn restore_with_log(blob: &StateBlob, log: &SegmentLog) -> Result<Self, SnapshotError> {
+        LogCheckpointable::restore_with_log(blob, log).map(PanicsOnMarkFinishesSlowlyRun)
+    }
+}
+
+/// Shutdown joins every worker before it returns an error: shard 0 is left
+/// down by a failed recovery, and shard 1's worker, still finishing its run
+/// when shutdown finds shard 0 down, has finished by the time shutdown
+/// returns shard 0's error.
+#[test]
+fn shutdown_joins_every_worker_before_it_returns_an_error() {
+    let config = ServeConfig {
+        shards: 2,
+        ..solo_config()
+    };
+    let tenants = vec![TenantSpec::new("zero"), TenantSpec::new("one").on_shard(1)];
+    let (mut daemon, handles) = Daemon::spawn(PanicsOnMarkFinishesSlowly, config, tenants).unwrap();
+    let mut marked = env(1, 1.0);
+    marked.value = 2.0 * MARK_VALUE;
+    for envelope in [env(0, 0.0), marked] {
+        assert!(matches!(
+            handles[0].submit(envelope),
+            Ok(Submission::Queued { .. })
+        ));
+    }
+    assert!(matches!(
+        handles[1].submit(env(0, 0.0)),
+        Ok(Submission::Queued { .. })
+    ));
+    daemon.resume();
+    // Shard 0's worker panics on the marked burst, and its recovery fails
+    // the same way.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut verdicts = daemon.watchdog_sweep();
+    while verdicts[0] == WatchdogVerdict::Healthy {
+        assert!(Instant::now() < deadline, "shard 0's worker never exited");
+        std::thread::yield_now();
+        verdicts = daemon.watchdog_sweep();
+    }
+    assert_eq!(
+        verdicts,
+        [
+            WatchdogVerdict::Failed { attempts: 1 },
+            WatchdogVerdict::Healthy
+        ]
+    );
+    let error = daemon
+        .shutdown()
+        .expect_err("a shard left down must fail the shutdown");
+    assert!(
+        error.to_string().contains("the run panicked"),
+        "unexpected error: {error}"
+    );
+    assert_eq!(
+        SLOW_FINISHES.load(Ordering::SeqCst),
+        1,
+        "shard 1's worker must have finished its run when shutdown returns"
     );
 }
 

@@ -69,7 +69,6 @@ pub use ingress::{IngressError, JobEnvelope, TenantId};
 pub use instance::Instance;
 pub use job::{Job, JobId};
 pub use merge::{merge_frontiers, ShardPiece};
-pub use num::Tolerance;
 pub use scheduler::{
     check_arrival, check_arrival_order, fold_price, run_online, Decision, OnlineAlgorithm,
     OnlineScheduler, Scheduler, ARRIVAL_ORDER_TOLERANCE,

@@ -1,18 +1,13 @@
-//! Tolerance-aware floating point helpers.
+//! Floating point helpers with tolerances.
 //!
 //! All numeric code in the workspace performs comparisons of times, speeds,
 //! workloads and energies that are the result of iterative numeric
-//! procedures (bisection, coordinate descent).  Comparing such quantities
-//! with `==` or `<` directly leads to brittle behaviour, so every crate
-//! routes its comparisons through the helpers defined here.
-//!
-//! Two kinds of tolerance are used:
-//!
-//! * [`EPS`] — the workspace-wide default absolute/relative tolerance used
-//!   by the convenience functions ([`approx_eq`], [`approx_le`], …).
-//! * [`Tolerance`] — an explicit, configurable tolerance carried by the
-//!   numeric solvers (bisection loops, water filling, coordinate descent) so
-//!   that callers can trade accuracy for speed.
+//! procedures (water filling, coordinate descent).  Comparing such
+//! quantities with `==` or `<` directly leads to brittle behaviour, so
+//! every crate routes its comparisons through the helpers defined here,
+//! with [`EPS`], the workspace-wide default absolute/relative tolerance of
+//! the convenience functions ([`approx_eq`], [`approx_le`], …), and sums
+//! through the compensated [`stable_sum`].
 
 /// Workspace-wide default tolerance used by the convenience comparison
 /// functions in this module.
@@ -78,59 +73,6 @@ pub fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
     x.max(lo).min(hi)
 }
 
-/// Explicit tolerance settings carried by the iterative numeric solvers of
-/// the workspace (bisection, water filling, coordinate descent).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Relative tolerance on the quantity being solved for.
-    pub rel: f64,
-    /// Absolute tolerance on the quantity being solved for.
-    pub abs: f64,
-    /// Hard cap on the number of iterations of any single solver loop.
-    pub max_iters: usize,
-}
-
-impl Default for Tolerance {
-    fn default() -> Self {
-        Self {
-            rel: 1e-10,
-            abs: 1e-12,
-            max_iters: 200,
-        }
-    }
-}
-
-impl Tolerance {
-    /// A looser tolerance suitable for large benchmark sweeps where speed
-    /// matters more than the last few digits.
-    pub fn coarse() -> Self {
-        Self {
-            rel: 1e-6,
-            abs: 1e-8,
-            max_iters: 80,
-        }
-    }
-
-    /// A tighter tolerance for verification tests.
-    pub fn fine() -> Self {
-        Self {
-            rel: 1e-12,
-            abs: 1e-14,
-            max_iters: 400,
-        }
-    }
-
-    /// Returns `true` if the interval `[lo, hi]` has been narrowed enough to
-    /// stop a bisection that solves for a value of magnitude roughly
-    /// `max(|lo|, |hi|)`.
-    #[inline]
-    pub fn converged(&self, lo: f64, hi: f64) -> bool {
-        let width = hi - lo;
-        let scale = lo.abs().max(hi.abs()).max(1.0);
-        width <= self.abs || width <= self.rel * scale
-    }
-}
-
 /// Sums a slice with Neumaier (improved Kahan) compensation.
 ///
 /// Energy totals aggregate many small per-segment contributions of widely
@@ -149,44 +91,6 @@ pub fn stable_sum(values: impl IntoIterator<Item = f64>) -> f64 {
         sum = t;
     }
     sum + comp
-}
-
-/// Generic bisection solver for a nondecreasing function.
-///
-/// Finds `x` in `[lo, hi]` with `f(x) ≈ target`, assuming `f` is
-/// nondecreasing on the interval.  If `f(lo) >= target` the lower end is
-/// returned, if `f(hi) <= target` the upper end is returned; this makes the
-/// function total and well suited to water-filling style searches where the
-/// target may be unattainable inside the bracket.
-pub fn bisect_nondecreasing<F>(
-    mut lo: f64,
-    mut hi: f64,
-    target: f64,
-    tol: Tolerance,
-    mut f: F,
-) -> f64
-where
-    F: FnMut(f64) -> f64,
-{
-    debug_assert!(lo <= hi, "bisect: inverted bracket [{lo}, {hi}]");
-    if f(lo) >= target {
-        return lo;
-    }
-    if f(hi) <= target {
-        return hi;
-    }
-    for _ in 0..tol.max_iters {
-        if tol.converged(lo, hi) {
-            break;
-        }
-        let mid = 0.5 * (lo + hi);
-        if f(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
 }
 
 #[cfg(test)]
@@ -236,29 +140,5 @@ mod tests {
         // order; Neumaier keeps it.
         let xs = [1.0, 1e16, -1e16];
         assert_eq!(stable_sum(xs), 1.0);
-    }
-
-    #[test]
-    fn bisect_finds_root_of_monotone_function() {
-        let tol = Tolerance::default();
-        // f(x) = x^3 is nondecreasing, solve x^3 = 8.
-        let x = bisect_nondecreasing(0.0, 10.0, 8.0, tol, |x| x * x * x);
-        assert!((x - 2.0).abs() < 1e-8, "got {x}");
-    }
-
-    #[test]
-    fn bisect_clamps_to_bracket_ends() {
-        let tol = Tolerance::default();
-        let lo = bisect_nondecreasing(2.0, 5.0, 1.0, tol, |x| x);
-        assert_eq!(lo, 2.0);
-        let hi = bisect_nondecreasing(2.0, 5.0, 9.0, tol, |x| x);
-        assert_eq!(hi, 5.0);
-    }
-
-    #[test]
-    fn tolerance_convergence() {
-        let tol = Tolerance::default();
-        assert!(tol.converged(1.0, 1.0 + 1e-13));
-        assert!(!tol.converged(1.0, 2.0));
     }
 }

@@ -218,7 +218,7 @@ pub trait OnlineAlgorithm {
     }
 }
 
-/// Tolerance of the arrival-time contract checks: times closer than this
+/// Slack of the arrival-time contract checks: times closer than this
 /// are treated as simultaneous, and a job may be fed at most this much
 /// before its nominal release.  Every `on_arrivals` implementation in the
 /// workspace shares this single constant (via [`check_arrival`] /

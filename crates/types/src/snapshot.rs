@@ -36,7 +36,6 @@
 //! replay the delta).
 
 use crate::job::{Job, JobId};
-use crate::num::Tolerance;
 use crate::segment::{Schedule, Segment};
 
 /// Magic bytes opening every serialised [`StateBlob`].
@@ -634,21 +633,6 @@ impl SnapshotPart for Schedule {
     }
 }
 
-impl SnapshotPart for Tolerance {
-    fn encode(&self, w: &mut BlobWriter) {
-        w.write_f64(self.rel);
-        w.write_f64(self.abs);
-        w.write_usize(self.max_iters);
-    }
-    fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Tolerance {
-            rel: r.read_f64()?,
-            abs: r.read_f64()?,
-            max_iters: r.read_usize()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,17 +674,14 @@ mod tests {
         let mut w = BlobWriter::new();
         w.write_part(&s);
         w.write_part(&job);
-        w.write_part(&Tolerance::default());
         let payload = w.into_payload();
         let mut r = BlobReader::new(&payload);
         let s2: Schedule = r.read_part().unwrap();
         let j2: Job = r.read_part().unwrap();
-        let t2: Tolerance = r.read_part().unwrap();
         r.finish().unwrap();
         assert_eq!(s.segments, s2.segments);
         assert_eq!(s.machines, s2.machines);
         assert_eq!(job, j2);
-        assert_eq!(t2.max_iters, Tolerance::default().max_iters);
     }
 
     #[test]

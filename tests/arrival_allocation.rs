@@ -24,6 +24,7 @@ mod common;
 use pss_core::baselines::oa::OaPlanner;
 use pss_core::baselines::replan::{AdmitAll, OnlineEnv, ReplanState};
 use pss_core::prelude::*;
+use pss_workloads::{ScenarioConfig, ScenarioKind};
 
 /// Counts every allocation and reallocation (not bytes: a doubling realloc
 /// of a long-lived buffer is amortised-O(1) per arrival and counts once).
@@ -173,6 +174,26 @@ fn incremental_arrival_paths_do_not_allocate_with_history_size() {
             "PD allocates {per_arrival:.1} times per arrival at rate {rate}"
         );
     }
+    // A rejected job allocates nothing but its decision: on E16's overload
+    // scenario PD rejects every job, and the fill stopped at the cap
+    // builds no placement.
+    let overload = ScenarioConfig {
+        n_jobs: 500,
+        ..ScenarioConfig::new(ScenarioKind::Overload, 7)
+    }
+    .generate();
+    let mut run = pd.start(1, overload.alpha).expect("PD run");
+    let counts = windows(&mut run, &overload, windows_spec, |_| 0);
+    assert!(
+        run.finish().expect("finish").segments.is_empty(),
+        "PD accepted an overload job"
+    );
+    let per_arrival = counts.total as f64 / overload.len() as f64;
+    println!("PD on overload: {per_arrival:.2} allocations per arrival, every job rejected");
+    assert!(
+        per_arrival < 1.5,
+        "PD allocates {per_arrival:.2} times per rejected arrival"
+    );
 
     // Burst ingestion: with the replan shared by the whole burst, the
     // allocation count *per arrival* must not grow with the burst size b —

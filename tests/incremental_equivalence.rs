@@ -1088,11 +1088,13 @@ fn superseded_state_versions_are_refused() {
     // Each state version was bumped when the payload's frontier lost its
     // inline-or-cursor tag byte, and AVR's and BKP's again when their
     // fast-path toggles (and AVR's job history) left the payload, AVR's
-    // once more when its active jobs gained a remaining budget, and BKP's
-    // once more when its job history and EDF heap left the payload, so
-    // blobs of different layouts are never confused.  A live blob
-    // re-labelled with a superseded version (replan 2; AVR 2, 3 and 4; BKP
-    // 2, 3 and 4; PD 3) must be refused with the typed version error.
+    // once more when its active jobs gained a remaining budget, BKP's once
+    // more when its job history and EDF heap left the payload, and PD's and
+    // the replanning executor's when the water-fill tolerance left PD's
+    // payload and OA(m)'s solver options, so blobs of different layouts are
+    // never confused.  A live blob re-labelled with a superseded version
+    // (replan 2 and 3; AVR 2, 3 and 4; BKP 2, 3 and 4; PD 3 and 4) must be
+    // refused with the typed version error.
     fn refuse<R: OnlineScheduler + LogCheckpointable>(mut run: R, instance: &Instance, old: u16) {
         for (t, jobs) in as_bursts(instance) {
             run.on_arrivals(&jobs, t).expect("burst");
@@ -1133,10 +1135,19 @@ fn superseded_state_versions_are_refused() {
         );
     }
     refuse(
-        PdScheduler::default().start_for(&instance).expect("PD run"),
+        MultiOaScheduler::default()
+            .start_for(&instance)
+            .expect("OA(m) run"),
         &instance,
         3,
     );
+    for old in [3, 4] {
+        refuse(
+            PdScheduler::default().start_for(&instance).expect("PD run"),
+            &instance,
+            old,
+        );
+    }
 }
 
 /// Differential pin of the ingestion daemon: a single-tenant, single-shard
