@@ -108,7 +108,6 @@ where
         stream.batches.to_string(),
         wire.len().to_string(),
         fmt_f64(log_bytes as f64 / 1024.0),
-        log.record_count().to_string(),
         fmt_f64(mean_capture * 1e6),
         fmt_f64(restore_secs * 1e6),
     ]);
@@ -195,7 +194,6 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "bursts",
             "live blob (B)",
             "log (KiB)",
-            "records",
             "capture mean (us)",
             "restore (us)",
         ],

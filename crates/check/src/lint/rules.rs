@@ -445,12 +445,12 @@ const CHECKPOINT_CALLS: &[&str] = &[
 ];
 
 /// `checkpoint-outside-chain`: in the simulator and the serving layer,
-/// forbids capturing, restoring, syncing, compacting or shipping a run's
-/// `(log, blob)` pair outside `#[cfg(test)]` code and
-/// [`CHECKPOINT_CHAIN`].  Every driver goes through
+/// forbids capturing, restoring, syncing or shipping a run's `(log, blob)`
+/// pair, or calling the log's no-op `compact`, outside `#[cfg(test)]` code
+/// and [`CHECKPOINT_CHAIN`].  Every driver goes through
 /// `pss_sim::CheckpointChain`, which keeps the pair's rules (sync before
-/// capture, compact at capture, restore then truncate) in one place, so
-/// the daemon and the drills cannot drift apart.
+/// capture, restore then truncate) in one place, so the daemon and the
+/// drills cannot drift apart.
 pub fn checkpoint_outside_chain(path: &str, src: &Source) -> Vec<Finding> {
     const RULE: &str = "checkpoint-outside-chain";
     if path == CHECKPOINT_CHAIN || !FEED_SCOPE.iter().any(|scope| path.starts_with(scope)) {

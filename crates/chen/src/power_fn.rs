@@ -1,7 +1,7 @@
 //! The per-interval power function `P_k` of the convex program and its
 //! partial derivatives (Proposition 1 of the paper).
 
-use pss_power::{AlphaPower, PowerFunction};
+use pss_power::AlphaPower;
 
 use crate::solution::ChenInterval;
 

@@ -1,6 +1,6 @@
 //! The Chen et al. per-interval solver.
 
-use pss_power::{AlphaPower, PowerFunction};
+use pss_power::AlphaPower;
 use pss_types::num;
 
 /// Relative tolerance used when testing the dedicated-job condition.  A job

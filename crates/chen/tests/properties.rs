@@ -18,7 +18,7 @@
 
 use pss_chen::placement::place_interval;
 use pss_chen::{interval_power, interval_power_derivative, ChenInterval};
-use pss_power::{AlphaPower, PowerFunction};
+use pss_power::AlphaPower;
 use pss_types::{JobId, Segment};
 use pss_workloads::SmallRng;
 

@@ -24,7 +24,6 @@
 //! the experiment harness certifies competitive ratios on instances where
 //! the true optimum cannot be computed exactly.
 
-use pss_power::PowerFunction;
 use pss_types::num;
 
 use crate::program::ProgramContext;

@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use pss_convex::{dual_bound, ProgramContext};
     pub use pss_offline::{BruteForceScheduler, MinEnergyScheduler, YdsScheduler};
-    pub use pss_power::{AlphaPower, PowerFunction};
+    pub use pss_power::AlphaPower;
     pub use pss_types::{
         run_online, validate_schedule, Cost, Decision, Instance, Job, JobId, LogCheckpointable,
         OnlineAlgorithm, OnlineScheduler, Schedule, Scheduler, Segment, SegmentLog, StateBlob,

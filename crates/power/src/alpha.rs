@@ -1,9 +1,15 @@
 //! The concrete power function `P_α(s) = s^α` and the analysis constants.
 
-use crate::traits::PowerFunction;
-
 /// The power function `P_α(s) = s^α` for a fixed energy exponent `α > 1`,
 /// together with the closed-form constants of the paper's analysis.
+///
+/// `P` is convex and differentiable with `P(0) = 0`, and the power algebra
+/// below guarantees:
+///
+/// * `power(0) == 0`,
+/// * `power` is convex and strictly increasing on `s >= 0`,
+/// * `marginal(s)` is the derivative `P'(s)` and is nondecreasing,
+/// * `speed_for_marginal(marginal(s)) == s` for all `s >= 0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaPower {
     alpha: f64,
@@ -27,6 +33,55 @@ impl AlphaPower {
     #[inline]
     pub fn alpha(&self) -> f64 {
         self.alpha
+    }
+
+    /// Power consumption `P(s)` at speed `s >= 0`.
+    #[inline]
+    pub fn power(&self, speed: f64) -> f64 {
+        if speed <= 0.0 {
+            // Round-off occasionally produces tiny negative speeds; the
+            // model's power at 0 is 0 and P is only defined for s >= 0.
+            return 0.0;
+        }
+        speed.powf(self.alpha)
+    }
+
+    /// Derivative `P'(s)` at speed `s >= 0`.
+    #[inline]
+    pub fn marginal(&self, speed: f64) -> f64 {
+        if speed <= 0.0 {
+            return 0.0;
+        }
+        self.alpha * speed.powf(self.alpha - 1.0)
+    }
+
+    /// Inverse of [`marginal`](Self::marginal): the speed at which the
+    /// derivative equals `m >= 0`.
+    #[inline]
+    pub fn speed_for_marginal(&self, m: f64) -> f64 {
+        if m <= 0.0 {
+            return 0.0;
+        }
+        (m / self.alpha).powf(1.0 / (self.alpha - 1.0))
+    }
+
+    /// Energy consumed when running at constant speed `s` for `time` units:
+    /// `P(s) · time`.
+    #[inline]
+    pub fn energy_at_speed(&self, speed: f64, time: f64) -> f64 {
+        self.power(speed) * time
+    }
+
+    /// Minimal energy needed to process `work` units of work within `time`
+    /// time units on a single processor: achieved by running at the constant
+    /// speed `work / time` (by convexity of `P`).
+    #[inline]
+    pub fn energy_for_work(&self, work: f64, time: f64) -> f64 {
+        if work <= 0.0 {
+            return 0.0;
+        }
+        debug_assert!(time > 0.0, "cannot process positive work in zero time");
+        self.energy_at_speed(work / time, time)
     }
 
     /// The competitive ratio `α^α` proven for the paper's PD algorithm
@@ -90,34 +145,6 @@ impl AlphaPower {
     #[inline]
     pub fn dual_value(&self, speed: f64, work: f64) -> f64 {
         self.alpha * work * speed.powf(self.alpha - 1.0)
-    }
-}
-
-impl PowerFunction for AlphaPower {
-    #[inline]
-    fn power(&self, speed: f64) -> f64 {
-        if speed <= 0.0 {
-            // Round-off occasionally produces tiny negative speeds; the
-            // model's power at 0 is 0 and P is only defined for s >= 0.
-            return 0.0;
-        }
-        speed.powf(self.alpha)
-    }
-
-    #[inline]
-    fn marginal(&self, speed: f64) -> f64 {
-        if speed <= 0.0 {
-            return 0.0;
-        }
-        self.alpha * speed.powf(self.alpha - 1.0)
-    }
-
-    #[inline]
-    fn speed_for_marginal(&self, m: f64) -> f64 {
-        if m <= 0.0 {
-            return 0.0;
-        }
-        (m / self.alpha).powf(1.0 / (self.alpha - 1.0))
     }
 }
 

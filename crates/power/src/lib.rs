@@ -10,18 +10,11 @@
 //! Everything in the workspace that touches speeds or energies goes through
 //! [`AlphaPower`] so that numeric conventions (handling of `s = 0`,
 //! `work = 0`, and tiny negative values from round-off) live in one place.
-//!
-//! The crate also defines the small extension trait [`PowerFunction`] so
-//! that downstream code which only needs convexity and differentiability is
-//! generic over the concrete power model; the paper (and the default
-//! throughout the workspace) is [`AlphaPower`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod alpha;
-pub mod traits;
 
 pub use alpha::AlphaPower;
-pub use traits::PowerFunction;

@@ -1115,13 +1115,11 @@ where
         self.inner.shards[shard].price()
     }
 
-    /// The shard's segment-log end cursor (realised segments) and live
-    /// record-envelope count — introspection for the checkpoint drills
-    /// and E18 (compaction keeps the envelope count O(retained chain)).
-    pub fn shard_log_stats(&self, shard: usize) -> (u64, usize) {
+    /// The realised segments in the shard's segment log (its end cursor),
+    /// introspection for the checkpoint drills.
+    pub fn shard_log_segments(&self, shard: usize) -> u64 {
         let journal = self.inner.shards[shard].journal();
-        let log = journal.chain.log();
-        (log.cursor().segments(), log.record_count())
+        journal.chain.log().cursor().segments()
     }
 
     /// Wire sizes of the shard's retained checkpoint blobs, oldest first —
@@ -1153,18 +1151,25 @@ where
     /// The worker only reaches boundaries while it has arrivals to feed or
     /// polls an empty queue, so `at_batches` must be at most the batches
     /// the pending workload produces, or this blocks until more arrive.
+    /// The request is armed only while a worker is taken to obey it, and
+    /// disarmed once it is joined, so it never reaches a later worker.  A
+    /// worker that had already exited (poisoned by a feed fault, say) is
+    /// joined and reported as an error: no crash was injected.
     pub fn crash_shard(&mut self, shard: usize, at_batches: usize) -> Result<(), ScheduleError> {
-        let sh = &self.inner.shards[shard];
-        sh.crash_at.store(at_batches, Ordering::Release);
-        sh.unpark_worker();
         let handle = self.workers[shard]
             .take()
             .ok_or_else(|| ScheduleError::Internal(format!("shard {shard} has no live worker")))?;
-        handle
-            .join()
-            .map_err(|_| ScheduleError::Internal(format!("shard {shard} worker panicked")))?;
+        let sh = &self.inner.shards[shard];
+        sh.crash_at.store(at_batches, Ordering::Release);
+        sh.unpark_worker();
+        let joined = handle.join();
         sh.crash_at.store(usize::MAX, Ordering::Release);
-        debug_assert!(sh.journal().crashed);
+        joined.map_err(|_| ScheduleError::Internal(format!("shard {shard} worker panicked")))?;
+        if !sh.journal().crashed {
+            return Err(ScheduleError::Internal(format!(
+                "shard {shard}'s worker had already exited; no crash was injected"
+            )));
+        }
         Ok(())
     }
 
@@ -1341,12 +1346,12 @@ where
     /// poisons the shard: admission bounces until a recovery succeeds.
     pub fn handoff_shard(&mut self, shard: usize) -> Result<RecoveryReport, ScheduleError> {
         let started = Instant::now();
-        let sh = &self.inner.shards[shard];
-        sh.handoff.store(true, Ordering::Release);
-        sh.unpark_worker();
         let handle = self.workers[shard]
             .take()
             .ok_or_else(|| ScheduleError::Internal(format!("shard {shard} has no live worker")))?;
+        let sh = &self.inner.shards[shard];
+        sh.handoff.store(true, Ordering::Release);
+        sh.unpark_worker();
         // The hand-off ships the `(log tail, blob)` pair across the worker
         // boundary: the departing worker's final checkpoint plus the log,
         // which `recover_shard` then restores from.  If the departing
@@ -1354,8 +1359,10 @@ where
         // without a worker: poison it, as a failed recovery does, so
         // admission bounces.  A worker that panicked poisoned the journal
         // lock too.
-        let shipped = handle
-            .join()
+        let joined = handle.join();
+        // Disarm a request the worker did not consume (it had died).
+        sh.handoff.store(false, Ordering::Release);
+        let shipped = joined
             .map_err(|_| ScheduleError::Internal(format!("shard {shard} worker panicked")))
             .and_then(|()| sh.journal().chain.ship_log());
         shipped.inspect_err(|e| sh.poison(&mut sh.journal(), e.clone()))?;

@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 use pss_baselines::CllScheduler;
 use pss_core::PdScheduler;
 use pss_metrics::JsonValue;
-use pss_serve::{Daemon, ServeConfig, ServiceReport, Submission, TenantSpec, WatchdogVerdict};
+use pss_serve::{
+    Daemon, ServeConfig, ServiceReport, Submission, TenantHandle, TenantSpec, WatchdogVerdict,
+};
 use pss_types::{
     Decision, IngressError, Job, JobEnvelope, LogCheckpointable, OnlineAlgorithm, OnlineScheduler,
     Schedule, ScheduleError, SegmentLog, SnapshotError, StateBlob, TenantId,
@@ -1443,6 +1445,69 @@ fn repeated_crashes_still_converge() {
         daemon.recover_shard(0).unwrap();
     });
     assert_deterministic_fields_equal(&baseline, &battered);
+}
+
+/// Recovers a shard whose worker was crashed, submits one job and asserts
+/// the recovered worker decides it: a lifecycle request refused on the
+/// dead shard must not stay armed for the next worker.
+fn recover_and_decide_one(daemon: &mut Daemon<CllScheduler>, handle: &TenantHandle) {
+    daemon.recover_shard(0).unwrap();
+    assert!(matches!(
+        handle.submit(env(0, 0.0)),
+        Ok(Submission::Queued { .. })
+    ));
+    daemon.resume();
+    daemon
+        .wait_events(0, 1, Duration::from_secs(10))
+        .expect("the recovered worker decides the job");
+}
+
+#[test]
+fn a_crash_request_on_a_dead_shard_does_not_kill_the_next_worker() {
+    let (mut daemon, handles) =
+        Daemon::spawn(CllScheduler, solo_config(), vec![TenantSpec::new("t")]).unwrap();
+    daemon.crash_shard(0, 0).unwrap();
+    assert!(daemon.crash_shard(0, 0).is_err());
+    recover_and_decide_one(&mut daemon, &handles[0]);
+    assert_eq!(daemon.shutdown().unwrap().total_arrivals(), 1);
+}
+
+#[test]
+fn a_handoff_request_on_a_dead_shard_does_not_stop_the_next_worker() {
+    let (mut daemon, handles) =
+        Daemon::spawn(CllScheduler, solo_config(), vec![TenantSpec::new("t")]).unwrap();
+    daemon.crash_shard(0, 0).unwrap();
+    assert!(daemon.handoff_shard(0).is_err());
+    recover_and_decide_one(&mut daemon, &handles[0]);
+    assert_eq!(daemon.shutdown().unwrap().total_arrivals(), 1);
+}
+
+#[test]
+fn crashing_a_worker_that_already_exited_is_an_error() {
+    let (mut daemon, handles) =
+        Daemon::spawn(CllScheduler, solo_config(), vec![TenantSpec::new("t")]).unwrap();
+    daemon.inject_feed_fault(0, 0);
+    assert!(matches!(
+        handles[0].submit(env(0, 0.0)),
+        Ok(Submission::Queued { .. })
+    ));
+    daemon.resume();
+    // An invalid envelope never reaches the queue: a poisoned shard
+    // bounces it as shutting down before validating it.
+    let mut probe = env(99, 0.0);
+    probe.work = f64::NAN;
+    wait_for("the shard to be poisoned", || {
+        matches!(handles[0].submit(probe), Err(IngressError::ShuttingDown))
+    });
+    let error = daemon.crash_shard(0, 0).unwrap_err();
+    assert!(
+        error.to_string().contains("already exited"),
+        "unexpected error: {error}"
+    );
+    // Recovery feeds the journalled job the fault skipped.
+    daemon.recover_shard(0).unwrap();
+    daemon.wait_events(0, 1, Duration::from_secs(10)).unwrap();
+    assert_eq!(daemon.shutdown().unwrap().total_arrivals(), 1);
 }
 
 /// The service summary of a real run survives its JSON round-trip: the

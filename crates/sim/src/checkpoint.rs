@@ -5,14 +5,13 @@
 //! revised, so a checkpoint can be an O(active) blob plus a cursor into
 //! the run's append-only [`SegmentLog`].  [`CheckpointChain`] owns that
 //! `(log, blob)` pair, and the daemon's shards and the drills here all go
-//! through it.  It keeps three rules:
+//! through it.  It keeps two rules:
 //!
 //! * **sync before capture**: [`sync`](CheckpointChain::sync) appends the
-//!   segments the run committed since the last sync, after every batch;
-//! * **compact at capture**: [`capture`](CheckpointChain::capture)
-//!   compacts the log to the new blob's cursor (segment data is never
-//!   dropped, so every retained blob still reassembles) and drops the
-//!   oldest checkpoint beyond the chain's bound;
+//!   segments the run committed since the last sync, after every batch,
+//!   and [`capture`](CheckpointChain::capture) drops the oldest checkpoint
+//!   beyond the chain's bound (the log keeps every segment, so every
+//!   retained blob still reassembles);
 //! * **restore, then truncate**: [`recover`](CheckpointChain::recover)
 //!   restores the newest blob that decodes against the log and truncates
 //!   the log to its cursor, since replay re-commits the segments past it.
@@ -117,9 +116,8 @@ impl CheckpointChain {
     }
 
     /// Captures the core's run after `events` arrival events, the last fed
-    /// at `time`: its live state goes to wire bytes, the log is compacted
-    /// to the new cursor, and the oldest checkpoint beyond the chain's
-    /// bound is dropped.
+    /// at `time`: its live state goes to wire bytes, and the oldest
+    /// checkpoint beyond the chain's bound is dropped.
     pub fn capture<R>(
         &mut self,
         core: &ShardCore<R>,
@@ -132,14 +130,12 @@ impl CheckpointChain {
         let started = Instant::now();
         let wire = core.run().snapshot_live(&mut self.log)?.to_bytes();
         let capture_secs = started.elapsed().as_secs_f64();
-        let cursor = self.log.cursor();
-        self.log.compact(cursor);
         self.taken += 1;
         self.checkpoints.push_back(Checkpoint {
             feed: core.state(),
             events,
             time,
-            cursor,
+            cursor: self.log.cursor(),
             capture_secs,
             wire,
         });
@@ -422,8 +418,6 @@ mod tests {
         for (older, newer) in retained.iter().zip(retained.iter().skip(1)) {
             assert!(older.cursor <= newer.cursor);
         }
-        // Compaction after each capture bounds the record envelopes.
-        assert!(log.record_count() <= stream.batches % 3 + 1);
     }
 
     #[test]
@@ -438,8 +432,7 @@ mod tests {
             assert_streams_equal(&plain, &stream, &format!("retain {retain}"));
             assert!(chain.checkpoints().len() <= retain);
             // Every retained blob restores against the log truncated to its
-            // cursor — including the oldest, whose records were compacted
-            // into the prefix.
+            // cursor, the oldest included.
             for (k, ckpt) in chain.checkpoints().iter().enumerate() {
                 let mut cut = chain.log().clone();
                 cut.truncate(ckpt.cursor).unwrap();

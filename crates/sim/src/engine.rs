@@ -11,7 +11,7 @@
 
 use std::ops::Deref;
 
-use pss_power::{AlphaPower, PowerFunction};
+use pss_power::AlphaPower;
 use pss_types::{
     num, Instance, JobId, OnlineAlgorithm, OnlineScheduler, Schedule, ScheduleError, Segment,
 };

@@ -11,7 +11,7 @@
 //! negative speeds, reversed times).  Reports must be equal field for field
 //! and bit for bit, and errors must have the same variant and message.
 
-use pss_power::{AlphaPower, PowerFunction};
+use pss_power::AlphaPower;
 use pss_sim::{JobOutcome, MachineStats, SimReport, Simulation};
 use pss_types::{
     num, validate_schedule, Instance, JobId, Schedule, ScheduleError, Segment, ValidationReport,

@@ -34,7 +34,7 @@
 //!   no serde in the offline build) and the [`SnapshotPart`] trait payloads
 //!   are assembled from,
 //! * [`seglog`] — the append-only realised-segment log that holds a run's
-//!   committed frontier: checksummed [`SegmentLog`] records, [`LogCursor`]s,
+//!   committed frontier: one flat [`SegmentLog`] vector, [`LogCursor`]s,
 //!   the [`FrontierPart`] cursor a snapshot stores in place of its frontier,
 //!   and the [`LogCheckpointable`] trait every online scheduler state
 //!   implements (snapshot only live state, restore from a `(log, blob)`

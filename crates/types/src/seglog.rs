@@ -9,10 +9,10 @@
 //! conventions the rest of the workspace builds on:
 //!
 //! * [`SegmentLog`] — a per-run/per-shard append-only log of realised
-//!   segments, organised as checksummed *records* (one per append).  The
-//!   wire format reuses the [`StateBlob`] container plus a per-record
-//!   FNV-1a checksum, and decoding is total: truncation or corruption of
-//!   any record is a [`SnapshotError`], never a panic.
+//!   segments: one flat vector, whose length is its cursor.  Its wire
+//!   format is the [`StateBlob`] container, whose checksum covers every
+//!   byte, so decoding is total: truncation or corruption anywhere is a
+//!   [`SnapshotError`], never a panic.
 //! * [`LogCursor`] — a position in the log (a count of realised segments).
 //! * [`FrontierPart`] — what a snapshot payload stores in place of its
 //!   committed frontier: the frontier's machine count and its end cursor
@@ -24,17 +24,11 @@
 //!   plus the cursor; [`restore_with_log`](LogCheckpointable::restore_with_log)
 //!   reassembles the run from the `(log, blob)` pair bit-identically.
 //!
-//! # Compaction
-//!
-//! [`SegmentLog::compact`] consolidates records below a cursor (the newest
-//! retained checkpoint's cursor, in practice) into a single prefix, so the
-//! number of record *envelopes* — the granularity at which tails are
-//! shipped during shard moves — stays proportional to the retained
-//! checkpoint chain, not to the number of bursts ever fed.  Segment *data*
-//! is never discarded: `frontier()` is the run's output, and bit-identical
-//! reassembly from any retained checkpoint needs every segment below that
-//! checkpoint's cursor.  The log is the durable O(events) artefact; the
-//! point of this module is that each *blob* is O(active).
+//! Segment data is never discarded: `frontier()` is the run's output, and
+//! bit-identical reassembly from any retained checkpoint needs every
+//! segment below that checkpoint's cursor.  The log is the durable
+//! O(events) artefact; the point of this module is that each *blob* is
+//! O(active).
 //!
 //! # Recovery discipline
 //!
@@ -44,13 +38,23 @@
 //! through the run itself, so skipping the truncation would duplicate them.
 
 use crate::segment::{Schedule, Segment};
-use crate::snapshot::{fnv1a, BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
+use crate::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart, StateBlob};
 
 /// Blob kind under which a serialised log travels.
 const LOG_KIND: &str = "seglog";
 
-/// Wire version of the log payload.
-const LOG_VERSION: u16 = 1;
+/// Blob kind under which a shipped tail travels.
+const TAIL_KIND: &str = "seglog-tail";
+
+/// Wire version of the log and tail payloads.
+const LOG_VERSION: u16 = 2;
+
+/// Segments a new log reserves room for (48 KiB).  On perfbench's serve-pd
+/// (`--seconds 5`, seeds 1–10, 2-vCPU guest), a log grown from empty read
+/// `decide_p99_us` higher than one with this first block on 10 of 10 seeds
+/// (medians 9.37 and 7.07 µs), `ingest_rate` lower on 10 of 10 (574k and
+/// 658k arrivals/s) and `peak_rss_mb` higher (15.3 and 13.5 MB).
+const FIRST_BLOCK: usize = 1024;
 
 /// A position in a [`SegmentLog`]: the number of realised segments below
 /// it.  Cursors are what live-state snapshots store in place of the
@@ -74,61 +78,17 @@ impl SnapshotPart for LogCursor {
     }
 }
 
-/// One append to the log: the segments realised by one committed batch (or
-/// one shipped tail), together with the cursor they start at.
-#[derive(Debug, Clone, PartialEq)]
-struct SegmentRecord {
-    /// Cursor before this record's segments (records are contiguous:
-    /// `base` equals the previous record's end).
-    base: u64,
-    segments: Vec<Segment>,
-}
-
-impl SegmentRecord {
-    /// Encodes the record body (base + segments) — the bytes the
-    /// per-record checksum covers.
-    fn encode_body(&self) -> Vec<u8> {
-        let mut w = BlobWriter::new();
-        w.write_u64(self.base);
-        w.write_seq(&self.segments);
-        w.into_payload()
-    }
-
-    fn encode(&self, w: &mut BlobWriter) {
-        let body = self.encode_body();
-        w.write_u64(fnv1a(&body));
-        w.write_bytes(&body);
-    }
-
-    fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
-        let checksum = r.read_u64()?;
-        let body = r.read_bytes()?;
-        if fnv1a(body) != checksum {
-            return Err(SnapshotError::Corrupted("record checksum mismatch".into()));
-        }
-        let mut br = BlobReader::new(body);
-        let base = br.read_u64()?;
-        let segments = br.read_seq()?;
-        br.finish()?;
-        Ok(SegmentRecord { base, segments })
-    }
-}
-
 /// An append-only log of one run's realised segments.
 ///
 /// The log mirrors the run's committed frontier: after every committed
 /// batch, [`sync_from`](SegmentLog::sync_from) appends the frontier's new
-/// segments as one checksummed record.  Checkpoints then store only a
-/// [`LogCursor`]; [`reassemble`](SegmentLog::reassemble) rebuilds the
-/// frontier below any cursor bit-identically.
+/// segments.  Checkpoints then store only a [`LogCursor`];
+/// [`reassemble`](SegmentLog::reassemble) rebuilds the frontier below any
+/// cursor bit-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentLog {
     machines: usize,
-    /// Segments consolidated out of compacted records (always the log's
-    /// first `prefix.len()` segments).
-    prefix: Vec<Segment>,
-    /// Live records, contiguous after the prefix.
-    records: Vec<SegmentRecord>,
+    segments: Vec<Segment>,
 }
 
 impl SegmentLog {
@@ -136,8 +96,7 @@ impl SegmentLog {
     pub fn new(machines: usize) -> Self {
         Self {
             machines,
-            prefix: Vec::new(),
-            records: Vec::new(),
+            segments: Vec::with_capacity(FIRST_BLOCK),
         }
     }
 
@@ -148,20 +107,12 @@ impl SegmentLog {
 
     /// The log's end cursor: the total number of realised segments held.
     pub fn cursor(&self) -> LogCursor {
-        let live: u64 = self.records.iter().map(|r| r.segments.len() as u64).sum();
-        LogCursor(self.prefix.len() as u64 + live)
+        LogCursor(self.segments.len() as u64)
     }
 
-    /// Number of live record envelopes (compaction consolidates these; the
-    /// count is what stays O(retained checkpoints)).
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Appends the frontier's segments beyond the current cursor as one
-    /// record, returning the new end cursor.  A no-delta sync appends no
-    /// record.  A frontier *shorter* than the log, or on a different
-    /// machine count, violates prefix stability and is an error.
+    /// Appends the frontier's segments beyond the current cursor, returning
+    /// the new end cursor.  A frontier *shorter* than the log, or on a
+    /// different machine count, violates prefix stability and is an error.
     pub fn sync_from(&mut self, frontier: &Schedule) -> Result<LogCursor, SnapshotError> {
         if frontier.machines != self.machines {
             return Err(SnapshotError::Invalid(format!(
@@ -169,21 +120,15 @@ impl SegmentLog {
                 frontier.machines, self.machines
             )));
         }
-        let have = self.cursor().0 as usize;
-        if frontier.segments.len() < have {
+        let have = self.segments.len();
+        let Some(fresh) = frontier.segments.get(have..) else {
             return Err(SnapshotError::Invalid(format!(
-                "frontier holds {} segments but the log already holds {}; \
+                "frontier holds {} segments but the log already holds {have}; \
                  committed segments are immutable",
-                frontier.segments.len(),
-                have
+                frontier.segments.len()
             )));
-        }
-        if frontier.segments.len() > have {
-            self.records.push(SegmentRecord {
-                base: have as u64,
-                segments: frontier.segments.get(have..).unwrap_or_default().to_vec(),
-            });
-        }
+        };
+        self.segments.extend_from_slice(fresh);
         Ok(self.cursor())
     }
 
@@ -194,71 +139,34 @@ impl SegmentLog {
         if cursor > self.cursor() {
             return Err(SnapshotError::Invalid(format!(
                 "cannot truncate log of {} segments to cursor {}",
-                self.cursor().0,
+                self.segments.len(),
                 cursor.0
             )));
         }
-        let keep = cursor.0;
-        if keep <= self.prefix.len() as u64 {
-            self.prefix.truncate(keep as usize);
-            self.records.clear();
-            return Ok(());
-        }
-        while let Some(last) = self.records.last_mut() {
-            let end = last.base + last.segments.len() as u64;
-            if end <= keep {
-                break;
-            }
-            if last.base >= keep {
-                self.records.pop();
-            } else {
-                last.segments.truncate((keep - last.base) as usize);
-                break;
-            }
-        }
+        self.segments.truncate(cursor.0 as usize);
         Ok(())
     }
 
-    /// Consolidates every record wholly below `cursor` into the prefix,
-    /// dropping their envelopes.  Segment data is never discarded (see the
-    /// module docs); this bounds the number of record envelopes by the
-    /// retained checkpoint chain.  Cursors beyond the end are clamped.
-    pub fn compact(&mut self, cursor: LogCursor) {
-        let limit = cursor.0.min(self.cursor().0);
-        let mut folded = 0;
-        for rec in &self.records {
-            if rec.base + rec.segments.len() as u64 <= limit {
-                folded += 1;
-            } else {
-                break;
-            }
-        }
-        for rec in self.records.drain(..folded) {
-            self.prefix.extend(rec.segments);
-        }
-    }
+    /// Does nothing: the log is one flat vector, with nothing to fold.
+    /// Kept because perfbench's serve-pd replay still calls it.
+    pub fn compact(&mut self, _cursor: LogCursor) {}
 
     /// Rebuilds the committed frontier below `cursor` — bit-identical to
     /// the schedule the run held when the cursor was captured.  A cursor
     /// beyond the log's end (the log was truncated below a checkpoint that
     /// references it) is an error.
     pub fn reassemble(&self, cursor: LogCursor) -> Result<Schedule, SnapshotError> {
-        if cursor > self.cursor() {
-            return Err(SnapshotError::Invalid(format!(
+        let end = usize::try_from(cursor.0).unwrap_or(usize::MAX);
+        let segments = self.segments.get(..end).ok_or_else(|| {
+            SnapshotError::Invalid(format!(
                 "log holds {} segments but the snapshot cursor is {}",
-                self.cursor().0,
+                self.segments.len(),
                 cursor.0
-            )));
-        }
-        let mut segments = Vec::with_capacity(cursor.0 as usize);
-        segments.extend_from_slice(&self.prefix);
-        for rec in &self.records {
-            segments.extend_from_slice(&rec.segments);
-        }
-        segments.truncate(cursor.0 as usize);
+            ))
+        })?;
         Ok(Schedule {
             machines: self.machines,
-            segments,
+            segments: segments.to_vec(),
         })
     }
 
@@ -266,11 +174,7 @@ impl SegmentLog {
     pub fn to_blob(&self) -> StateBlob {
         let mut w = BlobWriter::new();
         w.write_usize(self.machines);
-        w.write_seq(&self.prefix);
-        w.write_u64(self.records.len() as u64);
-        for rec in &self.records {
-            rec.encode(&mut w);
-        }
+        w.write_seq(&self.segments);
         StateBlob::new(LOG_KIND, LOG_VERSION, w.into_payload())
     }
 
@@ -279,33 +183,14 @@ impl SegmentLog {
         self.to_blob().to_bytes()
     }
 
-    /// Decodes a log from a [`StateBlob`], verifying contiguity and every
-    /// per-record checksum.
+    /// Decodes a log from a [`StateBlob`].
     pub fn from_blob(blob: &StateBlob) -> Result<Self, SnapshotError> {
         // Total kind/version check (returns Err). pss-lint: allow(codec-totality)
         let mut r = blob.expect(LOG_KIND, LOG_VERSION)?;
         let machines = r.read_usize()?;
-        let prefix: Vec<Segment> = r.read_seq()?;
-        let count = r.read_len(8)?;
-        let mut records = Vec::with_capacity(count);
-        let mut next = prefix.len() as u64;
-        for _ in 0..count {
-            let rec = SegmentRecord::decode(&mut r)?;
-            if rec.base != next {
-                return Err(SnapshotError::Invalid(format!(
-                    "record base {} does not continue the log at {next}",
-                    rec.base
-                )));
-            }
-            next += rec.segments.len() as u64;
-            records.push(rec);
-        }
+        let segments = r.read_seq()?;
         r.finish()?;
-        Ok(Self {
-            machines,
-            prefix,
-            records,
-        })
+        Ok(Self { machines, segments })
     }
 
     /// Decodes a log from wire bytes.
@@ -314,53 +199,44 @@ impl SegmentLog {
         Self::from_blob(&blob)
     }
 
-    /// Serialises the log's tail at or beyond `from` — the half of a
-    /// `(log tail, blob)` pair shipped during shard moves.  The tail is a
-    /// single checksummed record based at `from`.
+    /// Serialises the log's tail at or beyond `from` (kind
+    /// `"seglog-tail"`: the base cursor and the segments) — the half of a
+    /// `(log tail, blob)` pair shipped during shard moves.
     pub fn encode_tail(&self, from: LogCursor) -> Result<Vec<u8>, SnapshotError> {
-        if from > self.cursor() {
-            return Err(SnapshotError::Invalid(format!(
+        let start = usize::try_from(from.0).unwrap_or(usize::MAX);
+        let tail = self.segments.get(start..).ok_or_else(|| {
+            SnapshotError::Invalid(format!(
                 "tail start {} is beyond the log end {}",
                 from.0,
-                self.cursor().0
-            )));
-        }
-        let full = self.reassemble(self.cursor())?;
-        let segments = full
-            .segments
-            .get(from.0 as usize..)
-            .unwrap_or_default()
-            .to_vec();
-        let rec = SegmentRecord {
-            base: from.0,
-            segments,
-        };
+                self.segments.len()
+            ))
+        })?;
         let mut w = BlobWriter::new();
-        rec.encode(&mut w);
-        Ok(StateBlob::new("seglog-tail", LOG_VERSION, w.into_payload()).to_bytes())
+        w.write_part(&from);
+        w.write_seq(tail);
+        Ok(StateBlob::new(TAIL_KIND, LOG_VERSION, w.into_payload()).to_bytes())
     }
 
     /// Absorbs a tail produced by [`encode_tail`](SegmentLog::encode_tail):
     /// the log is truncated to the tail's base, then the tail's segments
-    /// are appended as one record.  A tail based beyond the log's end
-    /// (missing history) is an error.
+    /// are appended.  A tail based beyond the log's end (missing history)
+    /// is an error.
     pub fn absorb_tail(&mut self, bytes: &[u8]) -> Result<LogCursor, SnapshotError> {
         let blob = StateBlob::from_bytes(bytes)?;
         // pss-lint: allow(codec-totality) — total kind/version check.
-        let mut r = blob.expect("seglog-tail", LOG_VERSION)?;
-        let rec = SegmentRecord::decode(&mut r)?;
+        let mut r = blob.expect(TAIL_KIND, LOG_VERSION)?;
+        let base: LogCursor = r.read_part()?;
+        let segments: Vec<Segment> = r.read_seq()?;
         r.finish()?;
-        if LogCursor(rec.base) > self.cursor() {
+        if base > self.cursor() {
             return Err(SnapshotError::Invalid(format!(
                 "tail base {} is beyond the log end {}",
-                rec.base,
-                self.cursor().0
+                base.0,
+                self.segments.len()
             )));
         }
-        self.truncate(LogCursor(rec.base))?;
-        if !rec.segments.is_empty() {
-            self.records.push(rec);
-        }
+        self.segments.truncate(base.0 as usize);
+        self.segments.extend(segments);
         Ok(self.cursor())
     }
 }
@@ -426,7 +302,7 @@ impl SnapshotPart for FrontierPart {
 /// whose `frontier()` and every future decision, dual and segment are
 /// bit-identical to the original's (solver-accuracy-bounded for iterative
 /// planners).  See the checkpoint recipe in `src/README.md` for the
-/// compaction, truncation and cadence rules.
+/// truncation and cadence rules.
 ///
 /// Both methods are total: mismatched machine counts, truncated logs,
 /// corrupted payloads and wrong-kind/wrong-version blobs are errors, never
@@ -474,7 +350,7 @@ mod tests {
         assert_eq!(c1, LogCursor(2));
         // No-delta sync appends nothing.
         assert_eq!(log.sync_from(&frontier).unwrap(), c1);
-        assert_eq!(log.record_count(), 1);
+        assert_eq!(log.cursor(), c1);
         frontier.segments.push(seg(0, 2.0, 3));
         let c2 = log.sync_from(&frontier).unwrap();
         assert_eq!(c2, LogCursor(3));
@@ -521,30 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_envelopes_never_segments() {
-        let mut log = sample_log();
-        let full = log.cursor();
-        let before = log.reassemble(full).unwrap();
-        assert_eq!(log.record_count(), 4);
-        // Compact below a cursor inside the third record: only the first
-        // two records fold.
-        log.compact(LogCursor(4));
-        assert_eq!(log.record_count(), 2);
-        assert_eq!(log.reassemble(full).unwrap().segments, before.segments);
-        // Compact everything.
-        log.compact(LogCursor(u64::MAX));
-        assert_eq!(log.record_count(), 0);
-        assert_eq!(log.cursor(), full);
-        assert_eq!(log.reassemble(full).unwrap().segments, before.segments);
-        // Truncation into the compacted prefix still works.
-        log.truncate(LogCursor(2)).unwrap();
-        assert_eq!(
-            log.reassemble(LogCursor(2)).unwrap().segments,
-            before.segments[..2]
-        );
-    }
-
-    #[test]
     fn wire_round_trip_is_exact_including_after_compaction() {
         let mut log = sample_log();
         log.compact(LogCursor(3));
@@ -580,26 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn non_contiguous_records_are_rejected() {
-        // Hand-assemble a payload whose second record skips a base.
-        let rec = |base: u64, n: usize| SegmentRecord {
-            base,
-            segments: (0..n).map(|k| seg(0, k as f64, k)).collect(),
-        };
-        let mut w = BlobWriter::new();
-        w.write_usize(1);
-        w.write_seq::<Segment>(&[]);
-        w.write_u64(2);
-        rec(0, 2).encode(&mut w);
-        rec(5, 1).encode(&mut w);
-        let blob = StateBlob::new("seglog", 1, w.into_payload());
-        assert!(matches!(
-            SegmentLog::from_blob(&blob),
-            Err(SnapshotError::Invalid(_))
-        ));
-    }
-
-    #[test]
     fn tails_ship_and_absorb() {
         let log = sample_log();
         let full = log.cursor();
@@ -626,13 +458,174 @@ mod tests {
         assert!(receiver.absorb_tail(&corrupted).is_err());
     }
 
+    /// A splitmix64 stream: pss-types cannot depend on pss-workloads'
+    /// generators.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A draw from `0..=max`.
+        fn upto(&mut self, max: usize) -> usize {
+            (self.next() % (max as u64 + 1)) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Asserts the log holds exactly the model's segments.
+    fn assert_matches_model(log: &SegmentLog, model: &[Segment], machines: usize, at: &str) {
+        assert_eq!(log.machines(), machines, "{at}: machines");
+        assert_eq!(log.cursor(), LogCursor(model.len() as u64), "{at}: cursor");
+        let all = log.reassemble(log.cursor()).unwrap();
+        assert_eq!(all.machines, machines, "{at}: reassembled machines");
+        assert_eq!(all.segments, model, "{at}: segments");
+    }
+
+    /// Random sequences of every log operation against a plain `Vec`
+    /// model: cursor, reassembled segments and errors agree after every
+    /// step.  `CHECKPOINT_SMOKE=1` widens the number of sequences.
+    #[test]
+    fn the_log_matches_a_plain_vector_model() {
+        let sequences = if std::env::var_os("CHECKPOINT_SMOKE").is_some() {
+            2_000
+        } else {
+            150
+        };
+        for seed in 0..sequences {
+            let mut gen = Gen(seed);
+            let machines = 1 + gen.upto(2);
+            let mut log = SegmentLog::new(machines);
+            let mut model: Vec<Segment> = Vec::new();
+            // The run's frontier: the model plus segments not yet synced.
+            let mut frontier = Schedule::empty(machines);
+            let mut next_job = 0;
+            for step in 0..60 {
+                let at = format!("seed {seed} step {step}");
+                let len = model.len();
+                match gen.upto(7) {
+                    0 | 1 => {
+                        for _ in 0..gen.upto(5) {
+                            let start = gen.unit() * 100.0;
+                            frontier.segments.push(Segment::work(
+                                gen.upto(machines - 1),
+                                start,
+                                start + gen.unit(),
+                                gen.unit() * 4.0,
+                                JobId(next_job),
+                            ));
+                            next_job += 1;
+                        }
+                        let end = log.sync_from(&frontier).unwrap();
+                        let fresh = frontier.segments.get(len..).unwrap_or_default();
+                        model.extend_from_slice(fresh);
+                        assert_eq!(end, LogCursor(model.len() as u64), "{at}: sync");
+                    }
+                    2 => {
+                        // A frontier shorter than the log, or on another
+                        // machine count, is refused and changes nothing.
+                        if len > 0 {
+                            let mut shrunk = Schedule::empty(machines);
+                            shrunk.segments = model[..gen.upto(len - 1)].to_vec();
+                            assert!(
+                                matches!(log.sync_from(&shrunk), Err(SnapshotError::Invalid(_))),
+                                "{at}: shrunk frontier"
+                            );
+                        }
+                        let other = Schedule::empty(machines + 1);
+                        assert!(
+                            matches!(log.sync_from(&other), Err(SnapshotError::Invalid(_))),
+                            "{at}: machine count"
+                        );
+                    }
+                    3 => {
+                        let cut = gen.upto(len + 2);
+                        let result = log.truncate(LogCursor(cut as u64));
+                        if cut > len {
+                            assert!(
+                                matches!(result, Err(SnapshotError::Invalid(_))),
+                                "{at}: truncate beyond the end"
+                            );
+                        } else {
+                            result.unwrap();
+                            model.truncate(cut);
+                            // The run re-commits from the cut on.
+                            frontier.segments.truncate(cut);
+                        }
+                    }
+                    4 => {
+                        let cut = gen.upto(len + 2);
+                        match log.reassemble(LogCursor(cut as u64)) {
+                            Ok(prefix) => {
+                                assert!(cut <= len, "{at}: reassemble beyond the end");
+                                assert_eq!(prefix.machines, machines, "{at}: machines");
+                                assert_eq!(prefix.segments, model[..cut], "{at}: prefix");
+                            }
+                            Err(e) => {
+                                assert!(cut > len, "{at}: reassemble failed: {e}");
+                                assert!(matches!(e, SnapshotError::Invalid(_)), "{at}: {e}");
+                            }
+                        }
+                    }
+                    5 => {
+                        let from = gen.upto(len + 1);
+                        let tail = log.encode_tail(LogCursor(from as u64));
+                        if from > len {
+                            assert!(
+                                matches!(tail, Err(SnapshotError::Invalid(_))),
+                                "{at}: tail beyond the end"
+                            );
+                            continue;
+                        }
+                        let tail = tail.unwrap();
+                        let base = gen.upto(len);
+                        let mut receiver = log.clone();
+                        receiver.truncate(LogCursor(base as u64)).unwrap();
+                        let absorbed = receiver.absorb_tail(&tail);
+                        if from > base {
+                            assert!(
+                                matches!(absorbed, Err(SnapshotError::Invalid(_))),
+                                "{at}: tail based beyond the receiver's end"
+                            );
+                            assert_matches_model(&receiver, &model[..base], machines, &at);
+                        } else {
+                            assert_eq!(absorbed.unwrap(), LogCursor(len as u64), "{at}");
+                            assert_matches_model(&receiver, &model, machines, &at);
+                        }
+                        let mut corrupted = tail.clone();
+                        let byte = gen.upto(tail.len() - 1);
+                        corrupted[byte] ^= 1 << gen.upto(7);
+                        assert!(receiver.absorb_tail(&corrupted).is_err(), "{at}: bit flip");
+                    }
+                    6 => {
+                        log = SegmentLog::from_bytes(&log.to_bytes()).unwrap();
+                    }
+                    _ => log.compact(LogCursor(gen.upto(len + 2) as u64)),
+                }
+                assert_matches_model(&log, &model, machines, &at);
+            }
+        }
+    }
+
     #[test]
     fn frontier_part_round_trips_and_resolves() {
         let mut log = sample_log();
         let full = log.reassemble(log.cursor()).unwrap();
         let part = FrontierPart::sync(&mut log, &full).unwrap();
         assert_eq!(part.cursor, log.cursor());
-        assert_eq!(log.record_count(), 4, "a synced frontier appends nothing");
+        assert_eq!(
+            log.cursor(),
+            LogCursor(10),
+            "a synced frontier appends nothing"
+        );
         let mut w = BlobWriter::new();
         w.write_part(&part);
         let payload = w.into_payload();

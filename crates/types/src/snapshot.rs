@@ -104,9 +104,8 @@ impl From<SnapshotError> for crate::error::ScheduleError {
 }
 
 /// FNV-1a 64-bit hash, the integrity checksum of the wire format (this is a
-/// corruption check, not a cryptographic signature).  Shared with the
-/// segment log's per-record checksums.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// corruption check, not a cryptographic signature).
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;

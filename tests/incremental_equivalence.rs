@@ -690,8 +690,8 @@ fn singleton_bursts_are_bit_identical_to_the_per_event_path() {
 // warm-seeded solves).  Cut points include every burst boundary shape:
 // between bursts, immediately after a burst, and *mid-burst* (a burst split
 // across the snapshot, both halves fed at the same instant).  They also
-// drill the daemon's compact-at-capture retention: recovery from every
-// depth of a bounded checkpoint chain over a compacted log.
+// drill the daemon's retention: recovery from every depth of a bounded
+// checkpoint chain over one log.
 
 /// Bit-compares a restored run's decision stream and final schedule
 /// against the uninterrupted baseline.  With `exact` false (OA(m), whose
@@ -760,10 +760,9 @@ fn assert_stream_matches(
 /// cut point with a suspend/restore at the cut.  The run keeps a
 /// realised-segment log synced after every arrival; at the cut it is
 /// suspended with [`LogCheckpointable::snapshot_live`] (O(active) blob plus
-/// log cursor), the log is compacted to the capture cursor exactly as the
-/// daemon does at capture time, both halves cross the wire independently,
-/// the log is truncated back to the cursor (WAL discipline — records past
-/// the checkpoint are discarded on recovery), and the run is reassembled
+/// log cursor), both halves cross the wire independently, the log is
+/// truncated back to the cursor (WAL discipline — segments past the
+/// checkpoint are discarded on recovery), and the run is reassembled
 /// with [`LogCheckpointable::restore_with_log`].  Every future decision,
 /// the reassembled frontier, and the final schedule must match the
 /// uninterrupted run.
@@ -812,17 +811,10 @@ fn assert_restore_equivalent<R>(
             decisions.push(run.on_arrival(job, *t).expect("pre-cut arrival"));
             log.sync_from(run.frontier()).expect("pre-cut log sync");
         }
-        // Capture: live-only blob + cursor, compact the log to the cursor
-        // (the daemon's capture-time discipline), and send both halves
-        // through their wire formats independently.
+        // Capture: live-only blob + cursor, and send both halves through
+        // their wire formats independently.
         let blob = run.snapshot_live(&mut log).expect("live snapshot");
         let cursor = log.cursor();
-        log.compact(cursor);
-        assert_eq!(
-            log.record_count(),
-            0,
-            "{label} cut {cut}: capture must compact the log's record envelopes"
-        );
         let wire = blob.to_bytes();
         let log_wire = log.to_bytes();
         drop(run);
@@ -925,12 +917,11 @@ fn log_restored_runs_continue_bit_identically_for_every_algorithm() {
 #[test]
 fn compacted_log_recovers_from_every_retained_checkpoint_depth() {
     // A capture after every burst feeds a bounded chain of (cursor, blob)
-    // records with the log compacted to each capture's cursor — the
-    // daemon's retention discipline.  For every retained-chain depth the
-    // daemon can be configured with, recovery from EVERY record still in
-    // the chain (not just the newest) must replay to the exact baseline:
-    // compaction folds records into the prefix but never loses the segment
-    // data an older cursor needs.
+    // records — the daemon's retention discipline.  For every
+    // retained-chain depth the daemon can be configured with, recovery
+    // from EVERY record still in the chain (not just the newest) must
+    // replay to the exact baseline: the log never loses the segment data
+    // an older cursor needs.
     let instance = bursty_profitable(7900, 1, 2.5, 16, 4);
     let bursts = as_bursts(&instance);
 
@@ -950,8 +941,6 @@ fn compacted_log_recovers_from_every_retained_checkpoint_depth() {
             decisions_done += run.on_arrivals(jobs, *t).expect("burst").len();
             let blob = run.snapshot_live(&mut log).expect("capture");
             let cursor = log.cursor();
-            log.compact(cursor);
-            assert_eq!(log.record_count(), 0, "capture must compact the log");
             chain.push((done + 1, decisions_done, cursor, blob.to_bytes()));
             if chain.len() > retain {
                 chain.remove(0);
