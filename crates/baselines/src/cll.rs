@@ -14,7 +14,7 @@
 //! policy is the rejection rule above, and recovers its batch
 //! [`Scheduler`](pss_types::Scheduler) impl through the blanket adapter.
 
-use pss_offline::incremental::{left_aligned_planned_speed, PlanItem};
+use pss_offline::incremental::StepSpeed;
 use pss_power::AlphaPower;
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart};
 use pss_types::{Instance, Job, OnlineAlgorithm, Schedule, ScheduleError};
@@ -28,36 +28,31 @@ use crate::replan::{run_replanning, AdmissionPolicy, OnlineEnv, PendingJob, Repl
 /// The planned speed is evaluated with the left-aligned YDS special case
 /// (every job the rule sees has already been released, so all windows start
 /// at `now`), which is `O(k log k)` per arrival instead of the general
-/// `O(k³)` critical-interval search, and produces the same plan.
+/// `O(k³)` critical-interval search.  The rule reads the new job's step
+/// speed off the staircase ([`StepSpeed`], in buffers the run reuses) and
+/// builds no plan: the speed is bit for bit the one the whole left-aligned
+/// plan gives the job.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CllAdmission;
 
 impl AdmissionPolicy for CllAdmission {
+    type Scratch = StepSpeed;
+
     fn admit(
         &self,
         env: &OnlineEnv,
         now: f64,
         job: &Job,
         pending: &[PendingJob],
+        scratch: &mut StepSpeed,
     ) -> Result<bool, ScheduleError> {
         let power = AlphaPower::new(env.alpha);
-        // Plan the remaining work of the admitted jobs plus the new one.
-        let mut items: Vec<PlanItem> = pending
+        // The remaining work of the admitted jobs plus the new one, last.
+        let items = pending
             .iter()
-            .enumerate()
-            .map(|(i, p)| PlanItem {
-                key: i,
-                deadline: p.deadline,
-                work: p.remaining,
-            })
-            .collect();
-        let new_key = items.len();
-        items.push(PlanItem {
-            key: new_key,
-            deadline: job.deadline,
-            work: job.work,
-        });
-        let planned_speed = left_aligned_planned_speed(now, &items, new_key)?;
+            .map(|p| (p.deadline, p.remaining))
+            .chain(std::iter::once((job.deadline, job.work)));
+        let planned_speed = scratch.planned_speed(now, items, pending.len())?;
         let threshold = power.rejection_speed_threshold(job.value, job.work);
         Ok(planned_speed <= threshold * (1.0 + 1e-9))
     }

@@ -33,11 +33,16 @@
 //! Every arrival path avoids rebuild-per-arrival work: the per-arrival
 //! cost depends on the active set — except BKP's grid evaluation, which
 //! costs `O(active + recent + log n)` (its work term never forgets old
-//! jobs; a convex hull aggregates the aged history).  OA, qOA
+//! jobs; a convex hull aggregates the aged history).  The replanning
+//! executor plans each window when it runs, and only that window: OA, qOA
 //! and CLL warm-start their left-aligned YDS replans
-//! (`pss_offline::incremental` via [`replan::PlanCache`]); multiprocessor
-//! OA seeds `pss_convex::solve_min_energy_warm` with the previous
-//! coordinate-descent solution ([`oa::MultiOaWarm`]); AVR commits through a
+//! (`pss_offline::incremental` via [`replan::PlanCache`]) and emit only
+//! the segments that start before the next arrival, into a buffer the run
+//! reuses; CLL's admission rule reads the new job's planned speed off the
+//! same staircase without building a plan; multiprocessor OA seeds
+//! `pss_convex::solve_min_energy_warm` with the previous coordinate-descent
+//! solution ([`oa::MultiOaWarm`]) and realises only the atomic intervals
+//! that start before the next arrival; AVR commits through a
 //! deadline-sorted active-set index ([`avr::AvrState`]); and BKP keeps a
 //! resident deadline/release speed index whose deadline list, holding the
 //! live jobs' remaining works, also drives its EDF dispatch
@@ -53,7 +58,8 @@
 //! [`bkp::BkpState`]) implements `pss_types::LogCheckpointable`: a blob
 //! captures the live state — pending/active sets, warm caches (including
 //! [`oa::MultiOaWarm`] and BKP's speed index with its convex hull) and
-//! the warm-start toggle — plus a cursor into the run's segment log,
+//! the warm-start toggle, but no plan and no scratch buffer — plus a
+//! cursor into the run's segment log,
 //! which holds the committed frontier, and a run restored from the
 //! `(log, blob)` pair continues bit-identically (solver accuracy for
 //! OA(m)).  This is what the checkpoint layers in `pss-sim` and

@@ -84,28 +84,28 @@ impl Planner for OaPlanner {
     /// case.  The warm state keeps the previous solution's deadline order
     /// (keyed by original job id), so consecutive replans only merge the new
     /// arrival and re-derive the perturbed part of the staircase instead of
-    /// running the general `O(k³)` critical-interval search.
+    /// running the general `O(k³)` critical-interval search; only the
+    /// segments that start before `until` are emitted.
     fn plan_warm(
         &self,
         _env: &OnlineEnv,
         now: f64,
         pending: &[PendingJob],
+        until: f64,
         cache: &mut PlanCache,
-    ) -> Result<Schedule, ScheduleError> {
-        let items: Vec<PlanItem> = pending
-            .iter()
-            .map(|p| PlanItem {
-                key: p.id.index(),
-                deadline: p.deadline,
-                work: p.remaining,
-            })
-            .collect();
+        out: &mut Schedule,
+    ) -> Result<(), ScheduleError> {
+        let items = pending.iter().map(|p| PlanItem {
+            key: p.id.index(),
+            deadline: p.deadline,
+            work: p.remaining,
+        });
         let warm = cache.yds.get_or_insert_with(IncrementalYds::default);
         // The plan's segment ids are item positions, which coincide with the
         // dense pending ids the executor expects — no remapping needed.
-        let mut plan = warm.plan(now, &items)?;
-        self.apply_factor(&mut plan);
-        Ok(plan)
+        warm.plan_window(now, items, until, out)?;
+        self.apply_factor(out);
+        Ok(())
     }
 }
 
@@ -263,18 +263,22 @@ impl Planner for MultiOaPlanner {
     /// Warm-started replan: seed coordinate descent from the previous
     /// solution (kept in the cache keyed by original job id, remapped onto
     /// the current partition by time overlap), then record the new solution
-    /// and its convergence statistics back into the cache.
+    /// and its convergence statistics back into the cache.  Only the atomic
+    /// intervals that start before `until` are realised.
     fn plan_warm(
         &self,
         env: &OnlineEnv,
         now: f64,
         pending: &[PendingJob],
+        until: f64,
         cache: &mut PlanCache,
-    ) -> Result<Schedule, ScheduleError> {
+        out: &mut Schedule,
+    ) -> Result<(), ScheduleError> {
+        out.segments.clear();
         let warm = cache.multi.get_or_insert_with(MultiOaWarm::default);
         if pending.is_empty() {
             warm.rows.clear();
-            return Ok(Schedule::empty(env.machines));
+            return Ok(());
         }
         let ctx = self.context(env, now, pending)?;
         let seed = warm.seed_for(&ctx, pending);
@@ -291,7 +295,24 @@ impl Planner for MultiOaPlanner {
         if sol.converged {
             warm.converged_replans += 1;
         }
-        Ok(ctx.realize_schedule(&sol.assignment))
+        realize_window(&ctx, &sol.assignment, until, out);
+        Ok(())
+    }
+}
+
+/// Appends to `out` the realisation of the atomic intervals that start
+/// before `until`: bit for bit the segments
+/// [`ProgramContext::realize_schedule`] places in those intervals, in the
+/// same order.
+fn realize_window(ctx: &ProgramContext, x: &WorkAssignment, until: f64, out: &mut Schedule) {
+    for iv in ctx
+        .partition()
+        .intervals()
+        .take_while(|iv| iv.start < until)
+    {
+        for seg in ctx.realize_interval(x, iv.index) {
+            out.push(seg);
+        }
     }
 }
 
@@ -494,7 +515,7 @@ mod tests {
     use super::*;
     use pss_offline::YdsScheduler;
     use pss_power::AlphaPower;
-    use pss_types::{validate_schedule, Scheduler};
+    use pss_types::{validate_schedule, JobId, Scheduler, Segment};
 
     fn instance(alpha: f64) -> Instance {
         Instance::from_tuples(
@@ -600,6 +621,105 @@ mod tests {
             "rejected: {:?}",
             report.rejected
         );
+    }
+
+    /// A segment as its bits, so `==` is bit-for-bit.
+    fn bits(s: &Segment) -> (usize, u64, u64, u64, Option<JobId>) {
+        (
+            s.machine,
+            s.start.to_bits(),
+            s.end.to_bits(),
+            s.speed.to_bits(),
+            s.job,
+        )
+    }
+
+    #[test]
+    fn oa_window_plans_are_the_full_plans_prefix_for_both_speed_factors() {
+        let alpha = 2.5;
+        let env = OnlineEnv { machines: 1, alpha };
+        for planner in [
+            OaPlanner::default(),
+            OaPlanner::with_factor(2.0 - 1.0 / alpha),
+        ] {
+            let mut state = 5u64;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 11) as f64) / ((1u64 << 53) as f64)
+            };
+            let (mut cache, mut window) = (PlanCache::default(), Schedule::empty(1));
+            let mut pending: Vec<PendingJob> = Vec::new();
+            let mut now = 0.0;
+            for round in 0..300 {
+                now += 0.3 * next();
+                pending.retain(|p| p.deadline > now);
+                for p in &mut pending {
+                    p.remaining = (p.remaining - 0.2 * next()).max(0.0);
+                }
+                let tied = pending.first().map(|p| p.deadline);
+                let deadline = match tied {
+                    Some(d) if next() < 0.3 => d,
+                    _ => now + 0.05 + 3.0 * next(),
+                };
+                let work = if next() < 0.2 { 1e-11 } else { 0.05 + next() };
+                pending.push(PendingJob::new(&Job::new(round, now, deadline, work, 1.0)));
+                let items: Vec<PlanItem> = pending
+                    .iter()
+                    .map(|p| PlanItem {
+                        key: p.id.index(),
+                        deadline: p.deadline,
+                        work: p.remaining,
+                    })
+                    .collect();
+                let mut full = pss_offline::left_aligned_plan(now, &items).unwrap();
+                planner.apply_factor(&mut full);
+                let until = now + 2.0 * next();
+                planner
+                    .plan_warm(&env, now, &pending, until, &mut cache, &mut window)
+                    .unwrap();
+                let prefix: Vec<_> = full
+                    .segments
+                    .iter()
+                    .filter(|s| s.start < until)
+                    .map(bits)
+                    .collect();
+                let got: Vec<_> = window.segments.iter().map(bits).collect();
+                assert_eq!(got, prefix, "{} round {round}", planner.name());
+            }
+        }
+    }
+
+    #[test]
+    fn multi_oa_window_realises_the_intervals_before_until() {
+        let inst = Instance::from_tuples(
+            2,
+            2.5,
+            vec![
+                (0.0, 3.0, 1.0, 1.0),
+                (0.0, 2.5, 1.5, 1.0),
+                (0.0, 4.0, 2.0, 1.0),
+                (0.0, 3.5, 0.8, 1.0),
+                (0.0, 1.0, 0.3, 1.0),
+            ],
+        )
+        .unwrap();
+        let ctx = ProgramContext::new(&inst);
+        let x = solve_min_energy_with(&ctx, &SolverOptions::default()).assignment;
+        let full: Vec<_> = ctx.realize_schedule(&x).segments.iter().map(bits).collect();
+        let mut window = Schedule::empty(2);
+        for until in [0.0, 0.5, 1.0, 2.7, 3.5, 10.0] {
+            window.segments.clear();
+            realize_window(&ctx, &x, until, &mut window);
+            let got: Vec<_> = window.segments.iter().map(bits).collect();
+            // The window is a prefix of the full realisation, and what it
+            // leaves out lies in intervals starting at or after `until`.
+            assert_eq!(got, full[..got.len()], "until {until}");
+            let rest = &ctx.realize_schedule(&x).segments[got.len()..];
+            assert!(rest.iter().all(|s| s.start >= until), "until {until}");
+        }
+        assert!(window.segments.len() == full.len());
     }
 
     #[test]

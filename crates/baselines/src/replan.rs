@@ -14,16 +14,18 @@
 //!
 //! * [`ReplanState`] — the *incremental* executor implementing the
 //!   event-driven [`OnlineScheduler`] trait: each
-//!   [`on_arrivals`](OnlineScheduler::on_arrivals) burst executes the
-//!   current plan up to the arrival time (extending the committed
-//!   frontier), consults the admission policy per job, and replans.
-//!   Replans are **warm-started** through [`Planner::plan_warm`] and the
-//!   per-run [`PlanCache`]: the OA-family planners reuse their previous
-//!   YDS solution and only re-derive the part of the staircase the new
-//!   arrival perturbs, instead of re-solving from zero.  This is what the
-//!   blanket batch adapter and the streaming simulator drive;
-//!   `with_warm_start(false)` restores the from-scratch behaviour for
-//!   benchmarks.
+//!   [`on_arrivals`](OnlineScheduler::on_arrivals) burst plans the window
+//!   since the previous arrival and executes it (extending the committed
+//!   frontier), then consults the admission policy per job.  Every burst
+//!   changes the pending set, so a plan is followed for exactly one
+//!   window, and the planner builds only the part of it that starts
+//!   before the window's end.  Replans are **warm-started** through
+//!   [`Planner::plan_warm`] and the per-run [`PlanCache`]: the OA-family
+//!   planners reuse their previous YDS solution and only re-derive the
+//!   part of the staircase the new arrival perturbs, instead of re-solving
+//!   from zero.  This is what the blanket batch adapter and the streaming
+//!   simulator drive; `with_warm_start(false)` restores the from-scratch
+//!   behaviour for benchmarks.
 //! * [`run_replanning`] — the original *batch* loop over an instance's
 //!   distinct release times, retained verbatim as an independently coded
 //!   reference: the `incremental_equivalence` integration tests check that
@@ -90,7 +92,8 @@ impl PendingJob {
 }
 
 /// Mutable warm-start state a [`Planner`] may carry across the replanning
-/// steps of one run.
+/// steps of one run (the scratch buffers inside it are reused, and a
+/// checkpoint leaves them out).
 ///
 /// The executor owns one cache per run and hands it to
 /// [`Planner::plan_warm`] at every replan; planners without warm-start
@@ -127,28 +130,36 @@ pub trait Planner {
         pending: &[PendingJob],
     ) -> Result<Schedule, ScheduleError>;
 
-    /// Warm-started replan: like [`plan`](Self::plan), but may reuse state
-    /// in `cache` carried over from the previous replanning step of the same
-    /// run (e.g. the previous YDS solution, of which the new arrival only
-    /// perturbs a part, or the previous coordinate-descent assignment the
-    /// multiprocessor planner seeds its solver with).
+    /// Warm-started replan of the window `[now, until)`: like
+    /// [`plan`](Self::plan), written into `out` (whose segments it
+    /// replaces), but it may reuse state in `cache` carried over from the
+    /// previous replanning step of the same run (e.g. the previous YDS
+    /// solution, of which the new arrival only perturbs a part, or the
+    /// previous coordinate-descent assignment the multiprocessor planner
+    /// seeds its solver with), and it may leave out segments that start at
+    /// or after `until`: the executor follows a plan only until the next
+    /// arrival.
     ///
-    /// Implementations must produce a schedule *equivalent* to
-    /// [`plan`](Self::plan) — same speeds, same per-job works — on every
-    /// input, up to the planner's own numeric tolerance (exact for the
-    /// combinatorial single-machine planners; solver-accuracy for the
-    /// iterative multiprocessor one).  The `incremental_equivalence`
-    /// integration tests pin this on random workloads.  The default ignores
-    /// the cache and falls back to the from-scratch plan.
+    /// On `[now, until)` implementations must produce a schedule
+    /// *equivalent* to [`plan`](Self::plan) — same speeds, same per-job
+    /// works — on every input, up to the planner's own numeric tolerance
+    /// (exact for the combinatorial single-machine planners;
+    /// solver-accuracy for the iterative multiprocessor one).  The
+    /// `incremental_equivalence` integration tests pin this on random
+    /// workloads.  The default ignores the cache and `until` and writes the
+    /// from-scratch plan.
     fn plan_warm(
         &self,
         env: &OnlineEnv,
         now: f64,
         pending: &[PendingJob],
+        until: f64,
         cache: &mut PlanCache,
-    ) -> Result<Schedule, ScheduleError> {
-        let _ = cache;
-        self.plan(env, now, pending)
+        out: &mut Schedule,
+    ) -> Result<(), ScheduleError> {
+        let _ = (until, cache);
+        *out = self.plan(env, now, pending)?;
+        Ok(())
     }
 }
 
@@ -156,6 +167,11 @@ pub trait Planner {
 /// job is added to the pending set.  Returning `false` rejects the job
 /// permanently (its value is lost).
 pub trait AdmissionPolicy {
+    /// Buffers the rule reuses across the admissions of one run.  No
+    /// decision depends on what they hold between calls, so a checkpoint
+    /// leaves them out.
+    type Scratch: std::fmt::Debug + Clone + Default;
+
     /// Decides whether to admit `job` at time `now` given the other pending
     /// jobs.
     fn admit(
@@ -164,6 +180,7 @@ pub trait AdmissionPolicy {
         now: f64,
         job: &Job,
         pending: &[PendingJob],
+        scratch: &mut Self::Scratch,
     ) -> Result<bool, ScheduleError>;
 }
 
@@ -172,12 +189,15 @@ pub trait AdmissionPolicy {
 pub struct AdmitAll;
 
 impl AdmissionPolicy for AdmitAll {
+    type Scratch = ();
+
     fn admit(
         &self,
         _env: &OnlineEnv,
         _now: f64,
         _job: &Job,
         _pending: &[PendingJob],
+        _scratch: &mut (),
     ) -> Result<bool, ScheduleError> {
         Ok(true)
     }
@@ -186,28 +206,28 @@ impl AdmissionPolicy for AdmitAll {
 /// The incremental replanning executor: event-driven state for one run of a
 /// plan-revision algorithm.
 ///
-/// The committed frontier grows by executing the *current* plan over the
-/// window between consecutive arrivals; admission and replanning happen at
-/// each arrival, after the window has been executed, so neither can affect
-/// the past.
+/// The committed frontier grows window by window: when a burst arrives, the
+/// window since the previous arrival is planned from the pending set as it
+/// stood at the window's start and executed; admission happens after it, so
+/// neither can affect the past.  The plan is built just before its window
+/// runs, so a burst of simultaneous arrivals costs a single planning solve
+/// (exactly like the batch loop, which plans once per distinct release
+/// time).
 #[derive(Debug, Clone)]
 pub struct ReplanState<P: Planner, A: AdmissionPolicy> {
     planner: P,
     admission: A,
+    /// The admission rule's reused buffers.
+    admission_scratch: A::Scratch,
     env: OnlineEnv,
     pending: Vec<PendingJob>,
-    /// The current plan for the future (dense ids into `pending`).
+    /// The plan of the window being executed (dense ids into `pending`): a
+    /// buffer reused by every window, not state.
     plan: Schedule,
-    /// Set when the pending set changed since `plan` was computed; the plan
-    /// is recomputed lazily just before it is executed, so a burst of
-    /// simultaneous arrivals costs a single planning solve (exactly like
-    /// the batch loop, which plans once per distinct release time).
-    plan_stale: bool,
     /// Warm-start state handed to [`Planner::plan_warm`] at every replan.
     cache: PlanCache,
-    /// Number of plans actually computed so far (the lazy-staleness scheme
-    /// means this counts *distinct* replans, not arrivals: a burst of
-    /// simultaneous arrivals costs one).  E13 reads it to report
+    /// Number of plans computed so far: one per executed window, so a burst
+    /// of simultaneous arrivals costs one.  E13 reads it to report
     /// replans-per-arrival.
     replans: usize,
     /// When `false`, every replan calls the from-scratch [`Planner::plan`]
@@ -230,10 +250,10 @@ impl<P: Planner, A: AdmissionPolicy> ReplanState<P, A> {
         Self {
             planner,
             admission,
+            admission_scratch: A::Scratch::default(),
             env,
             pending: Vec::new(),
             plan: Schedule::empty(env.machines),
-            plan_stale: false,
             cache: PlanCache::default(),
             replans: 0,
             warm_start: true,
@@ -269,16 +289,16 @@ impl<P: Planner, A: AdmissionPolicy> ReplanState<P, A> {
 
     /// Number of planning solves performed so far.
     ///
-    /// Plans are recomputed lazily, just before the first execution after
-    /// the pending set changed, so simultaneous (or batch-fed) arrivals
-    /// share one solve: on a burst-coalesced stream this counter grows with
-    /// the number of *bursts*, not arrivals — the quantity E13 tabulates as
+    /// A plan is computed just before each executed window, so
+    /// simultaneous (or batch-fed) arrivals share one solve: on a
+    /// burst-coalesced stream this counter grows with the number of
+    /// *bursts*, not arrivals — the quantity E13 tabulates as
     /// replans-per-arrival.
     pub fn replans(&self) -> usize {
         self.replans
     }
 
-    /// Executes the current plan over `[self.now, to)` and drops finished or
+    /// Plans the window `[self.now, to)`, executes it and drops finished or
     /// expired pending jobs, exactly like one window of the batch loop.
     ///
     /// Arrival times closer than the workspace tolerance are treated as
@@ -293,20 +313,23 @@ impl<P: Planner, A: AdmissionPolicy> ReplanState<P, A> {
         if to <= self.now || num::approx_eq(to, self.now) {
             return Ok(());
         }
-        if self.plan_stale {
-            self.plan = if self.warm_start {
-                self.planner
-                    .plan_warm(&self.env, self.now, &self.pending, &mut self.cache)?
-            } else {
-                self.planner.plan(&self.env, self.now, &self.pending)?
-            };
-            self.plan_stale = false;
-            self.replans += 1;
+        if self.warm_start {
+            self.planner.plan_warm(
+                &self.env,
+                self.now,
+                &self.pending,
+                to,
+                &mut self.cache,
+                &mut self.plan,
+            )?;
+        } else {
+            self.plan = self.planner.plan(&self.env, self.now, &self.pending)?;
         }
+        self.replans += 1;
         execute_window(
             &mut self.committed,
             &mut self.pending,
-            &self.plan,
+            &mut self.plan.segments,
             self.now,
             to,
         );
@@ -318,20 +341,23 @@ impl<P: Planner, A: AdmissionPolicy> ReplanState<P, A> {
 }
 
 impl<P: Planner, A: AdmissionPolicy> OnlineScheduler for ReplanState<P, A> {
-    /// Burst ingestion: the window up to `now` is executed **once** for the
-    /// whole burst, each job then runs the per-job ingress check and the
-    /// admission rule against the pending set as it stands (so the burst's
-    /// earlier jobs are visible, exactly like the batch reference's
-    /// per-release admission pass), and the plan is marked stale once —
-    /// the next execution performs a **single** (warm) replan for the
-    /// burst.
+    /// Burst ingestion: the window up to `now` is planned and executed
+    /// **once** for the whole burst, and each job then runs the admission
+    /// rule against the pending set as it stands (so the burst's earlier
+    /// jobs are visible, exactly like the batch reference's per-release
+    /// admission pass).  The next window performs a **single** (warm)
+    /// replan for the burst.
     ///
-    /// Because replanning is lazy, this is decision- and schedule-identical
-    /// to feeding the jobs as one-job bursts at the same `now`.  The b-fold
-    /// replan collapse comes from *feeding* bursts at one timestamp (e.g.
-    /// via the streaming simulator's coalescing window) instead of at `b`
-    /// distinct ones, each of which would execute a sliver of plan and
-    /// force its own replan.
+    /// Because a plan is built only when its window runs, this is decision-
+    /// and schedule-identical to feeding the jobs as one-job bursts at the
+    /// same `now`.  The b-fold replan collapse comes from *feeding* bursts
+    /// at one timestamp (e.g. via the streaming simulator's coalescing
+    /// window) instead of at `b` distinct ones, each of which would execute
+    /// a sliver of plan and force its own replan.
+    ///
+    /// A job whose deadline is not after the feed time has expired: it is
+    /// rejected at its value and never reaches the admission rule or a
+    /// planner, as the feed core rejects it.
     fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
         if jobs.is_empty() {
             return Ok(Vec::new());
@@ -341,13 +367,22 @@ impl<P: Planner, A: AdmissionPolicy> OnlineScheduler for ReplanState<P, A> {
         for job in jobs {
             check_arrival(job, self.now, now)?;
         }
-        self.advance_to(now.max(self.now))?;
+        let now = now.max(self.now);
+        self.advance_to(now)?;
         let mut decisions = Vec::with_capacity(jobs.len());
         for job in jobs {
+            if job.deadline <= now {
+                decisions.push(Decision::reject(job.value));
+                continue;
+            }
             self.horizon_end = self.horizon_end.max(job.deadline);
-            let admitted = self
-                .admission
-                .admit(&self.env, self.now, job, &self.pending)?;
+            let admitted = self.admission.admit(
+                &self.env,
+                self.now,
+                job,
+                &self.pending,
+                &mut self.admission_scratch,
+            )?;
             if admitted {
                 self.pending.push(PendingJob::new(job));
             }
@@ -357,7 +392,6 @@ impl<P: Planner, A: AdmissionPolicy> OnlineScheduler for ReplanState<P, A> {
                 Decision::reject(job.value)
             });
         }
-        self.plan_stale = true;
         Ok(decisions)
     }
 
@@ -427,19 +461,22 @@ impl SnapshotPart for AdmitAll {
 /// State version of [`ReplanState`] snapshots.  Version 3 stores the
 /// committed frontier as a bare [`FrontierPart`] cursor into the run's
 /// [`SegmentLog`]; version 4 drops the water-fill tolerance from OA(m)'s
-/// solver options.  Older blobs are rejected with a typed error.
-const REPLAN_STATE_VERSION: u16 = 4;
+/// solver options; version 5 drops the plan and its staleness flag, since
+/// every window is planned when it runs.  Older blobs are rejected with a
+/// typed error.
+const REPLAN_STATE_VERSION: u16 = 5;
 
 /// Checkpoint/restore for the replanning executor: the blob holds the run's
-/// live state — the pending set with its remaining works, the current plan
-/// and its staleness flag, the warm-start cache (the left-aligned YDS order
-/// and/or the previous multiprocessor solution), the clock and the horizon
-/// — plus the planner and admission configuration and the frontier's log
-/// cursor, so [`LogCheckpointable::restore_with_log`] rebuilds the run from
-/// the `(log, blob)` pair with no other context.  A restored run continues
-/// bit-identically (solver-accuracy for the iterative multiprocessor
-/// planner); the restore-equivalence integration tests pin this at
-/// arbitrary cut points, including mid-burst.
+/// live state — the pending set with its remaining works, the warm-start
+/// cache (the left-aligned YDS order and/or the previous multiprocessor
+/// solution), the clock and the horizon — plus the planner and admission
+/// configuration and the frontier's log cursor, so
+/// [`LogCheckpointable::restore_with_log`] rebuilds the run from the
+/// `(log, blob)` pair with no other context.  No plan is stored: the next
+/// window plans afresh, as the uninterrupted run would.  A restored run
+/// continues bit-identically (solver-accuracy for the iterative
+/// multiprocessor planner); the restore-equivalence integration tests pin
+/// this at arbitrary cut points, including mid-burst.
 impl<P, A> LogCheckpointable for ReplanState<P, A>
 where
     P: Planner + SnapshotPart,
@@ -453,8 +490,6 @@ where
         w.write_part(&self.planner);
         w.write_part(&self.admission);
         w.write_seq(&self.pending);
-        w.write_part(&self.plan);
-        w.write_bool(self.plan_stale);
         w.write_part(&self.cache);
         w.write_usize(self.replans);
         w.write_bool(self.warm_start);
@@ -476,9 +511,9 @@ where
             env: OnlineEnv { machines, alpha },
             planner: r.read_part()?,
             admission: r.read_part()?,
+            admission_scratch: A::Scratch::default(),
             pending: r.read_seq()?,
-            plan: r.read_part()?,
-            plan_stale: r.read_bool()?,
+            plan: Schedule::empty(machines),
             cache: r.read_part()?,
             replans: r.read_usize()?,
             warm_start: r.read_bool()?,
@@ -487,9 +522,9 @@ where
             horizon_end: r.read_f64()?,
         };
         r.finish()?;
-        if state.plan.machines != machines || state.committed.machines != machines {
+        if state.committed.machines != machines {
             return Err(SnapshotError::Invalid(
-                "schedule machine counts disagree with the environment".into(),
+                "frontier machine count disagrees with the environment".into(),
             ));
         }
         Ok(state)
@@ -523,6 +558,7 @@ pub fn run_replanning<P: Planner, A: AdmissionPolicy>(
     let horizon_end = instance.horizon().1;
 
     let mut pending: Vec<PendingJob> = Vec::new();
+    let mut scratch = A::Scratch::default();
 
     for (idx, &now) in release_times.iter().enumerate() {
         // Admit the jobs released now (in id order, as the paper's online
@@ -534,7 +570,7 @@ pub fn run_replanning<P: Planner, A: AdmissionPolicy>(
             .collect();
         arrivals.sort_by_key(|j| j.id);
         for job in arrivals {
-            if admission.admit(&env, now, job, &pending)? {
+            if admission.admit(&env, now, job, &pending, &mut scratch)? {
                 pending.push(PendingJob::new(job));
             }
         }
@@ -545,8 +581,14 @@ pub fn run_replanning<P: Planner, A: AdmissionPolicy>(
         if window_end <= now + 1e-15 {
             continue;
         }
-        let plan = planner.plan(&env, now, &pending)?;
-        execute_window(&mut schedule, &mut pending, &plan, now, window_end);
+        let mut plan = planner.plan(&env, now, &pending)?;
+        execute_window(
+            &mut schedule,
+            &mut pending,
+            &mut plan.segments,
+            now,
+            window_end,
+        );
         pending.retain(|p| p.remaining > 1e-9 * p.work.max(1.0) && p.deadline > window_end + 1e-12);
     }
 
@@ -555,23 +597,21 @@ pub fn run_replanning<P: Planner, A: AdmissionPolicy>(
 
 /// Executes the part of `plan` that falls into `[from, to)`, appending the
 /// executed segments (with original job ids) to `schedule` and decreasing
-/// the pending jobs' remaining work.
+/// the pending jobs' remaining work.  The plan's segments are filtered to
+/// the window and sorted by start in place (a stable sort: ties keep the
+/// planner's order).
 fn execute_window(
     schedule: &mut Schedule,
     pending: &mut [PendingJob],
-    plan: &Schedule,
+    plan: &mut Vec<Segment>,
     from: f64,
     to: f64,
 ) {
-    let mut segments: Vec<Segment> = plan
-        .segments
-        .iter()
-        .copied()
-        .filter(|s| s.end > from + 1e-15 && s.start < to - 1e-15)
-        .collect();
-    segments.sort_by(|a, b| a.start.total_cmp(&b.start));
+    plan.retain(|s| s.end > from + 1e-15 && s.start < to - 1e-15);
+    plan.sort_by(|a, b| a.start.total_cmp(&b.start));
 
-    for mut seg in segments {
+    for &seg in plan.iter() {
+        let mut seg = seg;
         seg.start = seg.start.max(from);
         seg.end = seg.end.min(to);
         if seg.duration() <= 1e-15 {
@@ -606,7 +646,7 @@ fn execute_window(
 mod tests {
     use super::*;
     use pss_offline::yds::yds_schedule;
-    use pss_types::validate_schedule;
+    use pss_types::{validate_schedule, OnlineAlgorithm};
 
     /// A planner that simply runs every pending job back to back at speed 1
     /// starting from `now` on machine 0 (only useful to test the executor).
@@ -790,12 +830,15 @@ mod tests {
         #[derive(Clone)]
         struct RejectSecond;
         impl AdmissionPolicy for RejectSecond {
+            type Scratch = ();
+
             fn admit(
                 &self,
                 _env: &OnlineEnv,
                 _now: f64,
                 job: &Job,
                 _p: &[PendingJob],
+                _scratch: &mut (),
             ) -> Result<bool, ScheduleError> {
                 Ok(job.id.index() != 1)
             }
@@ -821,6 +864,39 @@ mod tests {
             decisions.push(state.on_arrival(job, job.release).unwrap().accepted);
         }
         assert_eq!(decisions, vec![true, false]);
+    }
+
+    #[test]
+    fn a_job_fed_at_its_deadline_is_rejected_at_its_value() {
+        // The job has expired when it is fed: OA, qOA, CLL and OA(m) lose it
+        // at its value without planning it, and carry on with the jobs fed
+        // after it.
+        fn drive<A: OnlineAlgorithm>(algo: &A, machines: usize) {
+            let name = algo.algorithm_name();
+            let mut run = algo.start(machines, 2.0).expect("start");
+            let expired = Job::new(0, 0.5, 1.0, 1.0, 3.0);
+            let live = Job::new(1, 1.0, 4.0, 1.0, 50.0);
+            let decisions = run.on_arrivals(&[expired, live], 1.0).expect(&name);
+            assert_eq!(decisions[0], Decision::reject(3.0), "{name}");
+            assert!(decisions[1].accepted, "{name}");
+            for (id, t) in [(2, 2.0), (3, 3.0)] {
+                let job = Job::new(id, t, t + 2.0, 1.0, 50.0);
+                let decisions = run.on_arrivals(&[job], t).expect(&name);
+                assert!(decisions[0].accepted, "{name}: job {id}");
+            }
+            let schedule = run.finish().expect(&name);
+            assert!(
+                schedule.segments.iter().all(|s| s.job != Some(JobId(0))),
+                "{name} ran the expired job"
+            );
+            let work: f64 = schedule.segments.iter().map(|s| s.work_amount()).sum();
+            assert!((work - 3.0).abs() < 1e-9, "{name} processed {work}");
+        }
+        drive(&crate::OaScheduler, 1);
+        drive(&crate::QoaScheduler::default(), 1);
+        drive(&crate::CllScheduler, 1);
+        drive(&crate::MultiOaScheduler::default(), 1);
+        drive(&crate::MultiOaScheduler::default(), 2);
     }
 
     #[test]

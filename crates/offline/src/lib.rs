@@ -12,7 +12,10 @@
 //!   by the online replanning executor: at replanning time every pending
 //!   job's window starts "now", which collapses YDS to a concave-majorant
 //!   staircase computable in `O(k log k)` (amortised `O(k)` across
-//!   arrivals via [`IncrementalYds`]).
+//!   arrivals via [`IncrementalYds`], which emits only the segments of the
+//!   window the executor runs).  [`StepSpeed`] reads one job's speed off
+//!   the same staircase for CLL's admission rule, without building a
+//!   plan.
 //! * [`brute`] — the exact optimum of the *profitable* problem for small
 //!   instances: exhaustive search over rejection sets, with the energy of
 //!   each kept set computed by YDS (`m = 1`) or the convex coordinate
@@ -34,6 +37,8 @@ pub mod schedulers;
 pub mod yds;
 
 pub use brute::{brute_force_optimum, BruteForceResult};
-pub use incremental::{left_aligned_plan, left_aligned_planned_speed, IncrementalYds, PlanItem};
+pub use incremental::{
+    left_aligned_plan, left_aligned_planned_speed, IncrementalYds, PlanItem, StepSpeed,
+};
 pub use schedulers::{BruteForceScheduler, MinEnergyScheduler, YdsScheduler};
 pub use yds::{edf_schedule, yds_schedule, YdsResult};

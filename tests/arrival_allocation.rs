@@ -1,5 +1,7 @@
 //! Micro-test: the warm arrival paths allocate `O(active set)` per arrival,
-//! independent of how long the stream has been running.
+//! independent of how long the stream has been running.  OA, qOA and CLL
+//! plan each window into a reused buffer and CLL's admission reads its
+//! speed from reused scratch, so their count stays under 3 per arrival.
 //!
 //! PR 2/3 replaced the per-arrival full-history rebuilds (fresh
 //! `Instance`/`ProgramContext` clones in PD, from-scratch YDS solves in the
@@ -57,7 +59,13 @@ const RATE: f64 = 4.0;
 
 /// A Poisson stream on one machine with a bounded active set.
 fn stream(n: usize, seed: u64, rate: f64) -> Instance {
-    common::poisson_profitable(seed, 1, 2.5, n, rate)
+    stream_on(1, n, seed, rate)
+}
+
+/// The Poisson stream of E12 and sim-oam2 (`stream_instance_on`) over
+/// `machines` machines.
+fn stream_on(machines: usize, n: usize, seed: u64, rate: f64) -> Instance {
+    common::poisson_profitable(seed, machines, 2.5, n, rate)
 }
 
 /// The allocations of one fed stream: in the arrival windows `[lo, lo+len)`
@@ -119,6 +127,17 @@ fn assert_flat(label: &str, counts: &Counts, len: usize) {
     );
 }
 
+/// Prints the allocations per arrival over a whole stream of `n` arrivals
+/// and asserts they stay under `bound`.
+fn assert_under(label: &str, counts: &Counts, n: usize, bound: f64) {
+    let per_arrival = counts.total as f64 / n as f64;
+    println!("{label}: {per_arrival:.2} allocations per arrival over {n} arrivals");
+    assert!(
+        per_arrival < bound,
+        "{label} allocates {per_arrival:.2} times per arrival (bound {bound})"
+    );
+}
+
 #[test]
 fn incremental_arrival_paths_do_not_allocate_with_history_size() {
     let n = 2000;
@@ -141,6 +160,33 @@ fn incremental_arrival_paths_do_not_allocate_with_history_size() {
         counts.max_pending <= 64,
         "OA pending set not bounded by the active set: {}",
         counts.max_pending
+    );
+    assert_under("OA", &counts, n, 3.0);
+
+    // qOA shares OA's executor; CLL adds its admission rule, which reads
+    // the new job's planned speed from scratch reused across arrivals.
+    let mut qoa = QoaScheduler::default()
+        .start_for(&instance)
+        .expect("qOA run");
+    let counts = windows(&mut qoa, &instance, windows_spec, |_| 0);
+    assert_flat("qOA warm replans", &counts, len);
+    assert_under("qOA", &counts, n, 3.0);
+    let mut cll = CllScheduler.start_for(&instance).expect("CLL run");
+    let counts = windows(&mut cll, &instance, windows_spec, |_| 0);
+    assert_flat("CLL warm replans", &counts, len);
+    assert_under("CLL", &counts, n, 3.0);
+
+    // OA(m) at m = 2 on the E12 stream sim-oam2 runs: reported, not gated
+    // (its coordinate descent builds a program context per replan).
+    let oam_stream = stream_on(2, 2500, 7, RATE);
+    let mut oam = MultiOaScheduler::default()
+        .start_for(&oam_stream)
+        .expect("OA(m) run");
+    let counts = windows(&mut oam, &oam_stream, windows_spec, |_| 0);
+    println!(
+        "OA(m) at m = 2: {:.1} allocations per arrival over {} arrivals",
+        counts.total as f64 / oam_stream.len() as f64,
+        oam_stream.len()
     );
 
     // AVR through the active-set index.

@@ -1080,10 +1080,11 @@ fn superseded_state_versions_are_refused() {
     // once more when its active jobs gained a remaining budget, BKP's once
     // more when its job history and EDF heap left the payload, and PD's and
     // the replanning executor's when the water-fill tolerance left PD's
-    // payload and OA(m)'s solver options, so blobs of different layouts are
-    // never confused.  A live blob re-labelled with a superseded version
-    // (replan 2 and 3; AVR 2, 3 and 4; BKP 2, 3 and 4; PD 3 and 4) must be
-    // refused with the typed version error.
+    // payload and OA(m)'s solver options, and the executor's once more when
+    // its plan and staleness flag left the payload, so blobs of different
+    // layouts are never confused.  A live blob re-labelled with a
+    // superseded version (replan 2, 3 and 4; AVR 2, 3 and 4; BKP 2, 3 and
+    // 4; PD 3 and 4) must be refused with the typed version error.
     fn refuse<R: OnlineScheduler + LogCheckpointable>(mut run: R, instance: &Instance, old: u16) {
         for (t, jobs) in as_bursts(instance) {
             run.on_arrivals(&jobs, t).expect("burst");
@@ -1102,11 +1103,13 @@ fn superseded_state_versions_are_refused() {
         );
     }
     let instance = bursty_profitable(7950, 1, 2.0, 12, 3);
-    refuse(
-        CllScheduler.start_for(&instance).expect("CLL run"),
-        &instance,
-        2,
-    );
+    for old in [2, 4] {
+        refuse(
+            CllScheduler.start_for(&instance).expect("CLL run"),
+            &instance,
+            old,
+        );
+    }
     for old in [2, 3, 4] {
         refuse(
             AvrScheduler.start_for(&instance).expect("AVR run"),
@@ -1123,13 +1126,15 @@ fn superseded_state_versions_are_refused() {
             old,
         );
     }
-    refuse(
-        MultiOaScheduler::default()
-            .start_for(&instance)
-            .expect("OA(m) run"),
-        &instance,
-        3,
-    );
+    for old in [3, 4] {
+        refuse(
+            MultiOaScheduler::default()
+                .start_for(&instance)
+                .expect("OA(m) run"),
+            &instance,
+            old,
+        );
+    }
     for old in [3, 4] {
         refuse(
             PdScheduler::default().start_for(&instance).expect("PD run"),
