@@ -299,12 +299,13 @@ impl OnlineScheduler for AvrState {
     /// Burst ingestion: one commit for the whole burst, then a single
     /// sorted merge of the burst into the deadline-descending active set —
     /// `O(active + b log b)` instead of `b` binary-search insertions each
-    /// moving an `O(active)` tail.  Expired-on-arrival jobs cover nothing,
-    /// but merging them is harmless: the next commit pops them.
+    /// moving an `O(active)` tail.  A job whose deadline is not after the
+    /// feed time has expired: it is rejected at its value and never enters
+    /// the active set, as the feed core rejects it.
     ///
     /// Each job's budget is `density × (deadline − frontier)` after the
     /// burst's commit: the work time-sharing would give it over the rest of
-    /// its window (0 for a job already expired).  The merge keeps existing
+    /// its window.  The merge keeps existing
     /// entries ahead of burst entries on tied deadlines and preserves slice
     /// order within the burst, which is exactly the order feeding the jobs
     /// as one-job bursts produces, so EDF breaks deadline ties identically
@@ -316,20 +317,25 @@ impl OnlineScheduler for AvrState {
         for job in jobs {
             check_arrival(job, self.now, now)?;
         }
-        self.commit_to(now.max(self.now));
-        let mut fresh: Vec<ActiveJob> = jobs
-            .iter()
-            .map(|job| {
-                self.horizon_end = self.horizon_end.max(job.deadline);
-                let density = job.density();
-                ActiveJob {
-                    deadline: job.deadline,
-                    density,
-                    remaining: (density * (job.deadline - self.now)).max(0.0),
-                    id: job.id,
-                }
-            })
-            .collect();
+        let now = now.max(self.now);
+        self.commit_to(now);
+        let mut decisions = Vec::with_capacity(jobs.len());
+        let mut fresh: Vec<ActiveJob> = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            if job.deadline <= now {
+                decisions.push(Decision::reject(job.value));
+                continue;
+            }
+            self.horizon_end = self.horizon_end.max(job.deadline);
+            let density = job.density();
+            fresh.push(ActiveJob {
+                deadline: job.deadline,
+                density,
+                remaining: (density * (job.deadline - self.now)).max(0.0),
+                id: job.id,
+            });
+            decisions.push(Decision::accept(0.0));
+        }
         fresh.sort_by(|a, b| b.deadline.total_cmp(&a.deadline));
         let mut merged = Vec::with_capacity(self.active.len() + fresh.len());
         let (mut i, mut j) = (0usize, 0usize);
@@ -345,7 +351,7 @@ impl OnlineScheduler for AvrState {
         merged.extend_from_slice(&self.active[i..]);
         merged.extend_from_slice(&fresh[j..]);
         self.active = merged;
-        Ok(vec![Decision::accept(0.0); jobs.len()])
+        Ok(decisions)
     }
 
     fn frontier(&self) -> &Schedule {

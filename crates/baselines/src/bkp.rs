@@ -837,7 +837,9 @@ impl OnlineScheduler for BkpState {
     /// Burst ingestion: the grid is advanced **once** for the whole burst,
     /// then every job is registered with the speed index (append-biased
     /// release list, `O(active)` deadline list, which also carries the
-    /// job's remaining work for EDF dispatch).
+    /// job's remaining work for EDF dispatch).  A job whose deadline is not
+    /// after the feed time has expired: it is rejected at its value and
+    /// never reaches the index, as the feed core rejects it.
     fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError> {
         if jobs.is_empty() {
             return Ok(Vec::new());
@@ -845,11 +847,18 @@ impl OnlineScheduler for BkpState {
         for job in jobs {
             check_arrival(job, self.now, now)?;
         }
-        self.advance_to(now.max(self.now));
+        let now = now.max(self.now);
+        self.advance_to(now);
+        let mut decisions = Vec::with_capacity(jobs.len());
         for job in jobs {
+            if job.deadline <= now {
+                decisions.push(Decision::reject(job.value));
+                continue;
+            }
             self.index.insert(job);
+            decisions.push(Decision::accept(0.0));
         }
-        Ok(vec![Decision::accept(0.0); jobs.len()])
+        Ok(decisions)
     }
 
     fn frontier(&self) -> &Schedule {

@@ -10,7 +10,8 @@
 //!   at `q` times its speed (default `q = 2 − 1/α`), finishing work early.
 //! * [`oa::MultiOaScheduler`] — the multiprocessor extension of OA (Albers,
 //!   Antoniadis & Greiner): replan with the multiprocessor offline optimum
-//!   (coordinate descent on the convex program) at every arrival.
+//!   of the remaining work at every arrival, solved exactly by the
+//!   `m`-machine left-aligned staircase (`pss_offline::MultiStaircase`).
 //! * [`avr::AvrScheduler`] — **Average Rate**: every job is processed at its
 //!   own density; the machine speed is the sum of densities of the active
 //!   jobs, run in EDF order (at most three segments per job).
@@ -39,10 +40,10 @@
 //! (`pss_offline::incremental` via [`replan::PlanCache`]) and emit only
 //! the segments that start before the next arrival, into a buffer the run
 //! reuses; CLL's admission rule reads the new job's planned speed off the
-//! same staircase without building a plan; multiprocessor OA seeds
-//! `pss_convex::solve_min_energy_warm` with the previous coordinate-descent
-//! solution ([`oa::MultiOaWarm`]) and realises only the atomic intervals
-//! that start before the next arrival; AVR commits through a
+//! same staircase without building a plan; multiprocessor OA solves its
+//! replan exactly in buffers the cache keeps ([`oa::MultiOaWarm`]) and
+//! realises only the atomic intervals that start before the next arrival;
+//! AVR commits through a
 //! deadline-sorted active-set index ([`avr::AvrState`]); and BKP keeps a
 //! resident deadline/release speed index whose deadline list, holding the
 //! live jobs' remaining works, also drives its EDF dispatch
@@ -56,13 +57,12 @@
 //!
 //! Every run state ([`replan::ReplanState`], [`avr::AvrState`],
 //! [`bkp::BkpState`]) implements `pss_types::LogCheckpointable`: a blob
-//! captures the live state — pending/active sets, warm caches (including
-//! [`oa::MultiOaWarm`] and BKP's speed index with its convex hull) and
-//! the warm-start toggle, but no plan and no scratch buffer — plus a
-//! cursor into the run's segment log,
-//! which holds the committed frontier, and a run restored from the
-//! `(log, blob)` pair continues bit-identically (solver accuracy for
-//! OA(m)).  This is what the checkpoint layers in `pss-sim` and
+//! captures the live state — pending/active sets, warm caches (the YDS
+//! order, OA(m)'s replan counts and BKP's speed index with its convex
+//! hull) and the warm-start toggle, but no plan and no scratch buffer —
+//! plus a cursor into the run's segment log, which holds the committed
+//! frontier, and a run restored from the `(log, blob)` pair continues
+//! bit-identically.  This is what the checkpoint layers in `pss-sim` and
 //! `pss-serve` build on.
 
 #![forbid(unsafe_code)]

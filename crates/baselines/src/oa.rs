@@ -8,11 +8,18 @@
 //! [`ReplanState`] with the appropriate planner.  The original batch loops
 //! are retained as `batch_schedule` reference paths for the equivalence
 //! tests.
+//!
+//! Every replan is left-aligned (each pending job's window starts at the
+//! replan time), and each planner solves it exactly in closed form: OA and
+//! qOA with the YDS staircase ([`IncrementalYds`]), OA(m) with its
+//! `m`-machine form ([`MultiStaircase`]).  Their from-scratch
+//! [`Planner::plan`]s, general YDS and coordinate descent on the convex
+//! program, are the references those are pinned against.
 
-use pss_convex::{solve_min_energy_warm, solve_min_energy_with, ProgramContext, SolverOptions};
-use pss_intervals::WorkAssignment;
-use pss_offline::incremental::{IncrementalYds, PlanItem};
+use pss_convex::{solve_min_energy_with, ProgramContext, SolverOptions};
+use pss_offline::incremental::{IncrementalYds, MultiStaircase, PlanItem};
 use pss_offline::yds::yds_schedule;
+use pss_power::AlphaPower;
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart};
 use pss_types::{Instance, Job, OnlineAlgorithm, Schedule, ScheduleError};
 
@@ -205,40 +212,21 @@ impl OnlineAlgorithm for QoaScheduler {
     }
 }
 
-/// Planner replanning with the *multiprocessor* offline optimum (coordinate
-/// descent on the convex program, realised by Chen et al.'s algorithm).
+/// Planner replanning with the *multiprocessor* offline optimum.
 ///
-/// Through [`Planner::plan_warm`] the planner keeps the previous replan's
-/// solution in the run's [`PlanCache`] (as [`MultiOaWarm`]) and seeds
-/// [`solve_min_energy_warm`] with it, remapped onto the new partition: when
-/// an arrival adds one job, the descent converges in a few passes instead of
-/// re-solving the convex program from scratch.
+/// [`Planner::plan`] solves the replan's convex program by coordinate
+/// descent from zeros with `options` and realises it with Chen et al.'s
+/// algorithm: the from-scratch reference that `run_replanning`,
+/// `batch_schedule` and
 /// [`ReplanState::with_warm_start(false)`](crate::replan::ReplanState::with_warm_start)
-/// restores the from-scratch behaviour as cross-check and bench baseline.
+/// run.  [`Planner::plan_warm`] solves the same left-aligned program
+/// exactly with [`MultiStaircase`], whose buffers the run's [`PlanCache`]
+/// keeps ([`MultiOaWarm`]), and realises only the atomic intervals that
+/// start before the window's end.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiOaPlanner {
-    /// Convex solver options used for every replanning step.
+    /// Options of the from-scratch coordinate descent.
     pub options: SolverOptions,
-}
-
-impl MultiOaPlanner {
-    /// Builds the replanning sub-instance and its program context for the
-    /// pending jobs at time `now` (dense ids are pending positions).
-    fn context(
-        &self,
-        env: &OnlineEnv,
-        now: f64,
-        pending: &[PendingJob],
-    ) -> Result<ProgramContext, ScheduleError> {
-        let jobs: Vec<Job> = pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| p.as_job_at(now, i))
-            .collect();
-        let sub = Instance::from_jobs(env.machines, env.alpha, jobs)
-            .map_err(|e| ScheduleError::Internal(e.to_string()))?;
-        Ok(ProgramContext::new(&sub))
-    }
 }
 
 impl Planner for MultiOaPlanner {
@@ -255,16 +243,22 @@ impl Planner for MultiOaPlanner {
         if pending.is_empty() {
             return Ok(Schedule::empty(env.machines));
         }
-        let ctx = self.context(env, now, pending)?;
+        let jobs: Vec<Job> = pending
+            .iter()
+            .enumerate()
+            .map(|(i, p)| p.as_job_at(now, i))
+            .collect();
+        let sub = Instance::from_jobs(env.machines, env.alpha, jobs)
+            .map_err(|e| ScheduleError::Internal(e.to_string()))?;
+        let ctx = ProgramContext::new(&sub);
         let sol = solve_min_energy_with(&ctx, &self.options);
         Ok(ctx.realize_schedule(&sol.assignment))
     }
 
-    /// Warm-started replan: seed coordinate descent from the previous
-    /// solution (kept in the cache keyed by original job id, remapped onto
-    /// the current partition by time overlap), then record the new solution
-    /// and its convergence statistics back into the cache.  Only the atomic
-    /// intervals that start before `until` are realised.
+    /// Exact replan: every pending job is released, so its window is
+    /// `[now, d_j)` and [`MultiStaircase`] solves the program in closed
+    /// form.  Only the atomic intervals that start before `until` are
+    /// realised; segment job ids are pending positions.
     fn plan_warm(
         &self,
         env: &OnlineEnv,
@@ -275,144 +269,34 @@ impl Planner for MultiOaPlanner {
         out: &mut Schedule,
     ) -> Result<(), ScheduleError> {
         out.segments.clear();
-        let warm = cache.multi.get_or_insert_with(MultiOaWarm::default);
         if pending.is_empty() {
-            warm.rows.clear();
             return Ok(());
         }
-        let ctx = self.context(env, now, pending)?;
-        let seed = warm.seed_for(&ctx, pending);
-        let sol = match &seed {
-            Some(seed) => solve_min_energy_warm(&ctx, &self.options, seed),
-            None => solve_min_energy_with(&ctx, &self.options),
-        };
-        warm.record(&ctx, pending, &sol.assignment);
+        let warm = cache.multi.get_or_insert_with(MultiOaWarm::default);
+        let items = pending.iter().map(|p| (p.deadline, p.remaining));
+        let power = AlphaPower::new(env.alpha);
+        let programs = warm.staircase.solve(now, env.machines, power, items)?;
         warm.replans += 1;
-        warm.total_passes += sol.passes;
-        if seed.is_some() {
-            warm.seeded_replans += 1;
-        }
-        if sol.converged {
-            warm.converged_replans += 1;
-        }
-        realize_window(&ctx, &sol.assignment, until, out);
+        warm.total_passes += programs;
+        warm.converged_replans += 1;
+        warm.staircase.realize_window(until, out);
         Ok(())
     }
 }
 
-/// Appends to `out` the realisation of the atomic intervals that start
-/// before `until`: bit for bit the segments
-/// [`ProgramContext::realize_schedule`] places in those intervals, in the
-/// same order.
-fn realize_window(ctx: &ProgramContext, x: &WorkAssignment, until: f64, out: &mut Schedule) {
-    for iv in ctx
-        .partition()
-        .intervals()
-        .take_while(|iv| iv.start < until)
-    {
-        for seg in ctx.realize_interval(x, iv.index) {
-            out.push(seg);
-        }
-    }
-}
-
-/// One job's positive assignment pieces, as `(start, end, fraction)` over
-/// time.
-type FractionPieces = Vec<(f64, f64, f64)>;
-
-/// Warm-start state of [`MultiOaPlanner`], carried in the run's
-/// [`PlanCache`]: the previous coordinate-descent solution as per-job
-/// fraction profiles over *time* (so it can be remapped onto the next
-/// replan's partition, whose boundaries shift with `now` and the pending
-/// set), plus convergence statistics for benchmarks and E12.
+/// What [`MultiOaPlanner`] keeps in the run's [`PlanCache`]: the exact
+/// planner's buffers, which no plan depends on and a checkpoint leaves out,
+/// and the replan counts the benchmark's traced run reads.
 #[derive(Debug, Clone, Default)]
 pub struct MultiOaWarm {
-    /// Per pending job of the previous replan: the job's stable key (its
-    /// original id) and its positive `(start, end, fraction)` pieces.
-    rows: Vec<(usize, FractionPieces)>,
-    /// Number of warm replans performed.
+    staircase: MultiStaircase,
+    /// Number of replans solved.
     pub replans: usize,
-    /// Total coordinate-descent passes across all replans.
+    /// Density solves (the staircase's dynamic programs) over all replans.
     pub total_passes: usize,
-    /// Replans that were actually seeded from a previous solution.
-    pub seeded_replans: usize,
-    /// Replans whose descent converged below the energy tolerance.
+    /// Replans solved to the optimum: every replan, since the planner is
+    /// exact.
     pub converged_replans: usize,
-}
-
-impl MultiOaWarm {
-    /// Mean coordinate-descent passes per replan (0 before the first).
-    pub fn mean_passes(&self) -> f64 {
-        if self.replans == 0 {
-            0.0
-        } else {
-            self.total_passes as f64 / self.replans as f64
-        }
-    }
-
-    /// Remaps the previous solution onto the context's partition: every
-    /// job's old fraction pieces are spread over the new intervals
-    /// proportionally to time overlap and renormalised to a full
-    /// assignment.  Returns `None` when no pending job has a previous row
-    /// (the first replan).
-    fn seed_for(&self, ctx: &ProgramContext, pending: &[PendingJob]) -> Option<WorkAssignment> {
-        if self.rows.is_empty() {
-            return None;
-        }
-        let partition = ctx.partition();
-        let mut seed = WorkAssignment::zeros(ctx.n_jobs(), partition.len());
-        let mut seeded_any = false;
-        for (i, p) in pending.iter().enumerate() {
-            let Some((_, pieces)) = self.rows.iter().find(|(key, _)| *key == p.id.index()) else {
-                continue;
-            };
-            let mut total = 0.0;
-            for &k in ctx.covered(i) {
-                let iv = partition.interval(k);
-                let mut frac = 0.0;
-                for &(ps, pe, f) in pieces {
-                    let overlap = iv.end.min(pe) - iv.start.max(ps);
-                    if overlap > 0.0 && pe > ps {
-                        frac += f * overlap / (pe - ps);
-                    }
-                }
-                if frac > 0.0 {
-                    seed.set(i, k, frac);
-                    total += frac;
-                }
-            }
-            if total > 1e-9 {
-                // Renormalise: the seed should fully assign the job's
-                // *remaining* work (the executed prefix fell before `now`).
-                let scale = 1.0 / total;
-                for &k in ctx.covered(i) {
-                    let f = seed.get(i, k);
-                    if f > 0.0 {
-                        seed.set(i, k, f * scale);
-                    }
-                }
-                seeded_any = true;
-            }
-        }
-        seeded_any.then_some(seed)
-    }
-
-    /// Stores the new solution's positive pieces, keyed by original job id.
-    fn record(&mut self, ctx: &ProgramContext, pending: &[PendingJob], x: &WorkAssignment) {
-        self.rows.clear();
-        let partition = ctx.partition();
-        for (i, p) in pending.iter().enumerate() {
-            let mut pieces = Vec::new();
-            for &k in ctx.covered(i) {
-                let f = x.get(i, k);
-                if f > 0.0 {
-                    let iv = partition.interval(k);
-                    pieces.push((iv.start, iv.end, f));
-                }
-            }
-            self.rows.push((p.id.index(), pieces));
-        }
-    }
 }
 
 /// The multiprocessor planner's snapshot is its solver options; the tag
@@ -435,36 +319,20 @@ impl SnapshotPart for MultiOaPlanner {
     }
 }
 
-/// The warm seed round-trips exactly: rows are `(key, pieces)` with the
-/// pieces' `(start, end, fraction)` stored bit-for-bit, so the first replan
-/// after a restore seeds coordinate descent with the identical assignment
-/// the uninterrupted run would have used.
+/// Only the counts are encoded: every replan solves from the pending set
+/// alone, so a restored run plans bit-identically with fresh buffers.
 impl SnapshotPart for MultiOaWarm {
     fn encode(&self, w: &mut BlobWriter) {
-        w.write_usize(self.rows.len());
-        for (key, pieces) in &self.rows {
-            w.write_usize(*key);
-            w.write_seq(pieces);
-        }
         w.write_usize(self.replans);
         w.write_usize(self.total_passes);
-        w.write_usize(self.seeded_replans);
         w.write_usize(self.converged_replans);
     }
 
     fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.read_len(8)?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let key = r.read_usize()?;
-            let pieces: FractionPieces = r.read_seq()?;
-            rows.push((key, pieces));
-        }
         Ok(Self {
-            rows,
+            staircase: MultiStaircase::default(),
             replans: r.read_usize()?,
             total_passes: r.read_usize()?,
-            seeded_replans: r.read_usize()?,
             converged_replans: r.read_usize()?,
         })
     }
@@ -693,31 +561,39 @@ mod tests {
 
     #[test]
     fn multi_oa_window_realises_the_intervals_before_until() {
-        let inst = Instance::from_tuples(
-            2,
-            2.5,
-            vec![
-                (0.0, 3.0, 1.0, 1.0),
-                (0.0, 2.5, 1.5, 1.0),
-                (0.0, 4.0, 2.0, 1.0),
-                (0.0, 3.5, 0.8, 1.0),
-                (0.0, 1.0, 0.3, 1.0),
-            ],
-        )
-        .unwrap();
-        let ctx = ProgramContext::new(&inst);
-        let x = solve_min_energy_with(&ctx, &SolverOptions::default()).assignment;
-        let full: Vec<_> = ctx.realize_schedule(&x).segments.iter().map(bits).collect();
+        let env = OnlineEnv {
+            machines: 2,
+            alpha: 2.5,
+        };
+        let pending: Vec<PendingJob> = [(3.0, 1.0), (2.5, 1.5), (4.0, 2.0), (3.5, 0.8), (1.0, 0.3)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(deadline, work))| PendingJob::new(&Job::new(i, 0.0, deadline, work, 1.0)))
+            .collect();
+        let planner = MultiOaPlanner {
+            options: SolverOptions::default(),
+        };
+        let mut cache = PlanCache::default();
+        let mut full = Schedule::empty(2);
+        planner
+            .plan_warm(&env, 0.0, &pending, f64::INFINITY, &mut cache, &mut full)
+            .unwrap();
+        let full: Vec<_> = full.segments.iter().map(bits).collect();
         let mut window = Schedule::empty(2);
         for until in [0.0, 0.5, 1.0, 2.7, 3.5, 10.0] {
-            window.segments.clear();
-            realize_window(&ctx, &x, until, &mut window);
+            planner
+                .plan_warm(&env, 0.0, &pending, until, &mut cache, &mut window)
+                .unwrap();
             let got: Vec<_> = window.segments.iter().map(bits).collect();
             // The window is a prefix of the full realisation, and what it
             // leaves out lies in intervals starting at or after `until`.
             assert_eq!(got, full[..got.len()], "until {until}");
-            let rest = &ctx.realize_schedule(&x).segments[got.len()..];
-            assert!(rest.iter().all(|s| s.start >= until), "until {until}");
+            assert!(
+                full[got.len()..]
+                    .iter()
+                    .all(|s| f64::from_bits(s.1) >= until),
+                "until {until}"
+            );
         }
         assert!(window.segments.len() == full.len());
     }

@@ -23,7 +23,8 @@
 //!   [`Planner::plan_warm`] and the per-run [`PlanCache`]: the OA-family
 //!   planners reuse their previous YDS solution and only re-derive the
 //!   part of the staircase the new arrival perturbs, instead of re-solving
-//!   from zero.  This is what the blanket batch adapter and the streaming
+//!   from zero, and OA(m) solves its replan exactly in buffers the cache
+//!   keeps.  This is what the blanket batch adapter and the streaming
 //!   simulator drive; `with_warm_start(false)` restores the from-scratch
 //!   behaviour for benchmarks.
 //! * [`run_replanning`] — the original *batch* loop over an instance's
@@ -106,11 +107,9 @@ pub struct PlanCache {
     /// plans cost an `O(k)` merge + staircase pass instead of a fresh
     /// `O(k³)` critical-interval search.
     pub yds: Option<pss_offline::IncrementalYds>,
-    /// Warm multiprocessor-OA state: the previous coordinate-descent
-    /// solution (per pending job, as a fraction profile over its old
-    /// intervals) plus convergence statistics.  [`crate::oa::MultiOaPlanner`]
-    /// remaps it onto the next replan's partition and seeds
-    /// `pss_convex::solve_min_energy_warm` with it.
+    /// Multiprocessor-OA state: the buffers of the exact left-aligned
+    /// planner (`pss_offline::MultiStaircase`), which a checkpoint leaves
+    /// out, and the replan counts.
     pub multi: Option<crate::oa::MultiOaWarm>,
 }
 
@@ -135,16 +134,15 @@ pub trait Planner {
     /// replaces), but it may reuse state in `cache` carried over from the
     /// previous replanning step of the same run (e.g. the previous YDS
     /// solution, of which the new arrival only perturbs a part, or the
-    /// previous coordinate-descent assignment the multiprocessor planner
-    /// seeds its solver with), and it may leave out segments that start at
-    /// or after `until`: the executor follows a plan only until the next
-    /// arrival.
+    /// multiprocessor planner's buffers), and it may leave out segments
+    /// that start at or after `until`: the executor follows a plan only
+    /// until the next arrival.
     ///
     /// On `[now, until)` implementations must produce a schedule
     /// *equivalent* to [`plan`](Self::plan) — same speeds, same per-job
-    /// works — on every input, up to the planner's own numeric tolerance
-    /// (exact for the combinatorial single-machine planners;
-    /// solver-accuracy for the iterative multiprocessor one).  The
+    /// works — on every input, up to the reference's numeric tolerance
+    /// (exact for the single-machine planners; the accuracy of the
+    /// coordinate descent that the multiprocessor `plan` runs).  The
     /// `incremental_equivalence` integration tests pin this on random
     /// workloads.  The default ignores the cache and `until` and writes the
     /// from-scratch plan.
@@ -279,10 +277,9 @@ impl<P: Planner, A: AdmissionPolicy> ReplanState<P, A> {
 
     /// The warm-start cache carried across this run's replans (read-only).
     ///
-    /// Benchmarks and the E12 streaming experiment read the solver
-    /// statistics recorded here (e.g. coordinate-descent pass counts of the
-    /// multiprocessor-OA planner) to make warm-start convergence visible in
-    /// the results.
+    /// The benchmark's traced run reads the planner statistics recorded
+    /// here (the multiprocessor-OA planner's replan and density-solve
+    /// counts).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
     }
@@ -462,21 +459,21 @@ impl SnapshotPart for AdmitAll {
 /// committed frontier as a bare [`FrontierPart`] cursor into the run's
 /// [`SegmentLog`]; version 4 drops the water-fill tolerance from OA(m)'s
 /// solver options; version 5 drops the plan and its staleness flag, since
-/// every window is planned when it runs.  Older blobs are rejected with a
-/// typed error.
-const REPLAN_STATE_VERSION: u16 = 5;
+/// every window is planned when it runs; version 6 drops OA(m)'s warm
+/// coordinate-descent rows, since its replans are solved exactly from the
+/// pending set.  Older blobs are rejected with a typed error.
+const REPLAN_STATE_VERSION: u16 = 6;
 
 /// Checkpoint/restore for the replanning executor: the blob holds the run's
 /// live state — the pending set with its remaining works, the warm-start
-/// cache (the left-aligned YDS order and/or the previous multiprocessor
-/// solution), the clock and the horizon — plus the planner and admission
-/// configuration and the frontier's log cursor, so
-/// [`LogCheckpointable::restore_with_log`] rebuilds the run from the
-/// `(log, blob)` pair with no other context.  No plan is stored: the next
-/// window plans afresh, as the uninterrupted run would.  A restored run
-/// continues bit-identically (solver-accuracy for the iterative
-/// multiprocessor planner); the restore-equivalence integration tests pin
-/// this at arbitrary cut points, including mid-burst.
+/// cache (the left-aligned YDS order and OA(m)'s replan counts), the clock
+/// and the horizon — plus the planner and admission configuration and the
+/// frontier's log cursor, so [`LogCheckpointable::restore_with_log`]
+/// rebuilds the run from the `(log, blob)` pair with no other context.  No
+/// plan is stored: the next window plans afresh, as the uninterrupted run
+/// would.  A restored run continues bit-identically; the
+/// restore-equivalence integration tests pin this at arbitrary cut points,
+/// including mid-burst.
 impl<P, A> LogCheckpointable for ReplanState<P, A>
 where
     P: Planner + SnapshotPart,
@@ -868,23 +865,24 @@ mod tests {
 
     #[test]
     fn a_job_fed_at_its_deadline_is_rejected_at_its_value() {
-        // The job has expired when it is fed: OA, qOA, CLL and OA(m) lose it
-        // at its value without planning it, and carry on with the jobs fed
-        // after it.
-        fn drive<A: OnlineAlgorithm>(algo: &A, machines: usize) {
-            let name = algo.algorithm_name();
-            let mut run = algo.start(machines, 2.0).expect("start");
-            let expired = Job::new(0, 0.5, 1.0, 1.0, 3.0);
-            let live = Job::new(1, 1.0, 4.0, 1.0, 50.0);
-            let decisions = run.on_arrivals(&[expired, live], 1.0).expect(&name);
+        // Job 0 has expired when it is fed: OA, qOA, CLL, OA(m), AVR and
+        // BKP lose it at its value without planning or running it, and
+        // carry on with the jobs fed after it.
+        let jobs = [
+            Job::new(0, 0.5, 1.0, 1.0, 3.0),
+            Job::new(1, 1.0, 4.0, 1.0, 50.0),
+            Job::new(2, 2.0, 4.0, 1.0, 50.0),
+            Job::new(3, 3.0, 5.0, 1.0, 50.0),
+        ];
+        fn drive<R: OnlineScheduler>(name: &str, jobs: &[Job], mut run: R) {
+            let decisions = run.on_arrivals(&jobs[..2], 1.0).expect(name);
             assert_eq!(decisions[0], Decision::reject(3.0), "{name}");
             assert!(decisions[1].accepted, "{name}");
-            for (id, t) in [(2, 2.0), (3, 3.0)] {
-                let job = Job::new(id, t, t + 2.0, 1.0, 50.0);
-                let decisions = run.on_arrivals(&[job], t).expect(&name);
-                assert!(decisions[0].accepted, "{name}: job {id}");
+            for job in &jobs[2..] {
+                let decisions = run.on_arrivals(&[*job], job.release).expect(name);
+                assert!(decisions[0].accepted, "{name}: job {}", job.id);
             }
-            let schedule = run.finish().expect(&name);
+            let schedule = run.finish().expect(name);
             assert!(
                 schedule.segments.iter().all(|s| s.job != Some(JobId(0))),
                 "{name} ran the expired job"
@@ -892,11 +890,27 @@ mod tests {
             let work: f64 = schedule.segments.iter().map(|s| s.work_amount()).sum();
             assert!((work - 3.0).abs() < 1e-9, "{name} processed {work}");
         }
-        drive(&crate::OaScheduler, 1);
-        drive(&crate::QoaScheduler::default(), 1);
-        drive(&crate::CllScheduler, 1);
-        drive(&crate::MultiOaScheduler::default(), 1);
-        drive(&crate::MultiOaScheduler::default(), 2);
+        drive("OA", &jobs, crate::OaScheduler.start(1, 2.0).expect("OA"));
+        let qoa = crate::QoaScheduler::default().start(1, 2.0);
+        drive("qOA", &jobs, qoa.expect("qOA"));
+        drive(
+            "CLL",
+            &jobs,
+            crate::CllScheduler.start(1, 2.0).expect("CLL"),
+        );
+        drive(
+            "AVR",
+            &jobs,
+            crate::AvrScheduler.start(1, 2.0).expect("AVR"),
+        );
+        for machines in [1, 2] {
+            let run = crate::MultiOaScheduler::default().start(machines, 2.0);
+            drive("OA(m)", &jobs, run.expect("OA(m)"));
+        }
+        // BKP's grid spans the instance it is started for.
+        let instance = Instance::from_jobs(1, 2.0, jobs.to_vec()).expect("instance");
+        let bkp = crate::BkpScheduler::default().start_for(&instance);
+        drive("BKP", &jobs, bkp.expect("BKP run"));
     }
 
     #[test]

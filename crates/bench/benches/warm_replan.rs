@@ -124,10 +124,10 @@ fn multi_oa_run(machines: usize, alpha: f64, warm: bool) -> ReplanState<MultiOaP
 }
 
 fn bench_multi_oa_arrivals(c: &mut Criterion) {
-    // The convex replanner is much heavier per arrival than the
-    // single-machine planners, so the sizes are smaller; warm and
-    // from-scratch run the same sizes — the speedup is per-replan (descent
-    // passes), not asymptotic in the history.
+    // The from-scratch replan runs coordinate descent on the convex program,
+    // much heavier per arrival than the exact warm replan, so the sizes are
+    // smaller; warm and from-scratch run the same sizes — the speedup is
+    // per-replan, not asymptotic in the history.
     let sizes: &[usize] = if smoke() { &[60] } else { &[300, 600] };
     let mut group = c.benchmark_group("multi_oa_arrivals");
     group.sample_size(10);

@@ -145,10 +145,9 @@ fn executor_row(
 /// Runs E13.
 pub fn run(quick: bool) -> ExperimentOutput {
     let burst_sizes: &[usize] = &[1, 4, 16, 64];
-    // OA(m)'s batch speedup needs the pending sets at their steady-state
-    // size before it amortises (the burst solve costs ~3x a warm
-    // incremental one in descent passes), so its size is not scaled down
-    // below 256 even in quick mode.
+    // OA(m)'s batch speedup is read with the pending sets at their
+    // steady-state size, so its size is not scaled down below 256 even in
+    // quick mode.
     let (n, moa_n) = if quick { (256, 256) } else { (2048, 512) };
 
     // ---- Table 1: coalesced ingestion per algorithm over the burst sweep.

@@ -4,7 +4,9 @@
 //! [`StreamingSimulation`], plus the warm-started-vs-rebuild
 //! arrival-processing speedups of the replanning executor (OA and OA(m);
 //! PD, AVR and BKP have one arrival path, pinned to their batch references
-//! instead) and the OA(m) coordinate-descent convergence statistics.
+//! instead) and the certificate of OA(m)'s exact replans: the KKT
+//! violation of every replan's plan and its energy against coordinate
+//! descent run to convergence on sampled replans.
 //!
 //! The workload is a Poisson arrival stream with a bounded active set (the
 //! regime a long-running scheduler actually serves), so the stream length
@@ -17,6 +19,11 @@ use std::time::Instant;
 
 use pss_core::baselines::oa::MultiOaPlanner;
 use pss_core::baselines::replan::{AdmitAll, OnlineEnv, ReplanState};
+use pss_core::convex::kkt::max_stationarity_violation;
+use pss_core::convex::{solve_min_energy_with, ProgramContext, SolverOptions};
+use pss_core::intervals::WorkAssignment;
+use pss_core::offline::MultiStaircase;
+use pss_core::power::AlphaPower;
 use pss_core::prelude::*;
 use pss_metrics::table::fmt_f64;
 use pss_metrics::Table;
@@ -55,6 +62,101 @@ fn drive_arrivals<R: OnlineScheduler>(run: &mut R, instance: &Instance) -> f64 {
         run.on_arrival(job, job.release).expect("arrival");
     }
     start.elapsed().as_secs_f64()
+}
+
+/// The certificate of OA(m)'s exact replans along one stream.
+struct Certificate {
+    /// Replans the run solved.
+    replans: usize,
+    /// Replans also solved by the converged coordinate descent.
+    sampled: usize,
+    /// Largest relative energy gap between the exact plan and the converged
+    /// descent over the sampled replans.
+    worst_gap: f64,
+    /// Largest KKT stationarity violation of an exact plan.
+    worst_kkt: f64,
+}
+
+/// Feeds `instance` to an OA(m) run and certifies every replan it solves:
+/// the replan's left-aligned program is solved again by [`MultiStaircase`]
+/// and its plan's KKT violation measured, and every `every`-th replan is
+/// also solved by coordinate descent run to convergence.
+fn certify_replans(instance: &Instance, every: usize) -> Certificate {
+    let mut run = MultiOaScheduler::default()
+        .start_for(instance)
+        .expect("OA(m) run");
+    let mut plan = MultiStaircase::default();
+    let converged = SolverOptions {
+        max_passes: 4_000,
+        energy_tol: 1e-13,
+    };
+    let mut c = Certificate {
+        replans: 0,
+        sampled: 0,
+        worst_gap: 0.0,
+        worst_kkt: 0.0,
+    };
+    let mut now = f64::NEG_INFINITY;
+    for id in instance.arrival_order() {
+        let job = instance.job(id);
+        let items: Vec<(f64, f64)> = run
+            .pending()
+            .iter()
+            .map(|p| (p.deadline, p.remaining))
+            .collect();
+        let replans = run.replans();
+        run.on_arrival(job, job.release).expect("arrival");
+        if run.replans() > replans {
+            let jobs = items
+                .iter()
+                .enumerate()
+                .map(|(i, &(deadline, work))| Job::new(i, now, deadline, work, 1.0))
+                .collect();
+            let sub = Instance::from_jobs(instance.machines, instance.alpha, jobs)
+                .expect("replan instance");
+            let ctx = ProgramContext::new(&sub);
+            let power = AlphaPower::new(instance.alpha);
+            plan.solve(now, instance.machines, power, items.iter().copied())
+                .expect("exact replan");
+            let x = staircase_assignment(&ctx, &plan);
+            let kkt = max_stationarity_violation(&ctx, &x).max_violation;
+            c.worst_kkt = c.worst_kkt.max(kkt);
+            if c.replans.is_multiple_of(every) {
+                let exact = ctx.total_energy(&x);
+                let descent = solve_min_energy_with(&ctx, &converged).energy;
+                c.worst_gap = c.worst_gap.max((exact - descent).abs() / descent);
+                c.sampled += 1;
+            }
+            c.replans += 1;
+        }
+        // The run's clock moves only when it replans (and at its first
+        // arrival).
+        if run.replans() > replans || !now.is_finite() {
+            now = now.max(job.release);
+        }
+    }
+    c
+}
+
+/// The exact plan as an assignment over the context's partition: each
+/// piece's share goes to the atomic interval holding its midpoint.
+fn staircase_assignment(ctx: &ProgramContext, plan: &MultiStaircase) -> WorkAssignment {
+    let partition = ctx.partition();
+    let mut x = WorkAssignment::zeros(ctx.n_jobs(), partition.len());
+    for (item, start, end, share) in plan.pieces() {
+        let mid = 0.5 * (start + end);
+        let k = ctx
+            .covered(item)
+            .iter()
+            .copied()
+            .find(|&k| {
+                let iv = partition.interval(k);
+                iv.start <= mid && mid < iv.end
+            })
+            .expect("a piece inside the item's window");
+        x.set(item, k, x.get(item, k) + share);
+    }
+    x
 }
 
 /// Runs E12.
@@ -138,9 +240,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
 
     // Warm-started vs rebuild-per-arrival total arrival-processing time, at
     // sizes the (quadratic-per-arrival or worse) rebuild paths can still
-    // handle.  OA(m)'s warm-start overhead (remap + seed pricing) only
-    // amortises once the pending sets reach their steady-state size, so its
-    // quick size is not scaled down as aggressively as OA's.
+    // handle.  OA(m)'s quick size is kept large enough for its pending
+    // sets to reach their steady-state size.
     let (oa_n, moa_n) = if quick { (120, 150) } else { (1500, 400) };
     let mut speedup = Table::new(
         "Warm-started vs rebuild-per-arrival arrival processing",
@@ -176,65 +277,44 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let cold = drive_arrivals(&mut cold_run, &oa_inst);
     speedup_row(&mut speedup, "OA", oa_n, warm, cold);
 
-    // OA(m): warm-started coordinate descent, with convergence statistics
-    // read back from the run's plan cache so the pass counts are visible.
+    // OA(m): the exact left-aligned replan against coordinate descent from
+    // zeros, on one machine and on two.
     let moa_inst = stream_instance(moa_n, 9700);
-    let env = OnlineEnv {
-        machines: 1,
-        alpha: moa_inst.alpha,
-    };
+    let moa2_inst = stream_instance_on(2, moa_n, 9800);
     let moa_planner = MultiOaPlanner {
         options: Default::default(),
     };
-    let mut warm_run = ReplanState::new(moa_planner, AdmitAll, env);
-    let warm = drive_arrivals(&mut warm_run, &moa_inst);
-    let mut cold_run = ReplanState::new(moa_planner, AdmitAll, env).with_warm_start(false);
-    let cold = drive_arrivals(&mut cold_run, &moa_inst);
-    speedup_row(&mut speedup, "OA(m)", moa_n, warm, cold);
-
-    // OA(m) on two machines: the cross-machine coupling makes the seeded
-    // descent converge in more passes than the effectively-single-machine
-    // case, so the speedup is smaller — benched so a regression below 1x
-    // cannot hide behind the m = 1 number.
-    let moa2_inst = stream_instance_on(2, moa_n, 9800);
-    let env2 = OnlineEnv {
-        machines: 2,
-        alpha: moa2_inst.alpha,
-    };
-    let mut warm2_run = ReplanState::new(moa_planner, AdmitAll, env2);
-    let warm2 = drive_arrivals(&mut warm2_run, &moa2_inst);
-    let mut cold2_run = ReplanState::new(moa_planner, AdmitAll, env2).with_warm_start(false);
-    let cold2 = drive_arrivals(&mut cold2_run, &moa2_inst);
-    speedup_row(&mut speedup, "OA(m) m=2", moa_n, warm2, cold2);
-
-    let mut convergence = Table::new(
-        "OA(m) warm-started coordinate-descent convergence",
+    let mut certificates = Table::new(
+        "OA(m) exact replans: KKT certificate and gap to the converged descent",
         &[
             "machines",
             "n",
             "replans",
-            "seeded",
-            "converged",
-            "total passes",
-            "passes/replan",
+            "sampled",
+            "worst energy gap",
+            "worst KKT violation",
         ],
     );
-    let moa_stats = warm_run.plan_cache().multi.clone().unwrap_or_default();
-    for (machines, stats) in [
-        (1usize, &moa_stats),
-        (
-            2usize,
-            &warm2_run.plan_cache().multi.clone().unwrap_or_default(),
-        ),
-    ] {
-        convergence.push_row(vec![
-            machines.to_string(),
+    let mut certified = true;
+    for (label, instance) in [("OA(m)", &moa_inst), ("OA(m) m=2", &moa2_inst)] {
+        let env = OnlineEnv {
+            machines: instance.machines,
+            alpha: instance.alpha,
+        };
+        let mut warm_run = ReplanState::new(moa_planner, AdmitAll, env);
+        let warm = drive_arrivals(&mut warm_run, instance);
+        let mut cold_run = ReplanState::new(moa_planner, AdmitAll, env).with_warm_start(false);
+        let cold = drive_arrivals(&mut cold_run, instance);
+        speedup_row(&mut speedup, label, moa_n, warm, cold);
+        let c = certify_replans(instance, 10);
+        certified &= c.worst_gap <= 1e-9 && c.worst_kkt <= 1e-9;
+        certificates.push_row(vec![
+            instance.machines.to_string(),
             moa_n.to_string(),
-            stats.replans.to_string(),
-            stats.seeded_replans.to_string(),
-            stats.converged_replans.to_string(),
-            stats.total_passes.to_string(),
-            fmt_f64(stats.mean_passes()),
+            c.replans.to_string(),
+            c.sampled.to_string(),
+            format!("{:.2e}", c.worst_gap),
+            format!("{:.2e}", c.worst_kkt),
         ]);
     }
 
@@ -242,7 +322,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
     ExperimentOutput {
         id: "E12".into(),
         title: "Streaming arrival latency (percentiles vs n, warm-start speedup)".into(),
-        tables: vec![latency, speedup, convergence],
+        tables: vec![latency, speedup, certificates],
         notes: vec![
             format!(
                 "latency percentiles are ordered p50 <= p95 <= p99 in every row: {}",
@@ -255,11 +335,10 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 fmt_f64(min_speedup)
             ),
             format!(
-                "OA(m) warm coordinate descent converged on {}/{} replans at \
-                 {} passes per replan on average",
-                moa_stats.converged_replans,
-                moa_stats.replans,
-                fmt_f64(moa_stats.mean_passes())
+                "every OA(m) replan carries the KKT certificate (violation \
+                 <= 1e-9), and every sampled replan's energy is within 1e-9 \
+                 of the converged descent's (m = 1 and m = 2): {}",
+                check(certified)
             ),
         ],
     }

@@ -112,6 +112,21 @@ impl ChenInterval {
         self.energy(pairs, &split)
     }
 
+    /// How many of the sparse `(job, work)` pairs the rule runs, after
+    /// sorting them into its order as
+    /// [`energy_of_pairs`](Self::energy_of_pairs) does.  The pairs after
+    /// those get no machine: non-positive works, and works the last
+    /// machine's dedicated job leaves idle because together they are below
+    /// the dedicated-job margin of `max(1, total)`.
+    pub fn machined(&self, pairs: &mut [(usize, f64)]) -> usize {
+        let split = self.split(pairs);
+        if split.dedicated == self.machines {
+            split.dedicated
+        } else {
+            split.positive
+        }
+    }
+
     /// Sorts `pairs` (positive works first, then by decreasing work, ties
     /// by job id for determinism) and applies the dedicated-prefix rule.
     pub(crate) fn split(&self, pairs: &mut [(usize, f64)]) -> Split {
@@ -274,6 +289,20 @@ mod tests {
             v[*j] = *u;
         }
         v
+    }
+
+    #[test]
+    fn machined_counts_the_works_the_rule_runs() {
+        // Two machines: a pool runs every work; a last dedicated machine
+        // leaves the works after it idle once they are below its margin.
+        let mut pairs = vec![(0, 1.0), (1, 0.0), (2, 0.5), (3, 0.4)];
+        assert_eq!(solver(2).machined(&mut pairs), 3);
+        assert_eq!(pairs[3], (1, 0.0));
+        let mut pairs = vec![(0, 1e-15), (1, 3.0), (2, 2.0), (3, 2e-15)];
+        assert_eq!(solver(2).machined(&mut pairs), 2);
+        let sol = solver(2).solve(&dense(&pairs, 4));
+        assert_eq!(sol.pool_machines, 0);
+        assert_eq!(sol.pool.len(), 2);
     }
 
     #[test]

@@ -19,15 +19,12 @@
 //!   which is how the experiment harness measures empirical competitive
 //!   ratios on instances too large for brute force,
 //! * [`solver`] — an offline cyclic coordinate-descent solver for the
-//!   "finish everything" relaxation, used as the multiprocessor offline
-//!   baseline and as the replanning engine of multiprocessor Optimal
-//!   Available.  [`solve_min_energy_warm`] is the warm-started entry point:
-//!   it seeds the descent from a caller-provided assignment (the previous
-//!   replanning solution, remapped onto the current partition), so a
-//!   replanner that adds one job per arrival converges in a few passes
-//!   instead of re-solving the program from zero,
+//!   "finish everything" relaxation, run from zeros: the multiprocessor
+//!   offline baseline and the from-scratch reference of multiprocessor
+//!   Optimal Available's replans, which `pss_offline::MultiStaircase`
+//!   solves exactly,
 //! * [`kkt`] — KKT stationarity residuals used to certify solver output
-//!   (cold *and* warm-started) in tests.
+//!   and the exact replans in tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,8 +38,5 @@ pub mod waterfill;
 
 pub use dual::{dual_bound, DualSolution};
 pub use program::ProgramContext;
-pub use solver::{
-    solve_min_energy, solve_min_energy_warm, solve_min_energy_with, MinEnergySolution,
-    SolverOptions,
-};
+pub use solver::{solve_min_energy, solve_min_energy_with, MinEnergySolution, SolverOptions};
 pub use waterfill::{waterfill_job, Capacities, WaterfillOptions, WaterfillResult};

@@ -16,8 +16,9 @@
 //!
 //! * the multiprocessor offline baseline (`pss-offline`), cross-validated
 //!   against the independent YDS implementation for `m = 1`,
-//! * the replanning engine of multiprocessor Optimal Available
-//!   (`pss-baselines`),
+//! * the from-scratch reference of multiprocessor Optimal Available's
+//!   replans (`pss-baselines`), which solves them exactly with
+//!   `pss_offline::MultiStaircase`,
 //! * the "energy of the kept set" oracle inside the brute-force optimum.
 
 use pss_intervals::WorkAssignment;
@@ -89,49 +90,16 @@ pub fn solve_min_energy(ctx: &ProgramContext) -> MinEnergySolution {
     solve_min_energy_with(ctx, &SolverOptions::default())
 }
 
-/// Minimises the total energy of finishing every job, with explicit options.
+/// Minimises the total energy of finishing every job, with explicit
+/// options: cyclic coordinate descent from the all-zero assignment, one
+/// pass re-filling every job's row in job order.
 pub fn solve_min_energy_with(ctx: &ProgramContext, opts: &SolverOptions) -> MinEnergySolution {
-    descend(ctx, opts, None)
-}
-
-/// Minimises the total energy of finishing every job, *warm-started* from a
-/// seed assignment (typically the previous solution of a replanning step,
-/// remapped onto the current partition).
-///
-/// The seed does not need to be feasible or optimal: the first
-/// coordinate-descent pass re-waterfills every job's row exactly, so the
-/// seed only shapes the loads the early passes see.  A seed near the
-/// optimum makes the descent converge in a small, instance-size-independent
-/// number of passes — this is the entry point the multiprocessor OA
-/// replanner uses for its per-arrival warm restarts.  Warm and cold starts
-/// converge to the same (unique, strictly convex) optimum up to the energy
-/// tolerance; `kkt::max_stationarity_violation` certifies either.
-///
-/// The seed's dimensions must match the context (`n_jobs × n_intervals`);
-/// mismatching seeds are ignored (plain cold start).
-pub fn solve_min_energy_warm(
-    ctx: &ProgramContext,
-    opts: &SolverOptions,
-    seed: &WorkAssignment,
-) -> MinEnergySolution {
-    let fits = seed.n_jobs() == ctx.n_jobs() && seed.n_intervals() == ctx.partition().len();
-    descend(ctx, opts, fits.then(|| seed.clone()))
-}
-
-/// The cyclic coordinate-descent core shared by the cold and warm entry
-/// points; `seed` preloads the assignment the first pass starts from.
-fn descend(
-    ctx: &ProgramContext,
-    opts: &SolverOptions,
-    seed: Option<WorkAssignment>,
-) -> MinEnergySolution {
     let n = ctx.n_jobs();
     let n_intervals = ctx.partition().len();
-    let seeded = seed.is_some();
-    let mut x = seed.unwrap_or_else(|| WorkAssignment::zeros(n, n_intervals));
+    let mut x = WorkAssignment::zeros(n, n_intervals);
     if n == 0 || n_intervals == 0 {
         return MinEnergySolution {
-            assignment: WorkAssignment::zeros(n, n_intervals),
+            assignment: x,
             energy: 0.0,
             passes: 0,
             converged: true,
@@ -147,53 +115,13 @@ fn descend(
     // and the order of the entries, so both see exactly what the dense
     // columns would give them.
     let mut loads: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_intervals];
-    for (job, &w) in workloads.iter().enumerate() {
-        for (k, &f) in x.row(job).iter().enumerate() {
-            place(&mut loads[k], job, f * w);
-        }
-    }
     let mut capacities = Capacities::default();
-
-    // A seed near the optimum makes the very first pass a no-op; pricing it
-    // lets the convergence check fire after one pass instead of two.  This
-    // is what makes warm restarts cheap: the check still cannot stop early
-    // spuriously, because an unseeded new arrival changes the energy far
-    // beyond the tolerance.
-    let mut prev_energy = if seeded {
-        total_energy(ctx, &mut loads)
-    } else {
-        f64::INFINITY
-    };
-    // Warm restarts descend in *deadline order*: the replanning instances
-    // this entry point serves are left-aligned (every pending job's window
-    // starts at the planning time), and the sweep follows the staircase of
-    // increasing deadlines.  It does not land on the optimum in one sweep:
-    // on the E12 m = 2 streams of seeds 1 and 2 (2,500 arrivals each) the
-    // seeded descent took a median of 5 passes and a mean of 8.3–8.6; 31%
-    // of the replans restarted from zeros and 0.7–0.8% stopped at the
-    // 60-pass cap.  The cold path keeps the original pending-order cyclic
-    // sweep: it is the retained from-scratch baseline and the
-    // general-purpose offline solver, and must stay bit-identical to its
-    // pre-warm-start behaviour.
-    let mut order: Vec<usize> = (0..n).collect();
-    if seeded {
-        let jobs = &ctx.instance().jobs;
-        order.sort_by(|&a, &b| jobs[a].deadline.total_cmp(&jobs[b].deadline));
-    }
-    // Escape hatch for slow seeds: a seed can park the descent on a slow
-    // geometric zigzag that the *constructive* deadline-ordered sweep from
-    // zeros does not suffer (the 31% of replans above that restart).  When
-    // two successive improvements shrink by less than the restart ratio,
-    // discard the seed once and rebuild from zeros — the passes already
-    // spent still count.
-    const RESTART_RATIO: f64 = 0.15;
-    let mut restarted = !seeded;
-    let mut last_improvement = f64::INFINITY;
+    let mut prev_energy = f64::INFINITY;
     let mut passes = 0;
     let mut converged = false;
     for pass in 0..opts.max_passes {
         passes = pass + 1;
-        for &job in &order {
+        for (job, &w) in workloads.iter().enumerate() {
             for (k, &f) in x.row(job).iter().enumerate() {
                 if f > 0.0 {
                     loads[k].retain(|&(i, _)| i != job);
@@ -205,7 +133,6 @@ fn descend(
                 let others = loads[k].iter().map(|&(_, u)| u);
                 capacities.push(k, ctx.partition().length(k), others);
             }
-            let w = workloads[job];
             let fill = capacities.fill(ctx.power(), ctx.machines(), w, &wf_opts);
             for (k, f) in fill.added {
                 x.set(job, k, f);
@@ -214,26 +141,11 @@ fn descend(
         }
         let energy = total_energy(ctx, &mut loads);
         let improvement = prev_energy - energy;
-        if prev_energy.is_finite() && improvement.abs() <= opts.energy_tol * energy.max(1.0) {
+        prev_energy = energy;
+        if improvement.abs() <= opts.energy_tol * energy.max(1.0) {
             converged = true;
-            prev_energy = energy;
             break;
         }
-        if !restarted
-            && improvement > 0.0
-            && last_improvement.is_finite()
-            && last_improvement > 0.0
-            && improvement > RESTART_RATIO * last_improvement
-        {
-            x = WorkAssignment::zeros(n, n_intervals);
-            loads.iter_mut().for_each(Vec::clear);
-            prev_energy = f64::INFINITY;
-            last_improvement = f64::INFINITY;
-            restarted = true;
-            continue;
-        }
-        last_improvement = improvement;
-        prev_energy = energy;
     }
 
     MinEnergySolution {
@@ -375,66 +287,5 @@ mod tests {
         let (_, sol) = solve(&inst);
         assert_eq!(sol.energy, 0.0);
         assert!(sol.converged);
-    }
-
-    #[test]
-    fn warm_start_from_the_optimum_converges_immediately_to_the_same_energy() {
-        let inst = Instance::from_tuples(
-            2,
-            2.5,
-            vec![
-                (0.0, 3.0, 2.0, 1.0),
-                (1.0, 2.0, 1.0, 1.0),
-                (0.5, 2.5, 1.5, 1.0),
-                (0.0, 1.5, 0.7, 1.0),
-            ],
-        )
-        .unwrap();
-        let (ctx, cold) = solve(&inst);
-        let warm = solve_min_energy_warm(&ctx, &SolverOptions::default(), &cold.assignment);
-        assert!(warm.converged);
-        assert!(
-            warm.passes <= cold.passes,
-            "warm took {} passes, cold {}",
-            warm.passes,
-            cold.passes
-        );
-        assert!(
-            (warm.energy - cold.energy).abs() <= 1e-6 * cold.energy.max(1.0),
-            "warm energy {} vs cold {}",
-            warm.energy,
-            cold.energy
-        );
-        // The warm solution satisfies the KKT conditions, like the cold one.
-        let report = crate::kkt::max_stationarity_violation(&ctx, &warm.assignment);
-        assert!(
-            report.max_violation < 1e-3,
-            "warm KKT violation {}",
-            report.max_violation
-        );
-    }
-
-    #[test]
-    fn warm_start_tolerates_garbage_and_mismatched_seeds() {
-        let inst = Instance::from_tuples(1, 2.0, vec![(0.0, 2.0, 2.0, 1.0), (1.0, 2.0, 1.0, 1.0)])
-            .unwrap();
-        let ctx = ProgramContext::new(&inst);
-        let cold = solve_min_energy(&ctx);
-        // An infeasible all-mass-in-one-interval seed still converges to the
-        // optimum (the first pass rebuilds every row exactly).
-        let mut garbage = WorkAssignment::zeros(2, ctx.partition().len());
-        garbage.set(0, 0, 1.0);
-        garbage.set(1, 1, 1.0);
-        let warm = solve_min_energy_warm(&ctx, &SolverOptions::default(), &garbage);
-        assert!(
-            (warm.energy - cold.energy).abs() <= 1e-6 * cold.energy.max(1.0),
-            "garbage-seeded warm energy {} vs cold {}",
-            warm.energy,
-            cold.energy
-        );
-        // A seed with wrong dimensions falls back to a cold start.
-        let wrong = WorkAssignment::zeros(5, 1);
-        let fallback = solve_min_energy_warm(&ctx, &SolverOptions::default(), &wrong);
-        assert!((fallback.energy - cold.energy).abs() <= 1e-9 * cold.energy.max(1.0));
     }
 }

@@ -7,9 +7,8 @@
 //! reproducible.
 
 use pss_convex::{
-    dual_bound, solve_min_energy, solve_min_energy_warm, solve_min_energy_with, waterfill_job,
-    Capacities, MinEnergySolution, ProgramContext, SolverOptions, WaterfillOptions,
-    WaterfillResult,
+    dual_bound, solve_min_energy, solve_min_energy_with, waterfill_job, Capacities,
+    MinEnergySolution, ProgramContext, SolverOptions, WaterfillOptions, WaterfillResult,
 };
 use pss_intervals::WorkAssignment;
 use pss_power::AlphaPower;
@@ -524,34 +523,16 @@ fn fill_level_matches_the_breakpoint_walk() {
 /// candidates densified per covered interval through
 /// `interval_works_excluding` (inside [`waterfill_job`]) and every pass's
 /// energy through [`ProgramContext::total_energy`], with the solver's pass
-/// order, convergence test and restart rule.
-fn dense_descend(
-    ctx: &ProgramContext,
-    opts: &SolverOptions,
-    seed: Option<&WorkAssignment>,
-) -> (MinEnergySolution, bool) {
+/// order and convergence test.
+fn dense_descend(ctx: &ProgramContext, opts: &SolverOptions) -> MinEnergySolution {
     let (n, n_intervals) = (ctx.n_jobs(), ctx.partition().len());
-    let seeded = seed.is_some();
-    let mut x = seed
-        .cloned()
-        .unwrap_or_else(|| WorkAssignment::zeros(n, n_intervals));
+    let mut x = WorkAssignment::zeros(n, n_intervals);
     let wf_opts = WaterfillOptions::default();
-    let mut prev_energy = if seeded {
-        ctx.total_energy(&x)
-    } else {
-        f64::INFINITY
-    };
-    let mut order: Vec<usize> = (0..n).collect();
-    if seeded {
-        let jobs = &ctx.instance().jobs;
-        order.sort_by(|&a, &b| jobs[a].deadline.total_cmp(&jobs[b].deadline));
-    }
-    let mut restarted = !seeded;
-    let mut last_improvement = f64::INFINITY;
+    let mut prev_energy = f64::INFINITY;
     let (mut passes, mut converged) = (0, false);
     for pass in 0..opts.max_passes {
         passes = pass + 1;
-        for &job in &order {
+        for job in 0..n {
             x.clear_job(job);
             for (k, f) in waterfill_job(ctx, &x, job, &wf_opts).added {
                 x.set(job, k, f);
@@ -559,33 +540,18 @@ fn dense_descend(
         }
         let energy = ctx.total_energy(&x);
         let improvement = prev_energy - energy;
-        if prev_energy.is_finite() && improvement.abs() <= opts.energy_tol * energy.max(1.0) {
+        prev_energy = energy;
+        if improvement.abs() <= opts.energy_tol * energy.max(1.0) {
             converged = true;
-            prev_energy = energy;
             break;
         }
-        if !restarted
-            && improvement > 0.0
-            && last_improvement.is_finite()
-            && last_improvement > 0.0
-            && improvement > 0.15 * last_improvement
-        {
-            x = WorkAssignment::zeros(n, n_intervals);
-            prev_energy = f64::INFINITY;
-            last_improvement = f64::INFINITY;
-            restarted = true;
-            continue;
-        }
-        last_improvement = improvement;
-        prev_energy = energy;
     }
-    let solution = MinEnergySolution {
+    MinEnergySolution {
         assignment: x,
         energy: prev_energy,
         passes,
         converged,
-    };
-    (solution, seeded && restarted)
+    }
 }
 
 /// Asserts two descents agree bit for bit.
@@ -632,13 +598,11 @@ struct Pending {
     pieces: Vec<(f64, f64, f64)>,
 }
 
-/// The replanning instances OA(m) solves along an E12 m = 2 stream, with
-/// their warm seeds: at every arrival the pending jobs' windows start at
-/// the arrival time, each job's remaining work is what the previous plan
-/// left after running its pieces at constant speed until then, and the
-/// seed spreads the previous plan's pieces over the new intervals by time
-/// overlap, renormalised, as OA(m)'s warm cache does.
-fn replan_instances(n: usize, seed: u64) -> Vec<(ProgramContext, Option<WorkAssignment>)> {
+/// The replanning instances OA(m) solves along an E12 m = 2 stream: at
+/// every arrival the pending jobs' windows start at the arrival time, and
+/// each job's remaining work is what the previous plan, the descent's,
+/// left after running its pieces at constant speed until then.
+fn replan_instances(n: usize, seed: u64) -> Vec<ProgramContext> {
     let stream = e12_stream(n, seed);
     let mut pending: Vec<Pending> = Vec::new();
     let mut out = Vec::new();
@@ -668,34 +632,8 @@ fn replan_instances(n: usize, seed: u64) -> Vec<(ProgramContext, Option<WorkAssi
             .map(|(i, p)| Job::new(i, now, p.deadline, p.remaining, p.value))
             .collect();
         let ctx = ProgramContext::new(&Instance::from_jobs(2, 2.5, jobs).expect("replan instance"));
+        let sol = solve_min_energy_with(&ctx, &SolverOptions::default());
         let partition = ctx.partition();
-        let mut seed = WorkAssignment::zeros(pending.len(), partition.len());
-        let mut seeded = false;
-        for (i, p) in pending.iter().enumerate() {
-            let overlap = |k: usize| -> f64 {
-                let iv = partition.interval(k);
-                p.pieces
-                    .iter()
-                    .map(|&(s, e, f)| f * (iv.end.min(e) - iv.start.max(s)).max(0.0) / (e - s))
-                    .sum()
-            };
-            let spread: Vec<(usize, f64)> =
-                ctx.covered(i).iter().map(|&k| (k, overlap(k))).collect();
-            let total: f64 = spread.iter().map(|(_, f)| f).sum();
-            if total > 1e-9 {
-                seeded = true;
-                for (k, f) in spread {
-                    if f > 0.0 {
-                        seed.set(i, k, f / total);
-                    }
-                }
-            }
-        }
-        let seed = seeded.then_some(seed);
-        let sol = match &seed {
-            Some(seed) => solve_min_energy_warm(&ctx, &SolverOptions::default(), seed),
-            None => solve_min_energy_with(&ctx, &SolverOptions::default()),
-        };
         for (i, p) in pending.iter_mut().enumerate() {
             p.pieces = ctx
                 .covered(i)
@@ -707,33 +645,20 @@ fn replan_instances(n: usize, seed: u64) -> Vec<(ProgramContext, Option<WorkAssi
                 })
                 .collect();
         }
-        out.push((ctx, seed));
+        out.push(ctx);
     }
     out
 }
 
-/// On the replanning instances of an E12 m = 2 stream, the solver's sparse
+/// On every replanning instance of an E12 m = 2 stream, the solver's sparse
 /// descent returns the dense reference's energy, pass count, convergence
-/// flag and assignment bit for bit, warm-started from the stream's seeds
-/// and cold.
+/// flag and assignment bit for bit.
 #[test]
 fn sparse_descent_matches_the_dense_reference_on_replans() {
     let opts = SolverOptions::default();
-    let mut restarts = 0;
-    for (i, (ctx, seed)) in replan_instances(120, 7).iter().enumerate() {
+    for (i, ctx) in replan_instances(120, 7).iter().enumerate() {
         let case = format!("replan {i}, {} jobs", ctx.n_jobs());
-        let warm = match seed {
-            Some(seed) => solve_min_energy_warm(ctx, &opts, seed),
-            None => solve_min_energy_with(ctx, &opts),
-        };
-        let (dense, restarted) = dense_descend(ctx, &opts, seed.as_ref());
-        assert_same_descent(&warm, &dense, &case);
-        restarts += usize::from(restarted);
-        if i % 10 == 0 {
-            let cold = solve_min_energy_with(ctx, &SolverOptions::coarse());
-            let (dense, _) = dense_descend(ctx, &SolverOptions::coarse(), None);
-            assert_same_descent(&cold, &dense, &format!("cold {case}"));
-        }
+        let sparse = solve_min_energy_with(ctx, &opts);
+        assert_same_descent(&sparse, &dense_descend(ctx, &opts), &case);
     }
-    assert!(restarts > 0, "no replan restarted from zeros");
 }

@@ -32,7 +32,17 @@
 //! the same pass to read one job's speed, which is all CLL's admission rule
 //! asks of a plan.  Both keep their cumulative works and breakpoints in
 //! buffers reused across calls; a checkpoint holds only the warm order.
+//!
+//! [`MultiStaircase`] is the same left-aligned plan on `m` machines with
+//! migration, which multiprocessor OA replans at every arrival.  It is
+//! exact and closed-form: the lexicographically optimal base of the
+//! polymatroid of processing times the nested windows allow, peeled off one
+//! densest class at a time, each class split over the atomic intervals and
+//! realised by Chen et al.'s rule.  At `m = 1` its classes are the
+//! staircase's steps.
 
+use pss_chen::ChenInterval;
+use pss_power::AlphaPower;
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart};
 use pss_types::{num, JobId, Schedule, ScheduleError, Segment};
 
@@ -432,6 +442,454 @@ impl StepSpeed {
         });
         Ok(speed)
     }
+}
+
+/// A job with work in a [`MultiStaircase`] solve.
+#[derive(Debug, Clone, Copy)]
+struct StairJob {
+    /// Its window's length `D_j = d_j − now`.
+    span: f64,
+    /// Its deadline `d_j`: the time at which the atomic interval it ends
+    /// with ends.
+    deadline: f64,
+    work: f64,
+    /// Its position among the solve's items.
+    position: usize,
+    /// The atomic interval its window ends with.
+    last: usize,
+    /// Processing time its class still has to place.
+    need: f64,
+    /// Processing time placed.
+    placed: f64,
+}
+
+/// Processing time a job runs in one atomic interval.
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    job: usize,
+    interval: usize,
+    time: f64,
+}
+
+/// The exact left-aligned plan on `m` machines with migration: OA(m)'s
+/// replan, and at `m = 1` the staircase of [`left_aligned_plan`].
+///
+/// At a replan every pending job `j` is released, so its window is `[now,
+/// d_j)`.  With `D_j = d_j − now`, the most processing time a job set `S`
+/// can get is `f(S)`, the sum of the `min(m, |S|)` largest `D_j` in `S`
+/// (max-flow/min-cut over the atomic intervals: a job gets at most an
+/// interval's length, an interval at most `m` times it).  The feasible
+/// processing times form the polymatroid `p(S) ≤ f(S)`, and the energy
+/// `Σ_j w_j·(p_j/w_j)^{1−α}` is separable and convex in `p_j/w_j`, so the
+/// optimum is Fujishige's lexicographically optimal base with respect to
+/// the works `w` (Math. Oper. Res. 5(2), 1980): the densest set `S* =
+/// argmax w(S)/f(S)` runs at speed `w(S*)/f(S*)`, the machines it holds at
+/// each time are removed, and the rest is solved the same way.
+///
+/// * **A class.**  With `a_r` the time from which `r` machines are free and
+///   `e_r(S)` the `r`-th largest `D_j` in `S`, `f(S) = Σ_{r≤m} (e_r(S) −
+///   a_r)⁺`.  Dinkelbach's iteration finds the densest set: for a fixed
+///   `λ`, `max_S w(S) − λ·f(S)` is a dynamic program over the jobs in
+///   decreasing-deadline order whose state is how many of the `m` ranks are
+///   filled.  A job at rank `r ≤ m` costs `λ·(D_j − a_r)⁺`, past rank `m`
+///   nothing, and ties go to inclusion.
+/// * **Its split.**  A class fills `min(free machines, alive class jobs) ×
+///   length` of every atomic interval it spans.  From the latest interval
+///   to the earliest, that time goes to the alive jobs by levelling their
+///   remaining need from the top, each job getting at most the interval's
+///   length.  A job alive in an interval is alive in every earlier one, so
+///   levelling succeeds whenever any split does.  The level is found
+///   between sorted breakpoints, in closed form.
+/// * **Its realisation.**  Each atomic interval runs Chen et al.'s rule
+///   over the works the classes put there and places them with McNaughton's
+///   rule ([`ChenInterval::place_pairs`]).  A piece that rule would leave
+///   idle, a rounding-scale sliver of a nearly tight job, is dropped from
+///   the plan and the job's other pieces carry its work, so every work the
+///   plan holds runs.
+///
+/// Times are computed as durations from `now`.  The buffers are reused
+/// across solves and hold nothing a result depends on.
+#[derive(Debug, Clone, Default)]
+pub struct MultiStaircase {
+    now: f64,
+    machines: usize,
+    power: Option<AlphaPower>,
+    /// The jobs with work, by decreasing span (ties by position).
+    jobs: Vec<StairJob>,
+    /// The atomic intervals' ends as `(span, deadline)`, increasing; the
+    /// first interval starts at span 0, time `now`.
+    ends: Vec<(f64, f64)>,
+    /// Free machines per atomic interval.
+    free: Vec<usize>,
+    /// `a_r` for `r = 1..=min(m, unplaced jobs)`.
+    free_from: Vec<f64>,
+    /// The unplaced jobs, by decreasing span.
+    rest: Vec<usize>,
+    /// The densest set found so far, and the last program's maximiser, by
+    /// decreasing span.
+    class: Vec<usize>,
+    taken: Vec<usize>,
+    /// The program's values per state, and its choices per job and state
+    /// (0 skip, 1 take from the rank below, 2 take past rank `m`).
+    values: Vec<f64>,
+    choices: Vec<u8>,
+    /// The levelling's breakpoints `(need, ±1)`.
+    breakpoints: Vec<(f64, i8)>,
+    /// The plan, by atomic interval once solved.
+    pieces: Vec<Piece>,
+    /// Chen's `(id, work)` pairs of the interval being checked or realised.
+    pairs: Vec<(usize, f64)>,
+}
+
+impl MultiStaircase {
+    /// Solves the left-aligned plan at `now` on `machines` machines with
+    /// power `power` over `items`, given as `(deadline, remaining work)`,
+    /// and returns the number of dynamic programs it ran.  Every deadline
+    /// must lie after `now`; items without work get no time.
+    pub fn solve(
+        &mut self,
+        now: f64,
+        machines: usize,
+        power: AlphaPower,
+        items: impl IntoIterator<Item = (f64, f64)>,
+    ) -> Result<usize, ScheduleError> {
+        if machines == 0 {
+            return Err(ScheduleError::Internal(
+                "left-aligned staircase: no machines".into(),
+            ));
+        }
+        self.now = now;
+        self.machines = machines;
+        self.power = Some(power);
+        self.jobs.clear();
+        self.pieces.clear();
+        for (position, (deadline, work)) in items.into_iter().enumerate() {
+            check_item(now, position, deadline, work)?;
+            if work > 0.0 {
+                self.jobs.push(StairJob {
+                    span: deadline - now,
+                    deadline,
+                    work,
+                    position,
+                    last: 0,
+                    need: 0.0,
+                    placed: 0.0,
+                });
+            }
+        }
+        self.jobs
+            .sort_unstable_by(|a, b| b.span.total_cmp(&a.span).then(a.position.cmp(&b.position)));
+        self.ends.clear();
+        for job in self.jobs.iter_mut().rev() {
+            if self.ends.last().is_none_or(|&(span, _)| span < job.span) {
+                self.ends.push((job.span, job.deadline));
+            }
+            job.last = self.ends.len() - 1;
+        }
+        self.free.clear();
+        self.free.resize(self.ends.len(), machines);
+        self.rest.clear();
+        self.rest.extend(0..self.jobs.len());
+
+        let mut programs = 0;
+        while !self.rest.is_empty() {
+            self.set_free_from();
+            // Dinkelbach's iteration from the whole rest: each program's
+            // maximiser is at least as dense as the set it was priced at.
+            self.class.clone_from(&self.rest);
+            let (mut work, mut span) = self.measure(&self.class);
+            loop {
+                if span <= 0.0 {
+                    return Err(no_room(&self.jobs[self.class[0]]));
+                }
+                self.densest(work / span);
+                programs += 1;
+                let (w, f) = self.measure(&self.taken);
+                if self.taken.is_empty() || w * span < work * f {
+                    break;
+                }
+                let denser = w * span > work * f;
+                std::mem::swap(&mut self.class, &mut self.taken);
+                (work, span) = (w, f);
+                if !denser {
+                    break;
+                }
+            }
+            self.split(work / span);
+            let mut placed = self.class.iter().peekable();
+            self.rest.retain(|j| placed.next_if_eq(&j).is_none());
+        }
+        if let Some(job) = self.jobs.iter().find(|job| job.placed <= 0.0) {
+            return Err(no_room(job));
+        }
+        self.pieces.sort_unstable_by_key(|piece| piece.interval);
+        self.drop_idle_pieces();
+        Ok(programs)
+    }
+
+    /// The start of atomic interval `i`, as a span and as a time.
+    fn start(&self, i: usize) -> (f64, f64) {
+        match i.checked_sub(1) {
+            Some(prev) => self.ends[prev],
+            None => (0.0, self.now),
+        }
+    }
+
+    /// Recomputes `a_r`, the span from which `r` machines are free, for the
+    /// ranks the unplaced jobs can fill.  Free machines never decrease over
+    /// time, so one sweep finds them all; where fewer than `r` are ever
+    /// free, `a_r` is the last end, past every deadline.
+    fn set_free_from(&mut self) {
+        let ranks = self.machines.min(self.rest.len());
+        self.free_from.clear();
+        let mut i = 0;
+        for r in 1..=ranks {
+            while i < self.free.len() && self.free[i] < r {
+                i += 1;
+            }
+            self.free_from.push(match i {
+                i if i < self.free.len() => self.start(i).0,
+                _ => self.ends.last().map_or(0.0, |&(span, _)| span),
+            });
+        }
+    }
+
+    /// `(w(S), f(S))` of the jobs `set`, given by decreasing span, under the
+    /// current `a_r`.
+    fn measure(&self, set: &[usize]) -> (f64, f64) {
+        let work = num::stable_sum(set.iter().map(|&j| self.jobs[j].work));
+        let span = num::stable_sum(
+            set.iter()
+                .zip(&self.free_from)
+                .map(|(&j, &from)| (self.jobs[j].span - from).max(0.0)),
+        );
+        (work, span)
+    }
+
+    /// Writes into `taken` a maximiser of `w(S) − λ·f(S)` over the unplaced
+    /// jobs, taking a job whenever taking it ties.
+    fn densest(&mut self, lambda: f64) {
+        let ranks = self.free_from.len();
+        let states = ranks + 1;
+        self.values.clear();
+        self.values.resize(states, f64::NEG_INFINITY);
+        self.values[0] = 0.0;
+        self.choices.clear();
+        self.choices.resize(self.rest.len() * states, 0);
+        let (values, free_from) = (&mut self.values, &self.free_from);
+        for (t, &j) in self.rest.iter().enumerate() {
+            let StairJob { span, work, .. } = self.jobs[j];
+            let cost = |rank: usize| lambda * (span - free_from[rank - 1]).max(0.0);
+            let choice = &mut self.choices[t * states..(t + 1) * states];
+            // Past the last rank a job costs nothing, so it is always taken.
+            let past = values[ranks] + work;
+            let into = values[ranks - 1] + work - cost(ranks);
+            (values[ranks], choice[ranks]) = if past >= into { (past, 2) } else { (into, 1) };
+            for c in (1..ranks).rev() {
+                let take = values[c - 1] + work - cost(c);
+                if take >= values[c] {
+                    (values[c], choice[c]) = (take, 1);
+                }
+            }
+        }
+        // The last of equal maxima: the most ranks filled.
+        let mut state = (0..states)
+            .max_by(|&a, &b| values[a].total_cmp(&values[b]))
+            .unwrap_or(0);
+        self.taken.clear();
+        for (t, &j) in self.rest.iter().enumerate().rev() {
+            match self.choices[t * states + state] {
+                1 => {
+                    self.taken.push(j);
+                    state -= 1;
+                }
+                2 => self.taken.push(j),
+                _ => {}
+            }
+        }
+        self.taken.reverse();
+    }
+
+    /// Places the class at `speed`: from its latest atomic interval to the
+    /// earliest, it fills `min(free machines, alive jobs) × length`,
+    /// levelled from the top over the alive jobs' remaining needs.
+    fn split(&mut self, speed: f64) {
+        for &j in &self.class {
+            let job = &mut self.jobs[j];
+            job.need = job.work / speed;
+        }
+        let Some(&first) = self.class.first() else {
+            return;
+        };
+        let mut alive = 0;
+        for i in (0..=self.jobs[first].last).rev() {
+            while alive < self.class.len() && self.jobs[self.class[alive]].last >= i {
+                alive += 1;
+            }
+            let used = self.free[i].min(alive);
+            if used == 0 {
+                continue;
+            }
+            self.free[i] -= used;
+            let length = self.ends[i].0 - self.start(i).0;
+            let level = if used == alive {
+                0.0
+            } else {
+                self.level(alive, length, used as f64 * length)
+            };
+            // What differs from a need or from nothing by less than the
+            // level's rounding is that need or nothing: a residue left here
+            // would reach an earlier interval as a sliver of work that
+            // Chen's rule cannot tell from zero.
+            let largest = self.class[..alive]
+                .iter()
+                .fold(length, |m, &j| m.max(self.jobs[j].need));
+            let rounding = 16.0 * f64::EPSILON * largest;
+            for &j in &self.class[..alive] {
+                let job = &mut self.jobs[j];
+                if job.placed > 0.0 && job.need <= rounding {
+                    job.need = 0.0;
+                    continue;
+                }
+                let mut time = (job.need - level).clamp(0.0, length);
+                if job.need - time <= rounding {
+                    time = job.need;
+                } else if time <= rounding {
+                    continue;
+                }
+                if time > 0.0 {
+                    job.need -= time;
+                    job.placed += time;
+                    self.pieces.push(Piece {
+                        job: j,
+                        interval: i,
+                        time,
+                    });
+                }
+            }
+        }
+    }
+
+    /// The level `L ≥ 0` at which the first `alive` jobs of the class, each
+    /// taking `min(length, (need − L)⁺)`, take `time` together.  The sum is
+    /// piecewise linear in `L` with breakpoints at every `need` and `need −
+    /// length`, so walking them from the top finds the level exactly.
+    fn level(&mut self, alive: usize, length: f64, time: f64) -> f64 {
+        self.breakpoints.clear();
+        for &j in &self.class[..alive] {
+            let need = self.jobs[j].need;
+            self.breakpoints.push((need, 1));
+            self.breakpoints.push((need - length, -1));
+        }
+        self.breakpoints
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+        let (mut taken, mut slope) = (0.0, 0.0);
+        let mut at = self.breakpoints[0].0;
+        for &(point, step) in &self.breakpoints {
+            let next = taken + slope * (at - point);
+            if next >= time && slope > 0.0 {
+                return (at - (time - taken) / slope).max(0.0);
+            }
+            (taken, at) = (next, point);
+            slope += f64::from(step);
+        }
+        0.0
+    }
+
+    /// The pieces of atomic interval `i` in the solved plan, which holds
+    /// them by interval, as a range of `pieces`.
+    fn pieces_of(&self, i: usize) -> std::ops::Range<usize> {
+        let from = self.pieces.partition_point(|piece| piece.interval < i);
+        let len = self.pieces[from..].partition_point(|piece| piece.interval == i);
+        from..from + len
+    }
+
+    /// Loads into `pairs` the `(id(k), work)` of the pieces `range`: a
+    /// job's works are its placed times scaled to its whole work.
+    fn load_pairs(
+        &mut self,
+        range: std::ops::Range<usize>,
+        id: impl Fn(usize, &StairJob) -> usize,
+    ) {
+        self.pairs.clear();
+        for k in range {
+            let piece = self.pieces[k];
+            let job = &self.jobs[piece.job];
+            let work = job.work * (piece.time / job.placed);
+            self.pairs.push((id(k, job), work));
+        }
+    }
+
+    /// Chen et al.'s rule over interval `i`.
+    fn chen(&self, i: usize) -> ChenInterval {
+        let power = self.power.expect("a solved plan");
+        ChenInterval::new(self.ends[i].0 - self.start(i).0, self.machines, power)
+    }
+
+    /// Drops the pieces Chen et al.'s rule would leave idle: beside a last
+    /// machine's dedicated job, the works after it are idle once they are
+    /// below its margin.  Such a sliver is what a nearly tight job leaves an
+    /// earlier interval, a time at rounding scale; the job's other pieces
+    /// carry its work instead, so every work of the plan runs.  A job's
+    /// only piece stays.
+    fn drop_idle_pieces(&mut self) {
+        for i in 0..self.ends.len() {
+            let range = self.pieces_of(i);
+            if range.len() > self.machines {
+                self.load_pairs(range, |k, _| k);
+                let runs = self.chen(i).machined(&mut self.pairs);
+                for &(k, _) in &self.pairs[runs..] {
+                    let piece = &mut self.pieces[k];
+                    let job = &mut self.jobs[piece.job];
+                    if job.placed > piece.time {
+                        job.placed -= piece.time;
+                        piece.time = 0.0;
+                    }
+                }
+            }
+        }
+        self.pieces.retain(|piece| piece.time > 0.0);
+    }
+
+    /// Appends to `out` the realisation of the atomic intervals that start
+    /// before `until`, with segment job ids the items' positions: Chen et
+    /// al.'s rule over each interval's works, placed with McNaughton's rule.
+    pub fn realize_window(&mut self, until: f64, out: &mut Schedule) {
+        for i in 0..self.ends.len() {
+            let start = self.start(i).1;
+            if start >= until {
+                break;
+            }
+            let range = self.pieces_of(i);
+            if range.is_empty() {
+                continue;
+            }
+            self.load_pairs(range, |_, job| job.position);
+            let chen = self.chen(i);
+            chen.place_pairs(&mut self.pairs, start, 0, JobId, |seg| out.push(seg));
+        }
+    }
+
+    /// The solved plan as `(position, start, end, share)`: the share of the
+    /// item's work it runs in the atomic interval `[start, end)`.  The
+    /// shares of an item with work sum to 1.
+    pub fn pieces(&self) -> impl Iterator<Item = (usize, f64, f64, f64)> + '_ {
+        self.pieces.iter().map(|piece| {
+            let job = &self.jobs[piece.job];
+            let (_, start) = self.start(piece.interval);
+            let end = self.ends[piece.interval].1;
+            (job.position, start, end, piece.time / job.placed)
+        })
+    }
+}
+
+/// The error for a job the staircase found no machine time for, which
+/// exact arithmetic rules out.
+fn no_room(job: &StairJob) -> ScheduleError {
+    ScheduleError::Internal(format!(
+        "left-aligned staircase: no machine time for item {} (deadline {})",
+        job.position, job.deadline
+    ))
 }
 
 #[cfg(test)]

@@ -15,7 +15,10 @@
 //!   arrivals via [`IncrementalYds`], which emits only the segments of the
 //!   window the executor runs).  [`StepSpeed`] reads one job's speed off
 //!   the same staircase for CLL's admission rule, without building a
-//!   plan.
+//!   plan.  [`MultiStaircase`] is its exact form on `m` machines with
+//!   migration, multiprocessor OA's replan: Fujishige's lexicographically
+//!   optimal base of the processing times the nested windows allow,
+//!   realised by Chen et al.'s rule.
 //! * [`brute`] — the exact optimum of the *profitable* problem for small
 //!   instances: exhaustive search over rejection sets, with the energy of
 //!   each kept set computed by YDS (`m = 1`) or the convex coordinate
@@ -38,7 +41,8 @@ pub mod yds;
 
 pub use brute::{brute_force_optimum, BruteForceResult};
 pub use incremental::{
-    left_aligned_plan, left_aligned_planned_speed, IncrementalYds, PlanItem, StepSpeed,
+    left_aligned_plan, left_aligned_planned_speed, IncrementalYds, MultiStaircase, PlanItem,
+    StepSpeed,
 };
 pub use schedulers::{BruteForceScheduler, MinEnergyScheduler, YdsScheduler};
 pub use yds::{edf_schedule, yds_schedule, YdsResult};

@@ -107,10 +107,9 @@ fn multi_oa_incremental_equals_batch_on_random_workloads() {
         let instance = profitable(4500 + seed, 1 + (seed % 3) as usize, 2.5);
         let algo = MultiOaScheduler::default();
         let batch = algo.batch_schedule(&instance).expect("batch OA(m)");
-        // The default incremental run warm-starts coordinate descent from
-        // the previous solution; warm and cold descents converge to the same
-        // optimum, but only up to the solver's energy tolerance — so the
-        // comparison against the from-scratch batch loop is at solver
+        // The default incremental run solves each replan exactly, and the
+        // batch loop's coordinate descent reaches the same optimum only up
+        // to its energy tolerance — so the comparison is at solver
         // accuracy, not bitwise.
         let incremental = algo.schedule(&instance).expect("incremental OA(m)");
         assert_equivalent(&instance, &batch, &incremental, "OA(m) warm", 1e-4);
@@ -358,11 +357,11 @@ fn pd_persistent_context_equals_batch_oracle_on_random_workloads() {
     }
 }
 
-// ---- OA(m): warm-started coordinate descent vs from-scratch solves ------
+// ---- OA(m): exact replans vs from-scratch solves -------------------------
 //
-// The multiprocessor planner seeds `solve_min_energy_warm` from the previous
-// replan's solution (remapped onto the new partition).  Warm and cold
-// descents converge to the same optimum up to the solver's energy
+// The multiprocessor planner's warm path solves each left-aligned replan
+// exactly (`pss_offline::MultiStaircase`); the cold path runs coordinate
+// descent from zeros, which reaches the same optimum up to its energy
 // tolerance, so these pins compare at solver accuracy; decisions must agree
 // exactly.
 
@@ -685,18 +684,15 @@ fn singleton_bursts_are_bit_identical_to_the_per_event_path() {
 // pair and restoring it must not perturb a single future decision.  These
 // pins drive each algorithm twice over the same stream — once
 // uninterrupted, once suspended/restored at a cut point — and assert the
-// decisions, duals and schedules are bit-identical (solver accuracy with
-// exact decisions for OA(m), whose restored descent re-runs the identical
-// warm-seeded solves).  Cut points include every burst boundary shape:
+// decisions, duals and schedules are bit-identical.  Cut points include
+// every burst boundary shape:
 // between bursts, immediately after a burst, and *mid-burst* (a burst split
 // across the snapshot, both halves fed at the same instant).  They also
 // drill the daemon's retention: recovery from every depth of a bounded
 // checkpoint chain over one log.
 
 /// Bit-compares a restored run's decision stream and final schedule
-/// against the uninterrupted baseline.  With `exact` false (OA(m), whose
-/// restored descent re-runs warm-seeded solves) duals and segments are
-/// compared to solver accuracy while decisions stay exact.
+/// against the uninterrupted baseline.
 fn assert_stream_matches(
     baseline_decisions: &[Decision],
     decisions: &[Decision],
@@ -704,7 +700,6 @@ fn assert_stream_matches(
     schedule: &Schedule,
     label: &str,
     cut: usize,
-    exact: bool,
 ) {
     assert_eq!(
         decisions.len(),
@@ -716,44 +711,16 @@ fn assert_stream_matches(
             a.accepted, b.accepted,
             "{label} cut {cut}: decision {i} differs after restore"
         );
-        if exact {
-            assert_eq!(
-                a.dual.to_bits(),
-                b.dual.to_bits(),
-                "{label} cut {cut}: dual {i} not bit-identical after restore"
-            );
-        } else {
-            assert!(
-                (a.dual - b.dual).abs() <= 1e-9 * a.dual.abs().max(1.0),
-                "{label} cut {cut}: dual {i} differs after restore"
-            );
-        }
-    }
-    if exact {
         assert_eq!(
-            baseline_schedule.segments, schedule.segments,
-            "{label} cut {cut}: schedule not bit-identical after restore"
+            a.dual.to_bits(),
+            b.dual.to_bits(),
+            "{label} cut {cut}: dual {i} not bit-identical after restore"
         );
-    } else {
-        // Iterative planner: solver-accuracy equivalence with exact
-        // decisions (asserted above).
-        assert_eq!(baseline_schedule.machines, schedule.machines);
-        assert_eq!(
-            baseline_schedule.segments.len(),
-            schedule.segments.len(),
-            "{label} cut {cut}: restored run emitted a different segment count"
-        );
-        for (a, b) in baseline_schedule.segments.iter().zip(&schedule.segments) {
-            assert!(
-                a.machine == b.machine
-                    && a.job == b.job
-                    && (a.start - b.start).abs() < 1e-9
-                    && (a.end - b.end).abs() < 1e-9
-                    && (a.speed - b.speed).abs() < 1e-9 * a.speed.abs().max(1.0),
-                "{label} cut {cut}: restored segments drift beyond solver accuracy"
-            );
-        }
     }
+    assert_eq!(
+        baseline_schedule.segments, schedule.segments,
+        "{label} cut {cut}: schedule not bit-identical after restore"
+    );
 }
 
 /// Drives `make_run()` over the burst stream uninterrupted, and once per
@@ -770,7 +737,6 @@ fn assert_restore_equivalent<R>(
     bursts: &[(f64, Vec<Job>)],
     mut make_run: impl FnMut() -> R,
     label: &str,
-    exact: bool,
 ) where
     R: OnlineScheduler + LogCheckpointable,
 {
@@ -844,7 +810,6 @@ fn assert_restore_equivalent<R>(
             &schedule,
             label,
             cut,
-            exact,
         );
     }
 }
@@ -866,38 +831,32 @@ fn log_restored_runs_continue_bit_identically_for_every_algorithm() {
             &bursts,
             || OaScheduler.start_for(&single).expect("OA run"),
             "log-restore OA",
-            true,
         );
         assert_restore_equivalent(
             &bursts,
             || QoaScheduler::default().start_for(&single).expect("qOA run"),
             "log-restore qOA",
-            true,
         );
         assert_restore_equivalent(
             &bursts,
             || CllScheduler.start_for(&single).expect("CLL run"),
             "log-restore CLL",
-            true,
         );
         assert_restore_equivalent(
             &bursts,
             || AvrScheduler.start_for(&single).expect("AVR run"),
             "log-restore AVR",
-            true,
         );
         let bkp = BkpScheduler { resolution: 500 };
         assert_restore_equivalent(
             &bursts,
             || bkp.start_for(&single).expect("BKP run"),
             "log-restore BKP",
-            true,
         );
         assert_restore_equivalent(
             &bursts,
             || PdScheduler::default().start_for(&single).expect("PD run"),
             "log-restore PD",
-            true,
         );
         let multi = bursty_profitable(7700 + seed, 2, 2.5, 12, 3);
         let multi_bursts = as_bursts(&multi);
@@ -909,7 +868,6 @@ fn log_restored_runs_continue_bit_identically_for_every_algorithm() {
                     .expect("OA(m) run")
             },
             "log-restore OA(m)",
-            false,
         );
     }
 }
@@ -996,19 +954,16 @@ fn restored_runs_survive_the_tolerance_edge_cases() {
         &bursts,
         || OaScheduler.start_for(&instance).expect("OA run"),
         "log-restore OA (edge)",
-        true,
     );
     assert_restore_equivalent(
         &bursts,
         || AvrScheduler.start_for(&instance).expect("AVR run"),
         "log-restore AVR (edge)",
-        true,
     );
     assert_restore_equivalent(
         &bursts,
         || PdScheduler::default().start_for(&instance).expect("PD run"),
         "log-restore PD (edge)",
-        true,
     );
     let bkp_edge = edge_instance(1, 3.0);
     let bkp_bursts = as_bursts(&bkp_edge);
@@ -1017,7 +972,6 @@ fn restored_runs_survive_the_tolerance_edge_cases() {
         &bkp_bursts,
         || bkp.start_for(&bkp_edge).expect("BKP run"),
         "log-restore BKP (edge)",
-        true,
     );
 }
 
@@ -1081,10 +1035,11 @@ fn superseded_state_versions_are_refused() {
     // more when its job history and EDF heap left the payload, and PD's and
     // the replanning executor's when the water-fill tolerance left PD's
     // payload and OA(m)'s solver options, and the executor's once more when
-    // its plan and staleness flag left the payload, so blobs of different
-    // layouts are never confused.  A live blob re-labelled with a
-    // superseded version (replan 2, 3 and 4; AVR 2, 3 and 4; BKP 2, 3 and
-    // 4; PD 3 and 4) must be refused with the typed version error.
+    // its plan and staleness flag left the payload, and once more when
+    // OA(m)'s warm descent rows left it, so blobs of different layouts are
+    // never confused.  A live blob re-labelled with a superseded version
+    // (replan 2, 3, 4 and 5; AVR 2, 3 and 4; BKP 2, 3 and 4; PD 3 and 4)
+    // must be refused with the typed version error.
     fn refuse<R: OnlineScheduler + LogCheckpointable>(mut run: R, instance: &Instance, old: u16) {
         for (t, jobs) in as_bursts(instance) {
             run.on_arrivals(&jobs, t).expect("burst");
@@ -1126,7 +1081,7 @@ fn superseded_state_versions_are_refused() {
             old,
         );
     }
-    for old in [3, 4] {
+    for old in [3, 4, 5] {
         refuse(
             MultiOaScheduler::default()
                 .start_for(&instance)

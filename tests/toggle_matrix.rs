@@ -177,7 +177,8 @@ fn oa_family_toggle_matrix_pins_to_the_batch_reference() {
 
 #[test]
 fn multi_oa_toggle_matrix_pins_to_the_batch_reference() {
-    // Two machines: the coordinate-descent planner, at solver accuracy.
+    // Two machines: the exact planner against the batch loop's coordinate
+    // descent, at solver accuracy.
     let workloads = vec![
         ("random".to_string(), profitable_n(9400, 2, 2.5, 10)),
         (
