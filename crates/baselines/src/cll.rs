@@ -14,29 +14,52 @@
 //! policy is the rejection rule above, and recovers its batch
 //! [`Scheduler`](pss_types::Scheduler) impl through the blanket adapter.
 
-use pss_offline::incremental::StepSpeed;
+use std::cmp::Ordering;
+
+use pss_offline::Staircase;
 use pss_power::AlphaPower;
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart};
 use pss_types::{Instance, Job, OnlineAlgorithm, Schedule, ScheduleError};
 
 use crate::oa::OaPlanner;
-use crate::replan::{run_replanning, AdmissionPolicy, OnlineEnv, PendingJob, ReplanState};
+use crate::replan::{
+    insertion_point, run_replanning, AdmissionPolicy, OnlineEnv, PendingJob, ReplanState,
+};
 
 /// The Chan–Lam–Li admission rule: reject a job if OA would plan it at a
 /// speed above the value/workload threshold.
 ///
 /// The planned speed is evaluated with the left-aligned YDS special case
 /// (every job the rule sees has already been released, so all windows start
-/// at `now`), which is `O(k log k)` per arrival instead of the general
-/// `O(k³)` critical-interval search.  The rule reads the new job's step
-/// speed off the staircase ([`StepSpeed`], in buffers the run reuses) and
-/// builds no plan: the speed is bit for bit the one the whole left-aligned
-/// plan gives the job.
+/// at `now`), one `O(k)` staircase pass per arrival instead of the general
+/// `O(k³)` critical-interval search.  The pending list is already in
+/// deadline order, so the new job is spliced in where the executor would
+/// insert it and nothing is sorted; the rule reads the job's step speed off
+/// the [`Staircase`] (in buffers the run reuses) and builds no plan: the
+/// speed is bit for bit the one the whole left-aligned plan gives the job.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CllAdmission;
 
+/// The speed the left-aligned plan at `now` runs `job` at, with `job`
+/// spliced into `pending` at its [`insertion_point`].
+fn planned_speed(
+    now: f64,
+    job: &Job,
+    pending: &[PendingJob],
+    staircase: &mut Staircase,
+) -> Result<f64, ScheduleError> {
+    let at = insertion_point(pending, job.deadline);
+    let item = |i: usize| match i.cmp(&at) {
+        Ordering::Less => (pending[i].deadline, pending[i].remaining),
+        Ordering::Equal => (job.deadline, job.work),
+        Ordering::Greater => (pending[i - 1].deadline, pending[i - 1].remaining),
+    };
+    let (deadline, work) = (|i| item(i).0, |i| item(i).1);
+    staircase.planned_speed(now, pending.len() + 1, deadline, work, at)
+}
+
 impl AdmissionPolicy for CllAdmission {
-    type Scratch = StepSpeed;
+    type Scratch = Staircase;
 
     fn admit(
         &self,
@@ -44,15 +67,10 @@ impl AdmissionPolicy for CllAdmission {
         now: f64,
         job: &Job,
         pending: &[PendingJob],
-        scratch: &mut StepSpeed,
+        scratch: &mut Staircase,
     ) -> Result<bool, ScheduleError> {
         let power = AlphaPower::new(env.alpha);
-        // The remaining work of the admitted jobs plus the new one, last.
-        let items = pending
-            .iter()
-            .map(|p| (p.deadline, p.remaining))
-            .chain(std::iter::once((job.deadline, job.work)));
-        let planned_speed = scratch.planned_speed(now, items, pending.len())?;
+        let planned_speed = planned_speed(now, job, pending, scratch)?;
         let threshold = power.rejection_speed_threshold(job.value, job.work);
         Ok(planned_speed <= threshold * (1.0 + 1e-9))
     }
@@ -212,6 +230,46 @@ mod tests {
                 < 1e-9 * batch.cost(&inst).total().max(1.0)
         );
         assert_eq!(batch.unfinished_jobs(&inst), inc.unfinished_jobs(&inst));
+    }
+
+    #[test]
+    fn admission_reads_the_spliced_jobs_reference_speed_bit_for_bit() {
+        let mut state = 11u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64)
+        };
+        let mut staircase = Staircase::default();
+        let (mut pending, mut now, mut ties) = (Vec::<PendingJob>::new(), 0.0, 0);
+        for id in 0..400 {
+            now += 0.2 * next();
+            pending.retain(|p| p.deadline > now);
+            for p in &mut pending {
+                p.remaining = (p.remaining - 0.1 * next()).max(0.0);
+            }
+            let deadline = match pending.len() {
+                len if len > 0 && next() < 0.4 => {
+                    ties += 1;
+                    pending[(next() * len as f64) as usize].deadline
+                }
+                _ => now + 0.05 + 3.0 * next(),
+            };
+            let work = if next() < 0.1 { 1e-11 } else { 0.05 + next() };
+            let job = Job::new(id, now, deadline, work, 1.0);
+            // The reference sorts a copy in which the job comes last, so it
+            // runs after the pending jobs of equal deadline.
+            let mut items: Vec<(f64, f64)> =
+                pending.iter().map(|p| (p.deadline, p.remaining)).collect();
+            items.push((job.deadline, job.work));
+            let want = pss_offline::left_aligned_planned_speed(now, &items, pending.len())
+                .expect("reference");
+            let got = planned_speed(now, &job, &pending, &mut staircase).expect("spliced");
+            assert_eq!(got.to_bits(), want.to_bits(), "job {id}");
+            pending.insert(insertion_point(&pending, deadline), PendingJob::new(&job));
+        }
+        assert!(ties > 100, "only {ties} tied deadlines");
     }
 
     #[test]

@@ -35,14 +35,16 @@
 //! cost depends on the active set — except BKP's grid evaluation, which
 //! costs `O(active + recent + log n)` (its work term never forgets old
 //! jobs; a convex hull aggregates the aged history).  The replanning
-//! executor plans each window when it runs, and only that window: OA, qOA
-//! and CLL warm-start their left-aligned YDS replans
-//! (`pss_offline::incremental` via [`replan::PlanCache`]) and emit only
-//! the segments that start before the next arrival, into a buffer the run
-//! reuses; CLL's admission rule reads the new job's planned speed off the
-//! same staircase without building a plan; multiprocessor OA solves its
-//! replan exactly in buffers the cache keeps ([`oa::MultiOaWarm`]) and
-//! realises only the atomic intervals that start before the next arrival;
+//! executor keeps its pending jobs in deadline order and plans each window
+//! when it runs, and only that window: OA and qOA walk the left-aligned
+//! YDS staircase straight over the pending list (`pss_offline::Staircase`,
+//! in buffers [`replan::PlanCache`] reuses) and emit only the segments that
+//! start before the next arrival, into a buffer the run reuses; CLL's
+//! admission rule splices the new job into the same list and reads its
+//! planned speed off the staircase without building a plan or sorting;
+//! multiprocessor OA solves its replan exactly in buffers the cache keeps
+//! ([`oa::MultiOaWarm`]) and realises only the atomic intervals that start
+//! before the next arrival;
 //! AVR commits through a
 //! deadline-sorted active-set index ([`avr::AvrState`]); and BKP keeps a
 //! resident deadline/release speed index whose deadline list, holding the
@@ -57,9 +59,9 @@
 //!
 //! Every run state ([`replan::ReplanState`], [`avr::AvrState`],
 //! [`bkp::BkpState`]) implements `pss_types::LogCheckpointable`: a blob
-//! captures the live state — pending/active sets, warm caches (the YDS
-//! order, OA(m)'s replan counts and BKP's speed index with its convex
-//! hull) and the warm-start toggle, but no plan and no scratch buffer —
+//! captures the live state — pending/active sets, OA(m)'s replan counts,
+//! BKP's speed index with its convex hull and the warm-start toggle, but
+//! no plan and no scratch buffer —
 //! plus a cursor into the run's segment log, which holds the committed
 //! frontier, and a run restored from the `(log, blob)` pair continues
 //! bit-identically.  This is what the checkpoint layers in `pss-sim` and

@@ -10,14 +10,15 @@
 //! tests.
 //!
 //! Every replan is left-aligned (each pending job's window starts at the
-//! replan time), and each planner solves it exactly in closed form: OA and
-//! qOA with the YDS staircase ([`IncrementalYds`]), OA(m) with its
+//! replan time), and each planner solves it exactly in closed form over the
+//! executor's deadline-ordered pending list: OA and qOA with the YDS
+//! staircase ([`Staircase`](pss_offline::Staircase)), OA(m) with its
 //! `m`-machine form ([`MultiStaircase`]).  Their from-scratch
 //! [`Planner::plan`]s, general YDS and coordinate descent on the convex
 //! program, are the references those are pinned against.
 
 use pss_convex::{solve_min_energy_with, ProgramContext, SolverOptions};
-use pss_offline::incremental::{IncrementalYds, MultiStaircase, PlanItem};
+use pss_offline::incremental::MultiStaircase;
 use pss_offline::yds::yds_schedule;
 use pss_power::AlphaPower;
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart};
@@ -86,13 +87,11 @@ impl Planner for OaPlanner {
         Ok(plan)
     }
 
-    /// Warm-started replan: every pending job has already been released, so
-    /// its effective window starts at `now` — the left-aligned YDS special
-    /// case.  The warm state keeps the previous solution's deadline order
-    /// (keyed by original job id), so consecutive replans only merge the new
-    /// arrival and re-derive the perturbed part of the staircase instead of
-    /// running the general `O(k³)` critical-interval search; only the
-    /// segments that start before `until` are emitted.
+    /// The replan the executor runs: every pending job has already been
+    /// released, so its effective window starts at `now` — the left-aligned
+    /// YDS special case, one staircase pass over the pending list in its
+    /// deadline order instead of the general `O(k³)` critical-interval
+    /// search.  Only the segments that start before `until` are emitted.
     fn plan_warm(
         &self,
         _env: &OnlineEnv,
@@ -102,15 +101,13 @@ impl Planner for OaPlanner {
         cache: &mut PlanCache,
         out: &mut Schedule,
     ) -> Result<(), ScheduleError> {
-        let items = pending.iter().map(|p| PlanItem {
-            key: p.id.index(),
-            deadline: p.deadline,
-            work: p.remaining,
-        });
-        let warm = cache.yds.get_or_insert_with(IncrementalYds::default);
-        // The plan's segment ids are item positions, which coincide with the
-        // dense pending ids the executor expects — no remapping needed.
-        warm.plan_window(now, items, until, out)?;
+        // The staircase's segment ids are pending positions, the dense ids
+        // the executor expects.
+        let deadline = |i: usize| pending[i].deadline;
+        let remaining = |i: usize| pending[i].remaining;
+        cache
+            .staircase
+            .plan_window(now, pending.len(), deadline, remaining, until, out)?;
         self.apply_factor(out);
         Ok(())
     }
@@ -381,6 +378,7 @@ impl OnlineAlgorithm for MultiOaScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replan::insertion_point;
     use pss_offline::YdsScheduler;
     use pss_power::AlphaPower;
     use pss_types::{validate_schedule, JobId, Scheduler, Segment};
@@ -532,15 +530,11 @@ mod tests {
                     _ => now + 0.05 + 3.0 * next(),
                 };
                 let work = if next() < 0.2 { 1e-11 } else { 0.05 + next() };
-                pending.push(PendingJob::new(&Job::new(round, now, deadline, work, 1.0)));
-                let items: Vec<PlanItem> = pending
-                    .iter()
-                    .map(|p| PlanItem {
-                        key: p.id.index(),
-                        deadline: p.deadline,
-                        work: p.remaining,
-                    })
-                    .collect();
+                // The executor's insertion: after the equal deadlines.
+                let job = PendingJob::new(&Job::new(round, now, deadline, work, 1.0));
+                pending.insert(insertion_point(&pending, deadline), job);
+                let items: Vec<(f64, f64)> =
+                    pending.iter().map(|p| (p.deadline, p.remaining)).collect();
                 let mut full = pss_offline::left_aligned_plan(now, &items).unwrap();
                 planner.apply_factor(&mut full);
                 let until = now + 2.0 * next();

@@ -19,14 +19,15 @@
 //!   frontier), then consults the admission policy per job.  Every burst
 //!   changes the pending set, so a plan is followed for exactly one
 //!   window, and the planner builds only the part of it that starts
-//!   before the window's end.  Replans are **warm-started** through
-//!   [`Planner::plan_warm`] and the per-run [`PlanCache`]: the OA-family
-//!   planners reuse their previous YDS solution and only re-derive the
-//!   part of the staircase the new arrival perturbs, instead of re-solving
-//!   from zero, and OA(m) solves its replan exactly in buffers the cache
-//!   keeps.  This is what the blanket batch adapter and the streaming
+//!   before the window's end.  The pending jobs are kept in deadline
+//!   order (ties in admission order), so every replan through
+//!   [`Planner::plan_warm`] solves its left-aligned problem in closed form
+//!   straight over that list, in buffers the per-run [`PlanCache`] reuses:
+//!   the OA-family planners walk the YDS staircase
+//!   ([`pss_offline::Staircase`]), and OA(m) solves its `m`-machine form
+//!   exactly.  This is what the blanket batch adapter and the streaming
 //!   simulator drive; `with_warm_start(false)` restores the from-scratch
-//!   behaviour for benchmarks.
+//!   [`Planner::plan`] for benchmarks.
 //! * [`run_replanning`] — the original *batch* loop over an instance's
 //!   distinct release times, retained verbatim as an independently coded
 //!   reference: the `incremental_equivalence` integration tests check that
@@ -62,8 +63,6 @@ pub struct PendingJob {
     pub work: f64,
     /// Workload still to be processed.
     pub remaining: f64,
-    /// Value.
-    pub value: f64,
 }
 
 impl PendingJob {
@@ -75,48 +74,58 @@ impl PendingJob {
             deadline: job.deadline,
             work: job.work,
             remaining: job.work,
-            value: job.value,
         }
     }
 
     /// The job as a [`Job`] with its remaining work and release clamped to
-    /// `now` — the shape planners expect.
+    /// `now` — the shape planners expect.  Its value is 0: a planner
+    /// finishes every job it is given and never reads one.
     pub fn as_job_at(&self, now: f64, dense_id: usize) -> Job {
         Job::new(
             dense_id,
             self.release.max(now),
             self.deadline,
             self.remaining,
-            self.value,
+            0.0,
         )
     }
 }
 
-/// Mutable warm-start state a [`Planner`] may carry across the replanning
-/// steps of one run (the scratch buffers inside it are reused, and a
-/// checkpoint leaves them out).
+/// Where a job with deadline `deadline` joins the pending list, which is
+/// kept in deadline order with ties in admission order: after every pending
+/// job whose deadline is not later.
+pub(crate) fn insertion_point(pending: &[PendingJob], deadline: f64) -> usize {
+    pending.partition_point(|p| p.deadline.total_cmp(&deadline).is_le())
+}
+
+/// Adds an admitted job to the pending list at its
+/// [`insertion_point`]: the one insertion of both executors.
+fn insert_pending(pending: &mut Vec<PendingJob>, job: &Job) {
+    pending.insert(insertion_point(pending, job.deadline), PendingJob::new(job));
+}
+
+/// What a [`Planner`] keeps across the replanning steps of one run: the
+/// buffers its replans reuse, which no plan depends on and a checkpoint
+/// leaves out, and OA(m)'s replan counts.
 ///
 /// The executor owns one cache per run and hands it to
-/// [`Planner::plan_warm`] at every replan; planners without warm-start
-/// support simply ignore it.  The cache is part of the run, not of the
-/// planner, so one planner value can drive many concurrent runs.
+/// [`Planner::plan_warm`] at every replan; planners that need none simply
+/// ignore it.  The cache is part of the run, not of the planner, so one
+/// planner value can drive many concurrent runs.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    /// Warm left-aligned YDS state (used by the OA-family planners): the
-    /// deadline-sorted job order survives across replans, so consecutive
-    /// plans cost an `O(k)` merge + staircase pass instead of a fresh
-    /// `O(k³)` critical-interval search.
-    pub yds: Option<pss_offline::IncrementalYds>,
+    /// The OA-family planners' YDS staircase over the pending list.
+    pub(crate) staircase: pss_offline::Staircase,
     /// Multiprocessor-OA state: the buffers of the exact left-aligned
-    /// planner (`pss_offline::MultiStaircase`), which a checkpoint leaves
-    /// out, and the replan counts.
+    /// planner (`pss_offline::MultiStaircase`) and the replan counts.
     pub multi: Option<crate::oa::MultiOaWarm>,
 }
 
 /// A planning rule: given the current time and the pending jobs, produce a
-/// schedule for the future (over the environment's machines).  Segment job
-/// ids must refer to positions in the `pending` slice (dense ids `0..len`);
-/// the executor maps them back to original ids.
+/// schedule for the future (over the environment's machines).  `pending`
+/// is in deadline order, ties in admission order.  Segment job ids must
+/// refer to positions in the `pending` slice (dense ids `0..len`); the
+/// executor maps them back to original ids.
 pub trait Planner {
     /// Human-readable name of the planning rule.
     fn name(&self) -> String;
@@ -129,14 +138,12 @@ pub trait Planner {
         pending: &[PendingJob],
     ) -> Result<Schedule, ScheduleError>;
 
-    /// Warm-started replan of the window `[now, until)`: like
+    /// The replan of the window `[now, until)` the executor runs: like
     /// [`plan`](Self::plan), written into `out` (whose segments it
-    /// replaces), but it may reuse state in `cache` carried over from the
-    /// previous replanning step of the same run (e.g. the previous YDS
-    /// solution, of which the new arrival only perturbs a part, or the
-    /// multiprocessor planner's buffers), and it may leave out segments
-    /// that start at or after `until`: the executor follows a plan only
-    /// until the next arrival.
+    /// replaces), but it may solve in buffers `cache` keeps across the
+    /// run's replans, may rely on `pending`'s deadline order (ties in
+    /// admission order), and may leave out segments that start at or after
+    /// `until`: the executor follows a plan only until the next arrival.
     ///
     /// On `[now, until)` implementations must produce a schedule
     /// *equivalent* to [`plan`](Self::plan) — same speeds, same per-job
@@ -171,7 +178,8 @@ pub trait AdmissionPolicy {
     type Scratch: std::fmt::Debug + Clone + Default;
 
     /// Decides whether to admit `job` at time `now` given the other pending
-    /// jobs.
+    /// jobs, in deadline order with ties in admission order; an admitted
+    /// job joins them after every pending job whose deadline is not later.
     fn admit(
         &self,
         env: &OnlineEnv,
@@ -218,6 +226,8 @@ pub struct ReplanState<P: Planner, A: AdmissionPolicy> {
     /// The admission rule's reused buffers.
     admission_scratch: A::Scratch,
     env: OnlineEnv,
+    /// Admitted, unfinished jobs in deadline order, ties in admission
+    /// order.
     pending: Vec<PendingJob>,
     /// The plan of the window being executed (dense ids into `pending`): a
     /// buffer reused by every window, not state.
@@ -270,7 +280,8 @@ impl<P: Planner, A: AdmissionPolicy> ReplanState<P, A> {
         self
     }
 
-    /// The jobs currently admitted and unfinished.
+    /// The jobs currently admitted and unfinished, in deadline order with
+    /// ties in admission order.
     pub fn pending(&self) -> &[PendingJob] {
         &self.pending
     }
@@ -381,7 +392,7 @@ impl<P: Planner, A: AdmissionPolicy> OnlineScheduler for ReplanState<P, A> {
                 &mut self.admission_scratch,
             )?;
             if admitted {
-                self.pending.push(PendingJob::new(job));
+                insert_pending(&mut self.pending, job);
             }
             decisions.push(if admitted {
                 Decision::accept(0.0)
@@ -411,7 +422,6 @@ impl SnapshotPart for PendingJob {
         w.write_f64(self.deadline);
         w.write_f64(self.work);
         w.write_f64(self.remaining);
-        w.write_f64(self.value);
     }
 
     fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
@@ -421,20 +431,18 @@ impl SnapshotPart for PendingJob {
             deadline: r.read_f64()?,
             work: r.read_f64()?,
             remaining: r.read_f64()?,
-            value: r.read_f64()?,
         })
     }
 }
 
 impl SnapshotPart for PlanCache {
     fn encode(&self, w: &mut BlobWriter) {
-        w.write_part(&self.yds);
         w.write_part(&self.multi);
     }
 
     fn decode(r: &mut BlobReader<'_>) -> Result<Self, SnapshotError> {
         Ok(Self {
-            yds: r.read_part()?,
+            staircase: pss_offline::Staircase::default(),
             multi: r.read_part()?,
         })
     }
@@ -461,17 +469,19 @@ impl SnapshotPart for AdmitAll {
 /// solver options; version 5 drops the plan and its staleness flag, since
 /// every window is planned when it runs; version 6 drops OA(m)'s warm
 /// coordinate-descent rows, since its replans are solved exactly from the
-/// pending set.  Older blobs are rejected with a typed error.
-const REPLAN_STATE_VERSION: u16 = 6;
+/// pending set; version 7 drops the pending jobs' values and the warm YDS
+/// order, since the pending list itself is kept in deadline order.  Older
+/// blobs are rejected with a typed error.
+const REPLAN_STATE_VERSION: u16 = 7;
 
 /// Checkpoint/restore for the replanning executor: the blob holds the run's
-/// live state — the pending set with its remaining works, the warm-start
-/// cache (the left-aligned YDS order and OA(m)'s replan counts), the clock
-/// and the horizon — plus the planner and admission configuration and the
-/// frontier's log cursor, so [`LogCheckpointable::restore_with_log`]
-/// rebuilds the run from the `(log, blob)` pair with no other context.  No
-/// plan is stored: the next window plans afresh, as the uninterrupted run
-/// would.  A restored run continues bit-identically; the
+/// live state — the deadline-ordered pending list with its remaining works,
+/// OA(m)'s replan counts, the clock and the horizon — plus the planner and
+/// admission configuration and the frontier's log cursor, so
+/// [`LogCheckpointable::restore_with_log`] rebuilds the run from the `(log,
+/// blob)` pair with no other context, and refuses a pending list out of
+/// deadline order.  No plan is stored: the next window plans afresh, as the
+/// uninterrupted run would.  A restored run continues bit-identically; the
 /// restore-equivalence integration tests pin this at arbitrary cut points,
 /// including mid-burst.
 impl<P, A> LogCheckpointable for ReplanState<P, A>
@@ -524,6 +534,15 @@ where
                 "frontier machine count disagrees with the environment".into(),
             ));
         }
+        if state
+            .pending
+            .windows(2)
+            .any(|pair| pair[0].deadline.total_cmp(&pair[1].deadline).is_gt())
+        {
+            return Err(SnapshotError::Invalid(
+                "pending list out of deadline order".into(),
+            ));
+        }
         Ok(state)
     }
 }
@@ -568,7 +587,7 @@ pub fn run_replanning<P: Planner, A: AdmissionPolicy>(
         arrivals.sort_by_key(|j| j.id);
         for job in arrivals {
             if admission.admit(&env, now, job, &pending, &mut scratch)? {
-                pending.push(PendingJob::new(job));
+                insert_pending(&mut pending, job);
             }
         }
 
@@ -642,6 +661,7 @@ fn execute_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oa::OaPlanner;
     use pss_offline::yds::yds_schedule;
     use pss_types::{validate_schedule, OnlineAlgorithm};
 
@@ -911,6 +931,113 @@ mod tests {
         let instance = Instance::from_jobs(1, 2.0, jobs.to_vec()).expect("instance");
         let bkp = crate::BkpScheduler::default().start_for(&instance);
         drive("BKP", &jobs, bkp.expect("BKP run"));
+    }
+
+    /// Bursts of one to four equal releases whose deadlines fall on a
+    /// quarter grid, so many tie, and whose values sit near CLL's threshold.
+    /// Each burst lists its jobs in decreasing id order, so admission order
+    /// is not id order.
+    fn tied_bursts() -> Vec<(f64, Vec<Job>)> {
+        let mut state = 31u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64)
+        };
+        let (mut bursts, mut id, mut t) = (Vec::new(), 0, 0.0);
+        while id < 240 {
+            t += 0.4 * next();
+            let mut burst = Vec::new();
+            for _ in 0..1 + (4.0 * next()) as usize {
+                let deadline = ((t * 4.0).floor() + 1.0 + (12.0 * next()).floor()) / 4.0;
+                let work = 0.05 + next();
+                let value = work * work / (deadline - t) * (1.0 + 4.0 * next());
+                burst.push(Job::new(id, t, deadline, work, value));
+                id += 1;
+            }
+            burst.reverse();
+            bursts.push((t, burst));
+        }
+        bursts
+    }
+
+    #[test]
+    fn pending_list_stays_in_deadline_order_with_ties_in_admission_order() {
+        fn check<P: Planner, A: AdmissionPolicy>(name: &str, make: impl Fn() -> ReplanState<P, A>) {
+            let bursts = tied_bursts();
+            // Each job's position in the feed: its admission order.
+            let mut fed = vec![0; bursts.iter().map(|(_, burst)| burst.len()).sum()];
+            for (position, job) in bursts.iter().flat_map(|(_, burst)| burst).enumerate() {
+                fed[job.id.index()] = position;
+            }
+            for coalesce in [false, true] {
+                let mut run = make();
+                let mut ties = 0;
+                for (t, burst) in &bursts {
+                    let feeds: Vec<&[Job]> = match coalesce {
+                        true => vec![burst],
+                        false => burst.chunks(1).collect(),
+                    };
+                    for jobs in feeds {
+                        run.on_arrivals(jobs, *t).expect(name);
+                        for pair in run.pending().windows(2) {
+                            let (a, b) = (&pair[0], &pair[1]);
+                            let order = a.deadline.total_cmp(&b.deadline);
+                            assert!(order.is_le(), "{name}: {a:?} before {b:?}");
+                            if order.is_eq() {
+                                assert!(fed[a.id.index()] < fed[b.id.index()], "{name}: {a:?}");
+                                ties += 1;
+                            }
+                        }
+                    }
+                }
+                assert!(ties > 50, "{name}: only {ties} tied neighbours");
+                run.finish().expect(name);
+            }
+        }
+        use crate::{CllScheduler, MultiOaScheduler, OaScheduler, QoaScheduler};
+        check("OA", || OaScheduler.start(1, 2.0).expect("OA"));
+        let qoa = || QoaScheduler::default().start(1, 2.0).expect("qOA");
+        check("qOA", qoa);
+        check("CLL", || CllScheduler.start(1, 2.0).expect("CLL"));
+        let oam = || MultiOaScheduler::default().start(2, 2.0).expect("OA(m)");
+        check("OA(m)", oam);
+    }
+
+    #[test]
+    fn restore_refuses_a_pending_list_out_of_deadline_order() {
+        use crate::OaScheduler;
+        let mut run = OaScheduler.start(1, 2.0).expect("OA");
+        let jobs = [
+            Job::new(0, 0.0, 4.0, 1.0, 1.0),
+            Job::new(1, 0.0, 2.0, 1.0, 1.0),
+            Job::new(2, 0.0, 3.0, 1.0, 1.0),
+        ];
+        run.on_arrivals(&jobs, 0.0).expect("burst");
+        run.on_arrivals(&[Job::new(3, 0.5, 3.0, 1.0, 1.0)], 0.5)
+            .expect("arrival");
+        let deadlines: Vec<f64> = run.pending().iter().map(|p| p.deadline).collect();
+        assert_eq!(deadlines, [2.0, 3.0, 3.0, 4.0]);
+        let restore = |state: &ReplanState<OaPlanner, AdmitAll>| {
+            let mut log = SegmentLog::new(1);
+            let blob = state.snapshot_live(&mut log).expect("snapshot");
+            ReplanState::<OaPlanner, AdmitAll>::restore_with_log(&blob, &log)
+        };
+        assert!(restore(&run).is_ok());
+        // Tied deadlines may lie in either order; a later one may not come
+        // first.
+        let mut tied = run.clone();
+        tied.pending.swap(1, 2);
+        assert!(restore(&tied).is_ok());
+        for (a, b) in [(0, 1), (2, 3), (0, 3)] {
+            let mut state = run.clone();
+            state.pending.swap(a, b);
+            assert!(
+                matches!(restore(&state), Err(SnapshotError::Invalid(_))),
+                "a pending list with entries {a} and {b} swapped was not refused"
+            );
+        }
     }
 
     #[test]

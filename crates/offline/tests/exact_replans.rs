@@ -10,7 +10,7 @@
 use pss_convex::kkt::max_stationarity_violation;
 use pss_convex::{solve_min_energy_with, ProgramContext, SolverOptions};
 use pss_intervals::WorkAssignment;
-use pss_offline::{left_aligned_plan, MultiStaircase, PlanItem};
+use pss_offline::{left_aligned_plan, MultiStaircase};
 use pss_power::AlphaPower;
 use pss_types::{Instance, Job, JobId, Schedule};
 use pss_workloads::{ArrivalModel, RandomConfig, SmallRng, ValueModel};
@@ -157,9 +157,10 @@ fn a_nearly_tight_jobs_slivers_are_not_left_idle() {
 }
 
 /// On one machine the staircase's classes are YDS's steps: every item runs
-/// at the speed the left-aligned YDS plan gives it.  Works start at 0.01:
-/// the YDS staircase takes a step's work as a difference of cumulative
-/// sums, so a tiny step after large ones carries that sum's rounding.
+/// at the speed the left-aligned YDS plan gives it, on the item sets of the
+/// `m > 1` pin, whose works reach down to 1e-11.  Each YDS step's work is
+/// summed over its own items, so a tiny step after large ones carries none
+/// of their rounding.
 #[test]
 fn one_machine_speeds_are_the_yds_staircases() {
     let mut rng = SmallRng::seed_from_u64(0x5EED1);
@@ -175,17 +176,8 @@ fn one_machine_speeds_are_the_yds_staircases() {
     for case in 0..300 {
         let now = rng.f64_range(0.0, 10.0);
         let n = rng.usize_range(1, 14);
-        let items = random_items(&mut rng, now, n, 0.01, false);
-        let keyed: Vec<PlanItem> = items
-            .iter()
-            .enumerate()
-            .map(|(key, &(deadline, work))| PlanItem {
-                key,
-                deadline,
-                work,
-            })
-            .collect();
-        let yds = left_aligned_plan(now, &keyed).expect("YDS staircase");
+        let items = random_items(&mut rng, now, n, 1e-6, true);
+        let yds = left_aligned_plan(now, &items).expect("YDS staircase");
         plan.solve(now, 1, AlphaPower::new(2.0), items.iter().copied())
             .expect("exact plan");
         let mut exact = Schedule::empty(1);

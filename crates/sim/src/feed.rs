@@ -14,7 +14,8 @@
 //! 2. a job already expired at the feed time ([`expired_at`]) is not shown
 //!    to the run and is rejected at its value;
 //! 3. the live jobs go to the run in one `on_arrivals` call;
-//! 4. a run that breaks the one-decision-per-job contract is an error;
+//! 4. a run that breaks the one-decision-per-job contract is an error
+//!    ([`ScheduleError::ArrivalContract`]);
 //! 5. every decision folds into the rolling dual price, and the batch
 //!    count advances.
 
@@ -172,10 +173,10 @@ impl<R: OnlineScheduler> ShardCore<R> {
             outcome => {
                 record.truncate(base, record.price_trace.len());
                 return Err(match outcome {
-                    Ok(fed) => ScheduleError::Internal(format!(
-                        "on_arrivals contract violation: {} decisions for a burst of {live} jobs",
-                        fed.len()
-                    )),
+                    Ok(fed) => ScheduleError::ArrivalContract {
+                        jobs: live,
+                        decisions: fed.len(),
+                    },
                     Err(e) => e,
                 });
             }

@@ -56,6 +56,14 @@ pub enum ScheduleError {
     UnknownJob(JobId),
     /// The underlying numeric solver failed to converge.
     SolverDiverged(String),
+    /// A run answered an `on_arrivals` burst with other than one decision
+    /// per job.
+    ArrivalContract {
+        /// Jobs in the burst.
+        jobs: usize,
+        /// Decisions the run returned.
+        decisions: usize,
+    },
     /// A generic invariant violation inside an algorithm.
     Internal(String),
 }
@@ -67,6 +75,10 @@ impl fmt::Display for ScheduleError {
             ScheduleError::UnknownMachine(m) => write!(f, "segment refers to unknown machine {m}"),
             ScheduleError::UnknownJob(j) => write!(f, "segment refers to unknown job {j}"),
             ScheduleError::SolverDiverged(msg) => write!(f, "numeric solver diverged: {msg}"),
+            ScheduleError::ArrivalContract { jobs, decisions } => write!(
+                f,
+                "on_arrivals contract violation: {decisions} decisions for a burst of {jobs} jobs"
+            ),
             ScheduleError::Internal(msg) => write!(f, "internal scheduling error: {msg}"),
         }
     }

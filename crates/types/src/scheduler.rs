@@ -160,15 +160,15 @@ pub trait OnlineScheduler {
     fn on_arrivals(&mut self, jobs: &[Job], now: f64) -> Result<Vec<Decision>, ScheduleError>;
 
     /// Feeds one job at time `now` as a one-job burst and returns its
-    /// decision, or an error if `on_arrivals` breaks its contract by not
-    /// answering with exactly one.
+    /// decision, or [`ScheduleError::ArrivalContract`] if `on_arrivals`
+    /// breaks its contract by not answering with exactly one.
     fn on_arrival(&mut self, job: &Job, now: f64) -> Result<Decision, ScheduleError> {
         match self.on_arrivals(std::slice::from_ref(job), now)?[..] {
             [decision] => Ok(decision),
-            ref other => Err(ScheduleError::Internal(format!(
-                "on_arrivals contract violation: {} decisions for one job",
-                other.len()
-            ))),
+            ref other => Err(ScheduleError::ArrivalContract {
+                jobs: 1,
+                decisions: other.len(),
+            }),
         }
     }
 
@@ -489,8 +489,8 @@ mod tests {
         for answers in [0, 2] {
             let mut run = Miscounting(answers, Schedule::empty(1));
             match run.on_arrival(&inst.jobs[0], 0.0) {
-                Err(ScheduleError::Internal(msg)) => {
-                    assert!(msg.contains("on_arrivals contract violation"), "{msg}")
+                Err(ScheduleError::ArrivalContract { jobs, decisions }) => {
+                    assert_eq!((jobs, decisions), (1, answers))
                 }
                 other => panic!("{answers} decisions: expected the violation, got {other:?}"),
             }

@@ -192,9 +192,10 @@ fn cll_incremental_equals_batch_on_random_workloads() {
 
 // ---- Warm-started vs from-scratch arrival paths -------------------------
 //
-// PR 2 made the arrival step itself incremental: OA-family replans reuse the
-// previous YDS solution (`Planner::plan_warm` + `PlanCache`), and PD keeps a
-// persistent sparse planning context instead of rebuilding it per arrival.
+// The arrival step itself is incremental: OA-family replans walk the YDS
+// staircase over the deadline-ordered pending list (`Planner::plan_warm` +
+// `PlanCache`), and PD keeps a persistent sparse planning context instead of
+// rebuilding it per arrival.
 // These tests pin the warm-started paths to the from-scratch ones on random
 // workloads: identical decisions, costs and speed profiles.
 
@@ -1035,11 +1036,12 @@ fn superseded_state_versions_are_refused() {
     // more when its job history and EDF heap left the payload, and PD's and
     // the replanning executor's when the water-fill tolerance left PD's
     // payload and OA(m)'s solver options, and the executor's once more when
-    // its plan and staleness flag left the payload, and once more when
-    // OA(m)'s warm descent rows left it, so blobs of different layouts are
-    // never confused.  A live blob re-labelled with a superseded version
-    // (replan 2, 3, 4 and 5; AVR 2, 3 and 4; BKP 2, 3 and 4; PD 3 and 4)
-    // must be refused with the typed version error.
+    // its plan and staleness flag left the payload, once more when OA(m)'s
+    // warm descent rows left it, and once more when the pending jobs'
+    // values and the warm YDS order left it, so blobs of different layouts
+    // are never confused.  A live blob re-labelled with a superseded
+    // version (replan 2, 3, 4, 5 and 6; AVR 2, 3 and 4; BKP 2, 3 and 4; PD 3
+    // and 4) must be refused with the typed version error.
     fn refuse<R: OnlineScheduler + LogCheckpointable>(mut run: R, instance: &Instance, old: u16) {
         for (t, jobs) in as_bursts(instance) {
             run.on_arrivals(&jobs, t).expect("burst");
@@ -1058,7 +1060,7 @@ fn superseded_state_versions_are_refused() {
         );
     }
     let instance = bursty_profitable(7950, 1, 2.0, 12, 3);
-    for old in [2, 4] {
+    for old in [2, 4, 6] {
         refuse(
             CllScheduler.start_for(&instance).expect("CLL run"),
             &instance,
@@ -1081,7 +1083,7 @@ fn superseded_state_versions_are_refused() {
             old,
         );
     }
-    for old in [3, 4, 5] {
+    for old in [3, 4, 5, 6] {
         refuse(
             MultiOaScheduler::default()
                 .start_for(&instance)
